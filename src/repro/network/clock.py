@@ -133,6 +133,11 @@ class VirtualClock:
             return self._now
 
     def _observe(self, t: float) -> None:
+        # the envelope is monotone, so a timeline at or behind it has
+        # nothing to report; a stale read here only errs toward taking
+        # the lock
+        if t <= self._now:
+            return
         with self._lock:
             if t > self._now:
                 self._now = t

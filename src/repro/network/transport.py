@@ -15,6 +15,7 @@ import itertools
 import struct
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Dict, Optional, Tuple
 from zlib import crc32
 
@@ -37,6 +38,19 @@ HEADER_STRUCT = struct.Struct(">IIQIId")
 
 #: wire encoding of "no deadline" in the header's deadline field
 NO_DEADLINE = float("inf")
+
+
+# The header's kind and host tags are crc32s of short strings drawn from
+# a small fixed vocabulary (procedure names, hostnames): computed once
+# per string, not once per message.
+@lru_cache(maxsize=4096)
+def _kind_tag(kind: str) -> int:
+    return crc32(kind.encode("ascii", "replace"))
+
+
+@lru_cache(maxsize=4096)
+def _host_tag(hostname: str) -> int:
+    return crc32(hostname.encode())
 
 
 class MessageDropped(NetworkError):
@@ -230,10 +244,10 @@ class Transport:
         msg_id = next(self._ids)
         header = HEADER_STRUCT.pack(
             msg_id & 0xFFFFFFFF,
-            crc32(kind.encode("ascii", "replace")),
+            _kind_tag(kind),
             nbytes,
-            crc32(src.hostname.encode()),
-            crc32(dst.hostname.encode()),
+            _host_tag(src.hostname),
+            _host_tag(dst.hostname),
             NO_DEADLINE if deadline_s is None else deadline_s,
         )
         msg = Message(

@@ -26,7 +26,6 @@ from enum import Enum
 from typing import Dict, Optional, Tuple
 
 from ..machines.host import Machine
-from ..uts.errors import UTSCompatibilityError
 from ..uts.types import Signature
 from .errors import (
     DuplicateName,
@@ -34,11 +33,10 @@ from .errors import (
     ManagerError,
     MigrationError,
     NameNotFound,
-    TypeCheckError,
 )
 from .lines import InstanceRecord, Line, LineState, new_instance_record
 from .procedure import Executable, Procedure
-from .runtime import SchoonerEnvironment, execute_call
+from .runtime import SchoonerEnvironment, check_import, execute_call
 from .server import SchoonerServer
 
 __all__ = ["Manager", "ManagerMode", "SharedRegistry"]
@@ -231,17 +229,7 @@ class Manager:
                 raise
             record = shared
         if import_sig is not None:
-            try:
-                # the Fortran-synonym case: check against the canonical
-                # signature regardless of which case the caller used
-                check = Signature(
-                    name=record.procedure.signature.name,
-                    params=import_sig.params,
-                    kind=import_sig.kind,
-                )
-                check.check_import_subset(record.procedure.signature)
-            except UTSCompatibilityError as exc:
-                raise TypeCheckError(str(exc)) from exc
+            check_import(import_sig, record.procedure.signature)
         return record
 
     # -- calls (Manager-mediated convenience; stubs use runtime directly) ------

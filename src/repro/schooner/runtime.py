@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..machines.host import Machine
 from ..machines.registry import MachinePark, standard_park
@@ -25,12 +25,20 @@ from ..resilience.breaker import BreakerBoard
 from ..resilience.budget import RetryBudget
 from ..resilience.deadline import Deadline
 from ..uts.buffers import WIRE_BUFFERS
-from ..uts.compiled import native_roundtrip_for, signature_codec
+from ..uts.compiled import SignatureCodec, native_roundtrip_for, signature_codec
+from ..uts.errors import UTSCompatibilityError
 from ..uts.native import OutOfRangePolicy
 from ..uts.types import Signature
 from ..uts.values import conform_args
-from .errors import CallFailed, CallTimeout, DeadlineExceeded, StaleBinding
+from .errors import (
+    CallFailed,
+    CallTimeout,
+    DeadlineExceeded,
+    StaleBinding,
+    TypeCheckError,
+)
 from .lines import InstanceRecord, LinePool
+from .procedure import STATE_ARG, TIMELINE_ARG
 
 if TYPE_CHECKING:  # pragma: no cover
     from .stubs import ClientStub
@@ -235,6 +243,152 @@ class SchoonerEnvironment:
         self.close()
 
 
+def check_import(import_sig: Signature, export_sig: Signature) -> None:
+    """The Manager's runtime type check: the import must be a subset of
+    the export (:meth:`Signature.check_import_subset`), compared under
+    the export's canonical name whichever Fortran case synonym the
+    caller used.  Raises :class:`TypeCheckError`."""
+    try:
+        Signature(
+            name=export_sig.name,
+            params=import_sig.params,
+            kind=import_sig.kind,
+        ).check_import_subset(export_sig)
+    except UTSCompatibilityError as exc:
+        raise TypeCheckError(str(exc)) from exc
+
+
+#: (parameter name, native round-trip callable) pairs, in wire order
+_Roundtrips = Tuple[Tuple[str, Callable[[Any], Any]], ...]
+
+
+class CallPlan:
+    """Everything about one call that does not depend on the call.
+
+    The paper's stub compiler decides how a procedure's arguments are
+    marshaled when the stub is generated; this is the same decision
+    taken when a client stub first calls through a resolved binding.
+    A plan is a pure function of the import signature, the bound
+    procedure, the two machines' native formats and the out-of-range
+    policy, so it holds nothing a fault plan, breaker, deadline, derate
+    or partition can change — liveness, the route, the fault filter,
+    compute rates and deadlines are still read on every call.  Plans
+    are kept on the :class:`~repro.schooner.lines.InstanceRecord` they
+    were compiled for, one per import signature, built on the first
+    call through it and rebuilt when what they were compiled against
+    is no longer what the call presents (:meth:`matches`: a migration's
+    new generation, another caller machine, a flipped range policy).
+    """
+
+    __slots__ = (
+        "caller_machine", "callee_machine", "procedure", "generation", "policy",
+        "call_kind", "reply_kind", "send_codec", "return_codec",
+        "caller_send", "callee_recv", "callee_return", "caller_recv",
+        "wants_state", "wants_timeline",
+    )
+
+    def __init__(
+        self,
+        env: "SchoonerEnvironment",
+        caller_machine: Machine,
+        record: InstanceRecord,
+        import_sig: Signature,
+    ) -> None:
+        proc = record.procedure
+        check_import(import_sig, proc.signature)
+        self.caller_machine = caller_machine
+        self.callee_machine = record.machine
+        self.procedure = proc
+        self.generation = record.generation
+        self.policy = policy = env.range_policy
+        self.call_kind = f"call:{import_sig.name}"
+        self.reply_kind = f"reply:{import_sig.name}"
+        sent, returned = import_sig.sent_params, import_sig.returned_params
+        self.send_codec: SignatureCodec = signature_codec(import_sig, "send")
+        self.return_codec: SignatureCodec = signature_codec(import_sig, "return")
+
+        caller_fmt = caller_machine.architecture.native_format
+        callee_fmt = record.machine.architecture.native_format
+
+        def roundtrips(fmt, params) -> _Roundtrips:
+            return tuple(
+                (p.name, native_roundtrip_for(fmt, p.type, policy)) for p in params
+            )
+
+        self.caller_send = roundtrips(caller_fmt, sent)
+        self.callee_recv = roundtrips(callee_fmt, sent)
+        self.callee_return = roundtrips(callee_fmt, returned)
+        self.caller_recv = roundtrips(caller_fmt, returned)
+        self.wants_state = proc.wants_state
+        self.wants_timeline = proc.wants_timeline
+
+    def matches(
+        self,
+        env: "SchoonerEnvironment",
+        caller_machine: Machine,
+        record: InstanceRecord,
+    ) -> bool:
+        """Whether this plan was compiled for what the call presents."""
+        return (
+            self.caller_machine is caller_machine
+            and self.callee_machine is record.machine
+            and self.procedure is record.procedure
+            and self.generation == record.generation
+            and self.policy is env.range_policy
+        )
+
+
+def _lost(
+    env: "SchoonerEnvironment",
+    timeline: Timeline,
+    trace: "CallTrace",
+    sink_trace: Callable[["CallTrace"], None],
+    deadline: Optional[Deadline],
+    exc: Exception,
+    retry_safe: bool,
+    hop: str,
+) -> CallTimeout:
+    """A request or reply was lost: the caller waits out the timeout in
+    virtual time, then gives up."""
+    timeline.advance(env.costs.call_timeout_s)
+    trace.outcome = "timeout"
+    trace.timeout_hop = hop
+    trace.finished_at = timeline.now
+    sink_trace(trace)
+    remaining = deadline.remaining(timeline.now) if deadline is not None else None
+    budget = (
+        f", {remaining:.3f}s of deadline budget left"
+        if remaining is not None
+        else ""
+    )
+    return CallTimeout(
+        f"{trace.procedure}: no reply from {trace.callee} "
+        f"within {env.costs.call_timeout_s}s ({hop} lost: {exc}){budget}",
+        retry_safe=retry_safe,
+        trace=trace,
+        hop=hop,
+        deadline_remaining_s=remaining,
+    )
+
+
+def _late(
+    timeline: Timeline,
+    trace: "CallTrace",
+    sink_trace: Callable[["CallTrace"], None],
+    deadline: Deadline,
+    where: str,
+) -> DeadlineExceeded:
+    """The deadline stamped in the header has passed: refuse the work."""
+    trace.outcome = "deadline"
+    trace.finished_at = timeline.now
+    sink_trace(trace)
+    return DeadlineExceeded(
+        f"{trace.procedure}: {deadline.describe(timeline.now)} {where}",
+        trace=trace,
+        remaining_s=deadline.remaining(timeline.now),
+    )
+
+
 def execute_call(
     env: SchoonerEnvironment,
     caller_machine: Machine,
@@ -252,13 +406,15 @@ def execute_call(
 
     Raises :class:`StaleBinding` when the target process is gone (the
     stub's cue to refresh its name cache from the Manager),
-    :class:`CallTimeout` when a request or reply is lost on the simulated
-    network (the caller waits out ``costs.call_timeout_s`` of virtual
-    time first), :class:`DeadlineExceeded` when ``deadline`` has expired
-    before the call starts or by the time the request reaches the server
-    (the server refuses already-late work rather than computing results
-    nobody can use), and :class:`CallFailed` for argument conversion
-    failures.  ``retries``/``failed_over`` annotate the recorded trace.
+    :class:`TypeCheckError` when the import is not a subset of the
+    export, :class:`CallTimeout` when a request or reply is lost on the
+    simulated network (the caller waits out ``costs.call_timeout_s`` of
+    virtual time first), :class:`DeadlineExceeded` when ``deadline`` has
+    expired before the call starts or by the time the request reaches
+    the server (the server refuses already-late work rather than
+    computing results nobody can use), and :class:`CallFailed` for
+    argument conversion failures.  ``retries``/``failed_over`` annotate
+    the recorded trace.
 
     ``deadline`` also rides in both messages' packed wire headers
     (:data:`~repro.network.transport.HEADER_STRUCT`'s final field) — the
@@ -268,29 +424,28 @@ def execute_call(
     collects its members' traces privately and flushes them to the
     environment in submission order, so the trace log stays
     deterministic under the thread pool).
+
+    The body is a straight-line walk of the binding's
+    :class:`CallPlan`, compiled on the first call through it: the type
+    check, parameter lists, codecs and native-format conversions are
+    decided there, not here.
     """
     if not record.process.alive:
         raise StaleBinding(
             f"{import_sig.name}: process {record.process.address} is not running"
         )
 
-    # the Manager's runtime type check, applied on every call path (not
-    # just stub resolution): the import must be a subset of the export
-    from ..uts.errors import UTSCompatibilityError
-    from .errors import TypeCheckError
-
-    try:
-        Signature(
-            name=record.procedure.signature.name,
-            params=import_sig.params,
-            kind=import_sig.kind,
-        ).check_import_subset(record.procedure.signature)
-    except UTSCompatibilityError as exc:
-        raise TypeCheckError(str(exc)) from exc
+    plan: Optional[CallPlan] = record.plans.get(import_sig)
+    if plan is None or not plan.matches(env, caller_machine, record):
+        # first call through this binding, or it is no longer what the
+        # plan was compiled for (migrated, another caller machine, the
+        # range policy flipped).  An import that fails the type check
+        # raises here, on every attempt: no plan is ever kept for it.
+        plan = record.plans[import_sig] = CallPlan(
+            env, caller_machine, record, import_sig
+        )
 
     callee_machine = record.machine
-    export_sig = record.procedure.signature
-    policy = env.range_policy
     trace = CallTrace(
         procedure=import_sig.name,
         caller=caller_machine.hostname,
@@ -301,53 +456,15 @@ def execute_call(
         dispatch=dispatch,
     )
     sink_trace = env.record_trace if trace_sink is None else trace_sink.append
-
-    def _lost(exc: Exception, retry_safe: bool, hop: str) -> CallTimeout:
-        # the caller waits out the timeout in virtual time, then gives up
-        timeline.advance(env.costs.call_timeout_s)
-        trace.outcome = "timeout"
-        trace.timeout_hop = hop
-        trace.finished_at = timeline.now
-        sink_trace(trace)
-        remaining = deadline.remaining(timeline.now) if deadline is not None else None
-        budget = (
-            f", {remaining:.3f}s of deadline budget left"
-            if remaining is not None
-            else ""
-        )
-        return CallTimeout(
-            f"{import_sig.name}: no reply from {callee_machine.hostname} "
-            f"within {env.costs.call_timeout_s}s ({hop} lost: {exc}){budget}",
-            retry_safe=retry_safe,
-            trace=trace,
-            hop=hop,
-            deadline_remaining_s=remaining,
-        )
-
-    def _late(where: str) -> DeadlineExceeded:
-        # the deadline stamped in the header has passed: refuse the work
-        trace.outcome = "deadline"
-        trace.finished_at = timeline.now
-        sink_trace(trace)
-        assert deadline is not None
-        return DeadlineExceeded(
-            f"{import_sig.name}: {deadline.describe(timeline.now)} {where}",
-            trace=trace,
-            remaining_s=deadline.remaining(timeline.now),
-        )
-
-    if deadline is not None and deadline.expired(timeline.now):
-        # client-side refusal: don't marshal or touch the network for
-        # work that is already late
-        raise _late("before dispatch")
-
-    # Compiled UTS plans: one walk of each parameter type, cached per
-    # (signature, direction) and per (format, type, policy) — the RPC
-    # hot path never re-dispatches on the type tree.
-    caller_fmt = caller_machine.architecture.native_format
-    callee_fmt = callee_machine.architecture.native_format
-    send_codec = signature_codec(import_sig, "send")
-    return_codec = signature_codec(import_sig, "return")
+    deadline_s = None
+    if deadline is not None:
+        if deadline.expired(timeline.now):
+            # client-side refusal: don't marshal or touch the network
+            # for work that is already late
+            raise _late(timeline, trace, sink_trace, deadline, "before dispatch")
+        deadline_s = deadline.at_s
+    costs = env.costs
+    send = env.transport.send
 
     # --- client side: conform, apply caller-native storage, marshal -------
     # Zero-copy wire path: both directions encode into pooled bytearrays
@@ -356,16 +473,13 @@ def execute_call(
     # the buffers returned to the pool) before this call returns, so the
     # decoded results never alias pool memory.
     sent = conform_args(import_sig, args, "send")
-    sent = {
-        p.name: native_roundtrip_for(caller_fmt, p.type, policy)(sent[p.name])
-        for p in import_sig.sent_params
-    }
+    sent = {name: native(sent[name]) for name, native in plan.caller_send}
     req_buf = WIRE_BUFFERS.acquire()
     rep_buf: Optional[bytearray] = None
     request: Optional[memoryview] = None
     reply: Optional[memoryview] = None
     try:
-        nreq = send_codec.encode_conformed_into(sent, req_buf)
+        nreq = plan.send_codec.encode_conformed_into(sent, req_buf)
         request = memoryview(req_buf)
         dt = env.cpu_seconds_for_bytes(caller_machine, nreq)
         trace.client_cpu_s += dt
@@ -373,20 +487,23 @@ def execute_call(
 
         # --- network: request ----------------------------------------------
         try:
-            msg = env.transport.send(
+            msg = send(
                 caller_machine,
                 callee_machine,
-                f"call:{import_sig.name}",
+                plan.call_kind,
                 request,
                 nreq,
                 timeline=timeline,
-                header_bytes=env.costs.header_bytes,
-                deadline_s=deadline.at_s if deadline is not None else None,
+                header_bytes=costs.header_bytes,
+                deadline_s=deadline_s,
             )
         except NetworkError as exc:
             # request lost: the remote never saw the call, any procedure
             # may be safely retried
-            raise _lost(exc, retry_safe=True, hop="request") from exc
+            raise _lost(
+                env, timeline, trace, sink_trace, deadline, exc,
+                retry_safe=True, hop="request",
+            ) from exc
         trace.network_s += msg.transfer_seconds
         trace.request_bytes = msg.nbytes
 
@@ -395,7 +512,10 @@ def execute_call(
         # spending any CPU: work that went late in transit is refused,
         # not computed (DeadlineExceeded, distinct from CallTimeout)
         if msg.deadline_s is not None and timeline.now >= msg.deadline_s:
-            raise _late(f"on arrival at {callee_machine.hostname}")
+            raise _late(
+                timeline, trace, sink_trace, deadline,
+                f"on arrival at {callee_machine.hostname}",
+            )
         dt = env.cpu_seconds_for_bytes(callee_machine, nreq)
         trace.server_cpu_s += dt
         timeline.advance(dt)
@@ -403,26 +523,17 @@ def execute_call(
         # The callee sees the subset of parameters its *export* declares
         # that the import actually sent (import may be a subset of the
         # export).  It decodes the delivered body in place.
-        recv = send_codec.unmarshal(msg.body)
-        recv = {
-            name: native_roundtrip_for(
-                callee_fmt, import_sig.param_named(name).type, policy
-            )(value)
-            for name, value in recv.items()
-        }
+        recv = plan.send_codec.unmarshal(msg.body)
+        recv = {name: native(recv[name]) for name, native in plan.callee_recv}
 
-        proc = record.procedure
+        proc = plan.procedure
         if not callee_machine.up or not record.process.alive:
             raise StaleBinding(f"{import_sig.name}: host died mid-call")
 
         kwargs = dict(recv)
-        if proc.wants_state:
-            from .procedure import STATE_ARG
-
+        if plan.wants_state:
             kwargs[STATE_ARG] = record.state_storage()
-        if proc.wants_timeline:
-            from .procedure import TIMELINE_ARG
-
+        if plan.wants_timeline:
             kwargs[TIMELINE_ARG] = timeline
         try:
             raw_result = proc.impl(**kwargs)
@@ -437,12 +548,9 @@ def execute_call(
 
         results = _shape_results(import_sig, raw_result, recv)
         results = conform_args(import_sig, results, "return")
-        results = {
-            p.name: native_roundtrip_for(callee_fmt, p.type, policy)(results[p.name])
-            for p in import_sig.returned_params
-        }
+        results = {name: native(results[name]) for name, native in plan.callee_return}
         rep_buf = WIRE_BUFFERS.acquire()
-        nrep = return_codec.encode_conformed_into(results, rep_buf)
+        nrep = plan.return_codec.encode_conformed_into(results, rep_buf)
         reply = memoryview(rep_buf)
         dt = env.cpu_seconds_for_bytes(callee_machine, nrep)
         trace.server_cpu_s += dt
@@ -450,21 +558,24 @@ def execute_call(
 
         # --- network: reply -------------------------------------------------
         try:
-            msg = env.transport.send(
+            msg = send(
                 callee_machine,
                 caller_machine,
-                f"reply:{import_sig.name}",
+                plan.reply_kind,
                 reply,
                 nrep,
                 timeline=timeline,
-                header_bytes=env.costs.header_bytes,
-                deadline_s=deadline.at_s if deadline is not None else None,
+                header_bytes=costs.header_bytes,
+                deadline_s=deadline_s,
             )
         except NetworkError as exc:
             # reply lost: the remote *did* execute, so only procedures
             # whose re-execution is harmless (stateless, or explicitly
             # idempotent) may be retried without double-execution risk
-            raise _lost(exc, retry_safe=record.procedure.retry_ok, hop="reply") from exc
+            raise _lost(
+                env, timeline, trace, sink_trace, deadline, exc,
+                retry_safe=proc.retry_ok, hop="reply",
+            ) from exc
         trace.network_s += msg.transfer_seconds
         trace.reply_bytes = msg.nbytes
 
@@ -472,11 +583,8 @@ def execute_call(
         dt = env.cpu_seconds_for_bytes(caller_machine, nrep)
         trace.client_cpu_s += dt
         timeline.advance(dt)
-        out = return_codec.unmarshal(msg.body)
-        out = {
-            p.name: native_roundtrip_for(caller_fmt, p.type, policy)(out[p.name])
-            for p in import_sig.returned_params
-        }
+        out = plan.return_codec.unmarshal(msg.body)
+        out = {name: native(out[name]) for name, native in plan.caller_recv}
 
         trace.finished_at = timeline.now
         sink_trace(trace)

@@ -484,7 +484,9 @@ def _shard_worker_main(
         while True:
             try:
                 kind, payload = recv_frame(conn, ring=ring_in)
-            except EOFError:
+            except (EOFError, ConnectionResetError):
+                # the parent closed its end, or died with a frame of
+                # ours unread (a reset, not an EOF): exit either way
                 break
             if kind == "shard-exit":
                 break
@@ -769,7 +771,11 @@ class ShardPool:
                 break
         try:
             kind, reply = recv_frame(conn, ring=self._rings_in[shard])
-        except EOFError:
+        except (EOFError, OSError):
+            # EOF is a worker that closed its end; a worker SIGKILLed
+            # with a frame of ours still unread in its socket buffer
+            # resets the connection instead (poll() reports readable,
+            # the read raises ConnectionResetError)
             raise self._crashed(shard) from None
         self._last_kind[shard] = kind
         if kind == "shard-error":
@@ -858,9 +864,15 @@ class ShardPool:
                             f"shard {w} did not settle within "
                             f"{settle_timeout_s:g}s during recovery"
                         )
-                    kind, reply = recv_frame(
-                        self._conns[w], ring=self._rings_in[w]
-                    )
+                    try:
+                        kind, reply = recv_frame(
+                            self._conns[w], ring=self._rings_in[w]
+                        )
+                    except (EOFError, OSError):
+                        # died before echoing (EOF, or a reset when it
+                        # left our marker unread): reap it; the pool is
+                        # marked broken below
+                        raise self._crashed(w) from None
                     if kind == "shard-synced" and (
                         (reply or {}).get("token") == tokens[w]
                     ):

@@ -66,7 +66,14 @@ from .types import (
     StringType,
     UTSType,
 )
-from .values import conform, conform_args, identical, values_equal, zero_value
+from .values import (
+    conform,
+    conform_args,
+    conformer_for,
+    identical,
+    values_equal,
+    zero_value,
+)
 from .buffers import BufferPool
 from .wire import (
     decode_value,
@@ -116,6 +123,7 @@ __all__ = [
     # values
     "conform",
     "conform_args",
+    "conformer_for",
     "zero_value",
     "values_equal",
     "identical",

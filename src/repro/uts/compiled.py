@@ -339,15 +339,51 @@ def codec_for(t: UTSType) -> CompiledCodec:
 # ---------------------------------------------------------------------------
 
 
+def _compile_flat_message(
+    params: Tuple[Any, ...],
+) -> Optional[Tuple[int, Callable[[Dict[str, Any]], bytes], Callable[[Any], Dict[str, Any]]]]:
+    """``(size, pack, unpack)`` for an argument list in which every
+    parameter has a fixed wire layout, or ``None`` when one does not
+    (a string somewhere).  Such a list is one struct: ``pack`` turns the
+    canonical argument dict into the message with a single
+    ``Struct.pack``, ``unpack`` turns exactly ``size`` bytes back into
+    the dict with a single ``Struct.unpack``."""
+    frags = [_flat_fragment(p.type) for p in params]
+    if any(f is None for f in frags):
+        return None
+    packer = struct.Struct(">" + "".join(frag for frag, _ in frags))
+    flatteners = tuple((p.name, _flattener(p.type)) for p in params)
+    unflatteners = tuple((p.name, _unflattener(p.type)) for p in params)
+
+    def pack(args: Dict[str, Any]) -> bytes:
+        slots: List[Any] = []
+        for name, flatten in flatteners:
+            flatten(args[name], slots)
+        return packer.pack(*slots)
+
+    def unpack(data: Any) -> Dict[str, Any]:
+        slots = packer.unpack(data)
+        args: Dict[str, Any] = {}
+        i = 0
+        for name, unflatten in unflatteners:
+            args[name], i = unflatten(slots, i)
+        return args
+
+    return packer.size, pack, unpack
+
+
 class SignatureCodec:
     """Marshals one direction of a call's arguments with compiled codecs.
 
     Drop-in equivalent of :func:`repro.uts.wire.marshal_args` /
     :func:`~repro.uts.wire.unmarshal_args` for a fixed
-    ``(signature, direction)``.
+    ``(signature, direction)``.  An argument list with no
+    variable-length parameter packs and unpacks as one struct
+    (:func:`_compile_flat_message`) instead of one per parameter.
     """
 
-    __slots__ = ("signature", "direction", "_params")
+    __slots__ = ("signature", "direction", "_params",
+                 "_flat_size", "_flat_pack", "_flat_unpack")
 
     def __init__(self, sig: Signature, direction: str):
         if direction not in ("send", "return"):  # pragma: no cover
@@ -356,6 +392,9 @@ class SignatureCodec:
         self.direction = direction
         params = sig.sent_params if direction == "send" else sig.returned_params
         self._params = tuple((p.name, codec_for(p.type)) for p in params)
+        self._flat_size, self._flat_pack, self._flat_unpack = (
+            _compile_flat_message(params) or (None, None, None)
+        )
 
     def marshal(self, args: Dict[str, Any]) -> bytes:
         """Conform and encode; equivalent to ``marshal_args``."""
@@ -378,12 +417,20 @@ class SignatureCodec:
         :mod:`repro.uts.buffers`) so the request never materializes as
         an intermediate ``bytes`` — the ``bytes(out)`` in
         :meth:`encode_conformed` was the double copy."""
+        if self._flat_pack is not None:
+            out += self._flat_pack(args)
+            return self._flat_size
         n0 = len(out)
         for name, codec in self._params:
             codec.encode_into(args[name], out)
         return len(out) - n0
 
     def unmarshal(self, data: bytes) -> Dict[str, Any]:
+        if len(data) == self._flat_size:
+            return self._flat_unpack(data)
+        # variable-length arguments, or a message of the wrong size: the
+        # per-parameter walk decodes the former and names what is wrong
+        # with the latter (truncated parameter, trailing bytes)
         args: Dict[str, Any] = {}
         offset = 0
         for name, codec in self._params:

@@ -26,7 +26,14 @@ and cross-checks the outcomes against the documented semantics table in
   below ``2**-128``; Cray round-trips raise (or clamp to ±inf) from
   ``(1 - 2**-49) * 2**1024`` upward;
 * compiled codecs agree with the interpretive codecs byte-for-byte,
-  value-for-value, and exception-for-exception.
+  value-for-value, and exception-for-exception;
+* the compiled conformers behind ``conform_args`` return what
+  ``conform`` returns and raise what it raises, message included, on
+  canonical, NumPy-flavoured and plainly wrong values alike;
+* a whole-message :class:`~repro.uts.compiled.SignatureCodec` writes the
+  bytes ``marshal_args`` writes and reads what ``unmarshal_args`` reads;
+  truncated, padded or arbitrary bytes end in a typed
+  ``UTSConversionError`` on both, never a ``struct.error``.
 
 Checks return a list of discrepancy strings (empty = conformant), so
 pytest and the CLI smoke runner (``python -m repro.uts.conformance``)
@@ -40,14 +47,15 @@ import math
 import struct
 import sys
 from fractions import Fraction
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ..machines.arch import ALL_NATIVE_FORMATS
 from .compiled import codec_for, native_roundtrip_for, signature_codec
-from .errors import UTSConversionError, UTSError, UTSRangeError
+from .errors import UTSConversionError, UTSError, UTSRangeError, UTSTypeError
 from .native import (
     CrayFormat,
     IEEEFormat,
@@ -64,12 +72,21 @@ from .types import (
     INTEGER,
     STRING,
     ArrayType,
+    ParamMode,
+    Parameter,
     RecordField,
     RecordType,
+    Signature,
     UTSType,
 )
-from .values import conform, identical
-from .wire import decode_value, encode_value, encoded_size
+from .values import conform, conform_args, conformer_for, identical
+from .wire import (
+    decode_value,
+    encode_value,
+    encoded_size,
+    marshal_args,
+    unmarshal_args,
+)
 
 __all__ = [
     "ConformanceFailure",
@@ -78,12 +95,20 @@ __all__ = [
     "check_native_float",
     "check_wire_value",
     "check_compiled_equivalence",
+    "check_conformer",
+    "check_conform_args",
+    "check_signature_codec",
     "check_cray_raw",
     "check_vax_raw",
     "conformance_doubles",
     "uts_types",
     "value_for",
+    "offered_for",
     "typed_values",
+    "offered_values",
+    "signatures",
+    "marshalable_calls",
+    "offered_calls",
     "cray_raw_fields",
     "vax_raw_fields",
     "run",
@@ -336,6 +361,138 @@ def check_compiled_equivalence(t: UTSType, value: Any) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
+# compiled conformers and whole-message signature codecs
+# ---------------------------------------------------------------------------
+
+
+def _outcome_with_text(fn: Callable, *args: Any) -> Tuple[Any, ...]:
+    """:func:`_outcome` plus the exception's message."""
+    try:
+        return ("value", fn(*args))
+    except UTSError as exc:
+        return ("raise", type(exc), str(exc))
+
+
+def _same_canonical(a: Any, b: Any) -> bool:
+    """Equal down to the Python type of every leaf (a NumPy scalar that
+    compares equal to a float is still a leak) and the bits of every
+    float; dicts must agree on key order too."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return _bits_equal(a, b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_canonical, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same_canonical(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _same_outcome(ref: Tuple[Any, ...], got: Tuple[Any, ...]) -> bool:
+    """Same canonical value, or the same exception — its type, and its
+    message where the outcomes carry one (conformance errors are what a
+    user reads, so the compiled path may not reword them)."""
+    if ref[0] != got[0]:
+        return False
+    if ref[0] == "raise":
+        return ref[1:] == got[1:]
+    return _same_canonical(ref[1], got[1])
+
+
+def check_conformer(t: UTSType, value: Any) -> List[str]:
+    """The compiled conformer for ``t`` against ``conform(t, value)``:
+    the same canonical value, or the same exception type and message.
+    ``value`` is anything a caller might offer, conformable or not."""
+    ref = _outcome_with_text(conform, t, value)
+    got = _outcome_with_text(conformer_for(t), value)
+    if not _same_outcome(ref, got):
+        return [
+            f"compiled conformer differs from conform() for {t.describe()} "
+            f"on {value!r}: {ref} vs {got}"
+        ]
+    return []
+
+
+def _conform_args_reference(
+    sig: Signature, args: Dict[str, Any], direction: str
+) -> Dict[str, Any]:
+    """``conform_args`` as the interpretive path spells it: the name
+    check, then ``conform`` per parameter in signature order."""
+    params = sig.sent_params if direction == "send" else sig.returned_params
+    expected = {p.name for p in params}
+    actual = set(args.keys())
+    if expected != actual:
+        raise UTSTypeError(
+            f"{sig.name}: {direction} arguments {sorted(actual)} "
+            f"do not match expected {sorted(expected)}"
+        )
+    return {p.name: conform(p.type, args[p.name]) for p in params}
+
+
+def check_conform_args(sig: Signature, direction: str, args: Dict[str, Any]) -> List[str]:
+    """``conform_args`` (compiled, per ``(signature, direction)``)
+    against the interpretive spelling, for argument dictionaries that
+    may miss names, carry extra ones, or hold unconformable values."""
+    ref = _outcome_with_text(_conform_args_reference, sig, args, direction)
+    got = _outcome_with_text(conform_args, sig, args, direction)
+    if not _same_outcome(ref, got):
+        return [
+            f"conform_args differs from the reference for {sig.name} "
+            f"({direction}) on {args!r}: {ref} vs {got}"
+        ]
+    return []
+
+
+def _damaged(data: bytes) -> List[bytes]:
+    """``data`` cut short at a few offsets and padded at the end."""
+    cuts = {0, 1, len(data) // 2, len(data) - 1}
+    return [data[:n] for n in sorted(cuts) if 0 <= n < len(data)] + [
+        data + b"\x00",
+        data + data,
+    ]
+
+
+def check_signature_codec(
+    sig: Signature, direction: str, args: Dict[str, Any], noise: bytes = b""
+) -> List[str]:
+    """A :class:`~repro.uts.compiled.SignatureCodec` against
+    ``marshal_args``/``unmarshal_args``: identical bytes for conformable
+    ``args``, identical decoded arguments, and on damaged input
+    (truncated, trailing bytes, ``noise``) the same kind of outcome —
+    which for an error is a ``UTSConversionError`` on both sides.  A
+    ``struct.error`` escaping either side propagates and fails the
+    sweep."""
+    issues: List[str] = []
+    codec = signature_codec(sig, direction)
+    ref_bytes = marshal_args(sig, args, direction)
+    got_bytes = codec.marshal(args)
+    if ref_bytes != got_bytes:
+        issues.append(
+            f"signature codec bytes differ for {sig.name} ({direction}): "
+            f"{ref_bytes.hex()} vs {got_bytes.hex()}"
+        )
+    buf = bytearray(b"pre")
+    appended = codec.encode_conformed_into(conform_args(sig, args, direction), buf)
+    if appended != len(ref_bytes) or bytes(buf[3:]) != ref_bytes:
+        issues.append(
+            f"encode_conformed_into appended {appended} bytes, expected "
+            f"{len(ref_bytes)}, for {sig.name} ({direction})"
+        )
+    for data in [ref_bytes] + _damaged(ref_bytes) + [noise]:
+        for view in (data, memoryview(data)):
+            ref = _outcome(unmarshal_args, sig, view, direction)
+            got = _outcome(codec.unmarshal, view)
+            if ref[0] == "raise" and ref[1] is not UTSConversionError:
+                issues.append(f"unmarshal_args raised {ref[1].__name__}")
+            if not _same_outcome(ref, got):
+                issues.append(
+                    f"signature codec unmarshal differs for {sig.name} "
+                    f"({direction}) on {bytes(data).hex()}: {ref} vs {got}"
+                )
+    return issues
+
+
+# ---------------------------------------------------------------------------
 # raw bit patterns (values a Python float cannot express)
 # ---------------------------------------------------------------------------
 
@@ -508,6 +665,109 @@ def typed_values() -> st.SearchStrategy[Tuple[UTSType, Any]]:
     return uts_types().flatmap(lambda t: st.tuples(st.just(t), value_for(t)))
 
 
+#: things no UTS type accepts everywhere: each scalar type rejects most
+#: of them, and which ones it lets through (``True`` for an integer?
+#: ``b"a"`` for a byte?) is exactly what the differential pins
+_OFFERED_JUNK = (
+    None, True, False, 0, 1, -1, 255, 256, 2**63, -(2**63) - 1, 1.5, math.inf,
+    "x", b"a", b"ab", bytearray(b"z"), [], (), {}, [1.0], (1.0, 2.0),
+    np.float32(1.5), np.float64(-0.0), np.int64(7), np.uint8(200),
+    np.bool_(True), np.zeros((2, 2)), np.arange(3), np.array([1.5, 2.5]),
+)
+
+
+def _numpy_flavoured(value: Any) -> Any:
+    """The same value as NumPy would hand it over."""
+    if isinstance(value, bool):
+        return np.bool_(value)
+    if isinstance(value, int):
+        return np.int64(value) if -(2**63) <= value < 2**63 else value
+    if isinstance(value, float):
+        return np.float64(value)
+    if isinstance(value, list) and value and all(type(v) is float for v in value):
+        return np.array(value)
+    return value
+
+
+def offered_for(t: UTSType) -> st.SearchStrategy[Any]:
+    """Values a caller might *offer* for ``t``: canonical ones, the same
+    as NumPy scalars and arrays, tuples for lists, arrays of the wrong
+    length, records with missing or extra fields, and outright junk."""
+    junk = st.sampled_from(_OFFERED_JUNK)
+    good = value_for(t)
+    if isinstance(t, ArrayType):
+        items = offered_for(t.element)
+        return st.one_of(
+            good,
+            good.map(_numpy_flavoured),
+            good.map(tuple),
+            st.lists(items, min_size=t.length, max_size=t.length),
+            st.lists(items, max_size=t.length + 2),
+            junk,
+        )
+    if isinstance(t, RecordType):
+        fields = {f.name: offered_for(f.type) for f in t.fields}
+        return st.one_of(
+            good,
+            st.fixed_dictionaries(fields),
+            st.fixed_dictionaries({}, optional=fields),
+            st.fixed_dictionaries(fields, optional={"extra_field": junk}),
+            junk,
+        )
+    return st.one_of(good, good.map(_numpy_flavoured), junk)
+
+
+def offered_values() -> st.SearchStrategy[Tuple[UTSType, Any]]:
+    return uts_types().flatmap(lambda t: st.tuples(st.just(t), offered_for(t)))
+
+
+def signatures() -> st.SearchStrategy[Signature]:
+    """Procedure signatures over arbitrary parameter types and modes."""
+    param = st.tuples(_ident, st.sampled_from(list(ParamMode)), uts_types())
+    return st.lists(param, max_size=5, unique_by=lambda p: p[0]).map(
+        lambda ps: Signature("proc", tuple(Parameter(n, m, t) for n, m, t in ps))
+    )
+
+
+def _direction_params(sig: Signature, direction: str) -> Tuple[Parameter, ...]:
+    return sig.sent_params if direction == "send" else sig.returned_params
+
+
+def marshalable_calls() -> st.SearchStrategy[Tuple[Signature, str, Dict[str, Any], bytes]]:
+    """``(signature, direction, conformable arguments, noise bytes)``."""
+    return st.tuples(signatures(), st.sampled_from(("send", "return"))).flatmap(
+        lambda sd: st.tuples(
+            st.just(sd[0]),
+            st.just(sd[1]),
+            st.fixed_dictionaries(
+                {p.name: value_for(p.type) for p in _direction_params(*sd)}
+            ),
+            st.binary(max_size=48),
+        )
+    )
+
+
+def offered_calls() -> st.SearchStrategy[Tuple[Signature, str, Dict[str, Any]]]:
+    """``(signature, direction, offered arguments)``: names may be
+    missing or extra, values may not conform."""
+    return st.tuples(signatures(), st.sampled_from(("send", "return"))).flatmap(
+        lambda sd: st.tuples(
+            st.just(sd[0]),
+            st.just(sd[1]),
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    **{p.name: offered_for(p.type) for p in _direction_params(*sd)},
+                    "extra_arg": st.sampled_from(_OFFERED_JUNK),
+                },
+            )
+            | st.fixed_dictionaries(
+                {p.name: offered_for(p.type) for p in _direction_params(*sd)}
+            ),
+        )
+    )
+
+
 def cray_raw_fields() -> st.SearchStrategy[Tuple[int, int, int]]:
     return st.tuples(
         st.integers(min_value=0, max_value=1),
@@ -576,7 +836,25 @@ def run(max_examples: int = 200, verbose: bool = False) -> dict:
     def vax_raw(fields):
         _assert_clean(check_vax_raw(*fields))
 
-    checks = [scalar_doubles, structured_values, cray_raw, vax_raw]
+    @config
+    @given(offered_values())
+    def conformers(tv):
+        _assert_clean(check_conformer(*tv))
+
+    @config
+    @given(offered_calls())
+    def argument_conformers(call):
+        _assert_clean(check_conform_args(*call))
+
+    @config
+    @given(marshalable_calls())
+    def signature_codecs(call):
+        _assert_clean(check_signature_codec(*call))
+
+    checks = [
+        scalar_doubles, structured_values, cray_raw, vax_raw,
+        conformers, argument_conformers, signature_codecs,
+    ]
     for chk in checks:
         chk()
         if verbose:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Tuple
 
 from .errors import UTSCompatibilityError, UTSTypeError
@@ -211,12 +212,36 @@ class Signature:
         if len(set(names)) != len(names):
             raise UTSTypeError(f"duplicate parameter names in {self.name}: {names}")
 
-    @property
+    # A signature is immutable, so what is derived from its fields is
+    # computed once per instance (``cached_property`` stores into the
+    # instance ``__dict__``, which a frozen dataclass still has).  The
+    # RPC runtime keys plan and codec tables by signature, so the hash
+    # is on the path of every call.
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.params, self.kind))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # the cached derivations stay behind: string hashes are salted
+        # per process, so a pickled ``_hash`` would be wrong on arrival
+        return {"name": self.name, "params": self.params, "kind": self.kind}
+
+    @cached_property
+    def _arg_conformers(self) -> dict:
+        """direction -> compiled argument conformer; filled in by
+        :func:`repro.uts.values.conform_args` on first use."""
+        return {}
+
+    @cached_property
     def sent_params(self) -> Tuple[Parameter, ...]:
         """Parameters carried caller -> callee (val and var)."""
         return tuple(p for p in self.params if p.mode.sends)
 
-    @property
+    @cached_property
     def returned_params(self) -> Tuple[Parameter, ...]:
         """Parameters carried callee -> caller (res and var)."""
         return tuple(p for p in self.params if p.mode.returns)

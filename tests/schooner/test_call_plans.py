@@ -1,0 +1,308 @@
+"""Bind-time call plans: what a plan caches, and what must throw it away.
+
+``execute_call`` walks a :class:`~repro.schooner.runtime.CallPlan`
+compiled on the first call through a binding.  A plan holds only pure
+functions of the import signature, the bound procedure, the two
+machines' native formats and the out-of-range policy; these tests pin
+that every one of those inputs changing yields a fresh plan, and that
+what a fault, partition or policy flip changes at run time is still
+read on every call.
+"""
+
+import math
+
+import pytest
+
+from repro.faults.demo import trace_digest
+from repro.machines import Language
+from repro.schooner import (
+    CallTimeout,
+    Executable,
+    Manager,
+    ManagerMode,
+    ModuleContext,
+    Procedure,
+    SchoonerEnvironment,
+    TypeCheckError,
+)
+from repro.schooner.runtime import CallBatch, CallerContext, CallPlan, execute_call
+from repro.uts import (
+    DOUBLE,
+    INTEGER,
+    OutOfRangePolicy,
+    ParamMode,
+    Parameter,
+    Signature,
+    SpecFile,
+    UTSRangeError,
+)
+
+from .conftest import SHAFT_ARGS, SHAFT_PATH, SHAFT_SPEC, make_shaft_executable
+
+ECHO_SPEC = 'export echo prog("x" val double, "y" res double)'
+ECHO_PATH = "/bin/echo"
+THIRD = 1.0 / 3.0  # needs all 52 IEEE mantissa bits; a Cray word keeps 48
+
+
+@pytest.fixture
+def world():
+    env = SchoonerEnvironment.standard()
+    spec = SpecFile.parse(ECHO_SPEC)
+    exe = Executable(
+        "echo",
+        (Procedure(name="echo", signature=spec.export_named("echo"),
+                   impl=lambda x: x, language=Language.C),),
+    )
+    for machine in env.park:
+        machine.install(ECHO_PATH, exe)
+    manager = Manager(env=env, host=env.park["ua-sparc10"], mode=ManagerMode.LINES)
+    ctx = ModuleContext(manager=manager, module_name="m", machine=env.park["ua-sparc10"])
+    return env, ctx, spec.as_imports().import_named("echo")
+
+
+def contact(ctx, nick):
+    (record,) = ctx.sch_contact_schx(nick, ECHO_PATH)
+    return record
+
+
+class TestPlanLifetime:
+    def test_built_on_the_first_call_and_kept(self, world):
+        env, ctx, sig = world
+        record = contact(ctx, "lerc-rs6000")
+        stub = ctx.import_proc(sig)
+        assert record.plans == {}, "a stub builds no plan before it calls"
+        stub(x=1.0)
+        plan = record.plans[sig]
+        assert isinstance(plan, CallPlan)
+        for _ in range(3):
+            stub(x=2.0)
+        assert record.plans[sig] is plan
+
+    def test_type_check_runs_once_per_binding(self, world, monkeypatch):
+        env, ctx, sig = world
+        contact(ctx, "lerc-rs6000")
+        stub = ctx.import_proc(sig)
+        stub(x=1.0)  # resolves (the Manager's own check) and builds the plan
+        checks = []
+        real = Signature.check_import_subset
+        monkeypatch.setattr(
+            Signature, "check_import_subset",
+            lambda self, export: (checks.append(self.name), real(self, export))[1],
+        )
+        for _ in range(5):
+            stub(x=1.0)
+        assert checks == []
+
+    def test_equal_signatures_share_a_plan(self, world):
+        """The plan is keyed by the signature's value: a second stub that
+        parsed its own copy of the import reuses it."""
+        env, ctx, sig = world
+        record = contact(ctx, "lerc-rs6000")
+        twin = SpecFile.parse(ECHO_SPEC).as_imports().import_named("echo")
+        assert twin is not sig and twin == sig
+        execute_call(env, ctx.machine, ctx.line.timeline, record, sig, {"x": 1.0})
+        plan = record.plans[sig]
+        execute_call(env, ctx.machine, ctx.line.timeline, record, twin, {"x": 1.0})
+        assert record.plans[twin] is plan and len(record.plans) == 1
+
+
+class TestPlanInvalidation:
+    def test_migration_to_a_cray_converts_through_the_new_format(self, world):
+        env, ctx, sig = world
+        old = contact(ctx, "lerc-rs6000")
+        stub = ctx.import_proc(sig)
+        # IEEE on both ends: every double comes back bit-for-bit
+        assert stub.call1(x=THIRD) == THIRD
+        assert stub.call1(x=math.inf) == math.inf
+
+        new = ctx.sch_move("echo", "lerc-cray")
+        moved = stub.call1(x=THIRD)  # stale cache -> refresh -> fresh plan
+        assert stub._cache is new
+        assert new.plans[sig] is not old.plans[sig]
+        assert new.plans[sig].callee_machine is env.park["lerc-cray"]
+        assert moved != THIRD and moved == pytest.approx(THIRD, rel=2.0**-47)
+        # the Cray word has no infinity: the paper's section-4.1 policy
+        with pytest.raises(UTSRangeError, match="Cray"):
+            stub(x=math.inf)
+
+    def test_migration_to_a_convex_applies_its_range(self, world):
+        env, ctx, sig = world
+        contact(ctx, "lerc-rs6000")
+        stub = ctx.import_proc(sig)
+        assert stub.call1(x=1e300) == 1e300
+        ctx.sch_move("echo", "lerc-convex")
+        with pytest.raises(UTSRangeError):
+            stub(x=1e300)
+        # D_floating has no infinity either: the other policy saturates
+        # at its largest magnitude
+        env.range_policy = OutOfRangePolicy.INFINITY
+        assert stub.call1(x=1e300) == pytest.approx(1.7014118e38)
+        assert stub.call1(x=-1e300) == pytest.approx(-1.7014118e38)
+
+    def test_range_policy_flip_takes_effect_on_the_next_call(self, world):
+        env, ctx, sig = world
+        record = contact(ctx, "lerc-cray")
+        stub = ctx.import_proc(sig)
+        stub(x=1.0)
+        strict = record.plans[sig]
+        with pytest.raises(UTSRangeError):
+            stub(x=math.inf)
+        env.range_policy = OutOfRangePolicy.INFINITY
+        assert stub.call1(x=math.inf) == math.inf
+        assert record.plans[sig] is not strict
+        assert record.plans[sig].policy is OutOfRangePolicy.INFINITY
+        env.range_policy = OutOfRangePolicy.ERROR
+        with pytest.raises(UTSRangeError):
+            stub(x=math.inf)
+
+    def test_generation_bump_yields_a_fresh_plan(self, world):
+        env, ctx, sig = world
+        record = contact(ctx, "lerc-rs6000")
+        stub = ctx.import_proc(sig)
+        stub(x=1.0)
+        before = record.plans[sig]
+        record.generation += 1
+        stub(x=1.0)
+        assert record.plans[sig] is not before
+        assert record.plans[sig].generation == record.generation
+
+    def test_another_caller_machine_yields_a_fresh_plan(self, world):
+        env, ctx, sig = world
+        record = contact(ctx, "lerc-rs6000")
+        tl = ctx.line.timeline
+        execute_call(env, env.park["ua-sparc10"], tl, record, sig, {"x": THIRD})
+        from_sparc = record.plans[sig]
+        out = execute_call(env, env.park["lerc-cray"], tl, record, sig, {"x": THIRD})
+        assert record.plans[sig] is not from_sparc
+        assert out["y"] != THIRD  # stored through the Cray caller's 48 bits
+
+    def test_stale_binding_refresh_yields_a_fresh_plan(self, world):
+        """A dead process is the stub's cue to re-resolve; the call that
+        follows runs a plan compiled for the new binding."""
+        env, ctx, sig = world
+        old = contact(ctx, "lerc-rs6000")
+        stub = ctx.import_proc(sig)
+        stub(x=1.0)
+        new = ctx.sch_move("echo", "lerc-sgi420")
+        assert not old.process.alive
+        failovers = stub.failovers
+        assert stub.call1(x=2.0) == 2.0
+        assert stub.failovers == failovers + 1
+        assert sig in new.plans and new.plans[sig] is not old.plans[sig]
+        assert env.traces[-1].callee == env.park["lerc-sgi420"].hostname
+        assert env.traces[-1].failed_over
+
+
+class TestTypeCheckStillHolds:
+    WRONG = Signature(
+        "echo",
+        (Parameter("x", ParamMode.VAL, INTEGER),  # the export says double
+         Parameter("y", ParamMode.RES, DOUBLE)),
+    )
+
+    def test_direct_execute_call_refuses_every_time(self, world):
+        env, ctx, sig = world
+        record = contact(ctx, "lerc-rs6000")
+        for _ in range(2):
+            with pytest.raises(TypeCheckError, match="import type integer"):
+                execute_call(env, ctx.machine, ctx.line.timeline,
+                             record, self.WRONG, {"x": 1})
+        assert self.WRONG not in record.plans, "no plan is kept for a bad import"
+
+    def test_stub_path_refuses(self, world):
+        env, ctx, sig = world
+        record = contact(ctx, "lerc-rs6000")
+        with pytest.raises(TypeCheckError):
+            ctx.import_proc(self.WRONG)(x=1)  # the Manager's lookup check
+        # and past the lookup, on a stub whose cache already names the
+        # record: the runtime's own check, made when the plan is built
+        from repro.schooner.stubs import ClientStub
+
+        stub = ClientStub(manager=ctx.manager, line=ctx.line,
+                          caller_machine=ctx.machine, import_sig=self.WRONG,
+                          _cache=record)
+        with pytest.raises(TypeCheckError):
+            stub(x=1)
+        assert record.plans == {}
+
+
+class TestRuntimeStateIsStillReadPerCall:
+    def test_fault_filter_installed_after_the_first_call_is_consulted(self, world):
+        env, ctx, sig = world
+        contact(ctx, "lerc-rs6000")
+        stub = ctx.import_proc(sig)
+        stub(x=1.0)
+        seen = []
+
+        def drop_first_request(src, dst, kind, total, now):
+            seen.append(kind)
+            return seen == ["call:echo"], 0.0
+
+        env.transport.fault_filter = drop_first_request
+        assert stub.call1(x=3.0) == 3.0
+        assert seen[0] == "call:echo" and seen.count("call:echo") == 2
+        lost, retried = env.traces[-2:]
+        assert (lost.outcome, lost.timeout_hop) == ("timeout", "request")
+        assert (retried.outcome, retried.retries) == ("ok", 1)
+
+    def test_partition_after_the_first_call_is_consulted(self, world):
+        env, ctx, sig = world
+        record = contact(ctx, "lerc-rs6000")
+        tl = ctx.line.timeline
+        execute_call(env, ctx.machine, tl, record, sig, {"x": 1.0})
+        plan = record.plans[sig]
+        a, b = ctx.machine.site, record.machine.site
+        assert a != b
+        env.topology.partition(a, b)
+        with pytest.raises(CallTimeout, match="request lost: network partition"):
+            execute_call(env, ctx.machine, tl, record, sig, {"x": 1.0})
+        env.topology.heal(a, b)
+        assert execute_call(env, ctx.machine, tl, record, sig, {"x": 4.0}) == {"y": 4.0}
+        assert record.plans[sig] is plan, "a partition is not a reason to recompile"
+
+    def test_load_change_is_charged_on_the_next_call(self, world):
+        env, ctx, sig = world
+        record = contact(ctx, "lerc-rs6000")
+        stub = ctx.import_proc(sig)
+        stub(x=1.0)
+        idle = env.traces[-1].compute_s
+        record.machine.load = 0.5
+        stub(x=1.0)
+        assert env.traces[-1].compute_s == pytest.approx(2 * idle)
+
+
+class TestWallParallelPlans:
+    """Plans compiled inside LinePool workers (the first call of each
+    line arrives on its own thread) give the trace the sequential run
+    gives."""
+
+    LINES = ("lerc-rs6000", "lerc-cray", "lerc-convex", "lerc-sgi420")
+
+    def run(self, wall_parallel):
+        env = SchoonerEnvironment.standard()
+        exe = make_shaft_executable()
+        for machine in env.park:
+            machine.install(SHAFT_PATH, exe)
+        manager = Manager(env=env, host=env.park["ua-sparc10"], mode=ManagerMode.LINES)
+        caller = CallerContext(timeline=env.clock.timeline("caller:avs"))
+        env.wall_parallel = wall_parallel
+        shaft = SpecFile.parse(SHAFT_SPEC).as_imports().import_named("shaft")
+        stubs = []
+        for i, nick in enumerate(self.LINES):
+            ctx = ModuleContext(manager=manager, module_name=f"mod-{i}",
+                                machine=env.park["ua-sparc10"], caller=caller)
+            ctx.sch_contact_schx(nick, SHAFT_PATH)
+            stubs.append(ctx.import_proc(shaft))
+        results = []
+        with env:
+            for wave in range(3):
+                pool = env.overlap_pool()
+                assert (pool is not None) == wall_parallel
+                batch = CallBatch(env, caller, label=f"wave-{wave}", pool=pool)
+                futures = [s.begin(batch, **SHAFT_ARGS) for s in stubs for _ in range(2)]
+                batch.wait()
+                results.append([f.wait() for f in futures])
+        return results, trace_digest(env.traces), caller.timeline.now
+
+    def test_pool_and_sequential_give_the_same_trace_digest(self):
+        assert self.run(wall_parallel=True) == self.run(wall_parallel=False)

@@ -171,6 +171,44 @@ class TestSupervision:
         finally:
             pool.close()
 
+    @pytest.mark.parametrize("order", ["send-then-kill", "kill-then-send"])
+    def test_recv_from_corpse_is_typed_in_both_kill_orders(self, order):
+        """A worker SIGKILLed with our frame unread in its socket buffer
+        resets the connection (``poll()`` readable, the read raises
+        ``ConnectionResetError``); killed before the frame was written
+        the pipe just reaches EOF.  Either way ``recv`` raises the typed
+        autopsy, never a bare ``OSError``."""
+        pool = ShardPool(1)
+        try:
+            if order == "send-then-kill":
+                pool.send(0, "shard-open", dict(_BARE_OPEN))
+                _kill(pool._procs[0])
+            else:
+                _kill(pool._procs[0])
+                try:
+                    pool.send(0, "shard-open", dict(_BARE_OPEN))
+                except ShardCrashed:
+                    pass  # EPIPE already: send's own typed path
+            with pytest.raises(ShardCrashed) as exc:
+                pool.recv(0, "shard-result", timeout_s=30.0)
+            assert exc.value.shard == 0
+            assert exc.value.exitcode == -signal.SIGKILL
+        finally:
+            pool.close()
+
+    def test_recover_settles_on_a_reset_connection(self):
+        """recover()'s drain meets the same reset: the corpse is reaped
+        and the pool marked broken, nothing escapes."""
+        pool = ShardPool(1)
+        try:
+            pool.send(0, "shard-open", dict(_BARE_OPEN))
+            _kill(pool._procs[0])
+            pool.recover([0])
+            with pytest.raises(RuntimeError, match="broken"):
+                pool.send(0, "shard-close", None)
+        finally:
+            pool.close()
+
     def test_send_to_corpse_raises_typed_crash(self):
         pool = ShardPool(2)
         try:

@@ -7,12 +7,32 @@ repro.uts.conformance``).
 """
 
 import math
+import struct
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.machines.arch import ALL_NATIVE_FORMATS
-from repro.uts import DOUBLE, STRING, ArrayType, CrayFormat, RecordType, VAXFormat, conform
+from repro.uts import (
+    BOOLEAN,
+    BYTE,
+    DOUBLE,
+    FLOAT,
+    INTEGER,
+    STRING,
+    ArrayType,
+    CrayFormat,
+    RecordType,
+    SpecFile,
+    UTSConversionError,
+    UTSTypeError,
+    VAXFormat,
+    conform,
+    conform_args,
+    signature_codec,
+)
 from repro.uts.conformance import (
     CRAY_OVERFLOW,
     VAX_FLUSH,
@@ -20,13 +40,21 @@ from repro.uts.conformance import (
     VAX_OVERFLOW,
     ConformanceFailure,
     check_compiled_equivalence,
+    check_conform_args,
+    check_conformer,
     check_cray_raw,
     check_native_float,
+    check_signature_codec,
     check_vax_raw,
     check_wire_value,
     main,
+    marshalable_calls,
+    offered_calls,
+    offered_values,
     run,
 )
+from repro.uts.values import conformer_for
+from repro.uts.wire import marshal_args, unmarshal_args
 
 CRAY = next(f for f in ALL_NATIVE_FORMATS if isinstance(f, CrayFormat))
 CONVEX = next(f for f in ALL_NATIVE_FORMATS if isinstance(f, VAXFormat))
@@ -104,12 +132,169 @@ class TestStructuredChecks:
         assert check_wire_value(t, v) == []
 
 
+SWEEP = settings(max_examples=150, deadline=None, database=None,
+                 suppress_health_check=list(HealthCheck))
+
+VEC = ArrayType(3, DOUBLE)
+POINT = RecordType.of(x=DOUBLE, n=INTEGER, ok=BOOLEAN)
+DUCT = SpecFile.parse(
+    'export duct prog("w" val double, "n" val integer, "on" val boolean, '
+    '"xs" var array[3] of double, "tag" val byte, "out" res float)'
+).export_named("duct")
+DUCT_SEND = {"w": 1.5, "n": 7, "on": True, "xs": [0.0, -0.0, 1e300], "tag": 9}
+NAMED = SpecFile.parse(
+    'export named prog("label" val string, "xs" val array[2] of double)'
+).export_named("named")
+
+
+class TestCompiledConformers:
+    """The conformer ``conform_args`` compiles per (signature,
+    direction) against ``conform``: same value, same exception type,
+    same message."""
+
+    @pytest.mark.parametrize(
+        "t, offered",
+        [
+            # NumPy scalars and arrays come back as plain Python objects
+            (DOUBLE, np.float64(2.5)), (DOUBLE, np.float32(2.5)), (DOUBLE, np.int64(3)),
+            (FLOAT, np.float64(1e39)), (INTEGER, np.int64(-5)), (BYTE, np.uint8(200)),
+            (BOOLEAN, np.bool_(True)), (VEC, np.array([1.0, 2.0, 3.0])),
+            (VEC, np.arange(3)), (VEC, [np.float64(1.0), 2.0, np.float32(3.0)]),
+            (VEC, (1.0, 2.0, 3.0)), (VEC, [1, 2.0, 3.0]),
+            # booleans offered as numbers are refused, with conform's words
+            (INTEGER, True), (DOUBLE, False), (FLOAT, True), (BYTE, True),
+            (VEC, [1.0, True, 3.0]), (DOUBLE, np.bool_(True)),
+            # wrong lengths, wrong shapes, wrong types
+            (VEC, [1.0, 2.0]), (VEC, [1.0, 2.0, 3.0, 4.0]), (VEC, np.zeros((3, 1))),
+            (VEC, np.zeros(4)), (VEC, "abc"), (VEC, None), (ArrayType(0, DOUBLE), []),
+            (INTEGER, 2**63), (INTEGER, -(2**63) - 1), (BYTE, 256), (BYTE, b"a"),
+            (BYTE, b"ab"), (STRING, b"bytes"), (BOOLEAN, 1), (DOUBLE, "1.0"),
+            # records: missing and unexpected fields, a bad field inside
+            (POINT, {"x": 1.0, "n": 2, "ok": True}), (POINT, {"x": 1.0, "n": 2}),
+            (POINT, {"x": 1.0, "n": 2, "ok": True, "z": 0}), (POINT, [("x", 1.0)]),
+            (POINT, {"x": np.float64(1.0), "n": np.int64(2), "ok": np.bool_(False)}),
+            (POINT, {"x": 1.0, "n": 2.5, "ok": True}),
+        ],
+    )
+    def test_agrees_with_conform(self, t, offered):
+        assert check_conformer(t, offered) == []
+
+    def test_numpy_input_leaves_no_numpy_behind(self):
+        out = conformer_for(VEC)(np.array([1.0, 2.0, 3.0]))
+        assert out == [1.0, 2.0, 3.0] and {type(v) for v in out} == {float}
+        assert type(conformer_for(DOUBLE)(np.float64(2.5))) is float
+
+    def test_the_refusals_read_as_conforms_do(self):
+        for t, offered, text in [
+            (INTEGER, True, "expected integer, got boolean True"),
+            (VEC, [1.0], "expected array of length 3, got length 1"),
+            (POINT, {"x": 1.0}, "record mismatch: missing fields ['n', 'ok']"),
+        ]:
+            with pytest.raises(UTSTypeError) as compiled:
+                conformer_for(t)(offered)
+            assert str(compiled.value) == text
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            DUCT_SEND,
+            {**DUCT_SEND, "xs": np.array([1.0, 2.0, 3.0]), "w": np.float64(2.0)},
+            {k: v for k, v in DUCT_SEND.items() if k != "tag"},   # missing name
+            {**DUCT_SEND, "out": 1.0},                            # a res name on send
+            {**DUCT_SEND, "bogus": None},                         # extra name
+            {**DUCT_SEND, "n": True},                             # bool as integer
+            {**DUCT_SEND, "xs": [1.0, 2.0]},                      # wrong length
+            {},
+        ],
+    )
+    def test_argument_lists_agree_with_the_reference(self, args):
+        assert check_conform_args(DUCT, "send", args) == []
+
+    def test_missing_and_extra_names_keep_their_message(self):
+        with pytest.raises(UTSTypeError) as exc:
+            conform_args(DUCT, {"w": 1.0, "bogus": 2}, "send")
+        assert str(exc.value) == (
+            "duct: send arguments ['bogus', 'w'] do not match expected "
+            "['n', 'on', 'tag', 'w', 'xs']"
+        )
+
+    def test_a_drifting_conformer_is_caught(self, monkeypatch):
+        # not vacuously green: a conformer that lets a boolean through
+        # as an integer, or rewords a refusal, must be objected to
+        import repro.uts.values as values
+
+        monkeypatch.setitem(values._CONFORMERS, INTEGER, int)
+        assert check_conformer(INTEGER, True) != []
+        assert check_conformer(INTEGER, 3) == []
+
+    @SWEEP
+    @given(offered_values())
+    def test_sweep_offered_values(self, tv):
+        assert check_conformer(*tv) == []
+
+    @SWEEP
+    @given(offered_calls())
+    def test_sweep_offered_argument_lists(self, call):
+        assert check_conform_args(*call) == []
+
+
+class TestWholeMessageCodec:
+    """``SignatureCodec`` packs an all-fixed-layout argument list with
+    one struct call; the bytes and every error stay the reference's."""
+
+    def test_fixed_layout_list_uses_one_struct(self):
+        codec = signature_codec(DUCT, "send")
+        assert codec._flat_size == struct.calcsize(">dqB3dB")
+        packed = codec._flat_pack(DUCT_SEND)
+        assert packed == marshal_args(DUCT, DUCT_SEND, "send")
+        assert codec._flat_unpack(packed) == DUCT_SEND
+        assert signature_codec(NAMED, "send")._flat_size is None  # a string: per parameter
+
+    @pytest.mark.parametrize("sig, direction, args", [
+        (DUCT, "send", DUCT_SEND),
+        (DUCT, "return", {"xs": [1.0, 2.0, 3.0], "out": 1.5}),
+        (NAMED, "send", {"label": "npss \u00b5", "xs": [1.0, -0.0]}),
+    ])
+    def test_bytes_and_decoding_match_the_reference(self, sig, direction, args):
+        assert check_signature_codec(sig, direction, args, noise=b"\x02" * 11) == []
+
+    @pytest.mark.parametrize("sig, args", [(DUCT, DUCT_SEND),
+                                           (NAMED, {"label": "ab", "xs": [1.0, 2.0]})])
+    def test_truncated_and_trailing_input_is_a_typed_error(self, sig, args):
+        codec = signature_codec(sig, "send")
+        data = marshal_args(sig, args, "send")
+        for bad in [data[:n] for n in range(len(data))] + [data + b"\x00"]:
+            for view in (bad, memoryview(bad)):
+                # typed on both sides; a struct.error would escape these
+                with pytest.raises(UTSConversionError):
+                    codec.unmarshal(view)
+                with pytest.raises(UTSConversionError):
+                    unmarshal_args(sig, view, "send")
+        with pytest.raises(UTSConversionError, match="1 trailing bytes after send args"):
+            codec.unmarshal(data + b"\x00")
+
+    def test_invalid_boolean_byte_is_refused_on_the_fast_path(self):
+        codec = signature_codec(DUCT, "send")
+        data = bytearray(marshal_args(DUCT, DUCT_SEND, "send"))
+        data[16] = 2  # the "on" boolean
+        with pytest.raises(UTSConversionError, match="invalid boolean byte 2"):
+            codec.unmarshal(bytes(data))
+        with pytest.raises(UTSConversionError, match="invalid boolean byte 2"):
+            unmarshal_args(DUCT, bytes(data), "send")
+
+    @SWEEP
+    @given(marshalable_calls())
+    def test_sweep_signatures(self, call):
+        assert check_signature_codec(*call) == []
+
+
 class TestRunner:
     def test_short_sweep_is_green(self):
         summary = run(max_examples=25)
         assert summary["max_examples"] == 25
         assert set(summary["checks"]) == {
-            "scalar_doubles", "structured_values", "cray_raw", "vax_raw"
+            "scalar_doubles", "structured_values", "cray_raw", "vax_raw",
+            "conformers", "argument_conformers", "signature_codecs",
         }
         assert len(summary["formats"]) == len(ALL_NATIVE_FORMATS)
 
