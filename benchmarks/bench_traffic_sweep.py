@@ -17,8 +17,8 @@ Gated properties (``--gate`` against ``benchmarks/BENCH_traffic.json``):
 * **the committed baseline reproduces exactly** — every knee rate and
   every met-by-rate point is a pure virtual-time quantity, so any drift
   is a behaviour change, not machine noise.  A sweep cell's stream is
-  seeded from (seed, mix, rate) alone; inline and thread serve modes
-  produce identical digests (asserted in tests/traffic/).
+  seeded from (seed, mix, rate) alone, and two runs of it produce
+  identical digests (asserted in tests/traffic/).
 """
 
 from __future__ import annotations

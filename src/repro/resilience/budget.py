@@ -14,7 +14,8 @@ One :class:`RetryBudget` is shared by every resilient session of a
 what makes it an *admission* mechanism rather than a per-client
 politeness: concurrent sessions draw from the same bucket.  Deposits
 and spends happen in call order, so inline (deterministic) serving
-replays identically; the lock only guards thread-wave serving.
+replays identically; the lock guards draws made from wall-parallel
+line threads.
 
 Across **process shards** the bucket cannot be one lock-guarded float —
 shard workers live in separate interpreters.  The spanning discipline is

@@ -10,7 +10,7 @@ invariants:
    ``degraded`` / ``shed`` — an overloaded or faulted installation
    refuses or degrades work *explicitly*, never silently.
 2. **No leaked threads**: after the soak, no new ``line-*`` (Schooner
-   line pool) or ``serve`` (scheduler wave pool) threads remain.
+   line pool) threads remain.
 3. **Byte-identical replay**: the same soak on a fresh installation
    reproduces every session's trace digest and status — chaos included,
    because every fault is a seeded virtual-clock event.
@@ -360,7 +360,7 @@ def run_soak(config: SoakConfig, solo_check: bool = True) -> SoakReport:
         t.name
         for t in threading.enumerate()
         if t.name not in threads_before
-        and (t.name.startswith("line-") or t.name.startswith("serve"))
+        and t.name.startswith("line-")
     ]
     if leaked:
         violations.append(f"leaked worker threads after soak: {sorted(leaked)}")
@@ -479,7 +479,7 @@ def run_soak(config: SoakConfig, solo_check: bool = True) -> SoakReport:
 
 def main(argv=None) -> int:
     """``python -m repro chaos [name ...] [--seed N] [--sessions N]
-    [--mode inline|thread|shard] [--no-solo-check]``
+    [--mode inline|shard] [--no-solo-check]``
 
     With no names, runs every stock config.  Exit status is the
     number of configs with invariant violations."""
@@ -500,7 +500,7 @@ def main(argv=None) -> int:
         "--sessions", type=int, default=None, help="override the session count"
     )
     parser.add_argument(
-        "--mode", choices=("inline", "thread", "shard"), default=None, help="serve mode"
+        "--mode", choices=("inline", "shard"), default=None, help="serve mode"
     )
     parser.add_argument(
         "--no-solo-check",

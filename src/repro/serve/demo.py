@@ -67,13 +67,13 @@ def main(argv: Optional[Sequence[str]] = None) -> ServeReport:
     parser.add_argument("--classes", type=int, default=4, help="distinct workload classes")
     parser.add_argument("--points", type=int, default=3, help="steady points per session")
     parser.add_argument(
-        "--mode", choices=("inline", "thread", "shard"), default="inline",
+        "--mode", choices=("inline", "shard"), default="inline",
         help="scheduler mode (results are identical; inline is the baseline; "
              "shard deals sessions across OS worker processes)",
     )
     parser.add_argument(
         "--workers", type=int, default=4,
-        help="thread-mode wave width / shard-mode worker process count "
+        help="shard-mode worker process count "
              "(shard mode with --workers 0 falls back to inline)",
     )
     parser.add_argument(

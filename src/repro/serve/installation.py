@@ -68,7 +68,8 @@ class WorkloadCache:
     with fault plans are never cached (their injectors own mutable
     park/network state).  Thread-safe; a put of an already-present key
     overwrites with identical content (two live sessions of the same
-    class racing in thread mode both record the same run).
+    class — a degraded leader's requeued followers — record the same
+    run).
     """
 
     def __init__(self) -> None:
@@ -108,9 +109,8 @@ class SharedInstallation:
     """The park + topology every session shares, built once per serve.
 
     ``park_lock`` serializes the park-mutating session phases (process
-    spawn during setup, kill during teardown) across thread-mode
-    workers; the solve phases only *read* shared state (machine speeds,
-    link costs) and run unlocked.
+    spawn during setup, kill during teardown); the solve phases only
+    *read* shared state (machine speeds, link costs) and run unlocked.
     """
 
     park: MachinePark

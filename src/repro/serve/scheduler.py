@@ -18,21 +18,17 @@ multi-tenant win — the N-th user of a popular scenario costs
 milliseconds, not a fresh Newton solve — and it is *safe* because a
 session's traces are a pure function of its spec (differential-tested).
 
-Two execution modes, identical results (digests are compared in
-tests/serve/):
-
-- ``inline`` — one OS thread, strict least-virtual-time stepping.  The
-  replay-determinism baseline.
-- ``thread`` — waves of the ≤``workers`` least-advanced sessions step
-  concurrently on a thread pool.  Safe because sessions only *read*
-  shared installation state outside the ``park_lock``-serialized
-  spawn/teardown steps.
+The heap, the tiers and the dedup all live in one place,
+:class:`~repro.serve.admission.AdmissionCore`; :func:`serve_sessions`
+runs it with the inline executor (one OS thread, strict
+least-virtual-time stepping — the replay-determinism baseline) and
+``mode="shard"`` with the shard parent's (:mod:`repro.serve.shards`).
 
 Beside the batch path sits :func:`serve_arrivals` — the **open-loop,
-arrival-driven** admission path (ROADMAP item 2): sessions are offered
-at arrival instants on one shared virtual timeline instead of handed
-over in a wave, queue wait is charged from *arrival*, and shed sessions
-can re-enter through a retry hook.  The :mod:`repro.traffic` package
+arrival-driven** admission path: sessions are offered at arrival
+instants on one shared virtual timeline instead of handed over in a
+wave, queue wait is charged from *arrival*, and shed sessions can
+re-enter through a retry hook.  The :mod:`repro.traffic` package
 drives it with seeded arrival processes and traffic-class mixes.
 """
 
@@ -41,11 +37,16 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..resilience.ledger import PercentileLedger
+from .admission import (
+    AdmissionCore,
+    AdmissionPolicy,
+    InlineExecutor,
+    parked_expiry_reason,
+)
 from .installation import SharedInstallation
 from .session import SessionContext, SessionResult, SessionSpec
 
@@ -60,39 +61,6 @@ __all__ = [
 #: below this much wall time a rate is meaningless noise — the report
 #: says 0.0 (with a note in ``summary()``) instead of inf
 WALL_S_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """Overload policy for one ``serve()`` call.
-
-    ``max_live`` bounds how many sessions run concurrently; the next
-    ``max_parked`` wait in a priority queue (higher ``SessionSpec.priority``
-    first, admission order breaking ties) and are admitted as live slots
-    free, with their queue wait charged against their deadlines.
-    Sessions beyond both bounds are **shed** — rejected with an explicit
-    reason, never silently dropped.  A parked session whose deadline
-    expires before a slot frees is shed at admission time rather than
-    run to a guaranteed SLO miss (the load-shedding half of the
-    deadline-propagation story: refuse late work as early as possible).
-
-    The defaults (both ``None``) disable admission control entirely,
-    preserving the PR-4 serve semantics.
-    """
-
-    max_live: Optional[int] = None
-    max_parked: Optional[int] = None
-
-    @property
-    def unlimited(self) -> bool:
-        return self.max_live is None and self.max_parked is None
-
-    @property
-    def effective_max_parked(self) -> Optional[int]:
-        """``max_parked`` clamped to ≥ 0 (matching the ``max(1, ...)``
-        treatment of ``max_live``): a negative value would slice the
-        ranked list backwards and silently mis-shed."""
-        return None if self.max_parked is None else max(0, self.max_parked)
 
 
 @dataclass
@@ -265,6 +233,43 @@ class ServeReport:
         return out
 
 
+class _CallTally:
+    """One non-shard serve call's clock and counter snapshots, taken at
+    serve start so the report carries this call's deltas rather than the
+    installation's lifetime totals (a long-running server reuses one
+    installation across many calls)."""
+
+    def __init__(self, installation: SharedInstallation):
+        self.installation = installation
+        self.cache0 = (installation.cache.hits, installation.cache.misses)
+        op = installation.op_cache
+        self.op0 = (op.exact_hits, op.near_hits, op.misses)
+        self.t0 = time.perf_counter()
+
+    def report(
+        self, contexts: Sequence[SessionContext], parked: int, workers: int
+    ) -> ServeReport:
+        wall_s = time.perf_counter() - self.t0
+        results = [ctx.result() for ctx in contexts]
+        n_replayed = sum(1 for r in results if r.replayed)
+        n_shed = sum(1 for r in results if r.status == "shed")
+        cache, op = self.installation.cache, self.installation.op_cache
+        return ServeReport(
+            results=results,
+            wall_s=wall_s,
+            mode="inline",
+            workers=workers,
+            live=len(results) - n_replayed - n_shed,
+            replayed=n_replayed,
+            cache_hits=cache.hits - self.cache0[0],
+            cache_misses=cache.misses - self.cache0[1],
+            parked=parked,
+            op_exact=op.exact_hits - self.op0[0],
+            op_near=op.near_hits - self.op0[1],
+            op_miss=op.misses - self.op0[2],
+        )
+
+
 def serve_sessions(
     specs: Sequence[SessionSpec],
     installation: Optional[SharedInstallation] = None,
@@ -273,8 +278,6 @@ def serve_sessions(
     dedup: bool = True,
     wall_parallel: bool = False,
     admission: Optional[AdmissionPolicy] = None,
-    waits: Optional[Sequence[float]] = None,
-    step_trails: Optional[Dict[int, List[float]]] = None,
     transport: str = "auto",
 ) -> ServeReport:
     """Serve every session in ``specs`` concurrently over one shared
@@ -299,17 +302,8 @@ def serve_sessions(
     ``installation`` cannot be passed (each shard builds its own).
     ``transport`` picks the shard data plane — ``"pipe"`` (framed
     pipes), ``"shm"`` (shared-memory payload rings, pipes as the
-    control channel), or ``"auto"`` (shm where available); it is
-    ignored outside shard mode.
-
-    Two hooks exist for the shard plane's parent-side admission
-    simulation and are rarely useful elsewhere: ``waits`` pre-charges
-    each session's queue wait (seconds, by spec position — applied
-    before any deadline is judged, exactly as an admission queue would
-    have charged it), and ``step_trails``, when a dict is passed, is
-    filled with each session's per-step virtual-time trail
-    (``seq -> [virtual_now after each step]``; sessions that replay
-    never step and leave no trail).
+    control channel), or ``"auto"`` (shm where available); it and
+    ``workers`` are ignored outside shard mode.
     """
     if mode == "shard":
         from .shards import serve_sessions_sharded
@@ -323,268 +317,19 @@ def serve_sessions(
             installation=installation,
             transport=transport,
         )
-    if mode not in ("inline", "thread"):
+    if mode != "inline":
         raise ValueError(f"unknown serve mode {mode!r}")
     installation = installation or SharedInstallation.standard()
-    admission = admission or AdmissionPolicy()
-    # counter snapshots: the report's hit/miss numbers are this call's
-    # deltas, not the installation's lifetime totals (a long-running
-    # server reuses one installation across many serve() calls)
-    hits0, misses0 = installation.cache.hits, installation.cache.misses
-    op0 = (
-        installation.op_cache.exact_hits,
-        installation.op_cache.near_hits,
-        installation.op_cache.misses,
-    )
-    t0 = time.perf_counter()
-
+    tally = _CallTally(installation)
     contexts = [
         SessionContext(
             spec, installation, seq=i, wall_parallel=wall_parallel, dedup=dedup
         )
         for i, spec in enumerate(specs)
     ]
-    if waits is not None:
-        # pre-charged queue waits (the shard plane's admission sim):
-        # applied before replay/setup so deadlines are judged net of
-        # queue time, exactly as admit_next would have charged it
-        for ctx, w in zip(contexts, waits):
-            ctx.wait_s = max(ctx.wait_s, float(w))
-
-    # Overload admission: rank by (priority desc, admission seq), fill
-    # the live slots, park the next tier, shed the rest with a reason.
-    ranked = sorted(contexts, key=lambda c: (-c.spec.priority, c.seq))
-    max_live = (
-        max(1, admission.max_live) if admission.max_live is not None else len(ranked)
-    )
-    max_parked = (
-        admission.effective_max_parked
-        if admission.max_parked is not None
-        else len(ranked)
-    )
-    admitted = sorted(ranked[:max_live], key=lambda c: c.seq)
-    parked: List[SessionContext] = list(ranked[max_live : max_live + max_parked])
-    n_parked = len(parked)
-    for ctx in ranked[max_live + max_parked :]:
-        ctx.shed(
-            f"queue full ({max_live} live + {max_parked} parked slots, "
-            f"priority {ctx.spec.priority})"
-        )
-
-    # Dedup: split the admitted tier into live leaders and waiting
-    # followers.  A follower's workload either matches an earlier leader
-    # in this batch or is already cached from a previous serve.
-    live: List[SessionContext] = []
-    followers: Dict[str, List[SessionContext]] = {}
-    leaders: Dict[str, SessionContext] = {}
-    for ctx in admitted:
-        if dedup and ctx.spec.cacheable:
-            record = installation.cache.get(ctx.key)
-            if record is not None:
-                ctx.replay(record)
-                continue
-            if ctx.key in leaders:
-                followers.setdefault(ctx.key, []).append(ctx)
-                continue
-            leaders[ctx.key] = ctx
-        live.append(ctx)
-
-    # Op-point cache chains: live sessions sharing an operating-line
-    # family serialize in admission order (the chain head runs, the rest
-    # wait and are released one at a time as predecessors finalize).
-    # Serialization is what makes every per-point cache lookup see a
-    # deterministic store state, so inline and thread modes produce
-    # identical digests; the payoff survives — later chain members skip
-    # their solves on exact hits.  Distinct families still interleave.
-    op_chains: Dict[str, List[SessionContext]] = {}
-    runnable: List[SessionContext] = []
-    for ctx in live:
-        fam = ctx.op_chain_key
-        if fam is not None:
-            chain = op_chains.setdefault(fam, [])
-            chain.append(ctx)
-            if len(chain) > 1:
-                continue
-        runnable.append(ctx)
-
-    def release_op_chain(ctx: SessionContext) -> Optional[SessionContext]:
-        """Pop a finished session off its family chain and hand back the
-        next waiter (now guaranteed a fully-populated family store)."""
-        fam = ctx.op_chain_key
-        if fam is None:
-            return None
-        chain = op_chains.get(fam)
-        if not chain:
-            return None
-        if ctx in chain:
-            chain.remove(ctx)
-        if not chain:
-            op_chains.pop(fam, None)
-            return None
-        return chain[0]
-
-    def step(ctx: SessionContext) -> None:
-        try:
-            ctx.run_next_step()
-        except Exception as exc:
-            ctx.fail(exc)
-        if step_trails is not None:
-            step_trails.setdefault(ctx.seq, []).append(ctx.virtual_now)
-
-    def requeue_followers(ctx: SessionContext) -> List[SessionContext]:
-        """Replay the finished leader's followers from the cache; if the
-        leader left no record (caching off, or it degraded — degraded
-        records are never cached), hand them back to run live.  The
-        re-``get`` is a scheduling probe, not cache traffic: ``peek``
-        keeps it out of the hit/miss counters."""
-        run_live = []
-        for f in followers.pop(ctx.key, []):
-            record = installation.cache.peek(f.key)
-            if record is not None:
-                f.replay(record)
-            else:
-                leaders[f.key] = f
-                run_live.append(f)
-        return run_live
-
-    def on_done(ctx: SessionContext) -> List[SessionContext]:
-        """Everything a finished session unblocks: workload followers
-        that must now run live, plus the next waiter on its op-point
-        family chain."""
-        out = requeue_followers(ctx)
-        nxt = release_op_chain(ctx)
-        if nxt is not None:
-            out.append(nxt)
-        return out
-
-    def admit_next(fair_now: float) -> Optional[SessionContext]:
-        """A live slot freed at virtual instant ``fair_now``: admit the
-        highest-ranked parked session that can still be served, charging
-        the wait against its deadline.  Parked sessions that resolve to
-        a replay, a follower, or an op-chain waiter do not consume the
-        slot — keep admitting until one needs to run live (or the queue
-        drains).  The cache lookup here is an admission probe (``peek``),
-        not counted cache traffic."""
-        while parked:
-            ctx = parked.pop(0)
-            # never reset an already-accumulated wait to an earlier
-            # instant: stragglers admitted in sequence keep the queue
-            # time their predecessors charged them
-            ctx.wait_s = max(ctx.wait_s, fair_now)
-            if (
-                ctx.spec.deadline_s is not None
-                and ctx.wait_s >= ctx.spec.deadline_s
-            ):
-                ctx.shed(
-                    f"deadline ({ctx.spec.deadline_s:g}s) expired while parked: "
-                    f"first live slot freed at t={ctx.wait_s:.3f}s",
-                    deadline_met=False,
-                )
-                continue
-            if dedup and ctx.spec.cacheable:
-                record = installation.cache.peek(ctx.key)
-                if record is not None:
-                    ctx.replay(record)
-                    continue
-                leader = leaders.get(ctx.key)
-                if leader is not None and not leader.done:
-                    followers.setdefault(ctx.key, []).append(ctx)
-                    continue
-                leaders[ctx.key] = ctx
-            fam = ctx.op_chain_key
-            if fam is not None:
-                chain = op_chains.get(fam)
-                if chain:
-                    # an earlier same-family session is still running:
-                    # wait for the chain turn instead of racing its store
-                    chain.append(ctx)
-                    continue
-                op_chains[fam] = [ctx]
-            return ctx
-        return None
-
-    if mode == "inline":
-        ticket = itertools.count()
-        heap = [(ctx.virtual_now, next(ticket), ctx) for ctx in runnable]
-        heapq.heapify(heap)
-
-        def push(ctx: SessionContext) -> None:
-            heapq.heappush(heap, (ctx.virtual_now, next(ticket), ctx))
-
-        while heap:
-            _, _, ctx = heapq.heappop(heap)
-            step(ctx)
-            if ctx.done:
-                for f in on_done(ctx):
-                    push(f)
-                # the slot frees at the completing session's *occupancy*
-                # instant — its queue wait plus its own virtual time —
-                # so successive admissions chain and the Nth session in
-                # line is charged the whole queue ahead of it
-                nxt = admit_next(ctx.wait_s + ctx.virtual_now)
-                if nxt is not None:
-                    push(nxt)
-            else:
-                push(ctx)
-    else:
-        pending = list(runnable)
-        with ThreadPoolExecutor(
-            max_workers=max(1, workers), thread_name_prefix="serve"
-        ) as pool:
-            while pending:
-                pending.sort(key=lambda c: (c.virtual_now, c.seq))
-                wave = pending[: max(1, workers)]
-                for future in [pool.submit(step, c) for c in wave]:
-                    future.result()
-                still = []
-                for ctx in pending:
-                    if ctx.done:
-                        still.extend(on_done(ctx))
-                        nxt = admit_next(ctx.wait_s + ctx.virtual_now)
-                        if nxt is not None:
-                            still.append(nxt)
-                    else:
-                        still.append(ctx)
-                pending = still
-
-    # a parked session can only still be waiting if every live session
-    # replayed instantly and freed no slot through the loop above —
-    # admit the stragglers now at the batch frontier.  Each straggler
-    # advances the frontier by its own occupancy (wait + virtual time),
-    # so the Nth straggler in line is charged the queue ahead of it and
-    # ``_disposition`` judges its deadline against real accumulated
-    # wait, never a reset ``0.0``.
-    frontier = 0.0
-    while parked:
-        nxt = admit_next(frontier)
-        if nxt is None:
-            break
-        work = [nxt]
-        while work:
-            ctx = work.pop(0)
-            while not ctx.done:
-                step(ctx)
-            frontier = max(frontier, ctx.wait_s + ctx.virtual_now)
-            work.extend(on_done(ctx))
-
-    wall_s = time.perf_counter() - t0
-    results = [ctx.result() for ctx in contexts]
-    n_replayed = sum(1 for r in results if r.replayed)
-    n_shed = sum(1 for r in results if r.status == "shed")
-    return ServeReport(
-        results=results,
-        wall_s=wall_s,
-        mode=mode,
-        workers=workers,
-        live=len(results) - n_replayed - n_shed,
-        replayed=n_replayed,
-        cache_hits=installation.cache.hits - hits0,
-        cache_misses=installation.cache.misses - misses0,
-        parked=n_parked,
-        op_exact=installation.op_cache.exact_hits - op0[0],
-        op_near=installation.op_cache.near_hits - op0[1],
-        op_miss=installation.op_cache.misses - op0[2],
-    )
+    core = AdmissionCore(contexts, admission, dedup)
+    core.run(InlineExecutor(installation))
+    return tally.report(contexts, core.n_parked, workers)
 
 
 @dataclass(frozen=True)
@@ -605,8 +350,6 @@ _DEPART, _ARRIVE = 0, 1
 def serve_arrivals(
     arrivals: Sequence,
     installation: Optional[SharedInstallation] = None,
-    mode: str = "inline",
-    workers: int = 4,
     dedup: bool = True,
     wall_parallel: bool = False,
     admission: Optional[AdmissionPolicy] = None,
@@ -638,31 +381,23 @@ def serve_arrivals(
       measurements honest.
 
     Dedup still applies: an arrival whose workload is already cached
-    replays instantly without consuming a slot.  Inline and thread
-    modes produce identical results: all admission decisions happen on
-    the single-threaded event loop, session execution is deterministic
-    regardless of co-scheduling, and sessions sharing an op-point-cache
-    family execute serially in admission order within a wave.
+    replays instantly without consuming a slot.  A session runs to
+    completion the moment it starts — its departure instant is a pure
+    function of its spec and charged wait — so the loop is a plain
+    discrete-event simulation.
 
     Everything lands in the ordinary :class:`ServeReport`;
     per-session ``arrival_s``/``wait_s``/``end_to_end_s`` carry the
     timeline, and ``summary()['classes']`` the per-class latency
     ledgers.
     """
-    if mode not in ("inline", "thread"):
-        raise ValueError(f"unknown serve mode {mode!r}")
     installation = installation or SharedInstallation.standard()
     admission = admission or AdmissionPolicy()
-    hits0, misses0 = installation.cache.hits, installation.cache.misses
-    op0 = (
-        installation.op_cache.exact_hits,
-        installation.op_cache.near_hits,
-        installation.op_cache.misses,
-    )
-    t0 = time.perf_counter()
+    tally = _CallTally(installation)
+    ex = InlineExecutor(installation)
 
     max_live: float = (
-        float("inf") if admission.max_live is None else max(1, admission.max_live)
+        float("inf") if admission.max_live is None else admission.effective_max_live
     )
     max_parked: float = (
         float("inf")
@@ -698,84 +433,19 @@ def serve_arrivals(
     live_count = 0
     n_parked = 0
     parked: List[SessionContext] = []
-    #: started-but-not-yet-executed sessions, as (start instant, ctx).
-    #: Inline mode drains this eagerly after every start; thread mode
-    #: lets it accumulate while slots are free and executes it as one
-    #: concurrent wave the moment an admission decision needs the
-    #: departure times.
-    deferred: List[Tuple[float, SessionContext]] = []
-    #: workload keys of deferred cacheable sessions: a duplicate
-    #: arrival forces the wave to resolve first, so the cache lookup
-    #: sees the same settled state inline execution would
-    in_flight: Dict[str, int] = {}
-    pool = (
-        ThreadPoolExecutor(max_workers=max(1, workers), thread_name_prefix="serve")
-        if mode == "thread"
-        else None
-    )
 
     def rank(ctx: SessionContext) -> Tuple[int, int]:
         return (-ctx.spec.priority, ctx.seq)
-
-    def execute(ctx: SessionContext) -> None:
-        while not ctx.done:
-            try:
-                ctx.run_next_step()
-            except Exception as exc:
-                ctx.fail(exc)
-
-    def resolve() -> None:
-        """Execute every deferred session and schedule its departure.
-        Thread mode runs them concurrently — except sessions sharing an
-        op-point-cache family, which execute serially in start order so
-        every cache lookup sees the deterministic store state inline
-        execution would produce (same invariant as the batch op chains).
-        A session's departure stays ``start + its own virtual time``
-        regardless of that serialization, matching the batch scheduler's
-        treatment of chained sessions."""
-        if not deferred:
-            return
-        if pool is None or len(deferred) == 1:
-            for _, ctx in deferred:
-                execute(ctx)
-        else:
-            groups: Dict[object, List[SessionContext]] = {}
-            wave: List[List[SessionContext]] = []
-            for _, ctx in deferred:
-                key: object = (
-                    ("fam", ctx.op_chain_key)
-                    if ctx.op_chain_key is not None
-                    else ("solo", ctx.seq)
-                )
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = []
-                    wave.append(group)
-                group.append(ctx)
-
-            def run_group(group: List[SessionContext]) -> None:
-                for ctx in group:
-                    execute(ctx)
-
-            for future in [pool.submit(run_group, g) for g in wave]:
-                future.result()
-        for started_at, ctx in deferred:
-            heapq.heappush(
-                events,
-                (started_at + ctx.result().virtual_s, _DEPART, next(order), ctx),
-            )
-        deferred.clear()
-        in_flight.clear()
 
     def start(ctx: SessionContext, now: float) -> None:
         nonlocal live_count
         ctx.wait_s = max(ctx.wait_s, now - ctx.arrival_s)
         live_count += 1
-        deferred.append((now, ctx))
-        if dedup and ctx.spec.cacheable:
-            in_flight[ctx.key] = ctx.seq
-        if pool is None:
-            resolve()
+        while ex.step(ctx) is not None:
+            pass
+        heapq.heappush(
+            events, (now + ctx.result().virtual_s, _DEPART, next(order), ctx)
+        )
 
     def shed(
         ctx: SessionContext,
@@ -793,13 +463,8 @@ def serve_arrivals(
 
     def handle_arrival(ctx: SessionContext, now: float) -> None:
         nonlocal n_parked
-        if dedup and ctx.spec.cacheable:
-            if ctx.key in in_flight:
-                resolve()  # settle the in-flight twin before looking up
-            record = installation.cache.get(ctx.key)
-            if record is not None:
-                ctx.replay(record)
-                return
+        if dedup and ctx.spec.cacheable and ex.replay(ctx, count=True):
+            return
         if live_count < max_live:
             start(ctx, now)
             return
@@ -821,82 +486,29 @@ def serve_arrivals(
                 parked.append(ctx)
                 n_parked += 1
                 return
-        shed(
-            ctx,
-            now,
-            f"queue full ({admission.max_live} live + "
-            f"{admission.effective_max_parked} parked slots, "
-            f"priority {ctx.spec.priority})",
-        )
+        shed(ctx, now, admission.queue_full_reason(ctx.spec.priority))
 
     def admit_from_parked(now: float) -> None:
         """Live slots freed at ``now``: admit the best-ranked parked
         sessions that can still be served, charging each the wait from
-        its own arrival.  The cache lookup here is a scheduling probe
-        (``peek``), matching the batch path's ``admit_next``."""
+        its own arrival.  The replay lookup here is a scheduling probe,
+        not counted cache traffic, matching the batch core."""
         while live_count < max_live and parked:
             best = min(parked, key=rank)
             parked.remove(best)
             best.wait_s = max(best.wait_s, now - best.arrival_s)
-            if (
-                best.spec.deadline_s is not None
-                and best.wait_s >= best.spec.deadline_s
-            ):
-                shed(
-                    best,
-                    now,
-                    f"deadline ({best.spec.deadline_s:g}s) expired while "
-                    f"parked: first live slot freed at t={now:.3f}s",
-                    deadline_met=False,
-                )
-                continue
-            if dedup and best.spec.cacheable:
-                if best.key in in_flight:
-                    resolve()
-                record = installation.cache.peek(best.key)
-                if record is not None:
-                    best.replay(record)
-                    continue
-            start(best, now)
+            reason = parked_expiry_reason(best, now)
+            if reason is not None:
+                shed(best, now, reason, deadline_met=False)
+            elif not (dedup and best.spec.cacheable and ex.replay(best)):
+                start(best, now)
 
-    try:
-        while events or deferred:
-            if not events:
-                resolve()
-                continue
-            at_s, kind, _, ctx = events[0]
-            # an arrival taking a free slot is the only decision safe to
-            # make while departures are unknown (unknown departures can
-            # only *free more* slots, never change that admission);
-            # every other pop needs the wave resolved first
-            if deferred and (kind == _DEPART or live_count >= max_live or parked):
-                resolve()
-                continue
-            heapq.heappop(events)
-            if kind == _ARRIVE:
-                handle_arrival(ctx, at_s)
-            else:
-                live_count -= 1
-                admit_from_parked(at_s)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+    while events:
+        at_s, kind, _, ctx = heapq.heappop(events)
+        if kind == _ARRIVE:
+            handle_arrival(ctx, at_s)
+        else:
+            live_count -= 1
+            admit_from_parked(at_s)
 
-    wall_s = time.perf_counter() - t0
-    results = [ctx.result() for ctx in contexts]
-    n_replayed = sum(1 for r in results if r.replayed)
-    n_shed = sum(1 for r in results if r.status == "shed")
-    return ServeReport(
-        results=results,
-        wall_s=wall_s,
-        mode=mode,
-        workers=workers,
-        live=len(results) - n_replayed - n_shed,
-        replayed=n_replayed,
-        cache_hits=installation.cache.hits - hits0,
-        cache_misses=installation.cache.misses - misses0,
-        parked=n_parked,
-        op_exact=installation.op_cache.exact_hits - op0[0],
-        op_near=installation.op_cache.near_hits - op0[1],
-        op_miss=installation.op_cache.misses - op0[2],
-    )
+    return tally.report(contexts, n_parked, workers=1)

@@ -98,8 +98,9 @@ class SessionSpec:
     #: Newton solve, near hits interpolate stored neighbours.  Misses
     #: are solved *cold* (no session-local chaining) so every stored
     #: miss is bitwise-canonical.  Sessions sharing an operating-line
-    #: family serialize like leader/follower chains, which is what
-    #: keeps thread-mode digests identical to inline.
+    #: family serialize like leader/follower chains: every lookup then
+    #: sees a deterministic store state, which inline digests depend on
+    #: and which keeps shard-mode digests identical to inline.
     op_cache: bool = False
 
     @property
@@ -230,8 +231,7 @@ class SessionContext:
     results and traces, record into the workload cache, tear down).
     Park-mutating steps (setup's spawn, finalize's kill) serialize on
     the installation's ``park_lock``; solve steps only read shared state
-    and run unlocked — which is what lets thread-mode serving overlap
-    sessions without perturbing anyone's virtual times.
+    and run unlocked.
 
     Fault isolation: a session with a fault plan gets a *private*
     network view, so injected partitions and gateway outages divert only
@@ -261,7 +261,8 @@ class SessionContext:
         #: the spec-level operating-line family (None unless the spec
         #: opts into the op-point cache): the scheduler groups same-
         #: family sessions into a serialized chain on this key, so every
-        #: lookup sees a deterministic cache state in both serve modes
+        #: lookup sees a deterministic cache state (inline digests
+        #: depend on the serialisation, and shard mode reproduces it)
         self.op_chain_key = spec.op_family()
         #: the full cache family (chain key + engine-deck digest),
         #: resolved at setup once the deck is built

@@ -40,16 +40,17 @@ Four disciplines make sharding *exact* rather than approximate:
   :class:`~repro.serve.shm.NotShardSafe` instead of an opaque pickle
   traceback.
 
-* **Admission is simulated at the parent, exactly.**  Workers run with
-  no admission bound of their own; the parent holds the single global
-  parked queue and replays the inline scheduler's event chronology over
-  it — completions in heap order (reconstructed from each session's
-  per-step virtual-time trail), one admission per freed slot, queue
-  wait charged forward, and *parked-deadline expiry* judged at the
-  exact instant inline would judge it, with the identical shed reason.
-  Admitted sessions are dispatched to their family's shard with the
-  wait pre-charged, so their in-session deadlines (and hence traces)
-  match inline bitwise.
+* **Admission runs the same core at the parent.**  Workers run with no
+  admission bound of their own; the parent holds the single global
+  parked queue and drives :class:`~repro.serve.admission.AdmissionCore`
+  — the one implementation inline serving runs — through an executor
+  that, instead of stepping sessions, walks the per-step virtual-time
+  trails its workers return.  Completions therefore pop in inline's
+  heap order, one admission per freed slot, queue wait charged forward,
+  and *parked-deadline expiry* is judged at the same instant with the
+  same reason string, because it is the same code.  Admitted sessions
+  are dispatched to their family's shard with the wait pre-charged, so
+  their in-session deadlines (and hence traces) match inline bitwise.
 
 * **Shared state spans shards.**  The
   :class:`~repro.resilience.budget.RetryBudget` becomes a
@@ -72,7 +73,6 @@ and waits are identical in every tested mix.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import os
 import signal
@@ -84,6 +84,7 @@ from zlib import crc32
 
 from ..faults.plan import FaultPlan
 from ..resilience.budget import RetryBudget
+from .admission import AdmissionCore, AdmissionPolicy, InlineExecutor
 from .failover import (
     KillSchedule,
     ShardCrashed,
@@ -92,7 +93,7 @@ from .failover import (
 )
 from .installation import SharedInstallation
 from .opcache import OpPointCache
-from .scheduler import AdmissionPolicy, ServeReport, serve_sessions
+from .scheduler import ServeReport, _CallTally, serve_sessions
 from .session import SessionContext, SessionResult, SessionSpec
 from .shm import (
     DEFAULT_RING_BYTES,
@@ -119,7 +120,6 @@ __all__ = [
     "assert_shard_safe",
     "shard_family",
     "assign_shards",
-    "partition_live_slots",
 ]
 
 
@@ -306,36 +306,6 @@ def assign_shards(
     return out
 
 
-def partition_live_slots(total: int, counts: Sequence[int]) -> List[Optional[int]]:
-    """Split a global ``max_live`` across shards proportionally to their
-    session counts (largest-remainder rounding, every non-empty shard
-    granted at least one slot so partitioned admission can never
-    deadlock a shard).  ``None`` entries mean "no bound" (empty shard).
-
-    The serve path no longer partitions admission — the parent holds
-    the one global queue (see the module doc) — but the partitioner
-    remains the building block for static capacity planning and is kept
-    under test."""
-    weight = sum(counts)
-    if weight == 0:
-        return [None] * len(counts)
-    quotas = [total * c / weight for c in counts]
-    slots = [max(1, int(q)) if c else 0 for q, c in zip(quotas, counts)]
-    remainder = total - sum(slots)
-    if remainder > 0:
-        order = sorted(
-            range(len(counts)),
-            key=lambda i: (-(quotas[i] - int(quotas[i])), i),
-        )
-        for i in itertools.islice(itertools.cycle(order), remainder):
-            if counts[i]:
-                slots[i] += 1
-                remainder -= 1
-                if remainder == 0:
-                    break
-    return [s if c else None for s, c in zip(slots, counts)]
-
-
 # --------------------------------------------------------------------------
 # the worker process (spawn-safe: module-level entrypoint, no closures)
 # --------------------------------------------------------------------------
@@ -372,28 +342,32 @@ def _open_episode(payload: dict) -> dict:
 
 
 def _serve_wave(shard_id: int, episode: Optional[dict], payload: dict) -> dict:
-    """Serve one wave of sessions on the episode installation, inline,
-    with the parent's pre-charged queue waits, and return the wire
-    report (plus per-step virtual-time trails when the parent's
-    admission simulation asked for them)."""
+    """Serve one wave of sessions on the episode installation: the
+    admission core with no bound of its own, over contexts carrying the
+    parent's pre-charged queue waits (applied before any deadline is
+    judged, exactly as the parent's queue charged them).  Returns the
+    wire report, plus per-step virtual-time trails when the parent's
+    chronology asked for them."""
     if episode is None:
         raise ShardProtocolError(
             f"shard {shard_id}: shard-serve before shard-open"
         )
-    specs = [spec_from_wire(w) for w in payload["specs"]]
+    installation, dedup = episode["installation"], episode["dedup"]
+    tally = _CallTally(installation)
+    contexts = [
+        SessionContext(
+            spec_from_wire(wire), installation, seq=i,
+            wall_parallel=episode["wall_parallel"], dedup=dedup,
+        )
+        for i, wire in enumerate(payload["specs"])
+    ]
+    for ctx, wait in zip(contexts, payload["waits"]):
+        ctx.wait_s = float(wait)
     trails: Optional[Dict[int, List[float]]] = (
         {} if payload.get("trails") else None
     )
-    report = serve_sessions(
-        specs,
-        installation=episode["installation"],
-        mode="inline",
-        dedup=episode["dedup"],
-        wall_parallel=episode["wall_parallel"],
-        admission=None,
-        waits=payload.get("waits"),
-        step_trails=trails,
-    )
+    AdmissionCore(contexts, None, dedup).run(InlineExecutor(installation, trails))
+    report = tally.report(contexts, parked=0, workers=1)
     episode["live"] += report.live
     episode["replayed"] += report.replayed
     episode["wall_s"] += report.wall_s
@@ -403,7 +377,7 @@ def _serve_wave(shard_id: int, episode: Optional[dict], payload: dict) -> dict:
         "results": [result_to_wire(r) for r in report.results],
         "wall_s": report.wall_s,
         "trails": (
-            [trails.get(i) for i in range(len(specs))]
+            [trails.get(i) for i in range(len(contexts))]
             if trails is not None
             else None
         ),
@@ -939,6 +913,58 @@ class ShardPool:
         self.close()
 
 
+class _ShardExecutor:
+    """The shard parent's side of :class:`AdmissionCore`: sessions
+    execute in worker processes, so a *step* here only walks the
+    per-step trail a worker returned, which reconstructs inline's event
+    order — when each live slot frees — without running anything
+    twice.  ``dispatch`` sends a batch to its shards and fills
+    ``wire_results`` / ``trails`` from the replies."""
+
+    def __init__(self, dispatch, wire_results, trails):
+        self.dispatch = dispatch
+        self.wire_results: Dict[int, SessionResult] = wire_results
+        self.trails: Dict[int, List[float]] = trails
+        self.pos: Dict[int, int] = {}
+        #: workload keys a worker's cache now holds a record for (only
+        #: clean runs are cached, mirroring ``SessionContext._finalize``)
+        self.record_keys: set = set()
+        #: parked sessions resolved to a replay: batched into the next
+        #: dispatch with their charged wait (replay content is
+        #: timing-independent)
+        self.pending_replays: List[SessionContext] = []
+
+    def step(self, c: SessionContext) -> Optional[float]:
+        i = self.pos.get(c.seq, 0)
+        self.pos[c.seq] = i + 1
+        trail = self.trails.get(c.seq) or []
+        if i + 1 < len(trail):
+            return trail[i]
+        if self.wire_results[c.seq].status == "completed":
+            self.record_keys.add(c.key)
+        return None
+
+    def replay(self, c: SessionContext, count: bool = False) -> bool:
+        served = self.wire_results.get(c.seq)
+        if served is not None:
+            # an admitted-tier follower: its shard's first wave already
+            # either replayed it (no slot consumed) or reran it live
+            return served.replayed
+        if c.key in self.record_keys:
+            self.pending_replays.append(c)
+            return True
+        return False
+
+    def occupancy(self, c: SessionContext) -> float:
+        return c.wait_s + self.wire_results[c.seq].virtual_s
+
+    def ship(self, batch: Sequence[SessionContext]) -> None:
+        fresh = [c for c in batch if c.seq not in self.wire_results]
+        if fresh or self.pending_replays:
+            self.dispatch(fresh + self.pending_replays)
+            self.pending_replays.clear()
+
+
 # --------------------------------------------------------------------------
 # the parent-side serve entrypoint
 # --------------------------------------------------------------------------
@@ -1002,29 +1028,13 @@ def serve_sessions_sharded(
             wall_parallel=wall_parallel, admission=admission,
         )
     t0 = time.perf_counter()
-    admission = admission or AdmissionPolicy()
 
-    # static admission tier, judged by the parent over the *global*
-    # ranked list — exactly the inline scheduler's slicing, so the shed
-    # set and the reasons match inline mode bitwise
+    # the tiers are judged by the parent over the *global* ranked list
+    # — the same core inline serving runs, so the shed set and the
+    # reasons match inline mode bitwise
     contexts = [SessionContext(spec, None, seq=i) for i, spec in enumerate(specs)]
-    ranked = sorted(contexts, key=lambda c: (-c.spec.priority, c.seq))
-    max_live = (
-        max(1, admission.max_live) if admission.max_live is not None else len(ranked)
-    )
-    max_parked = (
-        admission.effective_max_parked
-        if admission.max_parked is not None
-        else len(ranked)
-    )
-    parked: List[SessionContext] = list(ranked[max_live : max_live + max_parked])
-    n_parked = len(parked)
-    for ctx in ranked[max_live + max_parked :]:
-        ctx.shed(
-            f"queue full ({max_live} live + {max_parked} parked slots, "
-            f"priority {ctx.spec.priority})"
-        )
-    admitted = sorted(ranked[:max_live], key=lambda c: c.seq)
+    core = AdmissionCore(contexts, admission, dedup)
+    admitted, parked = core.admitted, core.parked
 
     # wire-validate every session that may cross (fault plans are
     # refused before any worker spawns), and place by family over the
@@ -1070,7 +1080,7 @@ def serve_sessions_sharded(
 
         wire_results: Dict[int, SessionResult] = {}
         trails: Dict[int, List[float]] = {}
-        waits_charged: Dict[int, float] = {}
+        # the chronology only matters while something waits on a slot
         need_trails = bool(parked)
 
         # ---- failover bookkeeping: everything needed to redo a dead
@@ -1178,7 +1188,7 @@ def serve_sessions_sharded(
                 payload = {
                     "seqs": [c.seq for c in group],
                     "specs": [wires[c.seq] for c in group],
-                    "waits": [waits_charged.get(c.seq, 0.0) for c in group],
+                    "waits": [c.wait_s for c in group],
                     "trails": need_trails,
                 }
                 pending_wave[w] = payload
@@ -1198,182 +1208,12 @@ def serve_sessions_sharded(
                 history[w].append(pending_wave.pop(w))
                 absorb_wave(reply)
 
-        # ---- replicate the inline scheduler's admitted-tier split ----
-        leaders: Dict[str, SessionContext] = {}
-        followers: Dict[str, List[SessionContext]] = {}
-        op_chains: Dict[str, List[SessionContext]] = {}
-        runnable: List[SessionContext] = []
-        for c in admitted:
-            if dedup and c.spec.cacheable:
-                if c.key in leaders:
-                    followers.setdefault(c.key, []).append(c)
-                    continue
-                leaders[c.key] = c
-            fam = c.op_chain_key
-            if fam is not None:
-                chain = op_chains.setdefault(fam, [])
-                chain.append(c)
-                if len(chain) > 1:
-                    continue
-            runnable.append(c)
-
-        # wave 1: the whole live tier at wait 0 — each worker's inline
-        # serve reproduces the in-wave leader/follower and op-chain
-        # behaviour exactly (families never split across shards)
-        dispatch(admitted)
-
-        if parked:
-            # ---- exact admission chronology (see the module doc) ----
-            # The wave-1 results are already in hand; what the heap
-            # below reconstructs (from each session's per-step virtual-
-            # time trail) is inline's *event order* — when each live
-            # slot frees — so parked sessions are admitted, charged, and
-            # expiry-shed at exactly the instants inline would pick.
-            done_seqs: set = set()
-            record_keys: set = set()
-            pending_replays: List[SessionContext] = []
-            ticket = itertools.count()
-            heap: List[Tuple[float, int, SessionContext]] = []
-            pos: Dict[int, int] = {}
-
-            def push(c: SessionContext) -> None:
-                # entering sessions have never stepped: fairness key 0.0,
-                # ties broken by push order — inline's exact tuple
-                heapq.heappush(heap, (0.0, next(ticket), c))
-
-            def sim_release_chain(c: SessionContext) -> Optional[SessionContext]:
-                fam = c.op_chain_key
-                if fam is None:
-                    return None
-                chain = op_chains.get(fam)
-                if not chain:
-                    return None
-                if c in chain:
-                    chain.remove(c)
-                if not chain:
-                    op_chains.pop(fam, None)
-                    return None
-                return chain[0]
-
-            def sim_on_done(c: SessionContext) -> List[SessionContext]:
-                """Mirror of inline's ``on_done``: what this completion
-                unblocks.  Admitted-tier followers were already resolved
-                by their shard's first wave (a replay consumed no slot;
-                a live rerun did, and enters the heap here); parked-tier
-                followers either replay with their charged wait (batched
-                into the next dispatch — replay content is timing-
-                independent) or must now run live."""
-                done_seqs.add(c.seq)
-                res = wire_results[c.seq]
-                if dedup and c.spec.cacheable and res.status == "completed":
-                    record_keys.add(c.key)
-                out: List[SessionContext] = []
-                for f in followers.pop(c.key, []):
-                    if f.seq in wire_results:
-                        if not wire_results[f.seq].replayed:
-                            leaders[f.key] = f
-                            out.append(f)
-                    elif c.key in record_keys:
-                        pending_replays.append(f)
-                    else:
-                        leaders[f.key] = f
-                        out.append(f)
-                nxt = sim_release_chain(c)
-                if nxt is not None:
-                    out.append(nxt)
-                return out
-
-            def sim_admit(fair_now: float) -> Optional[SessionContext]:
-                """Mirror of inline's ``admit_next``, including the
-                parked-deadline expiry sweep: shed at the exact instant,
-                with the identical reason string, that inline would."""
-                while parked:
-                    c = parked.pop(0)
-                    c.wait_s = max(c.wait_s, fair_now)
-                    waits_charged[c.seq] = c.wait_s
-                    if (
-                        c.spec.deadline_s is not None
-                        and c.wait_s >= c.spec.deadline_s
-                    ):
-                        c.shed(
-                            f"deadline ({c.spec.deadline_s:g}s) expired while "
-                            f"parked: first live slot freed at "
-                            f"t={c.wait_s:.3f}s",
-                            deadline_met=False,
-                        )
-                        continue
-                    if dedup and c.spec.cacheable:
-                        if c.key in record_keys:
-                            pending_replays.append(c)
-                            continue
-                        leader = leaders.get(c.key)
-                        if leader is not None and leader.seq not in done_seqs:
-                            followers.setdefault(c.key, []).append(c)
-                            continue
-                        leaders[c.key] = c
-                    fam = c.op_chain_key
-                    if fam is not None:
-                        chain = op_chains.get(fam)
-                        if chain:
-                            chain.append(c)
-                            continue
-                        op_chains[fam] = [c]
-                    return c
-                return None
-
-            def run_batch(batch: List[SessionContext]) -> None:
-                """Ship the not-yet-served members of a batch (plus any
-                accumulated instant replays) to their shards before they
-                enter the chronology heap."""
-                fresh = [x for x in batch if x.seq not in wire_results]
-                if fresh or pending_replays:
-                    dispatch(fresh + pending_replays)
-                    pending_replays.clear()
-
-            for c in runnable:
-                push(c)
-            while heap:
-                _, _, c = heapq.heappop(heap)
-                i = pos.get(c.seq, 0)
-                pos[c.seq] = i + 1
-                trail = trails.get(c.seq) or []
-                if i + 1 < len(trail):
-                    heapq.heappush(heap, (trail[i], next(ticket), c))
-                    continue
-                # completion: one freed slot, inline's push order —
-                # unblocked sessions first, then the admitted one
-                to_run = sim_on_done(c)
-                adm = sim_admit(
-                    waits_charged.get(c.seq, 0.0) + wire_results[c.seq].virtual_s
-                )
-                if adm is not None:
-                    to_run.append(adm)
-                run_batch(to_run)
-                for x in to_run:
-                    push(x)
-
-            # straggler parity loop: parked sessions left over because
-            # every live session replayed — admit at the advancing batch
-            # frontier, exactly as inline does
-            frontier = 0.0
-            while parked:
-                nxt = sim_admit(frontier)
-                if nxt is None:
-                    break
-                work = [nxt]
-                while work:
-                    c = work.pop(0)
-                    run_batch([c])
-                    frontier = max(
-                        frontier,
-                        waits_charged.get(c.seq, 0.0)
-                        + wire_results[c.seq].virtual_s,
-                    )
-                    work.extend(sim_on_done(c))
-
-            if pending_replays:
-                dispatch(list(pending_replays))
-                pending_replays.clear()
+        # wave 1 is the whole live tier at wait 0 — each worker's own
+        # core reproduces the in-wave leader/follower and op-chain
+        # behaviour exactly (families never split across shards); after
+        # it the core admits, charges and expiry-sheds the parked tier
+        # at the instants the trails say inline would
+        core.run(_ShardExecutor(dispatch, wire_results, trails))
 
         # ---- settle the episodes ----
         # per shard: send close, collect the settle.  A worker that dies
@@ -1485,7 +1325,7 @@ def serve_sessions_sharded(
         replayed=n_replayed,
         cache_hits=totals["cache_hits"],
         cache_misses=totals["cache_misses"],
-        parked=n_parked,
+        parked=core.n_parked,
         op_exact=totals["op_exact"],
         op_near=totals["op_near"],
         op_miss=totals["op_miss"],

@@ -26,8 +26,7 @@ sees — engineers submitting simulations *continuously*:
   deadline-met target per class).
 
 Everything is a pure function of the spec's seed: two runs of a sweep
-cell — and its inline vs thread serve modes — produce byte-identical
-CSV rows and digests.  ``python -m repro traffic`` runs the stock
+cell produce byte-identical CSV rows and digests.  ``python -m repro traffic`` runs the stock
 specs; ``benchmarks/bench_traffic_sweep.py`` gates the committed knee.
 """
 

@@ -17,7 +17,7 @@ __all__ = ["main"]
 
 def main(argv=None) -> int:
     """``python -m repro traffic [name ...] [--seed N] [--sessions N]
-    [--mode inline|thread] [--csv PATH] [--json PATH]``
+    [--csv PATH] [--json PATH]``
 
     With no names, runs ``smoke`` and ``overload``.  Exit status is the
     number of sweeps whose knee summary flags a non-monotone tail (a
@@ -39,9 +39,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--sessions", type=int, default=None, help="override sessions per cell"
     )
-    parser.add_argument(
-        "--mode", choices=("inline", "thread"), default=None, help="serve mode"
-    )
     parser.add_argument("--csv", default=None, help="write aggregate CSV here")
     parser.add_argument("--json", default=None, help="write JSON summary here")
     args = parser.parse_args(argv)
@@ -56,7 +53,7 @@ def main(argv=None) -> int:
             spec = replace(spec, seed=args.seed)
         if args.sessions is not None:
             spec = replace(spec, sessions=args.sessions)
-        result = run_sweep(spec, mode=args.mode)
+        result = run_sweep(spec)
         print(result.render())
         print()
         csv_parts.append(result.csv())

@@ -8,7 +8,7 @@ feedback loop wired to each class's policy, then settles the per-class
 :class:`~repro.traffic.ledger.ClassLedger` book.
 
 Determinism contract (asserted in tests/traffic/): the same stream on
-a fresh installation — in inline or thread mode — produces the same
+a fresh installation produces the same
 :attr:`TrafficReport.digest`, which folds in every attempt's trace
 digest *and* its numeric latency/disposition row.
 """
@@ -207,8 +207,6 @@ def _digest(results) -> str:
 def run_traffic(
     stream: TrafficStream,
     installation: Optional[SharedInstallation] = None,
-    mode: str = "inline",
-    workers: int = 4,
     admission: Optional[AdmissionPolicy] = None,
     dedup: bool = True,
 ) -> TrafficReport:
@@ -238,8 +236,6 @@ def run_traffic(
     report = serve_arrivals(
         stream.arrivals,
         installation=installation or SharedInstallation.standard(),
-        mode=mode,
-        workers=workers,
         dedup=dedup,
         admission=admission,
         on_shed=on_shed,

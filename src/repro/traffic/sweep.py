@@ -13,7 +13,7 @@ Two determinism properties the tests and the CI smoke job lean on:
   rate is judged against byte-identical offered traffic;
 * :meth:`SweepResult.csv` contains only virtual-time quantities with
   fixed float formatting, so the same spec yields the same bytes on any
-  machine, any run, inline or thread mode.
+  machine, any run.
 """
 
 from __future__ import annotations
@@ -92,8 +92,6 @@ class SweepSpec:
     seed: int = 0
     dedup: bool = False
     met_target: float = 0.95
-    mode: str = "inline"
-    workers: int = 4
     warmup_s: float = 0.0
 
     def cells(self) -> List[Tuple[str, Tuple[str, Optional[int], Optional[int]], float]]:
@@ -222,11 +220,9 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def run_sweep(spec: SweepSpec, mode: Optional[str] = None) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Execute every cell of ``spec`` on a fresh installation each and
-    collect per-class rows.  ``mode`` overrides the spec's serve mode
-    (the digests must not change when it does — that's the contract)."""
-    mode = mode or spec.mode
+    collect per-class rows."""
     result = SweepResult(spec=spec)
     for mix_name, (adm_label, max_live, max_parked), rate in spec.cells():
         mix = STOCK_MIXES.get(mix_name)
@@ -240,8 +236,6 @@ def run_sweep(spec: SweepSpec, mode: Optional[str] = None) -> SweepResult:
         report = run_traffic(
             stream,
             installation=SharedInstallation.standard(),
-            mode=mode,
-            workers=spec.workers,
             admission=AdmissionPolicy(max_live=max_live, max_parked=max_parked),
             dedup=spec.dedup,
         )

@@ -1,5 +1,5 @@
 """Open-loop serving (PR 7 tentpole, part c, + satellites 1-2):
-``serve_arrivals`` timeline semantics, mode equivalence, the per-class
+``serve_arrivals`` timeline semantics, the per-class
 summary block, and the zero-wall throughput guard."""
 
 from __future__ import annotations
@@ -169,25 +169,20 @@ class TestDedupAndModes:
         assert report.cache_hits == 1
         assert twin.digest == report.by_name("orig").digest
 
-    def test_inline_and_thread_identical(self):
-        arrivals = [
-            (0.0, _spec("a", 1.30)),
-            (1.0, _spec("b", 1.34, deadline_s=25.0)),
-            (2.0, _spec("c", 1.38, priority=1)),
-            (3.0, _spec("d", 1.42)),
-            (3.0, _spec("e", 1.30)),  # dup of a: replay path
-        ]
-        kw = dict(admission=AdmissionPolicy(max_live=2, max_parked=2))
-        inline = serve_arrivals(arrivals, mode="inline", **kw)
-        threaded = serve_arrivals(arrivals, mode="thread", workers=4, **kw)
-        for i, t in zip(inline.results, threaded.results):
-            assert (i.name, i.status, i.digest, i.wait_s, i.virtual_s) == (
-                t.name,
-                t.status,
-                t.digest,
-                t.wait_s,
-                t.virtual_s,
-            )
+    def test_thread_mode_is_gone(self, capsys):
+        """Thread-wave mode bought no wall time under the GIL and was
+        deleted (docs/PERFORMANCE.md has the measurement): asking for
+        it is an error on every surface, never a silent inline run."""
+        from repro.__main__ import main
+
+        with pytest.raises(ValueError, match="unknown serve mode 'thread'"):
+            serve_sessions([_spec("a")], mode="thread")
+        with pytest.raises(TypeError):
+            serve_arrivals([(0.0, _spec("a"))], mode="thread")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--mode", "thread"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
 
 
 class TestReportSatellites:

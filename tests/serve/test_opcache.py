@@ -5,9 +5,7 @@ The oracle (ISSUE/ROADMAP item 4 acceptance):
 * an **exact hit** returns the stored cold solution verbatim — bitwise
   equal to what a fresh cold solve of the same point produces;
 * an **interpolated warm start** converges to the same solution within
-  solver tolerance (and actually converges);
-* thread-mode serving with op-cache sessions produces digests identical
-  to inline (the scheduler serializes same-family sessions).
+  solver tolerance (and actually converges).
 """
 
 from __future__ import annotations
@@ -78,34 +76,6 @@ class TestDifferentialOracle:
         cold = _cold_point(wf)
         for key in ("n1", "n2", "thrust_N", "t4", "sfc"):
             assert served[key] == pytest.approx(cold[key], rel=1e-6), key
-
-    def test_thread_mode_digests_match_inline(self):
-        def batch():
-            return [
-                SessionSpec(name=f"s{i}", points=pts, op_cache=True)
-                for i, pts in enumerate(
-                    [(1.30, 1.35), (1.32, 1.38), (1.30, 1.35),
-                     (1.40, 1.45), (1.33, 1.36), (1.31, 1.44)]
-                )
-            ]
-
-        inline = serve_sessions(
-            batch(), installation=SharedInstallation.standard(),
-            mode="inline", dedup=False,
-        )
-        thread = serve_sessions(
-            batch(), installation=SharedInstallation.standard(),
-            mode="thread", workers=4, dedup=False,
-        )
-        assert [r.digest for r in inline.results] == [
-            r.digest for r in thread.results
-        ]
-        assert [r.virtual_s for r in inline.results] == [
-            r.virtual_s for r in thread.results
-        ]
-        assert (inline.op_exact, inline.op_near, inline.op_miss) == (
-            thread.op_exact, thread.op_near, thread.op_miss
-        )
 
     def test_cache_compounds_across_serve_calls(self):
         """The long-running-server shape: a later call's identical

@@ -38,7 +38,6 @@ from repro.serve.demo import build_session_specs
 from repro.serve.shards import (
     assign_shards,
     assert_shard_safe,
-    partition_live_slots,
     recv_frame,
     result_from_wire,
     result_to_wire,
@@ -429,13 +428,6 @@ class TestPlacement:
         for bucket in assign_shards(indexed, 2):
             seqs = [seq for seq, _ in bucket]
             assert seqs == sorted(seqs)
-
-    def test_partition_live_slots_conserves_and_floors(self):
-        assert partition_live_slots(4, [6, 3, 0]) == [3, 1, None]
-        assert sum(s for s in partition_live_slots(7, [5, 5, 5]) if s) == 7
-        # a tiny global bound still grants every busy shard one slot
-        assert partition_live_slots(1, [4, 4]) == [1, 1]
-        assert partition_live_slots(3, [0, 0]) == [None, None]
 
 
 class TestOpPointPlane:

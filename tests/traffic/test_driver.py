@@ -50,9 +50,9 @@ class TestStream:
 
 class TestDeterminism:
     def test_rerun_and_thread_mode_share_digest(self):
-        """The acceptance invariant: a fixed-seed stream run twice, and
-        inline vs thread, produce identical digests and identical
-        per-class percentile rows."""
+        """The acceptance invariant: a fixed-seed stream run twice
+        produces identical digests and identical per-class percentile
+        rows."""
         stream = build_stream(
             STOCK_MIXES["interactive-batch"],
             PoissonArrivals(rate_per_s=0.3, seed=2),
@@ -63,14 +63,8 @@ class TestDeterminism:
         runs = [
             run_traffic(stream, installation=SharedInstallation.standard(), **kw),
             run_traffic(stream, installation=SharedInstallation.standard(), **kw),
-            run_traffic(
-                stream,
-                installation=SharedInstallation.standard(),
-                mode="thread",
-                **kw,
-            ),
         ]
-        assert runs[0].digest == runs[1].digest == runs[2].digest
+        assert runs[0].digest == runs[1].digest
         base = runs[0].ledgers
         for other in runs[1:]:
             assert set(other.ledgers) == set(base)

@@ -26,9 +26,6 @@ class TestDeterminism:
         produce byte-identical CSV."""
         assert run_sweep(TINY).csv() == run_sweep(TINY).csv()
 
-    def test_inline_and_thread_byte_identical_csv(self):
-        assert run_sweep(TINY).csv() == run_sweep(TINY, mode="thread").csv()
-
     def test_different_seed_different_rows(self):
         assert run_sweep(TINY).csv() != run_sweep(replace(TINY, seed=1)).csv()
 
