@@ -9,7 +9,9 @@ air through the engine." (paper, section 2.4)
 The editor maintains a directed acyclic graph of module instances
 (``networkx.DiGraph``); connections are type-checked port-to-port, and
 networks can be saved to / loaded from plain dictionaries ("create,
-modify, and save programs").
+modify, and save programs").  Acyclicity is checked per wire, before
+the wire goes in, by a reachability walk from its destination back to
+its source: a refused ``connect`` never touches the graph.
 """
 
 from __future__ import annotations
@@ -121,18 +123,34 @@ class NetworkEditor:
                         f"{dst_name}.{in_port} is already connected "
                         f"(from {conn.src}.{conn.out_port})"
                     )
+        if self._reaches(dst_name, src_name):
+            raise NetworkEditError(
+                f"connecting {src_name}.{out_port} -> {dst_name}.{in_port} "
+                f"would create a cycle"
+            )
         conn = Connection(src=src_name, out_port=out_port, dst=dst_name, in_port=in_port)
         if self._graph.has_edge(src_name, dst_name):
             self._graph[src_name][dst_name]["connections"].append(conn)
         else:
             self._graph.add_edge(src_name, dst_name, connections=[conn])
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._disconnect(conn)
-            raise NetworkEditError(
-                f"connecting {src_name}.{out_port} -> {dst_name}.{in_port} "
-                f"would create a cycle"
-            )
         return conn
+
+    def _reaches(self, start: str, target: str) -> bool:
+        """Whether ``target`` is ``start`` or downstream of it.  The
+        graph is acyclic between edits, so the wire ``target -> start``
+        closes a cycle exactly when this walk finds ``target``."""
+        successors = self._graph.successors
+        seen = {start}
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            if node == target:
+                return True
+            for nxt in successors(node):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
 
     def _disconnect(self, conn: Connection) -> None:
         data = self._graph[conn.src][conn.dst]

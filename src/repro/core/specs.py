@@ -267,9 +267,15 @@ _BUILDERS = {
 
 def install_tess_executables(park) -> None:
     """Install the four adapted-module executables on every machine in
-    the park — the simulated equivalent of building them everywhere."""
+    the park that lacks them — the simulated equivalent of building them
+    everywhere.  Idempotent: an executable is built (its export spec
+    parsed) only when some machine is missing its path, and a path
+    already installed is never overwritten, so an executive opened over
+    an installed park builds nothing."""
     for kind, builder in _BUILDERS.items():
-        exe = builder()
         path = REMOTE_PATHS[kind]
-        for machine in park:
-            machine.install(path, exe)
+        missing = [m for m in park if not m.has_executable(path)]
+        if missing:
+            exe = builder()
+            for machine in missing:
+                machine.install(path, exe)

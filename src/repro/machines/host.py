@@ -54,6 +54,9 @@ class Machine:
         on the real machine)."""
         self._executables[path] = executable
 
+    def has_executable(self, path: str) -> bool:
+        return path in self._executables
+
     def executable_at(self, path: str) -> Any:
         try:
             return self._executables[path]

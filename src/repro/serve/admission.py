@@ -268,13 +268,17 @@ class AdmissionCore:
         workload followers that must now run live — they replay unless
         the leader left no record (caching off, or it degraded: degraded
         records are never cached) — then the next waiter on its op-point
-        family chain, now guaranteed a fully-populated family store."""
+        family chain, now guaranteed a fully-populated family store.
+        A requeued follower joins its family chain like any admission;
+        the finished leader is still on that chain here, so the follower
+        queues behind it and comes out below, once, in its turn."""
         self.finished.add(ctx.seq)
         out = []
         for f in self.followers.pop(ctx.key, []):
             if not ex.replay(f):
                 self.leaders[f.key] = f
-                out.append(f)
+                if self._heads_chain(f):
+                    out.append(f)
         chain = self.op_chains.get(ctx.op_chain_key)
         if chain:
             if ctx in chain:

@@ -6,7 +6,10 @@ running processes) and the network topology are built **once** and
 shared by every concurrent session, while each session gets its own
 virtual clock, transport counters, Manager, and trace log — the
 isolation that keeps per-session virtual times deterministic and equal
-to a solo run of the same workload.
+to a solo run of the same workload.  "Once" includes the four
+adapted-module executables: :meth:`SharedInstallation.standard` parses
+their export specs and installs them, and a session's executive, finding
+every path installed, builds and overwrites nothing.
 
 The installation also owns the :class:`WorkloadCache`: when several
 co-resident sessions request the *same* scenario (identical placement,
@@ -106,7 +109,9 @@ class WorkloadCache:
 
 @dataclass
 class SharedInstallation:
-    """The park + topology every session shares, built once per serve.
+    """The park, its installed executables and the topology every
+    session shares, built once per installation (a ``serve()`` call
+    given none builds its own; shard workers each build one replica).
 
     ``park_lock`` serializes the park-mutating session phases (process
     spawn during setup, kill during teardown); the solve phases only
@@ -142,7 +147,8 @@ class SharedInstallation:
     @classmethod
     def standard(cls) -> "SharedInstallation":
         """The paper's machine park on the three-tier network, with the
-        four adapted-module executables installed everywhere."""
+        four adapted-module executables built and installed everywhere
+        (the one time a serving process builds them)."""
         park = standard_park()
         topology = Topology()
         for machine in park:

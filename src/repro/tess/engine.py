@@ -47,9 +47,13 @@ from .components import (
 from .gas import GasState
 from .hosts import ComponentHost, LocalHost
 from .maps import MapError, load_map
+from .opkey import spec_memo
 from .schedules import Schedule
 
-__all__ = ["EngineSpec", "TwinSpoolTurbofan", "OperatingPoint", "TransientResult"]
+__all__ = [
+    "EngineSpec", "SizedDeck", "design_closure", "sized_deck",
+    "TwinSpoolTurbofan", "OperatingPoint", "TransientResult",
+]
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,115 @@ class TransientResult:
         return float(self.n1[-1]), float(self.n2[-1])
 
 
+@dataclass(frozen=True)
+class SizedDeck:
+    """What the design closure derives from an :class:`EngineSpec`: the
+    component chain (every component is frozen, so all engines of one
+    deck share these objects) and the design point."""
+
+    inlet: Inlet
+    fan: Compressor
+    splitter: Splitter
+    duct_core: Duct
+    bleed: Bleed
+    hpc: Compressor
+    burner: Combustor
+    hpt: Turbine
+    lpt: Turbine
+    duct_mixer: Duct  # core-side loss equalizing the mixing plane
+    duct_bypass: Duct
+    mixer: MixingVolume
+    augmentor: Afterburner
+    nozzle: ConvergentNozzle
+    low_shaft: Shaft
+    high_shaft: Shaft
+    design_x: Tuple[float, ...]  # [beta_fan, beta_hpc, bpr, pr_hpt, pr_lpt]
+    design_core_flow: float
+
+
+def design_closure(spec: EngineSpec) -> SizedDeck:
+    """Size turbines, nozzle, mixer-duct loss, and scale the HPC map so
+    the design point is an exact balance root.  A pure function of the
+    deck; engines go through the memoised :func:`sized_deck`."""
+    inlet = Inlet(recovery=spec.inlet_recovery)
+    fan = Compressor(map=load_map(spec.fan_map))
+    splitter = Splitter()
+    duct_core = Duct(dpqp=spec.duct_core_loss)
+    bleed = Bleed(fraction=spec.bleed_fraction)
+    burner = Combustor(efficiency=spec.burner_efficiency, dpqp=spec.burner_loss)
+    augmentor = Afterburner(
+        efficiency=spec.ab_efficiency, dpqp_dry=spec.ab_dpqp_dry,
+        dpqp_wet=spec.ab_dpqp_wet,
+    )
+    mixer = MixingVolume()
+    fc = FlightCondition(altitude_m=0.0, mach=0.0)
+    amb = fc.ambient()
+    # fan and through-flow at design
+    face = inlet.capture(fc, W=1.0)
+    w_fan = fan.map_physical_flow(face, 1.0, 0.5)
+    face = face.with_(W=w_fan)
+    fan_op = fan.operate(face, 1.0, 0.5)
+    core, bypass = splitter.split(fan_op.state_out, spec.bypass_ratio_design)
+    core = duct_core.run(core)
+    core, _ = bleed.run(core)
+    # scale the HPC map so its design corrected flow equals the core's,
+    # and reference its corrected speed to the design inlet temperature
+    raw_map = load_map(spec.hpc_map)
+    hpc = Compressor(
+        map=replace(raw_map, wc_design=core.corrected_flow), t_ref=core.Tt
+    )
+    hpc_op = hpc.operate(core, 1.0, 0.5)
+    burned = burner.burn(hpc_op.state_out, spec.wf_design)
+    # HPT sized: choked at the design burner-exit corrected flow and
+    # delivering exactly the HPC demand
+    hpt = Turbine(efficiency=spec.hpt_efficiency).sized(burned.corrected_flow)
+    p_hpt = hpc_op.power_W / spec.mech_efficiency
+    hpt_op = hpt.expand_to_power(burned, p_hpt)
+    # LPT likewise for the fan demand
+    lpt = Turbine(efficiency=spec.lpt_efficiency).sized(hpt_op.state_out.corrected_flow)
+    p_lpt = fan_op.power_W / spec.mech_efficiency
+    lpt_op = lpt.expand_to_power(hpt_op.state_out, p_lpt)
+    # equalize the mixing plane: put the adjustable loss on whichever
+    # side runs higher at design
+    pt_core, pt_byp = lpt_op.state_out.Pt, bypass.Pt
+    if pt_core >= pt_byp:
+        duct_mixer = Duct(dpqp=1.0 - pt_byp / pt_core)
+        duct_bypass = Duct(dpqp=0.0)
+    else:
+        duct_mixer = Duct(dpqp=0.0)
+        duct_bypass = Duct(dpqp=1.0 - pt_core / pt_byp)
+    core_exit = duct_mixer.run(lpt_op.state_out)
+    byp_exit = duct_bypass.run(bypass)
+    mixed = augmentor.burn(mixer.mix(core_exit, byp_exit), 0.0)
+    return SizedDeck(
+        inlet=inlet, fan=fan, splitter=splitter, duct_core=duct_core,
+        bleed=bleed, hpc=hpc, burner=burner, hpt=hpt, lpt=lpt,
+        duct_mixer=duct_mixer, duct_bypass=duct_bypass, mixer=mixer,
+        augmentor=augmentor,
+        nozzle=ConvergentNozzle(cd=spec.nozzle_cd).sized_for(mixed, amb.Ps),
+        low_shaft=Shaft(
+            inertia=spec.low_inertia, omega_design=spec.low_omega_design,
+            mech_eff=spec.mech_efficiency,
+        ),
+        high_shaft=Shaft(
+            inertia=spec.high_inertia, omega_design=spec.high_omega_design,
+            mech_eff=spec.mech_efficiency,
+        ),
+        design_x=(
+            0.5, 0.5, spec.bypass_ratio_design,
+            hpt_op.pressure_ratio, lpt_op.pressure_ratio,
+        ),
+        design_core_flow=core.W,
+    )
+
+
+@spec_memo
+def sized_deck(spec: EngineSpec) -> SizedDeck:
+    """:func:`design_closure`, computed once per deck and shared the way
+    :func:`~repro.tess.maps.load_map` shares the fan map."""
+    return design_closure(spec)
+
+
 class TwinSpoolTurbofan:
     """A sized, solvable engine."""
 
@@ -150,35 +263,27 @@ class TwinSpoolTurbofan:
         # re-probing only when the iteration degrades.  False restores
         # the rebuild-every-iteration oracle.
         self.jac_reuse = jac_reuse
-        self.inlet = Inlet(recovery=spec.inlet_recovery)
-        self.fan = Compressor(map=load_map(spec.fan_map))
-        self.splitter = Splitter()
-        self.duct_core = Duct(dpqp=spec.duct_core_loss)
-        self.bleed = Bleed(fraction=spec.bleed_fraction)
-        self.burner = Combustor(efficiency=spec.burner_efficiency, dpqp=spec.burner_loss)
-        self.augmentor = Afterburner(
-            efficiency=spec.ab_efficiency, dpqp_dry=spec.ab_dpqp_dry,
-            dpqp_wet=spec.ab_dpqp_wet,
-        )
-        self.mixer = MixingVolume()
-        self.low_shaft = Shaft(
-            inertia=spec.low_inertia, omega_design=spec.low_omega_design,
-            mech_eff=spec.mech_efficiency,
-        )
-        self.high_shaft = Shaft(
-            inertia=spec.high_inertia, omega_design=spec.high_omega_design,
-            mech_eff=spec.mech_efficiency,
-        )
-        # sized by the design closure:
-        self.hpc: Compressor
-        self.hpt: Turbine
-        self.lpt: Turbine
-        self.duct_mixer: Duct  # core-side loss equalizing the mixing plane
-        self.duct_bypass: Duct
-        self.nozzle: ConvergentNozzle
-        self._design_x: np.ndarray
-        self._design_core_flow: float
-        self._run_design_closure()
+        # the components are the deck's (shared, frozen); the arrays
+        # below are this engine's own
+        deck = sized_deck(spec)
+        self.inlet = deck.inlet
+        self.fan = deck.fan
+        self.splitter = deck.splitter
+        self.duct_core = deck.duct_core
+        self.bleed = deck.bleed
+        self.hpc = deck.hpc
+        self.burner = deck.burner
+        self.hpt = deck.hpt
+        self.lpt = deck.lpt
+        self.duct_mixer = deck.duct_mixer
+        self.duct_bypass = deck.duct_bypass
+        self.mixer = deck.mixer
+        self.augmentor = deck.augmentor
+        self.nozzle = deck.nozzle
+        self.low_shaft = deck.low_shaft
+        self.high_shaft = deck.high_shaft
+        self._design_x = np.array(deck.design_x)
+        self._design_core_flow = deck.design_core_flow
         # warm-start cache for the transient algebraic solves; _prev_x
         # enables the secant extrapolation predictor under jac_reuse
         self._last_x = self._design_x.copy()
@@ -193,58 +298,6 @@ class TwinSpoolTurbofan:
         self.steady_report = None
 
     # ------------------------------------------------------------------ design
-    def _run_design_closure(self) -> None:
-        """Size turbines, nozzle, mixer-duct loss, and scale the HPC map
-        so the design point is an exact balance root."""
-        spec = self.spec
-        fc = FlightCondition(altitude_m=0.0, mach=0.0)
-        amb = fc.ambient()
-        # fan and through-flow at design
-        face = self.inlet.capture(fc, W=1.0)
-        w_fan = self.fan.map_physical_flow(face, 1.0, 0.5)
-        face = face.with_(W=w_fan)
-        fan_op = self.fan.operate(face, 1.0, 0.5)
-        core, bypass = self.splitter.split(fan_op.state_out, spec.bypass_ratio_design)
-        core = self.duct_core.run(core)
-        core, _ = self.bleed.run(core)
-        self._design_core_flow = core.W
-        # scale the HPC map so its design corrected flow equals the core's,
-        # and reference its corrected speed to the design inlet temperature
-        raw_map = load_map(spec.hpc_map)
-        self.hpc = Compressor(
-            map=replace(raw_map, wc_design=core.corrected_flow), t_ref=core.Tt
-        )
-        hpc_op = self.hpc.operate(core, 1.0, 0.5)
-        burned = self.burner.burn(hpc_op.state_out, spec.wf_design)
-        # HPT sized: choked at the design burner-exit corrected flow and
-        # delivering exactly the HPC demand
-        hpt = Turbine(efficiency=spec.hpt_efficiency).sized(burned.corrected_flow)
-        p_hpt = hpc_op.power_W / spec.mech_efficiency
-        hpt_op = hpt.expand_to_power(burned, p_hpt)
-        self.hpt = hpt
-        # LPT likewise for the fan demand
-        lpt = Turbine(efficiency=spec.lpt_efficiency).sized(hpt_op.state_out.corrected_flow)
-        p_lpt = fan_op.power_W / spec.mech_efficiency
-        lpt_op = lpt.expand_to_power(hpt_op.state_out, p_lpt)
-        self.lpt = lpt
-        # equalize the mixing plane: put the adjustable loss on whichever
-        # side runs higher at design
-        pt_core, pt_byp = lpt_op.state_out.Pt, bypass.Pt
-        if pt_core >= pt_byp:
-            self.duct_mixer = Duct(dpqp=1.0 - pt_byp / pt_core)
-            self.duct_bypass = Duct(dpqp=0.0)
-        else:
-            self.duct_mixer = Duct(dpqp=0.0)
-            self.duct_bypass = Duct(dpqp=1.0 - pt_core / pt_byp)
-        core_exit = self.duct_mixer.run(lpt_op.state_out)
-        byp_exit = self.duct_bypass.run(bypass)
-        mixed = self.augmentor.burn(self.mixer.mix(core_exit, byp_exit), 0.0)
-        self.nozzle = ConvergentNozzle(cd=spec.nozzle_cd).sized_for(mixed, amb.Ps)
-        self._design_x = np.array(
-            [0.5, 0.5, spec.bypass_ratio_design,
-             hpt_op.pressure_ratio, lpt_op.pressure_ratio]
-        )
-
     @property
     def design_x(self) -> np.ndarray:
         return self._design_x.copy()

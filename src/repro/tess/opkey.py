@@ -26,9 +26,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any
+from functools import lru_cache, wraps
+from typing import Any, Callable
 
-__all__ = ["stable_value", "context_key", "deck_key", "flight_key", "wf_key", "combine_keys"]
+__all__ = [
+    "stable_value", "context_key", "deck_key", "flight_key", "wf_key",
+    "combine_keys", "spec_memo",
+]
 
 
 def stable_value(value: Any) -> Any:
@@ -64,9 +68,32 @@ def context_key(**values: Any) -> str:
     return _digest(stable_value(values))
 
 
+def spec_memo(fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """Memoise a pure function of one frozen, ``vars()``-able dataclass
+    instance, keeping the 64 most recently used entries.  The key is the
+    instance *and its field types*: ``==`` alone would let a deck
+    written with ``2`` take the entry of one written with ``2.0``, and
+    those two digest differently.  ``cache_clear``/``cache_info`` are
+    the ``lru_cache`` ones."""
+
+    @lru_cache(maxsize=64)
+    def cached(spec: Any, _types: tuple) -> Any:
+        return fn(spec)
+
+    @wraps(fn)
+    def memoised(spec: Any) -> Any:
+        return cached(spec, tuple(map(type, vars(spec).values())))
+
+    memoised.cache_clear = cached.cache_clear
+    memoised.cache_info = cached.cache_info
+    return memoised
+
+
+@spec_memo
 def deck_key(spec: Any) -> str:
     """Digest of an engine deck: every design field of the (frozen)
-    :class:`~repro.tess.engine.EngineSpec`, bit-stable."""
+    :class:`~repro.tess.engine.EngineSpec`, bit-stable.  Computed once
+    per deck."""
     return _digest(stable_value(spec))
 
 

@@ -192,6 +192,57 @@ class TestOpChains:
         assert core.op_chains == {}
 
 
+class LivenessExecutor(ScriptedExecutor):
+    """Also records how often each session finished and the most
+    sessions of one op-point family that were ever live at once."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.live = {}  # name -> family, while started and unfinished
+        self.finishes = {}
+        self.peak_family_live = 0
+
+    def step(self, ctx):
+        name = ctx.spec.name
+        self.live[name] = ctx.op_chain_key
+        families = [f for f in self.live.values() if f is not None]
+        self.peak_family_live = max(
+            [self.peak_family_live] + [families.count(f) for f in families]
+        )
+        key = super().step(ctx)
+        if key is None:
+            del self.live[name]
+            self.finishes[name] = self.finishes.get(name, 0) + 1
+        return key
+
+
+class TestRequeuedFollowerJoinsItsChain:
+    def test_degraded_op_cache_leader_requeues_its_follower_onto_the_chain(self):
+        """A degraded leader's follower runs live; when it is an
+        ``op_cache`` session it must take its turn on the family chain
+        (the finished leader still heads it at that moment) instead of
+        running beside the waiter the chain releases — and the waiter
+        must not be handed back a second time when the follower ends."""
+        specs = [
+            _spec("lead", 1.30, op_cache=True),
+            _spec("twin", 1.30, op_cache=True),
+            _spec("wait", 1.31, op_cache=True),  # same family, other workload
+        ]
+        trails = {n: [2.0, 4.0, 6.0] for n in ("lead", "twin", "wait")}
+        contexts = _contexts(*specs)
+        core = AdmissionCore(contexts, AdmissionPolicy(), True)
+        ex = LivenessExecutor(trails, degraded={"lead"})
+        core.run(ex)
+        assert ex.replayed == []
+        assert ex.finishes == {"lead": 1, "twin": 1, "wait": 1}
+        assert ex.peak_family_live == 1
+        # chain order: the waiter was admitted onto the chain before the
+        # follower was requeued onto it
+        assert ex.finished == ["lead", "wait", "twin"]
+        assert ex.pos == {n: 3 for n in trails}
+        assert core.op_chains == {}
+
+
 class TestStragglers:
     def test_all_replayed_live_tier_admits_parked_at_the_frontier(self):
         """Every live session replays (a warm cache), so no slot ever
