@@ -448,17 +448,13 @@ class NPSSExecutive:
         return self
 
     def __exit__(self, *exc) -> None:
-        # teardown runs on the exception path too: remote computations
-        # are shut down and the lines thread pool joined, so an aborted
-        # run leaks no ``line-*`` workers
+        # teardown runs on the exception path too: an aborted run
+        # leaves no remote computation running
         self.close()
 
     def close(self) -> None:
-        """Full teardown: shut down remote computations and the
-        environment's wall-clock resources (the lines thread pool — so
-        back-to-back executives in one process never leak workers)."""
+        """Full teardown: shut down every remote computation."""
         self.host.destroy_all()
-        self.env.close()
 
     def clear_network(self) -> None:
         """The AVS 'clear network' action: every module is destroyed and

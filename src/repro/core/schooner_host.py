@@ -96,9 +96,7 @@ class SchoonerHost(ComponentHost):
         return self._caller
 
     def _open_batch(self, label: str) -> CallBatch:
-        env = self.manager.env
-        return CallBatch(env, self.caller_context(), label=label,
-                         pool=env.overlap_pool())
+        return CallBatch(self.manager.env, self.caller_context(), label=label)
 
     def _in_overlap_region(self) -> bool:
         ctx = self._caller

@@ -100,7 +100,7 @@ class VirtualClock:
     # pending one-shot events: a heap of (at_s, seq, ScheduledEvent)
     _events: List[Tuple[float, int, ScheduledEvent]] = field(default_factory=list)
     _event_seq: Any = field(default_factory=itertools.count, repr=False)
-    # timelines may advance from LinePool worker threads; the envelope
+    # timelines may advance from caller threads; the envelope
     # update and subscriber dispatch must stay consistent under that
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 

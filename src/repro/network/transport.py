@@ -20,7 +20,6 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from zlib import crc32
 
 from ..machines.host import Machine
-from ..uts.buffers import count_payload_copy
 from .clock import Timeline, VirtualClock
 from .topology import NetworkError, Topology
 
@@ -71,11 +70,11 @@ class Message:
     ``header_nbytes`` is the fixed Schooner message header charged on top
     of it.  The wire occupancy is :attr:`total_nbytes`.
 
-    ``body`` carries the payload.  On the zero-copy path it is a
-    ``memoryview`` over the sender's pooled encode buffer, delivered
-    through every store-and-forward hop as the *same* view object —
-    receivers must treat it as read-only and must not retain it past the
-    call (the buffer returns to the pool).  ``header`` is the packed
+    ``body`` carries the payload.  From the RPC runtime it is a
+    read-only ``memoryview`` over the sender's pooled encode buffer,
+    delivered through every store-and-forward hop as the *same* view
+    object — receivers must not retain it past the call (the buffer
+    returns to the pool).  ``header`` is the packed
     wire header, built once per message with :data:`HEADER_STRUCT`.
     ``deadline_s`` is the caller's propagated virtual-time deadline
     (``None`` = no deadline; packed as +inf in the header) — the
@@ -147,11 +146,6 @@ class Transport:
     clock: VirtualClock
     stats: TrafficStats = field(default_factory=TrafficStats)
     contention: bool = False
-    # legacy store-and-forward behaviour kept for comparison: each hop
-    # re-materializes the payload as ``bytes`` (and reports it to the
-    # payload-copy counter).  Off = zero-copy: the sender's memoryview
-    # is delivered through every hop unchanged.
-    copy_per_hop: bool = False
     # fault-injection hook (see repro.faults): consulted per message for
     # seeded packet loss and latency spikes.  None = perfect network.
     fault_filter: Optional[FaultFilter] = None
@@ -160,9 +154,8 @@ class Transport:
     # per-trunk busy-until times; a trunk is the (site, site) pair so all
     # machines at two sites share the same WAN capacity
     _trunk_free: Dict[Any, float] = field(default_factory=dict)
-    # overlapped batches may send from LinePool worker threads; the
-    # shared counters need a lock to stay exact (contention bookkeeping
-    # is order-sensitive and instead disables the pool entirely)
+    # caller threads may send through one shared transport; the shared
+    # counters need a lock to stay exact
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __reduce__(self):
@@ -234,13 +227,6 @@ class Transport:
         else:
             sent_at = timeline.now
             delivered_at = timeline.advance(queue_wait + dt)
-        if body is not None and self.copy_per_hop:
-            # the pre-zero-copy store-and-forward: every hop (gateway)
-            # re-materialized the payload before forwarding it
-            hops = self.topology.classify(src, dst).hops
-            for _ in range(max(1, hops)):
-                body = bytes(body)
-                count_payload_copy()
         msg_id = next(self._ids)
         header = HEADER_STRUCT.pack(
             msg_id & 0xFFFFFFFF,

@@ -16,7 +16,9 @@ scheduler (PR 4):
 * :class:`PercentileLedger` — exact streaming quantiles (p50/p95/p99)
   over virtual-time latency samples; the accounting substrate for the
   serve report's per-class queue-wait stats and the
-  :mod:`repro.traffic` capacity sweeps.
+  :mod:`repro.traffic` capacity sweeps — with :class:`ClassLedger` /
+  :class:`LedgerBook`, the per-class attempt and task accounting over
+  it.
 * :mod:`repro.resilience.soak` — the deterministic chaos-soak harness
   (``python -m repro chaos``): N mixed sessions against seeded fault
   plans, with replay/leak/solo-equivalence invariants asserted after
@@ -29,7 +31,7 @@ whole serving stack); import :mod:`repro.resilience.soak` directly.
 from .breaker import BreakerBoard, BreakerPolicy, CircuitBreaker
 from .budget import RetryBudget
 from .deadline import Deadline
-from .ledger import PercentileLedger
+from .ledger import ClassLedger, LedgerBook, PercentileLedger
 
 __all__ = [
     "Deadline",
@@ -38,4 +40,6 @@ __all__ = [
     "BreakerBoard",
     "RetryBudget",
     "PercentileLedger",
+    "ClassLedger",
+    "LedgerBook",
 ]

@@ -101,9 +101,9 @@ class CircuitBreaker:
 class BreakerBoard:
     """The environment's breaker registry, keyed (procedure, hostname).
 
-    Thread-safe creation (overlapped batches may call from LinePool
-    workers); the breakers themselves are driven from the deterministic
-    call path, in call order.
+    Thread-safe creation (caller threads may share one board); the
+    breakers themselves are driven from the deterministic call path,
+    in call order.
     """
 
     policy: BreakerPolicy = field(default_factory=BreakerPolicy)

@@ -14,8 +14,7 @@ One :class:`RetryBudget` is shared by every resilient session of a
 what makes it an *admission* mechanism rather than a per-client
 politeness: concurrent sessions draw from the same bucket.  Deposits
 and spends happen in call order, so inline (deterministic) serving
-replays identically; the lock guards draws made from wall-parallel
-line threads.
+replays identically; the lock guards draws made from caller threads.
 
 Across **process shards** the bucket cannot be one lock-guarded float —
 shard workers live in separate interpreters.  The spanning discipline is

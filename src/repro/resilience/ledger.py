@@ -1,4 +1,4 @@
-"""Exact streaming percentile ledgers for SLO accounting.
+"""Exact streaming percentile ledgers and per-class SLO accounting.
 
 A :class:`PercentileLedger` accepts samples one at a time (queue waits,
 end-to-end latencies, lateness) and answers *exact* quantiles on
@@ -16,15 +16,35 @@ The quantile definition is the *inclusive* linear-interpolation grid
 for ``n`` sorted samples, ``quantile(q)`` interpolates at rank
 ``(n - 1) * q``.  The cross-check against :mod:`statistics` lives in
 tests/resilience/test_ledger.py.
+
+A :class:`ClassLedger` accumulates one traffic class's attempts and
+tasks over serve results; a :class:`LedgerBook` holds one per class
+plus the ``total`` roll-up.  Two levels of accounting deliberately
+coexist:
+
+* **attempts** — every offered session, retries included.  Queue-wait
+  and end-to-end percentiles are attempt-level (each attempt really
+  waited that long), as are the served/shed/deadline counters.  A serve
+  report's per-class rows are this level alone.
+* **tasks** — distinct user requests (an original arrival plus all its
+  retries is one task).  A task is *met* when its final attempt
+  finished inside its deadline; *lost* when its final attempt was shed
+  with no retry budget left.  ``deadline_met_rate`` — the knee metric —
+  is task-level over tasks that carried deadlines, so retry feedback
+  cannot launder a refused user into a smaller denominator.
+
+The results observed are :class:`repro.serve.SessionResult` rows, read
+by attribute only: this module imports nothing from the serving stack.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from typing import Dict, Iterable, Optional
+from dataclasses import dataclass, field, fields
+from typing import Dict, Iterable, List, Optional
 
-__all__ = ["PercentileLedger"]
+__all__ = ["PercentileLedger", "ClassLedger", "LedgerBook"]
 
 
 class PercentileLedger:
@@ -150,3 +170,164 @@ class PercentileLedger:
             f"PercentileLedger(n={self.count}, mean={self.mean:.4g}, "
             f"p99={self.quantile(0.99):.4g})"
         )
+
+
+@dataclass
+class ClassLedger:
+    """One traffic class's attempt- and task-level accounting."""
+
+    name: str
+    # ----- attempt level -----
+    offered: int = 0
+    served: int = 0  # completed + degraded (replays included)
+    completed: int = 0
+    degraded: int = 0
+    replayed: int = 0
+    shed: int = 0
+    retries: int = 0  # attempts beyond each task's first
+    points: int = 0
+    good_points: int = 0  # points from attempts that met their deadline
+    deadline_met: int = 0
+    deadline_missed: int = 0
+    queue_wait: PercentileLedger = field(default_factory=PercentileLedger)
+    end_to_end: PercentileLedger = field(default_factory=PercentileLedger)
+    # ----- task level -----
+    tasks: int = 0
+    tasks_with_deadline: int = 0
+    tasks_met: int = 0
+    tasks_missed: int = 0  # final attempt ran (or was shed) but blew the SLO
+    tasks_lost: int = 0  # final attempt shed, no retry budget left
+
+    def observe_attempt(self, r, is_retry: bool) -> None:
+        self.offered += 1
+        if is_retry:
+            self.retries += 1
+        if r.status == "shed":
+            self.shed += 1
+        else:
+            self.served += 1
+            self.completed += 1 if r.status == "completed" else 0
+            self.degraded += 1 if r.status == "degraded" else 0
+            self.replayed += 1 if r.replayed else 0
+            self.points += len(r.results)
+            self.queue_wait.add(r.wait_s)
+            self.end_to_end.add(r.end_to_end_s)
+            if r.deadline_met is not False:
+                self.good_points += len(r.results)
+        if r.deadline_met is True:
+            self.deadline_met += 1
+        elif r.deadline_met is False:
+            self.deadline_missed += 1
+
+    def observe_task(self, attempts: List, had_deadline: bool) -> None:
+        """Fold in one task given its attempts in offer order (the last
+        one is final — either it was served, or it was shed with no
+        retry granted)."""
+        final = attempts[-1]
+        self.tasks += 1
+        if had_deadline:
+            self.tasks_with_deadline += 1
+            if final.deadline_met is True:
+                self.tasks_met += 1
+            elif final.status == "shed":
+                self.tasks_lost += 1
+                # a shed-for-queue-full final attempt never got a
+                # deadline verdict; it is still a missed task
+                self.tasks_missed += 1
+            else:
+                self.tasks_missed += 1
+        elif final.status == "shed":
+            self.tasks_lost += 1
+
+    @property
+    def deadline_met_rate(self) -> Optional[float]:
+        """Task-level SLO attainment — the knee metric.  None when the
+        class carries no deadlines (nothing to attain)."""
+        if self.tasks_with_deadline == 0:
+            return None
+        return self.tasks_met / self.tasks_with_deadline
+
+    def attempt_summary(self) -> dict:
+        """The attempt level alone, as a serve report's per-class row
+        (a serve call sees sessions; tasks are the traffic driver's)."""
+        return {
+            "sessions": self.offered,
+            "completed": self.completed,
+            "degraded": self.degraded,
+            "shed": self.shed,
+            "replayed": self.replayed,
+            "points": self.points,
+            "deadline_met": self.deadline_met,
+            "deadline_missed": self.deadline_missed,
+            "queue_wait_s": self.queue_wait.summary(),
+            "end_to_end_s": self.end_to_end.summary(),
+        }
+
+    def summary(self) -> dict:
+        return {
+            "class": self.name,
+            "offered": self.offered,
+            "tasks": self.tasks,
+            "served": self.served,
+            "completed": self.completed,
+            "degraded": self.degraded,
+            "replayed": self.replayed,
+            "shed": self.shed,
+            "retries": self.retries,
+            "points": self.points,
+            "good_points": self.good_points,
+            "deadline_met": self.deadline_met,
+            "deadline_missed": self.deadline_missed,
+            "tasks_with_deadline": self.tasks_with_deadline,
+            "tasks_met": self.tasks_met,
+            "tasks_missed": self.tasks_missed,
+            "tasks_lost": self.tasks_lost,
+            "deadline_met_rate": self.deadline_met_rate,
+            "queue_wait_s": self.queue_wait.summary(),
+            "end_to_end_s": self.end_to_end.summary(),
+        }
+
+
+class LedgerBook:
+    """Per-class ledgers plus the ``total`` roll-up, built from a serve
+    report's results (and, for task accounting, the traffic driver's
+    task map)."""
+
+    TOTAL = "total"
+
+    def __init__(self) -> None:
+        #: class name -> ledger, in first-seen order
+        self.ledgers: Dict[str, ClassLedger] = {}
+
+    def ledger(self, cls: str) -> ClassLedger:
+        name = cls or "default"
+        led = self.ledgers.get(name)
+        if led is None:
+            led = self.ledgers[name] = ClassLedger(name=name)
+        return led
+
+    def observe_attempt(self, r, is_retry: bool) -> None:
+        self.ledger(r.traffic_class).observe_attempt(r, is_retry)
+
+    def observe_task(self, attempts: List, had_deadline: bool) -> None:
+        self.ledger(attempts[-1].traffic_class).observe_task(attempts, had_deadline)
+
+    def total(self) -> ClassLedger:
+        """Merge every class into one roll-up ledger (computed fresh —
+        call after all observations): counters summed, percentile
+        ledgers folded."""
+        out = ClassLedger(name=self.TOTAL)
+        for led in self.ledgers.values():
+            for f in fields(ClassLedger):
+                mine, theirs = getattr(out, f.name), getattr(led, f.name)
+                if isinstance(mine, PercentileLedger):
+                    mine.merge(theirs)
+                elif isinstance(mine, int):
+                    setattr(out, f.name, mine + theirs)
+        return out
+
+    def classes(self) -> Dict[str, ClassLedger]:
+        """Per-class ledgers in sorted-name order, total last."""
+        out = {name: self.ledgers[name] for name in sorted(self.ledgers)}
+        out[self.TOTAL] = self.total()
+        return out

@@ -9,8 +9,8 @@ invariants:
    and every admitted session ends in exactly one of ``completed`` /
    ``degraded`` / ``shed`` — an overloaded or faulted installation
    refuses or degrades work *explicitly*, never silently.
-2. **No leaked threads**: after the soak, no new ``line-*`` (Schooner
-   line pool) threads remain.
+2. **No leaked threads**: the serving stack starts none, so after
+   the soak the process's thread names are the ones it began with.
 3. **Byte-identical replay**: the same soak on a fresh installation
    reproduces every session's trace digest and status — chaos included,
    because every fault is a seeded virtual-clock event.
@@ -356,12 +356,7 @@ def run_soak(config: SoakConfig, solo_check: bool = True) -> SoakReport:
 
     threads_before = {t.name for t in threading.enumerate()}
     report = _serve(config, specs)
-    leaked = [
-        t.name
-        for t in threading.enumerate()
-        if t.name not in threads_before
-        and t.name.startswith("line-")
-    ]
+    leaked = {t.name for t in threading.enumerate()} - threads_before
     if leaked:
         violations.append(f"leaked worker threads after soak: {sorted(leaked)}")
 

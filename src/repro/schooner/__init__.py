@@ -25,7 +25,7 @@ from .errors import (
     StaleRebind,
     TypeCheckError,
 )
-from .lines import InstanceRecord, Line, LinePool, LineState
+from .lines import InstanceRecord, Line, LineState
 from .manager import Manager, ManagerMode, SharedRegistry
 from .procedure import STATE_ARG, Executable, Procedure
 from .program import SchoonerProgram
@@ -52,7 +52,6 @@ __all__ = [
     "CallerContext",
     "CallFuture",
     "CallBatch",
-    "LinePool",
     "execute_call",
     "Manager",
     "ManagerMode",

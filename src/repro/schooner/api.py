@@ -184,8 +184,7 @@ class ModuleContext:
             raise SchoonerError(
                 f"{self.module_name}: overlapped dispatch needs a CallerContext"
             )
-        env = self.manager.env
-        return CallBatch(env, self.caller, label=label, pool=env.overlap_pool())
+        return CallBatch(self.manager.env, self.caller, label=label)
 
     def sch_i_quit(self) -> None:
         """Notify the Manager that this module is being destroyed; the

@@ -14,11 +14,9 @@ A :class:`Line` owns a per-line name database and a virtual timeline
 from __future__ import annotations
 
 import itertools
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Dict, Tuple
 
 from ..machines.host import Machine
 from ..machines.process import VirtualProcess
@@ -27,7 +25,7 @@ from ..uts.types import Signature
 from .errors import DuplicateName, LineTerminated, NameNotFound, StaleRebind
 from .procedure import Procedure
 
-__all__ = ["Line", "LineState", "InstanceRecord", "LinePool"]
+__all__ = ["Line", "LineState", "InstanceRecord"]
 
 _instance_ids = itertools.count(1)
 
@@ -150,66 +148,6 @@ class Line:
     @property
     def processes(self) -> Tuple[VirtualProcess, ...]:
         return tuple(self._processes.values())
-
-
-class LinePool:
-    """One worker thread per line, for wall-clock overlap of batched
-    calls.
-
-    The per-line worker is what keeps overlapped execution faithful to
-    the lines model: a line is "a sequential execution of procedures",
-    so two in-flight calls on the same line must run in submission
-    order (they pipeline on the wire but queue at the server), while
-    calls on different lines genuinely proceed concurrently.  Workers
-    are created lazily and live until :meth:`shutdown`.
-    """
-
-    def __init__(self) -> None:
-        self._executors: Dict[str, ThreadPoolExecutor] = {}
-        self._lock = threading.Lock()
-        self._closed = False
-
-    def __reduce__(self):
-        from ..serve.shards import NotShardSafe
-
-        raise NotShardSafe(
-            "live LinePool (per-line worker threads) cannot cross a "
-            "process boundary; threads do not survive fork/spawn — each "
-            "shard worker creates its own pool (see repro.serve.shards)"
-        )
-
-    def submit(self, line_id: str, fn: Callable[[], None]) -> "Future":
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("LinePool is shut down")
-            ex = self._executors.get(line_id)
-            if ex is None:
-                ex = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix=f"line-{line_id}"
-                )
-                self._executors[line_id] = ex
-        return ex.submit(fn)
-
-    def shutdown(self) -> None:
-        """Join every worker thread.  Idempotent: a second call (e.g.
-        environment close after an explicit shutdown) returns without
-        touching anything, and the join happens exactly once — so
-        back-to-back ``serve()`` runs in one process never leak the
-        previous run's workers."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            executors, self._executors = list(self._executors.values()), {}
-        for ex in executors:
-            ex.shutdown(wait=True)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __len__(self) -> int:
-        return len(self._executors)
 
 
 def new_instance_record(

@@ -37,7 +37,7 @@ from .errors import (
     StaleBinding,
     TypeCheckError,
 )
-from .lines import InstanceRecord, LinePool
+from .lines import InstanceRecord
 from .procedure import STATE_ARG, TIMELINE_ARG
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -165,7 +165,6 @@ class SchoonerEnvironment:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     range_policy: OutOfRangePolicy = OutOfRangePolicy.ERROR
     traces: List[CallTrace] = field(default_factory=list)
-    keep_traces: bool = True
     # the resilience layer (repro.resilience), all opt-in and None by
     # default: per-(procedure, host) circuit breakers, the
     # installation-shared retry token bucket, and the environment-wide
@@ -177,12 +176,6 @@ class SchoonerEnvironment:
     #: supervisor recovery, no failed call to witness it) — the serving
     #: layer's last-resort signal that chaos touched a session
     unplanned_restarts: int = 0
-    # wall-clock execution of overlapped batches on the lines thread
-    # pool (one worker per line, so per-line ordering is preserved).
-    # Off by default: the virtual-time accounting is identical either
-    # way, and the sequential path is the replay-determinism baseline.
-    wall_parallel: bool = False
-    pool: Optional[LinePool] = field(default=None, repr=False)
 
     @classmethod
     def standard(cls, **kw) -> "SchoonerEnvironment":
@@ -200,47 +193,10 @@ class SchoonerEnvironment:
         return machine.compute_seconds(nbytes * self.costs.marshal_flops_per_byte)
 
     def record_trace(self, trace: CallTrace) -> None:
-        if self.keep_traces:
-            self.traces.append(trace)
+        self.traces.append(trace)
 
     def reset_traces(self) -> None:
         self.traces.clear()
-
-    def overlap_pool(self) -> Optional[LinePool]:
-        """The lines thread pool, when wall-parallel execution is both
-        requested and safe.  Stateful per-message hooks (a fault plan's
-        counters), trunk contention bookkeeping, and clock subscribers
-        are all order-sensitive across lines, so their presence forces
-        the sequential fallback — which charges *identical* virtual
-        time, keeping replays byte-for-byte reproducible either way."""
-        if not self.wall_parallel:
-            return None
-        if self.transport.fault_filter is not None or self.transport.contention:
-            return None
-        if self.clock._subscribers or self.clock.pending_events:
-            return None
-        if self.pool is None or self.pool.closed:
-            self.pool = LinePool()
-        return self.pool
-
-    def close(self) -> None:
-        """Tear down wall-clock resources: join the lines thread pool.
-
-        Idempotent, and safe to interleave with further use — a later
-        ``overlap_pool()`` lazily builds a fresh pool.  The executive and
-        the serving layer call this on teardown so back-to-back runs in
-        one process never accumulate leaked worker threads."""
-        pool, self.pool = self.pool, None
-        if pool is not None:
-            pool.shutdown()
-
-    def __enter__(self) -> "SchoonerEnvironment":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        # the context manager guarantees the lines thread pool is
-        # joined even when a run raises mid-serve
-        self.close()
 
 
 def check_import(import_sig: Signature, export_sig: Signature) -> None:
@@ -422,8 +378,7 @@ def execute_call(
 
     ``trace_sink`` redirects trace recording (an overlapped batch
     collects its members' traces privately and flushes them to the
-    environment in submission order, so the trace log stays
-    deterministic under the thread pool).
+    environment at ``wait()``, in submission order).
 
     The body is a straight-line walk of the binding's
     :class:`CallPlan`, compiled on the first call through it: the type
@@ -468,10 +423,10 @@ def execute_call(
 
     # --- client side: conform, apply caller-native storage, marshal -------
     # Zero-copy wire path: both directions encode into pooled bytearrays
-    # and travel as memoryviews; no payload ``bytes`` is materialized
-    # anywhere between encode and decode.  The views are released (and
-    # the buffers returned to the pool) before this call returns, so the
-    # decoded results never alias pool memory.
+    # and travel as read-only memoryviews; no payload ``bytes`` is
+    # materialized anywhere between encode and decode.  The views are
+    # released (and the buffers returned to the pool) before this call
+    # returns, so the decoded results never alias pool memory.
     sent = conform_args(import_sig, args, "send")
     sent = {name: native(sent[name]) for name, native in plan.caller_send}
     req_buf = WIRE_BUFFERS.acquire()
@@ -480,7 +435,7 @@ def execute_call(
     reply: Optional[memoryview] = None
     try:
         nreq = plan.send_codec.encode_conformed_into(sent, req_buf)
-        request = memoryview(req_buf)
+        request = memoryview(req_buf).toreadonly()
         dt = env.cpu_seconds_for_bytes(caller_machine, nreq)
         trace.client_cpu_s += dt
         timeline.advance(dt)
@@ -551,7 +506,7 @@ def execute_call(
         results = {name: native(results[name]) for name, native in plan.callee_return}
         rep_buf = WIRE_BUFFERS.acquire()
         nrep = plan.return_codec.encode_conformed_into(results, rep_buf)
-        reply = memoryview(rep_buf)
+        reply = memoryview(rep_buf).toreadonly()
         dt = env.cpu_seconds_for_bytes(callee_machine, nrep)
         trace.server_cpu_s += dt
         timeline.advance(dt)
@@ -725,39 +680,34 @@ class CallBatch:
     overlap with each other while each region's internal data
     dependencies stay honest.
 
-    Wall-clock execution: members go to the environment's
-    :class:`~repro.schooner.lines.LinePool` (one worker per line) when
-    ``env.overlap_pool()`` allows it; otherwise they run inline, in
-    submission order, with identical virtual-time accounting.
+    Wall-clock execution: members run inline, in submission order; the
+    overlap is charged on the virtual timeline only.
     """
 
     def __init__(self, env: SchoonerEnvironment, caller: CallerContext,
-                 label: str = "overlap", pool: Optional[LinePool] = None):
+                 label: str = "overlap"):
         self.env = env
         self.caller = caller
         self.label = label
         self.t0 = caller.timeline.now
-        self.pool = pool
         self._avail: Dict[str, float] = {}  # line_id -> server free-at
         self._entries: List[CallFuture] = []  # submission order
-        self._pending: List[Any] = []  # LinePool futures
         self._active_branch: Optional[Timeline] = None
         self._done = False
 
     # -- issuing ----------------------------------------------------------
-    def begin(self, stub: "ClientStub", args: Dict[str, Any]) -> CallFuture:
-        """Dispatch one overlapped call; returns its future."""
+    def _require_open(self) -> None:
+        # wait() flushes traces once; a call issued after it would run
+        # and never reach env.traces
         if self._done:
             raise RuntimeError("CallBatch already waited on")
+
+    def begin(self, stub: "ClientStub", args: Dict[str, Any]) -> CallFuture:
+        """Dispatch one overlapped call; returns its future."""
+        self._require_open()
         fut = CallFuture(stub.name, stub.line, self.t0, self)
         self._entries.append(fut)
-        if self.pool is not None:
-            self._pending.append(
-                self.pool.submit(stub.line.line_id,
-                                 lambda: self._run(stub, args, fut, None))
-            )
-        else:
-            self._run(stub, args, fut, None)
+        self._run(stub, args, fut, None)
         return fut
 
     @contextmanager
@@ -766,6 +716,7 @@ class CallBatch:
         made inside (through stubs sharing this batch's caller context)
         serialize on the branch; the region as a whole overlaps with
         the batch's other members and regions."""
+        self._require_open()
         prev = self._active_branch
         self._active_branch = Timeline(
             name=f"{self.label}:{label}",
@@ -785,6 +736,7 @@ class CallBatch:
                        branch: Timeline) -> Dict[str, Any]:
         """A blocking call issued inside a probe region: it runs now, on
         the region's branch, and moves the branch to its completion."""
+        self._require_open()
         fut = CallFuture(stub.name, stub.line, branch.now, self)
         self._entries.append(fut)
         self._run(stub, args, fut, branch)
@@ -828,9 +780,6 @@ class CallBatch:
         if self._done:
             return
         self._done = True
-        for pf in self._pending:
-            pf.result()
-        self._pending.clear()
         for fut in self._entries:
             for t in fut.traces:
                 self.env.record_trace(t)

@@ -165,9 +165,7 @@ class SharedInstallation:
             topo.register(machine)
         return topo
 
-    def session_env(
-        self, wall_parallel: bool = False, private_topology: bool = False
-    ) -> SchoonerEnvironment:
+    def session_env(self, private_topology: bool = False) -> SchoonerEnvironment:
         """A fresh per-session environment over the shared installation:
         own clock, transport, and trace log; shared machines (and, by
         default, topology)."""
@@ -179,5 +177,4 @@ class SharedInstallation:
             topology=topology,
             clock=clock,
             transport=transport,
-            wall_parallel=wall_parallel,
         )

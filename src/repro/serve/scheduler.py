@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..resilience.ledger import PercentileLedger
+from ..resilience.ledger import LedgerBook
 from .admission import (
     AdmissionCore,
     AdmissionPolicy,
@@ -151,45 +151,15 @@ class ServeReport:
     def class_stats(self) -> Dict[str, dict]:
         """Per-traffic-class accounting: session dispositions plus
         exact queue-wait and end-to-end latency percentiles
-        (p50/p95/p99 via :class:`PercentileLedger`).  Sessions with no
-        ``SessionSpec.traffic_class`` label group under ``"default"``.
-        Shed sessions count toward dispositions but contribute no
-        latency samples (they never ran)."""
-        stats: Dict[str, dict] = {}
-        ledgers: Dict[str, Tuple[PercentileLedger, PercentileLedger]] = {}
+        (p50/p95/p99) — the attempt level of a
+        :class:`~repro.resilience.ledger.ClassLedger` per class.
+        Sessions with no ``SessionSpec.traffic_class`` label group under
+        ``"default"``.  Shed sessions count toward dispositions but
+        contribute no latency samples (they never ran)."""
+        book = LedgerBook()
         for r in self.results:
-            cls = r.traffic_class or "default"
-            row = stats.setdefault(
-                cls,
-                {
-                    "sessions": 0,
-                    "completed": 0,
-                    "degraded": 0,
-                    "shed": 0,
-                    "replayed": 0,
-                    "points": 0,
-                    "deadline_met": 0,
-                    "deadline_missed": 0,
-                },
-            )
-            wait, e2e = ledgers.setdefault(
-                cls, (PercentileLedger(), PercentileLedger())
-            )
-            row["sessions"] += 1
-            row[r.status] += 1
-            row["replayed"] += 1 if r.replayed else 0
-            row["points"] += len(r.results)
-            if r.deadline_met is True:
-                row["deadline_met"] += 1
-            elif r.deadline_met is False:
-                row["deadline_missed"] += 1
-            if r.status != "shed":
-                wait.add(r.wait_s)
-                e2e.add(r.end_to_end_s)
-        for cls, (wait, e2e) in ledgers.items():
-            stats[cls]["queue_wait_s"] = wait.summary()
-            stats[cls]["end_to_end_s"] = e2e.summary()
-        return stats
+            book.observe_attempt(r, is_retry=False)
+        return {cls: led.attempt_summary() for cls, led in book.ledgers.items()}
 
     def by_name(self, name: str) -> SessionResult:
         for r in self.results:
@@ -276,7 +246,6 @@ def serve_sessions(
     mode: str = "inline",
     workers: int = 4,
     dedup: bool = True,
-    wall_parallel: bool = False,
     admission: Optional[AdmissionPolicy] = None,
     transport: str = "auto",
 ) -> ServeReport:
@@ -312,7 +281,6 @@ def serve_sessions(
             specs,
             workers=workers,
             dedup=dedup,
-            wall_parallel=wall_parallel,
             admission=admission,
             installation=installation,
             transport=transport,
@@ -322,9 +290,7 @@ def serve_sessions(
     installation = installation or SharedInstallation.standard()
     tally = _CallTally(installation)
     contexts = [
-        SessionContext(
-            spec, installation, seq=i, wall_parallel=wall_parallel, dedup=dedup
-        )
+        SessionContext(spec, installation, seq=i, dedup=dedup)
         for i, spec in enumerate(specs)
     ]
     core = AdmissionCore(contexts, admission, dedup)
@@ -351,7 +317,6 @@ def serve_arrivals(
     arrivals: Sequence,
     installation: Optional[SharedInstallation] = None,
     dedup: bool = True,
-    wall_parallel: bool = False,
     admission: Optional[AdmissionPolicy] = None,
     on_shed: Optional[
         Callable[[SessionContext, float], Optional[Tuple[float, SessionSpec]]]
@@ -414,7 +379,6 @@ def serve_arrivals(
             spec,
             installation,
             seq=len(contexts),
-            wall_parallel=wall_parallel,
             dedup=dedup,
             arrival_s=float(at_s),
         )

@@ -245,7 +245,6 @@ class SessionContext:
         spec: SessionSpec,
         installation: SharedInstallation,
         seq: int = 0,
-        wall_parallel: bool = False,
         dedup: bool = True,
         arrival_s: float = 0.0,
     ):
@@ -255,7 +254,6 @@ class SessionContext:
         #: arrival instant on the serve call's shared virtual timeline
         #: (0.0 under batch handover; set by the open-loop driver)
         self.arrival_s = arrival_s
-        self.wall_parallel = wall_parallel
         self.dedup = dedup
         self.key = spec.workload_key()
         #: the spec-level operating-line family (None unless the spec
@@ -330,8 +328,7 @@ class SessionContext:
         spec = self.spec
         with self.installation.park_lock:
             self.env = self.installation.session_env(
-                wall_parallel=self.wall_parallel,
-                private_topology=spec.fault_plan is not None,
+                private_topology=spec.fault_plan is not None
             )
             ex = NPSSExecutive(
                 env=self.env, avs_machine=spec.avs_machine, dispatch=spec.dispatch
@@ -543,8 +540,6 @@ class SessionContext:
         with self.installation.park_lock:
             if self.executive is not None:
                 self.executive.clear_network()
-            if self.env is not None:
-                self.env.close()
         self.executive = None
         self.env = None
 
@@ -578,9 +573,9 @@ class SessionContext:
 
     def fail(self, exc: BaseException) -> None:
         """Contain an exception that escaped a step: capture whatever
-        partial state exists, tear down (so the park and thread pools
-        are not leaked), and finish as ``degraded`` — one session's
-        blow-up must never take the serve loop down."""
+        partial state exists, tear down (so the park's remote
+        processes are not leaked), and finish as ``degraded`` — one
+        session's blow-up must never take the serve loop down."""
         self.error = f"{type(exc).__name__}: {exc}"
         env = self.env
         traces = list(env.traces) if env is not None else []

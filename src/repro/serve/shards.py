@@ -35,10 +35,9 @@ Four disciplines make sharding *exact* rather than approximate:
   ``multiprocessing.shared_memory`` segment and cross the pipe as an
   ``(offset, length)`` reference; the pipe stays the control/wakeup
   channel and the fallback.  Live runtime objects never cross: anything
-  holding interpreter state (a ``Transport``, a ``SharedInstallation``,
-  a ``LinePool``) raises the typed
-  :class:`~repro.serve.shm.NotShardSafe` instead of an opaque pickle
-  traceback.
+  holding interpreter state (a ``Transport``, a ``SharedInstallation``)
+  raises the typed :class:`~repro.serve.shm.NotShardSafe` instead of an
+  opaque pickle traceback.
 
 * **Admission runs the same core at the parent.**  Workers run with no
   admission bound of their own; the parent holds the single global
@@ -127,11 +126,10 @@ __all__ = [
 #: resolved lazily so importing shards stays cheap
 def _live_types() -> tuple:
     from ..network.transport import Transport
-    from ..schooner.lines import LinePool
     from ..schooner.runtime import SchoonerEnvironment
     from ..uts.buffers import BufferPool
 
-    return (Transport, SharedInstallation, LinePool, SchoonerEnvironment, BufferPool)
+    return (Transport, SharedInstallation, SchoonerEnvironment, BufferPool)
 
 
 def assert_shard_safe(obj, path: str = "payload") -> None:
@@ -333,7 +331,6 @@ def _open_episode(payload: dict) -> dict:
         # (minus seed entries this worker cold-upgrades — see close)
         "preloaded": installation.op_cache.key_set(),
         "dedup": payload["dedup"],
-        "wall_parallel": payload["wall_parallel"],
         "leased": lease is not None,
         "live": 0,
         "replayed": 0,
@@ -355,10 +352,7 @@ def _serve_wave(shard_id: int, episode: Optional[dict], payload: dict) -> dict:
     installation, dedup = episode["installation"], episode["dedup"]
     tally = _CallTally(installation)
     contexts = [
-        SessionContext(
-            spec_from_wire(wire), installation, seq=i,
-            wall_parallel=episode["wall_parallel"], dedup=dedup,
-        )
+        SessionContext(spec_from_wire(wire), installation, seq=i, dedup=dedup)
         for i, wire in enumerate(payload["specs"])
     ]
     for ctx, wait in zip(contexts, payload["waits"]):
@@ -973,7 +967,6 @@ def serve_sessions_sharded(
     specs: Sequence[SessionSpec],
     workers: int = 2,
     dedup: bool = True,
-    wall_parallel: bool = False,
     admission: Optional[AdmissionPolicy] = None,
     installation: Optional[SharedInstallation] = None,
     start_method: Optional[str] = None,
@@ -1023,10 +1016,7 @@ def serve_sessions_sharded(
             "own replica — pass installation=None for sharded serving"
         )
     if workers <= 0:
-        return serve_sessions(
-            specs, mode="inline", dedup=dedup,
-            wall_parallel=wall_parallel, admission=admission,
-        )
+        return serve_sessions(specs, mode="inline", dedup=dedup, admission=admission)
     t0 = time.perf_counter()
 
     # the tiers are judged by the parent over the *global* ranked list
@@ -1167,7 +1157,6 @@ def serve_sessions_sharded(
             open_payloads[w] = {
                 "shard": w,
                 "dedup": dedup,
-                "wall_parallel": wall_parallel,
                 "budget": leases[w],
                 "op_seed": seed_blob,
             }

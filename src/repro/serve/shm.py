@@ -2,10 +2,9 @@
 
 The paper couples heterogeneous simulation processes through a *typed
 binary* wire format precisely because text encoding dominates
-fine-grained coupling; PR 8's shard plane regressed to canonical-JSON
-frames over pipes — every float crossed the parent<->worker boundary as
-a digit string, and every byte traversed the pipe's chunked
-store-and-forward path.  This module removes both taxes:
+fine-grained coupling.  The shard plane does the same between parent
+and workers — no float crosses as a digit string, and no large payload
+goes through the pipe's chunked store-and-forward path:
 
 * **Binary payload codec** (:func:`encode_payload_into` /
   :func:`decode_payload`): the frame payloads (session specs, result
@@ -14,7 +13,7 @@ store-and-forward path.  This module removes both taxes:
   IEEE-754 float64 bytes* (a ``points`` ladder or a solution vector is
   ``8n`` bytes, not a comma-joined digit string).  Round-trips are
   bit-exact by construction, which is what lets the shard plane keep
-  its bitwise digest-parity contract while dropping JSON.
+  its bitwise digest-parity contract.
 
 * **SPSC shared-memory rings** (:class:`ShmRing`): one
   :mod:`multiprocessing.shared_memory` segment per direction per
@@ -44,7 +43,6 @@ buffer is dropped rather than poisoning the pool
 from __future__ import annotations
 
 import itertools
-import json
 import struct
 import sys
 from array import array
@@ -77,7 +75,7 @@ class NotShardSafe(TypeError):
     fail deep inside ``multiprocessing`` with an opaque traceback.  The
     shard plane ships *descriptions* (session specs, result rows, op
     stores) as framed wire payloads; objects that own interpreter state
-    — locks, sockets-in-spirit, thread pools, pooled buffers — stay put.
+    — locks, sockets-in-spirit, pooled buffers — stay put.
     """
 
 
@@ -235,7 +233,37 @@ def encode_payload_into(buf: bytearray, obj) -> None:
         )
 
 
-def _decode(view: memoryview, pos: int) -> Tuple[object, int]:
+#: containers nested deeper than this are refused: the decoder recurses
+#: per level, and real shard payloads nest under ten deep
+_MAX_DEPTH = 64
+
+
+def _span(view: memoryview, pos: int, width: int = 1) -> Tuple[int, int]:
+    """The ``(start, end)`` of the length-prefixed run of ``width``-byte
+    items whose u32 count sits at ``pos``, checked against the payload's
+    end (a slice past it would silently come back short)."""
+    (n,) = _U32.unpack_from(view, pos)
+    start = pos + 4
+    end = start + n * width
+    if end > len(view):
+        raise ShardProtocolError(
+            f"truncated binary payload: {n * width} bytes declared at offset "
+            f"{start}, {len(view) - start} remain"
+        )
+    return start, end
+
+
+def _decode_str(view: memoryview, pos: int) -> Tuple[str, int]:
+    start, end = _span(view, pos)
+    try:
+        return str(view[start:end], "utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise ShardProtocolError(f"binary payload string: {exc}") from None
+
+
+def _decode(view: memoryview, pos: int, depth: int = 0) -> Tuple[object, int]:
+    """One value at ``pos``.  Only the encoder's own spelling of a value
+    is accepted, so whatever decodes re-encodes to the same bytes."""
     tag = view[pos]
     pos += 1
     if tag == _T_NONE:
@@ -249,49 +277,63 @@ def _decode(view: memoryview, pos: int) -> Tuple[object, int]:
     if tag == _T_FLOAT:
         return _F64.unpack_from(view, pos)[0], pos + 8
     if tag == _T_STR:
-        (n,) = _U32.unpack_from(view, pos)
-        pos += 4
-        return str(view[pos : pos + n], "utf-8"), pos + n
+        return _decode_str(view, pos)
     if tag == _T_BYTES:
-        (n,) = _U32.unpack_from(view, pos)
-        pos += 4
-        return bytes(view[pos : pos + n]), pos + n
+        start, end = _span(view, pos)
+        return bytes(view[start:end]), end
     if tag == _T_BIGINT:
-        (n,) = _U32.unpack_from(view, pos)
-        pos += 4
-        return int(bytes(view[pos : pos + n])), pos + n
+        start, end = _span(view, pos)
+        text = bytes(view[start:end])
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0  # inside int64: refused below
+        if _INT64_MIN <= value <= _INT64_MAX or str(value).encode() != text:
+            raise ShardProtocolError(
+                f"binary payload bigint {text[:40]!r} is not a canonical "
+                f"integer outside int64"
+            )
+        return value, end
     if tag == _T_F8ARRAY:
+        start, end = _span(view, pos, 8)
+        if start == end:
+            raise ShardProtocolError("binary payload has an empty f8 array")
+        return _f8_unpack(view[start:end]), end
+    if tag == _T_LIST or tag == _T_DICT:
+        if depth >= _MAX_DEPTH:
+            raise ShardProtocolError(
+                f"binary payload nests deeper than {_MAX_DEPTH} containers"
+            )
         (n,) = _U32.unpack_from(view, pos)
         pos += 4
-        if len(view) - pos < 8 * n:
-            raise IndexError("f8 array extends past the payload")
-        return _f8_unpack(view[pos : pos + 8 * n]), pos + 8 * n
-    if tag == _T_LIST:
-        (n,) = _U32.unpack_from(view, pos)
-        pos += 4
-        out = []
-        for _ in range(n):
-            v, pos = _decode(view, pos)
-            out.append(v)
-        return out, pos
-    if tag == _T_DICT:
-        (n,) = _U32.unpack_from(view, pos)
-        pos += 4
+        if tag == _T_LIST:
+            out = []
+            for _ in range(n):
+                v, pos = _decode(view, pos, depth + 1)
+                out.append(v)
+            if _is_f8_list(out):
+                raise ShardProtocolError(
+                    "binary payload spells a float list as a generic list"
+                )
+            return out, pos
         d = {}
         for _ in range(n):
-            (kn,) = _U32.unpack_from(view, pos)
-            pos += 4
-            k = str(view[pos : pos + kn], "utf-8")
-            pos += kn
-            d[k], pos = _decode(view, pos)
+            k, pos = _decode_str(view, pos)
+            if k in d:
+                raise ShardProtocolError(
+                    f"binary payload repeats dict key {k!r}"
+                )
+            d[k], pos = _decode(view, pos, depth + 1)
         return d, pos
     raise ShardProtocolError(f"unknown payload tag 0x{tag:02x}")
 
 
 def decode_payload(data) -> object:
     """Decode one binary payload (the inverse of
-    :func:`encode_payload_into`).  Trailing bytes are protocol drift
-    and rejected."""
+    :func:`encode_payload_into`).  The bytes come from another process:
+    anything but a well-formed payload — truncation, a length past the
+    end, bad UTF-8, over-deep nesting, trailing bytes — raises
+    :class:`ShardProtocolError`."""
     view = data if isinstance(data, memoryview) else memoryview(data)
     try:
         obj, pos = _decode(view, 0)
@@ -498,19 +540,6 @@ class ShmRing:
 # framing: one path for both transports
 # --------------------------------------------------------------------------
 
-def _encode_body(buf: bytearray, payload_obj, codec: str) -> None:
-    if payload_obj is None:
-        return
-    if codec == "binary":
-        encode_payload_into(buf, payload_obj)
-    elif codec == "json":
-        buf += json.dumps(
-            payload_obj, sort_keys=True, separators=(",", ":")
-        ).encode()
-    else:
-        raise ValueError(f"unknown payload codec {codec!r}")
-
-
 def send_frame(
     conn,
     kind: str,
@@ -520,7 +549,6 @@ def send_frame(
     deadline_s: Optional[float] = None,
     ring: Optional[ShmRing] = None,
     threshold: int = SHM_THRESHOLD,
-    codec: str = "binary",
 ) -> None:
     """Frame ``payload_obj`` and ship it: header + payload in one piece
     over the pipe, or — when a ``ring`` is attached and the payload
@@ -537,7 +565,8 @@ def send_frame(
     buf = WIRE_BUFFERS.acquire()
     try:
         buf += b"\x00" * HEADER_STRUCT.size
-        _encode_body(buf, payload_obj, codec)
+        if payload_obj is not None:
+            encode_payload_into(buf, payload_obj)
         nbytes = len(buf) - HEADER_STRUCT.size
         if ring is not None and nbytes >= threshold:
             body = memoryview(buf)[HEADER_STRUCT.size :]
@@ -578,9 +607,7 @@ def send_frame(
         WIRE_BUFFERS.safe_release(buf)
 
 
-def recv_frame(
-    conn, ring: Optional[ShmRing] = None, codec: str = "binary"
-) -> Tuple[str, Optional[object]]:
+def recv_frame(conn, ring: Optional[ShmRing] = None) -> Tuple[str, Optional[object]]:
     """Read one frame; returns ``(kind, payload)`` after validating the
     header against the payload actually received.  A ``+shm`` reference
     frame resolves its payload out of ``ring`` (consuming it) before
@@ -619,9 +646,7 @@ def recv_frame(
         )
     if not nbytes:
         return kind, None
-    if codec == "binary":
-        return kind, decode_payload(body)
-    return kind, json.loads(bytes(body))
+    return kind, decode_payload(body)
 
 
 # --------------------------------------------------------------------------

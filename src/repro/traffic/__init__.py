@@ -16,10 +16,10 @@ sees — engineers submitting simulations *continuously*:
   :func:`repro.serve.serve_arrivals`: sessions admitted at their
   arrival instants, queue wait charged from arrival, shed sessions
   re-offered per their class's retry policy;
-* :mod:`repro.traffic.ledger` — per-class latency ledgers: exact
+* :class:`ClassLedger` / :class:`LedgerBook` (defined in
+  :mod:`repro.resilience.ledger`) — per-class latency ledgers: exact
   p50/p95/p99 queue wait and end-to-end latency, deadline-met and
-  goodput accounting, built on
-  :class:`repro.resilience.PercentileLedger`;
+  goodput accounting;
 * :mod:`repro.traffic.sweep` — the declarative capacity-sweep runner:
   (arrival rate × class mix × admission policy) cells, aggregate
   CSV/JSON, and a knee summary (the highest rate that still meets the
@@ -30,6 +30,7 @@ cell produce byte-identical CSV rows and digests.  ``python -m repro traffic`` r
 specs; ``benchmarks/bench_traffic_sweep.py`` gates the committed knee.
 """
 
+from ..resilience.ledger import ClassLedger, LedgerBook
 from .arrivals import (
     LognormalArrivals,
     ParetoArrivals,
@@ -39,7 +40,6 @@ from .arrivals import (
 )
 from .classes import STOCK_MIXES, TrafficClass, TrafficMix
 from .driver import TrafficReport, TrafficStream, build_stream, run_traffic
-from .ledger import ClassLedger, LedgerBook
 from .sweep import STOCK_SWEEPS, SweepResult, SweepSpec, run_sweep
 
 __all__ = [

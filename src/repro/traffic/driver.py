@@ -5,7 +5,7 @@ along a seeded arrival process into a :class:`TrafficStream` — the
 offered workload, fixed before anything runs.  ``run_traffic`` serves
 it through :func:`repro.serve.serve_arrivals` with the retry-on-shed
 feedback loop wired to each class's policy, then settles the per-class
-:class:`~repro.traffic.ledger.ClassLedger` book.
+:class:`~repro.resilience.ledger.ClassLedger` book.
 
 Determinism contract (asserted in tests/traffic/): the same stream on
 a fresh installation produces the same
@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
+from ..resilience.ledger import ClassLedger, LedgerBook
 from ..serve import (
     AdmissionPolicy,
     Arrival,
@@ -29,7 +30,6 @@ from ..serve import (
     serve_arrivals,
 )
 from .classes import TrafficMix
-from .ledger import ClassLedger, LedgerBook, task_name
 
 __all__ = [
     "TrafficStream",
@@ -38,6 +38,11 @@ __all__ = [
     "run_traffic",
     "settle_ledgers",
 ]
+
+
+def task_name(attempt_name: str) -> str:
+    """Retries are named ``<task>#rN``; strip back to the task."""
+    return attempt_name.split("#", 1)[0]
 
 
 @dataclass(frozen=True)
@@ -263,6 +268,9 @@ def settle_ledgers(
     by_task: Dict[str, List] = {}
     for r in results:
         by_task.setdefault(task_name(r.name), []).append(r)
+    with_deadline = {
+        a.spec.name for a in stream.arrivals if a.spec.deadline_s is not None
+    }
 
     book = LedgerBook()
     for base, rs in by_task.items():
@@ -274,10 +282,8 @@ def settle_ledgers(
             book.observe_attempt(r, is_retry=r.name != base)
         # the spec's deadline is per-attempt state; any attempt carrying
         # a verdict means the task had a deadline
-        had_deadline = any(x.deadline_met is not None for x in rs) or any(
-            a.spec.deadline_s is not None
-            for a in stream.arrivals
-            if a.spec.name == base
+        had_deadline = base in with_deadline or any(
+            x.deadline_met is not None for x in rs
         )
         book.observe_task(rs, had_deadline=had_deadline)
     return book.classes()

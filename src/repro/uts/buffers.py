@@ -1,19 +1,10 @@
-"""Pooled wire buffers and payload-copy accounting.
+"""Pooled wire buffers.
 
-The RPC hot path encodes every request and reply.  Before the zero-copy
-work the path was: encode into a scratch ``bytearray``, materialize it
-as ``bytes``, then let the transport treat that ``bytes`` as the payload
-— one full copy of every payload on every call, plus whatever the
-store-and-forward hops re-copied.  The pool below removes both:
-
-* :class:`BufferPool` hands out reusable ``bytearray`` buffers; codecs
-  append into them via ``encode_into`` and the transport carries a
-  ``memoryview`` slice of the buffer through every hop unchanged.
-* :func:`count_payload_copy` is the accounting hook: every place that
-  *does* materialize a payload copy (the legacy per-hop mode kept for
-  comparison, or any future path) reports it here, and the zero-copy
-  tests assert the counter stays at zero across a full gateway-routed
-  call.
+The RPC hot path encodes every request and reply.  :class:`BufferPool`
+hands out reusable ``bytearray`` buffers; codecs append into them via
+``encode_into`` and the transport carries a ``memoryview`` slice of the
+buffer through every hop unchanged, so a call materializes no copy of
+its payload.
 
 Buffers must have all exported ``memoryview``\\ s released before going
 back to the pool — ``release`` clears the buffer, which raises
@@ -38,19 +29,13 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator, List
 
-__all__ = [
-    "BufferPool",
-    "WIRE_BUFFERS",
-    "count_payload_copy",
-    "payload_copy_count",
-    "reset_payload_copies",
-]
+__all__ = ["BufferPool", "WIRE_BUFFERS"]
 
 
 class BufferPool:
     """A free list of reusable ``bytearray`` encode buffers.
 
-    Thread-safe: overlapped batches encode from LinePool worker threads.
+    Thread-safe: caller threads may encode through one shared pool.
     Buffers keep their allocated capacity across uses (cleared, not
     reallocated), so steady-state operation does no per-call payload
     allocation at all.
@@ -123,25 +108,3 @@ class BufferPool:
 
 #: the process-wide pool the RPC runtime encodes into
 WIRE_BUFFERS = BufferPool()
-
-
-_copy_lock = threading.Lock()
-_payload_copies = 0
-
-
-def count_payload_copy(n: int = 1) -> None:
-    """Record that a payload was materialized (copied) ``n`` times."""
-    global _payload_copies
-    with _copy_lock:
-        _payload_copies += n
-
-
-def payload_copy_count() -> int:
-    """Payload copies recorded since the last reset."""
-    return _payload_copies
-
-
-def reset_payload_copies() -> None:
-    global _payload_copies
-    with _copy_lock:
-        _payload_copies = 0

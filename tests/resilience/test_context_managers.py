@@ -1,55 +1,28 @@
-"""Context-managed lifecycles (PR 5 satellite): SchoonerEnvironment and
-NPSSExecutive are context managers, and an exception thrown mid-serve
-tears down every ``line-*`` worker thread on the way out."""
+"""Context-managed lifecycles: NPSSExecutive is a context manager that
+shuts its remote computations down on clean exit and on exception, and
+a session blown up mid-serve is contained without leaving anything
+running — remote process or thread."""
 
 import threading
 
 import pytest
 
 from repro.core import NPSSExecutive
-from repro.schooner import SchoonerEnvironment
 from repro.serve import SessionSpec, serve_sessions
 
 
-def _worker_names():
-    return {
-        t.name
-        for t in threading.enumerate()
-        if t.name.startswith("line-") or t.name.startswith("serve")
-    }
-
-
-class TestSchoonerEnvironment:
-    def test_context_manager_joins_the_lines_pool(self):
-        before = _worker_names()
-        with SchoonerEnvironment.standard() as env:
-            env.wall_parallel = True
-            pool = env.overlap_pool()
-            assert pool is not None
-            # force a worker into existence
-            pool.submit(1, lambda: None).result()
-            assert _worker_names() - before
-        assert _worker_names() == before
-
-    def test_exception_path_still_closes(self):
-        before = _worker_names()
-        with pytest.raises(RuntimeError):
-            with SchoonerEnvironment.standard() as env:
-                env.wall_parallel = True
-                env.overlap_pool().submit(1, lambda: None).result()
-                raise RuntimeError("mid-run failure")
-        assert _worker_names() == before
+def _thread_names():
+    return {t.name for t in threading.enumerate()}
 
 
 class TestNPSSExecutive:
     def test_mid_run_exception_leaks_no_line_threads(self):
-        """The regression this satellite exists for: a run that dies
-        mid-flight (here, mid-distributed-execute) must not leave
-        ``line-*`` workers behind once the ``with`` block unwinds."""
-        before = _worker_names()
+        """A run that dies mid-flight (here, after a distributed
+        execute) must leave neither a remote computation nor a thread
+        behind once the ``with`` block unwinds."""
+        before = _thread_names()
         with pytest.raises(RuntimeError):
             with NPSSExecutive() as ex:
-                ex.env.wall_parallel = True
                 modules = ex.build_f100_network()
                 modules["combustor"].set_param(
                     "remote machine", "sgi4d340.cs.arizona.edu"
@@ -57,9 +30,12 @@ class TestNPSSExecutive:
                 modules["nozzle"].set_param(
                     "remote machine", "sgi4d420.lerc.nasa.gov"
                 )
-                ex.execute()  # spins up line workers for the remote modules
+                ex.execute()
+                assert ex.env.park["ua-sgi340"].running_processes
                 raise RuntimeError("mid-run failure")
-        assert _worker_names() == before
+        assert not ex.env.park["ua-sgi340"].running_processes
+        assert not ex.env.park["lerc-sgi420"].running_processes
+        assert _thread_names() == before
 
     def test_clean_exit_also_shuts_down_remotes(self):
         with NPSSExecutive() as ex:
@@ -79,7 +55,7 @@ class TestServeContainment:
         leaves no workers behind."""
         from repro.faults.plan import CrashMachine, FaultPlan
 
-        before = _worker_names()
+        before = _thread_names()
         plan = FaultPlan(
             seed=5, events=(CrashMachine(at_s=0.5, hostname="sgi4d340.cs.arizona.edu"),)
         )
@@ -91,4 +67,4 @@ class TestServeContainment:
         assert report.by_name("doomed").status == "degraded"
         assert report.by_name("doomed").error
         assert report.by_name("innocent").status == "completed"
-        assert _worker_names() == before
+        assert _thread_names() == before

@@ -13,7 +13,6 @@ import math
 
 import pytest
 
-from repro.faults.demo import trace_digest
 from repro.machines import Language
 from repro.schooner import (
     CallTimeout,
@@ -25,7 +24,7 @@ from repro.schooner import (
     SchoonerEnvironment,
     TypeCheckError,
 )
-from repro.schooner.runtime import CallBatch, CallerContext, CallPlan, execute_call
+from repro.schooner.runtime import CallPlan, execute_call
 from repro.uts import (
     DOUBLE,
     INTEGER,
@@ -36,8 +35,6 @@ from repro.uts import (
     SpecFile,
     UTSRangeError,
 )
-
-from .conftest import SHAFT_ARGS, SHAFT_PATH, SHAFT_SPEC, make_shaft_executable
 
 ECHO_SPEC = 'export echo prog("x" val double, "y" res double)'
 ECHO_PATH = "/bin/echo"
@@ -269,40 +266,3 @@ class TestRuntimeStateIsStillReadPerCall:
         record.machine.load = 0.5
         stub(x=1.0)
         assert env.traces[-1].compute_s == pytest.approx(2 * idle)
-
-
-class TestWallParallelPlans:
-    """Plans compiled inside LinePool workers (the first call of each
-    line arrives on its own thread) give the trace the sequential run
-    gives."""
-
-    LINES = ("lerc-rs6000", "lerc-cray", "lerc-convex", "lerc-sgi420")
-
-    def run(self, wall_parallel):
-        env = SchoonerEnvironment.standard()
-        exe = make_shaft_executable()
-        for machine in env.park:
-            machine.install(SHAFT_PATH, exe)
-        manager = Manager(env=env, host=env.park["ua-sparc10"], mode=ManagerMode.LINES)
-        caller = CallerContext(timeline=env.clock.timeline("caller:avs"))
-        env.wall_parallel = wall_parallel
-        shaft = SpecFile.parse(SHAFT_SPEC).as_imports().import_named("shaft")
-        stubs = []
-        for i, nick in enumerate(self.LINES):
-            ctx = ModuleContext(manager=manager, module_name=f"mod-{i}",
-                                machine=env.park["ua-sparc10"], caller=caller)
-            ctx.sch_contact_schx(nick, SHAFT_PATH)
-            stubs.append(ctx.import_proc(shaft))
-        results = []
-        with env:
-            for wave in range(3):
-                pool = env.overlap_pool()
-                assert (pool is not None) == wall_parallel
-                batch = CallBatch(env, caller, label=f"wave-{wave}", pool=pool)
-                futures = [s.begin(batch, **SHAFT_ARGS) for s in stubs for _ in range(2)]
-                batch.wait()
-                results.append([f.wait() for f in futures])
-        return results, trace_digest(env.traces), caller.timeline.now
-
-    def test_pool_and_sequential_give_the_same_trace_digest(self):
-        assert self.run(wall_parallel=True) == self.run(wall_parallel=False)

@@ -1,5 +1,4 @@
-"""Overlapped RPC dispatch: virtual-time semantics, ordering, and
-wall-parallel determinism.
+"""Overlapped RPC dispatch: virtual-time semantics and ordering.
 
 The overlap model is fork/join: a :class:`CallBatch` dispatches calls
 from one caller instant, members on different lines overlap their full
@@ -139,54 +138,29 @@ class TestOverlapVirtualTime:
         assert env.traces[0].callee != env.traces[1].callee
 
 
-class TestWallParallelDeterminism:
-    def run_batch(self, manager, env, wall_parallel):
-        caller = CallerContext(
-            timeline=env.clock.timeline("caller:avs")
-        )
-        env.wall_parallel = wall_parallel
-        a = make_stub(manager, env, caller, "mod-a", "lerc-rs6000")
-        b = make_stub(manager, env, caller, "mod-b", "lerc-cray")
-        env.reset_traces()
-        batch = CallBatch(env, caller, label="par", pool=env.overlap_pool())
-        futures = [
-            a.begin(batch, **SHAFT_ARGS),
-            b.begin(batch, **SHAFT_ARGS),
-            a.begin(batch, **SHAFT_ARGS),
-        ]
+class TestWaitedBatchIsClosed:
+    """``wait()`` flushes the batch's traces exactly once, so a call
+    issued afterwards would run, advance its branch, and never reach
+    ``env.traces`` — the session digest would silently miss an RPC.
+    Every way of issuing refuses instead."""
+
+    def test_region_and_branch_calls_refuse_after_wait(self, manager, env, caller):
+        stub = make_stub(manager, env, caller, "mod-late", "lerc-rs6000")
+        stub(**SHAFT_ARGS)  # bind
+        batch = CallBatch(env, caller, label="late")
+        with batch.region("early") as branch:
+            batch.call_on_branch(stub, SHAFT_ARGS, branch)
         batch.wait()
-        return [f.wait() for f in futures], list(env.traces), caller.timeline.now
-
-    def test_pool_and_inline_runs_are_byte_identical(self):
-        from repro.faults.demo import trace_digest
-
-        from .conftest import make_shaft_executable
-
-        def fresh():
-            from repro.schooner import Manager, ManagerMode, SchoonerEnvironment
-
-            env = SchoonerEnvironment.standard()
-            exe = make_shaft_executable()
-            for machine in env.park:
-                machine.install(SHAFT_PATH, exe)
-            return env, Manager(
-                env=env, host=env.park["ua-sparc10"], mode=ManagerMode.LINES
-            )
-
-        env1, man1 = fresh()
-        res1, traces1, now1 = self.run_batch(man1, env1, wall_parallel=False)
-        env2, man2 = fresh()
-        env2.wall_parallel = True
-        assert env2.overlap_pool() is not None  # the pool really engages
-        res2, traces2, now2 = self.run_batch(man2, env2, wall_parallel=True)
-
-        assert res1 == res2
-        assert now1 == now2
-        assert trace_digest(traces1) == trace_digest(traces2)
-
-    def test_fault_plan_subscribers_force_the_sequential_fallback(self, env):
-        env.wall_parallel = True
-        assert env.overlap_pool() is not None
-        env.clock.subscribe(lambda now: None)
-        # order-sensitive hooks present: inline execution, same accounting
-        assert env.overlap_pool() is None
+        env.reset_traces()
+        caller.batch = batch
+        try:
+            with pytest.raises(RuntimeError, match="CallBatch already waited on"):
+                with batch.region("late"):
+                    stub(**SHAFT_ARGS)
+            with pytest.raises(RuntimeError, match="CallBatch already waited on"):
+                batch.call_on_branch(stub, SHAFT_ARGS, branch)
+            with pytest.raises(RuntimeError, match="CallBatch already waited on"):
+                stub.begin(batch, **SHAFT_ARGS)
+        finally:
+            caller.batch = None
+        assert env.traces == []  # nothing ran behind the log's back

@@ -194,16 +194,6 @@ class TestCostModel:
         assert trace.server_cpu_s == 0.0
         assert trace.network_s > 0  # the wire still costs
 
-    def test_traces_can_be_disabled(self):
-        exe, spec = simple_exe(
-            "f", 'export f prog("x" val double, "y" res double)', lambda x: x
-        )
-        env, manager, ctx = env_with(exe)
-        env.keep_traces = False
-        env.reset_traces()
-        ctx.import_proc(spec.as_imports(), name="f")(x=1.0)
-        assert env.traces == []
-
 
 class TestFlopsModels:
     def test_callable_flops_model(self):

@@ -184,6 +184,41 @@ class TestDedupAndModes:
         assert exit_info.value.code == 2
         assert "invalid choice: 'thread'" in capsys.readouterr().err
 
+    def test_the_lines_pool_and_the_contrast_arms_are_gone(self):
+        """``wall_parallel`` (one OS thread per line) was slower than
+        running a batch's members in order in 10/10 measured pairs, and
+        the JSON frame codec was alive only as a bench contrast
+        (docs/PERFORMANCE.md): every removed spelling is a loud
+        ``TypeError``, never a silently ignored flag."""
+        import multiprocessing
+
+        from repro.schooner import SchoonerEnvironment
+        from repro.schooner.runtime import CallBatch, CallerContext
+        from repro.serve.shards import serve_sessions_sharded
+        from repro.serve.shm import recv_frame, send_frame
+
+        with pytest.raises(TypeError, match="wall_parallel"):
+            serve_sessions([_spec("a")], wall_parallel=True)
+        with pytest.raises(TypeError, match="wall_parallel"):
+            serve_arrivals([(0.0, _spec("a"))], wall_parallel=True)
+        with pytest.raises(TypeError, match="wall_parallel"):
+            serve_sessions_sharded([_spec("a")], workers=0, wall_parallel=True)
+        with pytest.raises(TypeError, match="wall_parallel"):
+            SchoonerEnvironment.standard(wall_parallel=True)
+        env = SchoonerEnvironment.standard()
+        caller = CallerContext(timeline=env.clock.timeline("caller:avs"))
+        with pytest.raises(TypeError, match="pool"):
+            CallBatch(env, caller, pool=None)
+        rx, tx = multiprocessing.Pipe(duplex=False)
+        try:
+            with pytest.raises(TypeError, match="codec"):
+                send_frame(tx, "shard-open", {"k": 1}, "p", "w", codec="json")
+            with pytest.raises(TypeError, match="codec"):
+                recv_frame(rx, codec="json")
+        finally:
+            rx.close()
+            tx.close()
+
 
 class TestReportSatellites:
     def _tiny_report(self, wall_s):
@@ -248,3 +283,70 @@ class TestReportSatellites:
         cls = report.summary()["classes"]["t"]
         assert cls["shed"] == 1
         assert cls["queue_wait_s"]["count"] == 2
+
+    def test_class_rows_on_a_mixed_batch_are_pinned(self):
+        """``class_stats()`` is the attempt level of one ``ClassLedger``
+        per class.  The rows below were produced by the hand-written
+        copy it replaced, over completed, degraded, shed and replayed
+        sessions in two classes plus the unlabelled default."""
+        from repro.serve import SessionResult
+
+        def row(name, cls, status="completed", points=0, virtual_s=0.0,
+                wait_s=0.0, replayed=False, deadline_met=None):
+            return SessionResult(
+                name=name, workload_key=name, replayed=replayed,
+                results=[{"thrust_N": 1.0}] * points, transient=None,
+                virtual_s=virtual_s, digest="", traces=0, messages=0,
+                payload_bytes=0, header_bytes=0, net_virtual_s=0.0,
+                status=status, wait_s=wait_s, deadline_met=deadline_met,
+                traffic_class=cls,
+            )
+
+        report = self._tiny_report(1.0)
+        report.results = [
+            row("a", "interactive", points=2, virtual_s=1.5, deadline_met=True),
+            row("b", "batch", points=3, virtual_s=4.0, wait_s=0.5),
+            row("c", "interactive", status="degraded", points=2, virtual_s=2.5,
+                wait_s=1.0, deadline_met=False),
+            row("d", "interactive", status="shed", wait_s=2.0, deadline_met=False),
+            row("e", "", points=1, virtual_s=0.25, replayed=True),
+            row("f", "batch", status="shed"),
+            row("g", "interactive", points=2, virtual_s=1.5, wait_s=0.25,
+                replayed=True, deadline_met=True),
+        ]
+
+        def one(x):
+            return {"count": 1, "mean": x, "min": x, "max": x,
+                    "p50": x, "p95": x, "p99": x}
+
+        stats = report.class_stats()
+        assert list(stats) == ["interactive", "batch", "default"]  # first seen
+        assert stats == {
+            "interactive": {
+                "sessions": 4, "completed": 2, "degraded": 1, "shed": 1,
+                "replayed": 1, "points": 6, "deadline_met": 2,
+                "deadline_missed": 2,
+                "queue_wait_s": {
+                    "count": 3, "mean": 0.4166666666666667, "min": 0.0,
+                    "max": 1.0, "p50": 0.25, "p95": 0.9249999999999999,
+                    "p99": 0.985,
+                },
+                "end_to_end_s": {
+                    "count": 3, "mean": 2.25, "min": 1.5, "max": 3.5,
+                    "p50": 1.75, "p95": 3.3249999999999997, "p99": 3.465,
+                },
+            },
+            "batch": {
+                "sessions": 2, "completed": 1, "degraded": 0, "shed": 1,
+                "replayed": 0, "points": 3, "deadline_met": 0,
+                "deadline_missed": 0,
+                "queue_wait_s": one(0.5), "end_to_end_s": one(4.5),
+            },
+            "default": {
+                "sessions": 1, "completed": 1, "degraded": 0, "shed": 0,
+                "replayed": 1, "points": 1, "deadline_met": 0,
+                "deadline_missed": 0,
+                "queue_wait_s": one(0.0), "end_to_end_s": one(0.25),
+            },
+        }
+        assert report.summary()["classes"] == stats

@@ -15,7 +15,7 @@ The failover contract has three layers, and these tests hold each one:
   retry-budget lease exactly.
 
 * **No leaks** — killing a worker must not strand ``/dev/shm``
-  segments, stderr spools, or ``line-*`` threads past ``pool.close()``;
+  segments, stderr spools, or threads past ``pool.close()``;
   ``recover()`` must drain stale traffic (including ``+shm`` ring
   references) and stay idempotent.
 """
@@ -51,7 +51,6 @@ needs_shm = pytest.mark.skipif(
 _BARE_OPEN = {
     "shard": 0,
     "dedup": True,
-    "wall_parallel": 2,
     "budget": None,
     "op_seed": None,
 }
@@ -279,6 +278,7 @@ class TestLeakRegression:
     @needs_shm
     def test_killed_worker_leaves_no_shm_segments_or_threads(self):
         specs = build_session_specs(4, classes=2, points=2)
+        threads_before = {t.name for t in threading.enumerate()}
         pool = ShardPool(2, transport="shm")
         names = [
             r.name for r in pool._rings_out + pool._rings_in if r is not None
@@ -293,10 +293,7 @@ class TestLeakRegression:
             if os.path.exists(os.path.join("/dev/shm", n.lstrip("/")))
         ]
         assert not leaked
-        assert not [
-            t.name for t in threading.enumerate()
-            if t.name.startswith("line-")
-        ]
+        assert {t.name for t in threading.enumerate()} == threads_before
         assert not [p for p in spools if os.path.exists(p)]
         assert all(not p.is_alive() for p in pool._procs)
 

@@ -56,17 +56,6 @@ class TestInterleavedEqualsSolo:
 
 
 class TestModesAgree:
-    SPECS = staticmethod(lambda: build_session_specs(6, classes=3, points=2))
-
-    def test_pool_vs_inline_identical_digests(self):
-        """Interleaved sessions produce byte-identical SHA-256 trace
-        digests with the wall-parallel lines pool on or off."""
-        specs = self.SPECS()
-        inline = serve_sessions(specs, mode="inline", dedup=False)
-        pooled = serve_sessions(specs, mode="inline", dedup=False, wall_parallel=True)
-        base = [(r.digest, r.virtual_s) for r in inline.results]
-        assert [(r.digest, r.virtual_s) for r in pooled.results] == base
-
     def test_dedup_replays_are_byte_identical_to_live_runs(self):
         specs = build_session_specs(8, classes=2, points=2)
         live = serve_sessions(specs, dedup=False)

@@ -23,7 +23,6 @@ from repro.core import NPSSExecutive
 from repro.faults.plan import FaultPlan, LatencySpike
 from repro.network.transport import HEADER_STRUCT, Transport
 from repro.network.topology import Topology
-from repro.schooner.lines import LinePool
 from repro.serve import (
     AdmissionPolicy,
     NotShardSafe,
@@ -317,10 +316,6 @@ class TestNotShardSafe:
         with pytest.raises(NotShardSafe, match="Transport"):
             pickle.dumps(transport)
 
-    def test_pickling_live_line_pool_raises_typed_error(self):
-        with pytest.raises(NotShardSafe, match="LinePool"):
-            pickle.dumps(LinePool())
-
     def test_message_names_the_object_and_the_remedy(self):
         with pytest.raises(NotShardSafe) as exc:
             pickle.dumps(SharedInstallation.standard())
@@ -330,9 +325,9 @@ class TestNotShardSafe:
         assert "Traceback" not in msg  # typed error, not a pickle trace
 
     def test_payload_walker_finds_nested_live_objects(self):
-        pool = LinePool()
-        with pytest.raises(NotShardSafe, match=r"LinePool at payload\['deep'\]\[1\]"):
-            assert_shard_safe({"deep": ["fine", pool]})
+        live = Transport(topology=Topology(), clock=VirtualClock())
+        with pytest.raises(NotShardSafe, match=r"Transport at payload\['deep'\]\[1\]"):
+            assert_shard_safe({"deep": ["fine", live]})
         assert_shard_safe({"ok": [1, 2.5, "s", None, True]})
 
 

@@ -17,6 +17,8 @@ import struct
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.transport import HEADER_STRUCT
 from repro.serve.shm import (
@@ -39,10 +41,14 @@ needs_shm = pytest.mark.skipif(
 )
 
 
-def _roundtrip(obj):
+def _encoded(obj) -> bytes:
     buf = bytearray()
     encode_payload_into(buf, obj)
-    return decode_payload(buf)
+    return bytes(buf)
+
+
+def _roundtrip(obj):
+    return decode_payload(_encoded(obj))
 
 
 class TestBinaryCodec:
@@ -107,6 +113,119 @@ class TestBinaryCodec:
         encode_payload_into(buf, 7)
         with pytest.raises(ShardProtocolError, match="trailing"):
             decode_payload(bytes(buf) + b"\x00")
+
+
+class TestDecoderRefusesWhatItDidNotWrite:
+    """``decode_payload`` reads bytes another process wrote.  Whatever
+    they are, the answer is a value or a ``ShardProtocolError`` that
+    says what is wrong — never another exception type, never a value
+    quietly cut short."""
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"\x06\x01\x00\x00\x00\xff", "string"),  # was UnicodeDecodeError
+            (b"\x04\x01\x00\x00\x00x", "bigint"),  # was ValueError
+            (b"\x08\x01\x00\x00\x00" * 2000, "nests deeper"),  # was RecursionError
+            # was "-3 trailing bytes": a string of 5 declared, 2 present
+            (b"\x06\x05\x00\x00\x00ab", "5 bytes declared at offset 5, 2 remain"),
+            (b"\x07\x05\x00\x00\x00ab", "5 bytes declared"),
+            (b"\x09\x01\x00\x00\x00\x09\x00\x00\x00k\x00", "9 bytes declared"),
+            (b"\x0a\x02\x00\x00\x00" + b"\x00" * 8, "16 bytes declared"),
+        ],
+    )
+    def test_malformed_payload_is_a_typed_truthful_error(self, data, message):
+        with pytest.raises(ShardProtocolError, match=message):
+            decode_payload(data)
+
+    def test_only_the_encoders_spelling_decodes(self):
+        """Second spellings of a value would decode to something that
+        re-encodes differently — the wire would no longer pin the value."""
+        for data in (
+            b"\x0a\x00\x00\x00\x00",  # empty f8 array ([] is a generic list)
+            b"\x08\x01\x00\x00\x00\x05" + struct.pack("<d", 1.5),  # float list, generic
+            b"\x04\x01\x00\x00\x007",  # an int64 spelled as a bigint
+            b"\x04\x15\x00\x00\x00+99999999999999999999",  # non-canonical digits
+            b"\x09\x02\x00\x00\x00" + b"\x01\x00\x00\x00k\x00" * 2,  # repeated key
+        ):
+            with pytest.raises(ShardProtocolError):
+                decode_payload(data)
+
+    def test_nesting_inside_the_cap_still_decodes(self):
+        obj = []
+        for _ in range(40):
+            obj = [obj]
+        assert _roundtrip(obj) == obj
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.floats(),
+    st.text(max_size=12),
+    st.binary(max_size=12),
+)
+_payloads = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=3).map(tuple),
+        st.lists(st.floats(), min_size=1, max_size=5),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def _as_decoded(obj):
+    if isinstance(obj, (list, tuple)):
+        return [_as_decoded(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _as_decoded(v) for k, v in obj.items()}
+    return obj
+
+
+def _value_or_typed_refusal(data: bytes) -> None:
+    try:
+        obj = decode_payload(data)
+    except ShardProtocolError:
+        return
+    assert _encoded(obj) == data
+
+
+class TestCodecProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_payloads)
+    def test_vocabulary_roundtrips(self, obj):
+        data = _encoded(obj)
+        got = decode_payload(data)
+        # repr, not ==: it tells 1 from True from 1.0, -0.0 from 0.0,
+        # and lets nan equal nan
+        assert repr(got) == repr(_as_decoded(obj))
+        assert _encoded(got) == data
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=48))
+    def test_arbitrary_bytes_decode_or_are_refused(self, data):
+        _value_or_typed_refusal(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_payloads, st.data())
+    def test_mutated_payloads_decode_or_are_refused(self, obj, draw):
+        data = bytearray(_encoded(obj))
+        for _ in range(draw.draw(st.integers(1, 3))):
+            at = draw.draw(st.integers(0, len(data) - 1)) if data else 0
+            how = draw.draw(st.sampled_from(("set", "insert", "delete", "cut")))
+            if how == "set" and data:
+                data[at] = draw.draw(st.integers(0, 255))
+            elif how == "insert":
+                data.insert(at, draw.draw(st.integers(0, 255)))
+            elif how == "delete" and data:
+                del data[at]
+            elif how == "cut":
+                del data[at:]
+        _value_or_typed_refusal(bytes(data))
 
 
 @needs_shm
@@ -291,14 +410,6 @@ class TestFramePath:
             send_frame(tx, "shard-serve", payload, src="parent", dst="w0")
             kind, got = recv_frame(rx)
             assert (kind, got) == ("shard-serve", payload)
-        finally:
-            rx.close(), tx.close()
-
-    def test_json_codec_still_speaks_the_same_frames(self):
-        rx, tx = multiprocessing.Pipe(duplex=False)
-        try:
-            send_frame(tx, "shard-open", {"k": [1, 2]}, "p", "w", codec="json")
-            assert recv_frame(rx, codec="json") == ("shard-open", {"k": [1, 2]})
         finally:
             rx.close(), tx.close()
 

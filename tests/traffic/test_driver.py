@@ -14,7 +14,7 @@ from repro.traffic import (
     build_stream,
     run_traffic,
 )
-from repro.traffic.ledger import task_name
+from repro.traffic.driver import task_name
 
 
 def _mix(**overrides):

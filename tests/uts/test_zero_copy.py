@@ -3,10 +3,7 @@
 Encode writes straight into a pooled bytearray (``encode_into`` /
 ``encode_conformed_into`` — no intermediate per-value bytes objects
 joined into a second allocation), the payload travels as a single
-``memoryview`` over the sender's buffer through every hop, and a
-copy-counting hook proves no payload bytes are copied after encode.
-The legacy store-and-forward behaviour survives behind
-``Transport.copy_per_hop`` for contrast.
+read-only ``memoryview`` over the sender's buffer through every hop.
 """
 
 from __future__ import annotations
@@ -30,12 +27,7 @@ from repro.uts import (
     marshal_args,
     marshal_args_into,
 )
-from repro.uts.buffers import (
-    WIRE_BUFFERS,
-    count_payload_copy,
-    payload_copy_count,
-    reset_payload_copies,
-)
+from repro.uts.buffers import WIRE_BUFFERS
 from repro.uts.compiled import signature_codec
 from repro.uts.types import DOUBLE, ArrayType, ParamMode, Parameter, Signature
 
@@ -115,15 +107,6 @@ class TestBufferPool:
         with pool.borrowed() as again:
             assert again is buf
 
-    def test_copy_counter_hook(self):
-        reset_payload_copies()
-        assert payload_copy_count() == 0
-        count_payload_copy()
-        count_payload_copy(3)
-        assert payload_copy_count() == 4
-        reset_payload_copies()
-        assert payload_copy_count() == 0
-
 
 # ------------------------------------------------- the end-to-end wire path
 ARRAY_SPEC = 'export crunch prog("xs" val array[64] of double, "total" res double)'
@@ -156,29 +139,39 @@ class TestZeroCopyWirePath:
     def test_gateway_routed_bulk_call_copies_no_payload_bytes(self):
         """The acceptance check: a bulk-array call routed across the
         internet (Arizona client, LeRC server — gateways on both
-        campuses) performs zero payload copies after encode."""
+        campuses) delivers the sender's own encode buffer: what the
+        server (and, for the reply, the client) receives is a read-only
+        view of the pooled ``bytearray`` the other side encoded into,
+        not a copy of it."""
         env, stub = _remote_call_env()
         xs = [float(i) for i in range(64)]
         stub(xs=xs)  # warm up instance state
-        reset_payload_copies()
+        hops = env.topology.classify(
+            env.park["ua-sparc10"], env.park["lerc-rs6000"]
+        ).hops
+        assert hops >= 1
+        delivered = []
+        real_send = env.transport.send
+
+        def spy(*args, **kwargs):
+            msg = real_send(*args, **kwargs)
+            body = msg.body
+            delivered.append(
+                (msg.kind, type(body), body.readonly, body.obj, body.nbytes, msg.nbytes)
+            )
+            return msg
+
+        env.transport.send = spy
         out = stub(xs=xs)
         assert out == {"total": sum(xs)}
-        assert payload_copy_count() == 0
-
-    def test_copy_per_hop_mode_counts_hops_both_ways(self):
-        """The pre-zero-copy contrast: store-and-forward re-materializes
-        the payload at every hop, request and reply both."""
-        env, stub = _remote_call_env()
-        stub(xs=[0.0] * 64)
-        src = env.park["ua-sparc10"]
-        dst = env.park["lerc-rs6000"]
-        hops = env.topology.classify(src, dst).hops
-        assert hops >= 1
-        env.transport.copy_per_hop = True
-        reset_payload_copies()
-        stub(xs=[float(i) for i in range(64)])
-        # one request message + one reply message, `hops` copies each
-        assert payload_copy_count() == 2 * hops
+        assert [kind for kind, *_ in delivered] == ["call:crunch", "reply:crunch"]
+        for _kind, body_type, readonly, backing, view_nbytes, nbytes in delivered:
+            assert body_type is memoryview and readonly
+            assert view_nbytes == nbytes  # the whole payload, one view
+            assert type(backing) is bytearray
+            # ...and that bytearray is the runtime's pooled buffer, back
+            # in the pool now the call has returned
+            assert any(backing is free for free in WIRE_BUFFERS._free)
 
     def test_message_header_is_packed_once(self):
         env, stub = _remote_call_env()
