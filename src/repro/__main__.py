@@ -6,9 +6,8 @@ correctness check and the modelled 1993 cost.
 
 ``python -m repro faults [...]`` runs the fault-injection/failover demo
 instead (see :mod:`repro.faults.demo` for its options),
-``python -m repro perf [...]`` profiles the distributed transient hot
-loop (see :mod:`repro.core.perf`), ``python -m repro serve [...]``
-serves many concurrent sessions over one shared installation —
+``python -m repro serve [...]`` serves many concurrent sessions over
+one shared installation —
 optionally sharded across OS processes with a shared-memory data plane
 (``--mode shard --transport shm``; see :mod:`repro.serve.demo`), ``python -m repro chaos [...]`` runs the
 deterministic chaos-soak harness over the serving stack (see
@@ -29,10 +28,6 @@ def main(argv=None) -> int:
         from repro.faults.demo import main as faults_main
 
         return faults_main(argv[1:])
-    if argv and argv[0] == "perf":
-        from repro.core.perf import main as perf_main
-
-        return perf_main(argv[1:])
     if argv and argv[0] == "serve":
         from repro.serve.demo import main as serve_main
 

@@ -424,8 +424,9 @@ class NPSSExecutive:
         ``sessions`` is a sequence of
         :class:`~repro.serve.session.SessionSpec`; each gets its own
         virtual clock, transport, and executive over the shared machine
-        park, scheduled fairly by consumed virtual time, with identical
-        workloads deduplicated through the installation's cache.
+        park, admitted on one virtual timeline and run to completion
+        as they start, with identical workloads deduplicated through
+        the installation's cache.
         ``admission`` is an optional
         :class:`~repro.serve.scheduler.AdmissionPolicy` bounding
         concurrency under overload.  ``mode="shard"`` scales across

@@ -156,7 +156,7 @@ class FailoverSupervisor:
             for m in park
             if m.up
             and m.hostname != record.machine.hostname
-            and record.path in m.installed_paths
+            and m.has_executable(record.path)
         ]
         if not candidates:
             raise HostDown(

@@ -1,50 +1,63 @@
-"""The batch admission core: one chronology, two executors.
+"""The admission core: one timeline, two executors.
 
 The paper's Schooner has one Manager that decides and per-machine
 Servers that only execute.  The serve plane is built the same way:
-:class:`AdmissionCore` owns every admission decision of a batch serve —
-priority tiers, queue-full shedding, workload leader/follower dedup,
-op-point family chains, the least-virtual-time fairness heap, one
-admission per freed slot with the wait charged forward, parked-deadline
-expiry, and the straggler frontier — and drives an *executor* that only
-knows how to advance sessions:
+:class:`AdmissionCore` is the one discrete-event chronology every serve
+path runs — a closed batch is simply the arrival trace whose sessions
+all sit at t = 0 — and it drives an *executor* that only runs sessions.
 
-``step(ctx)``
-    advance one session one step; return its next fairness key (its
-    virtual time after the step), or ``None`` when that step finished it.
+The events, on the serve call's shared virtual timeline:
+
+* an **arrival** replays at once, holding no live slot, when its
+  workload is already recorded; otherwise it starts if a slot is free
+  (queue wait 0), parks if the queue has room, displaces the
+  worst-ranked parked session if it outranks it, and is shed with an
+  explicit reason if not;
+* a **departure** — at ``start + virtual_s``; a session runs to
+  completion the moment it starts, so its departure is a pure function
+  of its spec and charged wait — frees the slot for the best-ranked
+  parked session, charged ``wait_s = now - arrival_s``; one whose
+  deadline ran out in the queue is shed there instead of run to a
+  guaranteed miss;
+* a **shed** may come back: ``on_shed`` can re-offer the session later
+  on the same timeline, as one more arrival.
+
+At an equal instant departures go before arrivals (the arriving session
+sees the freed slot), and arrivals are offered in rank order —
+``(priority desc, seq)`` — so a batch fills its live, parked and shed
+tiers best-ranked first.
+
+The executor is two calls:
+
+``run(batch)``
+    run these started sessions to completion, in order, and return each
+    one's ``virtual_s`` — or ``None`` for a session that instead
+    replayed the record an identical session earlier in ``batch`` left.
 ``replay(ctx, count=False)``
     finish ``ctx`` from the workload record of an identical session if
     one exists and say whether it did (``count`` marks the lookup as
     cache traffic rather than a scheduling probe).
-``occupancy(ctx)``
-    a finished session's charged wait plus its own virtual time — the
-    instant its live slot frees.
-``ship(batch)``
-    called with the admitted tier before anything steps, with every
-    batch about to enter the heap, and empty at the end; a no-op unless
-    sessions execute somewhere else.
 
 There are exactly two: :class:`InlineExecutor` here (real
-``SessionContext.run_next_step``, ``WorkloadCache.peek``) and the shard
-parent's in :mod:`repro.serve.shards` (the per-step trails and wire
-results its workers return).  Shard workers run this same core over
-their share of each wave, so the chronology exists once.
-
-Freed slots are paired with parked sessions in *heap completion order*,
-not timeline order: a session that finishes its last step earlier on
-the fairness heap frees its slot first even when its occupancy instant
-is later (tests/serve/test_admission.py pins the case).
+``SessionContext.run_next_step``, ``WorkloadCache.get``) and the shard
+parent's in :mod:`repro.serve.shards`, for which ``run`` is one wave to
+its workers.  That is why the core asks for ``virtual_s`` as late as it
+can: started sessions accumulate until the next event cannot be decided
+without their departures — the slots are full, or a departure is due — so
+an unbounded batch is a single ``run``.  Shard workers run this same
+core over their share of each wave, so the chronology exists once.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from .installation import SharedInstallation
-from .session import SessionContext
+from .session import SessionContext, SessionSpec
 
 __all__ = ["AdmissionCore", "AdmissionPolicy", "InlineExecutor", "parked_expiry_reason"]
 
@@ -106,30 +119,29 @@ def parked_expiry_reason(ctx: SessionContext, freed_at_s: float) -> Optional[str
 
 
 class InlineExecutor:
-    """Executes sessions on this interpreter against one installation.
-    ``trails``, when a dict is passed, is filled with each session's
-    per-step virtual-time trail (``seq -> [virtual_now after each
-    step]``; sessions that replay never step and leave none) — what a
-    shard worker hands its parent."""
+    """Executes sessions on this interpreter against one installation."""
 
-    def __init__(
-        self,
-        installation: SharedInstallation,
-        trails: Optional[Dict[int, List[float]]] = None,
-    ):
+    def __init__(self, installation: SharedInstallation):
         self.cache = installation.cache
-        self.trails = trails
 
-    def step(self, ctx: SessionContext) -> Optional[float]:
+    def run(self, batch: Sequence[SessionContext]) -> List[Optional[float]]:
         """A step that raises is *contained*: the session finishes as
         ``degraded`` (carrying the error) and is torn down."""
-        try:
-            ctx.run_next_step()
-        except Exception as exc:
-            ctx.fail(exc)
-        if self.trails is not None:
-            self.trails.setdefault(ctx.seq, []).append(ctx.virtual_now)
-        return None if ctx.done else ctx.virtual_now
+        out: List[Optional[float]] = []
+        ran: Set[str] = set()
+        for ctx in batch:
+            if ctx.key in ran and self.replay(ctx, count=True):
+                out.append(None)
+                continue
+            if ctx.dedup and ctx.spec.cacheable:
+                ran.add(ctx.key)
+            while not ctx.done:
+                try:
+                    ctx.run_next_step()
+                except Exception as exc:
+                    ctx.fail(exc)
+            out.append(ctx.result().virtual_s)
+        return out
 
     def replay(self, ctx: SessionContext, count: bool = False) -> bool:
         record = self.cache.get(ctx.key, count=count)
@@ -138,182 +150,169 @@ class InlineExecutor:
         ctx.replay(record)
         return True
 
-    def occupancy(self, ctx: SessionContext) -> float:
-        return ctx.wait_s + ctx.virtual_now
 
-    def ship(self, batch: Sequence[SessionContext]) -> None:
-        pass
+#: event kinds: at an equal instant a departure is processed before an
+#: arrival (the freed slot is visible to the arriving session)
+_DEPART, _ARRIVE = 0, 1
+
+
+def _rank(ctx: SessionContext) -> Tuple[int, int]:
+    return (-ctx.spec.priority, ctx.seq)
 
 
 class AdmissionCore:
-    """One batch serve's admission state machine (see the module doc).
+    """One serve call's admission state machine (see the module doc).
 
-    Construction ranks ``contexts`` by (priority desc, admission seq),
-    fills ``admitted`` (the live slots), parks the next tier in
-    ``parked`` and sheds the rest with a reason; :meth:`run` drives the
-    chronology through an executor.  Contexts may carry a pre-charged
-    ``wait_s``; it is never reset to an earlier instant."""
+    :meth:`offer` puts a session on the timeline; :meth:`run` drives
+    every offered session to a result through an executor.  A context
+    may be handed a pre-charged ``wait_s`` between the two (a shard
+    worker's share arrives with the parent's queue time on it); it is
+    never reset to an earlier instant."""
 
     def __init__(
         self,
-        contexts: Sequence[SessionContext],
-        admission: Optional[AdmissionPolicy],
-        dedup: bool,
+        installation: Optional[SharedInstallation],
+        admission: Optional[AdmissionPolicy] = None,
+        dedup: bool = True,
+        on_shed: Optional[
+            Callable[[SessionContext, float], Optional[Tuple[float, SessionSpec]]]
+        ] = None,
     ):
-        admission = admission or AdmissionPolicy()
+        self.installation = installation
+        self.admission = admission or AdmissionPolicy()
         self.dedup = dedup
-        ranked = sorted(contexts, key=lambda c: (-c.spec.priority, c.seq))
-        max_live = (
-            len(ranked) if admission.max_live is None else admission.effective_max_live
+        self.on_shed = on_shed
+        live, parked = self.admission.effective_max_live, self.admission.effective_max_parked
+        self.max_live = float("inf") if live is None else live
+        self.max_parked = float("inf") if parked is None else parked
+        #: every offered session (retries included), in offer order
+        self.contexts: List[SessionContext] = []
+        #: the queue, best-ranked first
+        self.parked: List[Tuple[Tuple[int, int], SessionContext]] = []
+        self.n_parked = 0
+        #: sessions holding a live slot: started and not yet departed
+        self.live = 0
+        self._events: list = []
+        self._ticket = itertools.count()
+        #: (session, start instant) started since the last ``ex.run``,
+        #: and the workload keys among them that a twin could replay
+        self._started: List[Tuple[SessionContext, float]] = []
+        self._started_keys: Set[str] = set()
+
+    def offer(self, at_s: float, spec: SessionSpec) -> SessionContext:
+        """A session arrives at ``at_s``; returns its context."""
+        ctx = SessionContext(
+            spec,
+            self.installation,
+            seq=len(self.contexts),
+            dedup=self.dedup,
+            arrival_s=float(at_s),
         )
-        max_parked = (
-            len(ranked)
-            if admission.max_parked is None
-            else admission.effective_max_parked
-        )
-        self.admitted: List[SessionContext] = sorted(
-            ranked[:max_live], key=lambda c: c.seq
-        )
-        self.parked: List[SessionContext] = ranked[max_live : max_live + max_parked]
-        self.n_parked = len(self.parked)
-        for ctx in ranked[max_live + max_parked :]:
-            ctx.shed(admission.queue_full_reason(ctx.spec.priority))
-        #: workload key -> the session currently running it live, and the
-        #: sessions waiting to replay its record
-        self.leaders: Dict[str, SessionContext] = {}
-        self.followers: Dict[str, List[SessionContext]] = {}
-        #: op-point family -> its live sessions in admission order; only
-        #: the head runs.  Serialising a family is what makes every
-        #: per-point cache lookup see a deterministic store state (inline
-        #: digests depend on it); distinct families still interleave.
-        self.op_chains: Dict[str, List[SessionContext]] = {}
-        self.finished: Set[int] = set()
+        self.contexts.append(ctx)
+        heapq.heappush(self._events, (ctx.arrival_s, _ARRIVE, *_rank(ctx), ctx))
+        return ctx
 
     def run(self, ex) -> None:
-        """Drive every admitted and parked session to a result through
-        executor ``ex`` (the four calls in the module doc)."""
-        runnable = []
-        for ctx in self.admitted:
-            # a follower's workload either matches an earlier leader in
-            # this batch or is already cached from a previous serve
-            if self._dedups(ctx):
-                if ex.replay(ctx, count=True):
-                    continue
-                if ctx.key in self.leaders:
-                    self.followers.setdefault(ctx.key, []).append(ctx)
-                    continue
-                self.leaders[ctx.key] = ctx
-            if self._heads_chain(ctx):
-                runnable.append(ctx)
-        ex.ship(self.admitted)
-
-        # sessions enter the heap unstepped: fairness key 0.0, ties
-        # broken by push order
-        ticket = itertools.count()
-        heap = [(0.0, next(ticket), ctx) for ctx in runnable]
-        while heap:
-            _, _, ctx = heapq.heappop(heap)
-            key = ex.step(ctx)
-            if key is not None:
-                heapq.heappush(heap, (key, next(ticket), ctx))
+        """Drive every offered session, and every retry ``on_shed``
+        offers on the way, to a result through executor ``ex``."""
+        events = self._events
+        while events or self._started:
+            # started sessions are counted live until their departures
+            # are known, which over-counts: only when that bound fills
+            # the slots, or a departure is next, does the order of
+            # events depend on them
+            if self._started and (
+                not events or events[0][1] == _DEPART or self.live >= self.max_live
+            ):
+                self._resolve(ex)
                 continue
-            entering = self._on_done(ctx, ex)
-            # the slot frees at the completing session's *occupancy*
-            # instant, so successive admissions chain and the Nth
-            # session in line is charged the whole queue ahead of it
-            nxt = self._admit_next(ex.occupancy(ctx), ex)
-            if nxt is not None:
-                entering.append(nxt)
-            ex.ship(entering)
-            for c in entering:
-                heapq.heappush(heap, (0.0, next(ticket), c))
-
-        # a parked session can only still be waiting if every live
-        # session replayed instantly and freed no slot above — admit the
-        # stragglers at the batch frontier.  Each advances the frontier
-        # by its own occupancy, so the Nth straggler in line is charged
-        # the queue ahead of it.
-        frontier = 0.0
-        while self.parked:
-            nxt = self._admit_next(frontier, ex)
-            if nxt is None:
-                break
-            work = [nxt]
-            while work:
-                ctx = work.pop(0)
-                ex.ship([ctx])
-                while ex.step(ctx) is not None:
-                    pass
-                frontier = max(frontier, ex.occupancy(ctx))
-                work.extend(self._on_done(ctx, ex))
-        ex.ship([])
+            now, kind, _, _, ctx = heapq.heappop(events)
+            if kind == _DEPART:
+                self.live -= 1
+                self._admit_parked(now, ex)
+            else:
+                self._arrive(ctx, now, ex)
 
     def _dedups(self, ctx: SessionContext) -> bool:
         return self.dedup and ctx.spec.cacheable
 
-    def _heads_chain(self, ctx: SessionContext) -> bool:
-        """Join ``ctx`` to its op-point family's chain; True when it may
-        run now (it heads the chain, or has no family), False when an
-        earlier same-family session is still running and it must wait
-        its turn instead of racing that session's store."""
-        fam = ctx.op_chain_key
-        if fam is None:
-            return True
-        chain = self.op_chains.setdefault(fam, [])
-        chain.append(ctx)
-        return len(chain) == 1
-
-    def _on_done(self, ctx: SessionContext, ex) -> List[SessionContext]:
-        """Everything a finished session unblocks, in push order: its
-        workload followers that must now run live — they replay unless
-        the leader left no record (caching off, or it degraded: degraded
-        records are never cached) — then the next waiter on its op-point
-        family chain, now guaranteed a fully-populated family store.
-        A requeued follower joins its family chain like any admission;
-        the finished leader is still on that chain here, so the follower
-        queues behind it and comes out below, once, in its turn."""
-        self.finished.add(ctx.seq)
-        out = []
-        for f in self.followers.pop(ctx.key, []):
-            if not ex.replay(f):
-                self.leaders[f.key] = f
-                if self._heads_chain(f):
-                    out.append(f)
-        chain = self.op_chains.get(ctx.op_chain_key)
-        if chain:
-            if ctx in chain:
-                chain.remove(ctx)
-            if chain:
-                out.append(chain[0])
+    def _resolve(self, ex) -> None:
+        started, self._started = self._started, []
+        self._started_keys.clear()
+        for (ctx, at_s), virtual_s in zip(started, ex.run([c for c, _ in started])):
+            if virtual_s is None:
+                self.live -= 1  # it replayed its twin: no slot was held
             else:
-                del self.op_chains[ctx.op_chain_key]
-        return out
+                heapq.heappush(
+                    self._events,
+                    (at_s + virtual_s, _DEPART, 0, next(self._ticket), ctx),
+                )
 
-    def _admit_next(self, fair_now: float, ex) -> Optional[SessionContext]:
-        """A live slot freed at virtual instant ``fair_now``: admit the
-        highest-ranked parked session that can still be served, charging
-        the wait against its deadline.  Parked sessions that resolve to
-        a replay, a follower, or an op-chain waiter do not consume the
-        slot — keep admitting until one needs to run live (or the queue
-        drains)."""
-        while self.parked:
-            ctx = self.parked.pop(0)
-            # never reset an already-accumulated wait to an earlier
-            # instant: stragglers admitted in sequence keep the queue
-            # time their predecessors charged them
-            ctx.wait_s = max(ctx.wait_s, fair_now)
-            reason = parked_expiry_reason(ctx, ctx.wait_s)
+    def _start(self, ctx: SessionContext, now: float) -> None:
+        ctx.wait_s = max(ctx.wait_s, now - ctx.arrival_s)
+        self.live += 1
+        self._started.append((ctx, now))
+        if self._dedups(ctx):
+            self._started_keys.add(ctx.key)
+
+    def _shed(
+        self,
+        ctx: SessionContext,
+        now: float,
+        reason: str,
+        deadline_met: Optional[bool] = None,
+    ) -> None:
+        ctx.shed(reason, deadline_met=deadline_met)
+        if self.on_shed is not None:
+            retry = self.on_shed(ctx, now)
+            if retry is not None:
+                at_s, spec = retry
+                # a retry cannot arrive in the simulated past
+                self.offer(max(float(at_s), now), spec)
+
+    def _park(self, ctx: SessionContext) -> None:
+        bisect.insort(self.parked, (_rank(ctx), ctx))
+        self.n_parked += 1
+
+    def _arrive(self, ctx: SessionContext, now: float, ex) -> None:
+        # a twin of a session started but not yet run cannot replay yet:
+        # it starts behind it (there is room, or ``run`` would have
+        # resolved first) and the executor replays it if a record is left
+        if (
+            self._dedups(ctx)
+            and ctx.key not in self._started_keys
+            and ex.replay(ctx, count=True)
+        ):
+            return
+        if self.live < self.max_live:
+            self._start(ctx, now)
+        elif len(self.parked) < self.max_parked:
+            self._park(ctx)
+        elif self.parked and _rank(ctx) < self.parked[-1][0]:
+            _, worst = self.parked.pop()
+            worst.wait_s = max(worst.wait_s, now - worst.arrival_s)
+            self._shed(
+                worst,
+                now,
+                f"displaced while parked by higher-priority arrival "
+                f"{ctx.spec.name!r} at t={now:.3f}s",
+            )
+            self._park(ctx)
+        else:
+            self._shed(ctx, now, self.admission.queue_full_reason(ctx.spec.priority))
+
+    def _admit_parked(self, now: float, ex) -> None:
+        """A live slot freed at ``now``: start the best-ranked parked
+        session that can still be served, charging each one taken off
+        the queue the wait from its own arrival.  Expired and replayed
+        sessions take no slot, so the queue keeps draining past them;
+        the replay lookup here is a scheduling probe, not counted cache
+        traffic."""
+        while self.live < self.max_live and self.parked:
+            _, best = self.parked.pop(0)
+            best.wait_s = max(best.wait_s, now - best.arrival_s)
+            reason = parked_expiry_reason(best, now)
             if reason is not None:
-                ctx.shed(reason, deadline_met=False)
-                continue
-            if self._dedups(ctx):
-                if ex.replay(ctx):
-                    continue
-                leader = self.leaders.get(ctx.key)
-                if leader is not None and leader.seq not in self.finished:
-                    self.followers.setdefault(ctx.key, []).append(ctx)
-                    continue
-                self.leaders[ctx.key] = ctx
-            if self._heads_chain(ctx):
-                return ctx
-        return None
+                self._shed(best, now, reason, deadline_met=False)
+            elif not (self._dedups(best) and ex.replay(best)):
+                self._start(best, now)

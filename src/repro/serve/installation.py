@@ -70,9 +70,8 @@ class WorkloadCache:
     that determines the session's deterministic trace stream.  Sessions
     with fault plans are never cached (their injectors own mutable
     park/network state).  Thread-safe; a put of an already-present key
-    overwrites with identical content (two live sessions of the same
-    class — a degraded leader's requeued followers — record the same
-    run).
+    overwrites with identical content (two clean live runs of one
+    workload record the same run).
     """
 
     def __init__(self) -> None:
@@ -83,9 +82,9 @@ class WorkloadCache:
 
     def get(self, key: str, count: bool = True) -> Optional[SessionRecord]:
         """Fetch a record.  ``count=False`` (or :meth:`peek`) skips the
-        hit/miss counters: the scheduler's admission and
-        follower-requeue probes are scheduling decisions, not cache
-        traffic, and must not inflate the reported rates."""
+        hit/miss counters: the serve timeline's re-probe of a parked
+        session is a scheduling decision, not cache traffic, and must
+        not inflate the reported rates."""
         with self._lock:
             rec = self._records.get(key)
             if count:

@@ -1,52 +1,41 @@
-"""The serve scheduler: fair, virtual-clock-driven multiplexing of many
-sessions over one shared installation.
+"""The serve entry points: many sessions multiplexed over one shared
+installation on one virtual timeline.
 
-The arbiter is a heap keyed ``(session virtual time, admission seq)``:
-whichever session has consumed the *least* virtual time runs its next
-step.  That is round-robin fairness in the currency that matters for a
-simulated installation — simulated seconds of server occupancy and link
-time — so a 64-point marathon session cannot starve a 3-point
-interactive one, and same-instant ties break by admission order
-(deterministically, like the clock's own event queue).
+:func:`serve_arrivals` offers sessions at arrival instants on a shared
+virtual timeline: queue wait is charged from *arrival*, deadlines run
+from arrival, and shed sessions can re-enter through a retry hook (the
+:mod:`repro.traffic` package drives it with seeded arrival processes
+and traffic-class mixes).  :func:`serve_sessions` hands over a closed
+batch, which is the same thing with every arrival at t = 0.  Both are
+argument handling around one chronology,
+:class:`~repro.serve.admission.AdmissionCore`, run with the inline
+executor here and, for ``mode="shard"``, with the shard parent's
+(:mod:`repro.serve.shards`).
 
-Dedup rides on the same loop: sessions whose
-:meth:`~repro.serve.session.SessionSpec.workload_key` matches an
-admitted *leader* park as followers; when the leader finalizes (its
-record now in the :class:`~repro.serve.installation.WorkloadCache`),
-every follower replays the recorded run exactly.  Replay is the big
-multi-tenant win — the N-th user of a popular scenario costs
+A session runs to completion the moment it starts.  Its clock is its
+own, ``serve`` returns only when everything is done, and nothing reads
+the order in which co-resident sessions' steps interleave — so none is
+kept: sessions execute one after another in the order the timeline
+starts them, which is also what makes every shared-cache lookup see a
+deterministic store.
+
+Dedup rides on the same loop: a session whose
+:meth:`~repro.serve.session.SessionSpec.workload_key` is already
+recorded in the :class:`~repro.serve.installation.WorkloadCache`
+replays the recorded run exactly and takes no live slot.  Replay is the
+big multi-tenant win — the N-th user of a popular scenario costs
 milliseconds, not a fresh Newton solve — and it is *safe* because a
 session's traces are a pure function of its spec (differential-tested).
-
-The heap, the tiers and the dedup all live in one place,
-:class:`~repro.serve.admission.AdmissionCore`; :func:`serve_sessions`
-runs it with the inline executor (one OS thread, strict
-least-virtual-time stepping — the replay-determinism baseline) and
-``mode="shard"`` with the shard parent's (:mod:`repro.serve.shards`).
-
-Beside the batch path sits :func:`serve_arrivals` — the **open-loop,
-arrival-driven** admission path: sessions are offered at arrival
-instants on one shared virtual timeline instead of handed over in a
-wave, queue wait is charged from *arrival*, and shed sessions can
-re-enter through a retry hook.  The :mod:`repro.traffic` package
-drives it with seeded arrival processes and traffic-class mixes.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..resilience.ledger import LedgerBook
-from .admission import (
-    AdmissionCore,
-    AdmissionPolicy,
-    InlineExecutor,
-    parked_expiry_reason,
-)
+from .admission import AdmissionCore, AdmissionPolicy, InlineExecutor
 from .installation import SharedInstallation
 from .session import SessionContext, SessionResult, SessionSpec
 
@@ -216,9 +205,7 @@ class _CallTally:
         self.op0 = (op.exact_hits, op.near_hits, op.misses)
         self.t0 = time.perf_counter()
 
-    def report(
-        self, contexts: Sequence[SessionContext], parked: int, workers: int
-    ) -> ServeReport:
+    def report(self, contexts: Sequence[SessionContext], parked: int) -> ServeReport:
         wall_s = time.perf_counter() - self.t0
         results = [ctx.result() for ctx in contexts]
         n_replayed = sum(1 for r in results if r.replayed)
@@ -228,7 +215,7 @@ class _CallTally:
             results=results,
             wall_s=wall_s,
             mode="inline",
-            workers=workers,
+            workers=1,
             live=len(results) - n_replayed - n_shed,
             replayed=n_replayed,
             cache_hits=cache.hits - self.cache0[0],
@@ -287,15 +274,9 @@ def serve_sessions(
         )
     if mode != "inline":
         raise ValueError(f"unknown serve mode {mode!r}")
-    installation = installation or SharedInstallation.standard()
-    tally = _CallTally(installation)
-    contexts = [
-        SessionContext(spec, installation, seq=i, dedup=dedup)
-        for i, spec in enumerate(specs)
-    ]
-    core = AdmissionCore(contexts, admission, dedup)
-    core.run(InlineExecutor(installation))
-    return tally.report(contexts, core.n_parked, workers)
+    return serve_arrivals(
+        [(0.0, spec) for spec in specs], installation, dedup=dedup, admission=admission
+    )
 
 
 @dataclass(frozen=True)
@@ -305,12 +286,6 @@ class Arrival:
 
     at_s: float
     spec: SessionSpec
-
-
-#: event kinds on the open-loop timeline: at an equal instant a
-#: departure is processed before an arrival (the freed slot is visible
-#: to the arriving session), ties within a kind break by event order
-_DEPART, _ARRIVE = 0, 1
 
 
 def serve_arrivals(
@@ -326,153 +301,30 @@ def serve_arrivals(
     a shared virtual timeline instead of batch handover.
 
     ``arrivals`` is a sequence of :class:`Arrival` (or ``(at_s, spec)``
-    pairs); order within an instant follows input order.  The driver is
-    an event simulation over that timeline:
+    pairs); arrivals at an equal instant are offered best-ranked first
+    (priority, then input order).  The event rules — start, park,
+    displace, shed, admit from the queue at a departure, expire a parked
+    deadline — are :class:`~repro.serve.admission.AdmissionCore`'s.
+    ``on_shed`` (the :mod:`repro.traffic` retry-feedback hook) may hand
+    back ``(at_s, spec)`` to re-offer a shed session later on the same
+    timeline — the closed-loop retry storm that makes overload
+    measurements honest.
 
-    - an **arrival** is admitted immediately when a live slot is free
-      (queue wait 0), parked when the queue has room (highest priority
-      first; a higher-priority arrival displaces the worst parked
-      session when the queue is full), and shed otherwise — explicitly,
-      with a reason, exactly like the batch path;
-    - a **departure** (at the session's admission instant plus its own
-      deterministic virtual time) frees the slot and admits from the
-      parked queue, charging each admitted session the wait from its
-      *arrival* — so deadlines, which run from arrival, are trimmed by
-      real queue time, and a parked session whose deadline expired is
-      shed instead of run to a guaranteed miss;
-    - ``on_shed`` (the :mod:`repro.traffic` retry-feedback hook) may
-      hand back ``(at_s, spec)`` to re-offer a shed session later on the
-      same timeline — the closed-loop retry storm that makes overload
-      measurements honest.
-
-    Dedup still applies: an arrival whose workload is already cached
-    replays instantly without consuming a slot.  A session runs to
-    completion the moment it starts — its departure instant is a pure
-    function of its spec and charged wait — so the loop is a plain
-    discrete-event simulation.
-
-    Everything lands in the ordinary :class:`ServeReport`;
-    per-session ``arrival_s``/``wait_s``/``end_to_end_s`` carry the
-    timeline, and ``summary()['classes']`` the per-class latency
-    ledgers.
+    Everything lands in the ordinary :class:`ServeReport`: results in
+    arrival order with retries after them, per-session
+    ``arrival_s``/``wait_s``/``end_to_end_s`` carrying the timeline, and
+    ``summary()['classes']`` the per-class latency ledgers.
     """
-    installation = installation or SharedInstallation.standard()
-    admission = admission or AdmissionPolicy()
-    tally = _CallTally(installation)
-    ex = InlineExecutor(installation)
-
-    max_live: float = (
-        float("inf") if admission.max_live is None else admission.effective_max_live
-    )
-    max_parked: float = (
-        float("inf")
-        if admission.max_parked is None
-        else admission.effective_max_parked
-    )
-
-    contexts: List[SessionContext] = []
-    order = itertools.count()
-    events: List[Tuple[float, int, int, SessionContext]] = []
-
-    def offer(at_s: float, spec: SessionSpec) -> None:
-        ctx = SessionContext(
-            spec,
-            installation,
-            seq=len(contexts),
-            dedup=dedup,
-            arrival_s=float(at_s),
-        )
-        contexts.append(ctx)
-        heapq.heappush(events, (float(at_s), _ARRIVE, next(order), ctx))
-
     normalized: List[Tuple[float, SessionSpec]] = []
     for a in arrivals:
         at_s, spec = (a.at_s, a.spec) if isinstance(a, Arrival) else a
         if at_s < 0:
             raise ValueError(f"negative arrival time {at_s!r} for {spec.name!r}")
         normalized.append((float(at_s), spec))
+    installation = installation or SharedInstallation.standard()
+    tally = _CallTally(installation)
+    core = AdmissionCore(installation, admission, dedup, on_shed)
     for at_s, spec in sorted(normalized, key=lambda p: p[0]):  # stable: ties keep input order
-        offer(at_s, spec)
-
-    live_count = 0
-    n_parked = 0
-    parked: List[SessionContext] = []
-
-    def rank(ctx: SessionContext) -> Tuple[int, int]:
-        return (-ctx.spec.priority, ctx.seq)
-
-    def start(ctx: SessionContext, now: float) -> None:
-        nonlocal live_count
-        ctx.wait_s = max(ctx.wait_s, now - ctx.arrival_s)
-        live_count += 1
-        while ex.step(ctx) is not None:
-            pass
-        heapq.heappush(
-            events, (now + ctx.result().virtual_s, _DEPART, next(order), ctx)
-        )
-
-    def shed(
-        ctx: SessionContext,
-        now: float,
-        reason: str,
-        deadline_met: Optional[bool] = None,
-    ) -> None:
-        ctx.shed(reason, deadline_met=deadline_met)
-        if on_shed is not None:
-            retry = on_shed(ctx, now)
-            if retry is not None:
-                at_s, spec = retry
-                # a retry cannot arrive in the simulated past
-                offer(max(float(at_s), now), spec)
-
-    def handle_arrival(ctx: SessionContext, now: float) -> None:
-        nonlocal n_parked
-        if dedup and ctx.spec.cacheable and ex.replay(ctx, count=True):
-            return
-        if live_count < max_live:
-            start(ctx, now)
-            return
-        if len(parked) < max_parked:
-            parked.append(ctx)
-            n_parked += 1
-            return
-        if parked:
-            worst = max(parked, key=rank)
-            if rank(ctx) < rank(worst):
-                parked.remove(worst)
-                worst.wait_s = max(worst.wait_s, now - worst.arrival_s)
-                shed(
-                    worst,
-                    now,
-                    f"displaced while parked by higher-priority arrival "
-                    f"{ctx.spec.name!r} at t={now:.3f}s",
-                )
-                parked.append(ctx)
-                n_parked += 1
-                return
-        shed(ctx, now, admission.queue_full_reason(ctx.spec.priority))
-
-    def admit_from_parked(now: float) -> None:
-        """Live slots freed at ``now``: admit the best-ranked parked
-        sessions that can still be served, charging each the wait from
-        its own arrival.  The replay lookup here is a scheduling probe,
-        not counted cache traffic, matching the batch core."""
-        while live_count < max_live and parked:
-            best = min(parked, key=rank)
-            parked.remove(best)
-            best.wait_s = max(best.wait_s, now - best.arrival_s)
-            reason = parked_expiry_reason(best, now)
-            if reason is not None:
-                shed(best, now, reason, deadline_met=False)
-            elif not (dedup and best.spec.cacheable and ex.replay(best)):
-                start(best, now)
-
-    while events:
-        at_s, kind, _, ctx = heapq.heappop(events)
-        if kind == _ARRIVE:
-            handle_arrival(ctx, at_s)
-        else:
-            live_count -= 1
-            admit_from_parked(at_s)
-
-    return tally.report(contexts, n_parked, workers=1)
+        core.offer(at_s, spec)
+    core.run(InlineExecutor(installation))
+    return tally.report(core.contexts, core.n_parked)

@@ -6,8 +6,9 @@ module placement, optional transient, optional fault plan).  A
 :class:`SessionContext` is the live run: its own
 :class:`~repro.schooner.runtime.SchoonerEnvironment` (clock, transport,
 traces) and :class:`~repro.core.executive.NPSSExecutive` over the shared
-machine park, advanced one *step* at a time so the serve scheduler can
-interleave many sessions fairly by virtual time.
+machine park, advanced one *step* at a time (the unit a failure is
+contained at and a tracer sees); the serve timeline runs a session's
+steps back to back the moment it starts.
 
 Within a session, steady points warm-start each other: the solved
 ``x``/Jacobian of point *i* seeds point *i+1*'s Newton solve, so nearby
@@ -97,10 +98,11 @@ class SessionSpec:
     #: :class:`~repro.serve.opcache.OpPointCache`: exact hits skip the
     #: Newton solve, near hits interpolate stored neighbours.  Misses
     #: are solved *cold* (no session-local chaining) so every stored
-    #: miss is bitwise-canonical.  Sessions sharing an operating-line
-    #: family serialize like leader/follower chains: every lookup then
-    #: sees a deterministic store state, which inline digests depend on
-    #: and which keeps shard-mode digests identical to inline.
+    #: miss is bitwise-canonical.  Sessions run to completion one after
+    #: another in the order the serve timeline starts them, so every
+    #: lookup sees a deterministic store state — which inline digests
+    #: depend on, and which shard mode keeps by placing a family whole
+    #: on one shard.
     op_cache: bool = False
 
     @property
@@ -237,7 +239,8 @@ class SessionContext:
     network view, so injected partitions and gateway outages divert only
     its own traffic.  Host-level faults (machine crash, derate) hit the
     shared park by design — in a real installation, everyone on a
-    crashed machine suffers together.
+    crashed machine suffers together — and sessions run one after
+    another, so a session meets the park as earlier ones left it.
     """
 
     def __init__(
@@ -256,14 +259,9 @@ class SessionContext:
         self.arrival_s = arrival_s
         self.dedup = dedup
         self.key = spec.workload_key()
-        #: the spec-level operating-line family (None unless the spec
-        #: opts into the op-point cache): the scheduler groups same-
-        #: family sessions into a serialized chain on this key, so every
-        #: lookup sees a deterministic cache state (inline digests
-        #: depend on the serialisation, and shard mode reproduces it)
-        self.op_chain_key = spec.op_family()
-        #: the full cache family (chain key + engine-deck digest),
-        #: resolved at setup once the deck is built
+        #: the full op-point cache family (the spec's operating-line
+        #: family + engine-deck digest), resolved at setup once the deck
+        #: is built; None unless the spec opts into the cache
         self._op_family: Optional[str] = None
         self.env = None
         self.executive: Optional[NPSSExecutive] = None
@@ -295,15 +293,6 @@ class SessionContext:
     @property
     def done(self) -> bool:
         return self._cursor >= len(self._steps)
-
-    @property
-    def virtual_now(self) -> float:
-        """The session's virtual time — the scheduler's fairness key."""
-        if self.env is not None:
-            return self.env.clock.now
-        if self._result is not None:
-            return self._result.virtual_s
-        return 0.0
 
     def result(self) -> SessionResult:
         if self._result is None:
@@ -344,10 +333,9 @@ class SessionContext:
             ex._sync_placements()
             self._engine = ex.engine()
             self._flight = ex.flight_condition()
-            if self.op_chain_key is not None:
-                self._op_family = combine_keys(
-                    self.op_chain_key, deck_key(self._engine.spec)
-                )
+            family = spec.op_family()
+            if family is not None:
+                self._op_family = combine_keys(family, deck_key(self._engine.spec))
             if spec.resilient:
                 from ..faults import FailoverSupervisor
                 from ..resilience import BreakerBoard

@@ -15,7 +15,7 @@ Four disciplines make sharding *exact* rather than approximate:
 * **Deterministic placement by family.**  Sessions hash to a shard by
   their op-point-cache family (or workload key when they carry none),
   so every pair of sessions that could interact — workload-cache
-  leader/follower chains, op-point-cache operating-line families —
+  twins, op-point-cache operating-line families —
   lands on the same shard.  A session's trace stream is a pure function
   of its spec plus those interactions, so per-session digests and
   virtual times are bitwise-identical to inline serving (the
@@ -41,15 +41,19 @@ Four disciplines make sharding *exact* rather than approximate:
 
 * **Admission runs the same core at the parent.**  Workers run with no
   admission bound of their own; the parent holds the single global
-  parked queue and drives :class:`~repro.serve.admission.AdmissionCore`
-  — the one implementation inline serving runs — through an executor
-  that, instead of stepping sessions, walks the per-step virtual-time
-  trails its workers return.  Completions therefore pop in inline's
-  heap order, one admission per freed slot, queue wait charged forward,
-  and *parked-deadline expiry* is judged at the same instant with the
-  same reason string, because it is the same code.  Admitted sessions
-  are dispatched to their family's shard with the wait pre-charged, so
-  their in-session deadlines (and hence traces) match inline bitwise.
+  timeline and parked queue and drives
+  :class:`~repro.serve.admission.AdmissionCore` — the one
+  implementation inline serving runs — through an executor whose
+  ``run`` is a wave: the started sessions go to their families' shards
+  with the wait pre-charged (so in-session deadlines, and hence traces,
+  match inline bitwise) and come back with the one thing the timeline
+  needs from each, its ``virtual_s``.  Slots therefore free at inline's
+  instants and *parked-deadline expiry* is judged there with the same
+  reason string, because it is the same code.  The core asks only when
+  the next event cannot be decided without a departure, so an unbounded
+  batch is exactly one wave per shard, at full parallelism; each worker
+  runs its share through the same core, in the order the parent
+  started it.
 
 * **Shared state spans shards.**  The
   :class:`~repro.resilience.budget.RetryBudget` becomes a
@@ -62,12 +66,11 @@ Four disciplines make sharding *exact* rather than approximate:
   different shard, starts warm instead of rebuilding PR 6's cache wins
   from scratch N times.
 
-Known (and deliberate) divergences from inline: cache *counters* can
-differ by probe-vs-traffic accounting (a parked session's replay is a
-counted hit in a worker, a non-counting probe inline), and the corner
-where a *degraded* leader's followers rerun live is replayed at
-follower granularity, not interleaved — digests, statuses, shed sets,
-and waits are identical in every tested mix.
+Known (and deliberate) divergence from inline: workload-cache
+*counters* can differ by probe-vs-traffic accounting (a parked
+session's replay is a counted hit in a worker, a non-counting probe
+inline).  Digests, statuses, shed sets, waits and replay flags are
+identical in every tested mix.
 """
 
 from __future__ import annotations
@@ -254,7 +257,7 @@ def shard_family(spec: SessionSpec) -> str:
     """The key sessions co-locate by: the op-point-cache operating-line
     family when the spec opts in (cross-workload sharing must stay
     intra-shard for op-cache locality), else the workload key (so
-    leader/follower dedup chains stay intra-shard)."""
+    dedup twins stay intra-shard)."""
     return spec.op_family() or f"wk:{spec.workload_key()}"
 
 
@@ -340,28 +343,22 @@ def _open_episode(payload: dict) -> dict:
 
 def _serve_wave(shard_id: int, episode: Optional[dict], payload: dict) -> dict:
     """Serve one wave of sessions on the episode installation: the
-    admission core with no bound of its own, over contexts carrying the
+    admission core with no bound of its own, over sessions carrying the
     parent's pre-charged queue waits (applied before any deadline is
-    judged, exactly as the parent's queue charged them).  Returns the
-    wire report, plus per-step virtual-time trails when the parent's
-    chronology asked for them."""
+    judged, exactly as the parent's queue charged them).  The wave is in
+    the parent's start order, which at one instant is rank order — the
+    order this core offers it in.  Returns the wire report."""
     if episode is None:
         raise ShardProtocolError(
             f"shard {shard_id}: shard-serve before shard-open"
         )
     installation, dedup = episode["installation"], episode["dedup"]
     tally = _CallTally(installation)
-    contexts = [
-        SessionContext(spec_from_wire(wire), installation, seq=i, dedup=dedup)
-        for i, wire in enumerate(payload["specs"])
-    ]
-    for ctx, wait in zip(contexts, payload["waits"]):
-        ctx.wait_s = float(wait)
-    trails: Optional[Dict[int, List[float]]] = (
-        {} if payload.get("trails") else None
-    )
-    AdmissionCore(contexts, None, dedup).run(InlineExecutor(installation, trails))
-    report = tally.report(contexts, parked=0, workers=1)
+    core = AdmissionCore(installation, None, dedup)
+    for wire, wait in zip(payload["specs"], payload["waits"]):
+        core.offer(0.0, spec_from_wire(wire)).wait_s = float(wait)
+    core.run(InlineExecutor(installation))
+    report = tally.report(core.contexts, parked=0)
     episode["live"] += report.live
     episode["replayed"] += report.replayed
     episode["wall_s"] += report.wall_s
@@ -370,11 +367,6 @@ def _serve_wave(shard_id: int, episode: Optional[dict], payload: dict) -> dict:
         "seqs": payload["seqs"],
         "results": [result_to_wire(r) for r in report.results],
         "wall_s": report.wall_s,
-        "trails": (
-            [trails.get(i) for i in range(len(contexts))]
-            if trails is not None
-            else None
-        ),
     }
 
 
@@ -909,54 +901,38 @@ class ShardPool:
 
 class _ShardExecutor:
     """The shard parent's side of :class:`AdmissionCore`: sessions
-    execute in worker processes, so a *step* here only walks the
-    per-step trail a worker returned, which reconstructs inline's event
-    order — when each live slot frees — without running anything
-    twice.  ``dispatch`` sends a batch to its shards and fills
-    ``wire_results`` / ``trails`` from the replies."""
+    execute in worker processes, so ``run`` is one wave — ``dispatch``
+    sends the batch to its shards and fills ``wire_results`` from the
+    replies — and ``replay`` answers from what earlier waves recorded."""
 
-    def __init__(self, dispatch, wire_results, trails):
+    def __init__(self, dispatch, wire_results):
         self.dispatch = dispatch
         self.wire_results: Dict[int, SessionResult] = wire_results
-        self.trails: Dict[int, List[float]] = trails
-        self.pos: Dict[int, int] = {}
         #: workload keys a worker's cache now holds a record for (only
         #: clean runs are cached, mirroring ``SessionContext._finalize``)
         self.record_keys: set = set()
-        #: parked sessions resolved to a replay: batched into the next
-        #: dispatch with their charged wait (replay content is
-        #: timing-independent)
+        #: sessions resolved to a replay: they ride the next wave with
+        #: their charged wait (replay content is timing-independent)
         self.pending_replays: List[SessionContext] = []
 
-    def step(self, c: SessionContext) -> Optional[float]:
-        i = self.pos.get(c.seq, 0)
-        self.pos[c.seq] = i + 1
-        trail = self.trails.get(c.seq) or []
-        if i + 1 < len(trail):
-            return trail[i]
-        if self.wire_results[c.seq].status == "completed":
-            self.record_keys.add(c.key)
-        return None
+    def run(self, batch: Sequence[SessionContext]) -> List[Optional[float]]:
+        """An empty ``batch`` still flushes the pending replays."""
+        if batch or self.pending_replays:
+            self.dispatch(list(batch) + self.pending_replays)
+            self.pending_replays.clear()
+        out: List[Optional[float]] = []
+        for c in batch:
+            served = self.wire_results[c.seq]
+            if served.status == "completed":
+                self.record_keys.add(c.key)
+            out.append(None if served.replayed else served.virtual_s)
+        return out
 
     def replay(self, c: SessionContext, count: bool = False) -> bool:
-        served = self.wire_results.get(c.seq)
-        if served is not None:
-            # an admitted-tier follower: its shard's first wave already
-            # either replayed it (no slot consumed) or reran it live
-            return served.replayed
-        if c.key in self.record_keys:
-            self.pending_replays.append(c)
-            return True
-        return False
-
-    def occupancy(self, c: SessionContext) -> float:
-        return c.wait_s + self.wire_results[c.seq].virtual_s
-
-    def ship(self, batch: Sequence[SessionContext]) -> None:
-        fresh = [c for c in batch if c.seq not in self.wire_results]
-        if fresh or self.pending_replays:
-            self.dispatch(fresh + self.pending_replays)
-            self.pending_replays.clear()
+        if c.key not in self.record_keys:
+            return False
+        self.pending_replays.append(c)
+        return True
 
 
 # --------------------------------------------------------------------------
@@ -1019,20 +995,20 @@ def serve_sessions_sharded(
         return serve_sessions(specs, mode="inline", dedup=dedup, admission=admission)
     t0 = time.perf_counter()
 
-    # the tiers are judged by the parent over the *global* ranked list
-    # — the same core inline serving runs, so the shed set and the
+    # the timeline is the parent's, over the whole batch — the same
+    # core inline serving runs, so the shed set, the waits and the
     # reasons match inline mode bitwise
-    contexts = [SessionContext(spec, None, seq=i) for i, spec in enumerate(specs)]
-    core = AdmissionCore(contexts, admission, dedup)
-    admitted, parked = core.admitted, core.parked
+    core = AdmissionCore(None, admission, dedup)
+    for spec in specs:
+        core.offer(0.0, spec)
+    contexts = core.contexts
 
-    # wire-validate every session that may cross (fault plans are
-    # refused before any worker spawns), and place by family over the
-    # live *and* parked tiers together — a parked session must land on
-    # the shard already holding its family's leaders and op lines
-    union = sorted(admitted + parked, key=lambda c: c.seq)
-    wires = {c.seq: spec_to_wire(c.spec) for c in union}
-    buckets = assign_shards([(c.seq, c.spec) for c in union], workers)
+    # wire-validate every session (fault plans are refused before any
+    # worker spawns) and place by family over the whole batch — whenever
+    # a session starts, it must land on the shard already holding its
+    # family's records and op lines
+    wires = {c.seq: spec_to_wire(c.spec) for c in contexts}
+    buckets = assign_shards([(c.seq, c.spec) for c in contexts], workers)
     shard_of = {seq: w for w, bucket in enumerate(buckets) for seq, _ in bucket}
     active = [w for w in range(workers) if buckets[w]]
 
@@ -1065,13 +1041,10 @@ def serve_sessions_sharded(
         # resolved only at session setup), so every worker receives the
         # whole store — preload is idempotent and first-write-wins.
         seed_blob: Optional[bytes] = None
-        if len(pool.op_store) and any(c.spec.op_cache for c in union):
+        if len(pool.op_store) and any(spec.op_cache for spec in specs):
             seed_blob = pool.op_store.export()
 
         wire_results: Dict[int, SessionResult] = {}
-        trails: Dict[int, List[float]] = {}
-        # the chronology only matters while something waits on a slot
-        need_trails = bool(parked)
 
         # ---- failover bookkeeping: everything needed to redo a dead
         # shard's episode verbatim, and the honest account of doing so
@@ -1092,11 +1065,8 @@ def serve_sessions_sharded(
         total_crashes = 0
 
         def absorb_wave(reply: dict) -> None:
-            wave_trails = reply.get("trails")
-            for i, seq in enumerate(reply["seqs"]):
-                wire_results[seq] = result_from_wire(reply["results"][i])
-                if wave_trails is not None and wave_trails[i] is not None:
-                    trails[seq] = wave_trails[i]
+            for seq, wire in zip(reply["seqs"], reply["results"]):
+                wire_results[seq] = result_from_wire(wire)
 
         def note_crash(w: int, exc: BaseException) -> None:
             nonlocal total_crashes
@@ -1166,19 +1136,19 @@ def serve_sessions_sharded(
                 rebuild(w, exc)
 
         def dispatch(batch: List[SessionContext]) -> None:
-            """One wave: the batch grouped per shard, sent, collected —
-            crashed shards are rebuilt and their episodes redone before
-            the wave is considered delivered."""
+            """One wave: the batch grouped per shard in the order it
+            was started, sent, collected — crashed shards are rebuilt
+            and their episodes redone before the wave is considered
+            delivered."""
             per: Dict[int, List[SessionContext]] = {}
             for c in batch:
                 per.setdefault(shard_of[c.seq], []).append(c)
             for w in sorted(per):
-                group = sorted(per[w], key=lambda c: c.seq)
+                group = per[w]
                 payload = {
                     "seqs": [c.seq for c in group],
                     "specs": [wires[c.seq] for c in group],
                     "waits": [c.wait_s for c in group],
-                    "trails": need_trails,
                 }
                 pending_wave[w] = payload
                 try:
@@ -1197,12 +1167,14 @@ def serve_sessions_sharded(
                 history[w].append(pending_wave.pop(w))
                 absorb_wave(reply)
 
-        # wave 1 is the whole live tier at wait 0 — each worker's own
-        # core reproduces the in-wave leader/follower and op-chain
-        # behaviour exactly (families never split across shards); after
-        # it the core admits, charges and expiry-sheds the parked tier
-        # at the instants the trails say inline would
-        core.run(_ShardExecutor(dispatch, wire_results, trails))
+        # wave 1 is everything that starts at t = 0 — each worker's own
+        # core reproduces the in-wave twin replays and the per-family
+        # execution order exactly (families never split across shards);
+        # after it the core admits, charges and expiry-sheds the parked
+        # queue at the instants the returned virtual times give
+        executor = _ShardExecutor(dispatch, wire_results)
+        core.run(executor)
+        executor.run([])
 
         # ---- settle the episodes ----
         # per shard: send close, collect the settle.  A worker that dies

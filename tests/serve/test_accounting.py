@@ -6,14 +6,17 @@ Four bugs, four tests:
    installation's *lifetime* counters — a long-running server's second
    call claimed the first call's traffic too.  Fixed by snapshotting at
    serve start and reporting per-call deltas.
-2. The admission probe in ``admit_next`` and the follower re-``get`` in
-   ``requeue_followers`` counted as cache traffic, inflating the hit
-   rate.  Fixed with a non-counting ``peek``.
-3. The post-loop straggler admission passed ``0.0`` as the freed-slot
-   instant, resetting accumulated queue wait so ``_disposition`` could
-   report ``deadline_met=True`` for a session that waited far past its
-   deadline.  Fixed by frontier chaining (each straggler's occupancy
-   charges the next) and a max-preserving ``wait_s``.
+2. The probe that re-examines a parked session when a slot frees
+   counted as cache traffic, inflating the hit rate.  Fixed with a
+   non-counting ``peek``.  Every session is one counted lookup — at its
+   own arrival, or at its turn to run when its twin is just ahead of it
+   — so an in-batch twin is a counted *hit*.
+3. Parked sessions behind a live tier that only replayed were admitted
+   with their accumulated queue wait reset to ``0.0``, so
+   ``_disposition`` could report ``deadline_met=True`` for a session
+   that waited far past its deadline.  On the one timeline a parked
+   session starts at the departure that frees its slot and is charged
+   up to it (and a replay holds no slot to begin with).
 4. A negative ``AdmissionPolicy.max_parked`` sliced the ranked list
    backwards, mis-shedding admitted sessions.  Fixed by clamping to 0.
 """
@@ -38,9 +41,9 @@ class TestPerCallDeltas:
         own hits, not the lifetime totals."""
         inst = SharedInstallation.standard()
         first = serve_sessions([_spec("a1"), _spec("a2")], installation=inst)
-        # both sessions probed an empty cache in the dedup split
-        assert first.cache_hits == 0
-        assert first.cache_misses == 2
+        # a1 found an empty cache; a2, right behind it, found a1's record
+        assert first.cache_hits == 1
+        assert first.cache_misses == 1
         second = serve_sessions([_spec("b1"), _spec("b2")], installation=inst)
         # the workload is now cached: both replay as hits, and the
         # first call's misses must not leak into this report
@@ -48,8 +51,8 @@ class TestPerCallDeltas:
         assert second.cache_misses == 0
         assert second.replayed == 2
         # the installation's lifetime counters keep accumulating
-        assert inst.cache.hits == 2
-        assert inst.cache.misses == 2
+        assert inst.cache.hits == 3
+        assert inst.cache.misses == 1
 
     def test_op_counters_are_per_call_too(self):
         inst = SharedInstallation.standard()
@@ -67,28 +70,40 @@ class TestPerCallDeltas:
 
 class TestProbesDoNotCount:
     def test_admission_probe_and_follower_requeue_are_uncounted(self):
-        """Three same-workload sessions through a single live slot: the
-        leader's dedup-split miss is the only counted event — the
-        parked sessions resolve through scheduler probes (``peek``),
-        which must not inflate either counter.  (The old code counted a
+        """One live slot; b and c (one workload) arrive while a holds
+        it, find nothing recorded — two counted misses beside a's — and
+        park.  When the slot frees they are *re-probed*: b still finds
+        nothing and runs, c finds b's record and replays.  Neither
+        re-probe is cache traffic.  (The old code counted a
         miss-then-hit pair per parked session.)"""
         report = serve_sessions(
-            [_spec("a"), _spec("b"), _spec("c")],
+            [_spec("a", points=(1.46,)), _spec("b"), _spec("c")],
             admission=AdmissionPolicy(max_live=1, max_parked=10),
         )
         assert report.completed == 3
-        assert report.replayed == 2
-        assert report.cache_misses == 1
+        assert report.parked == 2
+        assert report.replayed == 1
+        assert report.cache_misses == 3
         assert report.cache_hits == 0
 
     def test_follower_requeue_does_not_recount(self):
-        """Followers admitted together count one miss each at the dedup
-        split (the cache was empty when they were admitted) and are
-        *not* re-counted as hits when the leader's record replays them."""
+        """Twins in one batch are one counted lookup each, made when the
+        session ahead of them has run: the leader's miss, then a hit per
+        follower — not a miss at admission *and* nothing at replay, as
+        when followers were split off before their leader ran (3 misses,
+        0 hits)."""
         report = serve_sessions([_spec("a"), _spec("b"), _spec("c")])
         assert report.replayed == 2
-        assert report.cache_misses == 3
-        assert report.cache_hits == 0
+        assert report.cache_misses == 1
+        assert report.cache_hits == 2
+        # ... and the same through a single live slot, where b and c
+        # arrive to find the slot taken and a's record already there
+        bounded = serve_sessions(
+            [_spec("a"), _spec("b"), _spec("c")],
+            admission=AdmissionPolicy(max_live=1, max_parked=10),
+        )
+        assert (bounded.replayed, bounded.cache_misses, bounded.cache_hits) == (2, 1, 2)
+        assert bounded.parked == 0
 
     def test_workload_cache_peek_is_silent(self):
         inst = SharedInstallation.standard()
@@ -100,11 +115,10 @@ class TestProbesDoNotCount:
 
 class TestStragglerWaitPreserved:
     def test_straggler_behind_long_session_cannot_fake_its_deadline(self):
-        """All live slots replay instantly, so parked sessions drain in
-        the post-loop straggler path.  The second straggler waited for
-        the first's full occupancy; its deadline expired in the queue
-        and it must be shed — not run and reported ``deadline_met=True``
-        off a reset wait."""
+        """The only live slot goes to ``long`` (the replayer holds
+        none), so ``tight`` waits for ``long``'s full occupancy; its
+        deadline expired in the queue and it must be shed — not run and
+        reported ``deadline_met=True`` off a reset wait."""
         long_spec = _spec("long", points=(1.30, 1.34, 1.38, 1.42), priority=5)
         tight = _spec("tight", points=(1.46,), priority=1)
         v_long = serve_sessions([long_spec], dedup=False).results[0].virtual_s
@@ -117,7 +131,7 @@ class TestStragglerWaitPreserved:
         deadline = (v_tight + v_long) / 2.0
         report = serve_sessions(
             [
-                _spec("replayer"),  # fills the only live slot, replays instantly
+                _spec("replayer"),  # replays instantly, taking no slot
                 long_spec,
                 SessionSpec(
                     name="tight", points=(1.46,), priority=1, deadline_s=deadline
@@ -135,8 +149,8 @@ class TestStragglerWaitPreserved:
         assert report.deadline_missed == 1
 
     def test_straggler_wait_is_charged_not_reset(self):
-        """Even without a deadline, successive stragglers carry the
-        accumulated occupancy of their predecessors as ``wait_s``."""
+        """Even without a deadline, a session behind another carries
+        its predecessor's occupancy as ``wait_s``."""
         inst = SharedInstallation.standard()
         serve_sessions([_spec("warm")], installation=inst)
         report = serve_sessions(

@@ -184,6 +184,15 @@ class TestDedupAndModes:
         assert exit_info.value.code == 2
         assert "invalid choice: 'thread'" in capsys.readouterr().err
 
+    def test_step_trails_are_gone(self):
+        """Sessions run to completion when they start, so no executor
+        records a per-step virtual-time trail for a parent to walk; the
+        one public spelling that asked for them is a ``TypeError``."""
+        from repro.serve.admission import InlineExecutor
+
+        with pytest.raises(TypeError, match="trails"):
+            InlineExecutor(SharedInstallation.standard(), trails={})
+
     def test_the_lines_pool_and_the_contrast_arms_are_gone(self):
         """``wall_parallel`` (one OS thread per line) was slower than
         running a batch's members in order in 10/10 measured pairs, and
@@ -245,6 +254,13 @@ class TestReportSatellites:
         summary = self._tiny_report(0.5).summary()
         assert "wall_s_note" not in summary
         assert summary["points_per_s"] == 0.0  # no points, real wall
+
+    def test_one_interpreter_reports_one_worker_on_both_entry_points(self):
+        """``workers`` sizes the shard pool; a call one interpreter
+        served says 1 (``serve_sessions`` used to echo the argument)."""
+        batch = serve_sessions([_spec("a")], mode="inline", workers=4, dedup=False)
+        stream = serve_arrivals([(0.0, _spec("a"))], dedup=False)
+        assert batch.workers == stream.workers == 1
 
     def test_summary_surfaces_op_cache_and_classes(self):
         spec = SessionSpec(
