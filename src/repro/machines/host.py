@@ -10,7 +10,7 @@ widget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict
 
 from .arch import Architecture
 from .process import VirtualProcess
@@ -41,10 +41,6 @@ class Machine:
 
     _executables: Dict[str, Any] = field(default_factory=dict, repr=False)
     _processes: Dict[int, VirtualProcess] = field(default_factory=dict, repr=False)
-    # every process this machine ever spawned, living or dead — the
-    # record that lets shutdown tests assert all of them reached a
-    # terminal state
-    _spawned: List[VirtualProcess] = field(default_factory=list, repr=False)
     _next_pid: int = field(default=1, repr=False)
     up: bool = True
 
@@ -82,7 +78,6 @@ class Machine:
         )
         proc.mark_running()
         self._processes[pid] = proc
-        self._spawned.append(proc)
         return proc
 
     def process(self, pid: int) -> VirtualProcess:
@@ -106,11 +101,6 @@ class Machine:
     @property
     def running_processes(self) -> tuple:
         return tuple(self._processes.values())
-
-    @property
-    def spawned_processes(self) -> Tuple[VirtualProcess, ...]:
-        """Every process ever spawned here, including terminated ones."""
-        return tuple(self._spawned)
 
     # -- timing ------------------------------------------------------------
     def compute_seconds(self, flops: float) -> float:

@@ -10,7 +10,7 @@ docs/PERFORMANCE.md, "Serving many sessions".
 """
 
 from .installation import SessionRecord, SharedInstallation, WorkloadCache
-from .opcache import OPCACHE_WIRE_VERSION, OpPointCache, OpSolution, WarmStart
+from .opcache import OpPointCache, OpSolution, WarmStart
 from .scheduler import (
     AdmissionPolicy,
     Arrival,
@@ -42,7 +42,6 @@ __all__ = [
     "serve_arrivals",
     "SharedInstallation",
     "WorkloadCache",
-    "OPCACHE_WIRE_VERSION",
     "OpPointCache",
     "OpSolution",
     "WarmStart",

@@ -35,39 +35,65 @@ never be invalidated by a buffer release).  Scheduling probes should use
 :meth:`peek` — it does not touch the hit/miss counters, which are
 reserved for real cache traffic.
 
-The store also crosses process boundaries: :meth:`OpPointCache.export`
-packs solutions into a compact versioned binary blob (raw little-endian
-float64 for every solution vector and Jacobian — bit patterns preserved,
-so an exact hit stays bitwise-exact after a round-trip) and
-:meth:`OpPointCache.preload` imports one through the normal
-:meth:`~OpPointCache.store` path, keeping provenance and the
-first-write-wins/cold-upgrade discipline.  The sharded serve plane uses
-the pair to pre-seed every worker's cache from the installation-wide
-store at episode open and to merge each worker's freshly solved points
-back at settle.
+The store also crosses process boundaries, in the one vocabulary the
+shard plane has: :meth:`OpPointCache.export` returns plain records for
+the frame codec (:mod:`repro.serve.shm`) — arrays as raw little-endian
+float64 bytes, so an exact hit stays bitwise-exact after a round-trip,
+the point summary as the dict it is, so a ``bool`` stays a ``bool`` —
+and :meth:`OpPointCache.preload` checks each record, then imports
+through the normal :meth:`~OpPointCache.store` path.  No second byte
+format, no version: parent and workers are one build.  The sharded
+serve plane pre-seeds every worker's cache from the installation-wide
+store at episode open and merges each worker's solved points back at
+settle.
 """
 
 from __future__ import annotations
 
-import struct
+import math
 import threading
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..tess.opkey import wf_key
 
-__all__ = ["OpSolution", "WarmStart", "OpPointCache", "OPCACHE_WIRE_VERSION"]
+__all__ = ["OpSolution", "WarmStart", "OpPointCache"]
 
-#: version tag of the :meth:`OpPointCache.export` binary blob; bumped on
-#: any layout change so an old blob is rejected, never misread
-OPCACHE_WIRE_VERSION = 1
 
-_WIRE_MAGIC = b"ROPC" + struct.pack("<H", OPCACHE_WIRE_VERSION)
-_U32 = struct.Struct("<I")
-_F64 = struct.Struct("<d")
+def _f8(arr: np.ndarray) -> bytes:
+    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+
+
+def _store_args(family, wf, x, rows, jacobian, point, provenance) -> tuple:
+    """One :meth:`OpPointCache.export` record — its fields are this
+    signature — as :meth:`OpPointCache.store` arguments, or a
+    ``ValueError``.  Types are checked exactly: an ``int`` fuel flow or
+    a ``bool`` row count would come back out of the store as something
+    else."""
+    if not (
+        type(family) is str
+        and type(provenance) is str
+        and type(wf) is float
+        and math.isfinite(wf)  # a nan on the sorted axis breaks its bisect
+        and type(x) is bytes
+        and len(x) % 8 == 0
+        and type(rows) is int
+        and (
+            rows == 0 if jacobian is None
+            else type(jacobian) is bytes and jacobian and rows > 0
+            and len(jacobian) % (8 * rows) == 0
+        )
+        and type(point) is dict
+        and set(map(type, point.values())) <= {bool, int, float}
+    ):
+        raise ValueError("a field has the wrong type or shape")
+    jac = None
+    if jacobian is not None:
+        jac = np.frombuffer(jacobian, dtype="<f8").reshape(rows, -1)
+    return family, wf, np.frombuffer(x, dtype="<f8"), jac, point, provenance
 
 
 @dataclass
@@ -261,148 +287,58 @@ class OpPointCache:
         with self._lock:
             return set(self._cold_upgrades)
 
-    def export(
-        self,
-        families: Optional[Iterable[str]] = None,
-        exclude: Optional[Set[Tuple[str, str]]] = None,
-    ) -> bytes:
-        """Pack stored solutions into a versioned binary blob.
-
-        Arrays travel as raw little-endian float64 bytes — bit patterns
+    def export(self, exclude: Optional[Set[Tuple[str, str]]] = None) -> List[dict]:
+        """Stored solutions as plain records in the shard frame codec's
+        vocabulary, one dict per entry: ``x`` and ``jacobian`` as raw
+        little-endian float64 bytes (row-major, the row count in
+        ``rows``; ``None`` and 0 without a Jacobian) — bit patterns
         preserved, so a ``"cold"`` entry re-imported elsewhere still
-        serves bitwise-exact hits.  ``families`` restricts the export;
+        serves bitwise-exact hits — and ``point`` as the dict it is.
         ``exclude`` drops specific ``(family, wf_key)`` pairs (the
-        delta-export path).  Output is deterministic: families sorted by
-        name, entries in operating-line order.
-        """
-        keep = None if families is None else set(families)
-        out = bytearray(_WIRE_MAGIC)
-        out += _U32.pack(0)  # record count, patched below
-        count = 0
+        delta-export path).  Deterministic: families sorted by name,
+        entries in operating-line order."""
+        records: List[dict] = []
         with self._lock:
             for name in sorted(self._families):
-                if keep is not None and name not in keep:
-                    continue
                 fam = self._families[name]
-                fam_raw = name.encode()
                 for wf in fam.axis:
                     key = wf_key(wf)
                     if exclude is not None and (name, key) in exclude:
                         continue
                     e = fam.entries[key]
-                    out += _U32.pack(len(fam_raw))
-                    out += fam_raw
-                    out += _F64.pack(e.wf)
-                    x_raw = np.ascontiguousarray(e.x, dtype="<f8").tobytes()
-                    out += _U32.pack(len(e.x))
-                    out += x_raw
-                    if e.jacobian is None:
-                        out += _U32.pack(0) + _U32.pack(0)
-                    else:
-                        rows, cols = e.jacobian.shape
-                        out += _U32.pack(rows) + _U32.pack(cols)
-                        out += np.ascontiguousarray(
-                            e.jacobian, dtype="<f8"
-                        ).tobytes()
-                    out += _U32.pack(len(e.point))
-                    for pk in sorted(e.point):
-                        pk_raw = pk.encode()
-                        out += _U32.pack(len(pk_raw))
-                        out += pk_raw
-                        out += _F64.pack(float(e.point[pk]))
-                    prov_raw = e.provenance.encode()
-                    out += _U32.pack(len(prov_raw))
-                    out += prov_raw
-                    count += 1
-        _U32.pack_into(out, len(_WIRE_MAGIC), count)
-        return bytes(out)
+                    jac = e.jacobian
+                    records.append({
+                        "family": name,
+                        "wf": e.wf,
+                        "x": _f8(e.x),
+                        "rows": 0 if jac is None else len(jac),
+                        "jacobian": None if jac is None else _f8(jac),
+                        "point": dict(e.point),
+                        "provenance": e.provenance,
+                    })
+        return records
 
-    def preload(
-        self, blob: bytes, families: Optional[Iterable[str]] = None
-    ) -> int:
-        """Import an :meth:`export` blob through the normal
+    def preload(self, records) -> int:
+        """Import :meth:`export` records through the normal
         :meth:`store` path — provenance preserved, first-write-wins and
-        the cold upgrade apply, counters untouched.
-
-        A blob from a different codec version is *stale* and rejected
-        outright (``ValueError``) — silently misreading bit-exact
-        solution data is the one failure mode this store cannot afford.
-        When ``families`` is given, a record outside it is a *foreign*
-        import and is rejected the same way (a shard worker must never
-        absorb another shard's operating lines by accident).  Returns
-        the number of entries actually written."""
-        view = memoryview(blob)
-        if len(view) < len(_WIRE_MAGIC) + 4:
-            raise ValueError("op-cache import truncated: no header")
-        if bytes(view[: len(_WIRE_MAGIC)]) != _WIRE_MAGIC:
-            got = bytes(view[: len(_WIRE_MAGIC)])
-            raise ValueError(
-                f"stale or foreign op-cache blob: header {got!r} does not "
-                f"match version {OPCACHE_WIRE_VERSION} ({_WIRE_MAGIC!r})"
-            )
-        allowed = None if families is None else set(families)
-        pos = len(_WIRE_MAGIC)
-        (count,) = _U32.unpack_from(view, pos)
-        pos += 4
-        written = 0
-        try:
-            for _ in range(count):
-                (n,) = _U32.unpack_from(view, pos)
-                pos += 4
-                family = str(view[pos : pos + n], "utf-8")
-                pos += n
-                (wf,) = _F64.unpack_from(view, pos)
-                pos += 8
-                (xn,) = _U32.unpack_from(view, pos)
-                pos += 4
-                x = np.frombuffer(view[pos : pos + 8 * xn], dtype="<f8").copy()
-                pos += 8 * xn
-                rows, cols = struct.unpack_from("<II", view, pos)
-                pos += 8
-                jac = None
-                if rows and cols:
-                    jac = (
-                        np.frombuffer(
-                            view[pos : pos + 8 * rows * cols], dtype="<f8"
-                        )
-                        .reshape(rows, cols)
-                        .copy()
-                    )
-                    pos += 8 * rows * cols
-                (pn,) = _U32.unpack_from(view, pos)
-                pos += 4
-                point: Dict[str, float] = {}
-                for _ in range(pn):
-                    (kn,) = _U32.unpack_from(view, pos)
-                    pos += 4
-                    pk = str(view[pos : pos + kn], "utf-8")
-                    pos += kn
-                    (point[pk],) = _F64.unpack_from(view, pos)
-                    pos += 8
-                (vn,) = _U32.unpack_from(view, pos)
-                pos += 4
-                provenance = str(view[pos : pos + vn], "utf-8")
-                pos += vn
-                if allowed is not None and family not in allowed:
-                    raise ValueError(
-                        f"foreign op-cache import: family {family!r} is not "
-                        f"in this importer's allowed set"
-                    )
-                if self.store(family, wf, x, jac, point, provenance):
-                    written += 1
-        except struct.error as exc:
-            raise ValueError(f"op-cache import truncated: {exc}") from None
-        if pos > len(view):
-            # a cut that lands inside a trailing var-length field decodes
-            # "short" rather than raising struct.error — catch it here
-            raise ValueError(
-                f"op-cache import truncated: {pos - len(view)} bytes missing"
-            )
-        if pos != len(view):
-            raise ValueError(
-                f"op-cache import has {len(view) - pos} trailing bytes"
-            )
-        return written
+        the cold upgrade apply, counters untouched.  The records come
+        from another process: each one's field set, types and array
+        shapes are checked before anything is stored, and anything
+        export does not write refuses the whole import (``ValueError``)
+        — silently misreading bit-exact solution data is the one
+        failure mode this store cannot afford.  Returns the number of
+        entries actually written."""
+        if not isinstance(records, list):
+            raise ValueError(f"op-cache import is not a list: {records!r:.80}")
+        parsed = []
+        for rec in records:
+            try:
+                parsed.append(_store_args(**rec))
+            except (TypeError, ValueError) as exc:  # TypeError: other fields
+                raise ValueError(
+                    f"op-cache import record {len(parsed)}: {exc} ({rec!r:.160})"
+                ) from None
+        return sum(self.store(*args) for args in parsed)
 
     # ---------------------------------------------------------------- misc
     @staticmethod

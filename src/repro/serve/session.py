@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.executive import NPSSExecutive
 from ..faults.plan import FaultPlan
+from ..network.transport import TrafficStats
 from ..tess.atmosphere import FlightCondition
 from ..tess.opkey import combine_keys, context_key, deck_key, flight_key
 from ..tess.schedules import Schedule
@@ -455,14 +456,17 @@ class SessionContext:
             "method": res.method,
         }
 
-    def _finalize(self) -> None:
+    def _capture(self) -> SessionRecord:
+        """What the run has produced so far, as a record — empty for a
+        session with no environment (shed before it ran, or contained
+        before set-up built one)."""
         env = self.env
-        traces = list(env.traces)
-        stats = env.transport.stats
-        record = SessionRecord(
+        traces = list(env.traces) if env is not None else []
+        stats = env.transport.stats if env is not None else TrafficStats()
+        return SessionRecord(
             results=list(self.results),
             transient=self.transient,
-            virtual_s=float(env.clock.now),
+            virtual_s=float(env.clock.now) if env is not None else 0.0,
             traces=traces,
             messages=stats.messages,
             payload_bytes=stats.bytes,
@@ -470,8 +474,10 @@ class SessionContext:
             net_virtual_s=float(sum(t.network_s for t in traces)),
             by_kind=dict(stats.by_kind),
         )
-        self.record = record
-        status, deadline_met = self._disposition(record, traces)
+
+    def _finalize(self) -> None:
+        record = self.record = self._capture()
+        status, deadline_met = self._disposition(record)
         # only clean runs enter the cache: a record scarred by faults
         # (including a co-resident session's host crash on the shared
         # park) must not be replayed to future followers as canonical
@@ -487,13 +493,13 @@ class SessionContext:
         )
         self._teardown()
 
-    def _disposition(self, record: SessionRecord, traces) -> Tuple[str, Optional[bool]]:
+    def _disposition(self, record: SessionRecord) -> Tuple[str, Optional[bool]]:
         """Classify a finished run: ``completed`` only when no fault
         visibly touched it (its traces are those of a solo fault-free
         run) *and* it made its deadline; anything else is explicitly
         ``degraded``."""
         impacted = any(
-            t.outcome != "ok" or t.retries or t.failed_over for t in traces
+            t.outcome != "ok" or t.retries or t.failed_over for t in record.traces
         )
         # chaos can touch a run without scarring its traces: a latency
         # spike slows delivered messages, and a supervisor can recover a
@@ -536,26 +542,12 @@ class SessionContext:
         """Reject this session before it does any work (admission
         control): an explicit, accounted refusal — never a silent drop."""
         self.shed_reason = reason
-        self._result = SessionResult(
-            name=self.spec.name,
-            workload_key=self.key,
+        self._result = self._result_from_record(
+            self._capture(),
             replayed=False,
-            results=[],
-            transient=None,
-            virtual_s=0.0,
-            digest=trace_digest([]),
-            traces=0,
-            messages=0,
-            payload_bytes=0,
-            header_bytes=0,
-            net_virtual_s=0.0,
             fault_log=[],
             status="shed",
-            shed_reason=reason,
-            wait_s=self.wait_s,
             deadline_met=deadline_met,
-            arrival_s=self.arrival_s,
-            traffic_class=self.spec.traffic_class,
         )
         self._cursor = len(self._steps)
 
@@ -565,23 +557,9 @@ class SessionContext:
         processes are not leaked), and finish as ``degraded`` — one
         session's blow-up must never take the serve loop down."""
         self.error = f"{type(exc).__name__}: {exc}"
-        env = self.env
-        traces = list(env.traces) if env is not None else []
-        stats = env.transport.stats if env is not None else None
-        record = SessionRecord(
-            results=list(self.results),
-            transient=self.transient,
-            virtual_s=float(env.clock.now) if env is not None else 0.0,
-            traces=traces,
-            messages=stats.messages if stats else 0,
-            payload_bytes=stats.bytes if stats else 0,
-            header_bytes=stats.header_bytes if stats else 0,
-            net_virtual_s=float(sum(t.network_s for t in traces)),
-            by_kind=dict(stats.by_kind) if stats else {},
-        )
-        self.record = record
+        record = self.record = self._capture()
         fault_log = list(self.injector.log) if self.injector is not None else []
-        _, deadline_met = self._disposition(record, traces)
+        _, deadline_met = self._disposition(record)
         self._result = self._result_from_record(
             record,
             replayed=False,

@@ -24,12 +24,15 @@ Four disciplines make sharding *exact* rather than approximate:
   family groups migrate from the most-loaded shard to any shard the
   hash left idle, before anything runs.
 
-* **The binary wire discipline crosses the process boundary** — over
-  pipes or shared memory (:mod:`repro.serve.shm`).  Session specs and
-  results travel as struct-packed frames: the 32-byte RPC header
-  fronting a typed binary payload (float arrays as raw IEEE-754 bytes,
-  never digit strings), assembled in a pooled
-  :class:`~repro.uts.buffers.BufferPool` buffer.  With
+* **One wire vocabulary crosses the process boundary** — over pipes
+  or shared memory (:mod:`repro.serve.shm`).  Everything travels as
+  struct-packed frames: the 32-byte RPC header fronting a typed binary
+  payload (float arrays as raw IEEE-754 bytes, never digit strings),
+  assembled in a pooled :class:`~repro.uts.buffers.BufferPool` buffer.
+  That codec is the only byte format (the operating-point store
+  crosses as ordinary payload records) and the ``SessionSpec`` /
+  ``SessionResult`` dataclasses are the only field lists (the wire
+  dicts come from :func:`dataclasses.fields`).  With
   ``transport="shm"`` (or ``"auto"`` where available) payloads above a
   size threshold are written **once** into a per-worker SPSC ring in a
   ``multiprocessing.shared_memory`` segment and cross the pipe as an
@@ -61,10 +64,15 @@ Four disciplines make sharding *exact* rather than approximate:
   slice, settled back at merge).  The installation-wide
   :class:`~repro.serve.opcache.OpPointCache` flows both ways: each
   worker's episode cache is pre-seeded from the pool's store at open,
-  and the points it solves come back as a binary delta merged into the
-  store at close — so a re-serve, or a family rebalanced onto a
-  different shard, starts warm instead of rebuilding PR 6's cache wins
-  from scratch N times.
+  and the points it solves come back as a delta merged into the store
+  at close (never by a serve that failed) — so a re-serve, or a family
+  rebalanced onto a different shard, starts warm instead of rebuilding
+  PR 6's cache wins from scratch N times.
+
+There is one way back to a clean worker, :meth:`ShardPool.respawn` (the
+paper's rule for a failed line: terminate it, start it again): failover
+replaces a dead worker with it, and a serve that fails on a caller's
+pool replaces every worker it touched before re-raising.
 
 Known (and deliberate) divergence from inline: workload-cache
 *counters* can differ by probe-vs-traffic accounting (a parked
@@ -75,12 +83,12 @@ identical in every tested mix.
 
 from __future__ import annotations
 
-import itertools
 import os
 import signal
 import tempfile
 import time
 import traceback
+from dataclasses import fields
 from typing import Dict, List, Optional, Sequence, Tuple
 from zlib import crc32
 
@@ -103,6 +111,8 @@ from .shm import (
     NotShardSafe,
     ShardProtocolError,
     ShmRing,
+    decode_payload,
+    encode_payload_into,
     recv_frame,
     resolve_transport,
     send_frame,
@@ -139,7 +149,7 @@ def assert_shard_safe(obj, path: str = "payload") -> None:
     """Walk a payload tree and raise :class:`NotShardSafe` (naming the
     offending object and where it sat) if any live runtime object is
     present.  Containers recurse; wire scalars (including ``bytes`` —
-    the op-cache blobs) pass."""
+    the op store's raw float arrays, the pre-encoded seed) pass."""
     if isinstance(obj, _live_types()):
         raise NotShardSafe(
             f"live {type(obj).__name__} at {path} cannot cross a process "
@@ -167,6 +177,12 @@ def assert_shard_safe(obj, path: str = "payload") -> None:
 # spec / result codecs
 # --------------------------------------------------------------------------
 
+#: the dataclasses are the field lists: wire dicts carry every field, in
+#: declaration order, except the fault plan (refused, never shipped)
+_SPEC_FIELDS = [f.name for f in fields(SessionSpec) if f.name != "fault_plan"]
+_RESULT_FIELDS = [f.name for f in fields(SessionResult)]
+
+
 def spec_to_wire(spec: SessionSpec) -> dict:
     """A :class:`SessionSpec` as a shard-safe wire dict.
 
@@ -179,74 +195,24 @@ def spec_to_wire(spec: SessionSpec) -> dict:
             f"sessions mutate shared park/network state and cannot cross a "
             f"process boundary — serve them inline (workers=0)"
         )
-    wire = {
-        "name": spec.name,
-        "points": list(spec.points),
-        "placement": dict(spec.placement),
-        "altitude_m": spec.altitude_m,
-        "mach": spec.mach,
-        "transient_s": spec.transient_s,
-        "transient_dt": spec.transient_dt,
-        "avs_machine": spec.avs_machine,
-        "dispatch": spec.dispatch,
-        "deadline_s": spec.deadline_s,
-        "priority": spec.priority,
-        "traffic_class": spec.traffic_class,
-        "resilient": spec.resilient,
-        "op_cache": spec.op_cache,
-    }
+    wire = {name: getattr(spec, name) for name in _SPEC_FIELDS}
     assert_shard_safe(wire, f"spec {spec.name!r}")
     return wire
 
 
 def spec_from_wire(wire: dict) -> SessionSpec:
-    return SessionSpec(
-        name=wire["name"],
-        points=tuple(wire["points"]),
-        placement=dict(wire["placement"]),
-        altitude_m=wire["altitude_m"],
-        mach=wire["mach"],
-        transient_s=wire["transient_s"],
-        transient_dt=wire["transient_dt"],
-        avs_machine=wire["avs_machine"],
-        dispatch=wire["dispatch"],
-        deadline_s=wire["deadline_s"],
-        priority=wire["priority"],
-        traffic_class=wire["traffic_class"],
-        resilient=wire["resilient"],
-        op_cache=wire["op_cache"],
-    )
+    # the codec has one sequence type: the points ladder comes back a list
+    return SessionSpec(**{**wire, "points": tuple(wire["points"])})
 
 
 def result_to_wire(r: SessionResult) -> dict:
-    return {
-        "name": r.name,
-        "workload_key": r.workload_key,
-        "replayed": r.replayed,
-        "results": r.results,
-        "transient": r.transient,
-        "virtual_s": r.virtual_s,
-        "digest": r.digest,
-        "traces": r.traces,
-        "messages": r.messages,
-        "payload_bytes": r.payload_bytes,
-        "header_bytes": r.header_bytes,
-        "net_virtual_s": r.net_virtual_s,
-        "fault_log": [list(entry) for entry in r.fault_log],
-        "status": r.status,
-        "shed_reason": r.shed_reason,
-        "wait_s": r.wait_s,
-        "deadline_met": r.deadline_met,
-        "error": r.error,
-        "arrival_s": r.arrival_s,
-        "traffic_class": r.traffic_class,
-    }
+    return {name: getattr(r, name) for name in _RESULT_FIELDS}
 
 
 def result_from_wire(wire: dict) -> SessionResult:
-    kw = dict(wire)
-    kw["fault_log"] = [tuple(entry) for entry in kw.get("fault_log", [])]
-    return SessionResult(**kw)
+    return SessionResult(
+        **{**wire, "fault_log": [tuple(entry) for entry in wire["fault_log"]]}
+    )
 
 
 # --------------------------------------------------------------------------
@@ -318,15 +284,11 @@ def _open_episode(payload: dict) -> dict:
     pre-seeded from the installation-wide op store."""
     installation = SharedInstallation.standard()
     seed = payload.get("op_seed")
-    if seed:
-        installation.op_cache.preload(seed)
+    if seed:  # encoded once by the parent for every worker of the serve
+        installation.op_cache.preload(decode_payload(seed))
     lease = payload.get("budget")
     if lease is not None:
-        installation.retry_budget = RetryBudget(
-            capacity=lease["capacity"],
-            deposit=lease["deposit"],
-            tokens=lease["tokens"],
-        )
+        installation.retry_budget = RetryBudget(**lease)
     return {
         "installation": installation,
         # what the seed already held: the close-time export ships only
@@ -372,8 +334,9 @@ def _serve_wave(shard_id: int, episode: Optional[dict], payload: dict) -> dict:
 
 def _close_episode(shard_id: int, episode: Optional[dict]) -> dict:
     """Settle one episode: counters, op-cache stats, the settled budget
-    lease, and the binary delta of operating points this worker solved
-    (for the parent to merge into the installation-wide store)."""
+    lease, and the delta of operating points this worker solved (export
+    records, for the parent to merge into the installation-wide
+    store)."""
     if episode is None:
         raise ShardProtocolError(
             f"shard {shard_id}: shard-close before shard-open"
@@ -453,38 +416,16 @@ def _shard_worker_main(
             try:
                 if kind == "shard-open":
                     episode = _open_episode(payload)
-                elif kind == "shard-serve":
-                    reply = _serve_wave(shard_id, episode, payload)
-                    send_frame(conn, "shard-result", reply,
-                               src=me, dst="parent", ring=ring_out,
-                               threshold=shm_threshold)
+                    continue
+                if kind == "shard-serve":
+                    reply = "shard-result", _serve_wave(shard_id, episode, payload)
                 elif kind == "shard-close":
-                    reply = _close_episode(shard_id, episode)
+                    reply = "shard-closed", _close_episode(shard_id, episode)
                     episode = None
-                    send_frame(conn, "shard-closed", reply,
-                               src=me, dst="parent", ring=ring_out,
-                               threshold=shm_threshold)
-                elif kind == "shard-sync":
-                    # recovery resync marker: drop any open episode (a
-                    # failed serve contributes nothing) and echo the
-                    # token so the parent can tell this reply from any
-                    # stale traffic queued ahead of it
-                    dropped = episode is not None
-                    episode = None
-                    send_frame(
-                        conn, "shard-synced",
-                        {"shard": shard_id,
-                         "token": (payload or {}).get("token"),
-                         "dropped_episode": dropped},
-                        src=me, dst="parent",
-                    )
                 else:
-                    send_frame(
-                        conn, "shard-error",
-                        {"shard": shard_id,
-                         "error": f"unexpected frame {kind!r}"},
-                        src=me, dst="parent",
-                    )
+                    raise ShardProtocolError(f"{me}: unexpected frame {kind!r}")
+                send_frame(conn, *reply, src=me, dst="parent",
+                           ring=ring_out, threshold=shm_threshold)
             except Exception:
                 send_frame(
                     conn, "shard-error",
@@ -504,11 +445,6 @@ def _default_start_method() -> str:
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
-#: monotone tokens for recover()'s sync markers — uniqueness within the
-#: parent process is all that's needed to tell an echo from stale traffic
-_sync_tokens = itertools.count(1)
-
-
 class ShardPool:
     """N shard worker processes behind framed pipes (and, with
     ``transport="shm"``, per-worker shared-memory payload rings).
@@ -521,6 +457,8 @@ class ShardPool:
     wins across processes.  Use as a context manager, or :meth:`close`
     explicitly — close sends every worker an exit frame, joins it, and
     unlinks the shared-memory rings even if a worker already died.
+    A worker that died, or that a failed serve left mid-episode, is a
+    slot to :meth:`respawn`: the pool itself is only open or closed.
 
     The pool is *supervised*: :meth:`recv` polls the worker sentinel
     while it waits, so a dead worker raises a typed
@@ -559,8 +497,7 @@ class ShardPool:
         self.recv_timeout_s = recv_timeout_s
         self._ring_bytes = ring_bytes
         self._ctx = multiprocessing.get_context(self.start_method)
-        self._kills: Optional[KillSchedule] = None
-        self._broken = False
+        self.arm_kills(kill_plan)
         self._procs = []
         self._conns = []
         #: parent->worker payload rings (parent writes), worker->parent
@@ -571,27 +508,24 @@ class ShardPool:
         #: last frame kind seen on each worker's stream
         self._stderr_paths: List[str] = []
         self._last_kind: List[Optional[str]] = []
-        if kill_plan is not None:
-            self.arm_kills(kill_plan)
+        self._closed = False
         try:
             for i in range(workers):
                 self._spawn_worker(i)
         except Exception:
-            self._closed = False
             self.close()
             raise
-        self._closed = False
 
-    def _spawn_worker(self, i: int, replace: bool = False) -> None:
-        """Create worker ``i``'s rings, pipe, stderr spool, and process.
-        With ``replace=True`` the slot's previous (dead, already-reaped)
-        worker's entries are overwritten in place."""
+    def _spawn_worker(self, i: int) -> None:
+        """Create worker ``i``'s rings, pipe, stderr spool, and process,
+        in slot ``i``: a new slot, or over the slot's previous (dead,
+        already-reaped) worker, whose spool file is kept."""
         if self.transport == "shm":
             ring_out = ShmRing.create(self._ring_bytes)
             ring_in = ShmRing.create(self._ring_bytes)
         else:
             ring_out = ring_in = None
-        if replace:
+        if i < len(self._stderr_paths):
             stderr_path = self._stderr_paths[i]
         else:
             fd, stderr_path = tempfile.mkstemp(
@@ -614,19 +548,12 @@ class ShardPool:
         )
         proc.start()
         child_conn.close()
-        if replace:
-            self._procs[i] = proc
-            self._conns[i] = parent_conn
-            self._rings_out[i] = ring_out
-            self._rings_in[i] = ring_in
-            self._last_kind[i] = None
-        else:
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
-            self._rings_out.append(ring_out)
-            self._rings_in.append(ring_in)
-            self._stderr_paths.append(stderr_path)
-            self._last_kind.append(None)
+        for column, value in (
+            (self._procs, proc), (self._conns, parent_conn),
+            (self._rings_out, ring_out), (self._rings_in, ring_in),
+            (self._stderr_paths, stderr_path), (self._last_kind, None),
+        ):
+            column[i:i + 1] = [value]  # slot i, appended or replaced
 
     def arm_kills(self, plan: Optional[FaultPlan]) -> None:
         """Arm (or with ``None``, disarm) a seeded worker-kill schedule;
@@ -659,11 +586,6 @@ class ShardPool:
     def _check_usable(self) -> None:
         if self._closed:
             raise RuntimeError("ShardPool is closed")
-        if self._broken:
-            raise RuntimeError(
-                "ShardPool is broken: a prior serve failed mid-protocol and "
-                "its workers could not be resynced — create a new pool"
-            )
 
     def send(self, shard: int, kind: str, payload) -> None:
         """Frame one control message to a worker (large payloads ride
@@ -759,18 +681,11 @@ class ShardPool:
         and starts a fresh process with the same shard id.  The caller
         owns re-opening the episode and redoing lost work
         (``serve_sessions_sharded`` replays the dead episode's frames
-        verbatim)."""
-        if self._closed:
-            raise RuntimeError("ShardPool is closed")
-        proc = self._procs[shard]
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - stuck in a syscall
-                proc.kill()
-                proc.join(timeout=5)
-        else:
-            proc.join(timeout=5)
+        verbatim).  It is also the one way back to a clean worker
+        after a failed serve: an open episode, unread frames and
+        ``+shm`` references go with the old process, pipe and segments."""
+        self._check_usable()
+        self._stop(self._procs[shard], grace_s=0)
         try:
             self._conns[shard].close()
         except OSError:  # pragma: no cover - already closed
@@ -783,63 +698,19 @@ class ShardPool:
             open(self._stderr_paths[shard], "w").close()
         except OSError:  # pragma: no cover - spool vanished
             pass
-        self._spawn_worker(shard, replace=True)
+        self._spawn_worker(shard)
 
-    def recover(self, shards: Sequence[int], settle_timeout_s: float = 10.0) -> None:
-        """Resync the worker protocol after a serve failed mid-stream.
-
-        A caller-supplied pool outlives the serve call that broke: its
-        workers may hold an open episode and unconsumed frames (queued
-        waves, an unread reply, ``+shm`` ring references) in pipes and
-        rings, and reusing the pool as-is would misattribute replies.
-        This sends each named worker a ``shard-sync`` marker carrying a
-        fresh token; the worker drops any open episode (a failed serve
-        contributes nothing to the pool store) and echoes the token, so
-        the parent can drain *everything* queued ahead of the echo —
-        stale results, a close reply already in flight, ring-borne
-        payloads (consumed in publication order, resyncing the ring
-        cursors) — and stop exactly at its own marker.  The token is
-        what makes recovery race-free against an episode close already
-        in the stream, and what makes ``recover()`` idempotent: a
-        second call just performs a second clean sync.  If any worker
-        cannot be settled (died, wedged past ``settle_timeout_s``), the
-        pool is marked broken and every later
-        :meth:`send`/:meth:`recv` raises clearly, rather than
-        desyncing silently."""
-        if self._closed or self._broken:
-            return
-        try:
-            tokens: Dict[int, int] = {}
-            for w in shards:
-                tokens[w] = next(_sync_tokens)
-                send_frame(
-                    self._conns[w], "shard-sync", {"token": tokens[w]},
-                    src="parent", dst=f"shard-{w}",
-                    ring=self._rings_out[w], threshold=self.shm_threshold,
-                )
-            for w in shards:
-                while True:
-                    if not self._conns[w].poll(settle_timeout_s):
-                        raise ShardProtocolError(
-                            f"shard {w} did not settle within "
-                            f"{settle_timeout_s:g}s during recovery"
-                        )
-                    try:
-                        kind, reply = recv_frame(
-                            self._conns[w], ring=self._rings_in[w]
-                        )
-                    except (EOFError, OSError):
-                        # died before echoing (EOF, or a reset when it
-                        # left our marker unread): reap it; the pool is
-                        # marked broken below
-                        raise self._crashed(w) from None
-                    if kind == "shard-synced" and (
-                        (reply or {}).get("token") == tokens[w]
-                    ):
-                        break
-                    # anything else is stale in-flight traffic: discard
-        except Exception:
-            self._broken = True
+    @staticmethod
+    def _stop(proc, grace_s: float) -> None:
+        """Reap ``proc``, giving it ``grace_s`` to exit by itself before
+        escalating terminate -> kill for the truly wedged."""
+        proc.join(timeout=grace_s)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=5)
+            if proc.is_alive():  # pragma: no cover - stuck in a syscall
+                proc.kill()
+                proc.join(timeout=5)
 
     def close(self) -> None:
         """Shut the pool down, releasing every OS resource it owns.
@@ -853,7 +724,7 @@ class ShardPool:
         Pooled ``WIRE_BUFFERS`` never outlive a frame call
         (``send_frame`` releases on every exit path), so no buffer
         bookkeeping is owed here."""
-        if getattr(self, "_closed", True):
+        if self._closed:
             return
         self._closed = True
         for conn in self._conns:
@@ -863,13 +734,7 @@ class ShardPool:
                 pass
         for proc in self._procs:
             try:
-                proc.join(timeout=10)
-                if proc.is_alive():  # pragma: no cover - hung-worker backstop
-                    proc.terminate()
-                    proc.join(timeout=5)
-                    if proc.is_alive():
-                        proc.kill()
-                        proc.join(timeout=5)
+                self._stop(proc, grace_s=10)
             except Exception:  # pragma: no cover - reap must not block teardown
                 pass
         for conn in self._conns:
@@ -880,13 +745,13 @@ class ShardPool:
         # unlink the rings last — workers have exited (or been killed),
         # so the owner's unlink cannot strand a reader; each ring under
         # its own guard so one failure cannot leak the rest
-        for ring in itertools.chain(self._rings_out, self._rings_in):
+        for ring in self._rings_out + self._rings_in:
             if ring is not None:
                 try:
                     ring.close()
                 except Exception:  # pragma: no cover - defensive
                     pass
-        for path in getattr(self, "_stderr_paths", []):
+        for path in self._stderr_paths:
             try:
                 os.unlink(path)
             except OSError:
@@ -979,7 +844,16 @@ def serve_sessions_sharded(
     bounds every worker wait (a live-but-wedged worker past it is
     recycled and redone the same way); ``kill_plan`` arms seeded
     :class:`~repro.faults.plan.KillShardWorker` chaos events on the
-    pool for the run.
+    pool for this call only (the schedule the pool held before, its
+    own or none, is back afterwards).
+
+    **A failed serve leaves a caller's pool usable**: if the call
+    raises, every worker it touched is respawned (~10 ms each under
+    fork, ~0.45 s under spawn) so no open episode, unread reply or ring
+    reference survives, ``pool.op_store`` holds exactly what earlier
+    serves merged, and the error is re-raised; a respawn that itself
+    fails leaves a dead slot the next serve heals by failover.
+    ``workers`` must equal ``pool.workers``.
 
     A live ``installation`` cannot be shipped to workers — each shard
     builds its own replica — so passing one raises
@@ -993,6 +867,10 @@ def serve_sessions_sharded(
         )
     if workers <= 0:
         return serve_sessions(specs, mode="inline", dedup=dedup, admission=admission)
+    if pool is not None and pool.workers != workers:
+        raise ValueError(
+            f"workers={workers} but the supplied pool has {pool.workers} workers"
+        )
     t0 = time.perf_counter()
 
     # the timeline is the parent's, over the whole batch — the same
@@ -1032,6 +910,7 @@ def serve_sessions_sharded(
             transport=transport, op_store=op_store,
             recv_timeout_s=recv_timeout_s,
         )
+    prior_kills = pool._kills  # restored below: the plan is this call's
     if kill_plan is not None:
         pool.arm_kills(kill_plan)
     try:
@@ -1039,10 +918,12 @@ def serve_sessions_sharded(
         # op-point cache from the installation-wide store.  The parent
         # cannot compute full cache families (the engine-deck digest is
         # resolved only at session setup), so every worker receives the
-        # whole store — preload is idempotent and first-write-wins.
-        seed_blob: Optional[bytes] = None
+        # whole store (preload is idempotent and first-write-wins),
+        # encoded once here and nested in each open payload as bytes.
+        op_seed: Optional[bytearray] = None
         if len(pool.op_store) and any(spec.op_cache for spec in specs):
-            seed_blob = pool.op_store.export()
+            op_seed = bytearray()
+            encode_payload_into(op_seed, pool.op_store.export())
 
         wire_results: Dict[int, SessionResult] = {}
 
@@ -1128,7 +1009,7 @@ def serve_sessions_sharded(
                 "shard": w,
                 "dedup": dedup,
                 "budget": leases[w],
-                "op_seed": seed_blob,
+                "op_seed": op_seed,
             }
             try:
                 pool.send(w, "shard-open", open_payloads[w])
@@ -1194,13 +1075,18 @@ def serve_sessions_sharded(
                 except (ShardCrashed, ShardTimeout) as exc:
                     rebuild(w, exc)
     except BaseException:
-        # a caller-supplied pool outlives this failed serve: resync its
-        # protocol stream (or mark it broken) before re-raising, so the
-        # caller's next serve cannot misattribute stale replies
+        # a caller-supplied pool outlives this failed serve: its workers
+        # may hold an open episode and unread frames, so each is replaced
+        # and the caller's next serve cannot misattribute stale replies
         if not own_pool:
-            pool.recover(active)
+            for w in active:
+                try:
+                    pool.respawn(w)
+                except OSError:
+                    pass  # a dead slot: the next send raises ShardCrashed
         raise
     finally:
+        pool._kills = prior_kills
         if own_pool:
             pool.close()
 

@@ -31,7 +31,10 @@ goes through the pipe's chunked store-and-forward path:
   to the pipe transparently.
 
 :func:`send_frame` / :func:`recv_frame` are the one framing path for
-both transports; :mod:`repro.serve.shards` drives them.  Buffer
+both transports; :mod:`repro.serve.shards` drives them.  The protocol
+is the seven :data:`FRAME_KINDS`; there is no resync frame (a worker
+whose stream cannot be trusted is replaced) and no second byte format
+(the operating-point store crosses as payload records).  Buffer
 discipline: every frame is assembled in a pooled
 :data:`~repro.uts.buffers.WIRE_BUFFERS` buffer and released on *every*
 exit path — an aborted send (broken pipe mid-write) may leave the
@@ -98,8 +101,6 @@ FRAME_KINDS = (
     "shard-close",    # parent -> worker: settle the episode
     "shard-closed",   # worker -> parent: episode stats + op-store delta
     "shard-error",    # worker -> parent: traceback
-    "shard-sync",     # parent -> worker: resync marker (drop any episode)
-    "shard-synced",   # worker -> parent: echo of the sync token
     "shard-exit",     # parent -> worker: terminate
 )
 
@@ -486,7 +487,7 @@ class ShmRing:
             return None
         head, tail = self._cursors()
         n = len(data)
-        if n == 0 or n > self.capacity - (head - tail):
+        if n == 0 or not 0 <= head - tail <= self.capacity - n:
             return None
         src = data if isinstance(data, memoryview) else memoryview(data)
         try:
@@ -513,12 +514,18 @@ class ShmRing:
         messages arrive in order) — and must already be published;
         anything else is protocol drift, not a wait condition."""
         head, tail = self._cursors()
+        if not 0 <= head - tail <= self.capacity:
+            # the cursors live in memory the peer writes
+            raise ShardProtocolError(
+                f"shm ring cursors (head {head}, tail {tail}) claim "
+                f"{head - tail} bytes published in a {self.capacity}-byte ring"
+            )
         if offset != tail:
             raise ShardProtocolError(
                 f"shm reference at offset {offset} but ring tail is {tail}: "
                 f"frames must be consumed in publication order"
             )
-        if head - tail < length:
+        if not 0 <= length <= head - tail:
             raise ShardProtocolError(
                 f"shm reference claims {length} bytes but only "
                 f"{head - tail} are published"
@@ -546,7 +553,6 @@ def send_frame(
     payload_obj,
     src: str,
     dst: str,
-    deadline_s: Optional[float] = None,
     ring: Optional[ShmRing] = None,
     threshold: int = SHM_THRESHOLD,
 ) -> None:
@@ -556,48 +562,36 @@ def send_frame(
     the 32-byte header plus an ``(offset, length)`` reference crossing
     the pipe.  The frame reuses the RPC runtime's packed header
     (:data:`HEADER_STRUCT`: call id, kind tag, payload size, src/dst
-    tags, propagated deadline), assembled in a pooled buffer that is
-    returned to the pool on every exit path."""
+    tags, an unused deadline slot), assembled in a pooled buffer that
+    is returned to the pool on every exit path."""
     if kind not in FRAME_KINDS:
         raise ShardProtocolError(f"unknown frame kind {kind!r}")
-    deadline = NO_DEADLINE if deadline_s is None else deadline_s
-    src_crc, dst_crc = crc32(src.encode()), crc32(dst.encode())
     buf = WIRE_BUFFERS.acquire()
     try:
         buf += b"\x00" * HEADER_STRUCT.size
         if payload_obj is not None:
             encode_payload_into(buf, payload_obj)
         nbytes = len(buf) - HEADER_STRUCT.size
+        offset = None
         if ring is not None and nbytes >= threshold:
             body = memoryview(buf)[HEADER_STRUCT.size :]
             try:
-                offset = ring.write(body)
+                offset = ring.write(body)  # None: ring full, the frame goes inline
             finally:
                 body.release()
-            if offset is not None:
-                # ring write succeeded: only the reference crosses the pipe
-                conn.send_bytes(
-                    HEADER_STRUCT.pack(
-                        next(_frame_ids) & 0xFFFFFFFF,
-                        crc32((kind + _REF_SUFFIX).encode()),
-                        nbytes,
-                        src_crc,
-                        dst_crc,
-                        deadline,
-                    )
-                    + _REF_STRUCT.pack(offset, nbytes)
-                )
-                return
-            # ring full: fall through to the inline pipe frame
+        if offset is not None:
+            # only the header and the reference cross the pipe
+            kind += _REF_SUFFIX
+            buf[HEADER_STRUCT.size :] = _REF_STRUCT.pack(offset, nbytes)
         HEADER_STRUCT.pack_into(
             buf,
             0,
             next(_frame_ids) & 0xFFFFFFFF,
             crc32(kind.encode()),
             nbytes,
-            src_crc,
-            dst_crc,
-            deadline,
+            crc32(src.encode()),
+            crc32(dst.encode()),
+            NO_DEADLINE,
         )
         conn.send_bytes(buf)
     finally:
@@ -646,7 +640,10 @@ def recv_frame(conn, ring: Optional[ShmRing] = None) -> Tuple[str, Optional[obje
         )
     if not nbytes:
         return kind, None
-    return kind, decode_payload(body)
+    payload = decode_payload(body)
+    if payload is None:  # send_frame spells "no payload" as no bytes, only
+        raise ShardProtocolError(f"{kind}: empty payload spelled as an explicit None")
+    return kind, payload
 
 
 # --------------------------------------------------------------------------

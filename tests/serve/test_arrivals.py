@@ -228,6 +228,28 @@ class TestDedupAndModes:
             rx.close()
             tx.close()
 
+    def test_the_resync_protocol_and_the_second_byte_format_are_gone(self):
+        """One way back to a clean worker (``ShardPool.respawn``) and one
+        byte format at the shard boundary (the frame codec): the resync
+        frames, ``recover`` and the op-store blob's knobs are deleted,
+        along with a list of dead processes nothing read
+        (docs/FAULTS.md and docs/PERFORMANCE.md have the measurements)."""
+        import repro.serve
+        from repro.machines.host import Machine
+        from repro.serve import OpPointCache, ShardPool
+        from repro.serve.shm import FRAME_KINDS, send_frame
+
+        assert not hasattr(ShardPool, "recover")
+        assert len(FRAME_KINDS) == 7 and not any("sync" in k for k in FRAME_KINDS)
+        assert not hasattr(repro.serve, "OPCACHE_WIRE_VERSION")
+        assert not hasattr(Machine, "spawned_processes")
+        with pytest.raises(TypeError, match="families"):
+            OpPointCache().export(families=["fam"])
+        with pytest.raises(TypeError, match="families"):
+            OpPointCache().preload([], families={"fam"})
+        with pytest.raises(TypeError, match="deadline_s"):
+            send_frame(None, "shard-open", None, "p", "w", deadline_s=1.0)
+
 
 class TestReportSatellites:
     def _tiny_report(self, wall_s):

@@ -11,8 +11,10 @@ commit before the change).
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -226,3 +228,31 @@ class TestEnginesSizedOncePerDeck:
             opkey.deck_key(spec)
         assert sized_deck.cache_info().currsize == 64
         assert opkey.deck_key.cache_info().currsize == 64
+
+
+class TestAnInstallationKeepsNoDeadProcesses:
+    def test_processes_of_finished_sessions_are_collected(self, monkeypatch):
+        """A machine used to keep every process it ever spawned (seven
+        per served session, with their state memory) in a list nothing
+        read — 3.4 KB per session for the life of the installation, the
+        long-running server's whole point."""
+        spawned = []
+        real_spawn = Machine.spawn
+
+        def spawn(machine, path):
+            proc = real_spawn(machine, path)
+            spawned.append(weakref.ref(proc))
+            return proc
+
+        monkeypatch.setattr(Machine, "spawn", spawn)
+        installation = SharedInstallation.standard()
+        for batch in range(3):
+            specs = [
+                SessionSpec(name=f"s{batch}-{i}", points=(1.30 + 0.01 * i,))
+                for i in range(20)
+            ]
+            serve_sessions(specs, installation=installation)
+        gc.collect()
+        assert len(spawned) >= 3 * 7, "sessions must actually spawn processes"
+        assert not [ref for ref in spawned if ref() is not None]
+

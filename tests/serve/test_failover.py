@@ -15,14 +15,22 @@ The failover contract has three layers, and these tests hold each one:
   retry-budget lease exactly.
 
 * **No leaks** — killing a worker must not strand ``/dev/shm``
-  segments, stderr spools, or threads past ``pool.close()``;
-  ``recover()`` must drain stale traffic (including ``+shm`` ring
-  references) and stay idempotent.
+  segments, stderr spools, or threads past ``pool.close()``.
+
+* **One way back to a clean worker** — a serve that fails on a
+  caller's pool replaces that serve's workers (``respawn``, the same
+  primitive failover uses), so whatever it left behind — open episodes,
+  unread replies, ``+shm`` ring references, a dead worker — the pool's
+  next serve matches inline, its op store is untouched, and ``close()``
+  still leaves nothing.  A kill plan passed to one serve is armed for
+  that serve only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import multiprocessing
 import os
 import signal
 import threading
@@ -30,12 +38,16 @@ import time
 
 import pytest
 
+import repro.serve.shards as shards_mod
 from repro.faults.plan import FaultPlan, KillShardWorker
 from repro.serve import (
+    AdmissionPolicy,
     ShardCrashed,
+    SharedInstallation,
     ShardPool,
     ShardTimeout,
     build_kill_plan,
+    serve_sessions,
     serve_sessions_sharded,
 )
 from repro.serve.demo import build_session_specs
@@ -67,6 +79,43 @@ def _rows(report):
 def _kill(proc):
     os.kill(proc.pid, signal.SIGKILL)
     proc.join(timeout=10)
+
+
+def _shm_segments():
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+@contextlib.contextmanager
+def nothing_left_behind(pools):
+    """On exit, every pool appended to ``pools`` inside the block must
+    be closed and have left no ``/dev/shm`` segment, stderr spool, child
+    process or thread — respawned workers' included."""
+    segments, threads = _shm_segments(), set(threading.enumerate())
+    yield
+    assert _shm_segments() <= segments
+    assert set(threading.enumerate()) <= threads
+    assert not [
+        p for p in multiprocessing.active_children()
+        if p.name.startswith("serve-shard")
+    ]
+    for pool in pools:
+        assert not [p for p in pool._stderr_paths if os.path.exists(p)]
+
+
+def _fail_once_mid_wave(pool, serve, kill=None):
+    """Run ``serve()`` with the parent blowing up while wave replies
+    are still in flight (workers hold open episodes and unread result
+    frames) — after SIGKILLing worker ``kill``, if given."""
+
+    def boom(wire):
+        if kill is not None:
+            _kill(pool._procs[kill])
+        raise RuntimeError("injected mid-serve failure")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shards_mod, "result_from_wire", boom)
+        with pytest.raises(RuntimeError, match="injected mid-serve"):
+            serve()
 
 
 class TestKillMatrix:
@@ -195,19 +244,6 @@ class TestSupervision:
         finally:
             pool.close()
 
-    def test_recover_settles_on_a_reset_connection(self):
-        """recover()'s drain meets the same reset: the corpse is reaped
-        and the pool marked broken, nothing escapes."""
-        pool = ShardPool(1)
-        try:
-            pool.send(0, "shard-open", dict(_BARE_OPEN))
-            _kill(pool._procs[0])
-            pool.recover([0])
-            with pytest.raises(RuntimeError, match="broken"):
-                pool.send(0, "shard-close", None)
-        finally:
-            pool.close()
-
     def test_send_to_corpse_raises_typed_crash(self):
         pool = ShardPool(2)
         try:
@@ -324,50 +360,133 @@ class TestLeakRegression:
 
 
 class TestRecoverEdges:
-    @needs_shm
-    def test_recover_drains_shm_refs_in_flight(self, monkeypatch):
-        """shm_threshold=1 forces every result through the ring, so the
-        mid-serve failure strands ``+shm`` reference frames on it —
-        recovery must resync cursors and drain them, and the next serve
-        over the same pool must still match inline."""
-        import repro.serve.shards as shards_mod
+    """What a failed serve leaves a caller's pool in: replaced workers,
+    an untouched op store, and a next serve that matches inline."""
 
+    @needs_shm
+    def test_recover_drains_shm_refs_in_flight(self):
+        """shm_threshold=1 forces every result through the ring, so the
+        mid-serve failure strands ``+shm`` reference frames on it — the
+        rings go with the workers that are replaced, and the next serve
+        over the same pool must still match inline."""
         specs = build_session_specs(6, classes=3, points=2)
         base = _rows(serve_sessions_sharded(specs, workers=0))
         with ShardPool(2, transport="shm", shm_threshold=1) as pool:
-            real = shards_mod.result_from_wire
 
-            def boom(wire):
-                raise RuntimeError("injected shm-ref failure")
+            def serve():
+                return serve_sessions_sharded(specs, workers=2, pool=pool)
 
-            monkeypatch.setattr(shards_mod, "result_from_wire", boom)
-            with pytest.raises(RuntimeError, match="injected shm-ref"):
-                serve_sessions_sharded(specs, workers=2, pool=pool)
-            monkeypatch.setattr(shards_mod, "result_from_wire", real)
-            again = serve_sessions_sharded(specs, workers=2, pool=pool)
-            assert _rows(again) == base
+            _fail_once_mid_wave(pool, serve)
+            assert _rows(serve()) == base
 
-    def test_recover_races_episode_close(self):
-        """A shard-closed reply already in flight when recover() starts
-        is stale traffic: the drain must discard it and settle on the
-        sync echo, leaving the pool fully usable."""
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    @pytest.mark.parametrize(
+        "transport", ["pipe", pytest.param("shm", marks=needs_shm)]
+    )
+    def test_pool_serves_inline_after_failed_serve(
+        self, start_method, transport
+    ):
+        """The failure path, enumerated: a serve that raises mid-wave,
+        with every payload by ring reference where there are rings and
+        a worker already dead — recovery used to give up on that pool
+        for good.  The next serve on it is bitwise the inline re-serve,
+        the op store holds exactly what the earlier serve merged, and
+        ``close()`` leaves nothing."""
+        # two operating-line families (one per altitude), so both
+        # shards are busy and both have points to merge
+        specs = [
+            dataclasses.replace(spec, altitude_m=3000.0 * (i % 2))
+            for i, spec in enumerate(
+                build_session_specs(4, classes=2, points=2, op_cache=True)
+            )
+        ]
+        assert all(assign_shards(list(enumerate(specs)), 2))
+        inst = SharedInstallation.standard()
+        serve_sessions(specs, installation=inst, dedup=False)
+        base = _rows(serve_sessions(specs, installation=inst, dedup=False))
+        pools = []
+        with nothing_left_behind(pools):
+            with ShardPool(
+                2, start_method=start_method, transport=transport,
+                shm_threshold=1,
+            ) as pool:
+                pools.append(pool)
+
+                def serve():
+                    return serve_sessions_sharded(
+                        specs, workers=2, dedup=False, pool=pool
+                    )
+
+                serve()
+                merged = pool.op_store.export()
+                assert merged, "solved points must reach the store"
+                _fail_once_mid_wave(pool, serve, kill=0)
+                assert pool.op_store.export() == merged
+                assert _rows(serve()) == base
+
+    def test_pool_serves_after_failure_with_close_in_flight(
+        self, monkeypatch
+    ):
+        """A serve that fails at settle leaves one worker's
+        ``shard-closed`` reply unread in its pipe and the other's
+        episode open; neither may reach the next serve."""
         specs = build_session_specs(4, classes=2, points=2)
         base = _rows(serve_sessions_sharded(specs, workers=0))
         with ShardPool(2) as pool:
-            pool.send(0, "shard-open", dict(_BARE_OPEN))
-            pool.send(0, "shard-close", None)
-            pool.recover([0, 1])
+            real_recv = pool.recv
+
+            def recv(shard, expect, timeout_s=None):
+                if expect != "shard-closed":
+                    return real_recv(shard, expect, timeout_s=timeout_s)
+                deadline = time.monotonic() + 30
+                while not pool._conns[shard].poll(0.05):
+                    assert time.monotonic() < deadline, "no close reply"
+                raise RuntimeError("injected at settle")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(pool, "recv", recv)
+                with pytest.raises(RuntimeError, match="injected at settle"):
+                    serve_sessions_sharded(specs, workers=2, pool=pool)
             again = serve_sessions_sharded(specs, workers=2, pool=pool)
             assert _rows(again) == base
 
-    def test_double_recover_is_idempotent(self):
+    def test_pool_serves_after_two_failed_serves_in_a_row(self):
         specs = build_session_specs(4, classes=2, points=2)
         base = _rows(serve_sessions_sharded(specs, workers=0))
         with ShardPool(2) as pool:
-            pool.recover([0, 1])
-            pool.recover([0, 1])
-            again = serve_sessions_sharded(specs, workers=2, pool=pool)
+            def serve():
+                return serve_sessions_sharded(specs, workers=2, pool=pool)
+
+            _fail_once_mid_wave(pool, serve)
+            _fail_once_mid_wave(pool, serve)
+            assert _rows(serve()) == base
+
+    def test_failed_respawn_leaves_a_slot_the_next_serve_heals(
+        self, monkeypatch
+    ):
+        """There is no broken-pool state: if replacing a worker itself
+        fails, the failed serve still raises its own error, the slot
+        stays dead, and the next serve meets it as a typed
+        ``ShardCrashed`` that ordinary failover respawns."""
+        specs = build_session_specs(4, classes=2, points=2)
+        base = _rows(serve_sessions_sharded(specs, workers=0))
+        with ShardPool(2) as pool:
+            real_spawn = pool._spawn_worker
+
+            def spawn(i):
+                if i == 0:
+                    raise OSError("injected: cannot start a process")
+                real_spawn(i)
+
+            def serve():
+                return serve_sessions_sharded(specs, workers=2, pool=pool)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(pool, "_spawn_worker", spawn)
+                _fail_once_mid_wave(pool, serve)
+            again = serve()
             assert _rows(again) == base
+            assert [row["crashes"] for row in again.shard_rows] == [1, 0]
 
     def test_respawn_then_serve_matches_inline(self):
         specs = build_session_specs(4, classes=2, points=2)
@@ -377,6 +496,46 @@ class TestRecoverEdges:
             pool.respawn(0)
             again = serve_sessions_sharded(specs, workers=2, pool=pool)
             assert _rows(again) == base
+
+
+class TestKillPlanScope:
+    """A kill plan passed to one serve call is armed for that call."""
+
+    def test_a_serves_kill_plan_does_not_outlive_the_serve(self):
+        """Regression: the plan stayed armed on the caller's pool and
+        its frame counter kept running, so a wave-2 kill armed by serve
+        1 (one wave) fired in serve 3 — which passed no plan at all."""
+        specs = build_session_specs(6, classes=3, points=2)
+        plan = FaultPlan(seed=1, events=(
+            KillShardWorker(at_s=0.0, shard=0, phase="wave", wave=2),
+        ))
+        with ShardPool(2) as pool:
+            first = serve_sessions_sharded(
+                specs, workers=2, pool=pool, kill_plan=plan
+            )
+            second = serve_sessions_sharded(specs, workers=2, pool=pool)
+            third = serve_sessions_sharded(
+                specs, workers=2, pool=pool,
+                admission=AdmissionPolicy(max_live=1, max_parked=10),
+            )
+        assert first.shard_rows[0]["sessions"], "shard 0 must be busy"
+        for report in (first, second, third):
+            assert [row["crashes"] for row in report.shard_rows] == [0, 0]
+
+    def test_pool_armed_schedule_survives_a_serves_own_plan(self):
+        specs = build_session_specs(4, classes=2, points=2)
+        base = _rows(serve_sessions_sharded(specs, workers=0))
+        own = FaultPlan(seed=2, events=(
+            KillShardWorker(at_s=0.0, shard=1, phase="close"),
+        ))
+        with ShardPool(2, kill_plan=own) as pool:
+            quiet = serve_sessions_sharded(
+                specs, workers=2, pool=pool, kill_plan=FaultPlan(seed=3, events=())
+            )
+            assert [row["crashes"] for row in quiet.shard_rows] == [0, 0]
+            killed = serve_sessions_sharded(specs, workers=2, pool=pool)
+        assert [row["crashes"] for row in killed.shard_rows] == [0, 1]
+        assert _rows(quiet) == _rows(killed) == base
 
 
 class TestKillSchedule:
@@ -391,7 +550,7 @@ class TestKillSchedule:
         ev = sched.take(1, "shard-serve")  # wave ordinal 1 matches
         assert ev is not None and ev.wave == 1
         assert len(sched) == 0 and len(sched.fired) == 2
-        assert sched.take(0, "shard-sync") is None  # not a kill point
+        assert sched.take(0, "shard-exit") is None  # not a kill point
 
     def test_build_kill_plan_is_a_pure_function_of_the_seed(self):
         a = build_kill_plan(4404, 4, kills=3)

@@ -20,6 +20,8 @@ from repro.serve import (
     serve_sessions,
 )
 
+from .test_shm import _roundtrip
+
 #: fuel flows spaced beyond the near-window so each solo session's
 #: point is a genuine cold miss
 GRID = (1.30, 1.40, 1.50)
@@ -190,10 +192,12 @@ class TestOpPointCacheUnit:
 
 
 class TestWireBlob:
-    """export()/preload(): the cross-process op-point codec.  Solved
-    points must survive the trip bitwise — a canonical cold entry
-    re-imported elsewhere still serves exact (skip-solve) hits — and a
-    stale or foreign blob is refused loudly, never misread."""
+    """export()/preload(): the op store in the shard frame codec's
+    vocabulary.  Solved points must survive the trip bitwise — a
+    canonical cold entry re-imported elsewhere still serves exact
+    (skip-solve) hits — every value keeps its type, and a record that
+    is not what export() writes is refused loudly, never misread
+    (tests/serve/test_shm.py fuzzes that)."""
 
     def _seeded(self):
         c = OpPointCache()
@@ -207,9 +211,8 @@ class TestWireBlob:
 
     def test_roundtrip_is_bitwise_and_preserves_provenance(self):
         c, x, j = self._seeded()
-        blob = c.export()
         d = OpPointCache()
-        assert d.preload(blob) == 3
+        assert d.preload(_roundtrip(c.export())) == 3
         assert d.key_set() == c.key_set()
         # canonical cold entry: still an exact, skip-solve hit, bit-for-bit
         ws = d.lookup("fam-a", 1.30)
@@ -221,64 +224,75 @@ class TestWireBlob:
         assert d.lookup("fam-a", 1.45).jac0 is None
         # non-canonical provenance is preserved: a seed, never an exact
         assert d.lookup("fam-b", 1.30).kind == "seed"
-        # counters belong to the importer, not the blob: the three
+        # counters belong to the importer, not the records: the three
         # lookups above scored 2 exact + 1 near, zero inherited misses
         assert d.stats()["exact_hits"] == 2
         assert d.stats()["near_hits"] == 1
         assert d.stats()["misses"] == 0
 
+    def test_point_values_keep_their_types(self):
+        """The blob packed every point value as a float64, so a
+        re-served ``converged`` came back ``1.0``; records carry the
+        point as the dict it is."""
+        c = OpPointCache()
+        point = {"n1": 0.97, "converged": True, "iterations": 4}
+        c.store("fam", 1.3, np.ones(3), None, point, provenance="cold")
+        d = OpPointCache()
+        d.preload(_roundtrip(c.export()))
+        got = d.lookup("fam", 1.3).solution.point
+        assert got == point
+        assert [type(v) for v in got.values()] == [float, bool, int]
+
     def test_reexport_is_deterministic_and_identical(self):
         c, _, _ = self._seeded()
-        blob = c.export()
-        assert c.export() == blob
+        records = c.export()
+        assert c.export() == records
         d = OpPointCache()
-        d.preload(blob)
-        assert d.export() == blob
+        d.preload(_roundtrip(records))
+        assert d.export() == records
 
     def test_preload_respects_first_write_wins_and_cold_upgrade(self):
         c, x, j = self._seeded()
-        blob = c.export()
+        records = c.export()
         d = OpPointCache()
         d.store("fam-a", 1.30, 9 * x, None, {}, provenance="cold")
         d.store("fam-b", 1.30, 9 * x, None, {}, provenance="seed")
         # fam-a@1.30: incoming cold vs resident cold — first write wins;
         # fam-b@1.30: incoming "interp" is warm and never displaces;
         # only fam-a@1.45 is actually new
-        assert d.preload(blob) == 1
+        assert d.preload(records) == 1
         np.testing.assert_array_equal(d.lookup("fam-a", 1.30).x0, 9 * x)
         np.testing.assert_array_equal(d.peek("fam-b", 1.30).x0, 9 * x)
 
-    def test_stale_version_is_rejected(self):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda r: r.update(wf=1), id="wf-int"),  # comes back a float
+            pytest.param(lambda r: r.update(wf=float("nan")), id="wf-nan"),
+            pytest.param(lambda r: r.update(rows=True), id="rows-bool"),
+            pytest.param(lambda r: r.update(rows=3), id="rows-3"),  # of 16 floats
+            pytest.param(lambda r: r.update(rows=0), id="rows-0"),  # with a jacobian
+            pytest.param(lambda r: r.update(jacobian=None), id="jac-none"),  # with rows
+            pytest.param(lambda r: r.update(x=r["x"][:-3]), id="x-cut"),  # mid-float
+            pytest.param(lambda r: r.update(x=[0.1, 0.2]), id="x-list"),  # not bytes
+            pytest.param(lambda r: r.update(point={"n1": [0.97]}), id="point-nested"),
+            pytest.param(lambda r: r.update(provenance=None), id="prov-none"),
+            pytest.param(lambda r: r.pop("point"), id="no-point"),
+            pytest.param(lambda r: r.update(extra=1), id="extra-key"),
+        ],
+    )
+    def test_foreign_record_refuses_whole_import(self, damage):
+        """One bad record refuses the import before anything is stored —
+        the good records ahead of it included."""
         c, _, _ = self._seeded()
-        blob = bytearray(c.export())
-        blob[4] ^= 0xFF  # bump the version halfword
-        with pytest.raises(ValueError, match="stale or foreign"):
-            OpPointCache().preload(bytes(blob))
-
-    def test_truncated_and_trailing_blobs_are_rejected(self):
-        c, _, _ = self._seeded()
-        blob = c.export()
-        with pytest.raises(ValueError, match="truncated"):
-            OpPointCache().preload(blob[:-5])
-        with pytest.raises(ValueError, match="trailing"):
-            OpPointCache().preload(blob + b"\x00")
-        with pytest.raises(ValueError, match="truncated"):
-            OpPointCache().preload(b"RO")
-
-    def test_foreign_family_is_rejected(self):
-        c, _, _ = self._seeded()
-        blob = c.export()
-        with pytest.raises(ValueError, match="foreign op-cache import"):
-            OpPointCache().preload(blob, families={"fam-a"})
-        # the allowed set admits the whole blob when it covers it
+        records = c.export()
+        damage(records[2])
         d = OpPointCache()
-        assert d.preload(blob, families={"fam-a", "fam-b"}) == 3
-
-    def test_family_restricted_export(self):
-        c, _, _ = self._seeded()
-        d = OpPointCache()
-        d.preload(c.export(families=["fam-b"]))
-        assert d.key_set() == {(f, k) for f, k in c.key_set() if f == "fam-b"}
+        with pytest.raises(ValueError, match="op-cache import record 2"):
+            d.preload(records)
+        assert len(d) == 0
+        with pytest.raises(ValueError, match="not a list"):
+            d.preload(records[0])
 
     def test_delta_export_ships_only_newly_solved_points(self):
         c, x, j = self._seeded()

@@ -14,10 +14,13 @@ the deterministic placement/partition helpers.
 from __future__ import annotations
 
 import dataclasses
+import json
 import multiprocessing
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import NPSSExecutive
 from repro.faults.plan import FaultPlan, LatencySpike
@@ -45,8 +48,12 @@ from repro.serve.shards import (
     spec_from_wire,
     spec_to_wire,
 )
+from repro.serve.session import SessionResult
 from repro.serve.shm import shm_available
 from repro.network.clock import VirtualClock
+
+from .test_failover import _fail_once_mid_wave
+from .test_shm import _roundtrip
 
 
 def _rows(report):
@@ -277,20 +284,33 @@ class TestSurface:
             again = serve_sessions_sharded(specs, workers=2, pool=pool)
             assert _rows(again) == base
 
-    def test_pool_marked_broken_when_recovery_cannot_settle(self):
-        """When resync itself fails (a worker died mid-serve), reuse
-        must raise clearly instead of desyncing silently."""
-        pool = ShardPool(2)
-        try:
-            pool._procs[0].terminate()
-            pool._procs[0].join(timeout=10)
-            pool.recover([0])
-            with pytest.raises(RuntimeError, match="broken"):
-                pool.send(0, "shard-close", None)
-            with pytest.raises(RuntimeError, match="broken"):
-                pool.recv(0, "shard-closed")
-        finally:
-            pool.close()
+    def test_caller_pool_serves_after_a_failure_that_left_a_worker_dead(self):
+        """A worker dead when the serve fails used to leave the
+        caller's pool broken for good; the failed serve's workers are
+        replaced, so the pool's next serve matches inline."""
+        specs = build_session_specs(6, classes=3, points=2)
+        base = _rows(serve_sessions_sharded(specs, workers=0))
+        with ShardPool(2) as pool:
+
+            def serve():
+                return serve_sessions_sharded(specs, workers=2, pool=pool)
+
+            _fail_once_mid_wave(pool, serve, kill=0)
+            again = serve()
+            assert _rows(again) == base
+            assert all(row["crashes"] == 0 for row in again.shard_rows)
+
+    def test_workers_that_disagree_with_the_pool_are_refused(self):
+        """``workers=4`` over a 2-worker pool used to die of a bare
+        ``IndexError`` mid-protocol and leave the pool unusable; it is a
+        ``ValueError`` before any frame is sent, and the pool serves on."""
+        specs = build_session_specs(6, classes=3, points=2)
+        base = _rows(serve_sessions_sharded(specs, workers=0))
+        with ShardPool(2) as pool:
+            with pytest.raises(ValueError, match="workers=4.*2 workers"):
+                serve_sessions_sharded(specs, workers=4, pool=pool)
+            assert pool._last_kind == [None, None], "no frame may have been sent"
+            assert _rows(serve_sessions_sharded(specs, workers=2, pool=pool)) == base
 
 
 class TestNotShardSafe:
@@ -329,6 +349,10 @@ class TestNotShardSafe:
         with pytest.raises(NotShardSafe, match=r"Transport at payload\['deep'\]\[1\]"):
             assert_shard_safe({"deep": ["fine", live]})
         assert_shard_safe({"ok": [1, 2.5, "s", None, True]})
+
+
+_reals = st.floats(allow_nan=False)
+_counts = st.integers(0, 2**40)
 
 
 class TestFrames:
@@ -386,6 +410,49 @@ class TestFrames:
         r = serve_sessions([spec]).results[0]
         back = result_from_wire(result_to_wire(r))
         assert back == r
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.builds(
+        SessionSpec,
+        name=st.text(max_size=8),
+        points=st.lists(_reals, max_size=4).map(tuple),
+        placement=st.dictionaries(st.text(max_size=6), st.text(max_size=6), max_size=3),
+        altitude_m=_reals, mach=_reals, transient_s=_reals, transient_dt=_reals,
+        avs_machine=st.text(max_size=8), dispatch=st.text(max_size=8),
+        deadline_s=st.none() | _reals, priority=st.integers(-5, 5),
+        traffic_class=st.text(max_size=8),
+        resilient=st.booleans(), op_cache=st.booleans(),
+    ))
+    def test_the_spec_dataclass_is_the_wire_field_list(self, spec):
+        """Every field but the (refused) fault plan crosses, in
+        declaration order, and comes back equal — through the codec."""
+        wire = spec_to_wire(spec)
+        assert list(wire) == [
+            f.name for f in dataclasses.fields(SessionSpec) if f.name != "fault_plan"
+        ]
+        assert spec_from_wire(_roundtrip(wire)) == spec
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.builds(
+        SessionResult,
+        name=st.text(max_size=8), workload_key=st.text(max_size=8),
+        replayed=st.booleans(),
+        results=st.lists(st.dictionaries(
+            st.text(max_size=6), _reals | st.booleans(), max_size=3), max_size=3),
+        transient=st.none() | st.dictionaries(st.text(max_size=6), _reals, max_size=3),
+        virtual_s=_reals, digest=st.text(max_size=8),
+        traces=_counts, messages=_counts, payload_bytes=_counts,
+        header_bytes=_counts, net_virtual_s=_reals,
+        fault_log=st.lists(st.tuples(_reals, st.text(max_size=8)), max_size=3),
+        status=st.sampled_from(("completed", "degraded", "shed")),
+        shed_reason=st.text(max_size=8), wait_s=_reals,
+        deadline_met=st.none() | st.booleans(), error=st.text(max_size=8),
+        arrival_s=_reals, traffic_class=st.text(max_size=8),
+    ))
+    def test_the_result_dataclass_is_the_wire_field_list(self, result):
+        wire = result_to_wire(result)
+        assert list(wire) == [f.name for f in dataclasses.fields(SessionResult)]
+        assert result_from_wire(_roundtrip(wire)) == result
 
 
 class TestPlacement:
@@ -471,6 +538,28 @@ class TestOpPointPlane:
             inline_second.op_exact, inline_second.op_near, inline_second.op_miss
         )
         assert shard_second.op_miss == 0
+
+    def test_reserve_from_the_pool_store_keeps_point_types(self):
+        """Pinned drift: the op-store blob packed every point value as
+        a float64, so a re-serve seeded from ``pool.op_store`` returned
+        ``"converged": 1.0`` where inline returns ``True`` — invisible
+        to ``==``, visible to any JSON consumer."""
+        specs = build_session_specs(2, classes=1, points=2, op_cache=True)
+        inst = SharedInstallation.standard()
+        serve_sessions(specs, installation=inst, dedup=False)
+        inline_second = serve_sessions(specs, installation=inst, dedup=False)
+        with ShardPool(2) as pool:
+            serve_sessions_sharded(specs, workers=2, dedup=False, pool=pool)
+            shard_second = serve_sessions_sharded(
+                specs, workers=2, dedup=False, pool=pool
+            )
+        assert shard_second.op_exact == inline_second.op_exact > 0
+        assert json.dumps([r.results for r in shard_second.results]) == json.dumps(
+            [r.results for r in inline_second.results]
+        )
+        for r in shard_second.results:
+            for row in r.results:
+                assert type(row["converged"]) is bool
 
     def test_explicit_op_store_shared_between_pools(self):
         """An op store passed by the caller outlives any one pool."""

@@ -15,14 +15,17 @@ import multiprocessing
 import os
 import struct
 from unittest import mock
+from zlib import crc32
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.network.transport import HEADER_STRUCT
+from repro.serve.opcache import OpPointCache
 from repro.serve.shm import (
     DEFAULT_RING_BYTES,
+    FRAME_KINDS,
     NotShardSafe,
     ShardProtocolError,
     ShmRing,
@@ -186,6 +189,23 @@ def _as_decoded(obj):
     return obj
 
 
+def _mutated(data: bytes, draw) -> bytes:
+    """``data`` after one to three drawn byte edits."""
+    data = bytearray(data)
+    for _ in range(draw.draw(st.integers(1, 3))):
+        at = draw.draw(st.integers(0, len(data) - 1)) if data else 0
+        how = draw.draw(st.sampled_from(("set", "insert", "delete", "cut")))
+        if how == "set" and data:
+            data[at] = draw.draw(st.integers(0, 255))
+        elif how == "insert":
+            data.insert(at, draw.draw(st.integers(0, 255)))
+        elif how == "delete" and data:
+            del data[at]
+        elif how == "cut":
+            del data[at:]
+    return bytes(data)
+
+
 def _value_or_typed_refusal(data: bytes) -> None:
     try:
         obj = decode_payload(data)
@@ -213,19 +233,169 @@ class TestCodecProperties:
     @settings(max_examples=300, deadline=None)
     @given(_payloads, st.data())
     def test_mutated_payloads_decode_or_are_refused(self, obj, draw):
-        data = bytearray(_encoded(obj))
-        for _ in range(draw.draw(st.integers(1, 3))):
-            at = draw.draw(st.integers(0, len(data) - 1)) if data else 0
-            how = draw.draw(st.sampled_from(("set", "insert", "delete", "cut")))
-            if how == "set" and data:
-                data[at] = draw.draw(st.integers(0, 255))
-            elif how == "insert":
-                data.insert(at, draw.draw(st.integers(0, 255)))
-            elif how == "delete" and data:
-                del data[at]
-            elif how == "cut":
-                del data[at:]
-        _value_or_typed_refusal(bytes(data))
+        _value_or_typed_refusal(_mutated(_encoded(obj), draw))
+
+
+class _OneFrame:
+    """A connection stand-in holding one message: what ``recv_frame``
+    reads is whatever bytes the test put there."""
+
+    def __init__(self, data: bytes = b""):
+        self.data = data
+
+    def send_bytes(self, data) -> None:
+        self.data = bytes(data)
+
+    def recv_bytes(self) -> bytes:
+        return self.data
+
+
+_kind_tags = st.sampled_from(
+    [crc32((k + suffix).encode()) for k in FRAME_KINDS for suffix in ("", "+shm")]
+)
+_u32 = st.integers(0, 2**32 - 1)
+_u64 = st.integers(0, 2**64 - 1)
+
+
+def _frame_or_typed_refusal(data: bytes) -> None:
+    try:
+        kind, payload = recv_frame(_OneFrame(data))
+    except ShardProtocolError:
+        return
+    again = _OneFrame()
+    send_frame(again, kind, payload, src="fuzz", dst="fuzz")
+    # kind tag and declared size (header bytes 4..16) and the payload;
+    # the message id, the src/dst tags and the deadline slot are the
+    # sender's own
+    assert again.data[4:16] == data[4:16]
+    assert again.data[HEADER_STRUCT.size:] == data[HEADER_STRUCT.size:]
+
+
+class TestFrameHeaderProperties:
+    """``recv_frame`` reads a header and a body another process wrote:
+    a ``(kind, payload)`` that ``send_frame`` frames back to the same
+    kind tag and payload bytes, or a ``ShardProtocolError``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=80))
+    def test_arbitrary_bytes_frame_or_are_refused(self, data):
+        _frame_or_typed_refusal(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _u32, st.one_of(_kind_tags, _u32), st.one_of(st.integers(0, 80), _u64),
+        _u32, _u32, st.floats(), st.one_of(st.binary(max_size=48), _payloads.map(_encoded)),
+    )
+    def test_drawn_headers_frame_or_are_refused(
+        self, msg_id, tag, nbytes, src, dst, deadline, body
+    ):
+        header = HEADER_STRUCT.pack(msg_id, tag, nbytes, src, dst, deadline)
+        _frame_or_typed_refusal(header + body)
+        # and with the size the body really has, so known kinds reach
+        # the payload decoder
+        header = HEADER_STRUCT.pack(msg_id, tag, len(body), src, dst, deadline)
+        _frame_or_typed_refusal(header + body)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FRAME_KINDS), st.one_of(st.none(), _payloads), st.data())
+    def test_mutated_frames_frame_or_are_refused(self, kind, obj, draw):
+        wire = _OneFrame()
+        send_frame(wire, kind, obj, src="parent", dst="shard-0")
+        _frame_or_typed_refusal(wire.data)
+        _frame_or_typed_refusal(_mutated(wire.data, draw))
+
+
+def _f8_bytes(max_size: int):
+    return st.lists(st.floats(), max_size=max_size).map(
+        lambda vals: struct.pack(f"<{len(vals)}d", *vals)
+    )
+
+
+@st.composite
+def _op_record(draw):
+    """One record as ``OpPointCache.export`` writes it."""
+    rows = draw(st.integers(0, 3))
+    cols = draw(st.integers(1, 3))
+    return {
+        "family": draw(st.sampled_from(("fam-a", "fam-b", ""))),
+        "wf": draw(st.floats(allow_nan=False, allow_infinity=False)),
+        "x": draw(_f8_bytes(4)),
+        "rows": rows,
+        "jacobian": (
+            struct.pack(f"<{rows * cols}d", *draw(st.lists(
+                st.floats(), min_size=rows * cols, max_size=rows * cols
+            ))) if rows else None
+        ),
+        "point": draw(st.dictionaries(
+            st.text(max_size=6),
+            st.one_of(st.booleans(), st.floats(), st.integers(-9, 9)),
+            max_size=3,
+        )),
+        "provenance": draw(st.sampled_from(("cold", "seed", "interp"))),
+    }
+
+
+def _record_key(rec):
+    return rec["family"], rec["wf"]
+
+
+#: record lists in export order (families sorted, fuel flow ascending)
+_op_records = st.lists(_op_record(), max_size=4, unique_by=_record_key).map(
+    lambda recs: sorted(recs, key=_record_key)
+)
+
+
+def _stored_or_refused(records) -> None:
+    store = OpPointCache()
+    try:
+        written = store.preload(records)
+    except ValueError:
+        assert len(store) == 0
+        return
+    out = store.export()
+    assert written == len(out)
+    # nothing invented and nothing altered, down to the type of every
+    # value: each stored record is one that was given, bit for bit
+    given = [_encoded(rec) for rec in records]
+    assert all(_encoded(rec) in given for rec in out)
+    keys = [_record_key(rec) for rec in records]
+    if all(a < b for a, b in zip(keys, keys[1:])):
+        assert _encoded(out) == _encoded(records)
+
+
+class TestOpStoreRecordProperties:
+    """``OpPointCache.preload`` reads records another process decoded
+    off the wire: a ``ValueError`` with nothing stored, or a store whose
+    ``export()`` is the records it was given."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_payloads.map(_as_decoded))
+    def test_arbitrary_payload_values_are_stored_or_refused(self, value):
+        _stored_or_refused(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_op_records)
+    def test_exported_records_round_trip_over_the_wire(self, records):
+        store = OpPointCache()
+        assert store.preload(_roundtrip(records)) == len(records)
+        assert _encoded(store.export()) == _encoded(records)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_op_records.filter(len), st.data())
+    def test_damaged_records_are_stored_or_refused(self, records, draw):
+        for _ in range(draw.draw(st.integers(1, 2))):
+            rec = records[draw.draw(st.integers(0, len(records) - 1))]
+            how = draw.draw(st.sampled_from(("set", "set", "drop", "add", "cut")))
+            name = draw.draw(st.sampled_from(sorted(rec))) if rec else "wf"
+            if how == "set":
+                rec[name] = draw.draw(st.one_of(_scalars, _payloads.map(_as_decoded)))
+            elif how == "drop":
+                rec.pop(name, None)
+            elif how == "add":
+                rec[draw.draw(st.text(max_size=4))] = draw.draw(_scalars)
+            elif isinstance(rec.get(name), bytes):
+                rec[name] = rec[name][: draw.draw(st.integers(0, len(rec[name])))]
+        _stored_or_refused(records)
 
 
 @needs_shm
@@ -277,6 +447,73 @@ class TestShmRing:
             ring.write(b"abc")
             with pytest.raises(ShardProtocolError, match="only 3 are published"):
                 ring.read(0, 9)
+        finally:
+            ring.close()
+
+    def test_cursors_past_capacity_are_refused(self):
+        """The cursors live in memory the peer writes.  A head that
+        reads 10,000 on a 64-byte ring used to satisfy ``read(0, 200)``
+        with 128 bytes and no error, and move the tail by 200."""
+        ring = ShmRing.create(capacity=64)
+        try:
+            struct.pack_into("<Q", ring._buf, 0, 10_000)
+            with pytest.raises(ShardProtocolError, match="64-byte ring"):
+                ring.read(0, 200)
+            assert ring._cursors() == (10_000, 0)
+            # and a tail scribbled past the head used to let a write
+            # larger than the ring through: it goes to the pipe instead
+            struct.pack_into("<QQ", ring._buf, 0, 0, 100)
+            assert ring.write(b"x" * 120) is None
+        finally:
+            ring.close()
+
+    @settings(max_examples=300, deadline=None)
+    @example(writes=[], consumed=0, scribble=(10_000, 0), ref=(0, 200))
+    @given(
+        writes=st.lists(st.binary(min_size=1, max_size=40), max_size=5),
+        consumed=st.integers(0, 5),
+        scribble=st.one_of(
+            st.none(),
+            st.tuples(st.integers(0, 300), st.integers(0, 300)),
+            st.tuples(_u64, _u64),
+        ),
+        ref=st.tuples(
+            st.one_of(st.integers(0, 300), _u64),
+            st.one_of(st.integers(0, 300), _u64),
+        ),
+    )
+    def test_any_reference_reads_the_published_bytes_or_is_refused(
+        self, writes, consumed, scribble, ref
+    ):
+        """Whatever ``(offset, length)`` arrives and whatever the
+        cursors say: a typed refusal that moves nothing, or exactly the
+        bytes the ring holds at that reference — in full, never a short
+        read — with the tail moved by exactly their length."""
+        capacity = 64
+        ring = ShmRing.create(capacity)
+        try:
+            held = bytearray(capacity)  # what the data region holds
+            frames = []
+            for data in writes:
+                at = ring.write(data)
+                if at is not None:
+                    frames.append((at, data))
+                    for i, byte in enumerate(data):
+                        held[(at + i) % capacity] = byte
+            for at, data in frames[:consumed]:
+                assert ring.read(at, len(data)) == data
+            if scribble is not None:
+                struct.pack_into("<QQ", ring._buf, 0, *scribble)
+            head, tail = ring._cursors()
+            offset, length = ref
+            try:
+                got = ring.read(offset, length)
+            except ShardProtocolError:
+                assert ring._cursors() == (head, tail)
+                return
+            assert offset == tail and length <= head - tail <= capacity
+            assert got == bytes(held[(offset + i) % capacity] for i in range(length))
+            assert ring._cursors() == (head, tail + length)
         finally:
             ring.close()
 
