@@ -11,7 +11,7 @@ compute procedure is then called repeatedly through the line's stubs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from ..machines.host import Machine
 from ..schooner.api import ModuleContext
 from ..schooner.manager import Manager
 from ..schooner.runtime import CallBatch, CallerContext
+from ..schooner.stubs import ClientStub
 from ..solvers.steady import fd_jacobian
 from ..tess.gas import GasState
 from ..tess.hosts import ComponentHost, LocalHost
@@ -42,6 +43,22 @@ _IMPORTS = {
     "combustor": SpecFile.parse(COMBUSTOR_SPEC_SOURCE).as_imports(),
     "nozzle": SpecFile.parse(NOZZLE_SPEC_SOURCE).as_imports(),
 }
+#: per kind: (set* import, its parameter names in the order an instance's
+#: ``params`` tuple lists them, compute import)
+_PROCS = {
+    kind: (_IMPORTS[kind].import_named(setter), names, _IMPORTS[kind].import_named(compute))
+    for kind, setter, names, compute in (
+        ("shaft", "setshaft", ("inertia", "omegad", "mecheff"), "shaft"),
+        ("duct", "setduct", ("dpqp",), "duct"),
+        ("combustor", "setcomb", ("eta", "dpqp", "tmax"), "comb"),
+        ("nozzle", "setnozl", ("cd", "area"), "nozl"),
+    )
+}
+
+
+def _pad4(seq) -> list:
+    vals = list(seq)[:4]
+    return vals + [0.0] * (4 - len(vals))
 
 
 @dataclass
@@ -74,7 +91,10 @@ class SchoonerHost(ComponentHost):
     avs_machine: Machine  # where AVS (and the unadapted code) runs
     placements: Dict[str, Placement] = field(default_factory=dict)
     dispatch: str = "overlap"  # "overlap" | "sync"
-    _contexts: Dict[str, ModuleContext] = field(default_factory=dict)
+    # instance key -> (placement as set, its Machine, executable path,
+    # ModuleContext): resolved when the key is first used and again when
+    # its placement is replaced (the context, i.e. the line, is kept)
+    _placed: Dict[str, tuple] = field(default_factory=dict)
     _initialized: Dict[str, tuple] = field(default_factory=dict)
     _local: LocalHost = field(default_factory=LocalHost)
     calls: Dict[str, int] = field(default_factory=dict)
@@ -104,21 +124,31 @@ class SchoonerHost(ComponentHost):
                 and ctx.batch.active_branch is not None)
 
     def _context(self, key: str) -> Optional[ModuleContext]:
-        """The ModuleContext for an instance key, or None if local."""
-        if key not in self.placements:
+        """The ModuleContext for an instance key, or None if local.
+
+        What the key says (kind, path) and what its placement names
+        (the machine) are resolved once; what can change under a
+        running simulation — the line, the remote processes — is
+        revalidated on every use by ``sch_contact_schx``'s own
+        idempotence test, and anything but "placed there and alive"
+        goes through ``sch_contact_schx`` itself."""
+        placement = self.placements.get(key)
+        if placement is None:
             return None
-        if key not in self._contexts:
-            self._contexts[key] = ModuleContext(
+        placed = self._placed.get(key)
+        if placed is None or placed[0] is not placement:
+            ctx = placed[3] if placed is not None else ModuleContext(
                 manager=self.manager, module_name=key, machine=self.avs_machine,
                 caller=self.caller_context(),
             )
-        ctx = self._contexts[key]
-        kind = key.split(":")[0]
-        ctx.sch_contact_schx(self._machine(self.placements[key]), REMOTE_PATHS[kind])
+            placed = self._placed[key] = (
+                placement, self._machine(placement),
+                REMOTE_PATHS[key.split(":")[0]], ctx,
+            )
+        _, machine, path, ctx = placed
+        if not ctx.placed_alive(machine, path):
+            ctx.sch_contact_schx(machine, path)
         return ctx
-
-    def _count(self, key: str) -> None:
-        self.calls[key] = self.calls.get(key, 0) + 1
 
     # ------------------------------------------------------------- lifecycle
     def setup(self) -> None:
@@ -133,91 +163,76 @@ class SchoonerHost(ComponentHost):
 
     def destroy_instance(self, key: str) -> None:
         """The AVS destroy path: sch_i_quit for one module instance."""
-        ctx = self._contexts.pop(key, None)
-        if ctx is not None:
-            ctx.sch_i_quit()
+        placed = self._placed.pop(key, None)
+        if placed is not None:
+            placed[3].sch_i_quit()
         self._initialized.pop(key, None)
 
     def destroy_all(self) -> None:
-        for key in list(self._contexts):
+        for key in list(self._placed):
             self.destroy_instance(key)
 
     # ------------------------------------------------------------ components
-    def _ensure_init(self, key: str, ctx: ModuleContext, params: tuple) -> None:
-        """Run the instance's set* procedure once (or again after a
-        parameter/placement change)."""
-        marker = (id(ctx.line), self.placements[key], params)
-        if self._initialized.get(key) == marker:
-            return
-        kind = key.split(":")[0]
-        spec = _IMPORTS[kind]
-        if kind == "shaft":
-            stub = ctx.import_proc(spec.import_named("setshaft"))
-            stub(inertia=params[0], omegad=params[1], mecheff=params[2])
-        elif kind == "duct":
-            stub = ctx.import_proc(spec.import_named("setduct"))
-            stub(dpqp=params[0])
-        elif kind == "combustor":
-            stub = ctx.import_proc(spec.import_named("setcomb"))
-            stub(eta=params[0], dpqp=params[1], tmax=params[2])
-        elif kind == "nozzle":
-            stub = ctx.import_proc(spec.import_named("setnozl"))
-            stub(cd=params[0], area=params[1])
-        self._initialized[key] = marker
-
-    def duct(self, name: str, duct, state: GasState) -> GasState:
-        key = f"duct:{name}"
+    def _stub(self, key: str, kind: str, params: tuple) -> Optional[ClientStub]:
+        """The compute stub of a placed instance — contacted, counted
+        and initialised by its set* procedure (once, or again after a
+        parameter/placement change) — or None when it computes locally."""
         ctx = self._context(key)
         if ctx is None:
+            return None
+        self.calls[key] = self.calls.get(key, 0) + 1
+        setter, names, compute = _PROCS[kind]
+        marker = (id(ctx.line), self.placements[key], params)
+        if self._initialized.get(key) != marker:
+            ctx.import_proc(setter)(**dict(zip(names, params)))
+            self._initialized[key] = marker
+        return ctx.import_proc(compute)
+
+    def _duct_stub(self, name: str, duct) -> Optional[ClientStub]:
+        return self._stub(f"duct:{name}", "duct", (duct.dpqp,))
+
+    def _shaft_stub(self, name: str, shaft) -> Optional[ClientStub]:
+        return self._stub(
+            f"shaft:{name}", "shaft", (shaft.inertia, shaft.omega_design, shaft.mech_eff)
+        )
+
+    def duct(self, name: str, duct, state: GasState) -> GasState:
+        stub = self._duct_stub(name, duct)
+        if stub is None:
             return self._local.duct(name, duct, state)
-        self._count(key)
-        self._ensure_init(key, ctx, (duct.dpqp,))
-        stub = ctx.import_proc(_IMPORTS["duct"].import_named("duct"))
         out = stub(w=state.W, tt=state.Tt, pt=state.Pt, far=state.far)
         return GasState(W=out["wo"], Tt=out["tto"], Pt=out["pto"], far=out["faro"])
 
     def combustor(self, comb, state: GasState, wf: float) -> GasState:
-        ctx = self._context("combustor")
-        if ctx is None:
+        stub = self._stub("combustor", "combustor", (comb.efficiency, comb.dpqp, comb.t_max))
+        if stub is None:
             return self._local.combustor(comb, state, wf)
-        self._count("combustor")
-        self._ensure_init("combustor", ctx, (comb.efficiency, comb.dpqp, comb.t_max))
-        stub = ctx.import_proc(_IMPORTS["combustor"].import_named("comb"))
         out = stub(w=state.W, tt=state.Tt, pt=state.Pt, far=state.far, wfuel=wf)
         return GasState(W=out["wo"], Tt=out["tto"], Pt=out["pto"], far=out["faro"])
 
     def nozzle(self, nozzle, state: GasState, ps_ambient: float, flight_speed: float):
-        ctx = self._context("nozzle")
-        if ctx is None:
+        stub = self._stub("nozzle", "nozzle", (nozzle.cd, nozzle.area_m2))
+        if stub is None:
             return self._local.nozzle(nozzle, state, ps_ambient, flight_speed)
-        self._count("nozzle")
-        self._ensure_init("nozzle", ctx, (nozzle.cd, nozzle.area_m2))
-        stub = ctx.import_proc(_IMPORTS["nozzle"].import_named("nozl"))
         out = stub(
             w=state.W, tt=state.Tt, pt=state.Pt, far=state.far,
             ps0=ps_ambient, v0=flight_speed,
         )
         return out["wcap"], out["fnet"]
 
-    def shaft_accel(self, name, shaft, ecom, etur, ecorr, xspool):
-        key = f"shaft:{name}"
-        ctx = self._context(key)
-        if ctx is None:
-            return self._local.shaft_accel(name, shaft, ecom, etur, ecorr, xspool)
-        self._count(key)
-        self._ensure_init(key, ctx, (shaft.inertia, shaft.omega_design, shaft.mech_eff))
-        stub = ctx.import_proc(_IMPORTS["shaft"].import_named("shaft"))
-
-        def pad4(seq):
-            vals = list(seq)[:4]
-            return vals + [0.0] * (4 - len(vals))
-
-        out = stub(
-            ecom=pad4(ecom), incom=len(ecom),
-            etur=pad4(etur), intur=len(etur),
+    @staticmethod
+    def _shaft_args(shaft, ecom, etur, ecorr, xspool) -> dict:
+        return dict(
+            ecom=_pad4(ecom), incom=len(ecom),
+            etur=_pad4(etur), intur=len(etur),
             ecorr=ecorr, xspool=xspool, xmyi=shaft.inertia,
         )
-        return out["dxspl"]
+
+    def shaft_accel(self, name, shaft, ecom, etur, ecorr, xspool):
+        stub = self._shaft_stub(name, shaft)
+        if stub is None:
+            return self._local.shaft_accel(name, shaft, ecom, etur, ecorr, xspool)
+        return stub(**self._shaft_args(shaft, ecom, etur, ecorr, xspool))["dxspl"]
 
     # ------------------------------------------------------------- overlapped
     def _overlappable(self, keys: Sequence[str]) -> bool:
@@ -231,19 +246,15 @@ class SchoonerHost(ComponentHost):
         """Independent duct computations as one overlapped batch: the
         bypass/core branch costs the caller max(round trips), with only
         same-line/server work serialized."""
-        keys = [f"duct:{name}" for name, _, _ in jobs]
-        if not self._overlappable(keys):
+        if not self._overlappable([f"duct:{name}" for name, _, _ in jobs]):
             return ComponentHost.duct_pair(self, jobs)
         out: list = [None] * len(jobs)
         prepared = []
         for i, (name, duct, state) in enumerate(jobs):
-            ctx = self._context(keys[i])
-            if ctx is None:
+            stub = self._duct_stub(name, duct)
+            if stub is None:
                 out[i] = self._local.duct(name, duct, state)
                 continue
-            self._count(keys[i])
-            self._ensure_init(keys[i], ctx, (duct.dpqp,))
-            stub = ctx.import_proc(_IMPORTS["duct"].import_named("duct"))
             prepared.append((i, stub, dict(
                 w=state.W, tt=state.Tt, pt=state.Pt, far=state.far
             )))
@@ -256,32 +267,17 @@ class SchoonerHost(ComponentHost):
 
     def shaft_accel_pair(self, jobs):
         """The low/high spool accelerations as one overlapped batch."""
-        keys = [f"shaft:{job[0]}" for job in jobs]
-        if not self._overlappable(keys):
+        if not self._overlappable([f"shaft:{job[0]}" for job in jobs]):
             return ComponentHost.shaft_accel_pair(self, jobs)
         out: list = [None] * len(jobs)
         prepared = []
         for i, job in enumerate(jobs):
             name, shaft, ecom, etur, ecorr, xspool = job
-            ctx = self._context(keys[i])
-            if ctx is None:
+            stub = self._shaft_stub(name, shaft)
+            if stub is None:
                 out[i] = self._local.shaft_accel(*job)
                 continue
-            self._count(keys[i])
-            self._ensure_init(
-                keys[i], ctx, (shaft.inertia, shaft.omega_design, shaft.mech_eff)
-            )
-            stub = ctx.import_proc(_IMPORTS["shaft"].import_named("shaft"))
-
-            def pad4(seq):
-                vals = list(seq)[:4]
-                return vals + [0.0] * (4 - len(vals))
-
-            prepared.append((i, stub, dict(
-                ecom=pad4(ecom), incom=len(ecom),
-                etur=pad4(etur), intur=len(etur),
-                ecorr=ecorr, xspool=xspool, xmyi=shaft.inertia,
-            )))
+            prepared.append((i, stub, self._shaft_args(shaft, ecom, etur, ecorr, xspool)))
         batch = self._open_batch("shaft-pair")
         futures = [(i, stub.begin(batch, **args)) for i, stub, args in prepared]
         for i, fut in futures:
@@ -334,11 +330,11 @@ class SchoonerHost(ComponentHost):
     def move_instance(self, key: str, target: Placement) -> None:
         """Migrate one instance's procedures to another machine and
         update the placement (the §4.2 move, driven from the host)."""
-        ctx = self._contexts.get(key)
         kind = key.split(":")[0]
-        if ctx is None:
+        if key not in self._placed:
             self.placements[key] = target
             return
+        ctx = self._placed[key][3]
         target_machine = self._machine(target)
         # moving one procedure relocates the hosting process, so the
         # set/compute pair travels together

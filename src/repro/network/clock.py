@@ -8,14 +8,17 @@ makes experiments deterministic and lets the benchmarks report the
 Concurrent activities (Schooner *lines*, AVS modules firing in parallel)
 each carry a :class:`Timeline`; timelines advance independently and the
 clock's global ``now`` is the maximum across them, which is the standard
-conservative-parallel virtual-time treatment.
+conservative-parallel virtual-time treatment.  The concurrency is
+virtual: one OS thread runs every timeline, so the clock takes no lock,
+and a timeline touches it only when an advance pushes the envelope —
+which is also the only moment a scheduled event or a subscriber can
+fire.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Tuple
 
@@ -35,11 +38,19 @@ class Timeline:
         return self._elapsed
 
     def advance(self, dt: float) -> float:
-        """Advance this timeline by ``dt`` virtual seconds."""
-        if dt < 0:
+        """Advance this timeline by ``dt`` virtual seconds.
+
+        A negative or NaN ``dt`` is refused and leaves the timeline
+        untouched: a NaN instant compares false with everything, so the
+        timeline could never move (nor a deadline expire) again."""
+        if not dt >= 0.0:
             raise ValueError(f"cannot advance time by {dt}")
-        self._elapsed += dt
-        self.clock._observe(self._elapsed)
+        t = self._elapsed = self._elapsed + dt
+        # the clock is touched only by an advance that pushes the
+        # envelope; due events and subscribers fire inside it
+        if t > self.clock._now:
+            self.clock._observe(t)
+        # read again: what fired may itself have charged this timeline
         return self._elapsed
 
     def branch(self, name: str) -> "Timeline":
@@ -53,10 +64,14 @@ class Timeline:
     def sync_to(self, t: float) -> None:
         """Move this timeline forward to absolute virtual time ``t``
         (used when a message from another timeline arrives: the receiver
-        cannot act before the send completes)."""
+        cannot act before the send completes).  An instant at or
+        before now is a no-op; a NaN one is refused."""
         if t > self._elapsed:
             self._elapsed = t
-            self.clock._observe(self._elapsed)
+            if t > self.clock._now:
+                self.clock._observe(t)
+        elif t != t:
+            raise ValueError(f"cannot move time to {t}")
 
 
 @dataclass
@@ -100,9 +115,6 @@ class VirtualClock:
     # pending one-shot events: a heap of (at_s, seq, ScheduledEvent)
     _events: List[Tuple[float, int, ScheduledEvent]] = field(default_factory=list)
     _event_seq: Any = field(default_factory=itertools.count, repr=False)
-    # timelines may advance from caller threads; the envelope
-    # update and subscriber dispatch must stay consistent under that
-    _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
     @property
     def now(self) -> float:
@@ -125,23 +137,18 @@ class VirtualClock:
 
     def advance(self, dt: float) -> float:
         """Advance global time directly (for strictly sequential runs)."""
-        if dt < 0:
+        if not dt >= 0.0:  # a negative or NaN step; now stays as it was
             raise ValueError(f"cannot advance time by {dt}")
-        with self._lock:
-            self._now += dt
-            self._notify()
-            return self._now
+        self._now += dt
+        self._notify()
+        return self._now
 
     def _observe(self, t: float) -> None:
-        # the envelope is monotone, so a timeline at or behind it has
-        # nothing to report; a stale read here only errs toward taking
-        # the lock
-        if t <= self._now:
-            return
-        with self._lock:
-            if t > self._now:
-                self._now = t
-                self._notify()
+        """A timeline moved past the envelope (``t > now``, checked by
+        the caller): global time follows it."""
+        self._now = t
+        if self._events or self._subscribers:
+            self._notify()
 
     # -- one-shot events ----------------------------------------------------
     def schedule(self, at_s: float, callback: Callable[[], None]) -> ScheduledEvent:
@@ -152,10 +159,9 @@ class VirtualClock:
         advance or explicit :meth:`fire_due` — never synchronously from
         inside ``schedule`` itself, so a callback may safely schedule
         follow-up events."""
-        with self._lock:
-            ev = ScheduledEvent(at_s=at_s, seq=next(self._event_seq), callback=callback)
-            heapq.heappush(self._events, (ev.at_s, ev.seq, ev))
-            return ev
+        ev = ScheduledEvent(at_s=at_s, seq=next(self._event_seq), callback=callback)
+        heapq.heappush(self._events, (ev.at_s, ev.seq, ev))
+        return ev
 
     def cancel(self, event: ScheduledEvent) -> None:
         """Cancel a pending event (lazy: the heap entry is skipped when
@@ -165,8 +171,7 @@ class VirtualClock:
     def fire_due(self) -> None:
         """Fire every pending event whose instant is at or before now
         (used after attaching a schedule to an already-advanced clock)."""
-        with self._lock:
-            self._notify()
+        self._notify()
 
     @property
     def pending_events(self) -> int:

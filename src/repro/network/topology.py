@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
+from zlib import crc32
 
 import networkx as nx
 
@@ -45,6 +46,9 @@ class Topology:
     # sites whose campus gateways are down: same-site cross-subnet
     # traffic fails while the site's Ethernets keep working
     _dead_gateways: set = field(default_factory=set)
+    # route records (see route_record), shared by every transport that
+    # sends over this topology
+    _routes: Dict[tuple, tuple] = field(default_factory=dict, repr=False, compare=False)
 
     def register(self, machine: Machine) -> None:
         """Add a machine to the explicit graph (optional but lets tests
@@ -97,6 +101,26 @@ class Topology:
                 )
             return self.campus
         return self.internet
+
+    def route_record(self, src: Machine, dst: Machine) -> Tuple[int, int, object]:
+        """What is a pure function of a (src, dst) machine pair: the two
+        header host tags and the contention trunk key — all machines at
+        two sites share one WAN trunk, LAN/campus segments are per
+        subnet pair.  Computed once and kept under everything it is
+        computed from, so a hostname that turns up again at another site
+        or subnet gets a record of its own.  Nothing a fault can change
+        is here: that is :meth:`classify`, asked on every send."""
+        key = (src.hostname, dst.hostname, src.site, dst.site, src.subnet, dst.subnet)
+        record = self._routes.get(key)
+        if record is None:
+            if src.site == dst.site:
+                trunk = (src.site, frozenset((src.subnet, dst.subnet)))
+            else:
+                trunk = frozenset((src.site, dst.site))
+            record = self._routes[key] = (
+                crc32(src.hostname.encode()), crc32(dst.hostname.encode()), trunk
+            )
+        return record
 
     def transfer_seconds(self, src: Machine, dst: Machine, nbytes: int) -> float:
         """One-way delivery time for ``nbytes`` from ``src`` to ``dst``."""

@@ -7,16 +7,21 @@ The transport is synchronous-simulation style: sending computes the
 message's virtual delivery time from the topology, advances the sender's
 timeline past the send, and synchronizes the receiver's timeline to the
 delivery instant.  Counters record traffic for the benchmark reports.
+
+One thread runs the simulation, so nothing here is synchronised.  What
+is a pure function of a (source, destination) machine pair comes from
+the topology's route record; what a fault can change — the link class,
+the destination's liveness, the fault filter, trunk occupancy — is read
+on every send.
 """
 
 from __future__ import annotations
 
 import itertools
 import struct
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 from zlib import crc32
 
 from ..machines.host import Machine
@@ -39,17 +44,12 @@ HEADER_STRUCT = struct.Struct(">IIQIId")
 NO_DEADLINE = float("inf")
 
 
-# The header's kind and host tags are crc32s of short strings drawn from
-# a small fixed vocabulary (procedure names, hostnames): computed once
-# per string, not once per message.
+# The header's kind tag is the crc32 of a short string drawn from a small
+# fixed vocabulary (procedure names): computed once per string, not once
+# per message.  The host tags come from ``Topology.route_record``.
 @lru_cache(maxsize=4096)
 def _kind_tag(kind: str) -> int:
     return crc32(kind.encode("ascii", "replace"))
-
-
-@lru_cache(maxsize=4096)
-def _host_tag(hostname: str) -> int:
-    return crc32(hostname.encode())
 
 
 class MessageDropped(NetworkError):
@@ -62,9 +62,9 @@ class MessageDropped(NetworkError):
 FaultFilter = Callable[[Machine, Machine, str, int, float], Tuple[bool, float]]
 
 
-@dataclass(frozen=True)
-class Message:
-    """One delivered message.
+class Message(NamedTuple):
+    """One delivered message: an immutable value, built once by
+    :meth:`Transport.send`.
 
     ``nbytes`` is the *payload* size (the UTS-encoded arguments);
     ``header_nbytes`` is the fixed Schooner message header charged on top
@@ -122,13 +122,6 @@ class TrafficStats:
     def total_bytes(self) -> int:
         return self.bytes + self.header_bytes
 
-    def record(self, msg: Message) -> None:
-        self.messages += 1
-        self.bytes += msg.nbytes
-        self.header_bytes += msg.header_nbytes
-        self.virtual_seconds += msg.transfer_seconds
-        self.by_kind[msg.kind] = self.by_kind.get(msg.kind, 0) + 1
-
 
 @dataclass
 class Transport:
@@ -154,28 +147,19 @@ class Transport:
     # per-trunk busy-until times; a trunk is the (site, site) pair so all
     # machines at two sites share the same WAN capacity
     _trunk_free: Dict[Any, float] = field(default_factory=dict)
-    # caller threads may send through one shared transport; the shared
-    # counters need a lock to stay exact
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __reduce__(self):
-        # pickling a live transport (locks, per-trunk busy times, shared
+        # pickling a live transport (per-trunk busy times, shared
         # counters) would ship interpreter state across a process
         # boundary; fail with the typed shard error, not a pickle trace
         from ..serve.shards import NotShardSafe
 
         raise NotShardSafe(
-            "live Transport (locks, trunk-occupancy state, traffic "
+            "live Transport (trunk-occupancy state, traffic "
             "counters) cannot cross a process boundary; shard workers "
             "build their own installation replica — ship SessionSpec "
             "wire frames instead (see repro.serve.shards)"
         )
-
-    def _trunk_key(self, src: Machine, dst: Machine):
-        if src.site == dst.site:
-            # LAN/campus segments keyed per subnet pair
-            return (src.site, frozenset((src.subnet, dst.subnet)))
-        return frozenset((src.site, dst.site))
 
     def send(
         self,
@@ -196,62 +180,48 @@ class Transport:
         header so the receiver can refuse already-late work.
         """
         total = nbytes + header_bytes
-        dt = self.topology.transfer_seconds(src, dst, total)
+        link = self.topology.classify(src, dst)
+        dt = link.transfer_seconds(total)
         now = timeline.now if timeline is not None else self.clock.now
+        src_host, dst_host = src.hostname, dst.hostname
         if not dst.up:
-            with self._lock:
-                self.dropped += 1
-            raise MessageDropped(
-                f"{kind}: host {dst.hostname} is down; message lost"
-            )
+            self.dropped += 1
+            raise MessageDropped(f"{kind}: host {dst_host} is down; message lost")
         if self.fault_filter is not None:
             drop, extra_s = self.fault_filter(src, dst, kind, total, now)
             if drop:
-                with self._lock:
-                    self.dropped += 1
+                self.dropped += 1
                 raise MessageDropped(
-                    f"{kind}: message {src.hostname} -> {dst.hostname} lost in transit"
+                    f"{kind}: message {src_host} -> {dst_host} lost in transit"
                 )
             dt += extra_s
-        queue_wait = 0.0
+        src_tag, dst_tag, trunk = self.topology.route_record(src, dst)
         if self.contention:
-            link = self.topology.classify(src, dst)
             serialization = total / link.bandwidth_Bps
-            key = self._trunk_key(src, dst)
-            free_at = self._trunk_free.get(key, 0.0)
+            free_at = self._trunk_free.get(trunk, 0.0)
             queue_wait = max(0.0, free_at - now)
-            self._trunk_free[key] = now + queue_wait + serialization
-        if timeline is None:
-            sent_at = self.clock.now
-            delivered_at = self.clock.advance(queue_wait + dt)
-        else:
-            sent_at = timeline.now
-            delivered_at = timeline.advance(queue_wait + dt)
+            self._trunk_free[trunk] = now + queue_wait + serialization
+            dt = queue_wait + dt
+        delivered_at = (self.clock if timeline is None else timeline).advance(dt)
         msg_id = next(self._ids)
         header = HEADER_STRUCT.pack(
             msg_id & 0xFFFFFFFF,
             _kind_tag(kind),
             nbytes,
-            _host_tag(src.hostname),
-            _host_tag(dst.hostname),
+            src_tag,
+            dst_tag,
             NO_DEADLINE if deadline_s is None else deadline_s,
         )
-        msg = Message(
-            msg_id=msg_id,
-            src=src.hostname,
-            dst=dst.hostname,
-            kind=kind,
-            body=body,
-            nbytes=nbytes,
-            header_nbytes=header_bytes,
-            sent_at=sent_at,
-            delivered_at=delivered_at,
-            header=header,
-            deadline_s=deadline_s,
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes += nbytes
+        stats.header_bytes += header_bytes
+        stats.virtual_seconds += delivered_at - now
+        stats.by_kind[kind] = stats.by_kind.get(kind, 0) + 1
+        return Message(
+            msg_id, src_host, dst_host, kind, body, nbytes, header_bytes,
+            now, delivered_at, header, deadline_s,
         )
-        with self._lock:
-            self.stats.record(msg)
-        return msg
 
     def round_trip(
         self,

@@ -23,7 +23,6 @@ replays byte-identically.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -101,40 +100,34 @@ class CircuitBreaker:
 class BreakerBoard:
     """The environment's breaker registry, keyed (procedure, hostname).
 
-    Thread-safe creation (caller threads may share one board); the
-    breakers themselves are driven from the deterministic call path,
-    in call order.
+    Breakers are created on first lease and driven from the
+    deterministic call path, in call order.
     """
 
     policy: BreakerPolicy = field(default_factory=BreakerPolicy)
     _breakers: Dict[Tuple[str, str], CircuitBreaker] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def lease(self, procedure: str, hostname: str) -> CircuitBreaker:
         key = (procedure, hostname)
-        with self._lock:
-            br = self._breakers.get(key)
-            if br is None:
-                br = CircuitBreaker(policy=self.policy)
-                self._breakers[key] = br
-            return br
+        br = self._breakers.get(key)
+        if br is None:
+            br = CircuitBreaker(policy=self.policy)
+            self._breakers[key] = br
+        return br
 
     def open_hosts(self) -> Tuple[str, ...]:
         """Hosts with at least one currently-open breaker — the set the
         failover supervisor treats as suspect when placing restarts."""
-        with self._lock:
-            return tuple(
-                sorted({h for (_, h), br in self._breakers.items() if br.state == OPEN})
-            )
+        return tuple(
+            sorted({h for (_, h), br in self._breakers.items() if br.state == OPEN})
+        )
 
     def trips(self) -> int:
         """Total lifetime breaker openings across the board."""
-        with self._lock:
-            return sum(br.opens for br in self._breakers.values())
+        return sum(br.opens for br in self._breakers.values())
 
     def fast_fails(self) -> int:
-        with self._lock:
-            return sum(br.fast_fails for br in self._breakers.values())
+        return sum(br.fast_fails for br in self._breakers.values())
 
     def __len__(self) -> int:
         return len(self._breakers)

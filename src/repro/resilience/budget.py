@@ -14,9 +14,9 @@ One :class:`RetryBudget` is shared by every resilient session of a
 what makes it an *admission* mechanism rather than a per-client
 politeness: concurrent sessions draw from the same bucket.  Deposits
 and spends happen in call order, so inline (deterministic) serving
-replays identically; the lock guards draws made from caller threads.
+replays identically.
 
-Across **process shards** the bucket cannot be one lock-guarded float —
+Across **process shards** the bucket cannot be one shared float —
 shard workers live in separate interpreters.  The spanning discipline is
 a parent-arbitrated *token lease* (:meth:`lease` / :meth:`absorb`): the
 parent carves its bucket into per-shard sub-budgets granted up front,
@@ -29,8 +29,7 @@ bucket) holds without a single mid-run round trip.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 __all__ = ["RetryBudget"]
@@ -45,32 +44,28 @@ class RetryBudget:
     tokens: float = 10.0
     spent: int = 0  # retries granted
     denied: int = 0  # retries refused (bucket dry)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def on_success(self) -> None:
         """A first attempt completed: grow the budget toward capacity."""
-        with self._lock:
-            self.tokens = min(self.capacity, self.tokens + self.deposit)
+        self.tokens = min(self.capacity, self.tokens + self.deposit)
 
     def try_spend(self) -> bool:
         """Spend one token for a retry; False means the retry must not
         be attempted (the caller surfaces the original failure)."""
-        with self._lock:
-            if self.tokens >= 1.0:
-                self.tokens -= 1.0
-                self.spent += 1
-                return True
-            self.denied += 1
-            return False
+        if self.tokens >= 1.0:
+            self.tokens -= 1.0
+            self.spent += 1
+            return True
+        self.denied += 1
+        return False
 
     def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "tokens": self.tokens,
-                "capacity": self.capacity,
-                "spent": self.spent,
-                "denied": self.denied,
-            }
+        return {
+            "tokens": self.tokens,
+            "capacity": self.capacity,
+            "spent": self.spent,
+            "denied": self.denied,
+        }
 
     # ------------------------------------------------- cross-shard leases
     def lease(self, shares: int) -> List["RetryBudget"]:
@@ -87,21 +82,19 @@ class RetryBudget:
         """
         if shares < 1:
             raise ValueError(f"lease shares must be >= 1, got {shares!r}")
-        with self._lock:
-            grant = self.tokens / shares
-            cap = self.capacity / shares
-            self.tokens = 0.0
-            return [
-                RetryBudget(capacity=cap, deposit=self.deposit, tokens=grant)
-                for _ in range(shares)
-            ]
+        grant = self.tokens / shares
+        cap = self.capacity / shares
+        self.tokens = 0.0
+        return [
+            RetryBudget(capacity=cap, deposit=self.deposit, tokens=grant)
+            for _ in range(shares)
+        ]
 
     def absorb(self, settled: dict) -> None:
         """Fold a settled lease (its :meth:`snapshot`) back in: unspent
         tokens return to the bucket (clamped to capacity) and the
         spent/denied counters sum — after every lease is absorbed the
         parent reads as if all shards had drawn on one shared bucket."""
-        with self._lock:
-            self.tokens = min(self.capacity, self.tokens + settled["tokens"])
-            self.spent += settled["spent"]
-            self.denied += settled["denied"]
+        self.tokens = min(self.capacity, self.tokens + settled["tokens"])
+        self.spent += settled["spent"]
+        self.denied += settled["denied"]

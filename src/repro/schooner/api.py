@@ -64,6 +64,24 @@ class ModuleContext:
     def connected(self) -> bool:
         return self._line is not None and self._line.state is LineState.ACTIVE
 
+    def placed_alive(self, machine: Machine, path: str) -> bool:
+        """:meth:`sch_contact_schx`'s idempotence test: the line is
+        active, ``path`` is placed on ``machine`` and every process
+        started for it is still running — exactly when a repeated
+        ``sch_contact_schx(machine, path)`` has nothing to do."""
+        line, current = self._line, self._placements.get(path)
+        if (
+            current is None
+            or current[0] is not machine
+            or line is None
+            or line.state is not LineState.ACTIVE
+        ):
+            return False
+        for record in current[2]:
+            if not record.process.alive:
+                return False
+        return True
+
     # -- the paper's API -------------------------------------------------------
     def sch_contact_schx(self, machine: Union[Machine, str], path: str) -> Tuple[InstanceRecord, ...]:
         """Register with the Manager and start the remote process.
@@ -76,12 +94,12 @@ class ModuleContext:
         """
         if isinstance(machine, str):
             machine = self.manager.env.park[machine]
+        if self.placed_alive(machine, path):
+            return self._placements[path][2]
         line = self.line
         current = self._placements.get(path)
         if current is not None:
             cur_machine, cur_path, records = current
-            if cur_machine is machine and all(r.alive for r in records):
-                return records
             supervisor = getattr(self.manager, "supervisor", None)
             if (
                 cur_machine is machine
@@ -151,9 +169,10 @@ class ModuleContext:
         (with ``name`` selecting the import), or spec-language source
         text containing the import declaration.
         """
-        if isinstance(spec, str):
-            spec = SpecFile.parse(spec)
-        if isinstance(spec, SpecFile):
+        sig = spec
+        if not isinstance(spec, Signature):
+            if isinstance(spec, str):
+                spec = SpecFile.parse(spec)
             if name is None:
                 imports = spec.imports
                 if len(imports) != 1:
@@ -163,8 +182,6 @@ class ModuleContext:
                 (sig,) = imports.values()
             else:
                 sig = spec.import_named(name)
-        else:
-            sig = spec
         if sig.name not in self._stubs:
             self._stubs[sig.name] = ClientStub(
                 manager=self.manager,

@@ -8,6 +8,11 @@ the callee's native format, invoking the implementation, and returning
 the results by the same path in reverse.  Every phase is charged to the
 calling line's virtual timeline, and a :class:`CallTrace` records the
 breakdown for the benchmark harness.
+
+What is a pure function of a binding is decided once, in its
+:class:`CallPlan`; what a fault event can change is read at the instant
+it is used, because events fire inside ``Timeline.advance`` — between
+two statements of one call (docs/PERFORMANCE.md, "The call path").
 """
 
 from __future__ import annotations
@@ -25,7 +30,12 @@ from ..resilience.breaker import BreakerBoard
 from ..resilience.budget import RetryBudget
 from ..resilience.deadline import Deadline
 from ..uts.buffers import WIRE_BUFFERS
-from ..uts.compiled import SignatureCodec, native_roundtrip_for, signature_codec
+from ..uts.compiled import (
+    SignatureCodec,
+    native_is_identity,
+    native_roundtrip_for,
+    signature_codec,
+)
 from ..uts.errors import UTSCompatibilityError
 from ..uts.native import OutOfRangePolicy
 from ..uts.types import Signature
@@ -115,7 +125,7 @@ class RetryPolicy:
         return deadline.remaining(now) > self.backoff_s(attempt) + attempt_cost_s
 
 
-@dataclass
+@dataclass(slots=True)
 class CallTrace:
     """Virtual-time breakdown of one RPC, for benchmark reporting."""
 
@@ -190,7 +200,11 @@ class SchoonerEnvironment:
         return cls(park=park, topology=topo, clock=clock, transport=transport, **kw)
 
     def cpu_seconds_for_bytes(self, machine: Machine, nbytes: int) -> float:
-        return machine.compute_seconds(nbytes * self.costs.marshal_flops_per_byte)
+        """The marshal charge — the one definition ``execute_call`` and
+        the placement advisor share — at ``machine``'s load *now*."""
+        return machine.architecture.compute_seconds(
+            nbytes * self.costs.marshal_flops_per_byte, machine.load
+        )
 
     def record_trace(self, trace: CallTrace) -> None:
         self.traces.append(trace)
@@ -214,7 +228,8 @@ def check_import(import_sig: Signature, export_sig: Signature) -> None:
         raise TypeCheckError(str(exc)) from exc
 
 
-#: (parameter name, native round-trip callable) pairs, in wire order
+#: (parameter name, native round-trip callable) pairs, in wire order,
+#: for the parameters whose round trip is not the identity
 _Roundtrips = Tuple[Tuple[str, Callable[[Any], Any]], ...]
 
 
@@ -228,7 +243,12 @@ class CallPlan:
     procedure, the two machines' native formats and the out-of-range
     policy, so it holds nothing a fault plan, breaker, deadline, derate
     or partition can change — liveness, the route, the fault filter,
-    compute rates and deadlines are still read on every call.  Plans
+    compute rates and deadlines are still read on every call, at the
+    instant they are used (fault events fire inside
+    ``Timeline.advance``, i.e. between two statements of one call).
+    The four round-trip tuples name only the parameters that need a
+    native conversion at all: on an IEEE machine every double's round
+    trip is the identity, so the native pass over it is empty.  Plans
     are kept on the :class:`~repro.schooner.lines.InstanceRecord` they
     were compiled for, one per import signature, built on the first
     call through it and rebuilt when what they were compiled against
@@ -268,7 +288,9 @@ class CallPlan:
 
         def roundtrips(fmt, params) -> _Roundtrips:
             return tuple(
-                (p.name, native_roundtrip_for(fmt, p.type, policy)) for p in params
+                (p.name, native_roundtrip_for(fmt, p.type, policy))
+                for p in params
+                if not native_is_identity(fmt, p.type, policy)
             )
 
         self.caller_send = roundtrips(caller_fmt, sent)
@@ -418,17 +440,22 @@ def execute_call(
             # for work that is already late
             raise _late(timeline, trace, sink_trace, deadline, "before dispatch")
         deadline_s = deadline.at_s
-    costs = env.costs
+    header_bytes = env.costs.header_bytes
+    marshal_s = env.cpu_seconds_for_bytes
     send = env.transport.send
+    advance = timeline.advance
 
     # --- client side: conform, apply caller-native storage, marshal -------
-    # Zero-copy wire path: both directions encode into pooled bytearrays
-    # and travel as read-only memoryviews; no payload ``bytes`` is
-    # materialized anywhere between encode and decode.  The views are
-    # released (and the buffers returned to the pool) before this call
-    # returns, so the decoded results never alias pool memory.
+    # Three passes over one dict: conform builds it, the native pass
+    # rewrites in place the parameters whose round trip is not the
+    # identity, the codec packs it.  Both directions encode into pooled
+    # bytearrays and travel as read-only memoryviews that no hop copies.
+    # The views are released (and the buffers returned to the pool)
+    # before this call returns, so the decoded results never alias pool
+    # memory.
     sent = conform_args(import_sig, args, "send")
-    sent = {name: native(sent[name]) for name, native in plan.caller_send}
+    for name, native in plan.caller_send:
+        sent[name] = native(sent[name])
     req_buf = WIRE_BUFFERS.acquire()
     rep_buf: Optional[bytearray] = None
     request: Optional[memoryview] = None
@@ -436,21 +463,16 @@ def execute_call(
     try:
         nreq = plan.send_codec.encode_conformed_into(sent, req_buf)
         request = memoryview(req_buf).toreadonly()
-        dt = env.cpu_seconds_for_bytes(caller_machine, nreq)
+        # every compute charge reads the machine's load when it is made
+        dt = marshal_s(caller_machine, nreq)
         trace.client_cpu_s += dt
-        timeline.advance(dt)
+        advance(dt)
 
         # --- network: request ----------------------------------------------
         try:
             msg = send(
-                caller_machine,
-                callee_machine,
-                plan.call_kind,
-                request,
-                nreq,
-                timeline=timeline,
-                header_bytes=costs.header_bytes,
-                deadline_s=deadline_s,
+                caller_machine, callee_machine, plan.call_kind, request, nreq,
+                timeline, header_bytes, deadline_s,
             )
         except NetworkError as exc:
             # request lost: the remote never saw the call, any procedure
@@ -459,7 +481,7 @@ def execute_call(
                 env, timeline, trace, sink_trace, deadline, exc,
                 retry_safe=True, hop="request",
             ) from exc
-        trace.network_s += msg.transfer_seconds
+        trace.network_s += msg.delivered_at - msg.sent_at
         trace.request_bytes = msg.nbytes
 
         # --- server side: unmarshal, convert to callee native, invoke -----
@@ -471,15 +493,16 @@ def execute_call(
                 timeline, trace, sink_trace, deadline,
                 f"on arrival at {callee_machine.hostname}",
             )
-        dt = env.cpu_seconds_for_bytes(callee_machine, nreq)
+        dt = marshal_s(callee_machine, nreq)
         trace.server_cpu_s += dt
-        timeline.advance(dt)
+        advance(dt)
 
         # The callee sees the subset of parameters its *export* declares
         # that the import actually sent (import may be a subset of the
         # export).  It decodes the delivered body in place.
         recv = plan.send_codec.unmarshal(msg.body)
-        recv = {name: native(recv[name]) for name, native in plan.callee_recv}
+        for name, native in plan.callee_recv:
+            recv[name] = native(recv[name])
 
         proc = plan.procedure
         if not callee_machine.up or not record.process.alive:
@@ -499,29 +522,24 @@ def execute_call(
 
         dt = callee_machine.compute_seconds(proc.cost_flops(recv))
         trace.compute_s += dt
-        timeline.advance(dt)
+        advance(dt)
 
         results = _shape_results(import_sig, raw_result, recv)
         results = conform_args(import_sig, results, "return")
-        results = {name: native(results[name]) for name, native in plan.callee_return}
+        for name, native in plan.callee_return:
+            results[name] = native(results[name])
         rep_buf = WIRE_BUFFERS.acquire()
         nrep = plan.return_codec.encode_conformed_into(results, rep_buf)
         reply = memoryview(rep_buf).toreadonly()
-        dt = env.cpu_seconds_for_bytes(callee_machine, nrep)
+        dt = marshal_s(callee_machine, nrep)
         trace.server_cpu_s += dt
-        timeline.advance(dt)
+        advance(dt)
 
         # --- network: reply -------------------------------------------------
         try:
             msg = send(
-                callee_machine,
-                caller_machine,
-                plan.reply_kind,
-                reply,
-                nrep,
-                timeline=timeline,
-                header_bytes=costs.header_bytes,
-                deadline_s=deadline_s,
+                callee_machine, caller_machine, plan.reply_kind, reply, nrep,
+                timeline, header_bytes, deadline_s,
             )
         except NetworkError as exc:
             # reply lost: the remote *did* execute, so only procedures
@@ -531,15 +549,16 @@ def execute_call(
                 env, timeline, trace, sink_trace, deadline, exc,
                 retry_safe=proc.retry_ok, hop="reply",
             ) from exc
-        trace.network_s += msg.transfer_seconds
+        trace.network_s += msg.delivered_at - msg.sent_at
         trace.reply_bytes = msg.nbytes
 
         # --- client side: unmarshal, store in caller-native format ---------
-        dt = env.cpu_seconds_for_bytes(caller_machine, nrep)
+        dt = marshal_s(caller_machine, nrep)
         trace.client_cpu_s += dt
-        timeline.advance(dt)
+        advance(dt)
         out = plan.return_codec.unmarshal(msg.body)
-        out = {name: native(out[name]) for name, native in plan.caller_recv}
+        for name, native in plan.caller_recv:
+            out[name] = native(out[name])
 
         trace.finished_at = timeline.now
         sink_trace(trace)
@@ -562,29 +581,28 @@ def _shape_results(sig: Signature, raw: Any, sent_args: Dict[str, Any]) -> Dict[
     parameter.  ``var`` parameters the implementation does not return
     keep their sent values (value/result semantics)."""
     returned = sig.returned_params
-    if isinstance(raw, dict):
-        results = dict(raw)
-    elif isinstance(raw, tuple):
+    if isinstance(raw, tuple):
         if len(raw) != len(returned):
             raise CallFailed(
                 f"{sig.name}: implementation returned {len(raw)} values, "
                 f"signature has {len(returned)} result parameters"
             )
-        results = {p.name: v for p, v in zip(returned, raw)}
-    elif raw is None and not returned:
-        results = {}
-    elif len(returned) == 1:
-        results = {returned[0].name: raw}
-    else:
-        raise CallFailed(
-            f"{sig.name}: cannot map return value of type "
-            f"{type(raw).__name__} onto {len(returned)} result parameters"
-        )
-    # var parameters default to their sent value when not explicitly set
-    for p in returned:
-        if p.name not in results and p.mode.sends and p.name in sent_args:
-            results[p.name] = sent_args[p.name]
-    return results
+        return {p.name: v for p, v in zip(returned, raw)}
+    if isinstance(raw, dict):
+        results = dict(raw)
+        # var parameters default to their sent value when not explicitly set
+        for p in returned:
+            if p.name not in results and p.mode.sends and p.name in sent_args:
+                results[p.name] = sent_args[p.name]
+        return results
+    if raw is None and not returned:
+        return {}
+    if len(returned) == 1:
+        return {returned[0].name: raw}
+    raise CallFailed(
+        f"{sig.name}: cannot map return value of type "
+        f"{type(raw).__name__} onto {len(returned)} result parameters"
+    )
 
 
 # --------------------------------------------------------------------------

@@ -179,13 +179,12 @@ class ClientStub:
         self, record: InstanceRecord, timeline: Timeline, failed_over: bool
     ):
         """Consult the (procedure, host) circuit breaker before an
-        attempt.  An open breaker fast-fails — but first the stub asks
-        the Manager for a fresh binding, so a supervisor that has
+        attempt, when the environment has a board.  An open breaker
+        fast-fails — but first the stub asks the Manager for a fresh
+        binding, so a supervisor that has
         rebound the instance onto a healthy machine steers the call
         *away* from the sick host instead of refusing it."""
         board = self.manager.env.breakers
-        if board is None:
-            return record, failed_over, None
         breaker = board.lease(self.name, record.machine.hostname)
         if breaker.allow(timeline.now):
             return record, failed_over, breaker
@@ -224,9 +223,11 @@ class ClientStub:
         try:
             attempt = 1
             while True:
-                record, failed_over, breaker = self._breaker_gate(
-                    record, timeline, failed_over
-                )
+                breaker = None
+                if env.breakers is not None:
+                    record, failed_over, breaker = self._breaker_gate(
+                        record, timeline, failed_over
+                    )
                 try:
                     try:
                         out = execute_call(

@@ -30,7 +30,6 @@ operating line into a ~1-iteration warm start.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -69,14 +68,13 @@ class WorkloadCache:
     Keyed by :meth:`SessionSpec.workload_key` — a digest of every field
     that determines the session's deterministic trace stream.  Sessions
     with fault plans are never cached (their injectors own mutable
-    park/network state).  Thread-safe; a put of an already-present key
+    park/network state).  A put of an already-present key
     overwrites with identical content (two clean live runs of one
     workload record the same run).
     """
 
     def __init__(self) -> None:
         self._records: Dict[str, SessionRecord] = {}
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
@@ -85,22 +83,20 @@ class WorkloadCache:
         hit/miss counters: the serve timeline's re-probe of a parked
         session is a scheduling decision, not cache traffic, and must
         not inflate the reported rates."""
-        with self._lock:
-            rec = self._records.get(key)
-            if count:
-                if rec is None:
-                    self.misses += 1
-                else:
-                    self.hits += 1
-            return rec
+        rec = self._records.get(key)
+        if count:
+            if rec is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return rec
 
     def peek(self, key: str) -> Optional[SessionRecord]:
         """A non-counting :meth:`get` for scheduling probes."""
         return self.get(key, count=False)
 
     def put(self, key: str, record: SessionRecord) -> None:
-        with self._lock:
-            self._records[key] = record
+        self._records[key] = record
 
     def __len__(self) -> int:
         return len(self._records)
@@ -112,9 +108,9 @@ class SharedInstallation:
     session shares, built once per installation (a ``serve()`` call
     given none builds its own; shard workers each build one replica).
 
-    ``park_lock`` serializes the park-mutating session phases (process
-    spawn during setup, kill during teardown); the solve phases only
-    *read* shared state (machine speeds, link costs) and run unlocked.
+    Sessions run one after another on the one thread that serves them:
+    set-up spawns on the shared park and teardown kills there; the
+    solve phases only *read* shared state (machine speeds, link costs).
     """
 
     park: MachinePark
@@ -126,7 +122,6 @@ class SharedInstallation:
     #: Shared by every ``op_cache`` session across serve() calls — the
     #: long-running-server compounding win of ROADMAP item 4.
     op_cache: OpPointCache = field(default_factory=OpPointCache)
-    park_lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
     #: the installation-wide retry-budget token bucket, shared by every
     #: ``resilient`` session: when many sessions hit the same sick host,
     #: the bucket drains and further retries are refused, so one fault
@@ -137,7 +132,7 @@ class SharedInstallation:
         from .shards import NotShardSafe
 
         raise NotShardSafe(
-            "live SharedInstallation (park lock, workload/op-point "
+            "live SharedInstallation (machine park, workload/op-point "
             "caches, retry-budget bucket) cannot cross a process "
             "boundary; each shard worker builds its own replica via "
             "SharedInstallation.standard() — see repro.serve.shards"

@@ -28,10 +28,9 @@ the store under ``"cold"`` provenance is bitwise-canonical and exact
 hits stay skip-safe.  Stored solutions never downgrade: a ``"cold"``
 entry is not overwritten by a warm-started result for the same point.
 
-Thread safety mirrors the installation's ``park_lock`` discipline: one
-lock serializes lookups and stores (the arrays inside are private
-copies, never views over pooled wire buffers, so a stored solution can
-never be invalidated by a buffer release).  Scheduling probes should use
+The arrays inside are private copies, never views over pooled wire
+buffers, so a stored solution can never be invalidated by a buffer
+release.  Scheduling probes should use
 :meth:`peek` — it does not touch the hit/miss counters, which are
 reserved for real cache traffic.
 
@@ -51,7 +50,6 @@ settle.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
@@ -154,7 +152,6 @@ class OpPointCache:
     def __init__(self, near_window: float = 0.15):
         self.near_window = near_window
         self._families: Dict[str, _Family] = {}
-        self._lock = threading.Lock()
         self._cold_upgrades: Set[Tuple[str, str]] = set()
         self.exact_hits = 0
         self.near_hits = 0
@@ -166,35 +163,34 @@ class OpPointCache:
         the tiers).  ``count=False`` (or :meth:`peek`) leaves the
         traffic counters untouched — for scheduling probes."""
         wf = float(wf)
-        with self._lock:
-            fam = self._families.get(family)
-            if fam is not None:
-                entry = fam.entries.get(wf_key(wf))
-                if entry is not None:
-                    if entry.canonical:
-                        if count:
-                            self.exact_hits += 1
-                        return WarmStart(
-                            kind="exact",
-                            x0=entry.x.copy(),
-                            jac0=self._copy(entry.jacobian),
-                            solution=entry,
-                        )
+        fam = self._families.get(family)
+        if fam is not None:
+            entry = fam.entries.get(wf_key(wf))
+            if entry is not None:
+                if entry.canonical:
                     if count:
-                        self.near_hits += 1
+                        self.exact_hits += 1
                     return WarmStart(
-                        kind="seed",
+                        kind="exact",
                         x0=entry.x.copy(),
                         jac0=self._copy(entry.jacobian),
+                        solution=entry,
                     )
-                ws = self._near(fam, wf)
-                if ws is not None:
-                    if count:
-                        self.near_hits += 1
-                    return ws
-            if count:
-                self.misses += 1
-            return WarmStart(kind="miss")
+                if count:
+                    self.near_hits += 1
+                return WarmStart(
+                    kind="seed",
+                    x0=entry.x.copy(),
+                    jac0=self._copy(entry.jacobian),
+                )
+            ws = self._near(fam, wf)
+            if ws is not None:
+                if count:
+                    self.near_hits += 1
+                return ws
+        if count:
+            self.misses += 1
+        return WarmStart(kind="miss")
 
     def peek(self, family: str, wf: float) -> WarmStart:
         """A non-counting :meth:`lookup` for scheduling probes."""
@@ -243,26 +239,25 @@ class OpPointCache:
         entry was (re)written."""
         wf = float(wf)
         key = wf_key(wf)
-        with self._lock:
-            fam = self._families.setdefault(family, _Family())
-            old = fam.entries.get(key)
-            if old is not None and not (provenance == "cold" and not old.canonical):
-                return False
-            if old is None:
-                insort(fam.axis, wf)
-            else:
-                # the cold upgrade rewrote an existing (warm-derived)
-                # entry — remembered so delta exports that exclude a
-                # preload seed still ship the upgraded solution
-                self._cold_upgrades.add((family, key))
-            fam.entries[key] = OpSolution(
-                wf=wf,
-                x=np.array(x, dtype=float, copy=True),
-                jacobian=self._copy(jacobian),
-                point=dict(point),
-                provenance=provenance,
-            )
-            return True
+        fam = self._families.setdefault(family, _Family())
+        old = fam.entries.get(key)
+        if old is not None and not (provenance == "cold" and not old.canonical):
+            return False
+        if old is None:
+            insort(fam.axis, wf)
+        else:
+            # the cold upgrade rewrote an existing (warm-derived)
+            # entry — remembered so delta exports that exclude a
+            # preload seed still ship the upgraded solution
+            self._cold_upgrades.add((family, key))
+        fam.entries[key] = OpSolution(
+            wf=wf,
+            x=np.array(x, dtype=float, copy=True),
+            jacobian=self._copy(jacobian),
+            point=dict(point),
+            provenance=provenance,
+        )
+        return True
 
     # ---------------------------------------------------------------- wire
     def key_set(self) -> Set[Tuple[str, str]]:
@@ -270,12 +265,11 @@ class OpPointCache:
         shard worker remembers at episode open so its settle-time
         :meth:`export` ships only the points *it* solved, not the seed
         it was handed."""
-        with self._lock:
-            return {
-                (name, key)
-                for name, fam in self._families.items()
-                for key in fam.entries
-            }
+        return {
+            (name, key)
+            for name, fam in self._families.items()
+            for key in fam.entries
+        }
 
     def cold_upgraded(self) -> Set[Tuple[str, str]]:
         """The ``(family, wf_key)`` pairs whose stored entry has been
@@ -284,8 +278,7 @@ class OpPointCache:
         seed's warm-derived entry was replaced by this process's
         bitwise-canonical solve, and dropping it from the export would
         leave the merged store's bitwise tier non-monotone."""
-        with self._lock:
-            return set(self._cold_upgrades)
+        return set(self._cold_upgrades)
 
     def export(self, exclude: Optional[Set[Tuple[str, str]]] = None) -> List[dict]:
         """Stored solutions as plain records in the shard frame codec's
@@ -298,24 +291,23 @@ class OpPointCache:
         delta-export path).  Deterministic: families sorted by name,
         entries in operating-line order."""
         records: List[dict] = []
-        with self._lock:
-            for name in sorted(self._families):
-                fam = self._families[name]
-                for wf in fam.axis:
-                    key = wf_key(wf)
-                    if exclude is not None and (name, key) in exclude:
-                        continue
-                    e = fam.entries[key]
-                    jac = e.jacobian
-                    records.append({
-                        "family": name,
-                        "wf": e.wf,
-                        "x": _f8(e.x),
-                        "rows": 0 if jac is None else len(jac),
-                        "jacobian": None if jac is None else _f8(jac),
-                        "point": dict(e.point),
-                        "provenance": e.provenance,
-                    })
+        for name in sorted(self._families):
+            fam = self._families[name]
+            for wf in fam.axis:
+                key = wf_key(wf)
+                if exclude is not None and (name, key) in exclude:
+                    continue
+                e = fam.entries[key]
+                jac = e.jacobian
+                records.append({
+                    "family": name,
+                    "wf": e.wf,
+                    "x": _f8(e.x),
+                    "rows": 0 if jac is None else len(jac),
+                    "jacobian": None if jac is None else _f8(jac),
+                    "point": dict(e.point),
+                    "provenance": e.provenance,
+                })
         return records
 
     def preload(self, records) -> int:
@@ -346,20 +338,17 @@ class OpPointCache:
         return None if arr is None else np.array(arr, dtype=float, copy=True)
 
     def __len__(self) -> int:
-        with self._lock:
-            return sum(len(f.entries) for f in self._families.values())
+        return sum(len(f.entries) for f in self._families.values())
 
     @property
     def families(self) -> int:
-        with self._lock:
-            return len(self._families)
+        return len(self._families)
 
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": sum(len(f.entries) for f in self._families.values()),
-                "families": len(self._families),
-                "exact_hits": self.exact_hits,
-                "near_hits": self.near_hits,
-                "misses": self.misses,
-            }
+        return {
+            "entries": sum(len(f.entries) for f in self._families.values()),
+            "families": len(self._families),
+            "exact_hits": self.exact_hits,
+            "near_hits": self.near_hits,
+            "misses": self.misses,
+        }

@@ -232,9 +232,8 @@ class SessionContext:
     spawn), one ``point:i`` per operating point (warm-started Newton
     balance), optionally ``transient``, and ``finalize`` (capture
     results and traces, record into the workload cache, tear down).
-    Park-mutating steps (setup's spawn, finalize's kill) serialize on
-    the installation's ``park_lock``; solve steps only read shared state
-    and run unlocked.
+    Setup's spawn and finalize's kill mutate the shared park; solve
+    steps only read shared state.
 
     Fault isolation: a session with a fault plan gets a *private*
     network view, so injected partitions and gateway outages divert only
@@ -316,49 +315,48 @@ class SessionContext:
 
     def _setup(self) -> None:
         spec = self.spec
-        with self.installation.park_lock:
-            self.env = self.installation.session_env(
-                private_topology=spec.fault_plan is not None
-            )
-            ex = NPSSExecutive(
-                env=self.env, avs_machine=spec.avs_machine, dispatch=spec.dispatch
-            )
-            self.executive = ex
-            mods = ex.build_f100_network()
-            mods["inlet"].set_param("altitude", spec.altitude_m)
-            mods["inlet"].set_param("mach", spec.mach)
-            mods["system"].set_param("transient seconds", spec.transient_s)
-            mods["system"].set_param("time step", spec.transient_dt)
-            for module_name, host in spec.placement.items():
-                ex.editor.module(module_name).set_param("remote machine", host)
-            ex._sync_placements()
-            self._engine = ex.engine()
-            self._flight = ex.flight_condition()
-            family = spec.op_family()
-            if family is not None:
-                self._op_family = combine_keys(family, deck_key(self._engine.spec))
-            if spec.resilient:
-                from ..faults import FailoverSupervisor
-                from ..resilience import BreakerBoard
+        self.env = self.installation.session_env(
+            private_topology=spec.fault_plan is not None
+        )
+        ex = NPSSExecutive(
+            env=self.env, avs_machine=spec.avs_machine, dispatch=spec.dispatch
+        )
+        self.executive = ex
+        mods = ex.build_f100_network()
+        mods["inlet"].set_param("altitude", spec.altitude_m)
+        mods["inlet"].set_param("mach", spec.mach)
+        mods["system"].set_param("transient seconds", spec.transient_s)
+        mods["system"].set_param("time step", spec.transient_dt)
+        for module_name, host in spec.placement.items():
+            ex.editor.module(module_name).set_param("remote machine", host)
+        ex._sync_placements()
+        self._engine = ex.engine()
+        self._flight = ex.flight_condition()
+        family = spec.op_family()
+        if family is not None:
+            self._op_family = combine_keys(family, deck_key(self._engine.spec))
+        if spec.resilient:
+            from ..faults import FailoverSupervisor
+            from ..resilience import BreakerBoard
 
-                # breakers are per-session (their trip history is part
-                # of the session's deterministic state); the retry
-                # budget is the installation's — shared scarcity is the
-                # point
-                self.env.breakers = BreakerBoard()
-                self.env.retry_budget = self.installation.retry_budget
-                self.supervisor = FailoverSupervisor(manager=ex.manager)
-                self.supervisor.attach()
-            if spec.deadline_s is not None:
-                from ..resilience import Deadline
+            # breakers are per-session (their trip history is part
+            # of the session's deterministic state); the retry
+            # budget is the installation's — shared scarcity is the
+            # point
+            self.env.breakers = BreakerBoard()
+            self.env.retry_budget = self.installation.retry_budget
+            self.supervisor = FailoverSupervisor(manager=ex.manager)
+            self.supervisor.attach()
+        if spec.deadline_s is not None:
+            from ..resilience import Deadline
 
-                # the queue wait already spent wait_s of the SLO; the
-                # session's private clock starts at 0, so the in-session
-                # deadline is what remains
-                self.env.deadline = Deadline(
-                    at_s=max(0.0, spec.deadline_s - self.wait_s)
-                )
-            ex.host.setup()
+            # the queue wait already spent wait_s of the SLO; the
+            # session's private clock starts at 0, so the in-session
+            # deadline is what remains
+            self.env.deadline = Deadline(
+                at_s=max(0.0, spec.deadline_s - self.wait_s)
+            )
+        ex.host.setup()
         if spec.fault_plan is not None:
             from ..faults import FaultInjector
 
@@ -531,9 +529,8 @@ class SessionContext:
         if self.supervisor is not None:
             self.supervisor.detach()
             self.supervisor = None
-        with self.installation.park_lock:
-            if self.executive is not None:
-                self.executive.clear_network()
+        if self.executive is not None:
+            self.executive.clear_network()
         self.executive = None
         self.env = None
 

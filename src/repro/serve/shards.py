@@ -88,6 +88,7 @@ import signal
 import tempfile
 import time
 import traceback
+from contextlib import ExitStack
 from dataclasses import fields
 from typing import Dict, List, Optional, Sequence, Tuple
 from zlib import crc32
@@ -519,34 +520,44 @@ class ShardPool:
     def _spawn_worker(self, i: int) -> None:
         """Create worker ``i``'s rings, pipe, stderr spool, and process,
         in slot ``i``: a new slot, or over the slot's previous (dead,
-        already-reaped) worker, whose spool file is kept."""
-        if self.transport == "shm":
-            ring_out = ShmRing.create(self._ring_bytes)
-            ring_in = ShmRing.create(self._ring_bytes)
-        else:
+        already-reaped) worker, whose spool file is kept.
+
+        Nothing made here is in a column until the worker runs, so
+        :meth:`close` could not find it: if any step raises, what the
+        earlier steps made is released in reverse order on the way out."""
+        with ExitStack() as undo:
             ring_out = ring_in = None
-        if i < len(self._stderr_paths):
-            stderr_path = self._stderr_paths[i]
-        else:
-            fd, stderr_path = tempfile.mkstemp(
-                prefix=f"shard-{i}-stderr-", suffix=".log"
+            if self.transport == "shm":
+                ring_out = ShmRing.create(self._ring_bytes)
+                undo.callback(ring_out.close)  # owner: unlinks
+                ring_in = ShmRing.create(self._ring_bytes)
+                undo.callback(ring_in.close)
+            if i < len(self._stderr_paths):
+                stderr_path = self._stderr_paths[i]
+            else:
+                fd, stderr_path = tempfile.mkstemp(
+                    prefix=f"shard-{i}-stderr-", suffix=".log"
+                )
+                undo.callback(os.unlink, stderr_path)
+                os.close(fd)
+            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+            undo.callback(parent_conn.close)
+            undo.callback(child_conn.close)
+            proc = self._ctx.Process(
+                target=_shard_worker_main,
+                args=(
+                    child_conn,
+                    i,
+                    ring_out.name if ring_out is not None else None,
+                    ring_in.name if ring_in is not None else None,
+                    self.shm_threshold,
+                    stderr_path,
+                ),
+                name=f"serve-shard-{i}",
+                daemon=True,
             )
-            os.close(fd)
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=_shard_worker_main,
-            args=(
-                child_conn,
-                i,
-                ring_out.name if ring_out is not None else None,
-                ring_in.name if ring_in is not None else None,
-                self.shm_threshold,
-                stderr_path,
-            ),
-            name=f"serve-shard-{i}",
-            daemon=True,
-        )
-        proc.start()
+            proc.start()
+            undo.pop_all()  # the worker runs: the columns own it all now
         child_conn.close()
         for column, value in (
             (self._procs, proc), (self._conns, parent_conn),
@@ -861,7 +872,7 @@ def serve_sessions_sharded(
     """
     if installation is not None:
         raise NotShardSafe(
-            "a live SharedInstallation (locks, machine park, thread state) "
+            "a live SharedInstallation (machine park, caches, retry budget) "
             "cannot cross a process boundary; shard workers each build their "
             "own replica — pass installation=None for sharded serving"
         )

@@ -78,7 +78,7 @@ class NotShardSafe(TypeError):
     fail deep inside ``multiprocessing`` with an opaque traceback.  The
     shard plane ships *descriptions* (session specs, result rows, op
     stores) as framed wire payloads; objects that own interpreter state
-    — locks, sockets-in-spirit, pooled buffers — stay put.
+    — live transports, installations, pooled buffers — stay put.
     """
 
 

@@ -11,7 +11,7 @@ Units are SI throughout: K, Pa, kg/s, J/kg, W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,8 +108,15 @@ class GasState:
         delta = self.Pt / 101325.0
         return self.W * np.sqrt(theta) / delta
 
-    def with_(self, **kw) -> "GasState":
-        return replace(self, **kw)
+    def with_(self, W=None, Tt=None, Pt=None, far=None) -> "GasState":
+        """This state with the given fields replaced (and validated
+        like any other)."""
+        return GasState(
+            self.W if W is None else W,
+            self.Tt if Tt is None else Tt,
+            self.Pt if Pt is None else Pt,
+            self.far if far is None else far,
+        )
 
     def as_dict(self) -> dict:
         return {"W": self.W, "Tt": self.Tt, "Pt": self.Pt, "far": self.far}

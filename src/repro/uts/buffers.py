@@ -2,9 +2,10 @@
 
 The RPC hot path encodes every request and reply.  :class:`BufferPool`
 hands out reusable ``bytearray`` buffers; codecs append into them via
-``encode_into`` and the transport carries a ``memoryview`` slice of the
-buffer through every hop unchanged, so a call materializes no copy of
-its payload.
+``encode_into`` (one ``Struct.pack`` and one append for a fixed-layout
+message) and the transport carries one read-only ``memoryview`` of the
+buffer through every hop unchanged: once encoded, a payload is never
+copied again until it is decoded.
 
 Buffers must have all exported ``memoryview``\\ s released before going
 back to the pool — ``release`` clears the buffer, which raises
@@ -15,56 +16,54 @@ Pools are **per-process**: a pooled ``bytearray`` must never be shared
 across an OS process boundary (a forked child would pop copy-on-write
 twins of the parent's buffers — same virtual addresses, divergent
 contents, and any ``memoryview`` discipline the parent holds is
-invisible to the child).  Every pool therefore remembers the pid that
-owns it and silently resets its free list the first time it is touched
-from a different process, so a fork/spawn worker always starts from an
-empty pool (the process-sharded serve plane in :mod:`repro.serve.shards`
-leans on this).
+invisible to the child).  Every live pool is therefore emptied in a
+forked child by an ``os.register_at_fork`` hook, and a spawned child
+imports this module afresh, so a worker always starts from an empty
+pool (the process-sharded serve plane in :mod:`repro.serve.shards`
+leans on this).  A pool belongs to the one thread that runs the
+program: nothing here is synchronised.
 """
 
 from __future__ import annotations
 
 import os
-import threading
+import weakref
 from contextlib import contextmanager
 from typing import Iterator, List
 
 __all__ = ["BufferPool", "WIRE_BUFFERS"]
 
+#: every live pool, for the at-fork reset
+_POOLS: "weakref.WeakSet[BufferPool]" = weakref.WeakSet()
+
+
+def _empty_pools_in_forked_child() -> None:
+    # the inherited buffers are copy-on-write twins of the parent's:
+    # reusing them would 'share' pooled memory across the boundary
+    for pool in _POOLS:
+        pool._free = []
+
+
+os.register_at_fork(after_in_child=_empty_pools_in_forked_child)
+
 
 class BufferPool:
     """A free list of reusable ``bytearray`` encode buffers.
 
-    Thread-safe: caller threads may encode through one shared pool.
-    Buffers keep their allocated capacity across uses (cleared, not
-    reallocated), so steady-state operation does no per-call payload
-    allocation at all.
+    What is recycled is the buffer *object* and the discipline that
+    comes with it — a view still exported when its buffer goes back is
+    a ``BufferError`` — not capacity: CPython returns an emptied
+    ``bytearray``'s storage, so the next encode allocates its bytes.
     """
 
     def __init__(self) -> None:
         self._free: List[bytearray] = []
-        self._lock = threading.Lock()
-        #: owning process: a pool touched from a forked/spawned child
-        #: resets itself rather than hand out the parent's buffers
-        self._pid = os.getpid()
-
-    def _ensure_owner(self) -> None:
-        """Fork/spawn safety: the first touch from a process other than
-        the one that created (or last reset) the pool drops the free
-        list.  The inherited buffers are copy-on-write twins of the
-        parent's — reusing them would let a child 'share' pooled memory
-        across the process boundary by accident."""
-        if os.getpid() != self._pid:
-            self._free = []
-            self._pid = os.getpid()
+        _POOLS.add(self)
 
     def acquire(self) -> bytearray:
         """An empty buffer, reusing a previously released one if any."""
-        with self._lock:
-            self._ensure_owner()
-            if self._free:
-                return self._free.pop()
-        return bytearray()
+        free = self._free
+        return free.pop() if free else bytearray()
 
     def release(self, buf: bytearray) -> None:
         """Return a buffer to the pool.
@@ -72,9 +71,7 @@ class BufferPool:
         The caller must have released every ``memoryview`` exported over
         the buffer first; clearing raises ``BufferError`` otherwise."""
         del buf[:]
-        with self._lock:
-            self._ensure_owner()
-            self._free.append(buf)
+        self._free.append(buf)
 
     def safe_release(self, buf: bytearray) -> bool:
         """Return a buffer to the pool, tolerating a still-exported view.
@@ -101,9 +98,7 @@ class BufferPool:
             self.release(buf)
 
     def __len__(self) -> int:
-        with self._lock:
-            self._ensure_owner()
-            return len(self._free)
+        return len(self._free)
 
 
 #: the process-wide pool the RPC runtime encodes into

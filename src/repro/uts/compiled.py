@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .errors import UTSConversionError, UTSRangeError
 from .native import (
+    _CRAY_MANT_BITS,
     CrayFormat,
     IEEEFormat,
     NativeFormat,
@@ -55,6 +56,7 @@ __all__ = [
     "signature_codec",
     "precompile_signature",
     "native_roundtrip_for",
+    "native_is_identity",
 ]
 
 _LEN = struct.Struct(">I")
@@ -414,9 +416,10 @@ class SignatureCodec:
         returns the bytes appended.
 
         The RPC hot path uses this with a pooled buffer (see
-        :mod:`repro.uts.buffers`) so the request never materializes as
-        an intermediate ``bytes`` — the ``bytes(out)`` in
-        :meth:`encode_conformed` was the double copy."""
+        :mod:`repro.uts.buffers`): a fixed-layout message is one
+        ``Struct.pack`` appended to it, and what travels is a view of
+        the buffer — the ``bytes(out)`` in :meth:`encode_conformed` is
+        the copy this leaves out."""
         if self._flat_pack is not None:
             out += self._flat_pack(args)
             return self._flat_size
@@ -466,10 +469,40 @@ def precompile_signature(sig: Signature) -> None:
 
 _F32 = struct.Struct(">f")
 _F32_LIMIT = 3.4028235677973366e38  # mirrors IEEEFormat.pack_float32
+_CRAY_MANT_SCALE = float(1 << _CRAY_MANT_BITS)
 
 
 def _identity(value: Any) -> Any:
     return value
+
+
+def _compile_cray_float(
+    fmt: CrayFormat, policy: OutOfRangePolicy
+) -> Callable[[Any], Any]:
+    """The Cray word's round trip as arithmetic on the double.
+
+    Packing rounds the significand to 48 bits, ties to even
+    (``round(frexp(v)[0] * 2**48)``), and unpacking scales it back with
+    ``ldexp``; neither step needs the 8 bytes in between.  Every double
+    rounded to 48 bits is again a double (subnormals included: dropping
+    low bits leaves a multiple of a larger power of two), so the
+    ``ldexp`` is exact unless the rounding carried past ``2**1024``.
+    That band just under ``sys.float_info.max``, NaN and the infinities
+    go through the bit-level codec, which owns their typed errors and
+    the out-of-range policy.  UTS ``float`` and ``double`` share this
+    plan: both are one 64-bit Cray word."""
+    pack, unpack = fmt.pack_float64, fmt.unpack_float64
+    frexp, ldexp, scale, shift = math.frexp, math.ldexp, _CRAY_MANT_SCALE, _CRAY_MANT_BITS
+
+    def native_cray_float(value: Any) -> Any:
+        try:
+            m, e = frexp(value)
+            # a zero keeps its sign bit: frexp hands -0.0 back as -0.0
+            return ldexp(round(m * scale), e - shift) if m else m
+        except (ValueError, OverflowError):
+            return unpack(pack(value, policy), policy)
+
+    return native_cray_float
 
 
 def _compile_native(
@@ -502,7 +535,7 @@ def _compile_native(
                 def native_f32(value: Any) -> Any:
                     if (
                         value == value
-                        and abs(value) > _F32_LIMIT
+                        and abs(value) >= _F32_LIMIT
                         and not math.isinf(value)
                     ):
                         raise UTSRangeError(
@@ -514,13 +547,15 @@ def _compile_native(
                 def native_f32(value: Any) -> Any:
                     if (
                         value == value
-                        and abs(value) > _F32_LIMIT
+                        and abs(value) >= _F32_LIMIT
                         and not math.isinf(value)
                     ):
                         value = math.copysign(math.inf, value)
                     return _F32.unpack(_F32.pack(value))[0]
 
             return native_f32
+        if type(fmt) is CrayFormat:
+            return _compile_cray_float(fmt, policy)
         pack32, unpack32 = fmt.pack_float32, fmt.unpack_float32
 
         def native_f32_generic(value: Any) -> Any:
@@ -531,6 +566,8 @@ def _compile_native(
         if type(fmt) is IEEEFormat:
             # struct '>d' pack+unpack is exact for every Python float
             return _identity
+        if type(fmt) is CrayFormat:
+            return _compile_cray_float(fmt, policy)
         pack64, unpack64 = fmt.pack_float64, fmt.unpack_float64
 
         def native_f64_generic(value: Any) -> Any:
@@ -579,3 +616,13 @@ def native_roundtrip_for(
     if plan is None:
         plan = _NATIVE_PLANS[key] = _compile_native(fmt, t, policy)
     return plan
+
+
+def native_is_identity(
+    fmt: NativeFormat, t: UTSType, policy: OutOfRangePolicy
+) -> bool:
+    """Whether ``(fmt, t, policy)``'s round trip changes no value and
+    can never raise — a double, byte, string or boolean on an IEEE
+    machine, or a container of them, whose plan is a plain copy: a
+    caller that owns the value it walks may skip the parameter."""
+    return native_roundtrip_for(fmt, t, policy) in (_identity, list, dict)

@@ -140,7 +140,7 @@ class IEEEFormat(NativeFormat):
         return struct.unpack(self._bo + fmt, data)[0]
 
     def pack_float32(self, value: float, policy: OutOfRangePolicy) -> bytes:
-        if value == value and abs(value) > 3.4028235677973366e38 and not math.isinf(value):
+        if value == value and abs(value) >= 3.4028235677973366e38 and not math.isinf(value):
             if policy is OutOfRangePolicy.ERROR:
                 raise UTSRangeError(
                     f"{value!r} exceeds IEEE binary32 range on {self.name}"

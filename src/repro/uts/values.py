@@ -138,10 +138,12 @@ def _clamp_f32(v: float) -> float:
     """Map doubles outside float32 range to +/-inf, as a C cast would."""
     if v != v or v in (float("inf"), float("-inf")):
         return v
-    limit = 3.4028235677973366e38  # max float32, rounded up
-    if v > limit:
+    # halfway between the largest float32 and 2**128: from here up a
+    # round-to-nearest cast overflows (and ``struct.pack('>f')`` raises)
+    limit = 3.4028235677973366e38
+    if v >= limit:
         return float("inf")
-    if v < -limit:
+    if v <= -limit:
         return float("-inf")
     return v
 

@@ -28,6 +28,43 @@ class TestVirtualClock:
         with pytest.raises(ValueError):
             VirtualClock().advance(-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), -1e-300, float("-inf")])
+    def test_a_refused_advance_leaves_time_untouched(self, bad):
+        """A NaN passes ``dt < 0``; once a timeline or the global now is
+        NaN every later comparison is false, so time never moves again
+        and no deadline or event ever fires (ROADMAP 4(c): a diverged
+        solver reaches this through ``cost_flops`` ->
+        ``compute_seconds(nan)``)."""
+        c = VirtualClock()
+        t = c.timeline("t")
+        t.advance(2.0)
+        fired = []
+        c.schedule(3.0, lambda: fired.append(c.now))
+        with pytest.raises(ValueError, match="cannot advance time"):
+            t.advance(bad)
+        with pytest.raises(ValueError, match="cannot advance time"):
+            c.advance(bad)
+        assert (t.now, c.now, fired) == (2.0, 2.0, [])
+        t.sync_to(5.0)  # still a working timeline
+        assert (t.now, c.now, fired) == (5.0, 5.0, [5.0])
+
+    def test_sync_to_refuses_nan(self):
+        c = VirtualClock()
+        t = c.timeline("t")
+        t.advance(1.0)
+        with pytest.raises(ValueError, match="cannot move time"):
+            t.sync_to(float("nan"))
+        assert (t.now, c.now) == (1.0, 1.0)
+
+    def test_zero_steps_are_allowed(self):
+        c = VirtualClock()
+        t = c.timeline("t")
+        t.advance(1.0)
+        assert t.advance(-0.0) == 1.0 and t.advance(0.0) == 1.0
+        assert c.advance(-0.0) == 1.0
+        t.sync_to(float("-inf"))  # an instant already past: a no-op
+        assert (t.now, c.now) == (1.0, 1.0)
+
     def test_timelines_advance_independently(self):
         c = VirtualClock()
         a, b = c.timeline("a"), c.timeline("b")
@@ -208,3 +245,66 @@ class TestTransport:
             park["lerc-sparc10"], park["lerc-cray"], "call", None, 100, None, 50
         )
         assert total > 0
+
+    def test_message_is_a_value(self, env):
+        from repro.network import Message
+        from repro.network.transport import HEADER_STRUCT
+
+        park, tx, clock = env
+        src, dst = park["lerc-sparc10"], park["lerc-cray"]
+        t = clock.timeline("line-1")
+        t.advance(1.0)
+        msg = tx.send(src, dst, "call:f", b"payload", 7, t, 32, 9.5)
+        assert msg == Message(
+            msg.msg_id, src.hostname, dst.hostname, "call:f", b"payload", 7, 32,
+            1.0, t.now, msg.header, 9.5,
+        )
+        assert msg != tx.send(src, dst, "call:f", b"payload", 7, t, 32, 9.5)
+        assert msg.total_nbytes == 7 + 32
+        assert msg.transfer_seconds == msg.delivered_at - msg.sent_at
+        assert msg.transfer_seconds == pytest.approx(
+            tx.topology.transfer_seconds(src, dst, 39)
+        )
+        assert tx.stats.virtual_seconds == pytest.approx(2 * msg.transfer_seconds)
+        # the route's header tags are those of the two hostnames
+        from zlib import crc32
+
+        _id, _kind, nbytes, src_tag, dst_tag, deadline = HEADER_STRUCT.unpack(msg.header)
+        assert (nbytes, deadline) == (7, 9.5)
+        assert src_tag == crc32(src.hostname.encode())
+        assert dst_tag == crc32(dst.hostname.encode())
+        # nothing can assign to a delivered message, or add to it
+        with pytest.raises(AttributeError):
+            msg.body = b""
+        with pytest.raises(AttributeError):
+            msg.note = "a message has no room for more"
+        assert msg in {msg}
+
+    def test_contention_queues_on_the_routes_trunk(self, env):
+        """The trunk key lives in the route record: both directions of a
+        site pair, and every machine pair at those sites, share it."""
+        park, tx, clock = env
+        tx.contention = True
+        a, b, c = park["ua-sparc10"], park["lerc-cray"], park["lerc-rs6000"]
+        first = tx.send(a, b, "bulk", None, 100_000, clock.timeline("one"))
+        second = tx.send(c, a, "bulk", None, 100_000, clock.timeline("two"))
+        assert second.transfer_seconds > first.transfer_seconds
+        assert second.delivered_at == pytest.approx(
+            100_064 / tx.topology.internet.bandwidth_Bps + first.transfer_seconds
+        )
+
+    def test_a_route_record_is_kept_under_what_it_is_computed_from(self, env):
+        from repro.machines.host import Machine
+
+        park, tx, _ = env
+        topo = tx.topology
+        a, b = park["ua-sparc10"], park["lerc-cray"]
+        wan = topo.route_record(a, b)
+        assert topo.route_record(a, b) is wan
+        assert topo.route_record(b, a)[2] == wan[2] == frozenset((a.site, b.site))
+        # the same hostname turning up on the Cray's own Ethernet
+        moved = Machine(a.hostname, a.architecture, b.site, b.subnet)
+        lan = topo.route_record(moved, b)
+        assert lan[:2] == wan[:2]
+        assert lan[2] == (b.site, frozenset((b.subnet,)))
+        assert topo.route_record(a, b) is wan

@@ -184,6 +184,37 @@ class TestDedupAndModes:
         assert exit_info.value.code == 2
         assert "invalid choice: 'thread'" in capsys.readouterr().err
 
+    def test_no_module_constructs_a_threading_primitive(self):
+        """Nothing under ``src/`` starts a thread, so nothing there
+        needs a lock: the eight that guarded shared state against
+        caller threads (transport, clock, buffer pool, park, workload
+        cache, op-cache, retry budget, breaker board) went with the
+        threads.  A module that brings one back has to bring its
+        threads — and this test — with it.  The chaos soak's
+        ``threading.enumerate()`` leak check constructs nothing."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        offenders = []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and node.module in (
+                    "threading", "_thread", "concurrent.futures"
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} from {node.module} import")
+                elif (  # called or handed over as a default_factory alike
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("threading", "_thread", "futures")
+                    and node.attr != "enumerate"
+                ):
+                    offenders.append(
+                        f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                    )
+        assert offenders == []
+
     def test_step_trails_are_gone(self):
         """Sessions run to completion when they start, so no executor
         records a per-step virtual-time trail for a parent to walk; the

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import multiprocessing
 import os
 import signal
@@ -357,6 +358,77 @@ class TestLeakRegression:
                 ), "dead worker's ring must be unlinked on respawn"
         finally:
             pool.close()
+
+
+def _os_resources():
+    """What a pool can leak: shm segments, stderr spools, open file
+    descriptors (pipe ends included) and child processes."""
+    import glob
+    import tempfile
+
+    gc.collect()  # a reaped Process keeps its sentinel fds until collected
+    return {
+        "shm": _shm_segments(),
+        "spools": set(glob.glob(os.path.join(tempfile.gettempdir(), "shard-*-stderr-*.log"))),
+        "fds": len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0,
+        "children": sorted(p.name for p in multiprocessing.active_children()),
+    }
+
+
+@pytest.mark.parametrize(
+    "transport", ["pipe", pytest.param("shm", marks=needs_shm)]
+)
+class TestFailedSpawnReleasesWhatItMade:
+    """``_spawn_worker`` makes two rings, a spool file and a pipe before
+    the process starts; none is in a column until it runs, so if a step
+    raises ``close()`` cannot find them — the spawn itself must release
+    them (PR 17's recorded leftover)."""
+
+    @pytest.fixture(autouse=True)
+    def _tracker_is_running(self, transport):
+        # the first pool of a process starts multiprocessing's resource
+        # tracker (one more pipe fd, for good): not a leak of the test
+        ShardPool(1, transport=transport).close()
+
+    @staticmethod
+    def _start_fails_after(monkeypatch, n):
+        from multiprocessing.process import BaseProcess
+
+        real, calls = BaseProcess.start, []
+
+        def start(self):
+            calls.append(self.name)
+            if len(calls) > n:
+                raise OSError("injected: cannot start a process")
+            real(self)
+
+        monkeypatch.setattr(BaseProcess, "start", start)
+
+    def test_first_spawn(self, monkeypatch, transport):
+        before = _os_resources()
+        self._start_fails_after(monkeypatch, 1)
+        with pytest.raises(OSError, match="injected"):
+            ShardPool(2, transport=transport)  # worker 0 runs, worker 1 cannot
+        assert _os_resources() == before
+
+    def test_respawn(self, monkeypatch, transport):
+        before = _os_resources()
+        pool = ShardPool(2, transport=transport)
+        live = _os_resources()
+        with monkeypatch.context() as patch:
+            self._start_fails_after(patch, 0)
+            with pytest.raises(OSError, match="injected"):
+                pool.respawn(0)
+        after = _os_resources()
+        # slot 0 lost its worker, pipe and rings and got nothing new
+        assert after["spools"] == live["spools"]
+        assert after["children"] == ["serve-shard-1"]
+        assert after["fds"] < live["fds"]
+        assert len(after["shm"] - before["shm"]) == (2 if transport == "shm" else 0)
+        pool.close()  # over a slot whose pipe is closed and rings are gone
+        assert all(not p.is_alive() for p in pool._procs)
+        del pool  # and with it the reaped workers' sentinel fds
+        assert _os_resources() == before
 
 
 class TestRecoverEdges:

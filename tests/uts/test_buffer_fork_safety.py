@@ -3,12 +3,16 @@
 Pools are per-process: a worker forked while the parent's pool holds
 released buffers must start from an *empty* free list — never observing
 (or mutating) the parent's pooled bytearrays — and the parent's pool
-must be untouched by anything the child did.
+must be untouched by anything the child did.  A forked child is emptied
+by the module's ``os.register_at_fork`` hook (the pool asks for no pid
+on the call path); a spawned child imports the module afresh.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+
+import pytest
 
 from repro.uts.buffers import BufferPool, WIRE_BUFFERS
 
@@ -28,6 +32,27 @@ def _child_probe(conn) -> None:
 
 
 class TestForkSafety:
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_child_starts_with_an_empty_pool(self, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        marked = [WIRE_BUFFERS.acquire() for _ in range(3)]
+        for buf in marked:
+            buf += b"parent-marker"
+            WIRE_BUFFERS.release(buf)
+        assert len(WIRE_BUFFERS) >= 3
+        ctx = multiprocessing.get_context(method)
+        parent_conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(target=_child_probe, args=(child_conn,))
+        proc.start()
+        child_conn.close()
+        assert parent_conn.poll(60), f"{method} child never reported"
+        seen = parent_conn.recv()
+        proc.join(timeout=10)
+        assert proc.exitcode == 0
+        assert (seen["free_len_on_entry"], seen["acquired_len"]) == (0, 0)
+        assert len(WIRE_BUFFERS) >= 3, "the parent's pool is its own"
+
     def test_forked_child_starts_with_an_empty_pool(self):
         """Seed the parent's process-wide pool with marked buffers, fork,
         and assert the child sees none of them: its free list is empty
@@ -79,7 +104,7 @@ class TestForkSafety:
         assert len(pool) == before
 
     def test_reset_happens_once_then_pool_works_normally(self):
-        """After the pid-guard reset, the child's pool must behave like
+        """After the at-fork reset, the child's pool must behave like
         any fresh pool: release/acquire round-trips reuse buffers."""
         ctx = multiprocessing.get_context("fork")
         parent_conn, child_conn = ctx.Pipe()

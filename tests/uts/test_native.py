@@ -61,6 +61,35 @@ class TestIEEEFormat:
         data = SPARC.pack_float32(1e39, INF)
         assert SPARC.unpack_float32(data, INF) == math.inf
 
+    def test_float32_range_starts_at_the_rounding_midpoint(self):
+        """2**128 - 2**103 is halfway between the largest binary32 and
+        2**128: a nearest-even cast overflows from exactly there, so it
+        is out of range itself (the unseeded conformance sweep used to
+        die of ``struct``'s ``OverflowError`` when it drew it)."""
+        from repro.uts import FLOAT, conform, native_roundtrip_for, roundtrip_native_interpreted
+
+        edge = 3.4028235677973366e38
+        assert edge == 2.0**128 - 2.0**103
+        below = math.nextafter(edge, 0.0)
+        for sign in (1.0, -1.0):
+            assert conform(FLOAT, sign * edge) == sign * math.inf
+            assert conform(FLOAT, sign * below) == sign * 3.4028234663852886e38
+            with pytest.raises(UTSRangeError, match="binary32"):
+                SPARC.pack_float32(sign * edge, ERR)
+            assert SPARC.unpack_float32(SPARC.pack_float32(sign * edge, INF), INF) == sign * math.inf
+            assert SPARC.unpack_float32(SPARC.pack_float32(sign * below, ERR), ERR) == (
+                sign * 3.4028234663852886e38
+            )
+            for policy in (ERR, INF):
+                plan = native_roundtrip_for(SPARC, FLOAT, policy)
+                try:
+                    expected = roundtrip_native_interpreted(SPARC, FLOAT, sign * edge, policy)
+                except UTSRangeError:
+                    with pytest.raises(UTSRangeError, match="binary32"):
+                        plan(sign * edge)
+                else:
+                    assert plan(sign * edge) == expected == sign * math.inf
+
 
 class TestCrayFormat:
     def test_zero(self):
