@@ -6,12 +6,16 @@ the Network Editor allows the user to incorporate the specific codes
 needed for a simulation.  The dataflow in this case models the flow of
 air through the engine." (paper, section 2.4)
 
-The editor maintains a directed acyclic graph of module instances
-(``networkx.DiGraph``); connections are type-checked port-to-port, and
-networks can be saved to / loaded from plain dictionaries ("create,
-modify, and save programs").  Acyclicity is checked per wire, before
-the wire goes in, by a reachability walk from its destination back to
-its source: a refused ``connect`` never touches the graph.
+The editor maintains a directed acyclic graph of module instances as
+plain successor/predecessor dicts of :class:`Connection` lists
+(:attr:`NetworkEditor.graph` is a ``networkx`` view built on request);
+connections are type-checked port-to-port, and networks can be saved to
+/ loaded from plain dictionaries ("create, modify, and save programs").
+Acyclicity is checked per wire, before the wire goes in, by a
+reachability walk from its destination back to its source: a refused
+``connect`` never touches the graph.
+A checked network can be opened without being dragged again
+(:meth:`NetworkEditor.paste`) and cleared in one step.
 """
 
 from __future__ import annotations
@@ -42,7 +46,10 @@ class NetworkEditor:
     """The workspace holding modules and their dataflow wiring."""
 
     _modules: Dict[str, AVSModule] = field(default_factory=dict)
-    _graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    # src -> dst -> the wires of that edge, in the order they went in;
+    # ``_pred[dst][src]`` is the same list object as ``_succ[src][dst]``
+    _succ: Dict[str, Dict[str, List[Connection]]] = field(default_factory=dict)
+    _pred: Dict[str, Dict[str, List[Connection]]] = field(default_factory=dict)
     _counters: Dict[str, int] = field(default_factory=dict)
     # observers notified when a module is removed (the Schooner glue uses
     # this to fire the module's destroy -> sch_i_quit path)
@@ -52,15 +59,35 @@ class NetworkEditor:
     def add_module(self, module: AVSModule, name: Optional[str] = None) -> AVSModule:
         """Drag a module into the workspace."""
         if name is None:
+            # first free <type>.<n>: a loaded network holds explicit ones
             n = self._counters.get(module.module_name, 0) + 1
+            while f"{module.module_name}.{n}" in self._modules:
+                n += 1
             self._counters[module.module_name] = n
             name = f"{module.module_name}.{n}"
         if name in self._modules:
             raise NetworkEditError(f"module name {name!r} already in the network")
         module.instance_name = name
         self._modules[name] = module
-        self._graph.add_node(name)
+        self._succ[name], self._pred[name] = {}, {}
         return module
+
+    def paste(self, other: "NetworkEditor") -> Dict[str, AVSModule]:
+        """Open ``other``'s network here: an independent copy of every
+        module and wire, as if dragged and connected in ``other``'s
+        order (whose checks stand).  Returns the new modules by name."""
+        for name in other._modules:
+            if name in self._modules:
+                raise NetworkEditError(f"module name {name!r} already in the network")
+        new = {name: module.clone() for name, module in other._modules.items()}
+        self._modules.update(new)
+        for src, out in other._succ.items():
+            self._succ[src] = {dst: list(wires) for dst, wires in out.items()}
+        for dst, into in other._pred.items():
+            self._pred[dst] = {src: self._succ[src][dst] for src in into}
+        for kind, n in other._counters.items():
+            self._counters[kind] = max(n, self._counters.get(kind, 0))
+        return new
 
     def remove_module(self, module_or_name) -> None:
         """Remove a module: its wires are cut and its destroy function
@@ -68,15 +95,31 @@ class NetworkEditor:
         computations of its line)."""
         name = self._resolve_name(module_or_name)
         module = self._modules.pop(name)
-        self._graph.remove_node(name)
+        for dst in self._succ.pop(name):
+            del self._pred[dst][name]
+        for src in self._pred.pop(name):
+            del self._succ[src][name]
         for cb in self.on_remove:
             cb(module)
         module.destroy()
 
     def clear(self) -> None:
-        """Clear the entire network: every module is destroyed."""
-        for name in list(self._modules):
-            self.remove_module(name)
+        """Clear the entire network: the graph goes in one step, then
+        every module is destroyed in the order it was added — all of them,
+        even when one's destroy raises; the first error is re-raised."""
+        modules = list(self._modules.values())
+        for table in (self._modules, self._succ, self._pred):
+            table.clear()
+        errors: List[Exception] = []
+        for module in modules:
+            try:
+                for cb in self.on_remove:
+                    cb(module)
+                module.destroy()
+            except Exception as exc:
+                errors.append(exc)
+        if errors:
+            raise errors[0]
 
     def module(self, name: str) -> AVSModule:
         try:
@@ -100,7 +143,14 @@ class NetworkEditor:
 
     @property
     def graph(self) -> nx.DiGraph:
-        return self._graph
+        """A ``networkx`` view built on request (editor order, an edge's
+        wires under ``"connections"``); editing it edits nothing."""
+        graph = nx.DiGraph()
+        graph.add_nodes_from(self._modules)
+        for src, out in self._succ.items():
+            for dst, wires in out.items():
+                graph.add_edge(src, dst, connections=list(wires))
+        return graph
 
     # -- wiring ---------------------------------------------------------------------
     def connect(
@@ -116,66 +166,58 @@ class NetworkEditor:
             raise PortError(f"{dst_name} has no input port {in_port!r}")
         dst_mod.input_ports[in_port].check_accepts(src_mod.output_ports[out_port])
         # an input port takes at most one wire
-        for _, _, data in self._graph.in_edges(dst_name, data=True):
-            for conn in data.get("connections", []):
-                if conn.in_port == in_port:
-                    raise PortError(
-                        f"{dst_name}.{in_port} is already connected "
-                        f"(from {conn.src}.{conn.out_port})"
-                    )
+        for conn in self.incoming(dst_name):
+            if conn.in_port == in_port:
+                raise PortError(
+                    f"{dst_name}.{in_port} is already connected "
+                    f"(from {conn.src}.{conn.out_port})"
+                )
         if self._reaches(dst_name, src_name):
             raise NetworkEditError(
                 f"connecting {src_name}.{out_port} -> {dst_name}.{in_port} "
                 f"would create a cycle"
             )
         conn = Connection(src=src_name, out_port=out_port, dst=dst_name, in_port=in_port)
-        if self._graph.has_edge(src_name, dst_name):
-            self._graph[src_name][dst_name]["connections"].append(conn)
-        else:
-            self._graph.add_edge(src_name, dst_name, connections=[conn])
+        wires = self._succ[src_name].get(dst_name)
+        if wires is None:
+            wires = self._succ[src_name][dst_name] = self._pred[dst_name][src_name] = []
+        wires.append(conn)
         return conn
 
     def _reaches(self, start: str, target: str) -> bool:
         """Whether ``target`` is ``start`` or downstream of it.  The
         graph is acyclic between edits, so the wire ``target -> start``
         closes a cycle exactly when this walk finds ``target``."""
-        successors = self._graph.successors
+        successors = self._succ
         seen = {start}
         stack = [start]
         while stack:
             node = stack.pop()
             if node == target:
                 return True
-            for nxt in successors(node):
+            for nxt in successors[node]:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
         return False
 
-    def _disconnect(self, conn: Connection) -> None:
-        data = self._graph[conn.src][conn.dst]
-        data["connections"].remove(conn)
-        if not data["connections"]:
-            self._graph.remove_edge(conn.src, conn.dst)
-
     def disconnect(self, conn: Connection) -> None:
         try:
-            self._disconnect(conn)
+            wires = self._succ[conn.src][conn.dst]
+            wires.remove(conn)
         except (KeyError, ValueError):
             raise NetworkEditError(f"connection {conn} is not in the network") from None
+        if not wires:
+            del self._succ[conn.src][conn.dst], self._pred[conn.dst][conn.src]
 
     @property
     def connections(self) -> Tuple[Connection, ...]:
-        out: List[Connection] = []
-        for _, _, data in self._graph.edges(data=True):
-            out.extend(data["connections"])
-        return tuple(out)
+        return tuple(
+            conn for out in self._succ.values() for wires in out.values() for conn in wires
+        )
 
     def incoming(self, name: str) -> Tuple[Connection, ...]:
-        out: List[Connection] = []
-        for _, _, data in self._graph.in_edges(name, data=True):
-            out.extend(data["connections"])
-        return tuple(out)
+        return tuple(conn for wires in self._pred[name].values() for conn in wires)
 
     # -- save / load -----------------------------------------------------------------
     def save(self) -> Dict[str, Any]:

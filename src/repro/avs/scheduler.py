@@ -52,13 +52,13 @@ class DataflowScheduler:
             inputs[conn.in_port] = port.value
         return inputs
 
-    def _order(self) -> List[str]:
-        return list(nx.topological_sort(self.editor.graph))
+    def _order(self, graph: nx.DiGraph) -> List[str]:
+        return list(nx.topological_sort(graph))
 
     def execute_all(self) -> ExecutionReport:
         """Run every module once, upstream before downstream."""
         report = ExecutionReport()
-        for name in self._order():
+        for name in self._order(self.editor.graph):
             module = self.editor.module(name)
             module.run_compute(self._gather_inputs(name))
             report.executed.append(name)
@@ -74,7 +74,7 @@ class DataflowScheduler:
                 dirty.add(name)
                 dirty |= nx.descendants(graph, name)
         report = ExecutionReport()
-        for name in self._order():
+        for name in self._order(graph):
             if name in dirty:
                 module = self.editor.module(name)
                 module.run_compute(self._gather_inputs(name))
@@ -89,7 +89,7 @@ class DataflowScheduler:
         graph = self.editor.graph
         targets = {name} | nx.descendants(graph, name)
         report = ExecutionReport()
-        for n in self._order():
+        for n in self._order(graph):
             if n in targets:
                 self.editor.module(n).run_compute(self._gather_inputs(n))
                 report.executed.append(n)

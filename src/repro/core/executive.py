@@ -113,83 +113,99 @@ class NPSSExecutive:
 
     # ------------------------------------------------------------- the F100
     def build_f100_network(self) -> Dict[str, TESSModule]:
-        """Construct Figure 2: the TESS F100 engine network."""
-        add, connect = self.add_module, self.editor.connect
-        m: Dict[str, TESSModule] = {}
-        m["system"] = add(SystemModule(role="system"), name="system")
-        m["inlet"] = add(InletModule(role="inlet"), name="inlet")
-        m["fan"] = add(CompressorModule(role="fan"), name="fan")
-        m["fan"].set_param("performance map", "f100-fan.map")
-        m["splitter"] = add(SplitterModule(role="splitter"), name="splitter")
-        m["duct-bypass"] = add(DuctModule(role="duct:bypass"), name="bypass duct")
-        m["duct-core"] = add(DuctModule(role="duct:core"), name="core duct")
-        m["bleed"] = add(BleedModule(role="bleed"), name="bleed")
-        m["hpc"] = add(
-            CompressorModule(role="hpc"), name="high pressure compressor"
-        )
-        m["hpc"].set_param("performance map", "f100-hpc.map")
-        m["combustor"] = add(CombustorModule(role="combustor"), name="combustor")
-        m["hpt"] = add(TurbineModule(role="hpt"), name="high pressure turbine")
-        m["lpt"] = add(TurbineModule(role="lpt"), name="low pressure turbine")
-        m["duct-mixer"] = add(DuctModule(role="duct:mixer-entry"), name="mixer duct")
-        m["mixer"] = add(MixingVolumeModule(role="mixer"), name="mixing volume")
-        m["nozzle"] = add(NozzleModule(role="nozzle"), name="nozzle")
-        m["shaft-low"] = add(ShaftModule(role="shaft:low"), name="low speed shaft")
-        m["shaft-high"] = add(ShaftModule(role="shaft:high"), name="high speed shaft")
+        """Open Figure 2: the TESS F100 engine network.  The first
+        executive over a machine park drags and wires it below — every
+        port check and cycle walk run — and saves the checked network
+        there (``park.saved_networks["f100"]``); this and every later one
+        gets its own copy (:meth:`NetworkEditor.paste`), theirs to edit."""
+        saved = self.env.park.saved_networks
+        if "f100" not in saved:
+            figure = NetworkEditor()
+            add, connect = figure.add_module, figure.connect
+            m: Dict[str, TESSModule] = {}
+            m["system"] = add(SystemModule(role="system"), name="system")
+            m["inlet"] = add(InletModule(role="inlet"), name="inlet")
+            m["fan"] = add(CompressorModule(role="fan"), name="fan")
+            m["fan"].set_param("performance map", "f100-fan.map")
+            m["splitter"] = add(SplitterModule(role="splitter"), name="splitter")
+            m["duct-bypass"] = add(DuctModule(role="duct:bypass"), name="bypass duct")
+            m["duct-core"] = add(DuctModule(role="duct:core"), name="core duct")
+            m["bleed"] = add(BleedModule(role="bleed"), name="bleed")
+            m["hpc"] = add(
+                CompressorModule(role="hpc"), name="high pressure compressor"
+            )
+            m["hpc"].set_param("performance map", "f100-hpc.map")
+            m["combustor"] = add(CombustorModule(role="combustor"), name="combustor")
+            m["hpt"] = add(TurbineModule(role="hpt"), name="high pressure turbine")
+            m["lpt"] = add(TurbineModule(role="lpt"), name="low pressure turbine")
+            m["duct-mixer"] = add(DuctModule(role="duct:mixer-entry"), name="mixer duct")
+            m["mixer"] = add(MixingVolumeModule(role="mixer"), name="mixing volume")
+            m["nozzle"] = add(NozzleModule(role="nozzle"), name="nozzle")
+            m["shaft-low"] = add(ShaftModule(role="shaft:low"), name="low speed shaft")
+            m["shaft-high"] = add(ShaftModule(role="shaft:high"), name="high speed shaft")
+
+            # airflow wiring (the dataflow "models the flow of air through
+            # the engine")
+            connect("system", "control", "inlet", "control")
+            connect("inlet", "out", "fan", "in")
+            connect("fan", "out", "splitter", "in")
+            connect("splitter", "bypass", "bypass duct", "in")
+            connect("splitter", "core", "core duct", "in")
+            connect("core duct", "out", "bleed", "in")
+            connect("bleed", "out", "high pressure compressor", "in")
+            connect("high pressure compressor", "out", "combustor", "in")
+            connect("combustor", "out", "high pressure turbine", "in")
+            connect("high pressure turbine", "out", "low pressure turbine", "in")
+            connect("low pressure turbine", "out", "mixer duct", "in")
+            connect("mixer duct", "out", "mixing volume", "core")
+            connect("bypass duct", "out", "mixing volume", "bypass")
+            connect("mixing volume", "out", "nozzle", "in")
+            # shaft energy wiring (Figure 2: the low-speed shaft "receives
+            # data from the upstream low pressure compressor")
+            connect("fan", "energy", "low speed shaft", "compressor energy")
+            connect("low pressure turbine", "energy", "low speed shaft", "turbine energy")
+            connect("high pressure compressor", "energy", "high speed shaft", "compressor energy")
+            connect("high pressure turbine", "energy", "high speed shaft", "turbine energy")
+            saved["f100"] = figure, {key: mod.instance_name for key, mod in m.items()}
+        figure, names = saved["f100"]
+        opened = self.editor.paste(figure)
+        for module in opened.values():
+            module.executive = self
+        m = {key: opened[name] for key, name in names.items()}
         m["shaft-low"].set_param("moment inertia", self.base_spec.low_inertia)
         m["shaft-high"].set_param("moment inertia", self.base_spec.high_inertia)
-
-        # airflow wiring (the dataflow "models the flow of air through
-        # the engine")
-        connect("system", "control", "inlet", "control")
-        connect("inlet", "out", "fan", "in")
-        connect("fan", "out", "splitter", "in")
-        connect("splitter", "bypass", "bypass duct", "in")
-        connect("splitter", "core", "core duct", "in")
-        connect("core duct", "out", "bleed", "in")
-        connect("bleed", "out", "high pressure compressor", "in")
-        connect("high pressure compressor", "out", "combustor", "in")
-        connect("combustor", "out", "high pressure turbine", "in")
-        connect("high pressure turbine", "out", "low pressure turbine", "in")
-        connect("low pressure turbine", "out", "mixer duct", "in")
-        connect("mixer duct", "out", "mixing volume", "core")
-        connect("bypass duct", "out", "mixing volume", "bypass")
-        connect("mixing volume", "out", "nozzle", "in")
-        # shaft energy wiring (Figure 2: the low-speed shaft "receives
-        # data from the upstream low pressure compressor")
-        connect("fan", "energy", "low speed shaft", "compressor energy")
-        connect("low pressure turbine", "energy", "low speed shaft", "turbine energy")
-        connect("high pressure compressor", "energy", "high speed shaft", "compressor energy")
-        connect("high pressure turbine", "energy", "high speed shaft", "turbine energy")
         return m
 
     # ----------------------------------------------------------------- solve
+    def _role_index(self) -> Dict[str, TESSModule]:
+        """role -> the first module in the network playing it, now."""
+        modules = reversed(self.editor.modules.values())
+        return {mod.role: mod for mod in modules if isinstance(mod, TESSModule)}
+
     def _module_by_role(self, role: str) -> Optional[TESSModule]:
-        for mod in self.editor.modules.values():
-            if isinstance(mod, TESSModule) and mod.role == role:
-                return mod
-        return None
+        return self._role_index().get(role)
 
     def _engine_spec_from_widgets(self) -> EngineSpec:
         spec = self.base_spec
         kw = {}
-        comb = self._module_by_role("combustor")
+        by_role = self._role_index().get
+        comb = by_role("combustor")
         if comb is not None:
             kw["burner_efficiency"] = comb.param("efficiency")
             kw["burner_loss"] = comb.param("dpqp")
-        noz = self._module_by_role("nozzle")
+        noz = by_role("nozzle")
         if noz is not None:
             kw["nozzle_cd"] = noz.param("cd")
-        inlet = self._module_by_role("inlet")
+        inlet = by_role("inlet")
         if inlet is not None:
             kw["inlet_recovery"] = inlet.param("recovery")
-        bleed = self._module_by_role("bleed")
+        bleed = by_role("bleed")
         if bleed is not None:
             kw["bleed_fraction"] = bleed.param("fraction")
-        lo = self._module_by_role("shaft:low")
+        lo = by_role("shaft:low")
         if lo is not None:
             kw["low_inertia"] = lo.param("moment inertia")
-        hi = self._module_by_role("shaft:high")
+        hi = by_role("shaft:high")
         if hi is not None:
             kw["high_inertia"] = hi.param("moment inertia")
         from dataclasses import replace
@@ -461,8 +477,11 @@ class NPSSExecutive:
         """The AVS 'clear network' action: every module is destroyed and
         every line's remote computations shut down; the persistent
         Manager survives for the next engine model."""
-        self.editor.clear()
-        self.host.destroy_all()
-        self.solution = None
-        self.transient_result = None
-        self._engine = None
+        try:
+            self.editor.clear()
+        finally:
+            # a raising destroy must not leave the other lines' processes up
+            self.host.destroy_all()
+            self.solution = None
+            self.transient_result = None
+            self._engine = None

@@ -17,10 +17,10 @@ and seed yields the same digest, byte for byte.
 from __future__ import annotations
 
 import argparse
-import hashlib
 from typing import Dict, List, Optional
 
 from ..core.specs import REMOTE_PATHS
+from ..schooner.tracing import trace_digest
 from .plan import (
     CrashMachine,
     CrashProcess,
@@ -82,25 +82,6 @@ def _build_executive(transient_s: float, dt: float):
     modules["combustor"].set_param("ramp seconds", 0.3)
     modules[COMPONENT].set_param("remote machine", DOOMED_HOST)
     return ex
-
-
-def trace_digest(traces) -> str:
-    """SHA-256 over the serialized call traces — the replay-identity
-    witness.  Every field that could vary between runs is included;
-    process-global counters (instance ids, pids) are deliberately not
-    part of a trace."""
-    h = hashlib.sha256()
-    for t in traces:
-        h.update(
-            (
-                f"{t.procedure}|{t.caller}|{t.callee}|{t.request_bytes}|"
-                f"{t.reply_bytes}|{t.started_at!r}|{t.finished_at!r}|"
-                f"{t.client_cpu_s!r}|{t.server_cpu_s!r}|{t.compute_s!r}|"
-                f"{t.network_s!r}|{t.outcome}|{t.retries}|{int(t.failed_over)}|"
-                f"{t.dispatch}|{t.timeout_hop}\n"
-            ).encode()
-        )
-    return h.hexdigest()
 
 
 def run_demo(

@@ -9,7 +9,7 @@ Table 1: local Ethernet, same-building-multiple-gateways, and Internet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 from .arch import (
     CONVEX_C2,
@@ -33,6 +33,9 @@ class MachinePark:
     """A collection of named machines, looked up by hostname or nickname."""
 
     machines: Dict[str, Machine] = field(default_factory=dict)
+    #: networks saved on this installation, by name ("create, modify, and
+    #: save programs", §2.4): what every executive over the park can open
+    saved_networks: Dict[str, Any] = field(default_factory=dict, repr=False)
 
     def add(self, nickname: str, machine: Machine) -> Machine:
         if nickname in self.machines:

@@ -95,6 +95,8 @@ class Procedure:
         if not self.stateless and self.state_spec is None:
             # allowed: such a procedure simply cannot be migrated
             pass
+        # derived once: every bind of every line asks for them
+        object.__setattr__(self, "_synonyms", name_synonyms(self.name, self.language))
 
     @property
     def retry_ok(self) -> bool:
@@ -124,7 +126,7 @@ class Procedure:
 
     def synonyms(self) -> frozenset:
         """All names the Manager stores for this procedure (§4.1)."""
-        return name_synonyms(self.name, self.language)
+        return self._synonyms
 
 
 @dataclass

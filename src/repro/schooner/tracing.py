@@ -12,12 +12,32 @@ per-message Schooner header is accounted separately by
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Tuple
 
 from .runtime import CallTrace
 
-__all__ = ["ProcedureSummary", "summarize", "render_summary"]
+__all__ = ["ProcedureSummary", "summarize", "render_summary", "trace_digest"]
+
+
+def trace_digest(traces) -> str:
+    """SHA-256 over the serialized call traces — the replay-identity
+    witness.  Every field that could vary between runs is included;
+    process-global counters (instance ids, pids) are deliberately not
+    part of a trace."""
+    h = hashlib.sha256()
+    for t in traces:
+        h.update(
+            (
+                f"{t.procedure}|{t.caller}|{t.callee}|{t.request_bytes}|"
+                f"{t.reply_bytes}|{t.started_at!r}|{t.finished_at!r}|"
+                f"{t.client_cpu_s!r}|{t.server_cpu_s!r}|{t.compute_s!r}|"
+                f"{t.network_s!r}|{t.outcome}|{t.retries}|{int(t.failed_over)}|"
+                f"{t.dispatch}|{t.timeout_hop}\n"
+            ).encode()
+        )
+    return h.hexdigest()
 
 
 @dataclass

@@ -22,29 +22,19 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..core.executive import NPSSExecutive
 from ..faults.plan import FaultPlan
 from ..network.transport import TrafficStats
+from ..schooner.tracing import trace_digest
 from ..tess.atmosphere import FlightCondition
-from ..tess.opkey import combine_keys, context_key, deck_key, flight_key
+from ..tess.opkey import combine_keys, context_key, deck_key, flight_key, value_memo
 from ..tess.schedules import Schedule
 from .installation import SessionRecord, SharedInstallation
 
-__all__ = ["TABLE2_PLACEMENT", "SessionSpec", "SessionContext", "SessionResult", "trace_digest"]
-
-
-def trace_digest(traces) -> str:
-    """SHA-256 over the serialized call traces — the replay-identity
-    witness (same serialization as :func:`repro.faults.demo.trace_digest`;
-    process-global counters like pids and instance ids are deliberately
-    not part of a trace, which is what makes digests comparable across
-    co-resident sessions and solo replays)."""
-    from ..faults.demo import trace_digest as _digest
-
-    return _digest(traces)
-
+__all__ = ["TABLE2_PLACEMENT", "SessionSpec", "SessionContext", "SessionResult"]
 
 #: Table 2's all-remote placement of the F100 network's adapted modules,
 #: keyed by editor module name (the paper's distributed-simulation
@@ -120,12 +110,8 @@ class SessionSpec:
         a fault plan, whose runs are deliberately non-canonical."""
         if not self.op_cache or self.fault_plan is not None:
             return None
-        return combine_keys(
-            flight_key(FlightCondition(altitude_m=self.altitude_m, mach=self.mach)),
-            context_key(
-                placement=dict(self.placement),
-                dispatch=self.dispatch,
-            ),
+        return _op_family(
+            self.altitude_m, self.mach, tuple(sorted(self.placement.items())), self.dispatch
         )
 
     def workload_key(self) -> str:
@@ -136,25 +122,35 @@ class SessionSpec:
         ``deadline_s`` and ``resilient`` are included — a deadline rides
         in every RPC header and the resilience kit changes failure-path
         behaviour, so they are part of the trace-determining state."""
-        payload = json.dumps(
-            {
-                "points": list(self.points),
-                "placement": sorted(self.placement.items()),
-                "altitude_m": self.altitude_m,
-                "mach": self.mach,
-                "transient_s": self.transient_s,
-                "transient_dt": self.transient_dt,
-                "avs_machine": self.avs_machine,
-                "dispatch": self.dispatch,
-                "deadline_s": self.deadline_s,
-                "resilient": self.resilient,
-                # op-cache sessions skip RPCs on exact hits, so the flag
-                # is trace-determining and must split the key
-                "op_cache": self.op_cache,
-            },
-            sort_keys=True,
+        return _workload_key(
+            tuple(self.points), tuple(map(type, self.points)),
+            tuple(sorted(self.placement.items())), *_scalar_fields(self),
         )
-        return hashlib.sha256(payload.encode()).hexdigest()
+
+
+#: the trace-determining scalars (op-cache sessions skip RPCs on exact
+#: hits, so that flag splits the key too)
+_SCALAR_FIELDS = (
+    "altitude_m", "mach", "transient_s", "transient_dt", "avs_machine",
+    "dispatch", "deadline_s", "resilient", "op_cache",
+)
+_scalar_fields = attrgetter(*_SCALAR_FIELDS)
+
+
+# both keys: once per distinct value, not once per session
+@value_memo
+def _op_family(altitude_m, mach, placement, dispatch) -> str:
+    return combine_keys(
+        flight_key(FlightCondition(altitude_m=altitude_m, mach=mach)),
+        context_key(placement=dict(placement), dispatch=dispatch),
+    )
+
+
+@value_memo
+def _workload_key(points, _point_types, placement, *scalars) -> str:
+    fields = {"points": list(points), "placement": list(placement)}
+    fields.update(zip(_SCALAR_FIELDS, scalars))
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
 
 
 @dataclass
@@ -533,6 +529,9 @@ class SessionContext:
             self.executive.clear_network()
         self.executive = None
         self.env = None
+        # kept for its result, not its engine: that holds the host, Manager
+        # and environment alive for every later collection to walk
+        self._engine = self._flight = self._x0 = self._jac0 = None
 
     # ------------------------------------------------- shedding & containment
     def shed(self, reason: str, deadline_met: Optional[bool] = None) -> None:

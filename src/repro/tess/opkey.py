@@ -31,7 +31,7 @@ from typing import Any, Callable
 
 __all__ = [
     "stable_value", "context_key", "deck_key", "flight_key", "wf_key",
-    "combine_keys", "spec_memo",
+    "combine_keys", "spec_memo", "value_memo",
 ]
 
 
@@ -68,25 +68,36 @@ def context_key(**values: Any) -> str:
     return _digest(stable_value(values))
 
 
-def spec_memo(fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
-    """Memoise a pure function of one frozen, ``vars()``-able dataclass
-    instance, keeping the 64 most recently used entries.  The key is the
-    instance *and its field types*: ``==`` alone would let a deck
-    written with ``2`` take the entry of one written with ``2.0``, and
-    those two digest differently.  ``cache_clear``/``cache_info`` are
-    the ``lru_cache`` ones."""
+def _typed_memo(fn: Callable[..., Any], types_of: Callable[..., tuple]) -> Callable[..., Any]:
+    """``fn`` of hashable values, keeping the 64 most recently used
+    entries, keyed by the values *and* ``types_of(*values)``: ``==``
+    alone would let a deck written with ``2`` take the entry of one
+    written with ``2.0``, and those two digest differently.
+    ``cache_clear``/``cache_info`` are the ``lru_cache`` ones."""
 
     @lru_cache(maxsize=64)
-    def cached(spec: Any, _types: tuple) -> Any:
-        return fn(spec)
+    def cached(values: tuple, _types: tuple) -> Any:
+        return fn(*values)
 
     @wraps(fn)
-    def memoised(spec: Any) -> Any:
-        return cached(spec, tuple(map(type, vars(spec).values())))
+    def memoised(*values: Any) -> Any:
+        return cached(values, types_of(*values))
 
     memoised.cache_clear = cached.cache_clear
     memoised.cache_info = cached.cache_info
     return memoised
+
+
+def spec_memo(fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """Memoise a pure function of one frozen, ``vars()``-able dataclass
+    instance, keyed by the instance and its field types."""
+    return _typed_memo(fn, lambda spec: tuple(map(type, vars(spec).values())))
+
+
+def value_memo(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """Memoise a pure function of hashable positional values, keyed by
+    them and their types (not by the types inside a tuple argument)."""
+    return _typed_memo(fn, lambda *values: tuple(map(type, values)))
 
 
 @spec_memo

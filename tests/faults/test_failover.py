@@ -12,7 +12,8 @@ These run the real executive, so they are the slow end of the suite
 
 import pytest
 
-from repro.faults.demo import DOOMED_HOST, run_demo, trace_digest
+from repro.faults.demo import DOOMED_HOST, run_demo
+from repro.schooner.tracing import trace_digest
 
 
 @pytest.fixture(scope="module")

@@ -2,11 +2,13 @@
 
 What is a pure function of installation-wide immutable inputs is built
 once: the four adapted-module executables when the installation is
-built, the design closure and the deck digest once per engine deck.
-Opening a session over a built installation parses no spec, installs no
-executable and sizes no engine — and none of that may move a digest, a
-virtual time or a result (the pinned values below were recorded on the
-commit before the change).
+built, the design closure and the deck digest once per engine deck, the
+checked Figure-2 network by the first session that opens it, a
+session's workload and family keys once per distinct value.  Opening a
+session over a built installation parses no spec, installs no
+executable, sizes no engine and wires no network — and none of that may
+move a digest, a virtual time or a result (the pinned values below were
+recorded on the commit before the change).
 """
 
 from __future__ import annotations
@@ -20,13 +22,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.avs import NetworkEditor
 from repro.core import NPSSExecutive
 from repro.core.specs import REMOTE_PATHS, install_tess_executables
+from repro.core.tess_modules import DuctModule
 from repro.faults import FaultPlan, GatewayOutage, GatewayRestore, LatencySpike
 from repro.machines.host import Machine
 from repro.schooner.runtime import SchoonerEnvironment
 from repro.serve import SessionSpec, SharedInstallation, serve_sessions
+from repro.serve.session import SessionContext
 from repro.tess import opkey
+from repro.tess.atmosphere import FlightCondition
 from repro.tess.engine import TwinSpoolTurbofan, design_closure, sized_deck
 from repro.tess.f100 import F100_SPEC
 from repro.uts import spec as uts_spec
@@ -133,6 +139,19 @@ PINNED = {
         "f6fba1eea98ce0213aebdac3629d452b70aa13dcc7cc48d471cbba83be0021c9",
     ),
 }
+
+
+#: a fifth session of the batch, opened from the other AVS machine
+FROM_LERC = (
+    "completed",
+    "40cedfc1614cf1a96ee9ec2a65c291eb86d600aa172bcb9f686aaaf54b4dd5f8",
+    "0x1.12816105452b9p+2",
+    "b12ea9a8437e9197290d8f28c3bea9b18022800efab80dd1750f1115d3ae01bb",
+)
+
+
+def running(installation):
+    return sum(len(machine.running_processes) for machine in installation.park)
 
 
 class TestExecutablesBuiltOnce:
@@ -256,3 +275,194 @@ class TestAnInstallationKeepsNoDeadProcesses:
         assert len(spawned) >= 3 * 7, "sessions must actually spawn processes"
         assert not [ref for ref in spawned if ref() is not None]
 
+
+
+class TestTheFigureIsWiredOncePerInstallation:
+    def test_a_mixed_batch_opens_copies_of_one_checked_network(self, monkeypatch):
+        """Two AVS machines, a private topology (the fault plan) and a
+        resilient session: one park, so one saved network."""
+        installation = SharedInstallation.standard()
+        assert installation.park.saved_networks == {}  # nothing is wired before a session asks
+        adds = Counter(monkeypatch, NetworkEditor, "add_module")
+        connects = Counter(monkeypatch, NetworkEditor, "connect")
+        batch = mixed_batch() + [
+            SessionSpec(name="from-lerc", points=(1.30, 1.34), avs_machine="lerc-sparc10")
+        ]
+        report = serve_sessions(batch, installation=installation, dedup=False)
+        assert (adds.calls, connects.calls) == (16, 18)
+        assert list(installation.park.saved_networks) == ["f100"]
+        assert {r.name: fingerprint(r) for r in report.results} == {**PINNED, "from-lerc": FROM_LERC}
+        serve_sessions(mixed_batch(), installation=installation, dedup=False)
+        assert (adds.calls, connects.calls) == (16, 18)
+        assert running(installation) == 0
+
+    def test_a_session_s_network_is_its_own(self):
+        installation = SharedInstallation.standard()
+        first = SessionContext(SessionSpec(name="a", points=(1.30,), altitude_m=3000.0), installation)
+        second = SessionContext(SessionSpec(name="b", points=(1.30,)), installation, seq=1)
+        first.run_next_step()
+        second.run_next_step()
+        figure = installation.park.saved_networks["f100"][0]
+        mine, other = (ctx.executive.editor.module("inlet") for ctx in (first, second))
+        assert (mine.param("altitude"), other.param("altitude")) == (3000.0, 0.0)
+        assert figure.module("inlet").param("altitude") == 0.0
+        assert figure.module("nozzle").param("remote machine") == "<local>"
+        for ctx in (first, second):
+            ctx.fail(RuntimeError("done"))
+        assert running(installation) == 0
+
+
+class TestTeardownLeavesNoProcessBehind:
+    """A module whose destroy raises used to end ``editor.clear()`` at
+    that module and skip ``host.destroy_all()``: six of a Table-2
+    session's seven remote processes stayed on the shared park."""
+
+    @pytest.fixture
+    def stubborn_core_duct(self, monkeypatch):
+        real = DuctModule.destroy
+        raised = []
+
+        def destroy(module):
+            if module.role == "duct:core" and not raised:  # the first one only
+                raised.append(module)
+                raise RuntimeError("core duct would not die")
+            real(module)
+
+        monkeypatch.setattr(DuctModule, "destroy", destroy)
+
+    def test_through_fail(self, stubborn_core_duct):
+        installation = SharedInstallation.standard()
+        ctx = SessionContext(SessionSpec(name="s", points=(1.30,)), installation)
+        ctx.run_next_step()
+        assert running(installation) == 7
+        ctx.fail(ValueError("a step blew up"))
+        assert running(installation) == 0
+        result = ctx.result()
+        assert result.status == "degraded"
+        assert result.error == (
+            "ValueError: a step blew up (teardown: core duct would not die)"
+        )
+
+    def test_through_finalize(self, stubborn_core_duct):
+        installation = SharedInstallation.standard()
+        ctx = SessionContext(SessionSpec(name="s", points=(1.30,)), installation)
+        with pytest.raises(RuntimeError, match="core duct would not die"):
+            while not ctx.done:
+                ctx.run_next_step()
+        assert running(installation) == 0
+
+    def test_the_serve_loop_contains_it_and_the_next_session_is_clean(self, stubborn_core_duct):
+        installation = SharedInstallation.standard()
+        report = serve_sessions(
+            [SessionSpec(name="first", points=(1.31,)), mixed_batch()[0]],
+            installation=installation, dedup=False,
+        )
+        first, steady = report.results
+        assert first.status == "degraded" and "core duct would not die" in first.error
+        # the next session met a park with nobody else's processes on it
+        assert fingerprint(steady) == PINNED["steady"]
+        assert running(installation) == 0
+
+
+def reference_workload_key(spec):
+    """``SessionSpec.workload_key`` as it was computed per session."""
+    payload = json.dumps(
+        {
+            "points": list(spec.points),
+            "placement": sorted(spec.placement.items()),
+            "altitude_m": spec.altitude_m,
+            "mach": spec.mach,
+            "transient_s": spec.transient_s,
+            "transient_dt": spec.transient_dt,
+            "avs_machine": spec.avs_machine,
+            "dispatch": spec.dispatch,
+            "deadline_s": spec.deadline_s,
+            "resilient": spec.resilient,
+            "op_cache": spec.op_cache,
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def reference_op_family(spec):
+    if not spec.op_cache or spec.fault_plan is not None:
+        return None
+    return opkey.combine_keys(
+        opkey.flight_key(FlightCondition(altitude_m=spec.altitude_m, mach=spec.mach)),
+        opkey.context_key(placement=dict(spec.placement), dispatch=spec.dispatch),
+    )
+
+
+class TestSessionKeysComputedOncePerValue:
+    #: one other value for every trace-determining field, then the int
+    #: and bool spellings that compare equal to a float one
+    OTHER = (
+        {"points": (1.31, 1.35)},
+        {"placement": {"nozzle": "sgi4d420.lerc.nasa.gov"}},
+        {"altitude_m": 3000.0},
+        {"mach": 0.6},
+        {"transient_s": 0.2},
+        {"transient_dt": 0.01},
+        {"avs_machine": "lerc-sparc10"},
+        {"dispatch": "sync"},
+        {"deadline_s": 30.0},
+        {"resilient": True},
+        {"op_cache": False},
+        {"points": (1, 2)},
+        {"points": (1.0, 2.0)},
+        {"points": [1.0, 2.0, 3.0]},
+        {"altitude_m": 3000},
+        {"deadline_s": 30},
+        {"resilient": 1},
+        {"transient_s": 0.2, "op_cache": False},
+    )
+
+    def variants(self):
+        base = SessionSpec(name="base", op_cache=True)
+        return [base] + [replace(base, **other) for other in self.OTHER]
+
+    def test_memoised_keys_equal_the_unmemoised_ones(self):
+        specs = self.variants()
+        keys = [spec.workload_key() for spec in specs]
+        assert keys == [reference_workload_key(spec) for spec in specs]
+        # (1.0, 2.0) and [1.0, 2.0, 3.0] aside, every variant is its own workload
+        assert len(set(keys)) == len(keys)
+        families = [spec.op_family() for spec in specs]
+        assert families == [reference_op_family(spec) for spec in specs]
+        # and again, now every one of them out of the memo
+        assert [spec.workload_key() for spec in specs] == keys
+        assert [spec.op_family() for spec in specs] == families
+
+    def test_labels_and_scheduling_hints_do_not_split_a_key(self):
+        base = SessionSpec(name="base", op_cache=True)
+        twin = replace(base, name="twin", priority=3, traffic_class="batch")
+        assert twin.workload_key() == base.workload_key()
+        assert twin.op_family() == base.op_family()
+
+    def test_placement_order_neither_splits_nor_merges(self):
+        forward = {"nozzle": "sgi4d420.lerc.nasa.gov", "combustor": "sgi4d340.cs.arizona.edu"}
+        backward = dict(reversed(forward.items()))
+        swapped = dict(zip(forward, reversed(forward.values())))
+        a, b, c = (SessionSpec(name="s", placement=p, op_cache=True)
+                   for p in (forward, backward, swapped))
+        assert list(a.placement) != list(b.placement)
+        assert a.workload_key() == b.workload_key() == reference_workload_key(b)
+        assert a.op_family() == b.op_family() == reference_op_family(b)
+        assert c.workload_key() == reference_workload_key(c) != a.workload_key()
+        assert c.op_family() == reference_op_family(c) != a.op_family()
+
+    def test_a_fault_plan_or_no_opt_in_has_no_family(self):
+        plan = FaultPlan(seed=1, events=())
+        assert SessionSpec(name="s").op_family() is None
+        assert SessionSpec(name="s", op_cache=True, fault_plan=plan).op_family() is None
+
+    def test_the_key_memos_are_bounded(self):
+        from repro.serve import session
+
+        for i in range(80):
+            spec = SessionSpec(name="s", points=(1.30 + i / 1000,), mach=i / 100, op_cache=True)
+            spec.workload_key()
+            spec.op_family()
+        assert session._workload_key.cache_info().currsize == 64
+        assert session._op_family.cache_info().currsize == 64
