@@ -7,10 +7,11 @@ needed for a simulation.  The dataflow in this case models the flow of
 air through the engine." (paper, section 2.4)
 
 The editor maintains a directed acyclic graph of module instances as
-plain successor/predecessor dicts of :class:`Connection` lists
-(:attr:`NetworkEditor.graph` is a ``networkx`` view built on request);
-connections are type-checked port-to-port, and networks can be saved to
-/ loaded from plain dictionaries ("create, modify, and save programs").
+plain successor/predecessor dicts of :class:`Connection` lists, and walks
+them itself: :meth:`NetworkEditor.generations` is the execution order in
+layers, :meth:`NetworkEditor.downstream` a module's cone.  Connections
+are type-checked port-to-port, and networks can be saved to / loaded
+from plain dictionaries ("create, modify, and save programs").
 Acyclicity is checked per wire, before the wire goes in, by a
 reachability walk from its destination back to its source: a refused
 ``connect`` never touches the graph.
@@ -21,9 +22,7 @@ A checked network can be opened without being dragged again
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .errors import NetworkEditError, PortError
 from .module import AVSModule
@@ -141,16 +140,38 @@ class NetworkEditor:
     def modules(self) -> Dict[str, AVSModule]:
         return dict(self._modules)
 
-    @property
-    def graph(self) -> nx.DiGraph:
-        """A ``networkx`` view built on request (editor order, an edge's
-        wires under ``"connections"``); editing it edits nothing."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._modules)
-        for src, out in self._succ.items():
-            for dst, wires in out.items():
-                graph.add_edge(src, dst, connections=list(wires))
-        return graph
+    # -- walks ---------------------------------------------------------------------
+    def generations(self) -> List[List[str]]:
+        """The modules in layers, each after every module it reads from
+        (Kahn's walk).  A layer starts with the modules that have no
+        upstream, in the order they were added, and grows in the order
+        the wires went in; the flattened layers are the execution order
+        — module order is trace order, so this order is the contract."""
+        pending = {name: len(into) for name, into in self._pred.items() if into}
+        layer = [name for name in self._modules if not self._pred[name]]
+        layers: List[List[str]] = []
+        while layer:
+            layers.append(layer)
+            layer = []
+            for name in layers[-1]:
+                for child in self._succ[name]:
+                    pending[child] -= 1
+                    if not pending[child]:
+                        del pending[child]
+                        layer.append(child)
+        return layers
+
+    def downstream(self, name: str) -> Set[str]:
+        """Every module that reads, directly or not, from ``name``."""
+        successors = self._succ
+        seen: Set[str] = set()
+        stack = [name]
+        while stack:
+            for nxt in successors[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
 
     # -- wiring ---------------------------------------------------------------------
     def connect(
@@ -172,7 +193,9 @@ class NetworkEditor:
                     f"{dst_name}.{in_port} is already connected "
                     f"(from {conn.src}.{conn.out_port})"
                 )
-        if self._reaches(dst_name, src_name):
+        # the graph is acyclic between edits, so this wire closes a cycle
+        # exactly when its source is its destination or downstream of it
+        if src_name == dst_name or src_name in self.downstream(dst_name):
             raise NetworkEditError(
                 f"connecting {src_name}.{out_port} -> {dst_name}.{in_port} "
                 f"would create a cycle"
@@ -183,23 +206,6 @@ class NetworkEditor:
             wires = self._succ[src_name][dst_name] = self._pred[dst_name][src_name] = []
         wires.append(conn)
         return conn
-
-    def _reaches(self, start: str, target: str) -> bool:
-        """Whether ``target`` is ``start`` or downstream of it.  The
-        graph is acyclic between edits, so the wire ``target -> start``
-        closes a cycle exactly when this walk finds ``target``."""
-        successors = self._succ
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            if node == target:
-                return True
-            for nxt in successors[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
 
     def disconnect(self, conn: Connection) -> None:
         try:

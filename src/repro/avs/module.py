@@ -153,7 +153,6 @@ class AVSModule:
                     raise ComputeError(
                         f"{self.label}: required input {name!r} is not connected"
                     )
-        self.compute_count += 1
         outputs = self.compute(**inputs)
         if outputs is None:
             outputs = {}
@@ -168,6 +167,9 @@ class AVSModule:
         for name, value in outputs.items():
             self._outputs[name].put(value)
         self.mark_params_clean()
+        # counted once its outputs are stored: a module whose computes
+        # all raised has never run, and the scheduler still owes it one
+        self.compute_count += 1
         return outputs
 
     @property

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import List
 
-import networkx as nx
-
 from .editor import NetworkEditor
 
 __all__ = ["render_network"]
@@ -19,12 +17,9 @@ __all__ = ["render_network"]
 
 def render_network(editor: NetworkEditor, width: int = 72) -> str:
     """Render the module graph as layered boxes plus a wire list."""
-    graph = editor.graph
-    if not graph.nodes:
+    layers: List[List[str]] = [sorted(layer) for layer in editor.generations()]
+    if not layers:
         return "(empty network)"
-    layers: List[List[str]] = [
-        sorted(layer) for layer in nx.topological_generations(graph)
-    ]
     lines: List[str] = []
     for depth, layer in enumerate(layers):
         row = "   ".join(f"[{name}]" for name in layer)

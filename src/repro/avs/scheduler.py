@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Set
 
-import networkx as nx
-
 from .errors import ComputeError, NetworkEditError
 from .editor import NetworkEditor
 
@@ -52,13 +50,13 @@ class DataflowScheduler:
             inputs[conn.in_port] = port.value
         return inputs
 
-    def _order(self, graph: nx.DiGraph) -> List[str]:
-        return list(nx.topological_sort(graph))
+    def _order(self) -> List[str]:
+        return [name for layer in self.editor.generations() for name in layer]
 
     def execute_all(self) -> ExecutionReport:
         """Run every module once, upstream before downstream."""
         report = ExecutionReport()
-        for name in self._order(self.editor.graph):
+        for name in self._order():
             module = self.editor.module(name)
             module.run_compute(self._gather_inputs(name))
             report.executed.append(name)
@@ -66,15 +64,14 @@ class DataflowScheduler:
 
     def execute_dirty(self) -> ExecutionReport:
         """Run only modules whose widgets changed (or that have never
-        run), plus everything downstream of them."""
-        graph = self.editor.graph
+        run to completion), plus everything downstream of them."""
         dirty: Set[str] = set()
         for name, module in self.editor.modules.items():
             if module.params_dirty or module.compute_count == 0:
                 dirty.add(name)
-                dirty |= nx.descendants(graph, name)
+                dirty |= self.editor.downstream(name)
         report = ExecutionReport()
-        for name in self._order(graph):
+        for name in self._order():
             if name in dirty:
                 module = self.editor.module(name)
                 module.run_compute(self._gather_inputs(name))
@@ -86,10 +83,9 @@ class DataflowScheduler:
     def execute_from(self, module_or_name) -> ExecutionReport:
         """Force one module and its downstream cone to re-execute."""
         name = self.editor._resolve_name(module_or_name)
-        graph = self.editor.graph
-        targets = {name} | nx.descendants(graph, name)
+        targets = {name} | self.editor.downstream(name)
         report = ExecutionReport()
-        for n in self._order(graph):
+        for n in self._order():
             if n in targets:
                 self.editor.module(n).run_compute(self._gather_inputs(n))
                 report.executed.append(n)

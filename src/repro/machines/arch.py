@@ -129,7 +129,7 @@ ALL_ARCHITECTURES = (
 
 # The distinct native formats of the machine park, in a stable order —
 # the sweep set of the UTS conformance harness
-# (:mod:`repro.uts.conformance`): every codec bug that matters shows up
+# (``tests/uts/conformance.py``): every codec bug that matters shows up
 # on one of these.
 ALL_NATIVE_FORMATS = tuple(
     {arch.native_format: None for arch in ALL_ARCHITECTURES}

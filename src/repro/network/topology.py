@@ -7,19 +7,20 @@ The three-tier rule reproduces Table 1's connectivity classes:
 * same site, different subnets      -> campus path through gateways
 * different sites                   -> the Internet
 
-A :class:`Topology` also carries an explicit ``networkx`` graph of
-subnets and sites, so richer routing (extra gateways, cut links) can be
-modelled; :meth:`classify` is the fast path used by the transport.
+A :class:`Topology` also carries an explicit graph of hosts, subnets and
+sites (an adjacency dict, one :class:`LinkModel` per edge, grown only by
+:meth:`Topology.add_link`), so richer routing (extra gateways, cut
+links) can be modelled; :meth:`classify` is the fast path used by the
+transport.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Hashable
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 from zlib import crc32
-
-import networkx as nx
 
 from ..machines.host import Machine
 from .link import CAMPUS_GATEWAYS, ETHERNET, INTERNET_1993, LOOPBACK, LinkModel
@@ -41,7 +42,8 @@ class Topology:
     loopback: LinkModel = LOOPBACK
     # explicit overrides for specific (src_host, dst_host) pairs
     _overrides: Dict[Tuple[str, str], LinkModel] = field(default_factory=dict)
-    _graph: nx.Graph = field(default_factory=nx.Graph)
+    # the explicit graph: node -> neighbour -> the link between them
+    _links: Dict[Hashable, Dict[Hashable, LinkModel]] = field(default_factory=dict)
     _partitioned: set = field(default_factory=set)
     # sites whose campus gateways are down: same-site cross-subnet
     # traffic fails while the site's Ethernets keep working
@@ -55,9 +57,18 @@ class Topology:
         reason about the network as a graph)."""
         subnet_node = ("subnet", machine.site, machine.subnet)
         site_node = ("site", machine.site)
-        self._graph.add_edge(("host", machine.hostname), subnet_node, link=self.ethernet)
-        self._graph.add_edge(subnet_node, site_node, link=self.campus)
-        self._graph.add_edge(site_node, ("backbone",), link=self.internet)
+        self.add_link(("host", machine.hostname), subnet_node, self.ethernet)
+        self.add_link(subnet_node, site_node, self.campus)
+        self.add_link(site_node, ("backbone",), self.internet)
+
+    def add_link(self, a: Hashable, b: Hashable, link: LinkModel) -> None:
+        """Join two graph nodes both ways by ``link`` (replacing the link
+        of an existing edge).  Hosts are ``("host", hostname)``, subnets
+        ``("subnet", site, subnet)``, sites ``("site", site)``, the WAN
+        ``("backbone",)``; any other hashable adds a node of its own,
+        e.g. a second campus gateway."""
+        self._links.setdefault(a, {})[b] = link
+        self._links.setdefault(b, {})[a] = link
 
     def set_override(self, src: Machine, dst: Machine, link: LinkModel) -> None:
         """Force a specific link model for a machine pair (both ways)."""
@@ -135,19 +146,11 @@ class Topology:
         *sorted* candidate list, so a fixed seed always yields the same
         route — routing decisions never consult wall-clock randomness.
         """
-        a, b = ("host", src.hostname), ("host", dst.hostname)
-        if a == b:
+        if src.hostname == dst.hostname:
             return (self.loopback,)
-        try:
-            paths = sorted(
-                nx.all_shortest_paths(self._graph, a, b), key=lambda p: [str(n) for n in p]
-            )
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise NetworkError(str(exc)) from exc
+        paths = sorted(self._shortest_paths(src, dst), key=lambda p: [str(n) for n in p])
         path = paths[random.Random(seed).randrange(len(paths))]
-        return tuple(
-            self._graph.edges[u, v]["link"] for u, v in zip(path, path[1:])
-        )
+        return tuple(self._links[u][v] for u, v in zip(path, path[1:]))
 
     def route_transfer_seconds(
         self, src: Machine, dst: Machine, nbytes: int, seed: int = 0
@@ -160,9 +163,28 @@ class Topology:
     def graph_path_hops(self, src: Machine, dst: Machine) -> int:
         """Number of graph edges between two registered hosts (sanity
         checks in tests: Ethernet=2 via the shared subnet node, etc.)."""
-        try:
-            return nx.shortest_path_length(
-                self._graph, ("host", src.hostname), ("host", dst.hostname)
-            )
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise NetworkError(str(exc)) from exc
+        return len(self._shortest_paths(src, dst)[0]) - 1
+
+    def _shortest_paths(self, src: Machine, dst: Machine) -> List[Tuple[Hashable, ...]]:
+        """Every shortest path between two registered hosts over the
+        explicit graph: one breadth-first walk, a layer at a time, that
+        extends every shortest path to a node of one layer to the nodes
+        first reached from it."""
+        a, b = ("host", src.hostname), ("host", dst.hostname)
+        links = self._links
+        for node in (a, b):
+            if node not in links:
+                raise NetworkError(f"host {node[1]!r} is not in the topology")
+        paths: Dict[Hashable, List[Tuple[Hashable, ...]]] = {a: [(a,)]}
+        layer = [a]
+        while layer and b not in paths:
+            reached: Dict[Hashable, List[Tuple[Hashable, ...]]] = {}
+            for node in layer:
+                for nxt in links[node]:
+                    if nxt not in paths:
+                        reached.setdefault(nxt, []).extend(p + (nxt,) for p in paths[node])
+            paths.update(reached)
+            layer = list(reached)
+        if b not in paths:
+            raise NetworkError(f"no path from {src.hostname!r} to {dst.hostname!r}")
+        return paths[b]

@@ -15,10 +15,12 @@ The installation also owns the :class:`WorkloadCache`: when several
 co-resident sessions request the *same* scenario (identical placement,
 operating points, and configuration — the common case for a popular
 simulation served to many users), the first session computes it live and
-the rest replay the recorded traces and results.  Replay is exact, not
-approximate: a live run of the same workload is deterministic, so the
-recorded traces are byte-identical to what the session would have
-computed — the differential tests in tests/serve/ assert this.
+the rest replay its record: results, traffic counters, virtual time and
+the digest of its call traces (the traces themselves die with the
+session's environment).  Replay is exact, not approximate: a live run of
+the same workload is deterministic, so the recorded digest is the one the
+session would have computed — the differential tests in tests/serve/
+assert this.
 
 Below whole-session replay sits the finer-grained
 :class:`~repro.serve.opcache.OpPointCache` (ROADMAP item 4): sessions
@@ -39,7 +41,7 @@ from ..network.clock import VirtualClock
 from ..network.topology import Topology
 from ..network.transport import Transport
 from ..resilience.budget import RetryBudget
-from ..schooner.runtime import CallTrace, SchoonerEnvironment
+from ..schooner.runtime import SchoonerEnvironment
 from .opcache import OpPointCache
 
 __all__ = ["SharedInstallation", "WorkloadCache", "SessionRecord"]
@@ -49,12 +51,19 @@ __all__ = ["SharedInstallation", "WorkloadCache", "SessionRecord"]
 class SessionRecord:
     """One completed workload, as the cache stores it: the per-point
     results plus everything needed to replay the session's observable
-    state (traces, traffic counters, final virtual time) exactly."""
+    state (trace digest and count, traffic counters, final virtual time)
+    exactly.  No :class:`~repro.schooner.runtime.CallTrace` is kept: what
+    a result or a disposition reads of them is summed up here once."""
 
     results: List[dict]
     transient: Optional[dict]
     virtual_s: float
-    traces: List[CallTrace]
+    #: ``trace_digest`` of the session's call traces
+    digest: str
+    #: how many calls were traced
+    traces: int
+    #: whether any traced call failed, was retried or failed over
+    impacted: bool
     messages: int
     payload_bytes: int
     header_bytes: int

@@ -455,13 +455,15 @@ class SessionContext:
         session with no environment (shed before it ran, or contained
         before set-up built one)."""
         env = self.env
-        traces = list(env.traces) if env is not None else []
+        traces = env.traces if env is not None else []
         stats = env.transport.stats if env is not None else TrafficStats()
         return SessionRecord(
             results=list(self.results),
             transient=self.transient,
             virtual_s=float(env.clock.now) if env is not None else 0.0,
-            traces=traces,
+            digest=trace_digest(traces),
+            traces=len(traces),
+            impacted=any(t.outcome != "ok" or t.retries or t.failed_over for t in traces),
             messages=stats.messages,
             payload_bytes=stats.bytes,
             header_bytes=stats.header_bytes,
@@ -492,9 +494,7 @@ class SessionContext:
         visibly touched it (its traces are those of a solo fault-free
         run) *and* it made its deadline; anything else is explicitly
         ``degraded``."""
-        impacted = any(
-            t.outcome != "ok" or t.retries or t.failed_over for t in record.traces
-        )
+        impacted = record.impacted
         # chaos can touch a run without scarring its traces: a latency
         # spike slows delivered messages, and a supervisor can recover a
         # crashed instance from a placement prologue before any call
@@ -573,9 +573,9 @@ class SessionContext:
     def replay(self, record: SessionRecord) -> None:
         """Finish this session from a cached record of an identical
         workload.  Exact, not approximate: the live run is
-        deterministic, so the recorded traces/results are byte-identical
-        to what this session would have computed (differential-tested in
-        tests/serve/)."""
+        deterministic, so the recorded digest and results are
+        byte-identical to what this session would have computed
+        (differential-tested in tests/serve/)."""
         self.replayed = True
         self.record = record
         self.results = list(record.results)
@@ -612,8 +612,8 @@ class SessionContext:
             results=list(record.results),
             transient=record.transient,
             virtual_s=record.virtual_s,
-            digest=trace_digest(record.traces),
-            traces=len(record.traces),
+            digest=record.digest,
+            traces=record.traces,
             messages=record.messages,
             payload_bytes=record.payload_bytes,
             header_bytes=record.header_bytes,

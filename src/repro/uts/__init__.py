@@ -11,10 +11,10 @@ provides three things, each a submodule here:
   codecs, including a bit-accurate Cray Y-MP floating format
   (:mod:`.wire`, :mod:`.native`).
 
-Two companion modules harden and accelerate the codecs: :mod:`.compiled`
-holds per-type compiled encoder/decoder plans (the RPC hot path), and
-:mod:`.conformance` is a differential harness that cross-checks every
-format, policy, and codec path against the documented semantics in
+:mod:`.compiled` accelerates the codecs with per-type compiled
+encoder/decoder plans (the RPC hot path).  A differential harness beside
+the tests (``tests/uts/conformance.py``) cross-checks every format,
+policy, and codec path against the documented semantics in
 ``docs/CODECS.md``.
 """
 

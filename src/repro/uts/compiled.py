@@ -16,7 +16,7 @@ encode/decode is the hot path of every simulated RPC the paper's Tables
 Plans are cached per type (types are immutable value objects, so they
 hash), per signature+direction, and per ``(format, type, policy)`` for
 native round trips.  The conformance harness
-(:mod:`repro.uts.conformance`) cross-checks every compiled path against
+(``tests/uts/conformance.py``) cross-checks every compiled path against
 the interpretive reference byte-for-byte.
 """
 

@@ -357,8 +357,9 @@ class VAXFormat(NativeFormat):
     @staticmethod
     def raw(sign: int, biased_exponent: int, fraction: int, frac_bits: int = 55) -> bytes:
         """Build raw PDP-ordered VAX bytes from fields (for tests and the
-        conformance harness, which need bit patterns — reserved operands,
-        dirty zeros — that no Python float produces through the packer)."""
+        conformance harness in ``tests/uts/conformance.py``, which need
+        bit patterns — reserved operands, dirty zeros — that no Python
+        float produces through the packer)."""
         if not 0 <= fraction < 1 << frac_bits:
             raise ValueError("fraction out of range")
         if not 0 <= biased_exponent < 256:

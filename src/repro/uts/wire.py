@@ -26,7 +26,7 @@ These functions are the *interpretive reference* implementation: clear,
 recursive, and dispatching on ``isinstance`` per element.  The RPC
 runtime uses the compiled plans in :mod:`repro.uts.compiled`, which must
 produce byte-identical output — the conformance harness
-(:mod:`repro.uts.conformance`) enforces that equivalence.
+(``tests/uts/conformance.py``) enforces that equivalence.
 """
 
 from __future__ import annotations

@@ -191,6 +191,42 @@ class TestScheduler:
         report = sched.execute_dirty()
         assert report.executed == []
 
+    def test_execute_dirty_reruns_a_module_whose_compute_raised(self):
+        """A widget-less module whose only compute raised has never run:
+        the next dirty pass owes it (and its consumer) a compute, instead
+        of feeding the consumer an output that was never stored."""
+
+        class Flaky(Doubler):
+            module_name = "flaky"
+            failures = 1
+
+            def compute(self, **inputs):
+                if self.failures:
+                    self.failures -= 1
+                    raise RuntimeError("transient failure")
+                return super().compute(**inputs)
+
+        class Sink(AVSModule):
+            module_name = "sink"
+
+            def spec(self):
+                self.add_input_port("in", "number")
+
+            def compute(self, **inputs):
+                return {}
+
+        editor = NetworkEditor()
+        src, flaky, sink = (editor.add_module(m) for m in (Source(), Flaky(), Sink()))
+        editor.connect(src, "out", flaky, "in")
+        editor.connect(flaky, "out", sink, "in")
+        sched = DataflowScheduler(editor)
+        with pytest.raises(RuntimeError, match="transient failure"):
+            sched.execute_all()
+        report = sched.execute_dirty()
+        assert report.executed == ["flaky.1", "sink.1"] and report.skipped == ["source.1"]
+        assert sched.output_of(flaky, "out") == 2.0
+        assert (src.compute_count, flaky.compute_count, sink.compute_count) == (1, 1, 1)
+
     def test_execute_from_forces_cone(self):
         editor, src, d1, d2, add = diamond()
         sched = DataflowScheduler(editor)

@@ -21,6 +21,7 @@ from repro.core import NPSSExecutive
 from repro.core.tess_modules import TESS_PALETTE, DuctModule
 from repro.schooner.runtime import SchoonerEnvironment
 
+from .nxview import digraph
 from .test_wiring_refusal import Hub, refused
 
 #: sha256 of ``describe`` over a Figure 2 built by sixteen ``add_module``
@@ -148,7 +149,7 @@ class TestCopiesAreIndependent:
         # on the existing mixer duct -> mixing volume edge
         edits.disconnect(edits.incoming("mixing volume")[1])
         edits.connect("mixer duct", "out", "mixing volume", "bypass")
-        assert len(edits.graph["mixer duct"]["mixing volume"]["connections"]) == 2
+        assert len(digraph(edits)["mixer duct"]["mixing volume"]["connections"]) == 2
         edits.connect("bleed", "bleed", edits.add_module(DuctModule(role="duct:extra")), "in")
         edits.remove_module("nozzle")
         keys["fan"].output_ports["out"].put(123.0)
@@ -169,7 +170,7 @@ class TestCopiesAreIndependent:
         assert one.incoming("hub.2") == one.connections
         one.disconnect(one.connections[0])
         assert len(original.connections) == len(two.connections) == 1
-        assert original.graph["hub.1"]["hub.2"]["connections"] == list(original.connections)
+        assert digraph(original)["hub.1"]["hub.2"]["connections"] == list(original.connections)
 
     def test_widgets_and_output_ports_are_the_copy_s_own(self, env):
         (a, _), (b, _) = opened(env), opened(env)
@@ -229,7 +230,7 @@ class TestRefusalsOnACopy:
             port = free[dst][-1]
             copy = NetworkEditor()
             copy.paste(editor)
-            trial = copy.graph
+            trial = digraph(copy)
             trial.add_edge(src, dst)
             if nx.is_directed_acyclic_graph(trial):
                 copy.connect(src, "out", dst, port)
@@ -237,7 +238,7 @@ class TestRefusalsOnACopy:
             else:
                 refused(copy, copy.module(src), copy.module(dst), port)
                 refusals += 1
-            assert nx.is_directed_acyclic_graph(copy.graph)
+            assert nx.is_directed_acyclic_graph(digraph(copy))
             editor = copy
         assert refusals and editor.connections
 
@@ -269,7 +270,7 @@ class TestBulkClear:
             for step in (("on_remove", m.instance_name, 0), ("destroy", m.instance_name))
         ]
         assert all(m.destroyed for m in mods)
-        assert editor.modules == {} and editor.connections == () and not editor.graph.nodes
+        assert editor.modules == {} and editor.connections == () and not digraph(editor).nodes
 
     def test_a_raising_destroy_does_not_spare_the_rest(self):
         Recorder.log = log = []

@@ -14,6 +14,8 @@ import pytest
 from repro.avs import AVSModule, NetworkEditError, NetworkEditor
 from repro.avs.editor import Connection
 
+from .nxview import digraph
+
 
 class Hub(AVSModule):
     """Four inputs, one output, all the same type: any wiring shape."""
@@ -40,7 +42,7 @@ def chain(n):
 
 
 def snapshot(editor):
-    return editor.connections, sorted(editor.graph.edges), sorted(editor.graph.nodes)
+    return editor.connections, sorted(digraph(editor).edges), sorted(digraph(editor).nodes)
 
 
 def refused(editor, src, dst, in_port):
@@ -54,7 +56,7 @@ class TestRefusedConnectLeavesNoResidue:
     def test_self_wire(self):
         editor, (hub,) = chain(1)
         refused(editor, hub, hub, "a")
-        assert editor.connections == () and not editor.graph.edges
+        assert editor.connections == () and not digraph(editor).edges
 
     def test_back_edge_through_three_modules(self):
         editor, hubs = chain(4)
@@ -66,9 +68,9 @@ class TestRefusedConnectLeavesNoResidue:
     def test_second_wire_on_an_edge_then_a_refusal(self):
         editor, (up, down) = chain(2)
         second = editor.connect(up, "out", down, "b")
-        assert len(editor.graph.edges) == 1 and len(editor.connections) == 2
+        assert len(digraph(editor).edges) == 1 and len(editor.connections) == 2
         refused(editor, down, up, "a")
-        assert editor.graph[up.instance_name][down.instance_name]["connections"] == [
+        assert digraph(editor)[up.instance_name][down.instance_name]["connections"] == [
             Connection("hub.1", "out", "hub.2", "a"),
             second,
         ]
@@ -85,9 +87,9 @@ class TestRefusedConnectLeavesNoResidue:
         assert snapshot(editor) == before
         # and the real ones come out one at a time, the edge with the last
         editor.disconnect(first)
-        assert editor.connections == (second,) and len(editor.graph.edges) == 1
+        assert editor.connections == (second,) and len(digraph(editor).edges) == 1
         editor.disconnect(second)
-        assert editor.connections == () and not editor.graph.edges
+        assert editor.connections == () and not digraph(editor).edges
         # with the forward wires gone the former back-edge is legal
         editor.connect(down, "out", up, "a")
 
@@ -101,26 +103,35 @@ class TestRefusedConnectLeavesNoResidue:
             NetworkEditor.load(saved, {"Hub": Hub})
 
 
+def random_wiring(seed):
+    """Seven hubs and sixty seeded wiring attempts; ``networkx``'s
+    whole-graph check decides each, and the editor must agree — a legal
+    wire goes in, an illegal one is refused without residue.  Returns
+    the network and how many attempts were refused."""
+    rng = random.Random(seed)
+    editor = NetworkEditor()
+    hubs = [editor.add_module(Hub()) for _ in range(7)]
+    free = {h.instance_name: list(Hub.INPUTS) for h in hubs}
+    refusals = 0
+    for _ in range(60):
+        src, dst = rng.choice(hubs), rng.choice(hubs)
+        if not free[dst.instance_name]:
+            continue
+        port = free[dst.instance_name][-1]
+        trial = digraph(editor)
+        trial.add_edge(src.instance_name, dst.instance_name)
+        if nx.is_directed_acyclic_graph(trial):
+            editor.connect(src, "out", dst, port)
+            free[dst.instance_name].pop()
+        else:
+            refused(editor, src, dst, port)
+            refusals += 1
+        assert nx.is_directed_acyclic_graph(digraph(editor))
+    return editor, refusals
+
+
 class TestAgainstTheWholeGraphCheck:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_wirings_agree_with_networkx(self, seed):
-        rng = random.Random(seed)
-        editor = NetworkEditor()
-        hubs = [editor.add_module(Hub()) for _ in range(7)]
-        free = {h.instance_name: list(Hub.INPUTS) for h in hubs}
-        refusals = 0
-        for _ in range(60):
-            src, dst = rng.choice(hubs), rng.choice(hubs)
-            if not free[dst.instance_name]:
-                continue
-            port = free[dst.instance_name][-1]
-            trial = editor.graph.copy()
-            trial.add_edge(src.instance_name, dst.instance_name)
-            if nx.is_directed_acyclic_graph(trial):
-                editor.connect(src, "out", dst, port)
-                free[dst.instance_name].pop()
-            else:
-                refused(editor, src, dst, port)
-                refusals += 1
-            assert nx.is_directed_acyclic_graph(editor.graph)
+        editor, refusals = random_wiring(seed)
         assert refusals and editor.connections

@@ -114,6 +114,8 @@ class TestEditorFuzz:
         from repro.avs import AVSModule, NetworkEditor
         from repro.avs.errors import AVSError, NetworkEditError, PortError
 
+        from ..avs.nxview import digraph
+
         class Node(AVSModule):
             module_name = "node"
 
@@ -139,8 +141,11 @@ class TestEditorFuzz:
             except (AVSError, NetworkEditError, PortError):
                 pass  # rejected edits must leave the network intact
             # invariants after every operation
-            assert nx.is_directed_acyclic_graph(editor.graph)
-            assert set(editor.graph.nodes) == set(editor.modules)
+            graph = digraph(editor)
+            assert nx.is_directed_acyclic_graph(graph)
+            assert set(graph.nodes) == set(editor.modules)
+            # the execution order is networkx's, through every edit
+            assert editor.generations() == [list(g) for g in nx.topological_generations(graph)]
             for conn in editor.connections:
                 assert conn.src in editor.modules
                 assert conn.dst in editor.modules

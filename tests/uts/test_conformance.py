@@ -3,7 +3,7 @@
 The harness is a first-class subsystem: these tests pin down its check
 functions on known-good and known-bad inputs, then run a short-budget
 sweep (the CI smoke job runs a longer one via ``python -m
-repro.uts.conformance``).
+tests.uts.conformance``).
 """
 
 import math
@@ -33,7 +33,7 @@ from repro.uts import (
     conform_args,
     signature_codec,
 )
-from repro.uts.conformance import (
+from .conformance import (
     CRAY_OVERFLOW,
     VAX_FLUSH,
     VAX_MAX,
