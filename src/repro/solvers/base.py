@@ -4,7 +4,8 @@ TESS offers menus of solution methods (paper §3.2): "For steady state
 solutions, the user can choose from Newton-Raphson and Fourth-order
 Runge-Kutta.  For transient solutions, the user can choose from Modified
 Euler, Fourth-order Runge-Kutta, Adams, and Gear."  This package
-implements all six; this module holds the shared result types.
+implements all six; this module holds the shared result types and the
+one linear solve every Newton-family step goes through.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "ResidualFn",
     "RHSFn",
     "CountedResidual",
+    "solve_linear",
 ]
 
 # A residual function for steady balancing: F(x) = 0 at the solution.
@@ -54,6 +56,30 @@ class CountedResidual:
     def __call__(self, *args) -> np.ndarray:
         self.count += 1
         return np.asarray(self.f(*args), dtype=float)
+
+
+def solve_linear(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``J @ x = rhs``: the solvers' one linear solve.
+
+    LAPACK ``gesv`` through ``numpy.linalg.solve``, with the refusals the
+    Newton and Gear steps were written against:
+
+    * a non-square ``J`` raises ``ValueError`` (numpy would raise
+      ``LinAlgError``, which the callers report as a singular Jacobian);
+    * a NaN or inf in ``J`` or ``rhs`` raises ``ValueError`` (numpy
+      would return a NaN step);
+    * only an exactly singular ``J`` raises
+      ``numpy.linalg.LinAlgError``, which callers turn into a
+      :class:`ConvergenceFailure`.
+
+    No condition estimate is made: an ill-conditioned ``J`` solves
+    without a warning, and the caller's residual test judges the step.
+    """
+    if J.ndim != 2 or J.shape[0] != J.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {J.shape}")
+    if not (np.isfinite(J).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    return np.linalg.solve(J, rhs)
 
 
 class SolverError(Exception):

@@ -17,9 +17,8 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
-from .base import ConvergenceFailure, CountedResidual, ResidualFn, SteadyReport
+from .base import ConvergenceFailure, CountedResidual, ResidualFn, SteadyReport, solve_linear
 
 __all__ = [
     "newton_raphson",
@@ -145,15 +144,15 @@ def newton_raphson(
         if fresh:
             rebuild(x, fx)
         try:
-            step = scipy.linalg.solve(J, -fx)
-        except scipy.linalg.LinAlgError as exc:
+            step = solve_linear(J, -fx)
+        except np.linalg.LinAlgError as exc:
             if jac_reuse and not fresh:
                 # a carried estimate (seed or worn Broyden update) went
                 # singular: rebuild once at the current iterate
                 rebuild(x, fx)
                 try:
-                    step = scipy.linalg.solve(J, -fx)
-                except scipy.linalg.LinAlgError as exc2:
+                    step = solve_linear(J, -fx)
+                except np.linalg.LinAlgError as exc2:
                     raise ConvergenceFailure(
                         f"singular Jacobian at iteration {it}: {exc2}")
             else:
@@ -273,8 +272,8 @@ def newton_flow_rk4(
         fv = F(v)
         J = fd_jacobian(F, v, fv)
         try:
-            return scipy.linalg.solve(J, -fv)
-        except scipy.linalg.LinAlgError as exc:
+            return solve_linear(J, -fv)
+        except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"singular Jacobian in Newton flow: {exc}")
 
     fx = F(x)

@@ -15,9 +15,8 @@ All methods use a fixed step ``dt`` and record the full trajectory.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-from .base import ConvergenceFailure, CountedResidual, ODEResult, RHSFn
+from .base import ConvergenceFailure, CountedResidual, ODEResult, RHSFn, solve_linear
 from .steady import fd_jacobian
 
 __all__ = ["modified_euler", "rk4", "adams", "gear", "TRANSIENT_METHODS", "integrate"]
@@ -153,8 +152,8 @@ def gear(
             # Jacobian of G: I - beta*dt*df/dy
             J = np.eye(yk.size) - beta * dt * Jf
             try:
-                step = scipy.linalg.solve(J, -G)
-            except scipy.linalg.LinAlgError as exc:
+                step = solve_linear(J, -G)
+            except np.linalg.LinAlgError as exc:
                 raise ConvergenceFailure(f"Gear: singular iteration matrix: {exc}")
             yk = yk + step
             newton_total += 1

@@ -156,8 +156,10 @@ class _Parser:
             fields = [self.parse_field()]
             while self._cur.kind is TokenKind.SEMICOLON:
                 self._advance()
-                # allow a trailing semicolon before 'end'
-                if self._cur.kind is TokenKind.IDENT and self._cur.text == "end":
+                # allow a trailing semicolon before 'end'; 'end' followed
+                # by ':' is a field named end (keywords are identifiers)
+                if (self._cur.kind is TokenKind.IDENT and self._cur.text == "end"
+                        and self._tokens[self._pos + 1].kind is not TokenKind.COLON):
                     break
                 fields.append(self.parse_field())
             self._expect_keyword("end")

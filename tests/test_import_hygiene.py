@@ -1,9 +1,9 @@
 """The runtime package imports no test-only dependency.
 
-``networkx`` and ``hypothesis`` are declared under the ``[test]`` extra
-only, so a plain ``pip install`` of the package does not bring them.
-Each check runs in a fresh interpreter: this one has long since imported
-both for the tests themselves.
+``networkx``, ``hypothesis`` and ``scipy`` are declared under the
+``[test]`` extra only, so a plain ``pip install`` of the package brings
+numpy alone.  Each check runs in a fresh interpreter: this one has long
+since imported all three for the tests themselves.
 """
 
 import os
@@ -14,7 +14,7 @@ import textwrap
 import repro
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-TEST_ONLY = ("networkx", "hypothesis")
+TEST_ONLY = ("networkx", "hypothesis", "scipy")
 
 
 def run(code: str) -> str:

@@ -149,6 +149,15 @@ class TestParseTypes:
         t = parse_type("record x: integer; end")
         assert t == RecordType.of(x=INTEGER)
 
+    def test_record_field_named_end(self):
+        """Keywords are identifiers: ``end`` after a ``;`` closes the
+        record only when no ``:`` follows (found by the render/parse
+        round-trip property)."""
+        t = RecordType.of(a=INTEGER, end=INTEGER)
+        assert parse_type("record a: integer; end: integer end") == t
+        assert parse_type("record a: integer; end: integer; end") == t
+        assert parse_type("record end: integer end") == RecordType.of(end=INTEGER)
+
     def test_record_of_arrays(self):
         t = parse_type("record pts: array[3] of float; n: integer end")
         assert t == RecordType.of(pts=ArrayType(3, FLOAT), n=INTEGER)
