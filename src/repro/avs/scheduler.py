@@ -26,10 +26,6 @@ class ExecutionReport:
     executed: List[str] = field(default_factory=list)
     skipped: List[str] = field(default_factory=list)
 
-    @property
-    def executed_count(self) -> int:
-        return len(self.executed)
-
 
 @dataclass
 class DataflowScheduler:

@@ -71,10 +71,9 @@ class Message(NamedTuple):
     of it.  The wire occupancy is :attr:`total_nbytes`.
 
     ``body`` carries the payload.  From the RPC runtime it is a
-    read-only ``memoryview`` over the sender's pooled encode buffer,
+    read-only ``memoryview`` over the sender's fresh encode buffer,
     delivered through every store-and-forward hop as the *same* view
-    object — receivers must not retain it past the call (the buffer
-    returns to the pool).  ``header`` is the packed
+    object: no hop copies the payload.  ``header`` is the packed
     wire header, built once per message with :data:`HEADER_STRUCT`.
     ``deadline_s`` is the caller's propagated virtual-time deadline
     (``None`` = no deadline; packed as +inf in the header) — the

@@ -23,7 +23,7 @@ from ..uts.types import Signature
 from .errors import SchoonerError
 from .lines import InstanceRecord, Line, LineState
 from .manager import Manager
-from .runtime import CallBatch, CallerContext
+from .runtime import CallerContext
 from .stubs import ClientStub
 
 __all__ = ["ModuleContext"]
@@ -191,17 +191,6 @@ class ModuleContext:
                 caller=self.caller,
             )
         return self._stubs[sig.name]
-
-    def open_batch(self, label: str = "overlap") -> CallBatch:
-        """Open an overlap batch at the caller's current instant.
-
-        Requires a :class:`CallerContext` (the batch's dispatch time and
-        join target is the caller's own timeline)."""
-        if self.caller is None:
-            raise SchoonerError(
-                f"{self.module_name}: overlapped dispatch needs a CallerContext"
-            )
-        return CallBatch(self.manager.env, self.caller, label=label)
 
     def sch_i_quit(self) -> None:
         """Notify the Manager that this module is being destroyed; the

@@ -29,7 +29,6 @@ from ..network.transport import Transport
 from ..resilience.breaker import BreakerBoard
 from ..resilience.budget import RetryBudget
 from ..resilience.deadline import Deadline
-from ..uts.buffers import WIRE_BUFFERS
 from ..uts.compiled import (
     SignatureCodec,
     native_is_identity,
@@ -156,11 +155,6 @@ class CallTrace:
     @property
     def total_s(self) -> float:
         return self.finished_at - self.started_at
-
-    @property
-    def overhead_s(self) -> float:
-        """Everything that is not useful computation: the RPC tax."""
-        return self.total_s - self.compute_s
 
 
 @dataclass
@@ -448,129 +442,115 @@ def execute_call(
     # --- client side: conform, apply caller-native storage, marshal -------
     # Three passes over one dict: conform builds it, the native pass
     # rewrites in place the parameters whose round trip is not the
-    # identity, the codec packs it.  Both directions encode into pooled
-    # bytearrays and travel as read-only memoryviews that no hop copies.
-    # The views are released (and the buffers returned to the pool)
-    # before this call returns, so the decoded results never alias pool
-    # memory.
+    # identity, the codec packs it.  Each direction encodes into a fresh
+    # bytearray and travels as one read-only memoryview that no hop
+    # copies.
     sent = conform_args(import_sig, args, "send")
     for name, native in plan.caller_send:
         sent[name] = native(sent[name])
-    req_buf = WIRE_BUFFERS.acquire()
-    rep_buf: Optional[bytearray] = None
-    request: Optional[memoryview] = None
-    reply: Optional[memoryview] = None
+    req_buf = bytearray()
+    nreq = plan.send_codec.encode_conformed_into(sent, req_buf)
+    request = memoryview(req_buf).toreadonly()
+    # every compute charge reads the machine's load when it is made
+    dt = marshal_s(caller_machine, nreq)
+    trace.client_cpu_s += dt
+    advance(dt)
+
+    # --- network: request --------------------------------------------------
     try:
-        nreq = plan.send_codec.encode_conformed_into(sent, req_buf)
-        request = memoryview(req_buf).toreadonly()
-        # every compute charge reads the machine's load when it is made
-        dt = marshal_s(caller_machine, nreq)
-        trace.client_cpu_s += dt
-        advance(dt)
+        msg = send(
+            caller_machine, callee_machine, plan.call_kind, request, nreq,
+            timeline, header_bytes, deadline_s,
+        )
+    except NetworkError as exc:
+        # request lost: the remote never saw the call, any procedure
+        # may be safely retried
+        raise _lost(
+            env, timeline, trace, sink_trace, deadline, exc,
+            retry_safe=True, hop="request",
+        ) from exc
+    trace.network_s += msg.delivered_at - msg.sent_at
+    trace.request_bytes = msg.nbytes
 
-        # --- network: request ----------------------------------------------
-        try:
-            msg = send(
-                caller_machine, callee_machine, plan.call_kind, request, nreq,
-                timeline, header_bytes, deadline_s,
-            )
-        except NetworkError as exc:
-            # request lost: the remote never saw the call, any procedure
-            # may be safely retried
-            raise _lost(
-                env, timeline, trace, sink_trace, deadline, exc,
-                retry_safe=True, hop="request",
-            ) from exc
-        trace.network_s += msg.delivered_at - msg.sent_at
-        trace.request_bytes = msg.nbytes
+    # --- server side: unmarshal, convert to callee native, invoke ---------
+    # the server reads the deadline out of the message header before
+    # spending any CPU: work that went late in transit is refused,
+    # not computed (DeadlineExceeded, distinct from CallTimeout)
+    if msg.deadline_s is not None and timeline.now >= msg.deadline_s:
+        raise _late(
+            timeline, trace, sink_trace, deadline,
+            f"on arrival at {callee_machine.hostname}",
+        )
+    dt = marshal_s(callee_machine, nreq)
+    trace.server_cpu_s += dt
+    advance(dt)
 
-        # --- server side: unmarshal, convert to callee native, invoke -----
-        # the server reads the deadline out of the message header before
-        # spending any CPU: work that went late in transit is refused,
-        # not computed (DeadlineExceeded, distinct from CallTimeout)
-        if msg.deadline_s is not None and timeline.now >= msg.deadline_s:
-            raise _late(
-                timeline, trace, sink_trace, deadline,
-                f"on arrival at {callee_machine.hostname}",
-            )
-        dt = marshal_s(callee_machine, nreq)
-        trace.server_cpu_s += dt
-        advance(dt)
+    # The callee sees the subset of parameters its *export* declares
+    # that the import actually sent (import may be a subset of the
+    # export).  It decodes the delivered body in place.
+    recv = plan.send_codec.unmarshal(msg.body)
+    for name, native in plan.callee_recv:
+        recv[name] = native(recv[name])
 
-        # The callee sees the subset of parameters its *export* declares
-        # that the import actually sent (import may be a subset of the
-        # export).  It decodes the delivered body in place.
-        recv = plan.send_codec.unmarshal(msg.body)
-        for name, native in plan.callee_recv:
-            recv[name] = native(recv[name])
+    proc = plan.procedure
+    if not callee_machine.up or not record.process.alive:
+        raise StaleBinding(f"{import_sig.name}: host died mid-call")
 
-        proc = plan.procedure
-        if not callee_machine.up or not record.process.alive:
-            raise StaleBinding(f"{import_sig.name}: host died mid-call")
+    kwargs = dict(recv)
+    if plan.wants_state:
+        kwargs[STATE_ARG] = record.state_storage()
+    if plan.wants_timeline:
+        kwargs[TIMELINE_ARG] = timeline
+    try:
+        raw_result = proc.impl(**kwargs)
+    except Exception as exc:
+        raise CallFailed(
+            f"{import_sig.name}: remote procedure raised {exc!r}"
+        ) from exc
 
-        kwargs = dict(recv)
-        if plan.wants_state:
-            kwargs[STATE_ARG] = record.state_storage()
-        if plan.wants_timeline:
-            kwargs[TIMELINE_ARG] = timeline
-        try:
-            raw_result = proc.impl(**kwargs)
-        except Exception as exc:
-            raise CallFailed(
-                f"{import_sig.name}: remote procedure raised {exc!r}"
-            ) from exc
+    dt = callee_machine.compute_seconds(proc.cost_flops(recv))
+    trace.compute_s += dt
+    advance(dt)
 
-        dt = callee_machine.compute_seconds(proc.cost_flops(recv))
-        trace.compute_s += dt
-        advance(dt)
+    results = _shape_results(import_sig, raw_result, recv)
+    results = conform_args(import_sig, results, "return")
+    for name, native in plan.callee_return:
+        results[name] = native(results[name])
+    rep_buf = bytearray()
+    nrep = plan.return_codec.encode_conformed_into(results, rep_buf)
+    reply = memoryview(rep_buf).toreadonly()
+    dt = marshal_s(callee_machine, nrep)
+    trace.server_cpu_s += dt
+    advance(dt)
 
-        results = _shape_results(import_sig, raw_result, recv)
-        results = conform_args(import_sig, results, "return")
-        for name, native in plan.callee_return:
-            results[name] = native(results[name])
-        rep_buf = WIRE_BUFFERS.acquire()
-        nrep = plan.return_codec.encode_conformed_into(results, rep_buf)
-        reply = memoryview(rep_buf).toreadonly()
-        dt = marshal_s(callee_machine, nrep)
-        trace.server_cpu_s += dt
-        advance(dt)
+    # --- network: reply ----------------------------------------------------
+    try:
+        msg = send(
+            callee_machine, caller_machine, plan.reply_kind, reply, nrep,
+            timeline, header_bytes, deadline_s,
+        )
+    except NetworkError as exc:
+        # reply lost: the remote *did* execute, so only procedures
+        # whose re-execution is harmless (stateless, or explicitly
+        # idempotent) may be retried without double-execution risk
+        raise _lost(
+            env, timeline, trace, sink_trace, deadline, exc,
+            retry_safe=proc.retry_ok, hop="reply",
+        ) from exc
+    trace.network_s += msg.delivered_at - msg.sent_at
+    trace.reply_bytes = msg.nbytes
 
-        # --- network: reply -------------------------------------------------
-        try:
-            msg = send(
-                callee_machine, caller_machine, plan.reply_kind, reply, nrep,
-                timeline, header_bytes, deadline_s,
-            )
-        except NetworkError as exc:
-            # reply lost: the remote *did* execute, so only procedures
-            # whose re-execution is harmless (stateless, or explicitly
-            # idempotent) may be retried without double-execution risk
-            raise _lost(
-                env, timeline, trace, sink_trace, deadline, exc,
-                retry_safe=proc.retry_ok, hop="reply",
-            ) from exc
-        trace.network_s += msg.delivered_at - msg.sent_at
-        trace.reply_bytes = msg.nbytes
+    # --- client side: unmarshal, store in caller-native format ------------
+    dt = marshal_s(caller_machine, nrep)
+    trace.client_cpu_s += dt
+    advance(dt)
+    out = plan.return_codec.unmarshal(msg.body)
+    for name, native in plan.caller_recv:
+        out[name] = native(out[name])
 
-        # --- client side: unmarshal, store in caller-native format ---------
-        dt = marshal_s(caller_machine, nrep)
-        trace.client_cpu_s += dt
-        advance(dt)
-        out = plan.return_codec.unmarshal(msg.body)
-        for name, native in plan.caller_recv:
-            out[name] = native(out[name])
-
-        trace.finished_at = timeline.now
-        sink_trace(trace)
-        return out
-    finally:
-        if request is not None:
-            request.release()
-        WIRE_BUFFERS.release(req_buf)
-        if reply is not None:
-            reply.release()
-        if rep_buf is not None:
-            WIRE_BUFFERS.release(rep_buf)
+    trace.finished_at = timeline.now
+    sink_trace(trace)
+    return out
 
 
 def _shape_results(sig: Signature, raw: Any, sent_args: Dict[str, Any]) -> Dict[str, Any]:

@@ -68,7 +68,6 @@ class SessionRecord:
     payload_bytes: int
     header_bytes: int
     net_virtual_s: float
-    by_kind: Dict[str, int]
 
 
 class WorkloadCache:

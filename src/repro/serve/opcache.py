@@ -28,9 +28,8 @@ the store under ``"cold"`` provenance is bitwise-canonical and exact
 hits stay skip-safe.  Stored solutions never downgrade: a ``"cold"``
 entry is not overwritten by a warm-started result for the same point.
 
-The arrays inside are private copies, never views over pooled wire
-buffers, so a stored solution can never be invalidated by a buffer
-release.  Scheduling probes should use
+The arrays inside are private copies, never views over wire buffers.
+Scheduling probes should use
 :meth:`peek` — it does not touch the hit/miss counters, which are
 reserved for real cache traffic.
 

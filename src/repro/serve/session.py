@@ -468,7 +468,6 @@ class SessionContext:
             payload_bytes=stats.bytes,
             header_bytes=stats.header_bytes,
             net_virtual_s=float(sum(t.network_s for t in traces)),
-            by_kind=dict(stats.by_kind),
         )
 
     def _finalize(self) -> None:

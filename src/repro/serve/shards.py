@@ -27,8 +27,7 @@ Four disciplines make sharding *exact* rather than approximate:
 * **One wire vocabulary crosses the process boundary** — over pipes
   or shared memory (:mod:`repro.serve.shm`).  Everything travels as
   struct-packed frames: the 32-byte RPC header fronting a typed binary
-  payload (float arrays as raw IEEE-754 bytes, never digit strings),
-  assembled in a pooled :class:`~repro.uts.buffers.BufferPool` buffer.
+  payload (float arrays as raw IEEE-754 bytes, never digit strings).
   That codec is the only byte format (the operating-point store
   crosses as ordinary payload records) and the ``SessionSpec`` /
   ``SessionResult`` dataclasses are the only field lists (the wire
@@ -141,9 +140,8 @@ __all__ = [
 def _live_types() -> tuple:
     from ..network.transport import Transport
     from ..schooner.runtime import SchoonerEnvironment
-    from ..uts.buffers import BufferPool
 
-    return (Transport, SharedInstallation, SchoonerEnvironment, BufferPool)
+    return (Transport, SharedInstallation, SchoonerEnvironment)
 
 
 def assert_shard_safe(obj, path: str = "payload") -> None:
@@ -731,10 +729,7 @@ class ShardPool:
         is reaped (escalating terminate -> kill for the truly wedged),
         and the shared-memory rings are unlinked *unconditionally* —
         per step, under its own guard, so one worker's failure cannot
-        leak another's segments.  Stderr spools are removed last.
-        Pooled ``WIRE_BUFFERS`` never outlive a frame call
-        (``send_frame`` releases on every exit path), so no buffer
-        bookkeeping is owed here."""
+        leak another's segments.  Stderr spools are removed last."""
         if self._closed:
             return
         self._closed = True

@@ -34,13 +34,10 @@ goes through the pipe's chunked store-and-forward path:
 both transports; :mod:`repro.serve.shards` drives them.  The protocol
 is the seven :data:`FRAME_KINDS`; there is no resync frame (a worker
 whose stream cannot be trusted is replaced) and no second byte format
-(the operating-point store crosses as payload records).  Buffer
-discipline: every frame is assembled in a pooled
-:data:`~repro.uts.buffers.WIRE_BUFFERS` buffer and released on *every*
-exit path — an aborted send (broken pipe mid-write) may leave the
-pipe's internal memoryview exported over the buffer, in which case the
-buffer is dropped rather than poisoning the pool
-(:meth:`~repro.uts.buffers.BufferPool.safe_release`).
+(the operating-point store crosses as payload records).  Every frame
+is assembled in a fresh ``bytearray``: nothing outlives the send, so an
+aborted send (broken pipe mid-write) surfaces as its ``OSError`` and
+leaves nothing to clean up.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ from typing import Optional, Tuple
 from zlib import crc32
 
 from ..network.transport import HEADER_STRUCT, NO_DEADLINE
-from ..uts.buffers import WIRE_BUFFERS
 
 __all__ = [
     "NotShardSafe",
@@ -78,7 +74,7 @@ class NotShardSafe(TypeError):
     fail deep inside ``multiprocessing`` with an opaque traceback.  The
     shard plane ships *descriptions* (session specs, result rows, op
     stores) as framed wire payloads; objects that own interpreter state
-    — live transports, installations, pooled buffers — stay put.
+    — live transports, installations — stay put.
     """
 
 
@@ -562,43 +558,33 @@ def send_frame(
     the 32-byte header plus an ``(offset, length)`` reference crossing
     the pipe.  The frame reuses the RPC runtime's packed header
     (:data:`HEADER_STRUCT`: call id, kind tag, payload size, src/dst
-    tags, an unused deadline slot), assembled in a pooled buffer that
-    is returned to the pool on every exit path."""
+    tags, an unused deadline slot), assembled in a fresh buffer."""
     if kind not in FRAME_KINDS:
         raise ShardProtocolError(f"unknown frame kind {kind!r}")
-    buf = WIRE_BUFFERS.acquire()
-    try:
-        buf += b"\x00" * HEADER_STRUCT.size
-        if payload_obj is not None:
-            encode_payload_into(buf, payload_obj)
-        nbytes = len(buf) - HEADER_STRUCT.size
-        offset = None
-        if ring is not None and nbytes >= threshold:
-            body = memoryview(buf)[HEADER_STRUCT.size :]
-            try:
-                offset = ring.write(body)  # None: ring full, the frame goes inline
-            finally:
-                body.release()
-        if offset is not None:
-            # only the header and the reference cross the pipe
-            kind += _REF_SUFFIX
-            buf[HEADER_STRUCT.size :] = _REF_STRUCT.pack(offset, nbytes)
-        HEADER_STRUCT.pack_into(
-            buf,
-            0,
-            next(_frame_ids) & 0xFFFFFFFF,
-            crc32(kind.encode()),
-            nbytes,
-            crc32(src.encode()),
-            crc32(dst.encode()),
-            NO_DEADLINE,
-        )
-        conn.send_bytes(buf)
-    finally:
-        # every error path lands here; an aborted send can leave the
-        # pipe's internal memoryview exported over the buffer, in which
-        # case the buffer is dropped rather than poisoning the pool
-        WIRE_BUFFERS.safe_release(buf)
+    buf = bytearray(HEADER_STRUCT.size)
+    if payload_obj is not None:
+        encode_payload_into(buf, payload_obj)
+    nbytes = len(buf) - HEADER_STRUCT.size
+    offset = None
+    if ring is not None and nbytes >= threshold:
+        # the view is released before the buffer is resized below
+        with memoryview(buf)[HEADER_STRUCT.size :] as body:
+            offset = ring.write(body)  # None: ring full, the frame goes inline
+    if offset is not None:
+        # only the header and the reference cross the pipe
+        kind += _REF_SUFFIX
+        buf[HEADER_STRUCT.size :] = _REF_STRUCT.pack(offset, nbytes)
+    HEADER_STRUCT.pack_into(
+        buf,
+        0,
+        next(_frame_ids) & 0xFFFFFFFF,
+        crc32(kind.encode()),
+        nbytes,
+        crc32(src.encode()),
+        crc32(dst.encode()),
+        NO_DEADLINE,
+    )
+    conn.send_bytes(buf)
 
 
 def recv_frame(conn, ring: Optional[ShmRing] = None) -> Tuple[str, Optional[object]]:

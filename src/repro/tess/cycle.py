@@ -54,11 +54,6 @@ class CycleSummary:
     t5_K: float
     core_power_MW: float
 
-    @property
-    def specific_thrust(self) -> float:
-        """Thrust per unit airflow, N s/kg (set by the caller's airflow)."""
-        return self.thrust_N
-
 
 def _compress(state: GasState, pr: float, eta: float) -> GasState:
     g = gamma(state.Tt, state.far)

@@ -130,10 +130,6 @@ class TransientResult:
     method: str
     ode: ODEResult
 
-    @property
-    def final_point(self) -> Tuple[float, float]:
-        return float(self.n1[-1]), float(self.n2[-1])
-
 
 @dataclass(frozen=True)
 class SizedDeck:

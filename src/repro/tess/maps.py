@@ -50,28 +50,6 @@ class CompressorMap:
     eta_beta_droop: float = 0.25
     eta_speed_droop: float = 0.60
 
-    #: memo capacity; the table is cleared when full (solver trajectories
-    #: revisit exact operating points constantly — FD probes that do not
-    #: perturb this map's inputs, line-search re-evaluations — so even a
-    #: bounded table hits far more than it misses)
-    _MEMO_MAX = 65536
-
-    def __post_init__(self) -> None:
-        # not a dataclass field: hashing/equality/replace() see only the
-        # map's physical parameters, and every instance (including ones
-        # made by dataclasses.replace) gets its own empty table
-        object.__setattr__(self, "_memo", {})
-
-    def _memoized(self, key: tuple, compute) -> float:
-        memo = self._memo
-        val = memo.get(key)
-        if val is None:
-            if len(memo) >= self._MEMO_MAX:
-                memo.clear()
-            val = compute()
-            memo[key] = val
-        return val
-
     def _check(self, N: float, beta: float) -> None:
         if not 0.2 <= N <= 1.25:
             raise MapError(f"{self.name}: corrected speed {N:.3f} outside map envelope")
@@ -85,34 +63,24 @@ class CompressorMap:
         stator vanes whose transient schedules the paper describes:
         closing the stators (negative angle) reduces flow capacity by
         about 1%% per degree."""
-
-        def compute() -> float:
-            self._check(N, beta)
-            shape = 1.0 + self.beta_flow_gain * (beta - 0.5)
-            stator = 1.0 + 0.01 * stator_angle
-            return self.wc_design * (N**self.flow_speed_exp) * shape * stator
-
-        return self._memoized(("wc", N, beta, stator_angle), compute)
+        self._check(N, beta)
+        shape = 1.0 + self.beta_flow_gain * (beta - 0.5)
+        stator = 1.0 + 0.01 * stator_angle
+        return self.wc_design * (N**self.flow_speed_exp) * shape * stator
 
     def pressure_ratio(self, N: float, beta: float) -> float:
-        def compute() -> float:
-            self._check(N, beta)
-            shape = 1.0 - self.beta_pr_gain * (beta - 0.5)
-            return 1.0 + (self.pr_design - 1.0) * (N**self.pr_speed_exp) * shape
-
-        return self._memoized(("pr", N, beta), compute)
+        self._check(N, beta)
+        shape = 1.0 - self.beta_pr_gain * (beta - 0.5)
+        return 1.0 + (self.pr_design - 1.0) * (N**self.pr_speed_exp) * shape
 
     def efficiency(self, N: float, beta: float) -> float:
-        def compute() -> float:
-            self._check(N, beta)
-            eta = self.eta_design * (
-                1.0
-                - self.eta_beta_droop * (beta - 0.5) ** 2
-                - self.eta_speed_droop * (N - 1.0) ** 2
-            )
-            return max(eta, 0.2)
-
-        return self._memoized(("eta", N, beta), compute)
+        self._check(N, beta)
+        eta = self.eta_design * (
+            1.0
+            - self.eta_beta_droop * (beta - 0.5) ** 2
+            - self.eta_speed_droop * (N - 1.0) ** 2
+        )
+        return max(eta, 0.2)
 
     def surge_pressure_ratio(self, N: float) -> float:
         """The surge-line pressure ratio at corrected speed ``N``

@@ -68,11 +68,3 @@ class Schedule:
 
     def scaled(self, factor: float) -> "Schedule":
         return Schedule(tuple((t, v * factor) for t, v in self.points))
-
-    @property
-    def start_value(self) -> float:
-        return self.points[0][1]
-
-    @property
-    def end_time(self) -> float:
-        return self.points[-1][0]

@@ -74,7 +74,6 @@ from .values import (
     values_equal,
     zero_value,
 )
-from .buffers import BufferPool
 from .wire import (
     decode_value,
     encode_into,
@@ -135,7 +134,6 @@ __all__ = [
     "marshal_args",
     "marshal_args_into",
     "unmarshal_args",
-    "BufferPool",
     # native formats
     "NativeFormat",
     "IEEEFormat",

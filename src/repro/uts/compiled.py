@@ -415,11 +415,10 @@ class SignatureCodec:
         """Encode canonical arguments into a caller-owned buffer;
         returns the bytes appended.
 
-        The RPC hot path uses this with a pooled buffer (see
-        :mod:`repro.uts.buffers`): a fixed-layout message is one
-        ``Struct.pack`` appended to it, and what travels is a view of
-        the buffer — the ``bytes(out)`` in :meth:`encode_conformed` is
-        the copy this leaves out."""
+        The RPC hot path uses this with a fresh buffer per direction:
+        a fixed-layout message is one ``Struct.pack`` appended to it,
+        and what travels is a view of the buffer — the ``bytes(out)``
+        in :meth:`encode_conformed` is the copy this leaves out."""
         if self._flat_pack is not None:
             out += self._flat_pack(args)
             return self._flat_size

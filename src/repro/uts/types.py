@@ -150,12 +150,6 @@ class RecordType(UTSType):
         """Convenience constructor: ``RecordType.of(x=INTEGER, y=DOUBLE)``."""
         return RecordType(tuple(RecordField(n, t) for n, t in fields.items()))
 
-    def field_named(self, name: str) -> RecordField:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise UTSTypeError(f"record has no field {name!r}")
-
     def describe(self) -> str:
         inner = "; ".join(f"{f.name}: {f.type.describe()}" for f in self.fields)
         return f"record {inner} end"

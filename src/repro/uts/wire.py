@@ -64,8 +64,8 @@ def encode_value(t: UTSType, value: Any) -> bytes:
     """Encode a conformed value of type ``t`` into wire bytes.
 
     Allocates a fresh ``bytes``; the zero-copy path is
-    :func:`encode_into`, which appends to a caller-owned (typically
-    pooled) ``bytearray`` that can then travel as a ``memoryview``
+    :func:`encode_into`, which appends to a caller-owned
+    ``bytearray`` that can then travel as a ``memoryview``
     without ever materializing an intermediate ``bytes``."""
     out = bytearray()
     encode_into(t, value, out)
@@ -75,9 +75,9 @@ def encode_value(t: UTSType, value: Any) -> bytes:
 def encode_into(t: UTSType, value: Any, out: bytearray) -> None:
     """Append the wire encoding of a conformed value to ``out``.
 
-    This is the allocation-free entry point: callers that own a reusable
-    buffer (see :class:`repro.uts.buffers.BufferPool`) encode directly
-    into it and hand slices onward as ``memoryview``\\ s."""
+    This is the copy-free entry point: callers that own the buffer
+    encode directly into it and hand slices onward as
+    ``memoryview``\\ s."""
     _encode_into(t, value, out)
 
 
@@ -199,8 +199,8 @@ def marshal_args_into(
     """Conform and encode one direction of a call's arguments into a
     caller-owned buffer; returns the number of bytes appended.
 
-    The zero-copy sibling of :func:`marshal_args` — the buffer can be a
-    pooled ``bytearray`` whose ``memoryview`` travels through the
+    The zero-copy sibling of :func:`marshal_args` — the buffer is a
+    ``bytearray`` whose ``memoryview`` travels through the
     transport without the ``bytes(out)`` materialization."""
     conformed = conform_args(sig, args, direction)
     params = sig.sent_params if direction == "send" else sig.returned_params

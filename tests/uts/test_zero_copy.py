@@ -1,6 +1,6 @@
 """The zero-copy wire path (PR 4, satellite 2 + tentpole).
 
-Encode writes straight into a pooled bytearray (``encode_into`` /
+Encode writes straight into a fresh bytearray (``encode_into`` /
 ``encode_conformed_into`` — no intermediate per-value bytes objects
 joined into a second allocation), the payload travels as a single
 read-only ``memoryview`` over the sender's buffer through every hop.
@@ -20,14 +20,12 @@ from repro.schooner import (
     SchoonerEnvironment,
 )
 from repro.uts import (
-    BufferPool,
     SpecFile,
     encode_into,
     encode_value,
     marshal_args,
     marshal_args_into,
 )
-from repro.uts.buffers import WIRE_BUFFERS
 from repro.uts.compiled import signature_codec
 from repro.uts.types import DOUBLE, ArrayType, ParamMode, Parameter, Signature
 
@@ -80,34 +78,6 @@ class TestEncodeInto:
         assert bytes(buf) == codec.encode_conformed(conformed)
 
 
-# ------------------------------------------------------------ BufferPool
-class TestBufferPool:
-    def test_release_then_acquire_reuses_buffer(self):
-        pool = BufferPool()
-        a = pool.acquire()
-        pool.release(a)
-        b = pool.acquire()
-        assert b is a
-        assert len(b) == 0  # cleared on release
-
-    def test_release_with_exported_memoryview_is_use_after_release(self):
-        pool = BufferPool()
-        buf = pool.acquire()
-        buf += b"payload"
-        view = memoryview(buf)
-        with pytest.raises(BufferError):
-            pool.release(buf)
-        view.release()
-        pool.release(buf)  # fine once the view is gone
-
-    def test_borrowed_context_manager(self):
-        pool = BufferPool()
-        with pool.borrowed() as buf:
-            buf += b"x"
-        with pool.borrowed() as again:
-            assert again is buf
-
-
 # ------------------------------------------------- the end-to-end wire path
 ARRAY_SPEC = 'export crunch prog("xs" val array[64] of double, "total" res double)'
 
@@ -141,8 +111,8 @@ class TestZeroCopyWirePath:
         internet (Arizona client, LeRC server — gateways on both
         campuses) delivers the sender's own encode buffer: what the
         server (and, for the reply, the client) receives is a read-only
-        view of the pooled ``bytearray`` the other side encoded into,
-        not a copy of it."""
+        view of the ``bytearray`` the other side encoded into, not a
+        copy of it, and request and reply each have their own."""
         env, stub = _remote_call_env()
         xs = [float(i) for i in range(64)]
         stub(xs=xs)  # warm up instance state
@@ -167,11 +137,10 @@ class TestZeroCopyWirePath:
         assert [kind for kind, *_ in delivered] == ["call:crunch", "reply:crunch"]
         for _kind, body_type, readonly, backing, view_nbytes, nbytes in delivered:
             assert body_type is memoryview and readonly
-            assert view_nbytes == nbytes  # the whole payload, one view
             assert type(backing) is bytearray
-            # ...and that bytearray is the runtime's pooled buffer, back
-            # in the pool now the call has returned
-            assert any(backing is free for free in WIRE_BUFFERS._free)
+            assert view_nbytes == nbytes == len(backing)  # the whole payload, one view
+        request_buf, reply_buf = [backing for _, _, _, backing, *_ in delivered]
+        assert request_buf is not reply_buf
 
     def test_message_header_is_packed_once(self):
         env, stub = _remote_call_env()
@@ -183,14 +152,6 @@ class TestZeroCopyWirePath:
         # 32 bytes since the deadline-propagation field (PR 5) joined
         # the call id / kind / size / src / dst fields
         assert HEADER_STRUCT.size == 32
-
-    def test_pooled_buffers_are_returned_after_the_call(self):
-        env, stub = _remote_call_env()
-        stub(xs=[1.0] * 64)
-        before = len(WIRE_BUFFERS)
-        stub(xs=[2.0] * 64)
-        # the request/reply buffers went back to the pool (no growth)
-        assert len(WIRE_BUFFERS) == before
 
     def test_zero_copy_reply_still_decodes_correctly(self):
         env, stub = _remote_call_env()
