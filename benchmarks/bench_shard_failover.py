@@ -44,7 +44,8 @@ def measure() -> dict:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from repro.faults.plan import FaultPlan, KillShardWorker
     from repro.serve.demo import build_session_specs
-    from repro.serve.shards import assign_shards, serve_sessions_sharded
+    from repro.serve import ShardPool, serve_sessions, serve_sessions_sharded
+    from repro.serve.shards import assign_shards
 
     specs = build_session_specs(SESSIONS, classes=CLASSES, points=POINTS)
     buckets = assign_shards(list(enumerate(specs)), WORKERS)
@@ -54,18 +55,19 @@ def measure() -> dict:
         events=(KillShardWorker(at_s=0.0, shard=victim, phase="wave", wave=0),),
     )
 
-    inline = serve_sessions_sharded(specs, workers=0, dedup=False)
+    inline = serve_sessions(specs, dedup=False)
     inline_rows = [(r.name, r.digest, r.virtual_s) for r in inline.results]
 
-    t0 = time.perf_counter()
-    unkilled = serve_sessions_sharded(specs, workers=WORKERS, dedup=False)
-    unkilled_wall = time.perf_counter() - t0
+    def serve_on_new_pool(kill_plan=None):
+        """One serve on a pool spawned for it; spawn and close are timed."""
+        t0 = time.perf_counter()
+        with ShardPool(WORKERS) as pool:
+            pool.arm_kills(kill_plan)
+            report = serve_sessions_sharded(specs, pool, dedup=False)
+        return report, time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    killed = serve_sessions_sharded(
-        specs, workers=WORKERS, dedup=False, kill_plan=plan
-    )
-    killed_wall = time.perf_counter() - t0
+    unkilled, unkilled_wall = serve_on_new_pool()
+    killed, killed_wall = serve_on_new_pool(plan)
 
     unkilled_rows = [(r.name, r.digest, r.virtual_s) for r in unkilled.results]
     killed_rows = [(r.name, r.digest, r.virtual_s) for r in killed.results]

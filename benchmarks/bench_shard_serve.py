@@ -77,11 +77,11 @@ def measure_cpu_parallelism(procs: int = 4) -> float:
 def measure() -> dict:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from repro.serve.demo import build_session_specs
-    from repro.serve.shards import serve_sessions_sharded
+    from repro.serve import serve_sessions
 
     specs = build_session_specs(SESSIONS, classes=CLASSES, points=POINTS)
 
-    inline = serve_sessions_sharded(specs, workers=0, dedup=False)
+    inline = serve_sessions(specs, dedup=False)
     inline_rows = [(r.name, r.digest, r.virtual_s) for r in inline.results]
 
     curve = [
@@ -97,7 +97,7 @@ def measure() -> dict:
     digests_equal = True
     for workers in WORKER_COUNTS:
         t0 = time.perf_counter()
-        report = serve_sessions_sharded(specs, workers=workers, dedup=False)
+        report = serve_sessions(specs, mode="shard", workers=workers, dedup=False)
         wall_total = time.perf_counter() - t0  # includes pool spawn + join
         rows = [(r.name, r.digest, r.virtual_s) for r in report.results]
         digests_equal = digests_equal and rows == inline_rows

@@ -20,7 +20,7 @@ from ..schooner.api import ModuleContext
 from ..schooner.manager import Manager
 from ..schooner.runtime import CallBatch, CallerContext
 from ..schooner.stubs import ClientStub
-from ..solvers.steady import fd_jacobian
+from ..solvers.steady import FD_EPS, fd_jacobian
 from ..tess.gas import GasState
 from ..tess.hosts import ComponentHost, LocalHost
 from ..uts.spec import SpecFile
@@ -313,7 +313,7 @@ class SchoonerHost(ComponentHost):
         try:
             for j in range(n):
                 with batch.region(f"probe:{j}"):
-                    h = 1e-7 * max(1.0, abs(x[j]))
+                    h = FD_EPS * max(1.0, abs(x[j]))
                     xp = x.copy()
                     xp[j] += h
                     J[:, j] = (np.asarray(f(xp), dtype=float) - fx) / h

@@ -48,6 +48,7 @@ from ..serve import (
     ServeReport,
     SessionSpec,
     SharedInstallation,
+    ShardPool,
     build_kill_plan,
     serve_sessions,
     serve_sessions_sharded,
@@ -324,20 +325,16 @@ class SoakReport:
 def _serve(config: SoakConfig, specs: List[SessionSpec]) -> ServeReport:
     if config.mode == "shard":
         workers = config.workers or 2
-        kill_plan = (
-            build_kill_plan(config.seed, workers, config.worker_kills)
-            if config.worker_kills
-            else None
-        )
-        return serve_sessions_sharded(
-            specs,
-            workers=workers,
-            dedup=config.dedup,
-            admission=config.admission,
-            transport=config.transport,
-            kill_plan=kill_plan,
-            recv_timeout_s=120.0,
-        )
+        with ShardPool(
+            workers, transport=config.transport, recv_timeout_s=120.0
+        ) as pool:
+            if config.worker_kills:
+                pool.arm_kills(
+                    build_kill_plan(config.seed, workers, config.worker_kills)
+                )
+            return serve_sessions_sharded(
+                specs, pool, dedup=config.dedup, admission=config.admission
+            )
     return serve_sessions(
         specs,
         installation=SharedInstallation.standard(),

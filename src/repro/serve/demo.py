@@ -73,8 +73,7 @@ def main(argv: Optional[Sequence[str]] = None) -> ServeReport:
     )
     parser.add_argument(
         "--workers", type=int, default=4,
-        help="shard-mode worker process count "
-             "(shard mode with --workers 0 falls back to inline)",
+        help="shard-mode worker process count",
     )
     parser.add_argument(
         "--transport", choices=("auto", "pipe", "shm"), default="auto",

@@ -140,8 +140,8 @@ class KillSchedule:
     now, before the frame goes out*.  Matching is by protocol point:
     ``phase="open"``/``"close"`` events fire on the next such frame to
     their shard, ``phase="wave"`` events fire on the ``wave``-th
-    ``shard-serve`` frame sent to their shard (0-based, counted across
-    the serve — redo re-sends count too, which is what keeps a replay of
+    ``shard-serve`` frame sent to their shard (0-based, counted from
+    arming — redo re-sends count too, which is what keeps a replay of
     the same plan on the same serve killing at the same instant).  Each
     event fires at most once; :attr:`fired` records the execution order.
     """

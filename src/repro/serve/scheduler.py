@@ -251,27 +251,31 @@ def serve_sessions(
     ``degraded`` (carrying the error) and is torn down; the other
     sessions keep being served.
 
-    ``mode="shard"`` scales across cores: sessions are dealt to
-    ``workers`` OS processes, each serving inline on its own
-    installation replica (see :mod:`repro.serve.shards`).  Digests and
-    virtual times stay bitwise-identical to inline mode; a live
-    ``installation`` cannot be passed (each shard builds its own).
+    ``mode="shard"`` scales across cores: a
+    :class:`~repro.serve.shards.ShardPool` of ``workers`` OS processes
+    (at least one) is spawned for this call, the sessions are served on
+    it by :func:`~repro.serve.shards.serve_sessions_sharded` — each
+    worker serving inline on its own installation replica — and the
+    pool is closed.  Digests and virtual times stay bitwise-identical to
+    inline mode; a live ``installation`` cannot be passed (each shard
+    builds its own) and is refused before anything is spawned.
     ``transport`` picks the shard data plane — ``"pipe"`` (framed
     pipes), ``"shm"`` (shared-memory payload rings, pipes as the
     control channel), or ``"auto"`` (shm where available); it and
-    ``workers`` are ignored outside shard mode.
+    ``workers`` are ignored outside shard mode.  A long-running server
+    keeps its own pool and calls ``serve_sessions_sharded`` on it.
     """
     if mode == "shard":
-        from .shards import serve_sessions_sharded
+        from .shards import NotShardSafe, ShardPool, serve_sessions_sharded
 
-        return serve_sessions_sharded(
-            specs,
-            workers=workers,
-            dedup=dedup,
-            admission=admission,
-            installation=installation,
-            transport=transport,
-        )
+        if installation is not None:
+            raise NotShardSafe(
+                "a live SharedInstallation (machine park, caches, retry budget) "
+                "cannot cross a process boundary; shard workers each build their "
+                "own replica — pass installation=None for sharded serving"
+            )
+        with ShardPool(workers, transport=transport) as pool:
+            return serve_sessions_sharded(specs, pool, dedup=dedup, admission=admission)
     if mode != "inline":
         raise ValueError(f"unknown serve mode {mode!r}")
     return serve_arrivals(

@@ -413,9 +413,7 @@ class SessionContext:
             )
             return
         provenance = "cold" if ws.kind == "miss" else ws.kind
-        op = self._engine.balance(
-            self._flight, wf, x0=ws.x0, jac0=ws.jac0, x0_provenance=provenance
-        )
+        op = self._engine.balance(self._flight, wf, x0=ws.x0, jac0=ws.jac0)
         report = self._engine.steady_report
         point = self._point_summary(op)
         self.results.append(
@@ -427,7 +425,7 @@ class SessionContext:
             if report.converged:
                 cache.store(
                     self._op_family, wf, report.x, report.jacobian, point,
-                    provenance=report.x0_provenance,
+                    provenance=provenance,
                 )
 
     def _run_transient(self) -> None:

@@ -68,10 +68,13 @@ Four disciplines make sharding *exact* rather than approximate:
   rebalanced onto a different shard, starts warm instead of rebuilding
   PR 6's cache wins from scratch N times.
 
-There is one way back to a clean worker, :meth:`ShardPool.respawn` (the
-paper's rule for a failed line: terminate it, start it again): failover
-replaces a dead worker with it, and a serve that fails on a caller's
-pool replaces every worker it touched before re-raising.
+A serve runs on the pool it is handed, and every process knob (worker
+count, start method, transport, op store, receive timeout, armed kills)
+is set on the :class:`ShardPool` — the paper's Servers, started once per
+machine and then called.  There is one way back to a clean worker,
+:meth:`ShardPool.respawn` (the paper's rule for a failed line: terminate
+it, start it again): failover replaces a dead worker with it, and a
+serve that fails replaces every worker it touched before re-raising.
 
 Known (and deliberate) divergence from inline: workload-cache
 *counters* can differ by probe-vs-traffic accounting (a parked
@@ -103,7 +106,7 @@ from .failover import (
 )
 from .installation import SharedInstallation
 from .opcache import OpPointCache
-from .scheduler import ServeReport, _CallTally, serve_sessions
+from .scheduler import ServeReport, _CallTally
 from .session import SessionContext, SessionResult, SessionSpec
 from .shm import (
     DEFAULT_RING_BYTES,
@@ -192,7 +195,7 @@ def spec_to_wire(spec: SessionSpec) -> dict:
         raise NotShardSafe(
             f"session {spec.name!r} carries a live fault plan; fault-injection "
             f"sessions mutate shared park/network state and cannot cross a "
-            f"process boundary — serve them inline (workers=0)"
+            f"process boundary — serve them with mode=\"inline\""
         )
     wire = {name: getattr(spec, name) for name in _SPEC_FIELDS}
     assert_shard_safe(wire, f"spec {spec.name!r}")
@@ -468,7 +471,7 @@ class ShardPool:
     replaces a dead worker in place — reap, unlink and rebuild its shm
     rings, fresh pipe and process — which is what lets
     ``serve_sessions_sharded`` redo the lost episode instead of losing
-    the serve.  ``kill_plan`` arms seeded
+    the serve.  :meth:`arm_kills` arms seeded
     :class:`~repro.faults.plan.KillShardWorker` chaos events (SIGKILL
     delivered immediately before the matching protocol frame is sent).
     """
@@ -478,11 +481,9 @@ class ShardPool:
         workers: int,
         start_method: Optional[str] = None,
         transport: str = "auto",
-        ring_bytes: int = DEFAULT_RING_BYTES,
         shm_threshold: int = SHM_THRESHOLD,
         op_store: Optional[OpPointCache] = None,
         recv_timeout_s: Optional[float] = None,
-        kill_plan: Optional[FaultPlan] = None,
     ):
         import multiprocessing
 
@@ -494,9 +495,8 @@ class ShardPool:
         self.shm_threshold = shm_threshold
         self.op_store = op_store if op_store is not None else OpPointCache()
         self.recv_timeout_s = recv_timeout_s
-        self._ring_bytes = ring_bytes
         self._ctx = multiprocessing.get_context(self.start_method)
-        self.arm_kills(kill_plan)
+        self.arm_kills(None)
         self._procs = []
         self._conns = []
         #: parent->worker payload rings (parent writes), worker->parent
@@ -526,9 +526,9 @@ class ShardPool:
         with ExitStack() as undo:
             ring_out = ring_in = None
             if self.transport == "shm":
-                ring_out = ShmRing.create(self._ring_bytes)
+                ring_out = ShmRing.create(DEFAULT_RING_BYTES)
                 undo.callback(ring_out.close)  # owner: unlinks
-                ring_in = ShmRing.create(self._ring_bytes)
+                ring_in = ShmRing.create(DEFAULT_RING_BYTES)
                 undo.callback(ring_in.close)
             if i < len(self._stderr_paths):
                 stderr_path = self._stderr_paths[i]
@@ -623,24 +623,18 @@ class ShardPool:
     #: sentinel poll cadence while waiting on a worker frame
     _POLL_S = 0.05
 
-    def recv(
-        self,
-        shard: int,
-        expect: str,
-        timeout_s: Optional[float] = None,
-    ) -> Optional[dict]:
+    def recv(self, shard: int, expect: str) -> Optional[dict]:
         """Collect one reply from a worker, re-raising worker-side
         failures with their tracebacks.
 
         Supervised: while waiting, the worker's sentinel is polled so a
         death raises :class:`~repro.serve.failover.ShardCrashed` (exit
         code, stderr tail, last frame kind) promptly instead of
-        blocking forever.  ``timeout_s`` (default: the pool's
-        ``recv_timeout_s``; ``None`` = unbounded) caps the wait on a
-        live worker, raising
+        blocking forever.  The pool's ``recv_timeout_s`` (``None`` =
+        unbounded) caps the wait on a live worker, raising
         :class:`~repro.serve.failover.ShardTimeout`."""
         self._check_usable()
-        timeout = self.recv_timeout_s if timeout_s is None else timeout_s
+        timeout = self.recv_timeout_s
         conn, proc = self._conns[shard], self._procs[shard]
         deadline = None if timeout is None else time.monotonic() + timeout
         while not conn.poll(0):
@@ -812,27 +806,20 @@ class _ShardExecutor:
 
 def serve_sessions_sharded(
     specs: Sequence[SessionSpec],
-    workers: int = 2,
+    pool: ShardPool,
     dedup: bool = True,
     admission: Optional[AdmissionPolicy] = None,
-    installation: Optional[SharedInstallation] = None,
-    start_method: Optional[str] = None,
-    pool: Optional[ShardPool] = None,
-    transport: str = "auto",
-    op_store: Optional[OpPointCache] = None,
-    recv_timeout_s: Optional[float] = None,
-    kill_plan: Optional[FaultPlan] = None,
 ) -> ServeReport:
-    """Serve ``specs`` across ``workers`` OS processes and merge the
+    """Serve ``specs`` across ``pool``'s worker processes and merge the
     per-shard reports into one :class:`ServeReport`.
 
-    ``workers=0`` is the inline baseline: the whole batch on this
-    interpreter, byte-identical results — the contrast arm of the
-    differential tests.  ``pool`` reuses an existing :class:`ShardPool`
-    (a long-running server amortizing worker startup *and* compounding
-    its op-point store across calls); otherwise a pool is spawned for
-    the call — with ``transport`` (``"pipe"``, ``"shm"``, or ``"auto"``)
-    and, optionally, a caller-held ``op_store`` — and torn down after.
+    The pool is the caller's, and every process knob is set on it: the
+    worker count, start method, transport, op store, ``recv_timeout_s``
+    and any kills armed with :meth:`ShardPool.arm_kills`.  A
+    long-running server keeps one pool, amortizing worker startup *and*
+    compounding its op-point store across calls;
+    ``serve_sessions(mode="shard")`` builds one for a single call.
+    ``wall_s`` covers the serve on the pool, not its spawn or close.
 
     **Self-healing**: a worker that dies mid-serve (typed
     :class:`~repro.serve.failover.ShardCrashed` from the supervised
@@ -846,37 +833,18 @@ def serve_sessions_sharded(
     uninterrupted run; the disruption is accounted in the per-shard
     rows (``crashes``, ``redone_sessions``, ``recovery_wall_s``,
     ``forfeited_leases``/``forfeited_tokens``), and the redo wall is
-    charged to the report like any other work.  ``recv_timeout_s``
-    bounds every worker wait (a live-but-wedged worker past it is
-    recycled and redone the same way); ``kill_plan`` arms seeded
-    :class:`~repro.faults.plan.KillShardWorker` chaos events on the
-    pool for this call only (the schedule the pool held before, its
-    own or none, is back afterwards).
+    charged to the report like any other work.  The pool's
+    ``recv_timeout_s`` bounds every worker wait (a live-but-wedged
+    worker past it is recycled and redone the same way).
 
-    **A failed serve leaves a caller's pool usable**: if the call
-    raises, every worker it touched is respawned (~10 ms each under
-    fork, ~0.45 s under spawn) so no open episode, unread reply or ring
+    **A failed serve leaves the pool usable**: if the call raises,
+    every worker it touched is respawned (~10 ms each under fork,
+    ~0.45 s under spawn) so no open episode, unread reply or ring
     reference survives, ``pool.op_store`` holds exactly what earlier
     serves merged, and the error is re-raised; a respawn that itself
     fails leaves a dead slot the next serve heals by failover.
-    ``workers`` must equal ``pool.workers``.
-
-    A live ``installation`` cannot be shipped to workers — each shard
-    builds its own replica — so passing one raises
-    :class:`NotShardSafe`.
     """
-    if installation is not None:
-        raise NotShardSafe(
-            "a live SharedInstallation (machine park, caches, retry budget) "
-            "cannot cross a process boundary; shard workers each build their "
-            "own replica — pass installation=None for sharded serving"
-        )
-    if workers <= 0:
-        return serve_sessions(specs, mode="inline", dedup=dedup, admission=admission)
-    if pool is not None and pool.workers != workers:
-        raise ValueError(
-            f"workers={workers} but the supplied pool has {pool.workers} workers"
-        )
+    workers = pool.workers
     t0 = time.perf_counter()
 
     # the timeline is the parent's, over the whole batch — the same
@@ -888,7 +856,7 @@ def serve_sessions_sharded(
     contexts = core.contexts
 
     # wire-validate every session (fault plans are refused before any
-    # worker spawns) and place by family over the whole batch — whenever
+    # frame is sent) and place by family over the whole batch — whenever
     # a session starts, it must land on the shard already holding its
     # family's records and op lines
     wires = {c.seq: spec_to_wire(c.spec) for c in contexts}
@@ -909,16 +877,6 @@ def serve_sessions_sharded(
                 "tokens": lease.tokens,
             }
 
-    own_pool = pool is None
-    if own_pool:
-        pool = ShardPool(
-            workers, start_method=start_method,
-            transport=transport, op_store=op_store,
-            recv_timeout_s=recv_timeout_s,
-        )
-    prior_kills = pool._kills  # restored below: the plan is this call's
-    if kill_plan is not None:
-        pool.arm_kills(kill_plan)
     try:
         # open one episode per busy shard, seeding each worker's
         # op-point cache from the installation-wide store.  The parent
@@ -992,9 +950,7 @@ def serve_sessions_sharded(
                     redone = 0
                     for wave in history[w]:
                         pool.send(w, "shard-serve", wave)
-                        absorb_wave(
-                            pool.recv(w, "shard-result", timeout_s=recv_timeout_s)
-                        )
+                        absorb_wave(pool.recv(w, "shard-result"))
                         redone += len(wave["seqs"])
                     if w in pending_wave:
                         pool.send(w, "shard-serve", pending_wave[w])
@@ -1045,9 +1001,7 @@ def serve_sessions_sharded(
             for w in sorted(per):
                 while True:
                     try:
-                        reply = pool.recv(
-                            w, "shard-result", timeout_s=recv_timeout_s
-                        )
+                        reply = pool.recv(w, "shard-result")
                         break
                     except (ShardCrashed, ShardTimeout) as exc:
                         rebuild(w, exc)
@@ -1074,27 +1028,20 @@ def serve_sessions_sharded(
             while True:
                 try:
                     pool.send(w, "shard-close", None)
-                    closes[w] = pool.recv(
-                        w, "shard-closed", timeout_s=recv_timeout_s
-                    )
+                    closes[w] = pool.recv(w, "shard-closed")
                     break
                 except (ShardCrashed, ShardTimeout) as exc:
                     rebuild(w, exc)
     except BaseException:
-        # a caller-supplied pool outlives this failed serve: its workers
-        # may hold an open episode and unread frames, so each is replaced
-        # and the caller's next serve cannot misattribute stale replies
-        if not own_pool:
-            for w in active:
-                try:
-                    pool.respawn(w)
-                except OSError:
-                    pass  # a dead slot: the next send raises ShardCrashed
+        # the pool outlives this failed serve: its workers may hold an
+        # open episode and unread frames, so each is replaced and the
+        # pool's next serve cannot misattribute stale replies
+        for w in active:
+            try:
+                pool.respawn(w)
+            except OSError:
+                pass  # a dead slot: the next send raises ShardCrashed
         raise
-    finally:
-        pool._kills = prior_kills
-        if own_pool:
-            pool.close()
 
     # merge: results back into global admission order, counters summed,
     # solved op points folded into the installation-wide store,

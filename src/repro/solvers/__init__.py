@@ -1,11 +1,11 @@
 """Numerical solvers: the six methods on the TESS menus (§3.2).
 
-Steady state: Newton-Raphson, fourth-order Runge-Kutta relaxation.
+Steady state: Newton-Raphson, fourth-order Runge-Kutta on the Newton flow.
 Transient: Modified Euler, Runge-Kutta, Adams, Gear.
 """
 
 from .base import ConvergenceFailure, ODEResult, SolverError, SteadyReport
-from .steady import STEADY_METHODS, fd_jacobian, newton_flow_rk4, newton_raphson, rk4_relaxation
+from .steady import STEADY_METHODS, fd_jacobian, newton_flow_rk4, newton_raphson
 from .transient import TRANSIENT_METHODS, adams, gear, integrate, modified_euler, rk4
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "SteadyReport",
     "ODEResult",
     "newton_raphson",
-    "rk4_relaxation",
     "newton_flow_rk4",
     "fd_jacobian",
     "STEADY_METHODS",

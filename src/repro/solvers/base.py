@@ -109,14 +109,6 @@ class SteadyReport:
     # full finite-difference rebuilds the solve needed
     jacobian: "np.ndarray | None" = None
     jac_rebuilds: int = 0
-    # where the initial guess (and seed Jacobian) came from: "cold" (no
-    # external seed), "session" (the caller's own previous solve),
-    # "seed" (an exact stored solution), or "interp" (interpolated
-    # neighbours on the operating line).  Callers that audit cached
-    # answers — the op-point cache's differential oracle — key their
-    # guarantees on this: only "cold"-provenance solutions are
-    # bitwise-canonical; warm-started ones agree within tolerance.
-    x0_provenance: str = "cold"
 
 
 @dataclass

@@ -7,9 +7,9 @@ on the menu:
 * **Newton-Raphson** — damped Newton iteration with a finite-difference
   Jacobian,
 * **Fourth-order Runge-Kutta** — pseudo-transient relaxation: integrate
-  dx/dτ = F(x) with RK4 pseudo-time steps until the residual vanishes
-  (robust far from the solution, slower near it — the classic trade-off
-  the two menu entries offer).
+  the Newton flow dx/dτ = -J(x)^{-1} F(x) with RK4 pseudo-time steps
+  until the residual vanishes (robust far from the solution, slower
+  near it — the classic trade-off the two menu entries offer).
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from .base import ConvergenceFailure, CountedResidual, ResidualFn, SteadyReport,
 
 __all__ = [
     "newton_raphson",
-    "rk4_relaxation",
     "newton_flow_rk4",
     "fd_jacobian",
     "broyden_update",
+    "FD_EPS",
     "STEADY_METHODS",
 ]
 
@@ -33,9 +33,18 @@ __all__ = [
 #: one that runs the FD column probes through overlapped RPC dispatch.
 JacobianFn = Callable[[ResidualFn, np.ndarray, np.ndarray], np.ndarray]
 
+#: forward-difference step, relative to max(1, |x_j|)
+FD_EPS = 1e-7
+#: the Newton step scale the line search starts from
+_DAMPING = 1.0
+#: with Jacobian reuse, a residual reduction worse than this per
+#: iteration (slow contraction) rebuilds the Jacobian ...
+_JAC_REFRESH_RATIO = 0.5
+#: ... and so does an estimate carried through this many Broyden updates
+_JAC_MAX_AGE = 25
 
-def fd_jacobian(f: ResidualFn, x: np.ndarray, fx: Optional[np.ndarray] = None,
-                eps: float = 1e-7) -> np.ndarray:
+
+def fd_jacobian(f: ResidualFn, x: np.ndarray, fx: Optional[np.ndarray] = None) -> np.ndarray:
     """Forward-difference Jacobian of ``f`` at ``x``.
 
     Every column probe is an ordinary evaluation of ``f``; when ``f`` is
@@ -49,7 +58,7 @@ def fd_jacobian(f: ResidualFn, x: np.ndarray, fx: Optional[np.ndarray] = None,
     m = fx.size
     J = np.empty((m, n))
     for j in range(n):
-        h = eps * max(1.0, abs(x[j]))
+        h = FD_EPS * max(1.0, abs(x[j]))
         xp = x.copy()
         xp[j] += h
         J[:, j] = (np.asarray(f(xp), dtype=float) - fx) / h
@@ -70,26 +79,16 @@ def newton_raphson(
     x0: np.ndarray,
     tol: float = 1e-9,
     max_iter: int = 50,
-    damping: float = 1.0,
     raise_on_failure: bool = True,
     jac_reuse: bool = False,
     jac0: Optional[np.ndarray] = None,
-    jac_refresh_ratio: float = 0.5,
-    jac_max_age: int = 25,
     jacobian_fn: Optional[JacobianFn] = None,
     xtol: Optional[float] = None,
-    x0_provenance: str = "cold",
 ) -> SteadyReport:
     """Damped Newton-Raphson with finite-difference Jacobian.
 
-    ``x0_provenance`` labels where ``x0``/``jac0`` came from ("cold",
-    "session", "seed", "interp", ...) and is carried verbatim into
-    :attr:`SteadyReport.x0_provenance`, so downstream caches can tell
-    bitwise-canonical cold solves from warm-started ones.
-
-    ``damping`` scales the Newton step; a backtracking halving line
-    search engages automatically when a full step increases the
-    residual.
+    A backtracking halving line search engages automatically when a
+    full step increases the residual.
 
     ``xtol`` (off by default) adds a step-size termination: once the
     residual is already small (below ``sqrt(tol)``) and the computed
@@ -103,8 +102,8 @@ def newton_raphson(
     residual sweep per state variable) is built only when stale:
     between rebuilds the Jacobian is maintained by Broyden rank-1
     updates, and a rebuild is triggered by slow convergence (residual
-    reduction worse than ``jac_refresh_ratio`` per iteration), a damped
-    line-search step, age beyond ``jac_max_age`` updates, or a singular
+    reduction worse than ``_JAC_REFRESH_RATIO`` per iteration), a damped
+    line-search step, age beyond ``_JAC_MAX_AGE`` updates, or a singular
     iteration matrix.  ``jac0`` seeds the estimate (e.g. the previous
     transient step's Jacobian); the final estimate is returned in
     ``SteadyReport.jacobian`` for exactly that reuse.
@@ -133,7 +132,6 @@ def newton_raphson(
             x=x, converged=(norm <= tol) if converged is None else converged,
             iterations=it, residual_norm=norm,
             fevals=f.count, history=history, jacobian=J, jac_rebuilds=jac_rebuilds,
-            x0_provenance=x0_provenance,
         )
 
     step_guard = np.sqrt(tol)
@@ -167,7 +165,7 @@ def newton_raphson(
             # within xtol — accept it without a confirming evaluation
             return report_at(it - 1, converged=True)
         # backtracking line search
-        alpha = damping
+        alpha = _DAMPING
         for _ in range(8):
             x_new = x + alpha * step
             fx_new = f(x_new)
@@ -179,9 +177,9 @@ def newton_raphson(
             dx = x_new - x
             df = fx_new - fx
             stale = (
-                alpha < damping  # the line search had to back off
-                or norm_new > jac_refresh_ratio * norm  # slow contraction
-                or jac_age >= jac_max_age
+                alpha < _DAMPING  # the line search had to back off
+                or norm_new > _JAC_REFRESH_RATIO * norm  # slow contraction
+                or jac_age >= _JAC_MAX_AGE
             )
             if stale and norm_new > tol:
                 rebuild(x_new, fx_new)
@@ -194,55 +192,6 @@ def newton_raphson(
     if not report.converged and raise_on_failure:
         raise ConvergenceFailure(
             f"Newton-Raphson failed to converge: |F| = {norm:.3e} after "
-            f"{max_iter} iterations", report)
-    return report
-
-
-def rk4_relaxation(
-    f: ResidualFn,
-    x0: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 2000,
-    dtau: float = 0.1,
-    raise_on_failure: bool = True,
-) -> SteadyReport:
-    """Pseudo-transient RK4 relaxation toward F(x) = 0.
-
-    Integrates dx/dτ = F(x) with classic RK4 in pseudo-time; each step
-    reduces the residual when ``dtau`` is within the stability bound.
-    The step shrinks automatically when the residual grows.
-    """
-    F = CountedResidual(f)
-    x = np.asarray(x0, dtype=float).copy()
-    history = []
-    h = dtau
-
-    fx = F(x)
-    norm = float(np.linalg.norm(fx))
-    history.append(norm)
-    for it in range(1, max_iter + 1):
-        if norm <= tol:
-            return SteadyReport(x=x, converged=True, iterations=it - 1,
-                                residual_norm=norm, fevals=F.count, history=history)
-        k1 = fx
-        k2 = F(x + 0.5 * h * k1)
-        k3 = F(x + 0.5 * h * k2)
-        k4 = F(x + h * k3)
-        x_new = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        fx_new = F(x_new)
-        norm_new = float(np.linalg.norm(fx_new))
-        if norm_new > norm and h > 1e-6 * dtau:
-            h *= 0.5  # residual grew: the pseudo-step was too aggressive
-            continue
-        if norm_new < 0.3 * norm:
-            h = min(h * 1.5, 10 * dtau)  # converging fast: stretch the step
-        x, fx, norm = x_new, fx_new, norm_new
-        history.append(norm)
-    report = SteadyReport(x=x, converged=norm <= tol, iterations=max_iter,
-                          residual_norm=norm, fevals=F.count, history=history)
-    if not report.converged and raise_on_failure:
-        raise ConvergenceFailure(
-            f"RK4 relaxation failed to converge: |F| = {norm:.3e} after "
             f"{max_iter} iterations", report)
     return report
 

@@ -21,6 +21,9 @@ from .steady import fd_jacobian
 
 __all__ = ["modified_euler", "rk4", "adams", "gear", "TRANSIENT_METHODS", "integrate"]
 
+#: Gear's inner Newton iteration stops once |G| is at or below this
+_NEWTON_TOL = 1e-10
+
 
 def _grid(t0: float, t_end: float, dt: float) -> np.ndarray:
     if dt <= 0:
@@ -108,7 +111,6 @@ def gear(
     y0: np.ndarray,
     t_end: float,
     dt: float,
-    newton_tol: float = 1e-10,
     newton_max: int = 20,
     jac_reuse: bool = True,
 ) -> ODEResult:
@@ -143,7 +145,7 @@ def gear(
             fy = F(tn, yk)
             G = yk - c - beta * dt * fy
             gnorm = float(np.linalg.norm(G))
-            if gnorm <= newton_tol:
+            if gnorm <= _NEWTON_TOL:
                 return yk
             # refresh the frozen Jacobian only when stale: missing, or
             # the iteration stopped contracting (slow convergence)

@@ -390,7 +390,6 @@ class TwinSpoolTurbofan:
         tol: float = 1e-8,
         x0: Optional[np.ndarray] = None,
         jac0: Optional[np.ndarray] = None,
-        x0_provenance: Optional[str] = None,
         **schedule_values,
     ) -> OperatingPoint:
         """Balance the engine at an operating point (steady state).
@@ -404,20 +403,11 @@ class TwinSpoolTurbofan:
         session state): nearby points then converge in a few Broyden
         iterations with no finite-difference rebuild.  The solved
         report is kept as :attr:`steady_report`, whose ``x``/``jacobian``
-        are exactly what the next point's warm start wants.
-
-        ``x0_provenance`` optionally labels where the supplied seed came
-        from (``"seed"``/``"interp"`` from the installation op-point
-        cache, ``"session"`` for the caller's own prior point); when
-        omitted it is inferred as ``"cold"`` (no seed) or ``"session"``.
-        The label rides into
-        :attr:`~repro.solvers.base.SteadyReport.x0_provenance`."""
+        are exactly what the next point's warm start wants."""
         if x0 is None:
             z0 = np.concatenate([self._design_x, [1.0, 1.0]])
         else:
             z0 = np.asarray(x0, dtype=float)
-        if x0_provenance is None:
-            x0_provenance = "cold" if x0 is None else "session"
 
         def residuals(z: np.ndarray) -> np.ndarray:
             op = self.evaluate(flight, wf, z[5], z[6], z[:5], **schedule_values)
@@ -434,7 +424,6 @@ class TwinSpoolTurbofan:
                 residuals, z0, tol=tol, max_iter=60,
                 jac_reuse=self.jac_reuse, jac0=jac0,
                 jacobian_fn=self.host.jacobian,
-                x0_provenance=x0_provenance,
             )
         elif method == "Runge-Kutta":
             report = newton_flow_rk4(residuals, z0, tol=max(tol, 1e-9), dtau=0.5)
@@ -496,7 +485,6 @@ class TwinSpoolTurbofan:
                 jac_reuse=self.jac_reuse, jac0=self._jac,
                 jacobian_fn=self.host.jacobian,
                 xtol=1e-7 if self.jac_reuse else None,
-                x0_provenance="session",
             )
         except MapError:
             # an over-eager predictor can leave the map envelope; redo
@@ -506,7 +494,6 @@ class TwinSpoolTurbofan:
                 jac_reuse=self.jac_reuse, jac0=self._jac,
                 jacobian_fn=self.host.jacobian,
                 xtol=1e-7 if self.jac_reuse else None,
-                x0_provenance="session",
             )
         self._prev_x = self._last_x
         self._last_x = report.x.copy()

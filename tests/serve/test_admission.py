@@ -23,7 +23,6 @@ from repro.serve import (
     SessionSpec,
     serve_arrivals,
     serve_sessions,
-    serve_sessions_sharded,
 )
 from repro.serve.admission import AdmissionCore
 from repro.serve.demo import build_session_specs
@@ -369,7 +368,7 @@ class TestShedReasonParity:
         reports = [
             serve_sessions(specs, admission=policy, dedup=False),
             serve_arrivals([(0.0, s) for s in specs], admission=policy, dedup=False),
-            serve_sessions_sharded(specs, workers=2, admission=policy, dedup=False),
+            serve_sessions(specs, mode="shard", workers=2, admission=policy, dedup=False),
         ]
         for report in reports:
             assert report.by_name("a").status == "completed"

@@ -242,7 +242,7 @@ class TestDedupAndModes:
         with pytest.raises(TypeError, match="wall_parallel"):
             serve_arrivals([(0.0, _spec("a"))], wall_parallel=True)
         with pytest.raises(TypeError, match="wall_parallel"):
-            serve_sessions_sharded([_spec("a")], workers=0, wall_parallel=True)
+            serve_sessions_sharded([_spec("a")], None, wall_parallel=True)
         with pytest.raises(TypeError, match="wall_parallel"):
             SchoonerEnvironment.standard(wall_parallel=True)
         env = SchoonerEnvironment.standard()

@@ -22,8 +22,7 @@ The failover contract has three layers, and these tests hold each one:
   primitive failover uses), so whatever it left behind — open episodes,
   unread replies, ``+shm`` ring references, a dead worker — the pool's
   next serve matches inline, its op store is untouched, and ``close()``
-  still leaves nothing.  A kill plan passed to one serve is armed for
-  that serve only.
+  still leaves nothing.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ import pytest
 import repro.serve.shards as shards_mod
 from repro.faults.plan import FaultPlan, KillShardWorker
 from repro.serve import (
-    AdmissionPolicy,
     ShardCrashed,
     SharedInstallation,
     ShardPool,
@@ -151,14 +149,10 @@ class TestKillMatrix:
         self, start_method, transport
     ):
         specs, plan, busy, buckets = self._specs_and_plan()
-        base = serve_sessions_sharded(specs, workers=0)
-        shard = serve_sessions_sharded(
-            specs,
-            workers=4,
-            start_method=start_method,
-            transport=transport,
-            kill_plan=plan,
-        )
+        base = serve_sessions(specs)
+        with ShardPool(4, start_method=start_method, transport=transport) as pool:
+            pool.arm_kills(plan)
+            shard = serve_sessions_sharded(specs, pool)
         assert _rows(shard) == _rows(base)
         rows = {r["shard"]: r for r in shard.shard_rows}
         assert sum(r["crashes"] for r in rows.values()) == 3
@@ -185,8 +179,12 @@ class TestKillMatrix:
 
     def test_same_plan_replays_to_identical_accounting(self):
         specs, plan, _busy, _buckets = self._specs_and_plan()
-        a = serve_sessions_sharded(specs, workers=4, kill_plan=plan)
-        b = serve_sessions_sharded(specs, workers=4, kill_plan=plan)
+        def killed():
+            with ShardPool(4) as pool:
+                pool.arm_kills(plan)
+                return serve_sessions_sharded(specs, pool)
+
+        a, b = killed(), killed()
         assert _rows(a) == _rows(b)
         assert [
             (r["shard"], r["crashes"], r["redone_sessions"])
@@ -198,7 +196,7 @@ class TestKillMatrix:
 
     def test_unkilled_serve_reports_zero_crashes(self):
         specs = build_session_specs(4, classes=2, points=2)
-        report = serve_sessions_sharded(specs, workers=2)
+        report = serve_sessions(specs, mode="shard", workers=2)
         assert all(r["crashes"] == 0 for r in report.shard_rows)
         assert all(r["redone_sessions"] == 0 for r in report.shard_rows)
         assert all("crash_exitcodes" not in r for r in report.shard_rows)
@@ -206,12 +204,12 @@ class TestKillMatrix:
 
 class TestSupervision:
     def test_dead_worker_raises_typed_crash_with_exitcode(self):
-        pool = ShardPool(2)
+        pool = ShardPool(2, recv_timeout_s=30.0)
         try:
             pool.send(0, "shard-open", dict(_BARE_OPEN))
             _kill(pool._procs[0])
             with pytest.raises(ShardCrashed) as exc:
-                pool.recv(0, "shard-result", timeout_s=30.0)
+                pool.recv(0, "shard-result")
             assert exc.value.shard == 0
             assert exc.value.exitcode == -signal.SIGKILL
             assert exc.value.last_kind == "shard-open"
@@ -227,7 +225,7 @@ class TestSupervision:
         ``ConnectionResetError``); killed before the frame was written
         the pipe just reaches EOF.  Either way ``recv`` raises the typed
         autopsy, never a bare ``OSError``."""
-        pool = ShardPool(1)
+        pool = ShardPool(1, recv_timeout_s=30.0)
         try:
             if order == "send-then-kill":
                 pool.send(0, "shard-open", dict(_BARE_OPEN))
@@ -239,7 +237,7 @@ class TestSupervision:
                 except ShardCrashed:
                     pass  # EPIPE already: send's own typed path
             with pytest.raises(ShardCrashed) as exc:
-                pool.recv(0, "shard-result", timeout_s=30.0)
+                pool.recv(0, "shard-result")
             assert exc.value.shard == 0
             assert exc.value.exitcode == -signal.SIGKILL
         finally:
@@ -266,11 +264,11 @@ class TestSupervision:
             pool.close()
 
     def test_recv_timeout_is_typed_and_bounded(self):
-        pool = ShardPool(1, recv_timeout_s=30.0)
+        pool = ShardPool(1, recv_timeout_s=0.3)
         try:
             t0 = time.monotonic()
             with pytest.raises(ShardTimeout) as exc:
-                pool.recv(0, "shard-result", timeout_s=0.3)
+                pool.recv(0, "shard-result")
             assert time.monotonic() - t0 < 10
             assert exc.value.shard == 0
             assert exc.value.timeout_s == 0.3
@@ -287,13 +285,13 @@ class TestSupervision:
             pool.close()
 
     def test_stderr_tail_surfaces_in_crash(self):
-        pool = ShardPool(1)
+        pool = ShardPool(1, recv_timeout_s=10.0)
         try:
             with open(pool._stderr_paths[0], "a") as fh:
                 fh.write("traceback: the worker's last words\n")
             _kill(pool._procs[0])
             with pytest.raises(ShardCrashed) as exc:
-                pool.recv(0, "shard-closed", timeout_s=10.0)
+                pool.recv(0, "shard-closed")
             assert "last words" in exc.value.stderr_tail
             assert "worker stderr tail" in str(exc.value)
         finally:
@@ -302,7 +300,7 @@ class TestSupervision:
     def test_flushed_frames_drain_before_crash_is_raised(self):
         """A worker that replied and *then* died must not lose the
         reply: the pipe drains first, only then does recv autopsy."""
-        pool = ShardPool(1)
+        pool = ShardPool(1, recv_timeout_s=10.0)
         try:
             pool.send(0, "shard-open", dict(_BARE_OPEN))
             pool.send(0, "shard-close", None)
@@ -310,10 +308,10 @@ class TestSupervision:
             while not pool._conns[0].poll(0.05):
                 assert time.monotonic() < deadline, "no close reply"
             _kill(pool._procs[0])
-            reply = pool.recv(0, "shard-closed", timeout_s=10.0)
+            reply = pool.recv(0, "shard-closed")
             assert reply["shard"] == 0
             with pytest.raises(ShardCrashed):
-                pool.recv(0, "shard-closed", timeout_s=10.0)
+                pool.recv(0, "shard-closed")
         finally:
             pool.close()
 
@@ -328,7 +326,7 @@ class TestLeakRegression:
             r.name for r in pool._rings_out + pool._rings_in if r is not None
         ]
         assert names, "shm transport must actually create rings"
-        serve_sessions_sharded(specs, workers=2, pool=pool)
+        serve_sessions_sharded(specs, pool)
         _kill(pool._procs[0])
         spools = list(pool._stderr_paths)
         pool.close()
@@ -449,11 +447,11 @@ class TestRecoverEdges:
         rings go with the workers that are replaced, and the next serve
         over the same pool must still match inline."""
         specs = build_session_specs(6, classes=3, points=2)
-        base = _rows(serve_sessions_sharded(specs, workers=0))
+        base = _rows(serve_sessions(specs))
         with ShardPool(2, transport="shm", shm_threshold=1) as pool:
 
             def serve():
-                return serve_sessions_sharded(specs, workers=2, pool=pool)
+                return serve_sessions_sharded(specs, pool)
 
             _fail_once_mid_wave(pool, serve)
             assert _rows(serve()) == base
@@ -492,9 +490,7 @@ class TestRecoverEdges:
                 pools.append(pool)
 
                 def serve():
-                    return serve_sessions_sharded(
-                        specs, workers=2, dedup=False, pool=pool
-                    )
+                    return serve_sessions_sharded(specs, pool, dedup=False)
 
                 serve()
                 merged = pool.op_store.export()
@@ -510,13 +506,13 @@ class TestRecoverEdges:
         ``shard-closed`` reply unread in its pipe and the other's
         episode open; neither may reach the next serve."""
         specs = build_session_specs(4, classes=2, points=2)
-        base = _rows(serve_sessions_sharded(specs, workers=0))
+        base = _rows(serve_sessions(specs))
         with ShardPool(2) as pool:
             real_recv = pool.recv
 
-            def recv(shard, expect, timeout_s=None):
+            def recv(shard, expect):
                 if expect != "shard-closed":
-                    return real_recv(shard, expect, timeout_s=timeout_s)
+                    return real_recv(shard, expect)
                 deadline = time.monotonic() + 30
                 while not pool._conns[shard].poll(0.05):
                     assert time.monotonic() < deadline, "no close reply"
@@ -525,16 +521,16 @@ class TestRecoverEdges:
             with monkeypatch.context() as patch:
                 patch.setattr(pool, "recv", recv)
                 with pytest.raises(RuntimeError, match="injected at settle"):
-                    serve_sessions_sharded(specs, workers=2, pool=pool)
-            again = serve_sessions_sharded(specs, workers=2, pool=pool)
+                    serve_sessions_sharded(specs, pool)
+            again = serve_sessions_sharded(specs, pool)
             assert _rows(again) == base
 
     def test_pool_serves_after_two_failed_serves_in_a_row(self):
         specs = build_session_specs(4, classes=2, points=2)
-        base = _rows(serve_sessions_sharded(specs, workers=0))
+        base = _rows(serve_sessions(specs))
         with ShardPool(2) as pool:
             def serve():
-                return serve_sessions_sharded(specs, workers=2, pool=pool)
+                return serve_sessions_sharded(specs, pool)
 
             _fail_once_mid_wave(pool, serve)
             _fail_once_mid_wave(pool, serve)
@@ -548,7 +544,7 @@ class TestRecoverEdges:
         stays dead, and the next serve meets it as a typed
         ``ShardCrashed`` that ordinary failover respawns."""
         specs = build_session_specs(4, classes=2, points=2)
-        base = _rows(serve_sessions_sharded(specs, workers=0))
+        base = _rows(serve_sessions(specs))
         with ShardPool(2) as pool:
             real_spawn = pool._spawn_worker
 
@@ -558,7 +554,7 @@ class TestRecoverEdges:
                 real_spawn(i)
 
             def serve():
-                return serve_sessions_sharded(specs, workers=2, pool=pool)
+                return serve_sessions_sharded(specs, pool)
 
             with monkeypatch.context() as patch:
                 patch.setattr(pool, "_spawn_worker", spawn)
@@ -569,52 +565,12 @@ class TestRecoverEdges:
 
     def test_respawn_then_serve_matches_inline(self):
         specs = build_session_specs(4, classes=2, points=2)
-        base = _rows(serve_sessions_sharded(specs, workers=0))
+        base = _rows(serve_sessions(specs))
         with ShardPool(2) as pool:
             _kill(pool._procs[0])
             pool.respawn(0)
-            again = serve_sessions_sharded(specs, workers=2, pool=pool)
+            again = serve_sessions_sharded(specs, pool)
             assert _rows(again) == base
-
-
-class TestKillPlanScope:
-    """A kill plan passed to one serve call is armed for that call."""
-
-    def test_a_serves_kill_plan_does_not_outlive_the_serve(self):
-        """Regression: the plan stayed armed on the caller's pool and
-        its frame counter kept running, so a wave-2 kill armed by serve
-        1 (one wave) fired in serve 3 — which passed no plan at all."""
-        specs = build_session_specs(6, classes=3, points=2)
-        plan = FaultPlan(seed=1, events=(
-            KillShardWorker(at_s=0.0, shard=0, phase="wave", wave=2),
-        ))
-        with ShardPool(2) as pool:
-            first = serve_sessions_sharded(
-                specs, workers=2, pool=pool, kill_plan=plan
-            )
-            second = serve_sessions_sharded(specs, workers=2, pool=pool)
-            third = serve_sessions_sharded(
-                specs, workers=2, pool=pool,
-                admission=AdmissionPolicy(max_live=1, max_parked=10),
-            )
-        assert first.shard_rows[0]["sessions"], "shard 0 must be busy"
-        for report in (first, second, third):
-            assert [row["crashes"] for row in report.shard_rows] == [0, 0]
-
-    def test_pool_armed_schedule_survives_a_serves_own_plan(self):
-        specs = build_session_specs(4, classes=2, points=2)
-        base = _rows(serve_sessions_sharded(specs, workers=0))
-        own = FaultPlan(seed=2, events=(
-            KillShardWorker(at_s=0.0, shard=1, phase="close"),
-        ))
-        with ShardPool(2, kill_plan=own) as pool:
-            quiet = serve_sessions_sharded(
-                specs, workers=2, pool=pool, kill_plan=FaultPlan(seed=3, events=())
-            )
-            assert [row["crashes"] for row in quiet.shard_rows] == [0, 0]
-            killed = serve_sessions_sharded(specs, workers=2, pool=pool)
-        assert [row["crashes"] for row in killed.shard_rows] == [0, 1]
-        assert _rows(quiet) == _rows(killed) == base
 
 
 class TestKillSchedule:

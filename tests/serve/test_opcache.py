@@ -78,6 +78,10 @@ class TestDifferentialOracle:
         cold = _cold_point(wf)
         for key in ("n1", "n2", "thrust_N", "t4", "sfc"):
             assert served[key] == pytest.approx(cold[key], rel=1e-6), key
+        # the served misses were stored cold (canonical); the near-hit
+        # solve is stored under its warm label, never canonical
+        stored = {r["wf"]: r["provenance"] for r in inst.op_cache.export()}
+        assert stored == {1.30: "cold", 1.40: "cold", 1.50: "cold", wf: "interp"}
 
     def test_cache_compounds_across_serve_calls(self):
         """The long-running-server shape: a later call's identical

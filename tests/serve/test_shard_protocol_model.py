@@ -113,10 +113,9 @@ class ShardProtocol(RuleBasedStateMachine):
     def teardown(self):
         self.stack.close()  # closes the pool, then checks nothing is left
 
-    def _serve(self, batch, bounded, kill_plan=None):
+    def _serve(self, batch, bounded):
         return serve_sessions_sharded(
-            BATCHES[batch], workers=2, pool=self.pool,
-            admission=BOUND if bounded else None, kill_plan=kill_plan,
+            BATCHES[batch], self.pool, admission=BOUND if bounded else None
         )
 
     @rule(
@@ -136,7 +135,9 @@ class ShardProtocol(RuleBasedStateMachine):
             # one death, not two
             if BUSY[batch][shard] and not (crashes[shard] and phase == "open"):
                 crashes[shard] += 1
-        report = self._serve(batch, bounded, plan)
+        self.pool.arm_kills(plan)
+        report = self._serve(batch, bounded)
+        self.pool.arm_kills(None)
         rows, self.records = _inline(batch, bounded, self.records)
         self.dead -= {w for w in (0, 1) if BUSY[batch][w]}
         self.last = (report, rows, crashes)

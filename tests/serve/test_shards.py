@@ -52,7 +52,7 @@ from repro.serve.session import SessionResult
 from repro.serve.shm import shm_available
 from repro.network.clock import VirtualClock
 
-from .test_failover import _fail_once_mid_wave
+from .test_failover import _fail_once_mid_wave, nothing_left_behind
 from .test_shm import _roundtrip
 
 
@@ -68,18 +68,18 @@ class TestDifferential:
 
     def test_two_and_four_workers_match_inline(self):
         specs = build_session_specs(12, classes=4, points=2)
-        inline = serve_sessions_sharded(specs, workers=0)
+        inline = serve_sessions(specs)
         assert inline.mode == "inline"
         base = _rows(inline)
         for workers in (2, 4):
-            shard = serve_sessions_sharded(specs, workers=workers)
+            shard = serve_sessions(specs, mode="shard", workers=workers)
             assert shard.mode == "shard" and shard.workers == workers
             assert _rows(shard) == base
 
     def test_dedup_off_matches_inline(self):
         specs = build_session_specs(6, classes=3, points=2)
-        inline = serve_sessions_sharded(specs, workers=0, dedup=False)
-        shard = serve_sessions_sharded(specs, workers=2, dedup=False)
+        inline = serve_sessions(specs, dedup=False)
+        shard = serve_sessions(specs, mode="shard", workers=2, dedup=False)
         assert _rows(shard) == _rows(inline)
         assert shard.live == inline.live == 6
 
@@ -87,8 +87,8 @@ class TestDifferential:
         """Op-cache families land whole on one shard, so the exact/near/
         miss counters — not just digests — must match inline."""
         specs = build_session_specs(12, classes=4, points=3, op_cache=True)
-        inline = serve_sessions_sharded(specs, workers=0)
-        shard = serve_sessions_sharded(specs, workers=4)
+        inline = serve_sessions(specs)
+        shard = serve_sessions(specs, mode="shard", workers=4)
         assert _rows(shard) == _rows(inline)
         assert (shard.op_exact, shard.op_near, shard.op_miss) == (
             inline.op_exact,
@@ -102,8 +102,8 @@ class TestDifferential:
         match inline."""
         specs = build_session_specs(10, classes=4, points=2)
         adm = AdmissionPolicy(max_live=3, max_parked=2)
-        inline = serve_sessions_sharded(specs, workers=0, admission=adm, dedup=False)
-        shard = serve_sessions_sharded(specs, workers=2, admission=adm, dedup=False)
+        inline = serve_sessions(specs, admission=adm, dedup=False)
+        shard = serve_sessions(specs, mode="shard", workers=2, admission=adm, dedup=False)
         assert _rows(shard) == _rows(inline)
         assert shard.shed == inline.shed == 5
         assert {r.shed_reason for r in shard.results if r.status == "shed"} == {
@@ -112,13 +112,14 @@ class TestDifferential:
 
     def test_results_stay_in_submission_order(self):
         specs = build_session_specs(8, classes=4, points=2)
-        shard = serve_sessions_sharded(specs, workers=4)
+        shard = serve_sessions(specs, mode="shard", workers=4)
         assert [r.name for r in shard.results] == [s.name for s in specs]
 
     def test_spawn_start_method_matches_fork(self):
         specs = build_session_specs(4, classes=2, points=2)
-        base = _rows(serve_sessions_sharded(specs, workers=0))
-        spawned = serve_sessions_sharded(specs, workers=2, start_method="spawn")
+        base = _rows(serve_sessions(specs))
+        with ShardPool(2, start_method="spawn") as pool:
+            spawned = serve_sessions_sharded(specs, pool)
         assert _rows(spawned) == base
 
     def test_transport_matrix_matches_inline(self):
@@ -126,17 +127,15 @@ class TestDifferential:
         spawn start methods, 2 and 4 workers — all bitwise-identical to
         inline."""
         specs = build_session_specs(6, classes=3, points=2, op_cache=True)
-        base = _rows(serve_sessions_sharded(specs, workers=0))
+        base = _rows(serve_sessions(specs))
         transports = ["pipe"] + (["shm"] if shm_available() else [])
         for transport in transports:
             for start_method in ("fork", "spawn"):
                 for workers in (2, 4):
-                    shard = serve_sessions_sharded(
-                        specs,
-                        workers=workers,
-                        start_method=start_method,
-                        transport=transport,
-                    )
+                    with ShardPool(
+                        workers, start_method=start_method, transport=transport
+                    ) as pool:
+                        shard = serve_sessions_sharded(specs, pool)
                     assert _rows(shard) == base, (transport, start_method, workers)
 
     def test_every_payload_through_the_ring_matches_inline(self):
@@ -146,9 +145,9 @@ class TestDifferential:
         if not shm_available():
             pytest.skip("no shared memory on this host")
         specs = build_session_specs(8, classes=4, points=2, op_cache=True)
-        base = _rows(serve_sessions_sharded(specs, workers=0))
+        base = _rows(serve_sessions(specs))
         with ShardPool(2, transport="shm", shm_threshold=1) as pool:
-            shard = serve_sessions_sharded(specs, workers=2, pool=pool)
+            shard = serve_sessions_sharded(specs, pool)
         assert _rows(shard) == base
 
 
@@ -168,7 +167,7 @@ class TestParkedDeadlineParity:
     def _deadlined_specs(self, dedup: bool):
         specs = build_session_specs(10, classes=4, points=2)
         adm = AdmissionPolicy(max_live=2, max_parked=8)
-        probe = serve_sessions_sharded(specs, workers=0, admission=adm, dedup=dedup)
+        probe = serve_sessions(specs, admission=adm, dedup=dedup)
         waits = [r.wait_s for r in probe.results]
         out = []
         for i, (spec, w) in enumerate(zip(specs, waits)):
@@ -183,15 +182,15 @@ class TestParkedDeadlineParity:
     @pytest.mark.parametrize("dedup", [True, False])
     def test_expiry_while_parked_matches_inline(self, dedup):
         specs, adm = self._deadlined_specs(dedup)
-        inline = serve_sessions_sharded(specs, workers=0, admission=adm, dedup=dedup)
+        inline = serve_sessions(specs, admission=adm, dedup=dedup)
         expired = [
             r for r in inline.results if "expired while parked" in r.shed_reason
         ]
         assert expired, "mix must actually exercise parked-deadline expiry"
         assert all(r.deadline_met is False for r in expired)
         for workers in (2, 4):
-            shard = serve_sessions_sharded(
-                specs, workers=workers, admission=adm, dedup=dedup
+            shard = serve_sessions(
+                specs, mode="shard", workers=workers, admission=adm, dedup=dedup
             )
             assert _rows_with_waits(shard) == _rows_with_waits(inline)
 
@@ -200,8 +199,8 @@ class TestParkedDeadlineParity:
         waits even when nothing sheds."""
         specs = build_session_specs(9, classes=3, points=2)
         adm = AdmissionPolicy(max_live=2, max_parked=9)
-        inline = serve_sessions_sharded(specs, workers=0, admission=adm)
-        shard = serve_sessions_sharded(specs, workers=3, admission=adm)
+        inline = serve_sessions(specs, admission=adm)
+        shard = serve_sessions(specs, mode="shard", workers=3, admission=adm)
         assert _rows_with_waits(shard) == _rows_with_waits(inline)
         assert any(r.wait_s > 0 for r in inline.results)
 
@@ -220,7 +219,7 @@ class TestSurface:
 
     def test_summary_gains_workers_and_per_shard_rows(self):
         specs = build_session_specs(6, classes=3, points=2)
-        report = serve_sessions_sharded(specs, workers=2)
+        report = serve_sessions(specs, mode="shard", workers=2)
         s = report.summary()
         assert s["workers"] == 2
         assert len(s["shards"]) == 2
@@ -241,7 +240,7 @@ class TestSurface:
             dataclasses.replace(s, resilient=True)
             for s in build_session_specs(4, classes=2, points=2)
         ]
-        report = serve_sessions_sharded(specs, workers=2)
+        report = serve_sessions(specs, mode="shard", workers=2)
         assert report.retry_budget is not None
         # fault-free run: every leased token came back
         assert report.retry_budget["tokens"] == pytest.approx(10.0)
@@ -251,10 +250,10 @@ class TestSurface:
 
     def test_pool_reuse_across_rounds(self):
         specs = build_session_specs(4, classes=2, points=2)
-        base = _rows(serve_sessions_sharded(specs, workers=0))
+        base = _rows(serve_sessions(specs))
         with ShardPool(2) as pool:
-            first = serve_sessions_sharded(specs, workers=2, pool=pool)
-            second = serve_sessions_sharded(specs, workers=2, pool=pool)
+            first = serve_sessions_sharded(specs, pool)
+            second = serve_sessions_sharded(specs, pool)
             assert _rows(first) == base
             assert _rows(second) == base
         with pytest.raises(RuntimeError, match="closed"):
@@ -268,7 +267,7 @@ class TestSurface:
         import repro.serve.shards as shards_mod
 
         specs = build_session_specs(6, classes=3, points=2)
-        base = _rows(serve_sessions_sharded(specs, workers=0))
+        base = _rows(serve_sessions(specs))
         with ShardPool(2) as pool:
             real = shards_mod.result_from_wire
 
@@ -279,9 +278,9 @@ class TestSurface:
             # hold open episodes and undrained result frames
             monkeypatch.setattr(shards_mod, "result_from_wire", boom)
             with pytest.raises(RuntimeError, match="injected mid-serve"):
-                serve_sessions_sharded(specs, workers=2, pool=pool)
+                serve_sessions_sharded(specs, pool)
             monkeypatch.setattr(shards_mod, "result_from_wire", real)
-            again = serve_sessions_sharded(specs, workers=2, pool=pool)
+            again = serve_sessions_sharded(specs, pool)
             assert _rows(again) == base
 
     def test_caller_pool_serves_after_a_failure_that_left_a_worker_dead(self):
@@ -289,42 +288,50 @@ class TestSurface:
         caller's pool broken for good; the failed serve's workers are
         replaced, so the pool's next serve matches inline."""
         specs = build_session_specs(6, classes=3, points=2)
-        base = _rows(serve_sessions_sharded(specs, workers=0))
+        base = _rows(serve_sessions(specs))
         with ShardPool(2) as pool:
 
             def serve():
-                return serve_sessions_sharded(specs, workers=2, pool=pool)
+                return serve_sessions_sharded(specs, pool)
 
             _fail_once_mid_wave(pool, serve, kill=0)
             again = serve()
             assert _rows(again) == base
             assert all(row["crashes"] == 0 for row in again.shard_rows)
 
-    def test_workers_that_disagree_with_the_pool_are_refused(self):
-        """``workers=4`` over a 2-worker pool used to die of a bare
-        ``IndexError`` mid-protocol and leave the pool unusable; it is a
-        ``ValueError`` before any frame is sent, and the pool serves on."""
-        specs = build_session_specs(6, classes=3, points=2)
-        base = _rows(serve_sessions_sharded(specs, workers=0))
-        with ShardPool(2) as pool:
-            with pytest.raises(ValueError, match="workers=4.*2 workers"):
-                serve_sessions_sharded(specs, workers=4, pool=pool)
-            assert pool._last_kind == [None, None], "no frame may have been sent"
-            assert _rows(serve_sessions_sharded(specs, workers=2, pool=pool)) == base
+    def test_shard_mode_needs_a_worker(self):
+        """``workers=0`` used to serve inline behind ``mode="shard"``;
+        inline is ``mode="inline"``, and a pool of no workers is the
+        pool's own ``ValueError``."""
+        specs = build_session_specs(2, classes=2, points=1)
+        with pytest.raises(ValueError, match=">= 1 worker"):
+            serve_sessions(specs, mode="shard", workers=0)
+
+
+_FAULTED = SessionSpec(
+    name="faulted", points=(1.3,),
+    fault_plan=FaultPlan(seed=1, events=(LatencySpike(at_s=0.5, until_s=2.0, extra_s=0.1),)),
+)
 
 
 class TestNotShardSafe:
     def test_fault_plan_spec_is_refused_with_typed_error(self):
-        plan = FaultPlan(seed=1, events=(LatencySpike(at_s=0.5, until_s=2.0, extra_s=0.1),))
-        spec = SessionSpec(name="faulted", points=(1.3,), fault_plan=plan)
-        with pytest.raises(NotShardSafe, match="fault plan"):
-            serve_sessions_sharded([spec], workers=2)
+        with ShardPool(2) as pool:
+            with pytest.raises(NotShardSafe, match="fault plan"):
+                serve_sessions_sharded([_FAULTED], pool)
+            assert pool._last_kind == [None, None], "refused before any frame"
+
+    def test_fault_plan_through_shard_mode_leaves_nothing_behind(self):
+        with nothing_left_behind([]):
+            with pytest.raises(NotShardSafe, match='fault plan.*mode="inline"'):
+                serve_sessions([_FAULTED], mode="shard", workers=2)
 
     def test_live_installation_argument_is_refused(self):
         spec = SessionSpec(name="a", points=(1.3,))
         with pytest.raises(NotShardSafe, match="own replica"):
-            serve_sessions_sharded(
-                [spec], workers=2, installation=SharedInstallation.standard()
+            serve_sessions(
+                [spec], installation=SharedInstallation.standard(),
+                mode="shard", workers=2,
             )
 
     def test_pickling_live_installation_raises_typed_error(self):
@@ -499,7 +506,7 @@ class TestOpPointPlane:
 
     def test_merged_op_tiers_equal_shard_row_sums(self):
         specs = build_session_specs(8, classes=4, points=2, op_cache=True)
-        report = serve_sessions_sharded(specs, workers=3)
+        report = serve_sessions(specs, mode="shard", workers=3)
         busy = [r for r in report.shard_rows if r["sessions"]]
         assert busy, "workload must land on at least one shard"
         for row in busy:
@@ -525,10 +532,10 @@ class TestOpPointPlane:
         serve_sessions(specs, installation=inst, dedup=False)
         inline_second = serve_sessions(specs, installation=inst, dedup=False)
         with ShardPool(2) as pool:
-            first = serve_sessions_sharded(specs, workers=2, dedup=False, pool=pool)
+            first = serve_sessions_sharded(specs, pool, dedup=False)
             assert len(pool.op_store) > 0, "solved points must reach the store"
             shard_second = serve_sessions_sharded(
-                specs, workers=2, dedup=False, pool=pool
+                specs, pool, dedup=False
             )
         assert first.op_miss > 0, "cold first serve must actually solve"
         assert _rows(shard_second) == _rows(inline_second)
@@ -549,9 +556,9 @@ class TestOpPointPlane:
         serve_sessions(specs, installation=inst, dedup=False)
         inline_second = serve_sessions(specs, installation=inst, dedup=False)
         with ShardPool(2) as pool:
-            serve_sessions_sharded(specs, workers=2, dedup=False, pool=pool)
+            serve_sessions_sharded(specs, pool, dedup=False)
             shard_second = serve_sessions_sharded(
-                specs, workers=2, dedup=False, pool=pool
+                specs, pool, dedup=False
             )
         assert shard_second.op_exact == inline_second.op_exact > 0
         assert json.dumps([r.results for r in shard_second.results]) == json.dumps(
@@ -567,9 +574,11 @@ class TestOpPointPlane:
 
         specs = build_session_specs(4, classes=2, points=2, op_cache=True)
         store = OpPointCache()
-        cold = serve_sessions_sharded(specs, workers=2, op_store=store)
+        with ShardPool(2, op_store=store) as pool:
+            cold = serve_sessions_sharded(specs, pool)
         assert len(store) > 0
-        warm = serve_sessions_sharded(specs, workers=2, op_store=store)
+        with ShardPool(2, op_store=store) as pool:
+            warm = serve_sessions_sharded(specs, pool)
         # a warm serve skips solves outright, so it is *faster*, not
         # identical: every point lands as an exact hit and virtual time
         # (solver effort) drops

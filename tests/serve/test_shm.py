@@ -755,7 +755,7 @@ class TestSendPathLeaks:
         pool = ShardPool(2, start_method=start_method, transport="shm")
         names = [r.name for r in pool._rings_out + pool._rings_in]
         assert names, "shm transport must actually create rings"
-        serve_sessions_sharded(specs, workers=2, pool=pool)
+        serve_sessions_sharded(specs, pool)
         pool.close()
         leaked = [
             n for n in names

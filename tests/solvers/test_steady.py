@@ -7,8 +7,8 @@ from repro.solvers import (
     STEADY_METHODS,
     ConvergenceFailure,
     fd_jacobian,
+    newton_flow_rk4,
     newton_raphson,
-    rk4_relaxation,
 )
 
 
@@ -80,39 +80,30 @@ class TestNewtonRaphson:
         assert not report.converged
 
 
-class TestRK4Relaxation:
-    def test_linear_converges(self):
-        # relax toward A x = b; -A must be stable, so solve F = b - A x
-        f = lambda x: -linear(x)
-        report = rk4_relaxation(f, np.zeros(2), dtau=0.2)
+    def test_seed_at_the_root_confirms_in_zero_iterations(self):
+        """The op cache's 'seed' tier: handing a stored root back as x0
+        costs one residual sweep, no Newton iterations."""
+        f = lambda x: np.array([x[0] ** 2 - 4.0, x[1] - 1.0])
+        root = newton_raphson(f, np.array([1.0, 0.0])).x
+        report = newton_raphson(f, root)
         assert report.converged
-        assert np.allclose(report.x, LINEAR_SOLUTION, atol=1e-7)
-
-    def test_scalar_decay(self):
-        report = rk4_relaxation(lambda x: -(x - 3.0), np.array([0.0]), dtau=0.5)
-        assert report.x[0] == pytest.approx(3.0, abs=1e-8)
-
-    def test_step_adaptation_recovers_from_aggressive_dtau(self):
-        report = rk4_relaxation(lambda x: -10 * (x - 1.0), np.array([0.0]), dtau=1.0)
-        assert report.converged
-
-    def test_failure_raises(self):
-        # a repeller: F = +x grows, no convergence
-        with pytest.raises(ConvergenceFailure):
-            rk4_relaxation(lambda x: x + 1.0, np.array([1.0]), max_iter=50)
+        assert report.iterations == 0
+        np.testing.assert_array_equal(report.x, root)
 
 
 class TestMethodMenu:
     def test_menu_matches_the_paper(self):
-        assert set(STEADY_METHODS) == {"Newton-Raphson", "Runge-Kutta"}
+        assert STEADY_METHODS == {
+            "Newton-Raphson": newton_raphson,
+            "Runge-Kutta": newton_flow_rk4,
+        }
 
     def test_both_methods_agree(self):
-        f = lambda x: -linear(x)
-        nr = newton_raphson(lambda x: linear(x), np.zeros(2))
-        rk = rk4_relaxation(f, np.zeros(2), dtau=0.2)
+        nr = newton_raphson(linear, np.zeros(2))
+        rk = newton_flow_rk4(linear, np.zeros(2))
         assert np.allclose(nr.x, rk.x, atol=1e-6)
 
     def test_newton_cheaper_on_smooth_problems(self):
         nr = newton_raphson(linear, np.zeros(2))
-        rk = rk4_relaxation(lambda x: -linear(x), np.zeros(2), dtau=0.2)
+        rk = newton_flow_rk4(linear, np.zeros(2))
         assert nr.fevals < rk.fevals
