@@ -36,6 +36,10 @@ class MachinePark:
     #: networks saved on this installation, by name ("create, modify, and
     #: save programs", §2.4): what every executive over the park can open
     saved_networks: Dict[str, Any] = field(default_factory=dict, repr=False)
+    #: the call plans compiled for calls between these machines, shared
+    #: by every session over the park and dropped with it (see
+    #: ``repro.schooner.runtime.CallPlan``)
+    call_plans: Dict[tuple, Any] = field(default_factory=dict, repr=False)
 
     def add(self, nickname: str, machine: Machine) -> Machine:
         if nickname in self.machines:

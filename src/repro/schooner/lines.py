@@ -16,12 +16,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Tuple
+from typing import Dict, Tuple
 
 from ..machines.host import Machine
 from ..machines.process import VirtualProcess
 from ..network.clock import Timeline
-from ..uts.types import Signature
 from .errors import DuplicateName, LineTerminated, NameNotFound, StaleRebind
 from .procedure import Procedure
 
@@ -45,11 +44,6 @@ class InstanceRecord:
     machine: Machine
     path: str
     generation: int = 0  # bumped by every migration
-    #: import signature -> the runtime's compiled call plan for calls
-    #: through this binding (see ``repro.schooner.runtime.CallPlan``)
-    plans: Dict[Signature, Any] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @property
     def alive(self) -> bool:

@@ -231,10 +231,11 @@ class CallPlan:
     """Everything about one call that does not depend on the call.
 
     The paper's stub compiler decides how a procedure's arguments are
-    marshaled when the stub is generated; this is the same decision
-    taken when a client stub first calls through a resolved binding.
-    A plan is a pure function of the import signature, the bound
-    procedure, the two machines' native formats and the out-of-range
+    marshaled once, when the stub is generated (§3.1); this is the same
+    decision, taken the first time any session of an installation
+    calls a procedure from one machine on another.  A plan is a pure
+    function of the import signature, the bound procedure, the caller
+    and callee machines (their native formats) and the out-of-range
     policy, so it holds nothing a fault plan, breaker, deadline, derate
     or partition can change — liveness, the route, the fault filter,
     compute rates and deadlines are still read on every call, at the
@@ -242,16 +243,21 @@ class CallPlan:
     ``Timeline.advance``, i.e. between two statements of one call).
     The four round-trip tuples name only the parameters that need a
     native conversion at all: on an IEEE machine every double's round
-    trip is the identity, so the native pass over it is empty.  Plans
-    are kept on the :class:`~repro.schooner.lines.InstanceRecord` they
-    were compiled for, one per import signature, built on the first
-    call through it and rebuilt when what they were compiled against
-    is no longer what the call presents (:meth:`matches`: a migration's
-    new generation, another caller machine, a flipped range policy).
+    trip is the identity, so the native pass over it is empty.
+
+    Plans live in the machine park's ``call_plans`` and die with the
+    park.  The key is the import signature by value and the procedure,
+    the two machines and the policy by identity (the plan holds each of
+    them, so no id in a live key is reused): a migration to another
+    machine, another caller machine or a flipped range policy is
+    another key, while a failover that restarts the procedure on the
+    same machine (a new record, a bumped generation) reuses the plan.
+    An import that fails the type check raises on every attempt and
+    leaves nothing behind.
     """
 
     __slots__ = (
-        "caller_machine", "callee_machine", "procedure", "generation", "policy",
+        "caller_machine", "callee_machine", "procedure", "policy",
         "call_kind", "reply_kind", "send_codec", "return_codec",
         "caller_send", "callee_recv", "callee_return", "caller_recv",
         "wants_state", "wants_timeline",
@@ -269,7 +275,6 @@ class CallPlan:
         self.caller_machine = caller_machine
         self.callee_machine = record.machine
         self.procedure = proc
-        self.generation = record.generation
         self.policy = policy = env.range_policy
         self.call_kind = f"call:{import_sig.name}"
         self.reply_kind = f"reply:{import_sig.name}"
@@ -293,21 +298,6 @@ class CallPlan:
         self.caller_recv = roundtrips(caller_fmt, returned)
         self.wants_state = proc.wants_state
         self.wants_timeline = proc.wants_timeline
-
-    def matches(
-        self,
-        env: "SchoonerEnvironment",
-        caller_machine: Machine,
-        record: InstanceRecord,
-    ) -> bool:
-        """Whether this plan was compiled for what the call presents."""
-        return (
-            self.caller_machine is caller_machine
-            and self.callee_machine is record.machine
-            and self.procedure is record.procedure
-            and self.generation == record.generation
-            and self.policy is env.range_policy
-        )
 
 
 def _lost(
@@ -396,8 +386,8 @@ def execute_call(
     collects its members' traces privately and flushes them to the
     environment at ``wait()``, in submission order).
 
-    The body is a straight-line walk of the binding's
-    :class:`CallPlan`, compiled on the first call through it: the type
+    The body is a straight-line walk of the call's :class:`CallPlan`,
+    compiled the first time the installation makes this call: the type
     check, parameter lists, codecs and native-format conversions are
     decided there, not here.
     """
@@ -406,17 +396,18 @@ def execute_call(
             f"{import_sig.name}: process {record.process.address} is not running"
         )
 
-    plan: Optional[CallPlan] = record.plans.get(import_sig)
-    if plan is None or not plan.matches(env, caller_machine, record):
-        # first call through this binding, or it is no longer what the
-        # plan was compiled for (migrated, another caller machine, the
-        # range policy flipped).  An import that fails the type check
-        # raises here, on every attempt: no plan is ever kept for it.
-        plan = record.plans[import_sig] = CallPlan(
-            env, caller_machine, record, import_sig
-        )
-
     callee_machine = record.machine
+    plans = env.park.call_plans
+    key = (
+        import_sig, id(record.procedure), id(caller_machine),
+        id(callee_machine), id(env.range_policy),
+    )
+    plan: Optional[CallPlan] = plans.get(key)
+    if plan is None:
+        # An import that fails the type check raises here, on every
+        # attempt: no plan is ever kept for it.
+        plan = plans[key] = CallPlan(env, caller_machine, record, import_sig)
+
     trace = CallTrace(
         procedure=import_sig.name,
         caller=caller_machine.hostname,

@@ -8,8 +8,7 @@ enthalpy rise at the map efficiency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from math import sqrt
 
 from ..gas import GasState, enthalpy, gamma, temperature_from_enthalpy
 from ..maps import CompressorMap
@@ -47,7 +46,7 @@ class Compressor:
     def corrected_speed(self, N: float, state_in: GasState) -> float:
         """Map corrected speed: mechanical speed fraction over the
         square root of inlet temperature relative to design."""
-        return N / np.sqrt(state_in.Tt / self.t_ref)
+        return N / sqrt(state_in.Tt / self.t_ref)
 
     def map_physical_flow(
         self, state_in: GasState, N: float, beta: float, stator_angle: float = 0.0
@@ -57,7 +56,7 @@ class Compressor:
         wc = self.map.corrected_flow(Nc, beta, stator_angle)
         theta = state_in.Tt / 288.15
         delta = state_in.Pt / 101325.0
-        return wc * delta / np.sqrt(theta)
+        return wc * delta / sqrt(theta)
 
     def operate(
         self, state_in: GasState, N: float, beta: float, stator_angle: float = 0.0

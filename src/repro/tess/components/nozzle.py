@@ -8,8 +8,7 @@ produces the engine's thrust figure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from math import sqrt
 
 from ..gas import R_AIR, GasState, gamma
 
@@ -50,15 +49,15 @@ class ConvergentNozzle:
             return 0.0  # backflow regime: no forward flow
         if npr >= self.pressure_ratio_critical(state):
             # choked: W = Cd A Pt/sqrt(Tt) * sqrt(g/R) * (2/(g+1))^((g+1)/(2(g-1)))
-            const = np.sqrt(g / R_AIR) * (2.0 / (g + 1.0)) ** ((g + 1.0) / (2.0 * (g - 1.0)))
-            return self.cd * self.area_m2 * state.Pt / np.sqrt(state.Tt) * const
+            const = sqrt(g / R_AIR) * (2.0 / (g + 1.0)) ** ((g + 1.0) / (2.0 * (g - 1.0)))
+            return self.cd * self.area_m2 * state.Pt / sqrt(state.Tt) * const
         # unchoked: exit static pressure = ambient
         pr = 1.0 / npr  # Ps_exit / Pt
         m2 = 2.0 / (g - 1.0) * (npr ** ((g - 1.0) / g) - 1.0)
-        mach = np.sqrt(max(m2, 0.0))
+        mach = sqrt(max(m2, 0.0))
         t_exit = state.Tt / (1.0 + 0.5 * (g - 1.0) * m2)
         rho = ps_ambient / (R_AIR * t_exit)
-        v = mach * np.sqrt(g * R_AIR * t_exit)
+        v = mach * sqrt(g * R_AIR * t_exit)
         return self.cd * self.area_m2 * rho * v
 
     def gross_thrust(self, state: GasState, ps_ambient: float) -> float:
@@ -71,13 +70,13 @@ class ConvergentNozzle:
         if npr >= self.pressure_ratio_critical(state):
             # sonic exit
             t_exit = state.Tt * 2.0 / (g + 1.0)
-            v_exit = np.sqrt(g * R_AIR * t_exit)
+            v_exit = sqrt(g * R_AIR * t_exit)
             ps_exit = state.Pt * (2.0 / (g + 1.0)) ** (g / (g - 1.0))
             w = self.flow_capacity(state, ps_ambient)
             return w * v_exit + (ps_exit - ps_ambient) * self.area_m2
         m2 = 2.0 / (g - 1.0) * (npr ** ((g - 1.0) / g) - 1.0)
         t_exit = state.Tt / (1.0 + 0.5 * (g - 1.0) * m2)
-        v_exit = np.sqrt(max(m2, 0.0) * g * R_AIR * t_exit)
+        v_exit = sqrt(max(m2, 0.0) * g * R_AIR * t_exit)
         w = self.flow_capacity(state, ps_ambient)
         return w * v_exit
 

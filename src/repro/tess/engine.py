@@ -312,8 +312,23 @@ class TwinSpoolTurbofan:
         ab_fuel: float = 0.0,
     ) -> OperatingPoint:
         """One forward pass through the gas path; returns the operating
-        point with its five algebraic residuals."""
-        beta_fan, beta_hpc, bpr, pr_hpt, pr_lpt = np.asarray(x, dtype=float)
+        point with its five algebraic residuals.
+
+        The pass computes in Python floats (solvers and schedules hand
+        in numpy scalars and arrays), bitwise what numpy scalar
+        arithmetic gives: while air reaches the combustor, every station
+        field and ``thrust_N`` is a ``float``.  When none does (a fan
+        stator closed to -100 deg or beyond, an infinite bypass ratio),
+        the core flow is an ``np.float64`` from there on, so the
+        divisions by it give numpy's inf/NaN with a warning, as they
+        always did, where a float would raise.  docs/PERFORMANCE.md,
+        "Third pass: a cold point on plain floats", audits every
+        operation of the pass."""
+        x = np.asarray(x, dtype=float)
+        beta_fan, beta_hpc, bpr, pr_hpt, pr_lpt = x.tolist()
+        wf, n1, n2 = float(wf), float(n1), float(n2)
+        fan_stator, hpc_stator = float(fan_stator), float(hpc_stator)
+        nozzle_area_factor, ab_fuel = float(nozzle_area_factor), float(ab_fuel)
         host = self.host
         amb = flight.ambient()
 
@@ -329,6 +344,10 @@ class TwinSpoolTurbofan:
             ("core", self.duct_core, core),
         ))
         core, _bleed_flow = self.bleed.run(core)
+        if not core.W > 0.0:
+            # no air reaches the combustor: numpy carries the divisions
+            # by this flow (see the docstring)
+            core = core.with_(W=np.float64(core.W))
         hpc_op = self.hpc.operate(core, n2, beta_hpc, hpc_stator)
         r_core_flow = (core.W - hpc_op.map_flow_kgs) / self._design_core_flow
         burned = host.combustor(self.burner, hpc_op.state_out, wf)
@@ -350,7 +369,7 @@ class TwinSpoolTurbofan:
             wf=wf,
             n1=n1,
             n2=n2,
-            x=np.asarray(x, dtype=float).copy(),
+            x=x.copy(),
             residuals=np.array([r_core_flow, r_hpt, r_lpt, r_mix, r_noz]),
             stations={
                 "2": face,

@@ -7,13 +7,19 @@ exact integral of cp, and the enthalpy inversion is closed-form (the cp
 model is linear, so h(T) is quadratic).
 
 Units are SI throughout: K, Pa, kg/s, J/kg, W.
+
+The gas path computes in Python floats: a square root here is
+``math.sqrt``, correctly rounded like ``np.sqrt``, so every value is
+bitwise what the numpy scalar expression gives (docs/PERFORMANCE.md,
+"Third pass: a cold point on plain floats", lists where the two differ
+on a bad input, and why no station reaches it or where the numpy
+outcome is kept).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from math import sqrt
+from typing import NamedTuple
 
 __all__ = [
     "R_AIR",
@@ -65,11 +71,17 @@ def temperature_from_enthalpy(h: float, far: float = 0.0) -> float:
     disc = a * a + 2.0 * b * h / s
     if disc < 0:
         raise ValueError(f"enthalpy {h} out of range")
-    return (-a + np.sqrt(disc)) / b
+    return (-a + sqrt(disc)) / b
 
 
-@dataclass(frozen=True)
-class GasState:
+class _Station(NamedTuple):
+    W: float
+    Tt: float
+    Pt: float
+    far: float = 0.0
+
+
+class GasState(_Station):
     """The flow state at an engine station: what TESS passes between
     modules over the AVS dataflow network ("engine-station" port type).
 
@@ -77,16 +89,23 @@ class GasState:
     ``Tt``  total temperature, K
     ``Pt``  total pressure, Pa
     ``far`` fuel-air ratio (fuel flow / *air* flow)
+
+    An immutable named tuple: every way to build one (the constructor,
+    :meth:`with_`, ``_replace``, ``_make``, unpickling) rejects a
+    non-positive ``Tt`` or ``Pt``.
     """
 
-    W: float
-    Tt: float
-    Pt: float
-    far: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.Tt <= 0 or self.Pt <= 0:
+    def __new__(cls, W: float, Tt: float, Pt: float, far: float = 0.0) -> "GasState":
+        self = tuple.__new__(cls, (W, Tt, Pt, far))
+        if Tt <= 0 or Pt <= 0:
             raise ValueError(f"non-physical station state {self!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "GasState":
+        return cls(*iterable)
 
     @property
     def cp(self) -> float:
@@ -106,7 +125,7 @@ class GasState:
         """W * sqrt(theta) / delta with sea-level-static references."""
         theta = self.Tt / 288.15
         delta = self.Pt / 101325.0
-        return self.W * np.sqrt(theta) / delta
+        return self.W * sqrt(theta) / delta
 
     def with_(self, W=None, Tt=None, Pt=None, far=None) -> "GasState":
         """This state with the given fields replaced (and validated

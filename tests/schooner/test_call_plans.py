@@ -1,14 +1,18 @@
-"""Bind-time call plans: what a plan caches, and what must throw it away.
+"""Call plans: what a plan caches, where it lives, and what must throw it
+away.
 
 ``execute_call`` walks a :class:`~repro.schooner.runtime.CallPlan`
-compiled on the first call through a binding.  A plan holds only pure
-functions of the import signature, the bound procedure, the two
-machines' native formats and the out-of-range policy; these tests pin
-that every one of those inputs changing yields a fresh plan, and that
-what a fault, partition or policy flip changes at run time is still
-read on every call.
+compiled the first time an installation makes a call.  A plan holds only
+pure functions of the import signature, the bound procedure, the caller
+and callee machines and the out-of-range policy; the machine park keeps
+one per such key in ``park.call_plans`` for every session over it.
+These tests pin that every one of those inputs changing yields a fresh
+plan, that what is not an input (a failover's generation, a second
+session) reuses one, and that what a fault, partition or policy flip
+changes at run time is still read on every call.
 """
 
+import gc
 import math
 
 import pytest
@@ -25,6 +29,7 @@ from repro.schooner import (
     TypeCheckError,
 )
 from repro.schooner.runtime import CallPlan, execute_call
+from repro.serve import SessionSpec, SharedInstallation, serve_sessions
 from repro.uts import (
     DOUBLE,
     INTEGER,
@@ -62,18 +67,45 @@ def contact(ctx, nick):
     return record
 
 
+def plans(env):
+    """The park's plans, in the order they were compiled."""
+    return list(env.park.call_plans.values())
+
+
+def plan_to(env, machine):
+    """The one plan compiled for calls into ``machine``."""
+    (plan,) = [p for p in plans(env) if p.callee_machine is machine]
+    return plan
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every ``CallPlan`` constructed while the test runs."""
+    built = []
+    init = CallPlan.__init__
+
+    def counted(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(CallPlan, "__init__", counted)
+    return built
+
+
 class TestPlanLifetime:
     def test_built_on_the_first_call_and_kept(self, world):
         env, ctx, sig = world
         record = contact(ctx, "lerc-rs6000")
         stub = ctx.import_proc(sig)
-        assert record.plans == {}, "a stub builds no plan before it calls"
+        assert plans(env) == [], "a stub builds no plan before it calls"
         stub(x=1.0)
-        plan = record.plans[sig]
+        (plan,) = plans(env)
         assert isinstance(plan, CallPlan)
+        assert plan.callee_machine is record.machine
+        assert plan.caller_machine is ctx.machine
         for _ in range(3):
             stub(x=2.0)
-        assert record.plans[sig] is plan
+        assert plans(env) == [plan]
 
     def test_type_check_runs_once_per_binding(self, world, monkeypatch):
         env, ctx, sig = world
@@ -98,25 +130,26 @@ class TestPlanLifetime:
         twin = SpecFile.parse(ECHO_SPEC).as_imports().import_named("echo")
         assert twin is not sig and twin == sig
         execute_call(env, ctx.machine, ctx.line.timeline, record, sig, {"x": 1.0})
-        plan = record.plans[sig]
+        (plan,) = plans(env)
         execute_call(env, ctx.machine, ctx.line.timeline, record, twin, {"x": 1.0})
-        assert record.plans[twin] is plan and len(record.plans) == 1
+        assert plans(env) == [plan]
 
 
 class TestPlanInvalidation:
     def test_migration_to_a_cray_converts_through_the_new_format(self, world):
         env, ctx, sig = world
-        old = contact(ctx, "lerc-rs6000")
+        contact(ctx, "lerc-rs6000")
         stub = ctx.import_proc(sig)
         # IEEE on both ends: every double comes back bit-for-bit
         assert stub.call1(x=THIRD) == THIRD
         assert stub.call1(x=math.inf) == math.inf
+        (ieee,) = plans(env)
 
         new = ctx.sch_move("echo", "lerc-cray")
         moved = stub.call1(x=THIRD)  # stale cache -> refresh -> fresh plan
         assert stub._cache is new
-        assert new.plans[sig] is not old.plans[sig]
-        assert new.plans[sig].callee_machine is env.park["lerc-cray"]
+        cray = plan_to(env, env.park["lerc-cray"])
+        assert cray is not ieee and plans(env) == [ieee, cray]
         assert moved != THIRD and moved == pytest.approx(THIRD, rel=2.0**-47)
         # the Cray word has no infinity: the paper's section-4.1 policy
         with pytest.raises(UTSRangeError, match="Cray"):
@@ -136,41 +169,45 @@ class TestPlanInvalidation:
         assert stub.call1(x=1e300) == pytest.approx(1.7014118e38)
         assert stub.call1(x=-1e300) == pytest.approx(-1.7014118e38)
 
-    def test_range_policy_flip_takes_effect_on_the_next_call(self, world):
+    def test_range_policy_flip_takes_effect_on_the_next_call(self, world, builds):
         env, ctx, sig = world
-        record = contact(ctx, "lerc-cray")
+        contact(ctx, "lerc-cray")
         stub = ctx.import_proc(sig)
         stub(x=1.0)
-        strict = record.plans[sig]
+        (strict,) = plans(env)
         with pytest.raises(UTSRangeError):
             stub(x=math.inf)
         env.range_policy = OutOfRangePolicy.INFINITY
         assert stub.call1(x=math.inf) == math.inf
-        assert record.plans[sig] is not strict
-        assert record.plans[sig].policy is OutOfRangePolicy.INFINITY
+        lax = plans(env)[-1]
+        assert lax is not strict and lax.policy is OutOfRangePolicy.INFINITY
         env.range_policy = OutOfRangePolicy.ERROR
         with pytest.raises(UTSRangeError):
             stub(x=math.inf)
+        # flipping back finds the first plan again
+        assert plans(env) == [strict, lax] and builds == [strict, lax]
 
-    def test_generation_bump_yields_a_fresh_plan(self, world):
+    def test_generation_bump_reuses_the_plan(self, world, builds):
+        """A failover that restarts the procedure on the same machine is
+        the same call: the generation is not part of the key."""
         env, ctx, sig = world
         record = contact(ctx, "lerc-rs6000")
         stub = ctx.import_proc(sig)
         stub(x=1.0)
-        before = record.plans[sig]
+        (before,) = plans(env)
         record.generation += 1
         stub(x=1.0)
-        assert record.plans[sig] is not before
-        assert record.plans[sig].generation == record.generation
+        assert plans(env) == [before] and builds == [before]
 
     def test_another_caller_machine_yields_a_fresh_plan(self, world):
         env, ctx, sig = world
         record = contact(ctx, "lerc-rs6000")
         tl = ctx.line.timeline
         execute_call(env, env.park["ua-sparc10"], tl, record, sig, {"x": THIRD})
-        from_sparc = record.plans[sig]
+        (from_sparc,) = plans(env)
         out = execute_call(env, env.park["lerc-cray"], tl, record, sig, {"x": THIRD})
-        assert record.plans[sig] is not from_sparc
+        assert plans(env)[-1] is not from_sparc and len(plans(env)) == 2
+        assert plans(env)[-1].caller_machine is env.park["lerc-cray"]
         assert out["y"] != THIRD  # stored through the Cray caller's 48 bits
 
     def test_stale_binding_refresh_yields_a_fresh_plan(self, world):
@@ -185,7 +222,7 @@ class TestPlanInvalidation:
         failovers = stub.failovers
         assert stub.call1(x=2.0) == 2.0
         assert stub.failovers == failovers + 1
-        assert sig in new.plans and new.plans[sig] is not old.plans[sig]
+        assert plan_to(env, new.machine) is not plan_to(env, old.machine)
         assert env.traces[-1].callee == env.park["lerc-sgi420"].hostname
         assert env.traces[-1].failed_over
 
@@ -197,14 +234,14 @@ class TestTypeCheckStillHolds:
          Parameter("y", ParamMode.RES, DOUBLE)),
     )
 
-    def test_direct_execute_call_refuses_every_time(self, world):
+    def test_direct_execute_call_refuses_every_time(self, world, builds):
         env, ctx, sig = world
         record = contact(ctx, "lerc-rs6000")
         for _ in range(2):
             with pytest.raises(TypeCheckError, match="import type integer"):
                 execute_call(env, ctx.machine, ctx.line.timeline,
                              record, self.WRONG, {"x": 1})
-        assert self.WRONG not in record.plans, "no plan is kept for a bad import"
+        assert plans(env) == [] and builds == [], "no plan is kept for a bad import"
 
     def test_stub_path_refuses(self, world):
         env, ctx, sig = world
@@ -218,9 +255,10 @@ class TestTypeCheckStillHolds:
         stub = ClientStub(manager=ctx.manager, line=ctx.line,
                           caller_machine=ctx.machine, import_sig=self.WRONG,
                           _cache=record)
-        with pytest.raises(TypeCheckError):
-            stub(x=1)
-        assert record.plans == {}
+        for _ in range(2):
+            with pytest.raises(TypeCheckError):
+                stub(x=1)
+        assert plans(env) == []
 
 
 class TestRuntimeStateIsStillReadPerCall:
@@ -247,7 +285,7 @@ class TestRuntimeStateIsStillReadPerCall:
         record = contact(ctx, "lerc-rs6000")
         tl = ctx.line.timeline
         execute_call(env, ctx.machine, tl, record, sig, {"x": 1.0})
-        plan = record.plans[sig]
+        (plan,) = plans(env)
         a, b = ctx.machine.site, record.machine.site
         assert a != b
         env.topology.partition(a, b)
@@ -255,7 +293,7 @@ class TestRuntimeStateIsStillReadPerCall:
             execute_call(env, ctx.machine, tl, record, sig, {"x": 1.0})
         env.topology.heal(a, b)
         assert execute_call(env, ctx.machine, tl, record, sig, {"x": 4.0}) == {"y": 4.0}
-        assert record.plans[sig] is plan, "a partition is not a reason to recompile"
+        assert plans(env) == [plan], "a partition is not a reason to recompile"
 
     def test_load_change_is_charged_on_the_next_call(self, world):
         env, ctx, sig = world
@@ -266,3 +304,62 @@ class TestRuntimeStateIsStillReadPerCall:
         record.machine.load = 0.5
         stub(x=1.0)
         assert env.traces[-1].compute_s == pytest.approx(2 * idle)
+
+
+def cold_specs(n: int):
+    return [SessionSpec(name=f"cold-{i}", points=(1.30 + 0.01 * i,)) for i in range(n)]
+
+
+class TestOnePlanPerInstallation:
+    def test_cold_sessions_build_each_plan_once(self, builds):
+        """Each cold session starts its own remote processes; the plans
+        for its calls are the installation's, built by the first.  The
+        F100's three duct lines call one ``setduct``/``duct`` pair, so
+        that is 6 plans where one per binding made 10 per session."""
+        inst = SharedInstallation.standard()
+        serve_sessions(cold_specs(1), installation=inst, dedup=False)
+        assert sorted(p.procedure.name for p in builds) == [
+            "comb", "duct", "nozl", "setcomb", "setduct", "setnozl",
+        ]
+        report = serve_sessions(cold_specs(24), installation=inst, dedup=False)
+        assert len(report.results) == 24
+        assert all(r.status == "completed" and r.traces for r in report.results)
+        assert len(builds) == 6 == len(inst.park.call_plans)
+
+    def test_a_move_to_another_format_builds_one_more_and_back_reuses(self, world, builds):
+        env, ctx, sig = world
+        contact(ctx, "lerc-rs6000")
+        stub = ctx.import_proc(sig)
+        stub(x=1.0)
+        ctx.sch_move("echo", "lerc-cray")
+        stub(x=1.0)
+        # and back: the original machine's plan is found again
+        ctx.sch_move("echo", "lerc-rs6000")
+        stub(x=1.0)
+        stub(x=2.0)
+        assert [p.callee_machine.hostname for p in builds] == [
+            env.park["lerc-rs6000"].hostname, env.park["lerc-cray"].hostname,
+        ]
+        assert plans(env) == builds
+
+    def test_two_installations_share_nothing(self, builds):
+        a, b = SharedInstallation.standard(), SharedInstallation.standard()
+        serve_sessions(cold_specs(1), installation=a, dedup=False)
+        serve_sessions(cold_specs(1), installation=b, dedup=False)
+        assert len(a.park.call_plans) == len(b.park.call_plans) == 6
+        assert not set(map(id, a.park.call_plans.values())) & set(
+            map(id, b.park.call_plans.values())
+        )
+        assert len(builds) == 12
+
+    def test_a_dropped_installation_s_plans_are_collected(self):
+        def live_plans() -> int:
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if type(obj) is CallPlan)
+
+        before = live_plans()
+        inst = SharedInstallation.standard()
+        serve_sessions(cold_specs(2), installation=inst, dedup=False)
+        assert live_plans() == before + 6
+        del inst
+        assert live_plans() == before

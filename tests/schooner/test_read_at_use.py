@@ -62,7 +62,7 @@ class World:
         self.stub(x=1.0)
         self.probe = env.traces[-1]
         assert self.probe.outcome == "ok"
-        assert self.record.plans, "the first call compiled the binding's plan"
+        assert env.park.call_plans, "the first call compiled the call's plan"
 
     def schedule_mid_call(self, callback) -> float:
         """Schedule ``callback`` for an instant inside the *next* call's

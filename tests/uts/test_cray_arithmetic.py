@@ -227,7 +227,7 @@ class TestThroughACrayCallPlan:
         )
         # the IEEE caller's side of the plan skips the doubles — scalar
         # or array — and keeps the record for its binary32 field
-        plan = record.plans[stub.import_sig]
+        (plan,) = env.park.call_plans.values()
         assert [name for name, _ in plan.caller_send] == ["p"]
         assert [name for name, _ in plan.caller_recv] == ["p"]
         assert [name for name, _ in plan.callee_recv] == ["xs", "p"]
