@@ -9,7 +9,7 @@ test:
 	pytest tests/
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	python -m pytest benchmarks/ --benchmark-only
 
 report:
 	python benchmarks/report.py

@@ -1,9 +1,13 @@
 """Ablation A1 (§4.1) — UTS conversion costs and the Cray range policy.
 
 Measures the real (wall-clock) cost of the UTS conversion library this
-reproduction implements: wire encode/decode of the shaft call's
-arguments, native-format round trips for each architecture's codec, and
-the float-vs-double choice the paper added in its §4.1 evolution.
+reproduction implements, on the codec the runtime runs
+(``signature_codec``, ``codec_for`` and ``native_roundtrip_for``): wire
+encode/decode of the shaft call's arguments, native-format round trips
+for each architecture, and the float-vs-double choice the paper added in
+its §4.1 evolution.  Three contrasts time it against the interpretive
+oracle in ``tests/uts/oracle.py``, so run from the repository root with
+``python -m pytest benchmarks/ --benchmark-only``.
 """
 
 import math
@@ -19,12 +23,12 @@ from repro.uts import (
     OutOfRangePolicy,
     SpecFile,
     UTSRangeError,
-    decode_value,
-    encode_value,
-    marshal_args,
-    roundtrip_native,
-    unmarshal_args,
+    codec_for,
+    conform_args,
+    native_roundtrip_for,
+    signature_codec,
 )
+from tests.uts import oracle
 
 SHAFT_IMPORT = SpecFile.parse(
     """
@@ -46,34 +50,42 @@ SHAFT_ARGS = dict(
 )
 
 ERR = OutOfRangePolicy.ERROR
+SHAFT_SEND = signature_codec(SHAFT_IMPORT, "send")
+
+
+def marshal_shaft(args):
+    """A client stub's request: conform, then encode into a fresh buffer."""
+    out = bytearray()
+    SHAFT_SEND.encode_conformed_into(conform_args(SHAFT_IMPORT, args, "send"), out)
+    return out
 
 
 def test_marshal_shaft_request(benchmark):
     """Marshal the paper's shaft call (conform + wire-encode)."""
-    data = benchmark(marshal_args, SHAFT_IMPORT, SHAFT_ARGS, "send")
+    data = benchmark(marshal_shaft, SHAFT_ARGS)
     assert len(data) == 8 * 4 * 2 + 8 * 2 + 8 * 3  # arrays + ints + scalars
     benchmark.extra_info["request_bytes"] = len(data)
 
 
 def test_unmarshal_shaft_request(benchmark):
-    data = marshal_args(SHAFT_IMPORT, SHAFT_ARGS, "send")
-    out = benchmark(unmarshal_args, SHAFT_IMPORT, data, "send")
+    data = bytes(marshal_shaft(SHAFT_ARGS))
+    out = benchmark(SHAFT_SEND.unmarshal, data)
     assert out["ecom"][0] == 12.9e6
 
 
 def test_encode_large_array(benchmark):
     """Bulk data: a 4096-double field (bandwidth-bound transfers)."""
-    t = ArrayType(4096, DOUBLE)
+    codec = codec_for(ArrayType(4096, DOUBLE))
     values = [math.sin(i) for i in range(4096)]
-    data = benchmark(encode_value, t, values)
+    data = benchmark(codec.encode, values)
     assert len(data) == 4096 * 8
     benchmark.extra_info["MB"] = len(data) / 1e6
 
 
 def test_decode_large_array(benchmark):
-    t = ArrayType(4096, DOUBLE)
-    data = encode_value(t, [math.sin(i) for i in range(4096)])
-    out, offset = benchmark(decode_value, t, data)
+    codec = codec_for(ArrayType(4096, DOUBLE))
+    data = codec.encode([math.sin(i) for i in range(4096)])
+    out, offset = benchmark(codec.decode, data)
     assert offset == len(data)
 
 
@@ -81,11 +93,11 @@ def test_float_vs_double_wire_size(benchmark):
     """The §4.1 addition of single precision halves the wire size —
     'it allows the user to specify more precisely the size of the
     argument value to be passed'."""
-    tf, td = ArrayType(1024, FLOAT), ArrayType(1024, DOUBLE)
+    tf, td = codec_for(ArrayType(1024, FLOAT)), codec_for(ArrayType(1024, DOUBLE))
     vf = [float(i) for i in range(1024)]
 
     def both():
-        return encode_value(tf, vf), encode_value(td, vf)
+        return tf.encode(vf), td.encode(vf)
 
     f_data, d_data = benchmark(both)
     assert len(f_data) * 2 == len(d_data)
@@ -105,7 +117,7 @@ def test_native_roundtrip_cost(benchmark, arch):
     note that writing the Cray conversion routines was the real work."""
     t = ArrayType(64, DOUBLE)
     values = [1.5 * i for i in range(64)]
-    out = benchmark(roundtrip_native, arch.native_format, t, values, ERR)
+    out = benchmark(native_roundtrip_for(arch.native_format, t, ERR), values)
     assert out[2] == 3.0
     benchmark.extra_info["format"] = arch.native_format.name
 
@@ -137,13 +149,11 @@ def test_compiled_vs_interpretive_encode(benchmark):
     collapses to one struct('>1000d') call)."""
     import time
 
-    from repro.uts import codec_for
-
     t = ArrayType(1000, DOUBLE)
     values = [math.sin(i) for i in range(1000)]
     codec = codec_for(t)
     assert codec.plan == "struct('>1000d')"
-    assert codec.encode(values) == encode_value(t, values)
+    assert codec.encode(values) == oracle.encode_value(t, values)
 
     def best_of(fn, rounds=7, number=50):
         best = math.inf
@@ -154,7 +164,7 @@ def test_compiled_vs_interpretive_encode(benchmark):
             best = min(best, time.perf_counter() - start)
         return best
 
-    interp = best_of(lambda v: encode_value(t, v))
+    interp = best_of(lambda v: oracle.encode_value(t, v))
     compiled = benchmark(codec.encode, values)
     compiled_t = best_of(codec.encode)
     speedup = interp / compiled_t
@@ -163,25 +173,23 @@ def test_compiled_vs_interpretive_encode(benchmark):
          "speedup": round(speedup, 1)}
     )
     assert speedup >= 2.0, f"compiled path only {speedup:.1f}x faster"
-    assert compiled == encode_value(t, values)
+    assert compiled == oracle.encode_value(t, values)
 
 
 def test_encode_into_removes_the_double_copy(benchmark):
-    """The zero-copy entry point (PR 4, satellite 2): ``encode_conformed``
-    built a scratch bytearray and then materialized it as ``bytes`` — a
-    full second copy of every payload.  ``encode_conformed_into`` writes
-    into the caller's (pooled) buffer and stops there; same bytes, one
-    copy fewer, measurably faster on bulk payloads."""
+    """The zero-copy entry point: ``encode_conformed_into`` writes into
+    the caller's buffer and stops there.  Materializing that buffer as
+    ``bytes`` is a full second copy of every payload; skipping it gives
+    the same bytes (the oracle's), one copy fewer, measurably faster on
+    bulk payloads."""
     import time
-
-    from repro.uts.compiled import signature_codec
-    from repro.uts.wire import conform_args
 
     sig = SpecFile.parse(
         'import bulk prog("xs" val array[4096] of double)'
     ).import_named("bulk")
     codec = signature_codec(sig, "send")
-    conformed = conform_args(sig, {"xs": [math.sin(i) for i in range(4096)]}, "send")
+    args = {"xs": [math.sin(i) for i in range(4096)]}
+    conformed = conform_args(sig, args, "send")
 
     buf = bytearray()
 
@@ -189,9 +197,14 @@ def test_encode_into_removes_the_double_copy(benchmark):
         del buf[:]
         return codec.encode_conformed_into(conformed, buf)
 
+    def copied():
+        out = bytearray()
+        codec.encode_conformed_into(conformed, out)
+        return bytes(out)
+
     n = benchmark(into)
     assert n == 4096 * 8
-    assert bytes(buf) == codec.encode_conformed(conformed)
+    assert bytes(buf) == copied() == oracle.marshal_args(sig, args, "send")
 
     def best_of(fn, rounds=7, number=50):
         best = math.inf
@@ -202,11 +215,11 @@ def test_encode_into_removes_the_double_copy(benchmark):
             best = min(best, time.perf_counter() - start)
         return best
 
-    with_copy = best_of(lambda: codec.encode_conformed(conformed))
+    with_copy = best_of(copied)
     zero_copy = best_of(into)
     benchmark.extra_info.update(
         {
-            "encode_conformed_s": with_copy,
+            "with_copy_s": with_copy,
             "encode_conformed_into_s": zero_copy,
             "double_copy_overhead": round(with_copy / zero_copy - 1.0, 3),
         }
@@ -218,11 +231,9 @@ def test_encode_into_removes_the_double_copy(benchmark):
 def test_compiled_native_plan_speedup(benchmark):
     """The per-(format, type, policy) native plans: same values, same
     exceptions, less dispatch."""
-    from repro.uts import identical, native_roundtrip_for, roundtrip_native_interpreted
-
     t = ArrayType(256, DOUBLE)
     values = [1.5 * i for i in range(256)]
     fmt = SPARC.native_format
     plan = native_roundtrip_for(fmt, t, ERR)
     out = benchmark(plan, values)
-    assert identical(t, out, roundtrip_native_interpreted(fmt, t, values, ERR))
+    assert oracle.identical(t, out, oracle.roundtrip_native_interpreted(fmt, t, values, ERR))

@@ -4,8 +4,9 @@ Homer & Schlichting, "Supporting Heterogeneity and Distribution in the
 Numerical Propulsion System Simulation Project" (U. Arizona TR 92-38a /
 HPDC 1993), rebuilt in Python:
 
-* :mod:`repro.uts` — the Universal Type System (spec language, wire
-  format, bit-accurate native codecs incl. Cray and Convex formats),
+* :mod:`repro.uts` — the Universal Type System (spec language, one
+  compiled codec for the wire format, bit-accurate native formats incl.
+  Cray and Convex),
 * :mod:`repro.machines` — the 1993 machine park as virtual hosts,
 * :mod:`repro.network` — the three-tier simulated internet,
 * :mod:`repro.schooner` — the heterogeneous RPC facility (stub

@@ -3,9 +3,14 @@
 A stateful procedure's recoverable state is exactly what its
 ``state_spec`` declares (the same specification that drives §4.2
 migration).  A checkpoint stores each state variable as UTS *wire*
-bytes — the architecture-neutral format — so state checkpointed on a
-Cray can be restored into a process on a SPARC: the decode applies the
-destination's native conversion exactly as a migration transfer would.
+bytes — the architecture-neutral format, written by the same compiled
+codec (:func:`repro.uts.compiled.codec_for`) every RPC uses — so state
+checkpointed on a Cray can be restored into a process on a SPARC.
+
+Neither a restore nor a migration applies the destination's native
+format to the state: ``restore`` stores the decoded wire values as they
+are, and ``Manager.migrate`` copies the conformed values.  A restored
+variable is therefore exactly the conformed value that was saved.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from ..schooner.lines import InstanceRecord, Line
+from ..uts.compiled import codec_for
 from ..uts.values import conform
-from ..uts.wire import decode_value, encode_value
 
 __all__ = ["Checkpoint", "CheckpointStore"]
 
@@ -67,7 +72,7 @@ class CheckpointStore:
                 continue  # stateless executable: nothing to checkpoint
             storage = record.state_storage()
             blobs = tuple(
-                (var, encode_value(t, conform(t, storage[var])))
+                (var, codec_for(t).encode(conform(t, storage[var])))
                 for var, t in sorted(types.items())
                 if var in storage
             )
@@ -96,7 +101,7 @@ class CheckpointStore:
             t = types.get(var)
             if t is None:
                 continue
-            value, _ = decode_value(t, blob)
+            value, _ = codec_for(t).decode(blob)
             storage[var] = value
             restored += 1
         return restored

@@ -26,7 +26,9 @@ from enum import Enum
 from typing import Dict, Optional, Tuple
 
 from ..machines.host import Machine
+from ..uts.compiled import codec_for
 from ..uts.types import Signature
+from ..uts.values import conform
 from .errors import (
     DuplicateName,
     InstanceGone,
@@ -347,15 +349,12 @@ class Manager:
                     f"{rdef.name!r} is stateful and has no state-transfer "
                     f"specification; it cannot be moved"
                 )
-            from ..uts.values import conform
-            from ..uts.wire import encode_value
-
             storage = rec.state_storage()
             for var, var_type in rdef.state_spec.items():
                 if var in storage:
                     value = conform(var_type, storage[var])
                     state_payload[var] = value
-                    state_bytes += len(encode_value(var_type, value))
+                    state_bytes += len(codec_for(var_type).encode(value))
 
         # shutdown message to the original process
         old_server = self.server_for(old.machine)

@@ -8,13 +8,15 @@ provides three things, each a submodule here:
 * a **type model** with conformance checking (:mod:`.types`,
   :mod:`.values`),
 * a **common data interchange format** plus per-architecture native
-  codecs, including a bit-accurate Cray Y-MP floating format
-  (:mod:`.wire`, :mod:`.native`).
+  formats, including a bit-accurate Cray Y-MP floating format
+  (:mod:`.compiled`, :mod:`.native`).
 
-:mod:`.compiled` accelerates the codecs with per-type compiled
-encoder/decoder plans (the RPC hot path).  A differential harness beside
-the tests (``tests/uts/conformance.py``) cross-checks every format,
-policy, and codec path against the documented semantics in
+:mod:`.compiled` is the one codec: per-type compiled encoder/decoder
+plans and per-``(format, type, policy)`` native round trips that every
+RPC, migration and checkpoint runs.  A differential harness beside the
+tests (``tests/uts/conformance.py``) cross-checks every format, policy,
+and codec path against the interpretive oracles in
+``tests/uts/oracle.py`` and the documented semantics in
 ``docs/CODECS.md``.
 """
 
@@ -40,11 +42,9 @@ from .native import (
     NativeFormat,
     OutOfRangePolicy,
     VAXFormat,
-    roundtrip_native,
-    roundtrip_native_interpreted,
 )
 from .parser import Declaration, parse_spec, parse_type
-from .spec import SpecFile, check_compatibility, render_signature
+from .spec import SpecFile, render_signature
 from .types import (
     BOOLEAN,
     BYTE,
@@ -66,23 +66,7 @@ from .types import (
     StringType,
     UTSType,
 )
-from .values import (
-    conform,
-    conform_args,
-    conformer_for,
-    identical,
-    values_equal,
-    zero_value,
-)
-from .wire import (
-    decode_value,
-    encode_into,
-    encode_value,
-    encoded_size,
-    marshal_args,
-    marshal_args_into,
-    unmarshal_args,
-)
+from .values import conform, conform_args, conformer_for
 
 __all__ = [
     # errors
@@ -117,32 +101,18 @@ __all__ = [
     "parse_type",
     "Declaration",
     "SpecFile",
-    "check_compatibility",
     "render_signature",
     # values
     "conform",
     "conform_args",
     "conformer_for",
-    "zero_value",
-    "values_equal",
-    "identical",
-    # wire
-    "encode_value",
-    "encode_into",
-    "decode_value",
-    "encoded_size",
-    "marshal_args",
-    "marshal_args_into",
-    "unmarshal_args",
     # native formats
     "NativeFormat",
     "IEEEFormat",
     "CrayFormat",
     "VAXFormat",
     "OutOfRangePolicy",
-    "roundtrip_native",
-    "roundtrip_native_interpreted",
-    # compiled fast path
+    # compiled codec
     "CompiledCodec",
     "SignatureCodec",
     "codec_for",

@@ -1,11 +1,12 @@
 """Compiled UTS codecs: the fast path for wire and native conversion.
 
-The interpretive codecs in :mod:`repro.uts.wire` and
-:mod:`repro.uts.native` dispatch on ``isinstance`` for every element of
-every array on every call — fine as a readable reference, but UTS
-encode/decode is the hot path of every simulated RPC the paper's Tables
-1–2 measure.  This module walks a :class:`~repro.uts.types.UTSType` tree
-*once* and emits a flat encoder/decoder plan:
+This is the runtime's one UTS codec: every RPC, migration state
+transfer and checkpoint encodes and decodes through it.  An interpretive
+codec dispatches on ``isinstance`` for every element of every array on
+every call — fine as a readable reference, but UTS encode/decode is the
+hot path of every simulated RPC the paper's Tables 1–2 measure.  This
+module walks a :class:`~repro.uts.types.UTSType` tree *once* and emits a
+flat encoder/decoder plan:
 
 * subtrees with a fixed wire layout (no strings) collapse into a single
   ``struct`` format string — a 1k-element double array encodes with one
@@ -17,7 +18,8 @@ Plans are cached per type (types are immutable value objects, so they
 hash), per signature+direction, and per ``(format, type, policy)`` for
 native round trips.  The conformance harness
 (``tests/uts/conformance.py``) cross-checks every compiled path against
-the interpretive reference byte-for-byte.
+the interpretive oracles in ``tests/uts/oracle.py`` byte-for-byte; the
+wire layout is tabulated in ``docs/CODECS.md``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .types import (
     StringType,
     UTSType,
 )
-from .values import conform_args
 
 __all__ = [
     "CompiledCodec",
@@ -305,8 +306,8 @@ class CompiledCodec:
         self._decode_from = _compile_decoder(t)
 
     def encode(self, value: Any) -> bytes:
-        """Encode a conformed value; byte-identical to
-        :func:`repro.uts.wire.encode_value`."""
+        """Encode a conformed value into a fresh ``bytes`` (the wire
+        layout of ``docs/CODECS.md``)."""
         out = bytearray()
         self._encode_into(value, out)
         return bytes(out)
@@ -315,8 +316,9 @@ class CompiledCodec:
         self._encode_into(value, out)
 
     def decode(self, data: bytes, offset: int = 0) -> Tuple[Any, int]:
-        """Decode ``(value, next_offset)``; mirrors
-        :func:`repro.uts.wire.decode_value` including error behaviour."""
+        """Decode ``(value, next_offset)``; truncated data, a boolean
+        byte other than 0 or 1 and invalid UTF-8 raise
+        :class:`UTSConversionError`."""
         try:
             return self._decode_from(data, offset)
         except struct.error as exc:
@@ -377,11 +379,10 @@ def _compile_flat_message(
 class SignatureCodec:
     """Marshals one direction of a call's arguments with compiled codecs.
 
-    Drop-in equivalent of :func:`repro.uts.wire.marshal_args` /
-    :func:`~repro.uts.wire.unmarshal_args` for a fixed
-    ``(signature, direction)``.  An argument list with no
-    variable-length parameter packs and unpacks as one struct
-    (:func:`_compile_flat_message`) instead of one per parameter.
+    Encodes the conformed arguments of a fixed ``(signature,
+    direction)`` in signature order and decodes them back.  An argument
+    list with no variable-length parameter packs and unpacks as one
+    struct (:func:`_compile_flat_message`) instead of one per parameter.
     """
 
     __slots__ = ("signature", "direction", "_params",
@@ -398,27 +399,14 @@ class SignatureCodec:
             _compile_flat_message(params) or (None, None, None)
         )
 
-    def marshal(self, args: Dict[str, Any]) -> bytes:
-        """Conform and encode; equivalent to ``marshal_args``."""
-        return self.encode_conformed(
-            conform_args(self.signature, args, self.direction)
-        )
-
-    def encode_conformed(self, args: Dict[str, Any]) -> bytes:
-        """Encode arguments already in canonical form (skips the second
-        conformance pass the interpretive path performs)."""
-        out = bytearray()
-        self.encode_conformed_into(args, out)
-        return bytes(out)
-
     def encode_conformed_into(self, args: Dict[str, Any], out: bytearray) -> int:
         """Encode canonical arguments into a caller-owned buffer;
         returns the bytes appended.
 
         The RPC hot path uses this with a fresh buffer per direction:
         a fixed-layout message is one ``Struct.pack`` appended to it,
-        and what travels is a view of the buffer — the ``bytes(out)``
-        in :meth:`encode_conformed` is the copy this leaves out."""
+        and what travels is a view of the buffer, never a ``bytes``
+        copy of it."""
         if self._flat_pack is not None:
             out += self._flat_pack(args)
             return self._flat_size
@@ -606,9 +594,9 @@ def native_roundtrip_for(
 ) -> Callable[[Any], Any]:
     """The compiled native round-trip plan for ``(fmt, t, policy)``.
 
-    Backs :func:`repro.uts.native.roundtrip_native`; semantics are
-    checked against the interpretive reference by the conformance
-    harness.
+    Semantics are checked against the interpretive oracle
+    (``roundtrip_native_interpreted`` in ``tests/uts/oracle.py``) by the
+    conformance harness.
     """
     key = (fmt, t, policy)
     plan = _NATIVE_PLANS.get(key)

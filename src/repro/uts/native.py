@@ -24,9 +24,9 @@ this simulation, not mocked:
   of range in the opposite direction from the Cray.
 
 All pack/unpack routines work on scalar Python values <-> ``bytes``.
-:func:`roundtrip_native` applies a format's precision/range semantics to
-arbitrarily structured UTS values, which is how the RPC runtime simulates
-data living natively on a machine.
+:func:`repro.uts.compiled.native_roundtrip_for` applies a format's
+precision/range semantics to arbitrarily structured UTS values, which is
+how the RPC runtime simulates data living natively on a machine.
 """
 
 from __future__ import annotations
@@ -35,20 +35,8 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
 
 from .errors import UTSConversionError, UTSRangeError
-from .types import (
-    ArrayType,
-    BooleanType,
-    ByteType,
-    DoubleType,
-    FloatType,
-    IntegerType,
-    RecordType,
-    StringType,
-    UTSType,
-)
 
 __all__ = [
     "OutOfRangePolicy",
@@ -56,8 +44,6 @@ __all__ = [
     "IEEEFormat",
     "CrayFormat",
     "VAXFormat",
-    "roundtrip_native",
-    "roundtrip_native_interpreted",
 ]
 
 
@@ -402,60 +388,3 @@ class VAXFormat(NativeFormat):
 
     def unpack_float64(self, data: bytes, policy: OutOfRangePolicy) -> float:
         return self._unpack_vax(data, 55, policy)
-
-
-def roundtrip_native(
-    fmt: NativeFormat,
-    t: UTSType,
-    value: Any,
-    policy: OutOfRangePolicy = OutOfRangePolicy.ERROR,
-) -> Any:
-    """Apply ``fmt``'s precision and range semantics to a conformed value.
-
-    This simulates the value living in the machine's native memory: the
-    value is packed into native bytes and unpacked again, so precision is
-    truncated to what the format holds (48 bits on a Cray, 56 on a
-    Convex D_floating) and out-of-range values trigger the policy.
-
-    Structured types are handled element-wise; strings, bytes, and
-    booleans are format-independent.
-
-    This is the hot path of every simulated RPC, so it executes a
-    compiled per-``(format, type, policy)`` plan (see
-    :mod:`repro.uts.compiled`) instead of re-dispatching on ``isinstance``
-    for each element.  :func:`roundtrip_native_interpreted` is the
-    interpretive reference the conformance harness checks the plans
-    against.
-    """
-    from .compiled import native_roundtrip_for  # deferred: avoids an import cycle
-
-    return native_roundtrip_for(fmt, t, policy)(value)
-
-
-def roundtrip_native_interpreted(
-    fmt: NativeFormat,
-    t: UTSType,
-    value: Any,
-    policy: OutOfRangePolicy = OutOfRangePolicy.ERROR,
-) -> Any:
-    """Interpretive reference implementation of :func:`roundtrip_native`.
-
-    Dispatches on ``isinstance`` per element; kept as the semantics oracle
-    for the conformance harness and the compiled-codec benchmarks.
-    """
-    if isinstance(t, IntegerType):
-        return fmt.unpack_integer(fmt.pack_integer(value))
-    if isinstance(t, FloatType):
-        return fmt.unpack_float32(fmt.pack_float32(value, policy), policy)
-    if isinstance(t, DoubleType):
-        return fmt.unpack_float64(fmt.pack_float64(value, policy), policy)
-    if isinstance(t, (ByteType, StringType, BooleanType)):
-        return value
-    if isinstance(t, ArrayType):
-        return [roundtrip_native_interpreted(fmt, t.element, v, policy) for v in value]
-    if isinstance(t, RecordType):
-        return {
-            f.name: roundtrip_native_interpreted(fmt, f.type, value[f.name], policy)
-            for f in t.fields
-        }
-    raise UTSConversionError(f"unsupported type {t!r}")  # pragma: no cover

@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .errors import UTSCompatibilityError, UTSError
+from .errors import UTSError
 from .parser import Declaration, parse_spec
 from .types import Signature
 
-__all__ = ["SpecFile", "check_compatibility", "render_signature"]
+__all__ = ["SpecFile", "render_signature"]
 
 
 @dataclass
@@ -88,9 +88,3 @@ def render_signature(sig: Signature) -> str:
         sep = "," if i < len(sig.params) - 1 else ")"
         lines.append(f'    "{p.name}" {p.mode.value} {p.type.describe()}{sep}')
     return f"{sig.name} {sig.kind}(\n" + "\n".join(lines)
-
-
-def check_compatibility(import_sig: Signature, export_sig: Signature) -> None:
-    """Raise :class:`UTSCompatibilityError` unless the import is a legal
-    subset of the export (paper footnote 1)."""
-    import_sig.check_import_subset(export_sig)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from .errors import UTSCompatibilityError, UTSTypeError
 
@@ -290,13 +290,3 @@ class Signature:
                     f"export type {ep.type.describe()}"
                 )
             pos += 1
-
-
-def walk_type(t: UTSType) -> Iterable[UTSType]:
-    """Yield ``t`` and every type nested within it, outermost first."""
-    yield t
-    if isinstance(t, ArrayType):
-        yield from walk_type(t.element)
-    elif isinstance(t, RecordType):
-        for f in t.fields:
-            yield from walk_type(f.type)

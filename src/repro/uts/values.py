@@ -41,7 +41,7 @@ from .types import (
     UTSType,
 )
 
-__all__ = ["conform", "conformer_for", "conform_args", "zero_value", "identical"]
+__all__ = ["conform", "conformer_for", "conform_args"]
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -306,61 +306,3 @@ def conform_args(sig: Signature, args: Dict[str, Any], direction: str) -> Dict[s
     if conformer is None:
         conformer = conformers[direction] = _compile_args_conformer(sig, direction)
     return conformer(args)
-
-
-def zero_value(t: UTSType) -> Any:
-    """A canonical zero/default value of type ``t`` (used by stubs to
-    pre-populate ``res`` parameters)."""
-    if isinstance(t, IntegerType):
-        return 0
-    if isinstance(t, (FloatType, DoubleType)):
-        return 0.0
-    if isinstance(t, ByteType):
-        return 0
-    if isinstance(t, StringType):
-        return ""
-    if isinstance(t, BooleanType):
-        return False
-    if isinstance(t, ArrayType):
-        return [zero_value(t.element) for _ in range(t.length)]
-    if isinstance(t, RecordType):
-        return {f.name: zero_value(f.type) for f in t.fields}
-    raise UTSTypeError(f"unsupported UTS type {t!r}")
-
-
-def identical(t: UTSType, a: Any, b: Any) -> bool:
-    """Bit-level structural equality of two conformed values.
-
-    Unlike ``==`` (and :func:`values_equal`), this distinguishes ``0.0``
-    from ``-0.0`` and treats NaN as identical to itself — the comparison
-    the conformance harness needs when checking that codecs preserve
-    signed zeros and special values exactly.
-    """
-    if isinstance(t, (FloatType, DoubleType)):
-        return struct.pack(">d", a) == struct.pack(">d", b)
-    if isinstance(t, ArrayType):
-        return len(a) == len(b) and all(
-            identical(t.element, x, y) for x, y in zip(a, b)
-        )
-    if isinstance(t, RecordType):
-        return all(identical(f.type, a[f.name], b[f.name]) for f in t.fields)
-    return type(a) is type(b) and a == b
-
-
-def values_equal(t: UTSType, a: Any, b: Any, rel_tol: float = 0.0) -> bool:
-    """Structural equality of two conformed values, with optional float
-    tolerance (useful in tests comparing remote vs local results)."""
-    if isinstance(t, (FloatType, DoubleType)):
-        if a == b:
-            return True
-        if rel_tol <= 0:
-            return False
-        scale = max(abs(a), abs(b))
-        return scale > 0 and abs(a - b) / scale <= rel_tol
-    if isinstance(t, ArrayType):
-        return len(a) == len(b) and all(
-            values_equal(t.element, x, y, rel_tol) for x, y in zip(a, b)
-        )
-    if isinstance(t, RecordType):
-        return all(values_equal(f.type, a[f.name], b[f.name], rel_tol) for f in t.fields)
-    return bool(a == b)

@@ -1,8 +1,8 @@
 """Tests for the compiled UTS codec layer (repro.uts.compiled).
 
 The contract: compiled plans are byte-, value-, and
-exception-equivalent to the interpretive reference in wire.py /
-native.py, while walking each type tree exactly once at compile time.
+exception-equivalent to the interpretive oracles in tests/uts/oracle.py,
+while walking each type tree exactly once at compile time.
 """
 
 import math
@@ -30,16 +30,20 @@ from repro.uts import (
     VAXFormat,
     codec_for,
     conform,
+    native_roundtrip_for,
+    precompile_signature,
+    signature_codec,
+)
+
+from .oracle import (
     decode_value,
     encode_value,
     identical,
     marshal_args,
-    native_roundtrip_for,
-    precompile_signature,
     roundtrip_native_interpreted,
-    signature_codec,
     unmarshal_args,
 )
+from .test_wire import Runtime
 
 ERR = OutOfRangePolicy.ERROR
 INF = OutOfRangePolicy.INFINITY
@@ -143,8 +147,7 @@ SIG = Signature(
 class TestSignatureCodec:
     def test_marshal_matches_marshal_args(self):
         args = {"w": 63.0, "geom": {"len": 1.0, "area": 0.5}, "tag": "hot"}
-        codec = signature_codec(SIG, "send")
-        assert codec.marshal(args) == marshal_args(SIG, args, "send")
+        assert Runtime.marshal(SIG, args, "send") == marshal_args(SIG, args, "send")
 
     def test_unmarshal_matches_unmarshal_args(self):
         args = {"w": 63.0, "geom": {"len": 1.0, "area": 0.5}, "tag": "hot"}
@@ -156,7 +159,7 @@ class TestSignatureCodec:
     def test_return_direction(self):
         args = {"w": 1.0, "out": [0.0, -0.0, 2.5]}
         codec = signature_codec(SIG, "return")
-        data = codec.marshal(args)
+        data = Runtime.marshal(SIG, args, "return")
         assert data == marshal_args(SIG, args, "return")
         got = codec.unmarshal(data)
         assert identical(ArrayType(3, DOUBLE), got["out"], [0.0, -0.0, 2.5])

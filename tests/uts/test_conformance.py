@@ -53,8 +53,8 @@ from .conformance import (
     offered_values,
     run,
 )
+from .oracle import marshal_args, unmarshal_args
 from repro.uts.values import conformer_for
-from repro.uts.wire import marshal_args, unmarshal_args
 
 CRAY = next(f for f in ALL_NATIVE_FORMATS if isinstance(f, CrayFormat))
 CONVEX = next(f for f in ALL_NATIVE_FORMATS if isinstance(f, VAXFormat))

@@ -37,10 +37,10 @@ from repro.uts import (
     UTSConversionError,
     UTSRangeError,
     conform,
-    identical,
     native_roundtrip_for,
-    roundtrip_native_interpreted,
 )
+
+from .oracle import identical, roundtrip_native_interpreted
 
 ERR, INF = OutOfRangePolicy.ERROR, OutOfRangePolicy.INFINITY
 CRAY = CrayFormat(name="cray", int_bits=64)

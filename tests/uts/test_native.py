@@ -21,8 +21,10 @@ from repro.uts import (
     UTSConversionError,
     UTSRangeError,
     VAXFormat,
-    roundtrip_native,
+    native_roundtrip_for,
 )
+
+from .oracle import roundtrip_native_interpreted
 
 ERR = OutOfRangePolicy.ERROR
 INF = OutOfRangePolicy.INFINITY
@@ -66,7 +68,7 @@ class TestIEEEFormat:
         2**128: a nearest-even cast overflows from exactly there, so it
         is out of range itself (the unseeded conformance sweep used to
         die of ``struct``'s ``OverflowError`` when it drew it)."""
-        from repro.uts import FLOAT, conform, native_roundtrip_for, roundtrip_native_interpreted
+        from repro.uts import FLOAT, conform
 
         edge = 3.4028235677973366e38
         assert edge == 2.0**128 - 2.0**103
@@ -228,23 +230,23 @@ class TestRoundtripNative:
     def test_structured_roundtrip_on_cray(self):
         t = RecordType.of(xs=ArrayType(3, DOUBLE), n=INTEGER)
         v = {"xs": [1.0, 0.5, -2.0], "n": 42}
-        assert roundtrip_native(CRAY, t, v) == v
+        assert native_roundtrip_for(CRAY, t, ERR)(v) == v
 
     def test_precision_loss_applies_elementwise(self):
         t = ArrayType(2, DOUBLE)
-        out = roundtrip_native(CRAY, t, [1.0, math.pi])
+        out = native_roundtrip_for(CRAY, t, ERR)([1.0, math.pi])
         assert out[0] == 1.0
         assert out[1] != math.pi
 
     def test_int_width_enforced_for_structures(self):
         t = ArrayType(1, INTEGER)
         with pytest.raises(UTSRangeError):
-            roundtrip_native(SPARC, t, [2**40])
+            native_roundtrip_for(SPARC, t, ERR)([2**40])
 
     def test_strings_format_independent(self):
         from repro.uts import STRING
 
-        assert roundtrip_native(CRAY, STRING, "hello") == "hello"
+        assert native_roundtrip_for(CRAY, STRING, ERR)("hello") == "hello"
 
 
 class TestCrossFormatConversion:
@@ -253,8 +255,8 @@ class TestCrossFormatConversion:
     def transfer(self, value, src, dst, policy=ERR):
         # sender holds the value natively, converts to the IEEE wire form,
         # receiver stores it natively
-        wire_val = roundtrip_native(src, DOUBLE, value, policy)
-        return roundtrip_native(dst, DOUBLE, wire_val, policy)
+        wire_val = native_roundtrip_for(src, DOUBLE, policy)(value)
+        return native_roundtrip_for(dst, DOUBLE, policy)(wire_val)
 
     def test_sparc_to_cray_loses_low_bits(self):
         got = self.transfer(math.pi, SPARC, CRAY)
@@ -385,25 +387,25 @@ class TestInfinityConversion:
 
 class TestNestedPolicy:
     """The INFINITY policy must reach every element of a structured value
-    through roundtrip_native, not just top-level scalars."""
+    through the native round trip, not just top-level scalars."""
 
     def test_infinity_policy_on_nested_record(self):
         t = RecordType.of(xs=ArrayType(2, DOUBLE), y=DOUBLE)
         v = {"xs": [1e300, -1e300], "y": 1.0}
         with pytest.raises(UTSRangeError):
-            roundtrip_native(CONVEX, t, v, ERR)
-        out = roundtrip_native(CONVEX, t, v, INF)
+            native_roundtrip_for(CONVEX, t, ERR)(v)
+        out = native_roundtrip_for(CONVEX, t, INF)(v)
         vmax = math.ldexp(1.0 - 2.0**-56, 127)
         assert out["xs"] == [vmax, -vmax]
         assert out["y"] == 1.0
 
     def test_infinity_policy_on_array_of_records(self):
         t = ArrayType(2, RecordType.of(x=DOUBLE))
-        out = roundtrip_native(CRAY, t, [{"x": math.inf}, {"x": 2.0}], INF)
+        out = native_roundtrip_for(CRAY, t, INF)([{"x": math.inf}, {"x": 2.0}])
         assert out == [{"x": math.inf}, {"x": 2.0}]
 
     def test_negative_zero_in_array_raises_on_convex(self):
         t = ArrayType(3, DOUBLE)
         with pytest.raises(UTSConversionError):
-            roundtrip_native(CONVEX, t, [1.0, -0.0, 2.0], ERR)
-        assert roundtrip_native(CRAY, t, [1.0, -0.0, 2.0], ERR)[1] == 0.0
+            native_roundtrip_for(CONVEX, t, ERR)([1.0, -0.0, 2.0])
+        assert native_roundtrip_for(CRAY, t, ERR)([1.0, -0.0, 2.0])[1] == 0.0

@@ -36,16 +36,18 @@ from repro.uts import (
     VAXFormat,
     codec_for,
     conform,
+    native_roundtrip_for,
+    render_signature,
+)
+from repro.uts.parser import parse_spec
+
+from .oracle import (
     decode_value,
     encode_value,
     encoded_size,
     identical,
-    native_roundtrip_for,
-    render_signature,
-    roundtrip_native,
     roundtrip_native_interpreted,
 )
-from repro.uts.parser import parse_spec
 
 ERR = OutOfRangePolicy.ERROR
 
@@ -249,8 +251,8 @@ def test_roundtrip_native_idempotent_on_ieee64(tv):
     t, v = tv
     fmt = IEEEFormat(name="le64", int_bits=64, big_endian=False)
     v = conform(t, v)
-    once = roundtrip_native(fmt, t, v, ERR)
-    assert roundtrip_native(fmt, t, once, ERR) == once
+    once = native_roundtrip_for(fmt, t, ERR)(v)
+    assert native_roundtrip_for(fmt, t, ERR)(once) == once
 
 
 # -- compiled fast path vs interpretive reference -----------------------------
@@ -288,7 +290,7 @@ def test_compiled_native_plan_matches_interpreter(tv):
 @given(st.floats(allow_nan=False, allow_infinity=True))
 @settings(max_examples=300)
 def test_roundtrip_native_delegates_to_compiled(v):
-    """The public roundtrip_native and the interpretive reference agree
+    """The runtime's native plan and the interpretive reference agree
     on every double, for every format, under both policies."""
     for fmt in (SPARC, CRAY, CONVEX):
         for policy in (ERR, OutOfRangePolicy.INFINITY):
@@ -296,9 +298,9 @@ def test_roundtrip_native_delegates_to_compiled(v):
                 expected = roundtrip_native_interpreted(fmt, DOUBLE, v, policy)
             except UTSError as exc:
                 with pytest.raises(type(exc)):
-                    roundtrip_native(fmt, DOUBLE, v, policy)
+                    native_roundtrip_for(fmt, DOUBLE, policy)(v)
             else:
-                assert identical(DOUBLE, roundtrip_native(fmt, DOUBLE, v, policy),
+                assert identical(DOUBLE, native_roundtrip_for(fmt, DOUBLE, policy)(v),
                                  expected)
 
 

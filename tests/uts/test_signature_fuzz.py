@@ -29,7 +29,9 @@ from repro.core.specs import (
 )
 from repro.uts import SpecFile, UTSConversionError, conform_args, signature_codec
 from repro.uts.types import ArrayType, DoubleType, IntegerType
-from repro.uts.values import INT64_MAX, INT64_MIN, zero_value
+from repro.uts.values import INT64_MAX, INT64_MIN
+
+from .oracle import zero_value
 
 _SIGNATURES = [
     sig

@@ -18,7 +18,6 @@ from repro.uts import (
     UTSCompatibilityError,
     UTSTypeError,
 )
-from repro.uts.types import walk_type
 
 
 class TestStructuralEquality:
@@ -195,16 +194,3 @@ class TestImportSubset:
         imp = Signature("shaft", (Parameter("bogus", ParamMode.VAL, INTEGER),))
         with pytest.raises(UTSCompatibilityError):
             imp.check_import_subset(export)
-
-
-class TestWalkType:
-    def test_walk_flat(self):
-        assert list(walk_type(INTEGER)) == [INTEGER]
-
-    def test_walk_nested(self):
-        t = RecordType.of(a=ArrayType(2, FLOAT), b=INTEGER)
-        seen = list(walk_type(t))
-        assert t in seen
-        assert ArrayType(2, FLOAT) in seen
-        assert FLOAT in seen
-        assert INTEGER in seen

@@ -18,9 +18,9 @@ from repro.uts import (
     UTSTypeError,
     conform,
     conform_args,
-    values_equal,
-    zero_value,
 )
+
+from .oracle import zero_value
 
 
 class TestConformScalars:
@@ -186,17 +186,3 @@ class TestZeroValue:
     def test_zero_conforms(self):
         t = RecordType.of(a=ArrayType(2, FLOAT), s=STRING, b=BOOLEAN)
         assert conform(t, zero_value(t)) == zero_value(t)
-
-
-class TestValuesEqual:
-    def test_exact(self):
-        assert values_equal(INTEGER, 3, 3)
-        assert not values_equal(INTEGER, 3, 4)
-
-    def test_float_tolerance(self):
-        assert values_equal(DOUBLE, 1.0, 1.0 + 1e-12, rel_tol=1e-9)
-        assert not values_equal(DOUBLE, 1.0, 1.1, rel_tol=1e-9)
-
-    def test_structured_tolerance(self):
-        t = ArrayType(2, DOUBLE)
-        assert values_equal(t, [1.0, 2.0], [1.0 + 1e-12, 2.0], rel_tol=1e-9)

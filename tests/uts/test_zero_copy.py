@@ -1,7 +1,7 @@
 """The zero-copy wire path (PR 4, satellite 2 + tentpole).
 
-Encode writes straight into a fresh bytearray (``encode_into`` /
-``encode_conformed_into`` — no intermediate per-value bytes objects
+Encode writes straight into a fresh bytearray (``encode_conformed_into``,
+and the oracle's ``encode_into`` — no intermediate per-value bytes objects
 joined into a second allocation), the payload travels as a single
 read-only ``memoryview`` over the sender's buffer through every hop.
 """
@@ -19,15 +19,11 @@ from repro.schooner import (
     Procedure,
     SchoonerEnvironment,
 )
-from repro.uts import (
-    SpecFile,
-    encode_into,
-    encode_value,
-    marshal_args,
-    marshal_args_into,
-)
+from repro.uts import SpecFile, conform_args
 from repro.uts.compiled import signature_codec
 from repro.uts.types import DOUBLE, ArrayType, ParamMode, Parameter, Signature
+
+from .oracle import encode_into, encode_value, marshal_args, marshal_args_into
 
 
 # ----------------------------------------------------------- encode_into
@@ -67,15 +63,13 @@ class TestEncodeInto:
                 Parameter("xs", ParamMode.VAL, ArrayType(16, DOUBLE)),
             ),
         )
-        from repro.uts.wire import conform_args
-
         codec = signature_codec(sig, "send")
         args = {"a": 3.5, "xs": [float(i) for i in range(16)]}
         conformed = conform_args(sig, args, "send")
         buf = bytearray()
         n = codec.encode_conformed_into(conformed, buf)
         assert n == len(buf)
-        assert bytes(buf) == codec.encode_conformed(conformed)
+        assert bytes(buf) == marshal_args(sig, args, "send")
 
 
 # ------------------------------------------------- the end-to-end wire path
