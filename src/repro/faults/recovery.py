@@ -244,9 +244,3 @@ class FailoverSupervisor:
             )
         )
         return tuple(new_records)
-
-    # -- reporting ---------------------------------------------------------------
-    def render_events(self) -> str:
-        if not self.events:
-            return "(no failures detected)"
-        return "\n".join(ev.describe() for ev in self.events)

@@ -25,7 +25,7 @@ coexist:
 * **attempts** — every offered session, retries included.  Queue-wait
   and end-to-end percentiles are attempt-level (each attempt really
   waited that long), as are the served/shed/deadline counters.  A serve
-  report's per-class rows are this level alone.
+  report observes this level alone.
 * **tasks** — distinct user requests (an original arrival plus all its
   retries is one task).  A task is *met* when its final attempt
   finished inside its deadline; *lost* when its final attempt was shed
@@ -58,7 +58,7 @@ class PercentileLedger:
 
     __slots__ = ("_samples", "_dirty", "total")
 
-    #: the percentile columns every summary reports
+    #: the percentile columns every record reports
     STOCK_POINTS = (0.50, 0.95, 0.99)
 
     def __init__(self, samples: Optional[Iterable[float]] = None) -> None:
@@ -138,27 +138,6 @@ class PercentileLedger:
     def percentiles(self) -> Dict[str, float]:
         """The stock p50/p95/p99 columns, as a dict."""
         return {f"p{int(q * 100)}": self.quantile(q) for q in self.STOCK_POINTS}
-
-    def summary(self) -> dict:
-        """Everything a report row needs; ``None``s when empty so JSON
-        consumers see an explicit absence instead of NaN strings."""
-        if not self._samples:
-            return {
-                "count": 0,
-                "mean": None,
-                "min": None,
-                "max": None,
-                "p50": None,
-                "p95": None,
-                "p99": None,
-            }
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            **self.percentiles(),
-        }
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -247,45 +226,24 @@ class ClassLedger:
             return None
         return self.tasks_met / self.tasks_with_deadline
 
-    def attempt_summary(self) -> dict:
-        """The attempt level alone, as a serve report's per-class row
-        (a serve call sees sessions; tasks are the traffic driver's)."""
-        return {
-            "sessions": self.offered,
-            "completed": self.completed,
-            "degraded": self.degraded,
-            "shed": self.shed,
-            "replayed": self.replayed,
-            "points": self.points,
-            "deadline_met": self.deadline_met,
-            "deadline_missed": self.deadline_missed,
-            "queue_wait_s": self.queue_wait.summary(),
-            "end_to_end_s": self.end_to_end.summary(),
-        }
-
-    def summary(self) -> dict:
-        return {
-            "class": self.name,
-            "offered": self.offered,
-            "tasks": self.tasks,
-            "served": self.served,
-            "completed": self.completed,
-            "degraded": self.degraded,
-            "replayed": self.replayed,
-            "shed": self.shed,
-            "retries": self.retries,
-            "points": self.points,
-            "good_points": self.good_points,
-            "deadline_met": self.deadline_met,
-            "deadline_missed": self.deadline_missed,
-            "tasks_with_deadline": self.tasks_with_deadline,
-            "tasks_met": self.tasks_met,
-            "tasks_missed": self.tasks_missed,
-            "tasks_lost": self.tasks_lost,
-            "deadline_met_rate": self.deadline_met_rate,
-            "queue_wait_s": self.queue_wait.summary(),
-            "end_to_end_s": self.end_to_end.summary(),
-        }
+    def record(self) -> dict:
+        """The ledger as one ``class`` record: every counter, the
+        task-level ``deadline_met_rate``, and the stock queue-wait and
+        end-to-end percentiles in virtual seconds (``None`` when the
+        class served nothing).  A serve report observes attempts only,
+        so its task fields are 0."""
+        out = {"record": "class", "class": self.name}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, int):
+                out[f.name] = value
+        out["deadline_met_rate"] = self.deadline_met_rate
+        for label, led in (("wait", self.queue_wait), ("e2e", self.end_to_end)):
+            for q in led.STOCK_POINTS:
+                out[f"{label}_p{int(q * 100)}_virtual_s"] = (
+                    led.quantile(q) if led.count else None
+                )
+        return out
 
 
 class LedgerBook:

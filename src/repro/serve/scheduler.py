@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..records import flatten
 from ..resilience.ledger import LedgerBook
 from .admission import AdmissionCore, AdmissionPolicy, InlineExecutor
 from .installation import SharedInstallation
@@ -48,7 +49,7 @@ __all__ = [
 ]
 
 #: below this much wall time a rate is meaningless noise — the report
-#: says 0.0 (with a note in ``summary()``) instead of inf
+#: says 0.0 (with a note in the ``serve`` record) instead of inf
 WALL_S_FLOOR = 1e-6
 
 
@@ -137,59 +138,58 @@ class ServeReport:
         arrival horizon too."""
         return max((r.finished_s for r in self.results), default=0.0)
 
-    def class_stats(self) -> Dict[str, dict]:
-        """Per-traffic-class accounting: session dispositions plus
-        exact queue-wait and end-to-end latency percentiles
-        (p50/p95/p99) — the attempt level of a
-        :class:`~repro.resilience.ledger.ClassLedger` per class.
-        Sessions with no ``SessionSpec.traffic_class`` label group under
-        ``"default"``.  Shed sessions count toward dispositions but
-        contribute no latency samples (they never ran)."""
-        book = LedgerBook()
-        for r in self.results:
-            book.observe_attempt(r, is_retry=False)
-        return {cls: led.attempt_summary() for cls, led in book.ledgers.items()}
-
     def by_name(self, name: str) -> SessionResult:
         for r in self.results:
             if r.name == name:
                 return r
         raise KeyError(name)
 
-    def summary(self) -> dict:
-        out = {
-            "sessions": self.sessions,
-            "points": self.points,
-            "wall_s": self.wall_s,
+    def records(self) -> List[dict]:
+        """One ``serve`` record, then a ``session`` record per result, a
+        ``class`` record per traffic class (the attempt level of a
+        :class:`~repro.resilience.ledger.ClassLedger`; unlabelled
+        sessions group under ``"default"``, shed ones add no latency
+        samples) and a ``shard`` record per shard row."""
+        head = {
             "mode": self.mode,
             "workers": self.workers,
+            "sessions": self.sessions,
+            "points": self.points,
             "live": self.live,
             "replayed": self.replayed,
-            "points_per_s": self.points_per_s,
-            "sessions_per_s": self.sessions_per_s,
-            "aggregate_virtual_s": self.aggregate_virtual_s,
             "completed": self.completed,
             "degraded": self.degraded,
             "shed": self.shed,
             "parked": self.parked,
             "deadline_met": self.deadline_met,
             "deadline_missed": self.deadline_missed,
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
             "op_exact": self.op_exact,
             "op_near": self.op_near,
             "op_miss": self.op_miss,
+            "wall_s": self.wall_s,
+            "points_per_s": self.points_per_s,
+            "sessions_per_s": self.sessions_per_s,
+            "aggregate_virtual_s": self.aggregate_virtual_s,
             "makespan_virtual_s": self.makespan_virtual_s,
-            "classes": self.class_stats(),
         }
-        if self.shard_rows is not None:
-            out["shards"] = self.shard_rows
         if self.retry_budget is not None:
-            out["retry_budget"] = self.retry_budget
+            head["retry_budget"] = self.retry_budget
         if self.wall_s <= WALL_S_FLOOR:
-            out["wall_s_note"] = (
+            head["wall_s_note"] = (
                 f"wall_s {self.wall_s!r} at or below the {WALL_S_FLOOR:g}s "
                 f"floor; points_per_s/sessions_per_s reported as 0.0"
             )
-        return out
+        book = LedgerBook()
+        for r in self.results:
+            book.observe_attempt(r, is_retry=False)
+        return [
+            flatten("serve", head),
+            *(r.record() for r in self.results),
+            *(led.record() for led in book.ledgers.values()),
+            *(flatten("shard", row) for row in self.shard_rows or ()),
+        ]
 
 
 class _CallTally:
@@ -317,7 +317,8 @@ def serve_arrivals(
     Everything lands in the ordinary :class:`ServeReport`: results in
     arrival order with retries after them, per-session
     ``arrival_s``/``wait_s``/``end_to_end_s`` carrying the timeline, and
-    ``summary()['classes']`` the per-class latency ledgers.
+    the ``class`` records of :meth:`ServeReport.records` the per-class
+    latency ledgers.
     """
     normalized: List[Tuple[float, SessionSpec]] = []
     for a in arrivals:

@@ -76,7 +76,7 @@ class SessionSpec:
     #: hint, so it is *not* part of the workload key
     priority: int = 0
     #: traffic-class label for per-class accounting (queue-wait and
-    #: latency ledgers in :meth:`ServeReport.summary`, the
+    #: latency ledgers in :meth:`ServeReport.records`, the
     #: :mod:`repro.traffic` sweeps).  A label like ``name``, so it is
     #: *not* part of the workload key: two specs differing only in
     #: class produce identical trace streams
@@ -218,6 +218,28 @@ class SessionResult:
     def finished_s(self) -> float:
         """Completion instant on the shared timeline."""
         return self.arrival_s + self.end_to_end_s
+
+    def record(self) -> dict:
+        """The session as one ``session`` record (``class`` is
+        ``"default"`` when the spec carried no traffic-class label)."""
+        return {
+            "record": "session",
+            "name": self.name,
+            "class": self.traffic_class or "default",
+            "status": self.status,
+            "replayed": self.replayed,
+            "points": len(self.results),
+            "virtual_s": self.virtual_s,
+            "arrival_virtual_s": self.arrival_s,
+            "wait_virtual_s": self.wait_s,
+            "end_to_end_virtual_s": self.end_to_end_s,
+            "deadline_met": self.deadline_met,
+            "shed_reason": self.shed_reason,
+            "error": self.error,
+            "fault_events": len(self.fault_log),
+            "messages": self.messages,
+            "digest": self.digest,
+        }
 
 
 class SessionContext:

@@ -1045,7 +1045,7 @@ def serve_sessions_sharded(
 
     # merge: results back into global admission order, counters summed,
     # solved op points folded into the installation-wide store,
-    # per-shard rows for the summary()'s imbalance breakdown
+    # per-shard rows for the report's imbalance breakdown
     results: List[Optional[SessionResult]] = [
         (c.result() if c.done else None) for c in contexts
     ]

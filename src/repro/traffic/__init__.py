@@ -22,12 +22,13 @@ sees — engineers submitting simulations *continuously*:
   goodput accounting;
 * :mod:`repro.traffic.sweep` — the declarative capacity-sweep runner:
   (arrival rate × class mix × admission policy) cells, aggregate
-  CSV/JSON, and a knee summary (the highest rate that still meets the
-  deadline-met target per class).
+  CSV, ``sweep_row``/``knee`` records, and a knee summary (the
+  highest rate that still meets the deadline-met target per class).
 
 Everything is a pure function of the spec's seed: two runs of a sweep
-cell produce byte-identical CSV rows and digests.  ``python -m repro traffic`` runs the stock
-specs; ``benchmarks/bench_traffic_sweep.py`` gates the committed knee.
+cell produce byte-identical CSV rows and digests.  ``python -m repro
+traffic`` runs the stock specs; ``benchmarks/bench_traffic_sweep.py``
+gates the committed knee.
 """
 
 from ..resilience.ledger import ClassLedger, LedgerBook

@@ -137,51 +137,25 @@ class TrafficReport:
             warmup_s=warmup_s,
         )
 
-    def summary(self) -> dict:
-        return {
-            "stream": self.stream.name,
-            "seed": self.stream.seed,
-            "process": self.stream.process_kind,
-            "rate_per_s": self.stream.rate_per_s,
-            "sessions_offered": self.stream.sessions,
-            "horizon_s": self.stream.horizon_s,
-            "warmup_s": self.warmup_s,
-            "makespan_virtual_s": self.report.makespan_virtual_s,
-            "wall_s": self.report.wall_s,
-            "digest": self.digest,
-            "classes": {name: led.summary() for name, led in self.ledgers.items()},
-        }
-
-    def render(self) -> str:
-        tot = self.total
-        lines = [
-            f"traffic '{self.stream.name}' ({self.stream.process_kind}, "
-            f"rate {self.stream.rate_per_s:g}/s, seed {self.stream.seed}): "
-            f"{tot.tasks} tasks / {tot.offered} attempts over "
-            f"{self.stream.horizon_s:.1f}s offered horizon, "
-            f"makespan {self.report.makespan_virtual_s:.1f} virtual s"
+    def records(self) -> List[dict]:
+        """One ``traffic`` record, then the settled ledgers' ``class``
+        records (``total`` last)."""
+        return [
+            {
+                "record": "traffic",
+                "stream": self.stream.name,
+                "seed": self.stream.seed,
+                "process": self.stream.process_kind,
+                "rate_per_s": self.stream.rate_per_s,
+                "sessions_offered": self.stream.sessions,
+                "horizon_virtual_s": self.stream.horizon_s,
+                "warmup_virtual_s": self.warmup_s,
+                "makespan_virtual_s": self.report.makespan_virtual_s,
+                "wall_s": self.report.wall_s,
+                "digest": self.digest,
+            },
+            *(led.record() for led in self.ledgers.values()),
         ]
-        header = (
-            f"  {'class':<14} {'offered':>7} {'served':>6} {'shed':>5} "
-            f"{'retry':>5} {'met%':>6} {'wait p50/p95/p99':>20} "
-            f"{'e2e p50/p95/p99':>20}"
-        )
-        lines.append(header)
-        for name, led in self.ledgers.items():
-            met = led.deadline_met_rate
-            met_s = f"{met * 100:5.1f}" if met is not None else "    -"
-            wq = led.queue_wait
-            eq = led.end_to_end
-            if wq.count:
-                waits = f"{wq.quantile(0.5):5.1f}/{wq.quantile(0.95):5.1f}/{wq.quantile(0.99):5.1f}"
-                e2es = f"{eq.quantile(0.5):5.1f}/{eq.quantile(0.95):5.1f}/{eq.quantile(0.99):5.1f}"
-            else:
-                waits = e2es = "    -"
-            lines.append(
-                f"  {name:<14} {led.offered:>7} {led.served:>6} {led.shed:>5} "
-                f"{led.retries:>5} {met_s:>6} {waits:>20} {e2es:>20}"
-            )
-        return "\n".join(lines)
 
 
 def _digest(results) -> str:

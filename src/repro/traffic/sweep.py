@@ -111,6 +111,15 @@ def _cell_seed(seed: int, mix: str, rate: float) -> int:
     return zlib.crc32(f"{seed}:{mix}:{rate:.6f}".encode())
 
 
+#: the six percentile columns' row keys name their clock; the CSV header
+#: keeps its original names (gated byte for byte)
+_ROW_KEY = {
+    f"{label}_p{p}_s": f"{label}_p{p}_virtual_s"
+    for label in ("wait", "e2e")
+    for p in (50, 95, 99)
+}
+
+
 def _fmt(v) -> str:
     if v is None:
         return ""
@@ -121,7 +130,8 @@ def _fmt(v) -> str:
 
 @dataclass
 class SweepResult:
-    """Every cell's per-class rows plus the reports they came from."""
+    """Every cell's per-class ``sweep_row`` records plus the reports
+    they came from."""
 
     spec: SweepSpec
     rows: List[Dict] = field(default_factory=list)
@@ -133,11 +143,14 @@ class SweepResult:
         buf = io.StringIO()
         buf.write(",".join(_COLUMNS) + "\n")
         for row in self.rows:
-            buf.write(",".join(_fmt(row[c]) for c in _COLUMNS) + "\n")
+            buf.write(
+                ",".join(_fmt(row[_ROW_KEY.get(c, c)]) for c in _COLUMNS) + "\n"
+            )
         return buf.getvalue()
 
-    def knee_summary(self) -> dict:
-        """Per (mix, admission, class): the goodput knee.
+    def _knees(self) -> List[Tuple[str, str, str, Optional[float], bool, dict]]:
+        """``(mix, admission, class, knee_rate, monotone_past_knee,
+        met_by_rate)`` per deadline-carrying arm, in sorted order.
 
         ``knee_rate`` is the highest swept rate whose task-level
         deadline-met rate still clears ``met_target``; None when no
@@ -153,7 +166,7 @@ class SweepResult:
                 continue
             key = (row["mix"], row["admission"], row["class"])
             by_arm.setdefault(key, {})[row["rate_per_s"]] = row["deadline_met_rate"]
-        arms = {}
+        knees = []
         for (mix, adm, cls), met_by_rate in sorted(by_arm.items()):
             rates = sorted(met_by_rate)
             mets = [met_by_rate[r] for r in rates]
@@ -167,62 +180,51 @@ class SweepResult:
             tail = [m for r, m in zip(rates, mets) if knee is None or r >= knee]
             vals = [m for m in tail if m is not None]
             monotone = all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
-            arms[f"{mix}|{adm}|{cls}"] = {
+            knees.append(
+                (mix, adm, cls, knee, monotone, {r: met_by_rate[r] for r in rates})
+            )
+        return knees
+
+    def knee_summary(self) -> dict:
+        """Per (mix, admission, class): the goodput knee (see
+        :meth:`_knees`), keyed ``"mix|admission|class"``."""
+        arms = {
+            f"{mix}|{adm}|{cls}": {
                 "knee_rate": knee,
-                "met_target": target,
-                "met_by_rate": {f"{r:.6f}": met_by_rate[r] for r in rates},
+                "met_target": self.spec.met_target,
+                "met_by_rate": {f"{r:.6f}": m for r, m in met_by_rate.items()},
                 "monotone_past_knee": monotone,
             }
+            for mix, adm, cls, knee, monotone, met_by_rate in self._knees()
+        }
         return {"spec": self.spec.name, "seed": self.spec.seed, "arms": arms}
 
-    def summary(self) -> dict:
-        return {
-            "spec": self.spec.name,
-            "seed": self.spec.seed,
-            "process": self.spec.process,
-            "sessions_per_cell": self.spec.sessions,
-            "cells": len(self.reports),
-            "rows": self.rows,
-            "knee": self.knee_summary(),
-        }
-
-    def render(self) -> str:
-        lines = [
-            f"sweep '{self.spec.name}' ({self.spec.process}, "
-            f"{self.spec.sessions} sessions/cell, seed {self.spec.seed}): "
-            f"{len(self.reports)} cells"
+    def records(self) -> List[dict]:
+        """The ``sweep_row`` records, then one ``knee`` record per
+        deadline-carrying arm."""
+        return [
+            *self.rows,
+            *(
+                {
+                    "record": "knee",
+                    "spec": self.spec.name,
+                    "seed": self.spec.seed,
+                    "mix": mix,
+                    "admission": adm,
+                    "class": cls,
+                    "met_target": self.spec.met_target,
+                    "knee_rate": knee,
+                    "monotone_past_knee": monotone,
+                }
+                for mix, adm, cls, knee, monotone, _ in self._knees()
+            ),
         ]
-        lines.append(
-            f"  {'mix':<18} {'admission':<12} {'rate/s':>7} {'class':<12} "
-            f"{'met%':>6} {'shed':>5} {'wait p95':>9} {'e2e p95':>9}"
-        )
-        for row in self.rows:
-            if row["class"] == "total":
-                continue
-            met = row["deadline_met_rate"]
-            met_s = f"{met * 100:5.1f}" if met is not None else "    -"
-            w95 = row["wait_p95_s"]
-            e95 = row["e2e_p95_s"]
-            lines.append(
-                f"  {row['mix']:<18} {row['admission']:<12} "
-                f"{row['rate_per_s']:>7.3f} {row['class']:<12} {met_s:>6} "
-                f"{row['shed']:>5} "
-                f"{w95 if w95 is not None else float('nan'):>9.2f} "
-                f"{e95 if e95 is not None else float('nan'):>9.2f}"
-            )
-        knee = self.knee_summary()
-        lines.append(f"  knee (target {self.spec.met_target * 100:.0f}% met):")
-        for arm, info in knee["arms"].items():
-            k = info["knee_rate"]
-            k_s = f"{k:.3f}/s" if k is not None else "below lowest swept rate"
-            mono = "" if info["monotone_past_knee"] else "  [non-monotone tail]"
-            lines.append(f"    {arm:<44} {k_s}{mono}")
-        return "\n".join(lines)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Execute every cell of ``spec`` on a fresh installation each and
-    collect per-class rows."""
+    collect per-class ``sweep_row`` records: the cell's keys, its
+    class ledger's record, the makespan and the cell's digest."""
     result = SweepResult(spec=spec)
     for mix_name, (adm_label, max_live, max_parked), rate in spec.cells():
         mix = STOCK_MIXES.get(mix_name)
@@ -242,41 +244,20 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         if spec.warmup_s > 0.0:
             report = report.trimmed(spec.warmup_s)
         result.reports.append(report)
-        for cls_name, led in report.ledgers.items():
-            wq, eq = led.queue_wait, led.end_to_end
-            result.rows.append(
-                {
-                    "spec": spec.name,
-                    "mix": mix_name,
-                    "admission": adm_label,
-                    "process": spec.process,
-                    "rate_per_s": rate,
-                    "sessions": spec.sessions,
-                    "class": cls_name,
-                    "offered": led.offered,
-                    "tasks": led.tasks,
-                    "served": led.served,
-                    "completed": led.completed,
-                    "degraded": led.degraded,
-                    "replayed": led.replayed,
-                    "shed": led.shed,
-                    "retries": led.retries,
-                    "points": led.points,
-                    "good_points": led.good_points,
-                    "tasks_met": led.tasks_met,
-                    "tasks_missed": led.tasks_missed,
-                    "tasks_lost": led.tasks_lost,
-                    "deadline_met_rate": led.deadline_met_rate,
-                    "wait_p50_s": wq.quantile(0.5) if wq.count else None,
-                    "wait_p95_s": wq.quantile(0.95) if wq.count else None,
-                    "wait_p99_s": wq.quantile(0.99) if wq.count else None,
-                    "e2e_p50_s": eq.quantile(0.5) if eq.count else None,
-                    "e2e_p95_s": eq.quantile(0.95) if eq.count else None,
-                    "e2e_p99_s": eq.quantile(0.99) if eq.count else None,
-                    "makespan_virtual_s": report.report.makespan_virtual_s,
-                    "digest": report.digest,
-                }
-            )
+        for led in report.ledgers.values():
+            row = {
+                "record": "sweep_row",
+                "spec": spec.name,
+                "mix": mix_name,
+                "admission": adm_label,
+                "process": spec.process,
+                "rate_per_s": rate,
+                "sessions": spec.sessions,
+            }
+            row.update((k, v) for k, v in led.record().items() if k != "record")
+            row["makespan_virtual_s"] = report.report.makespan_virtual_s
+            row["digest"] = report.digest
+            result.rows.append(row)
     return result
 
 

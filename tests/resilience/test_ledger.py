@@ -3,12 +3,13 @@ against the stdlib, plus merge/empty/streaming behaviour."""
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 
 import pytest
 
-from repro.resilience import PercentileLedger
+from repro.resilience import ClassLedger, PercentileLedger
 
 
 class TestQuantileExactness:
@@ -53,7 +54,6 @@ class TestEmptyAndErrors:
         led = PercentileLedger()
         assert math.isnan(led.quantile(0.5))
         assert led.count == 0
-        assert led.summary()["p50"] is None
 
     def test_out_of_range_quantile_raises(self):
         led = PercentileLedger()
@@ -102,10 +102,8 @@ class TestMergeAndStreaming:
         led.extend(float(i) for i in range(100))
         pcts = led.percentiles()
         assert set(pcts) == {"p50", "p95", "p99"}
-        s = led.summary()
-        assert s["count"] == 100
-        assert s["p50"] == pcts["p50"]
-        assert s["mean"] == pytest.approx(49.5)
+        assert pcts["p50"] == 49.5
+        assert led.mean == pytest.approx(49.5)
 
 
 class TestMergedClassmethod:
@@ -132,12 +130,15 @@ class TestMergedClassmethod:
         b = PercentileLedger([2.0])
         fwd = PercentileLedger.merged([a, b])
         rev = PercentileLedger.merged([b, a])
-        assert fwd.summary() == rev.summary()
+        assert fwd.percentiles() == rev.percentiles()
+        assert (fwd.count, fwd.mean, fwd.min, fwd.max) == (
+            rev.count, rev.mean, rev.min, rev.max
+        )
 
     def test_merged_of_nothing_is_empty(self):
         led = PercentileLedger.merged([])
         assert led.count == 0
-        assert led.summary()["p99"] is None
+        assert math.isnan(led.quantile(0.99))
 
     def test_merged_leaves_inputs_untouched(self):
         a = PercentileLedger([1.0, 2.0])
@@ -145,3 +146,24 @@ class TestMergedClassmethod:
         PercentileLedger.merged([a, b]).add(99.0)
         assert a.count == 2 and b.count == 1
         assert a.max == 2.0 and b.max == 3.0
+
+
+class TestClassRecord:
+    def test_empty_class_percentiles_are_none_not_nan(self):
+        rec = ClassLedger(name="idle").record()
+        assert rec["record"] == "class" and rec["class"] == "idle"
+        assert rec["offered"] == rec["tasks"] == 0
+        assert rec["deadline_met_rate"] is None
+        pcts = {k: v for k, v in rec.items() if k.endswith("_virtual_s")}
+        assert sorted(pcts) == sorted(
+            f"{label}_p{p}_virtual_s" for label in ("wait", "e2e") for p in (50, 95, 99)
+        )
+        assert set(pcts.values()) == {None}
+
+    def test_record_quantiles_are_the_ledgers(self):
+        led = ClassLedger(name="c")
+        led.queue_wait.extend([0.0, 1.0, 4.0])
+        led.end_to_end.extend([2.0, 3.0, 9.0])
+        rec = led.record()
+        assert rec["wait_p50_virtual_s"] == led.queue_wait.quantile(0.5) == 1.0
+        assert rec["e2e_p95_virtual_s"] == led.end_to_end.quantile(0.95)

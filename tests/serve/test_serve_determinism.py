@@ -147,8 +147,7 @@ class TestServeReport:
         assert report.points == 8
         assert report.live == 2 and report.replayed == 2
         assert report.points_per_s > 0
-        summary = report.summary()
-        assert summary["sessions"] == 4
+        assert report.records()[0]["sessions"] == 4
         with pytest.raises(KeyError):
             report.by_name("nope")
 

@@ -36,6 +36,7 @@ from repro.serve import (
     serve_sessions,
     serve_sessions_sharded,
 )
+from repro.records import render
 from repro.serve.demo import build_session_specs
 from repro.serve.shards import (
     assign_shards,
@@ -220,18 +221,21 @@ class TestSurface:
     def test_summary_gains_workers_and_per_shard_rows(self):
         specs = build_session_specs(6, classes=3, points=2)
         report = serve_sessions(specs, mode="shard", workers=2)
-        s = report.summary()
-        assert s["workers"] == 2
-        assert len(s["shards"]) == 2
-        for row in s["shards"]:
+        records = report.records()
+        assert records[0]["workers"] == 2
+        shards = [r for r in records if r["record"] == "shard"]
+        assert len(shards) == 2
+        for row in shards:
             assert set(row) >= {
                 "shard", "sessions", "live", "replayed", "shed",
                 "points", "op_exact", "op_near", "op_miss", "wall_s",
             }
-        assert sum(row["sessions"] for row in s["shards"]) == 6
-        assert sum(row["points"] for row in s["shards"]) == report.points
-        # inline summaries stay clean: no shards key
-        assert "shards" not in serve_sessions(specs).summary()
+        assert sum(row["sessions"] for row in shards) == 6
+        assert sum(row["points"] for row in shards) == report.points
+        # inline reports stay clean: no shard records
+        assert all(
+            r["record"] != "shard" for r in serve_sessions(specs).records()
+        )
 
     def test_retry_budget_is_leased_and_settled(self):
         import dataclasses
@@ -247,6 +251,12 @@ class TestSurface:
         assert report.retry_budget["spent"] == 0
         leased_rows = [r for r in report.shard_rows if "retry_budget" in r]
         assert leased_rows, "busy shards must carry their settled lease"
+        # the nested snapshots flatten into scalar record fields
+        records = report.records()
+        assert records[0]["retry_budget_spent"] == 0
+        leased = [r for r in records if "retry_budget_tokens" in r][1:]
+        assert len(leased) == len(leased_rows)
+        render(records, as_json=True)
 
     def test_pool_reuse_across_rounds(self):
         specs = build_session_specs(4, classes=2, points=2)
@@ -518,7 +528,7 @@ class TestOpPointPlane:
         assert report.op_exact == sum(r["op_exact"] for r in report.shard_rows)
         assert report.op_near == sum(r["op_near"] for r in report.shard_rows)
         assert report.op_miss == sum(r["op_miss"] for r in report.shard_rows)
-        merged = report.summary()
+        merged = report.records()[0]
         assert merged["op_exact"] == report.op_exact
         assert merged["op_near"] == report.op_near
         assert merged["op_miss"] == report.op_miss

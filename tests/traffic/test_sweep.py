@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.records import render
 from repro.traffic import STOCK_SWEEPS, SweepSpec, run_sweep
 from repro.traffic.sweep import _cell_seed
 
@@ -81,9 +82,13 @@ class TestKnee:
 
     def test_render_lists_every_arm(self):
         result = run_sweep(TINY)
-        text = result.render()
-        for arm in result.knee_summary()["arms"]:
-            assert arm in text
+        knees = [r for r in result.records() if r["record"] == "knee"]
+        assert [
+            f"{k['mix']}|{k['admission']}|{k['class']}" for k in knees
+        ] == list(result.knee_summary()["arms"])
+        text = render(result.records())
+        for k in knees:
+            assert k["admission"] in text
 
 
 class TestRows:
@@ -94,7 +99,12 @@ class TestRows:
         assert len(result.reports) == 4
 
     def test_summary_shape(self):
-        s = run_sweep(TINY).summary()
-        assert s["spec"] == "tiny"
-        assert s["cells"] == 4
-        assert "knee" in s and "rows" in s
+        result = run_sweep(TINY)
+        records = result.records()
+        assert records[: len(result.rows)] == result.rows
+        assert {r["record"] for r in result.rows} == {"sweep_row"}
+        assert all(r["spec"] == "tiny" for r in records)
+        knees = records[len(result.rows):]
+        assert [r["record"] for r in knees] == ["knee"] * len(
+            result.knee_summary()["arms"]
+        )
