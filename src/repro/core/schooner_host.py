@@ -56,6 +56,20 @@ _PROCS = {
 }
 
 
+class _Placed:
+    """What one instance key's placement fixes: the machine it names,
+    the executable path, the key's ModuleContext (kept when the
+    placement is replaced, so the line is too), and — once a call made
+    them — the set*/compute stubs of the context's current line."""
+
+    __slots__ = ("placement", "machine", "path", "ctx", "line", "setter", "compute")
+
+    def __init__(self, placement: Placement, machine: Machine, path: str,
+                 ctx: ModuleContext) -> None:
+        self.placement, self.machine, self.path, self.ctx = placement, machine, path, ctx
+        self.line = self.setter = self.compute = None
+
+
 def _pad4(seq) -> list:
     vals = list(seq)[:4]
     return vals + [0.0] * (4 - len(vals))
@@ -91,10 +105,10 @@ class SchoonerHost(ComponentHost):
     avs_machine: Machine  # where AVS (and the unadapted code) runs
     placements: Dict[str, Placement] = field(default_factory=dict)
     dispatch: str = "overlap"  # "overlap" | "sync"
-    # instance key -> (placement as set, its Machine, executable path,
-    # ModuleContext): resolved when the key is first used and again when
-    # its placement is replaced (the context, i.e. the line, is kept)
-    _placed: Dict[str, tuple] = field(default_factory=dict)
+    # instance key -> its _Placed: resolved when the key is first used
+    # and again when its placement is replaced (the context, i.e. the
+    # line, is kept)
+    _placed: Dict[str, _Placed] = field(default_factory=dict)
     _initialized: Dict[str, tuple] = field(default_factory=dict)
     _local: LocalHost = field(default_factory=LocalHost)
     calls: Dict[str, int] = field(default_factory=dict)
@@ -123,8 +137,8 @@ class SchoonerHost(ComponentHost):
         return (ctx is not None and ctx.batch is not None
                 and ctx.batch.active_branch is not None)
 
-    def _context(self, key: str) -> Optional[ModuleContext]:
-        """The ModuleContext for an instance key, or None if local.
+    def _context(self, key: str) -> Optional[_Placed]:
+        """The placement of an instance key, contacted, or None if local.
 
         What the key says (kind, path) and what its placement names
         (the machine) are resolved once; what can change under a
@@ -136,19 +150,18 @@ class SchoonerHost(ComponentHost):
         if placement is None:
             return None
         placed = self._placed.get(key)
-        if placed is None or placed[0] is not placement:
-            ctx = placed[3] if placed is not None else ModuleContext(
+        if placed is None or placed.placement is not placement:
+            ctx = placed.ctx if placed is not None else ModuleContext(
                 manager=self.manager, module_name=key, machine=self.avs_machine,
                 caller=self.caller_context(),
             )
-            placed = self._placed[key] = (
-                placement, self._machine(placement),
-                REMOTE_PATHS[key.split(":")[0]], ctx,
+            placed = self._placed[key] = _Placed(
+                placement, self._machine(placement), REMOTE_PATHS[key.split(":")[0]], ctx,
             )
-        _, machine, path, ctx = placed
-        if not ctx.placed_alive(machine, path):
-            ctx.sch_contact_schx(machine, path)
-        return ctx
+        ctx = placed.ctx
+        if not ctx.placed_alive(placed.machine, placed.path):
+            ctx.sch_contact_schx(placed.machine, placed.path)
+        return placed
 
     # ------------------------------------------------------------- lifecycle
     def setup(self) -> None:
@@ -165,7 +178,7 @@ class SchoonerHost(ComponentHost):
         """The AVS destroy path: sch_i_quit for one module instance."""
         placed = self._placed.pop(key, None)
         if placed is not None:
-            placed[3].sch_i_quit()
+            placed.ctx.sch_i_quit()
         self._initialized.pop(key, None)
 
     def destroy_all(self) -> None:
@@ -176,17 +189,24 @@ class SchoonerHost(ComponentHost):
     def _stub(self, key: str, kind: str, params: tuple) -> Optional[ClientStub]:
         """The compute stub of a placed instance — contacted, counted
         and initialised by its set* procedure (once, or again after a
-        parameter/placement change) — or None when it computes locally."""
-        ctx = self._context(key)
-        if ctx is None:
+        parameter/placement change) — or None when it computes locally.
+        The two stubs are the line's: made once per line, not looked up
+        per call."""
+        placed = self._context(key)
+        if placed is None:
             return None
         self.calls[key] = self.calls.get(key, 0) + 1
-        setter, names, compute = _PROCS[kind]
-        marker = (id(ctx.line), self.placements[key], params)
+        line = placed.ctx.line
+        if placed.line is not line:
+            setter, _, compute = _PROCS[kind]
+            placed.setter = placed.ctx.import_proc(setter)
+            placed.compute = placed.ctx.import_proc(compute)
+            placed.line = line
+        marker = (id(line), placed.placement, params)
         if self._initialized.get(key) != marker:
-            ctx.import_proc(setter)(**dict(zip(names, params)))
+            placed.setter(**dict(zip(_PROCS[kind][1], params)))
             self._initialized[key] = marker
-        return ctx.import_proc(compute)
+        return placed.compute
 
     def _duct_stub(self, name: str, duct) -> Optional[ClientStub]:
         return self._stub(f"duct:{name}", "duct", (duct.dpqp,))
@@ -334,7 +354,7 @@ class SchoonerHost(ComponentHost):
         if key not in self._placed:
             self.placements[key] = target
             return
-        ctx = self._placed[key][3]
+        ctx = self._placed[key].ctx
         target_machine = self._machine(target)
         # moving one procedure relocates the hosting process, so the
         # set/compute pair travels together

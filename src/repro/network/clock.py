@@ -47,9 +47,14 @@ class Timeline:
             raise ValueError(f"cannot advance time by {dt}")
         t = self._elapsed = self._elapsed + dt
         # the clock is touched only by an advance that pushes the
-        # envelope; due events and subscribers fire inside it
-        if t > self.clock._now:
-            self.clock._observe(t)
+        # envelope: global time follows it, and due events and
+        # subscribers fire inside it (inline here and in sync_to: every
+        # charge of every call comes through this method)
+        clock = self.clock
+        if t > clock._now:
+            clock._now = t
+            if clock._events or clock._subscribers:
+                clock._notify()
         # read again: what fired may itself have charged this timeline
         return self._elapsed
 
@@ -68,8 +73,11 @@ class Timeline:
         before now is a no-op; a NaN one is refused."""
         if t > self._elapsed:
             self._elapsed = t
-            if t > self.clock._now:
-                self.clock._observe(t)
+            clock = self.clock
+            if t > clock._now:
+                clock._now = t
+                if clock._events or clock._subscribers:
+                    clock._notify()
         elif t != t:
             raise ValueError(f"cannot move time to {t}")
 
@@ -142,13 +150,6 @@ class VirtualClock:
         self._now += dt
         self._notify()
         return self._now
-
-    def _observe(self, t: float) -> None:
-        """A timeline moved past the envelope (``t > now``, checked by
-        the caller): global time follows it."""
-        self._now = t
-        if self._events or self._subscribers:
-            self._notify()
 
     # -- one-shot events ----------------------------------------------------
     def schedule(self, at_s: float, callback: Callable[[], None]) -> ScheduledEvent:

@@ -17,7 +17,6 @@ on every send.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -50,6 +49,9 @@ NO_DEADLINE = float("inf")
 @lru_cache(maxsize=4096)
 def _kind_tag(kind: str) -> int:
     return crc32(kind.encode("ascii", "replace"))
+
+
+_new_tuple = tuple.__new__
 
 
 class MessageDropped(NetworkError):
@@ -142,7 +144,7 @@ class Transport:
     # seeded packet loss and latency spikes.  None = perfect network.
     fault_filter: Optional[FaultFilter] = None
     dropped: int = 0
-    _ids: "itertools.count" = field(default_factory=itertools.count)
+    _next_id: int = 0
     # per-trunk busy-until times; a trunk is the (site, site) pair so all
     # machines at two sites share the same WAN capacity
     _trunk_free: Dict[Any, float] = field(default_factory=dict)
@@ -202,7 +204,8 @@ class Transport:
             self._trunk_free[trunk] = now + queue_wait + serialization
             dt = queue_wait + dt
         delivered_at = (self.clock if timeline is None else timeline).advance(dt)
-        msg_id = next(self._ids)
+        msg_id = self._next_id
+        self._next_id = msg_id + 1
         header = HEADER_STRUCT.pack(
             msg_id & 0xFFFFFFFF,
             _kind_tag(kind),
@@ -216,11 +219,16 @@ class Transport:
         stats.bytes += nbytes
         stats.header_bytes += header_bytes
         stats.virtual_seconds += delivered_at - now
-        stats.by_kind[kind] = stats.by_kind.get(kind, 0) + 1
-        return Message(
+        try:
+            stats.by_kind[kind] += 1
+        except KeyError:
+            stats.by_kind[kind] = 1
+        # the tuple is built directly: the NamedTuple's generated __new__
+        # would be one more Python call per message for the same value
+        return _new_tuple(Message, (
             msg_id, src_host, dst_host, kind, body, nbytes, header_bytes,
             now, delivered_at, header, deadline_s,
-        )
+        ))
 
     def round_trip(
         self,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..machines.host import Machine
 from ..machines.registry import MachinePark, standard_park
@@ -29,16 +29,11 @@ from ..network.transport import Transport
 from ..resilience.breaker import BreakerBoard
 from ..resilience.budget import RetryBudget
 from ..resilience.deadline import Deadline
-from ..uts.compiled import (
-    SignatureCodec,
-    native_is_identity,
-    native_roundtrip_for,
-    signature_codec,
-)
+from ..uts.compiled import native_roundtrip_for  # noqa: F401
 from ..uts.errors import UTSCompatibilityError
 from ..uts.native import OutOfRangePolicy
 from ..uts.types import Signature
-from ..uts.values import conform_args
+from ..uts.values import conform_args  # noqa: F401
 from .errors import (
     CallFailed,
     CallTimeout,
@@ -47,10 +42,15 @@ from .errors import (
     TypeCheckError,
 )
 from .lines import InstanceRecord
-from .procedure import STATE_ARG, TIMELINE_ARG
+from .stubgen import call_stubs
 
 if TYPE_CHECKING:  # pragma: no cover
     from .stubs import ClientStub
+
+# ``conform_args`` and ``native_roundtrip_for`` are no longer called on
+# a call's path: the generated call stubs do that work and reach them
+# only when a plan is built or on an error path.  They stay importable
+# here, the names bench/tracer.py charges ``uts.*`` time to.
 
 __all__ = [
     "CostModel",
@@ -194,8 +194,10 @@ class SchoonerEnvironment:
         return cls(park=park, topology=topo, clock=clock, transport=transport, **kw)
 
     def cpu_seconds_for_bytes(self, machine: Machine, nbytes: int) -> float:
-        """The marshal charge — the one definition ``execute_call`` and
-        the placement advisor share — at ``machine``'s load *now*."""
+        """The marshal charge for ``nbytes`` at ``machine``'s load *now*:
+        what the placement advisor estimates, and what ``execute_call``
+        charges from its plan's constants (``request_flops`` /
+        ``reply_flops`` over ``caller_rate`` / ``callee_rate``)."""
         return machine.architecture.compute_seconds(
             nbytes * self.costs.marshal_flops_per_byte, machine.load
         )
@@ -222,11 +224,6 @@ def check_import(import_sig: Signature, export_sig: Signature) -> None:
         raise TypeCheckError(str(exc)) from exc
 
 
-#: (parameter name, native round-trip callable) pairs, in wire order,
-#: for the parameters whose round trip is not the identity
-_Roundtrips = Tuple[Tuple[str, Callable[[Any], Any]], ...]
-
-
 class CallPlan:
     """Everything about one call that does not depend on the call.
 
@@ -235,32 +232,43 @@ class CallPlan:
     decision, taken the first time any session of an installation
     calls a procedure from one machine on another.  A plan is a pure
     function of the import signature, the bound procedure, the caller
-    and callee machines (their native formats) and the out-of-range
-    policy, so it holds nothing a fault plan, breaker, deadline, derate
-    or partition can change — liveness, the route, the fault filter,
-    compute rates and deadlines are still read on every call, at the
-    instant they are used (fault events fire inside
-    ``Timeline.advance``, i.e. between two statements of one call).
-    The four round-trip tuples name only the parameters that need a
-    native conversion at all: on an IEEE machine every double's round
-    trip is the identity, so the native pass over it is empty.
+    and callee machines (their native formats and rates), the
+    out-of-range policy and the cost model, so it holds nothing a fault
+    plan, breaker, deadline, derate or partition can change — liveness,
+    the route, the fault filter, machine loads and deadlines are still
+    read on every call, at the instant they are used (fault events fire
+    inside ``Timeline.advance``, i.e. between two statements of one
+    call).
+
+    The marshaling itself is generated code:
+    :func:`~repro.schooner.stubgen.call_stubs` compiles the call's
+    ``request``/``serve``/``reply``/``finish`` stubs, and the plan binds
+    them with the constants the charges need — fixed message sizes and
+    their marshal flops, each machine's flop rate, the procedure's
+    constant cost.  The four conversion tuples name the parameters that
+    need a native conversion at all, per side and direction: on an IEEE
+    machine every double's round trip is the identity, and the
+    generated code emits nothing for it.
 
     Plans live in the machine park's ``call_plans`` and die with the
-    park.  The key is the import signature by value and the procedure,
-    the two machines and the policy by identity (the plan holds each of
-    them, so no id in a live key is reused): a migration to another
-    machine, another caller machine or a flipped range policy is
-    another key, while a failover that restarts the procedure on the
-    same machine (a new record, a bumped generation) reuses the plan.
-    An import that fails the type check raises on every attempt and
-    leaves nothing behind.
+    park; a client stub keeps the plan of its current binding.  The key
+    is the import signature and the cost model by value and the
+    procedure, the two machines and the policy by identity (the plan
+    holds each of them, so no id in a live key is reused): a migration
+    to another machine, another caller machine or a flipped range
+    policy is another key, while a failover that restarts the procedure
+    on the same machine (a new record, a bumped generation) reuses the
+    plan.  An import that fails the type check raises on every attempt
+    and leaves nothing behind.
     """
 
     __slots__ = (
         "caller_machine", "callee_machine", "procedure", "policy",
-        "call_kind", "reply_kind", "send_codec", "return_codec",
+        "call_kind", "reply_kind", "header_bytes", "flops_per_byte",
+        "request", "serve", "reply", "finish",
+        "request_bytes", "reply_bytes", "request_flops", "reply_flops",
+        "caller_rate", "callee_rate", "cost_flops",
         "caller_send", "callee_recv", "callee_return", "caller_recv",
-        "wants_state", "wants_timeline",
     )
 
     def __init__(
@@ -272,32 +280,58 @@ class CallPlan:
     ) -> None:
         proc = record.procedure
         check_import(import_sig, proc.signature)
+        callee_machine = record.machine
         self.caller_machine = caller_machine
-        self.callee_machine = record.machine
+        self.callee_machine = callee_machine
         self.procedure = proc
         self.policy = policy = env.range_policy
         self.call_kind = f"call:{import_sig.name}"
         self.reply_kind = f"reply:{import_sig.name}"
-        sent, returned = import_sig.sent_params, import_sig.returned_params
-        self.send_codec: SignatureCodec = signature_codec(import_sig, "send")
-        self.return_codec: SignatureCodec = signature_codec(import_sig, "return")
+        costs = env.costs
+        self.header_bytes = costs.header_bytes
+        self.flops_per_byte = per_byte = costs.marshal_flops_per_byte
+        stubs = call_stubs(
+            import_sig,
+            caller_machine.architecture.native_format,
+            callee_machine.architecture.native_format,
+            policy,
+            proc.wants_state,
+            proc.wants_timeline,
+        )
+        self.request, self.serve = stubs.request, stubs.serve
+        self.reply, self.finish = stubs.reply, stubs.finish
+        self.request_bytes, self.reply_bytes = stubs.request_bytes, stubs.reply_bytes
+        # Machine.compute_seconds, folded: flops / (mflops * 1e6 * (1 - load))
+        # with the product's first factor fixed here and the load read
+        # at every charge
+        self.request_flops = None if stubs.request_bytes is None else stubs.request_bytes * per_byte
+        self.reply_flops = None if stubs.reply_bytes is None else stubs.reply_bytes * per_byte
+        self.caller_rate = caller_machine.architecture.mflops * 1e6
+        self.callee_rate = callee_machine.architecture.mflops * 1e6
+        self.cost_flops = None if callable(proc.flops) else float(proc.flops)
+        self.caller_send, self.callee_recv = stubs.caller_send, stubs.callee_recv
+        self.callee_return, self.caller_recv = stubs.callee_return, stubs.caller_recv
 
-        caller_fmt = caller_machine.architecture.native_format
-        callee_fmt = record.machine.architecture.native_format
 
-        def roundtrips(fmt, params) -> _Roundtrips:
-            return tuple(
-                (p.name, native_roundtrip_for(fmt, p.type, policy))
-                for p in params
-                if not native_is_identity(fmt, p.type, policy)
-            )
-
-        self.caller_send = roundtrips(caller_fmt, sent)
-        self.callee_recv = roundtrips(callee_fmt, sent)
-        self.callee_return = roundtrips(callee_fmt, returned)
-        self.caller_recv = roundtrips(caller_fmt, returned)
-        self.wants_state = proc.wants_state
-        self.wants_timeline = proc.wants_timeline
+def plan_for(
+    env: "SchoonerEnvironment",
+    caller_machine: Machine,
+    record: InstanceRecord,
+    import_sig: Signature,
+) -> CallPlan:
+    """The park's plan for calling ``record`` through ``import_sig`` from
+    ``caller_machine``, built on first use."""
+    plans = env.park.call_plans
+    key = (
+        import_sig, id(record.procedure), id(caller_machine),
+        id(record.machine), id(env.range_policy), env.costs,
+    )
+    plan = plans.get(key)
+    if plan is None:
+        # An import that fails the type check raises here, on every
+        # attempt: no plan is ever kept for it.
+        plan = plans[key] = CallPlan(env, caller_machine, record, import_sig)
+    return plan
 
 
 def _lost(
@@ -363,6 +397,7 @@ def execute_call(
     dispatch: str = "sync",
     trace_sink: Optional[List[CallTrace]] = None,
     deadline: Optional[Deadline] = None,
+    plan: Optional[CallPlan] = None,
 ) -> Dict[str, Any]:
     """Execute one remote procedure call.
 
@@ -374,9 +409,9 @@ def execute_call(
     virtual time first), :class:`DeadlineExceeded` when ``deadline`` has
     expired before the call starts or by the time the request reaches
     the server (the server refuses already-late work rather than
-    computing results nobody can use), and :class:`CallFailed` for
-    argument conversion failures.  ``retries``/``failed_over`` annotate
-    the recorded trace.
+    computing results nobody can use), and :class:`CallFailed` when the
+    implementation raises or returns what its results cannot hold.
+    ``retries``/``failed_over`` annotate the recorded trace.
 
     ``deadline`` also rides in both messages' packed wire headers
     (:data:`~repro.network.transport.HEADER_STRUCT`'s final field) — the
@@ -386,27 +421,20 @@ def execute_call(
     collects its members' traces privately and flushes them to the
     environment at ``wait()``, in submission order).
 
-    The body is a straight-line walk of the call's :class:`CallPlan`,
-    compiled the first time the installation makes this call: the type
-    check, parameter lists, codecs and native-format conversions are
-    decided there, not here.
+    The body walks the call's :class:`CallPlan` — ``plan``, the one a
+    client stub keeps for its binding, or the park's for this call: the
+    generated ``request``/``serve``/``reply``/``finish`` stubs do all
+    the marshaling, and what is left here is the order of events — each
+    charge (priced at the machine's load when it is made), both sends,
+    both deadline checks and the trace.
     """
     if not record.process.alive:
         raise StaleBinding(
             f"{import_sig.name}: process {record.process.address} is not running"
         )
-
-    callee_machine = record.machine
-    plans = env.park.call_plans
-    key = (
-        import_sig, id(record.procedure), id(caller_machine),
-        id(callee_machine), id(env.range_policy),
-    )
-    plan: Optional[CallPlan] = plans.get(key)
     if plan is None:
-        # An import that fails the type check raises here, on every
-        # attempt: no plan is ever kept for it.
-        plan = plans[key] = CallPlan(env, caller_machine, record, import_sig)
+        plan = plan_for(env, caller_machine, record, import_sig)
+    callee_machine = record.machine
 
     trace = CallTrace(
         procedure=import_sig.name,
@@ -425,25 +453,23 @@ def execute_call(
             # for work that is already late
             raise _late(timeline, trace, sink_trace, deadline, "before dispatch")
         deadline_s = deadline.at_s
-    header_bytes = env.costs.header_bytes
-    marshal_s = env.cpu_seconds_for_bytes
     send = env.transport.send
     advance = timeline.advance
+    # Each marshal or compute charge is Machine.compute_seconds inline,
+    # at the load read when the charge is made; a load outside [0, 1)
+    # goes to compute_seconds itself for its error.
 
-    # --- client side: conform, apply caller-native storage, marshal -------
-    # Three passes over one dict: conform builds it, the native pass
-    # rewrites in place the parameters whose round trip is not the
-    # identity, the codec packs it.  Each direction encodes into a fresh
-    # bytearray and travels as one read-only memoryview that no hop
-    # copies.
-    sent = conform_args(import_sig, args, "send")
-    for name, native in plan.caller_send:
-        sent[name] = native(sent[name])
-    req_buf = bytearray()
-    nreq = plan.send_codec.encode_conformed_into(sent, req_buf)
-    request = memoryview(req_buf).toreadonly()
-    # every compute charge reads the machine's load when it is made
-    dt = marshal_s(caller_machine, nreq)
+    # --- client side: the request stub conforms, stores, packs ------------
+    # Each direction encodes into a fresh bytearray and travels as one
+    # read-only memoryview that no hop copies.
+    request = plan.request(args)
+    nreq, req_flops = plan.request_bytes, plan.request_flops
+    if nreq is None:
+        nreq = len(request)
+        req_flops = nreq * plan.flops_per_byte
+    load = caller_machine.load
+    dt = (req_flops / (plan.caller_rate * (1.0 - load)) if 0.0 <= load < 1.0
+          else caller_machine.compute_seconds(req_flops))
     trace.client_cpu_s += dt
     advance(dt)
 
@@ -451,7 +477,7 @@ def execute_call(
     try:
         msg = send(
             caller_machine, callee_machine, plan.call_kind, request, nreq,
-            timeline, header_bytes, deadline_s,
+            timeline, plan.header_bytes, deadline_s,
         )
     except NetworkError as exc:
         # request lost: the remote never saw the call, any procedure
@@ -463,7 +489,7 @@ def execute_call(
     trace.network_s += msg.delivered_at - msg.sent_at
     trace.request_bytes = msg.nbytes
 
-    # --- server side: unmarshal, convert to callee native, invoke ---------
+    # --- server side: unmarshal charge, then the serve stub ---------------
     # the server reads the deadline out of the message header before
     # spending any CPU: work that went late in transit is refused,
     # not computed (DeadlineExceeded, distinct from CallTimeout)
@@ -472,45 +498,35 @@ def execute_call(
             timeline, trace, sink_trace, deadline,
             f"on arrival at {callee_machine.hostname}",
         )
-    dt = marshal_s(callee_machine, nreq)
+    load = callee_machine.load
+    dt = (req_flops / (plan.callee_rate * (1.0 - load)) if 0.0 <= load < 1.0
+          else callee_machine.compute_seconds(req_flops))
     trace.server_cpu_s += dt
     advance(dt)
 
     # The callee sees the subset of parameters its *export* declares
     # that the import actually sent (import may be a subset of the
-    # export).  It decodes the delivered body in place.
-    recv = plan.send_codec.unmarshal(msg.body)
-    for name, native in plan.callee_recv:
-        recv[name] = native(recv[name])
+    # export); the stub checks the host and process are still there
+    # before it runs the implementation.
+    raw_result, recv = plan.serve(msg.body, record, timeline)
 
-    proc = plan.procedure
-    if not callee_machine.up or not record.process.alive:
-        raise StaleBinding(f"{import_sig.name}: host died mid-call")
-
-    kwargs = dict(recv)
-    if plan.wants_state:
-        kwargs[STATE_ARG] = record.state_storage()
-    if plan.wants_timeline:
-        kwargs[TIMELINE_ARG] = timeline
-    try:
-        raw_result = proc.impl(**kwargs)
-    except Exception as exc:
-        raise CallFailed(
-            f"{import_sig.name}: remote procedure raised {exc!r}"
-        ) from exc
-
-    dt = callee_machine.compute_seconds(proc.cost_flops(recv))
+    cost = plan.cost_flops
+    if cost is None:
+        cost = plan.procedure.cost_flops(recv)
+    load = callee_machine.load
+    dt = (cost / (plan.callee_rate * (1.0 - load)) if 0.0 <= load < 1.0
+          else callee_machine.compute_seconds(cost))
     trace.compute_s += dt
     advance(dt)
 
-    results = _shape_results(import_sig, raw_result, recv)
-    results = conform_args(import_sig, results, "return")
-    for name, native in plan.callee_return:
-        results[name] = native(results[name])
-    rep_buf = bytearray()
-    nrep = plan.return_codec.encode_conformed_into(results, rep_buf)
-    reply = memoryview(rep_buf).toreadonly()
-    dt = marshal_s(callee_machine, nrep)
+    reply = plan.reply(raw_result, recv)
+    nrep, rep_flops = plan.reply_bytes, plan.reply_flops
+    if nrep is None:
+        nrep = len(reply)
+        rep_flops = nrep * plan.flops_per_byte
+    load = callee_machine.load
+    dt = (rep_flops / (plan.callee_rate * (1.0 - load)) if 0.0 <= load < 1.0
+          else callee_machine.compute_seconds(rep_flops))
     trace.server_cpu_s += dt
     advance(dt)
 
@@ -518,7 +534,7 @@ def execute_call(
     try:
         msg = send(
             callee_machine, caller_machine, plan.reply_kind, reply, nrep,
-            timeline, header_bytes, deadline_s,
+            timeline, plan.header_bytes, deadline_s,
         )
     except NetworkError as exc:
         # reply lost: the remote *did* execute, so only procedures
@@ -526,20 +542,20 @@ def execute_call(
         # idempotent) may be retried without double-execution risk
         raise _lost(
             env, timeline, trace, sink_trace, deadline, exc,
-            retry_safe=proc.retry_ok, hop="reply",
+            retry_safe=plan.procedure.retry_ok, hop="reply",
         ) from exc
     trace.network_s += msg.delivered_at - msg.sent_at
     trace.reply_bytes = msg.nbytes
 
-    # --- client side: unmarshal, store in caller-native format ------------
-    dt = marshal_s(caller_machine, nrep)
+    # --- client side: unmarshal charge, then the finish stub --------------
+    load = caller_machine.load
+    dt = (rep_flops / (plan.caller_rate * (1.0 - load)) if 0.0 <= load < 1.0
+          else caller_machine.compute_seconds(rep_flops))
     trace.client_cpu_s += dt
-    advance(dt)
-    out = plan.return_codec.unmarshal(msg.body)
-    for name, native in plan.caller_recv:
-        out[name] = native(out[name])
+    finished_at = advance(dt)
+    out = plan.finish(msg.body)
 
-    trace.finished_at = timeline.now
+    trace.finished_at = finished_at
     sink_trace(trace)
     return out
 

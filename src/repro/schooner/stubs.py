@@ -21,11 +21,18 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from ..machines.host import Machine
 from ..network.clock import Timeline
 from ..network.topology import NetworkError
-from ..uts.compiled import precompile_signature
 from ..uts.types import Signature
 from .errors import BreakerOpen, CallFailed, CallTimeout, DeadlineExceeded, StaleBinding
 from .lines import InstanceRecord, Line
-from .runtime import CallBatch, CallerContext, CallFuture, CallTrace, execute_call
+from .runtime import (
+    CallBatch,
+    CallerContext,
+    CallFuture,
+    CallPlan,
+    CallTrace,
+    execute_call,
+    plan_for,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .manager import Manager
@@ -52,11 +59,9 @@ class ClientStub:
     # dead binding before any call failed: the next call's trace still
     # records the failover
     _recovered: bool = field(default=False, repr=False)
-
-    def __post_init__(self) -> None:
-        # stub generation time, not call time, is when the UTS plans are
-        # built — the first RPC pays no compile cost
-        precompile_signature(self.import_sig)
+    # (record, range policy, cost model, CallPlan) of the last binding
+    # called: the plan is reused while the three are the same objects
+    _bound: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def name(self) -> str:
@@ -175,6 +180,22 @@ class ClientStub:
             return self.caller.deadline
         return self.manager.env.deadline
 
+    def _plan(self, record: InstanceRecord, env) -> Optional[CallPlan]:
+        """The :class:`CallPlan` for calling ``record``, kept with the
+        binding and looked up again only when the record, the range
+        policy or the cost model is another object.  ``None`` for a
+        dead process, so ``execute_call`` refuses the binding before
+        any plan (and its type check) is built, as it always has."""
+        bound = self._bound
+        if (bound is not None and bound[0] is record
+                and bound[1] is env.range_policy and bound[2] is env.costs):
+            return bound[3]
+        if not record.process.alive:
+            return None
+        plan = plan_for(env, self.caller_machine, record, self.import_sig)
+        self._bound = (record, env.range_policy, env.costs, plan)
+        return plan
+
     def _breaker_gate(
         self, record: InstanceRecord, timeline: Timeline, failed_over: bool
     ):
@@ -242,6 +263,7 @@ class ClientStub:
                             dispatch=dispatch,
                             trace_sink=trace_sink,
                             deadline=deadline,
+                            plan=self._plan(record, env),
                         )
                     except StaleBinding:
                         # cache-refresh-on-failed-call: fetch the new
@@ -265,6 +287,7 @@ class ClientStub:
                             dispatch=dispatch,
                             trace_sink=trace_sink,
                             deadline=deadline,
+                            plan=self._plan(record, env),
                         )
                     if breaker is not None:
                         breaker.record_success(timeline.now)
@@ -323,11 +346,12 @@ class ClientStub:
             raise
 
     def call1(self, **args: Any) -> Any:
-        """Convenience: call and return the single result parameter."""
-        results = self(**args)
+        """Convenience: call and return the single result parameter.  A
+        procedure without exactly one is refused before anything is
+        sent."""
         returned = self.import_sig.returned_params
         if len(returned) != 1:
             raise ValueError(
                 f"{self.name} has {len(returned)} result parameters; use __call__"
             )
-        return results[returned[0].name]
+        return self(**args)[returned[0].name]

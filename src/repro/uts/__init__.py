@@ -33,7 +33,6 @@ from .compiled import (
     SignatureCodec,
     codec_for,
     native_roundtrip_for,
-    precompile_signature,
     signature_codec,
 )
 from .native import (
@@ -117,6 +116,5 @@ __all__ = [
     "SignatureCodec",
     "codec_for",
     "signature_codec",
-    "precompile_signature",
     "native_roundtrip_for",
 ]

@@ -55,7 +55,7 @@ __all__ = [
     "SignatureCodec",
     "codec_for",
     "signature_codec",
-    "precompile_signature",
+    "flat_message_layout",
     "native_roundtrip_for",
     "native_is_identity",
 ]
@@ -343,6 +343,31 @@ def codec_for(t: UTSType) -> CompiledCodec:
 # ---------------------------------------------------------------------------
 
 
+#: one parameter's share of a fixed-layout message: its slot count in
+#: the message struct, a closure appending its value's scalars to a list
+#: in wire order, and one rebuilding the value from ``(slots, index)``
+FlatSlots = Tuple[int, Callable[[Any, List[Any]], None],
+                  Callable[[Tuple[Any, ...], int], Tuple[Any, int]]]
+
+
+def flat_message_layout(
+    params: Tuple[Any, ...],
+) -> Optional[Tuple[struct.Struct, Tuple[FlatSlots, ...]]]:
+    """The one ``struct.Struct`` an argument list packs into when every
+    parameter has a fixed wire layout, with each parameter's
+    :data:`FlatSlots`; ``None`` when one does not (a string somewhere).
+    :class:`SignatureCodec` and the stub compiler's generated call
+    stubs (:func:`repro.schooner.stubgen.call_stubs`) share it."""
+    frags = [_flat_fragment(p.type) for p in params]
+    if any(f is None for f in frags):
+        return None
+    packer = struct.Struct(">" + "".join(frag for frag, _ in frags))
+    return packer, tuple(
+        (n, _flattener(p.type), _unflattener(p.type))
+        for p, (_, n) in zip(params, frags)
+    )
+
+
 def _compile_flat_message(
     params: Tuple[Any, ...],
 ) -> Optional[Tuple[int, Callable[[Dict[str, Any]], bytes], Callable[[Any], Dict[str, Any]]]]:
@@ -352,12 +377,12 @@ def _compile_flat_message(
     canonical argument dict into the message with a single
     ``Struct.pack``, ``unpack`` turns exactly ``size`` bytes back into
     the dict with a single ``Struct.unpack``."""
-    frags = [_flat_fragment(p.type) for p in params]
-    if any(f is None for f in frags):
+    layout = flat_message_layout(params)
+    if layout is None:
         return None
-    packer = struct.Struct(">" + "".join(frag for frag, _ in frags))
-    flatteners = tuple((p.name, _flattener(p.type)) for p in params)
-    unflatteners = tuple((p.name, _unflattener(p.type)) for p in params)
+    packer, slots = layout
+    flatteners = tuple((p.name, flatten) for p, (_, flatten, _) in zip(params, slots))
+    unflatteners = tuple((p.name, unflatten) for p, (_, _, unflatten) in zip(params, slots))
 
     def pack(args: Dict[str, Any]) -> bytes:
         slots: List[Any] = []
@@ -441,13 +466,6 @@ def signature_codec(sig: Signature, direction: str) -> SignatureCodec:
     if codec is None:
         codec = _SIG_CODECS[(sig, direction)] = SignatureCodec(sig, direction)
     return codec
-
-
-def precompile_signature(sig: Signature) -> None:
-    """Warm both directions' codecs so the first RPC does not pay the
-    compile cost on the simulated hot path (client stubs call this)."""
-    signature_codec(sig, "send")
-    signature_codec(sig, "return")
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,13 @@ and cross-checks the outcomes against the documented semantics table in
 * a whole-message :class:`~repro.uts.compiled.SignatureCodec` writes the
   bytes ``marshal_args`` writes and reads what ``unmarshal_args`` reads;
   truncated, padded or arbitrary bytes end in a typed
-  ``UTSConversionError`` on both, never a ``struct.error``.
+  ``UTSConversionError`` on both, never a ``struct.error``;
+* the stub compiler's generated call stubs
+  (:func:`repro.schooner.stubgen.call_stubs`: ``request``, ``serve``,
+  ``reply``, ``finish``) produce the bytes, values and errors — type and
+  message — of the three passes they replace on the RPC path
+  (``conform_args``, the native round trips, the ``SignatureCodec``),
+  for every caller × callee native format and both policies.
 
 Checks return a list of discrepancy strings (empty = conformant), so
 pytest and the CLI smoke runner (``PYTHONPATH=src python -m
@@ -49,6 +55,7 @@ import math
 import struct
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
@@ -56,7 +63,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.machines.arch import ALL_NATIVE_FORMATS
-from repro.uts.compiled import codec_for, native_roundtrip_for, signature_codec
+from repro.schooner.runtime import _shape_results
+from repro.schooner.stubgen import call_stubs
+from repro.uts.compiled import (
+    codec_for,
+    native_is_identity,
+    native_roundtrip_for,
+    signature_codec,
+)
 from repro.uts.errors import UTSConversionError, UTSError, UTSRangeError, UTSTypeError
 from repro.uts.native import (
     CrayFormat,
@@ -102,6 +116,11 @@ __all__ = [
     "check_conformer",
     "check_conform_args",
     "check_signature_codec",
+    "check_call_stubs",
+    "reference_request",
+    "reference_serve",
+    "reference_reply",
+    "reference_finish",
     "check_cray_raw",
     "check_vax_raw",
     "conformance_doubles",
@@ -113,6 +132,7 @@ __all__ = [
     "signatures",
     "marshalable_calls",
     "offered_calls",
+    "call_cases",
     "cray_raw_fields",
     "vax_raw_fields",
     "run",
@@ -497,6 +517,155 @@ def check_signature_codec(
 
 
 # ---------------------------------------------------------------------------
+# generated call stubs against the three passes they replace
+# ---------------------------------------------------------------------------
+
+
+def _stored(sig: Signature, direction: str, values: Dict[str, Any],
+            fmt: NativeFormat, policy: OutOfRangePolicy) -> Dict[str, Any]:
+    """The native pass: every parameter whose round trip on ``fmt`` is
+    not the identity is rewritten in place, in signature order."""
+    for p in _direction_params(sig, direction):
+        if not native_is_identity(fmt, p.type, policy):
+            values[p.name] = native_roundtrip_for(fmt, p.type, policy)(values[p.name])
+    return values
+
+
+def reference_request(sig: Signature, fmt: NativeFormat, policy: OutOfRangePolicy,
+                      args: Dict[str, Any]) -> bytes:
+    """The caller's three passes: conform, native storage, encode."""
+    sent = _stored(sig, "send", conform_args(sig, args, "send"), fmt, policy)
+    buf = bytearray()
+    signature_codec(sig, "send").encode_conformed_into(sent, buf)
+    return bytes(buf)
+
+
+def reference_serve(sig: Signature, fmt: NativeFormat, policy: OutOfRangePolicy,
+                    body: Any) -> Dict[str, Any]:
+    """The callee's two passes on a request: decode, native storage."""
+    return _stored(sig, "send", signature_codec(sig, "send").unmarshal(body), fmt, policy)
+
+
+def reference_reply(sig: Signature, fmt: NativeFormat, policy: OutOfRangePolicy,
+                    raw: Any, recv: Dict[str, Any]) -> bytes:
+    """The callee's passes on a result: shape, conform, native storage,
+    encode."""
+    results = conform_args(sig, _shape_results(sig, raw, recv), "return")
+    buf = bytearray()
+    signature_codec(sig, "return").encode_conformed_into(
+        _stored(sig, "return", results, fmt, policy), buf
+    )
+    return bytes(buf)
+
+
+def reference_finish(sig: Signature, fmt: NativeFormat, policy: OutOfRangePolicy,
+                     body: Any) -> Dict[str, Any]:
+    """The caller's two passes on a reply: decode, native storage."""
+    return _stored(sig, "return", signature_codec(sig, "return").unmarshal(body), fmt, policy)
+
+
+class _Record:
+    """What a generated ``serve`` reads of an instance record: a live
+    host and process, the implementation, the state storage."""
+
+    machine = process = SimpleNamespace(up=True, alive=True)
+
+    def __init__(self, impl: Callable[..., Any]) -> None:
+        self.procedure = SimpleNamespace(impl=impl)
+        self.state: Dict[str, Any] = {}
+
+    def state_storage(self) -> Dict[str, Any]:
+        return self.state
+
+
+def _any_outcome(fn: Callable, *args: Any) -> Tuple[Any, ...]:
+    """:func:`_outcome_with_text` for every exception type: a generated
+    stub may raise the RPC layer's errors (``CallFailed``) too."""
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return ("raise", type(exc), str(exc))
+
+
+def _as_bytes(outcome: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    if outcome[0] == "value":
+        return ("value", bytes(outcome[1]))
+    return outcome
+
+
+def check_call_stubs(
+    sig: Signature,
+    caller: NativeFormat,
+    callee: NativeFormat,
+    policy: OutOfRangePolicy,
+    args: Dict[str, Any],
+    raw: Any,
+    noise: bytes = b"",
+    wants_state: bool = False,
+    wants_timeline: bool = False,
+) -> List[str]:
+    """One call, from the ``caller``'s native format to the
+    ``callee``'s, through the generated stubs and through the reference
+    passes: offered ``args`` for the request, the implementation's
+    ``raw`` result for the reply, and the delivered bodies plus damaged
+    copies of them (and ``noise``) for ``serve`` and ``finish``.  The
+    request and reply bytes, the arguments the implementation receives
+    (key order and every float's bits included), the decoded results
+    and every exception's type and message must agree."""
+    issues: List[str] = []
+    stubs = call_stubs(sig, caller, callee, policy, wants_state, wants_timeline)
+    where = f"{sig.name} {caller.name}->{callee.name} {policy.value}"
+
+    def differs(step: str, ref: Tuple[Any, ...], got: Tuple[Any, ...], on: Any) -> None:
+        if ref[0] != got[0] or (ref[0] == "raise" and ref[1:] != got[1:]) or (
+            ref[0] == "value" and not _same_canonical(ref[1], got[1])
+        ):
+            issues.append(f"{step} differs for {where} on {on!r}: {ref} vs {got}")
+
+    ref = _any_outcome(reference_request, sig, caller, policy, args)
+    got = _as_bytes(_any_outcome(stubs.request, args))
+    differs("request", ref, got, args)
+    body = ref[1] if ref[0] == "value" else b""
+    if stubs.request_bytes is not None and ref[0] == "value" and stubs.request_bytes != len(body):
+        issues.append(f"request_bytes {stubs.request_bytes} != {len(body)} for {where}")
+
+    recv: Dict[str, Any] = {}
+    for data in [body] + _damaged(body) + [noise]:
+        seen: List[Dict[str, Any]] = []
+        record = _Record(lambda **kw: (seen.append(kw), raw)[1])
+        ref = _any_outcome(reference_serve, sig, callee, policy, data)
+        got = _any_outcome(stubs.serve, memoryview(data), record, "the timeline")
+        if got[0] == "value":
+            (got_raw, got_recv), kwargs = got[1], seen[0]
+            extras = {}
+            if wants_state:
+                extras["_state"] = record.state
+            if wants_timeline:
+                extras["_timeline"] = "the timeline"
+            # what the three-pass runtime called: a copy of the received
+            # arguments with the extras written over it
+            expected = {**got_recv, **extras}
+            if got_raw is not raw or kwargs != expected or list(kwargs) != list(expected):
+                issues.append(f"serve handed the implementation {kwargs!r} for {where}")
+            got = ("value", got_recv)
+        differs("serve", ref, got, bytes(data))
+        if data is body and ref[0] == "value":
+            recv = ref[1]
+
+    ref = _any_outcome(reference_reply, sig, callee, policy, raw, recv)
+    got = _as_bytes(_any_outcome(stubs.reply, raw, recv))
+    differs("reply", ref, got, raw)
+    reply = ref[1] if ref[0] == "value" else b""
+    if stubs.reply_bytes is not None and ref[0] == "value" and stubs.reply_bytes != len(reply):
+        issues.append(f"reply_bytes {stubs.reply_bytes} != {len(reply)} for {where}")
+    for data in [reply] + _damaged(reply) + [noise]:
+        ref = _any_outcome(reference_finish, sig, caller, policy, data)
+        got = _any_outcome(stubs.finish, memoryview(data))
+        differs("finish", ref, got, bytes(data))
+    return issues
+
+
+# ---------------------------------------------------------------------------
 # raw bit patterns (values a Python float cannot express)
 # ---------------------------------------------------------------------------
 
@@ -772,6 +941,70 @@ def offered_calls() -> st.SearchStrategy[Tuple[Signature, str, Dict[str, Any]]]:
     )
 
 
+def _offered_results(sig: Signature) -> st.SearchStrategy[Any]:
+    """What an implementation might hand back for ``sig``'s results: a
+    tuple in signature order (of any length), a dict (names missing or
+    extra), a bare value, ``None`` or junk."""
+    returned = sig.returned_params
+    values = [offered_for(p.type) for p in returned]
+    options = [
+        st.tuples(*(_call_value(p.type) for p in returned)),
+        st.tuples(*values),
+        st.fixed_dictionaries({}, optional={
+            **{p.name: v for p, v in zip(returned, values)},
+            "extra_result": st.sampled_from(_OFFERED_JUNK),
+        }),
+        st.sampled_from(_OFFERED_JUNK),
+        st.just(None),
+    ]
+    if returned:
+        options.append(st.tuples(*values[:-1]))
+        options.append(values[0])
+    return st.one_of(options)
+
+
+def _call_value(t: UTSType) -> st.SearchStrategy[Any]:
+    """:func:`value_for`, plus — for a double — arbitrary bit patterns:
+    the low mantissa bits a Cray word drops are set in nearly all of
+    them, where the hand-picked edge cases are mostly exact."""
+    if t == DOUBLE:
+        bits = st.integers(min_value=0, max_value=2**64 - 1)
+        return value_for(t) | bits.map(lambda b: _D.unpack(b.to_bytes(8, "big"))[0])
+    return value_for(t)
+
+
+def _call_signatures() -> st.SearchStrategy[Signature]:
+    """:func:`signatures`, weighted toward the scalars whose native
+    storage differs between machines (doubles, floats, integers)."""
+    types = st.one_of(st.sampled_from([DOUBLE, FLOAT, INTEGER]), uts_types())
+    param = st.tuples(_ident, st.sampled_from(list(ParamMode)), types)
+    return st.lists(param, min_size=1, max_size=5, unique_by=lambda p: p[0]).map(
+        lambda ps: Signature("proc", tuple(Parameter(n, m, t) for n, m, t in ps))
+    )
+
+
+def call_cases() -> st.SearchStrategy[Tuple[Any, ...]]:
+    """``(signature, caller format, callee format, policy, offered
+    arguments, offered results, noise bytes)``."""
+    return st.tuples(
+        _call_signatures(), st.sampled_from(FORMATS), st.sampled_from(FORMATS),
+        st.sampled_from(POLICIES),
+    ).flatmap(
+        lambda c: st.tuples(
+            *map(st.just, c),
+            st.fixed_dictionaries({p.name: _call_value(p.type) for p in c[0].sent_params})
+            | st.fixed_dictionaries(
+                {p.name: offered_for(p.type) for p in c[0].sent_params},
+                optional={"extra_arg": st.sampled_from(_OFFERED_JUNK)},
+            ) | st.fixed_dictionaries(
+                {}, optional={p.name: offered_for(p.type) for p in c[0].sent_params},
+            ),
+            _offered_results(c[0]),
+            st.binary(max_size=48),
+        )
+    )
+
+
 def cray_raw_fields() -> st.SearchStrategy[Tuple[int, int, int]]:
     return st.tuples(
         st.integers(min_value=0, max_value=1),
@@ -855,9 +1088,14 @@ def run(max_examples: int = 200, verbose: bool = False) -> dict:
     def signature_codecs(call):
         _assert_clean(check_signature_codec(*call))
 
+    @config
+    @given(call_cases())
+    def generated_call_stubs(case):
+        _assert_clean(check_call_stubs(*case))
+
     checks = [
         scalar_doubles, structured_values, cray_raw, vax_raw,
-        conformers, argument_conformers, signature_codecs,
+        conformers, argument_conformers, signature_codecs, generated_call_stubs,
     ]
     for chk in checks:
         chk()

@@ -31,7 +31,6 @@ from repro.uts import (
     codec_for,
     conform,
     native_roundtrip_for,
-    precompile_signature,
     signature_codec,
 )
 
@@ -173,10 +172,6 @@ class TestSignatureCodec:
     def test_codec_cached_per_signature_direction(self):
         assert signature_codec(SIG, "send") is signature_codec(SIG, "send")
         assert signature_codec(SIG, "send") is not signature_codec(SIG, "return")
-
-    def test_precompile_warms_both_directions(self):
-        precompile_signature(SIG)  # must not raise; codecs now cached
-        assert signature_codec(SIG, "send")._params is not None
 
 
 class TestNativePlans:

@@ -295,6 +295,7 @@ class TestRunner:
         assert set(summary["checks"]) == {
             "scalar_doubles", "structured_values", "cray_raw", "vax_raw",
             "conformers", "argument_conformers", "signature_codecs",
+            "generated_call_stubs",
         }
         assert len(summary["formats"]) == len(ALL_NATIVE_FORMATS)
 
