@@ -14,7 +14,11 @@ bench:
 report:
 	python benchmarks/report.py
 
+# every example runs even after one fails; any failure fails the target
 examples:
-	for e in examples/*.py; do echo "== $$e"; python $$e > /dev/null && echo ok; done
+	@status=0; for e in examples/*.py; do \
+		echo "== $$e"; \
+		if PYTHONPATH=src python $$e > /dev/null; then echo ok; else echo "FAILED: $$e"; status=1; fi; \
+	done; exit $$status
 
 all: test bench report

@@ -4,12 +4,15 @@ steady-state thermodynamic model").
 Sweeps overall pressure ratio and turbine inlet temperature through the
 quick cycle-analysis tool, prints the design carpet, and validates the
 chosen point against the full mapped deck — the level-1 -> level-1.5
-hand-off a designer would actually perform.
+hand-off a designer would actually perform — and balances a second
+engine configuration, a single-spool turbojet built from the same
+component library (§2.4: "model a wide range of engines"), beside the
+F100 at sea-level static, then steps its fuel flow.
 
 Run:  python examples/cycle_design_study.py
 """
 
-from repro.tess import FlightCondition, build_f100
+from repro.tess import FlightCondition, Schedule, SingleSpoolTurbojet, build_f100
 from repro.tess.cycle import CycleInputs, cycle_point
 
 
@@ -53,6 +56,22 @@ def main() -> None:
     err = abs(level1.thrust_N - deck.thrust_N) / deck.thrust_N
     print(f"\nlevel-1 vs deck thrust difference: {err:.1%} — the quick model "
           f"is good enough to pick the cycle, the deck refines it")
+
+    print("\n=== a second configuration: single-spool turbojet beside the F100 (SLS) ===")
+    jet = SingleSpoolTurbojet()
+    sls = FlightCondition(0.0, 0.0)
+    closure = jet.evaluate(sls, jet.spec.wf_design, 1.0, jet.design_x).residuals
+    print(f"turbojet design closure: largest residual {abs(closure).max():.1e}")
+    print(f"{'':>14} {'thrust kN':>10} {'airflow kg/s':>13} {'fuel kg/s':>10} {'T4 K':>6}")
+    for name, op in (("F100 turbofan", deck),
+                     ("turbojet", jet.balance(sls, jet.spec.wf_design))):
+        print(f"{name:>14} {op.thrust_N/1e3:>10.1f} {op.airflow:>13.1f} "
+              f"{op.wf:>10.3f} {op.t4:>6.0f}")
+    slam = Schedule.of((0.0, 0.40), (0.2, 0.45), (1.5, 0.45))
+    ode, thrust = jet.transient(sls, slam, t_end=1.5, dt=0.02)
+    print(f"turbojet fuel step 0.40 -> 0.45 kg/s: N {ode.y[0, 0]:.3f} -> "
+          f"{ode.y[-1, 0]:.3f}, thrust {thrust[0]/1e3:.1f} -> {thrust[-1]/1e3:.1f} kN "
+          f"in 1.5 s")
 
 
 if __name__ == "__main__":

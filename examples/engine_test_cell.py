@@ -2,15 +2,27 @@
 
 NPSS is "the computational equivalent of an engine test cell": this
 example starts the F100, flies it through a climb profile, monitors the
-operator's gauges with a decimated display (§2.3 filtering), and then
-repeats a throttle slam with an engine degraded by foreign-object
-damage and turbine erosion — "test operation of the engine in the
-presence of failures."
+operator's gauges with a decimated display (§2.3 filtering), lets the
+operator move the fuel dial in the middle of a run (§2.4: "modify them
+during a simulation run") and exports that run for three graphics
+packages (§2.3), and then repeats a throttle slam with an engine
+degraded by foreign-object damage and turbine erosion — "test
+operation of the engine in the presence of failures."
 
 Run:  python examples/engine_test_cell.py
 """
 
-from repro.core import MonitorPanel, monitor_transient
+import tempfile
+from pathlib import Path
+
+from repro.core import (
+    AVSFieldWriter,
+    CSVWriter,
+    KhorosWriter,
+    MonitorPanel,
+    NPSSExecutive,
+    monitor_transient,
+)
 from repro.tess import (
     FailureScenario,
     FlightCondition,
@@ -59,6 +71,28 @@ def main() -> None:
     print(panel.render())
     print(f"(display consumed {panel.samples_kept} of "
           f"{panel.samples_offered} simulation samples)")
+
+    # --- the operator moves the fuel dial mid-run -----------------------------
+    print()
+    print("=== interactive run: fuel dial 1.35 -> 1.50 kg/s at t = 0.5 s ===")
+    with NPSSExecutive() as ex:
+        ex.modules = ex.build_f100_network()
+        for dial in ("fuel flow", "fuel flow-op"):
+            ex.modules["combustor"].set_param(dial, 1.35)
+        run = ex.run_interactive([
+            (0.5, {}),
+            (0.5, {("combustor", "fuel flow"): 1.5,
+                   ("combustor", "fuel flow-op"): 1.5}),
+        ])
+    print(f"N1 {run.n1[0]:.4f} -> {run.n1[-1]:.4f}, thrust "
+          f"{run.thrust[0]/1e3:.1f} -> {run.thrust[-1]/1e3:.1f} kN "
+          f"over {run.t.size} stitched samples")
+    with tempfile.TemporaryDirectory() as out:
+        for writer in (CSVWriter(), AVSFieldWriter(), KhorosWriter()):
+            path = Path(out) / f"interactive{writer.suffix}"
+            path.write_text(writer.export(run))
+            print(f"--- {path.name} ({type(writer).__name__})")
+            print("\n".join(path.read_text().splitlines()[:3]))
 
     # --- the same slam on a damaged engine -----------------------------------
     print()

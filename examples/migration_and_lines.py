@@ -6,7 +6,11 @@ Demonstrates the extended Schooner model:
   separate lines (impossible under the original single-program model),
 * a procedure moves off a machine approaching scheduled downtime, with
   stale client caches self-correcting on the next call,
-* a stateful procedure carries its declared state variables along.
+* a stateful procedure carries its declared state variables along,
+* a shared procedure, "not part of the line from which the startup
+  request originated, but available for use by any line", outlives one
+  caller's ``sch_i_quit``, moves for every line at once, and stops only
+  when the Manager stops it.
 
 Run:  python examples/migration_and_lines.py
 """
@@ -19,6 +23,7 @@ from repro.schooner import (
     Manager,
     ManagerMode,
     ModuleContext,
+    NameNotFound,
     Procedure,
     SchoonerEnvironment,
 )
@@ -96,6 +101,39 @@ def main() -> None:
     mod.sch_move("accum", "lerc-convex")
     print("after moving to the Convex, the running total continues:",
           acc.call1(x=4.0))
+
+    # --- a shared procedure ---------------------------------------------------
+    print()
+    print("=== shared procedure: one instance, every line ===")
+    atmos_spec = SpecFile.parse('export atmos prog("alt" val double, "t" res double)')
+    atmos_exe = Executable(
+        "atmosphere",
+        (Procedure(name="atmos", signature=atmos_spec.export_named("atmos"),
+                   impl=lambda alt: 288.15 - 0.0065 * alt, language=Language.C),),
+    )
+    env.park["lerc-convex"].install("/bin/atmos", atmos_exe)
+    (shared,) = manager.start_shared(env.park["lerc-convex"], "/bin/atmos")
+    inlet = ModuleContext(manager=manager, module_name="inlet", machine=avs)
+    nozzle = ModuleContext(manager=manager, module_name="nozzle", machine=avs)
+    inlet_atmos = inlet.import_proc(atmos_spec.as_imports(), name="atmos")
+    nozzle_atmos = nozzle.import_proc(atmos_spec.as_imports(), name="atmos")
+    print(f"inlet line asks T(1000 m) = {inlet_atmos.call1(alt=1000.0):.2f} K, "
+          f"nozzle line asks T(0 m) = {nozzle_atmos.call1(alt=0.0):.2f} K, "
+          f"both from the one process on the Convex")
+    inlet.sch_i_quit()
+    print(f"after the inlet line quits, the nozzle line still gets "
+          f"T(2000 m) = {nozzle_atmos.call1(alt=2000.0):.2f} K; shared process "
+          f"alive: {shared.process.alive}")
+    env.park["lerc-cray"].install("/bin/atmos", atmos_exe)
+    shared = manager.move(nozzle.line, "atmos", env.park["lerc-cray"], "/bin/atmos")
+    print(f"moved the shared procedure to the Cray for every line: "
+          f"T(0 m) = {nozzle_atmos.call1(alt=0.0):.2f} K from {shared.machine.hostname}")
+    manager.stop_shared(shared)
+    try:
+        nozzle_atmos.call1(alt=0.0)
+    except NameNotFound:
+        print(f"stop_shared ended it for every line: shared process alive: "
+              f"{shared.process.alive}")
 
     # --- per-line shutdown ----------------------------------------------------
     print()

@@ -11,8 +11,7 @@ question: it predicts, per candidate machine, the virtual cost of one
 call of a given procedure from a given caller — marshal CPU + network
 round trip + remote compute at the machine's speed and load — and
 ranks the candidates.  The executive (or the user) remains free to
-ignore it; :meth:`recommend_move` additionally weighs the §4.2 move
-cost against the predicted per-call savings.
+ignore it.
 """
 
 from __future__ import annotations
@@ -91,46 +90,3 @@ class PlacementAdvisor:
             if c.up
         ]
         return sorted(ests, key=lambda e: e.total_s)
-
-    def recommend_move(
-        self,
-        caller: Machine,
-        current: Machine,
-        candidates: Sequence[Machine],
-        procedure: Procedure,
-        request_bytes: int,
-        reply_bytes: int,
-        remaining_calls: int,
-        flops: Optional[float] = None,
-    ) -> Optional[PlacementEstimate]:
-        """Recommend a migration target, or None to stay put.
-
-        A move is recommended only when the predicted savings over the
-        remaining calls exceed the §4.2 move cost (shutdown + restart
-        messages + spawn)."""
-        here = self.estimate(caller, current, procedure, request_bytes, reply_bytes, flops)
-        best = self.rank(caller, candidates, procedure, request_bytes, reply_bytes, flops)
-        if not best:
-            return None
-        top = best[0]
-        if top.machine == current.hostname:
-            return None
-        move_cost = self._move_cost(caller, current, top)
-        savings = (here.total_s - top.total_s) * remaining_calls
-        return top if savings > move_cost else None
-
-    def _move_cost(self, caller: Machine, current: Machine, est: PlacementEstimate) -> float:
-        """The §4.2 move: shutdown message + start request/ack + spawn."""
-        costs = self.env.costs
-        target = self.env.park[est.machine]
-        manager_host = caller  # the Manager runs with the caller here
-        c = self.env.topology.transfer_seconds(
-            manager_host, current, costs.control_message_bytes
-        )
-        c += self.env.topology.transfer_seconds(
-            manager_host, target, costs.control_message_bytes
-        )
-        c += self.env.topology.transfer_seconds(
-            target, manager_host, costs.control_message_bytes
-        )
-        return c + costs.spawn_seconds

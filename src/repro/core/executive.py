@@ -423,43 +423,6 @@ class NPSSExecutive:
         self.solution = start
         return self.transient_result
 
-    # ------------------------------------------------------- serving sessions
-    @classmethod
-    def serve(
-        cls,
-        sessions,
-        installation=None,
-        mode: str = "inline",
-        workers: int = 4,
-        dedup: bool = True,
-        admission=None,
-    ):
-        """Serve many concurrent engine sessions over one shared
-        installation (see :mod:`repro.serve`).
-
-        ``sessions`` is a sequence of
-        :class:`~repro.serve.session.SessionSpec`; each gets its own
-        virtual clock, transport, and executive over the shared machine
-        park, admitted on one virtual timeline and run to completion
-        as they start, with identical workloads deduplicated through
-        the installation's cache.
-        ``admission`` is an optional
-        :class:`~repro.serve.scheduler.AdmissionPolicy` bounding
-        concurrency under overload.  ``mode="shard"`` scales across
-        cores: sessions are dealt to ``workers`` OS processes, each
-        serving on its own installation replica, with digests and
-        virtual times bitwise-identical to inline (see
-        :mod:`repro.serve.shards`; ``installation`` must be None — a
-        live one cannot cross the process boundary).  Returns the
-        :class:`~repro.serve.scheduler.ServeReport`.
-        """
-        from ..serve import serve_sessions
-
-        return serve_sessions(
-            sessions, installation=installation, mode=mode,
-            workers=workers, dedup=dedup, admission=admission,
-        )
-
     # -------------------------------------------------------------- teardown
     def __enter__(self) -> "NPSSExecutive":
         return self

@@ -5,11 +5,12 @@ when available ... Having the ability to handle multiple graphics
 packages, for example, will allow a particular code to be incorporated
 without the need to convert its output."
 
-Two era-appropriate writers over one adapter interface: CSV (for
-generic plotting tools) and the AVS *field* format (the 1-D uniform
-field ASCII header AVS modules read).  Both consume the same
-column-oriented view of a result, so adding a Khoros/VIFF writer — or
-any other package — is one subclass.
+Three era-appropriate writers over one adapter interface: CSV (for
+generic plotting tools), the AVS *field* format (the 1-D uniform field
+ASCII header AVS modules read) and a Khoros-flavoured ASCII export.
+All consume the same column-oriented view of a result, so adding
+another package is one subclass.  ``examples/engine_test_cell.py``
+writes one interactive run through all three.
 """
 
 from __future__ import annotations
@@ -44,13 +45,11 @@ def columns_of(result: Result) -> Dict[str, np.ndarray]:
 
 
 class GraphicsWriter:
-    """One output format for simulation results."""
+    """One output format for simulation results: a subclass defines
+    ``render(columns) -> str`` over :func:`columns_of`'s view."""
 
     #: file suffix the package expects
     suffix: str = ""
-
-    def render(self, columns: Dict[str, np.ndarray]) -> str:
-        raise NotImplementedError
 
     def export(self, result: Result) -> str:
         columns = columns_of(result)

@@ -346,25 +346,3 @@ class SchoonerHost(ComponentHost):
     @property
     def remote_call_count(self) -> int:
         return sum(self.calls.values())
-
-    def move_instance(self, key: str, target: Placement) -> None:
-        """Migrate one instance's procedures to another machine and
-        update the placement (the §4.2 move, driven from the host)."""
-        kind = key.split(":")[0]
-        if key not in self._placed:
-            self.placements[key] = target
-            return
-        ctx = self._placed[key].ctx
-        target_machine = self._machine(target)
-        # moving one procedure relocates the hosting process, so the
-        # set/compute pair travels together
-        exports = _IMPORTS[kind]
-        any_name = next(iter(exports.imports))
-        self.manager.move(ctx.line, any_name, target_machine, REMOTE_PATHS[kind])
-        self.placements[key] = target
-        # placement bookkeeping: ModuleContext idempotence key must match
-        ctx._placements[REMOTE_PATHS[kind]] = (
-            target_machine,
-            REMOTE_PATHS[kind],
-            tuple(self.manager.lookup(ctx.line, n) for n in exports.imports),
-        )

@@ -40,7 +40,6 @@ from .runtime import (
     execute_call,
 )
 from .server import SchoonerServer
-from .stubgen import compile_stubs, load_stub_module, render_c_header, render_fortran_interface
 from .tracing import ProcedureSummary, render_summary, summarize
 from .stubs import ClientStub
 
@@ -66,10 +65,6 @@ __all__ = [
     "ClientStub",
     "ModuleContext",
     "SchoonerProgram",
-    "compile_stubs",
-    "load_stub_module",
-    "render_c_header",
-    "render_fortran_interface",
     "ProcedureSummary",
     "summarize",
     "render_summary",

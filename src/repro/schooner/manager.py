@@ -38,7 +38,7 @@ from .errors import (
 )
 from .lines import InstanceRecord, Line, LineState, new_instance_record
 from .procedure import Executable, Procedure
-from .runtime import SchoonerEnvironment, check_import, execute_call
+from .runtime import SchoonerEnvironment, check_import
 from .server import SchoonerServer
 
 __all__ = ["Manager", "ManagerMode", "SharedRegistry"]
@@ -233,18 +233,6 @@ class Manager:
         if import_sig is not None:
             check_import(import_sig, record.procedure.signature)
         return record
-
-    # -- calls (Manager-mediated convenience; stubs use runtime directly) ------
-    def call(
-        self,
-        line: Line,
-        caller_machine: Machine,
-        name: str,
-        import_sig: Signature,
-        args: Dict,
-    ) -> Dict:
-        record = self.lookup(line, name, import_sig)
-        return execute_call(self.env, caller_machine, line.timeline, record, import_sig, args)
 
     # -- shutdown ---------------------------------------------------------------
     def quit_line(self, line: Line) -> None:

@@ -187,8 +187,6 @@ class SchoonerEnvironment:
         three-tier network."""
         park = standard_park()
         topo = Topology()
-        for m in park:
-            topo.register(m)
         clock = VirtualClock()
         transport = Transport(topology=topo, clock=clock)
         return cls(park=park, topology=topo, clock=clock, transport=transport, **kw)

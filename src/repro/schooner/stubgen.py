@@ -4,23 +4,16 @@
 specification files and produce a stub for each imported and exported
 procedure." (paper, section 3.1)
 
-This compiler reads a UTS specification file and *generates Python
-source code*: one client-stub function per import (with real named
-parameters, so misuse is caught at the call site) and one dispatch
-function per export (which validates the implementation's results
-against the export signature).  The generated module is self-contained
-apart from its ``repro`` imports, and :func:`load_stub_module` turns the
-source into a live module object.
-
-The runtime's calls are generated here too: :func:`call_stubs` compiles
-the marshaling of one call — conform, native storage and wire codec on
-both machines — into four straight-line functions that every
+:func:`call_stubs` is the one stub compiler: for each call — an import
+signature bound to its export across a caller and a callee machine — it
+compiles the marshaling (conform, native storage and wire codec on both
+machines) into four straight-line functions, ``request``, ``serve``,
+``reply`` and ``finish``, that every
 :class:`~repro.schooner.runtime.CallPlan` binds and ``execute_call``
-walks (docs/PERFORMANCE.md, "Fourth pass: the compiled call").
-
-Two language personalities mirror Schooner's C and Fortran stub
-compilers: they differ in how procedure names are treated (Fortran
-stubs accept either name case, C stubs are exact), matching §4.1.
+walks (docs/PERFORMANCE.md, "Fourth pass: the compiled call").  The
+client stub a module imports (:class:`~repro.schooner.stubs.ClientStub`)
+and the server side of every export run this generated code; there is
+no second, per-module compiler.
 """
 
 from __future__ import annotations
@@ -28,10 +21,7 @@ from __future__ import annotations
 import keyword
 import math
 import struct
-import types
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
-
-from ..machines.fortran import Language
+from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..uts.compiled import (
     codec_for,
     flat_message_layout,
@@ -41,7 +31,6 @@ from ..uts.compiled import (
 )
 from ..uts.errors import UTSConversionError
 from ..uts.native import _CRAY_MANT_BITS, CrayFormat, NativeFormat, OutOfRangePolicy
-from ..uts.spec import SpecFile, render_signature
 from ..uts.types import (
     ArrayType,
     BooleanType,
@@ -58,180 +47,7 @@ from ..uts.values import INT64_MAX, INT64_MIN, conform_args, conformer_for
 from .errors import CallFailed, StaleBinding
 from .procedure import STATE_ARG, TIMELINE_ARG
 
-__all__ = [
-    "compile_stubs", "load_stub_module", "client_stub_source", "server_stub_source",
-    "render_c_header", "render_fortran_interface", "CallStubs", "call_stubs",
-]
-
-_HEADER = '''\
-"""Schooner stubs generated by repro.schooner.stubgen — do not edit.
-
-Source specification:
-
-{spec_comment}
-"""
-
-from repro.uts.spec import SpecFile
-
-_SPEC = SpecFile.parse("""
-{spec_source}
-""")
-'''
-
-
-def _python_name(name: str, language: Language) -> str:
-    base = name.lower() if language is Language.FORTRAN else name
-    if not base.isidentifier():
-        base = "".join(c if c.isalnum() or c == "_" else "_" for c in base)
-    return base
-
-
-def client_stub_source(sig: Signature, language: Language) -> str:
-    """Generate the client-stub function for one import declaration."""
-    fn_name = _python_name(sig.name, language)
-    sent = [p.name for p in sig.sent_params]
-    returned = [p.name for p in sig.returned_params]
-    arglist = ", ".join(["ctx"] + sent)
-    send_dict = ", ".join(f'"{n}": {n}' for n in sent)
-    if len(returned) == 1:
-        unpack = f'return _results["{returned[0]}"]'
-    elif returned:
-        names = ", ".join(f'_results["{n}"]' for n in returned)
-        unpack = f"return ({names})"
-    else:
-        unpack = "return None"
-    doc = render_signature(sig).replace("\\", "\\\\").replace('"""', "'''")
-    return f'''
-
-_SIG_{fn_name} = _SPEC.import_named("{sig.name}")
-
-
-def {fn_name}({arglist}):
-    """Remote call to `{sig.name}` via Schooner.
-
-    Import specification::
-
-        {doc}
-    """
-    _stub = ctx.import_proc(_SIG_{fn_name})
-    _results = _stub(**{{{send_dict}}})
-    {unpack}
-'''
-
-
-def server_stub_source(sig: Signature, language: Language) -> str:
-    """Generate the server-side dispatch function for one export."""
-    fn_name = _python_name(sig.name, language)
-    return f'''
-
-_EXPORT_{fn_name} = _SPEC.export_named("{sig.name}")
-
-
-def dispatch_{fn_name}(impl, sent_args):
-    """Server stub for `{sig.name}`: unpack the request arguments, call
-    the implementation, and conform its results to the export spec."""
-    from repro.uts.values import conform_args
-    from repro.schooner.runtime import _shape_results
-
-    sent = conform_args(_EXPORT_{fn_name}, sent_args, "send")
-    raw = impl(**sent)
-    results = _shape_results(_EXPORT_{fn_name}, raw, sent)
-    return conform_args(_EXPORT_{fn_name}, results, "return")
-'''
-
-
-def compile_stubs(
-    spec: Union[SpecFile, str], language: Language = Language.FORTRAN
-) -> str:
-    """Compile a specification file into Python stub source."""
-    if isinstance(spec, str):
-        spec = SpecFile.parse(spec)
-    spec_source = spec.render()
-    if '"""' in spec_source:  # defensive; spec language has no triple quotes
-        raise ValueError("specification text cannot be embedded")
-    spec_comment = "\n".join("    " + line for line in spec_source.splitlines())
-    parts = [_HEADER.format(spec_comment=spec_comment, spec_source=spec_source)]
-    # imports get client stubs; to allow one file to serve both sides, a
-    # spec's exports get *both* a dispatch stub and (via the flipped
-    # spec) nothing else.
-    for name, sig in spec.imports.items():
-        parts.append(client_stub_source(sig, language))
-    for name, sig in spec.exports.items():
-        parts.append(server_stub_source(sig, language))
-    return "".join(parts)
-
-
-_C_TYPES = {
-    "integer": "long",
-    "float": "float",
-    "double": "double",
-    "byte": "unsigned char",
-    "string": "char *",
-    "boolean": "int",
-}
-
-_F_TYPES = {
-    "integer": "INTEGER",
-    "float": "REAL",
-    "double": "DOUBLE PRECISION",
-    "byte": "CHARACTER",
-    "string": "CHARACTER*(*)",
-    "boolean": "LOGICAL",
-}
-
-
-def _c_decl(p) -> str:
-    t = p.type
-    suffix = ""
-    while isinstance(t, ArrayType):
-        suffix += f"[{t.length}]"
-        t = t.element
-    base = _C_TYPES.get(t.describe(), "void *")
-    star = "" if p.mode.value == "val" or suffix else "*"
-    return f"{base} {star}{p.name}{suffix}"
-
-
-def render_c_header(spec: Union[SpecFile, str]) -> str:
-    """Render the C prototypes a C stub compiler would emit — what a C
-    programmer includes to call the imported procedures."""
-    if isinstance(spec, str):
-        spec = SpecFile.parse(spec)
-    lines = ["/* generated by the Schooner stub compiler */", ""]
-    for name, sig in {**spec.imports, **spec.exports}.items():
-        args = ", ".join(_c_decl(p) for p in sig.params) or "void"
-        lines.append(f"extern void {name}({args});")
-    return "\n".join(lines) + "\n"
-
-
-def render_fortran_interface(spec: Union[SpecFile, str]) -> str:
-    """Render the Fortran-77 style interface comments a Fortran stub
-    compiler would emit (declarations for each parameter)."""
-    if isinstance(spec, str):
-        spec = SpecFile.parse(spec)
-    lines = ["C     generated by the Schooner stub compiler"]
-    for name, sig in {**spec.imports, **spec.exports}.items():
-        params = ", ".join(p.name.upper() for p in sig.params)
-        lines.append(f"      SUBROUTINE {name.upper()}({params})")
-        for p in sig.params:
-            t = p.type
-            dims = []
-            while isinstance(t, ArrayType):
-                dims.append(str(t.length))
-                t = t.element
-            base = _F_TYPES.get(t.describe(), "REAL")
-            dim = f"({','.join(dims)})" if dims else ""
-            lines.append(f"      {base} {p.name.upper()}{dim}")
-        lines.append("      END")
-    return "\n".join(lines) + "\n"
-
-
-def load_stub_module(source: str, module_name: str = "schooner_stubs") -> types.ModuleType:
-    """Execute generated stub source into a fresh module object."""
-    module = types.ModuleType(module_name)
-    module.__dict__["__builtins__"] = __builtins__
-    exec(compile(source, f"<{module_name}>", "exec"), module.__dict__)
-    return module
-
+__all__ = ["CallStubs", "call_stubs"]
 
 # ---------------------------------------------------------------------------
 # call stubs: one call's marshaling, generated

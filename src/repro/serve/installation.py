@@ -153,8 +153,6 @@ class SharedInstallation:
         (the one time a serving process builds them)."""
         park = standard_park()
         topology = Topology()
-        for machine in park:
-            topology.register(machine)
         install_tess_executables(park)
         return cls(park=park, topology=topology)
 
@@ -162,10 +160,7 @@ class SharedInstallation:
         """A private network view over the shared machines — given to
         fault-plan sessions so injected partitions/outages mutate their
         own routing state, not their co-residents'."""
-        topo = Topology()
-        for machine in self.park:
-            topo.register(machine)
-        return topo
+        return Topology()
 
     def session_env(self, private_topology: bool = False) -> SchoonerEnvironment:
         """A fresh per-session environment over the shared installation:

@@ -6,8 +6,8 @@ over at once.  This package turns it into a capacity-planning tool
 sees — engineers submitting simulations *continuously*:
 
 * :mod:`repro.traffic.arrivals` — seeded arrival processes (Poisson,
-  heavy-tailed lognormal and Pareto, deterministic trace replay)
-  generating virtual-clock arrival instants;
+  heavy-tailed Pareto, deterministic trace replay) generating
+  virtual-clock arrival instants;
 * :mod:`repro.traffic.classes` — traffic classes: named mixes of
   :class:`~repro.serve.SessionSpec` templates with per-class
   distributions over point counts, fuel-flow ranges, deadlines, and
@@ -33,7 +33,6 @@ gates the committed knee.
 
 from ..resilience.ledger import ClassLedger, LedgerBook
 from .arrivals import (
-    LognormalArrivals,
     ParetoArrivals,
     PoissonArrivals,
     TraceArrivals,
@@ -45,7 +44,6 @@ from .sweep import STOCK_SWEEPS, SweepResult, SweepSpec, run_sweep
 
 __all__ = [
     "PoissonArrivals",
-    "LognormalArrivals",
     "ParetoArrivals",
     "TraceArrivals",
     "make_process",

@@ -7,12 +7,10 @@ instead of an anecdote.  Rates are *offered load* in sessions per
 virtual second; the sweep runner re-parameterizes one process across a
 rate axis via :meth:`at_rate`.
 
-Three analytic shapes plus replay:
+Two analytic shapes plus replay:
 
 * :class:`PoissonArrivals` — exponential interarrivals, the memoryless
   baseline every queueing result is quoted against;
-* :class:`LognormalArrivals` — moderately heavy-tailed interarrivals
-  (``sigma`` sets the burstiness) with the mean pinned to ``1/rate``;
 * :class:`ParetoArrivals` — power-law interarrivals (``alpha`` near 1
   is very bursty), mean pinned to ``1/rate``; the classic
   self-similar-traffic stand-in;
@@ -23,14 +21,12 @@ Three analytic shapes plus replay:
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 __all__ = [
     "PoissonArrivals",
-    "LognormalArrivals",
     "ParetoArrivals",
     "TraceArrivals",
     "make_process",
@@ -67,30 +63,6 @@ class PoissonArrivals:
         return _cumulate([rng.expovariate(self.rate_per_s) for _ in range(n)])
 
     def at_rate(self, rate_per_s: float) -> "PoissonArrivals":
-        return replace(self, rate_per_s=rate_per_s)
-
-
-@dataclass(frozen=True)
-class LognormalArrivals:
-    """Lognormal interarrivals with mean ``1/rate_per_s``; ``sigma`` is
-    the log-scale spread (0 degenerates to a deterministic drumbeat,
-    ~1.5 is very bursty)."""
-
-    rate_per_s: float
-    sigma: float = 1.0
-    seed: int = 0
-
-    kind = "lognormal"
-
-    def times(self, n: int) -> List[float]:
-        if self.rate_per_s <= 0:
-            raise ValueError(f"rate_per_s must be > 0, got {self.rate_per_s!r}")
-        # E[lognormal(mu, sigma)] = exp(mu + sigma^2/2) = 1/rate
-        mu = math.log(1.0 / self.rate_per_s) - self.sigma**2 / 2.0
-        rng = random.Random(f"lognormal:{self.seed}")
-        return _cumulate([rng.lognormvariate(mu, self.sigma) for _ in range(n)])
-
-    def at_rate(self, rate_per_s: float) -> "LognormalArrivals":
         return replace(self, rate_per_s=rate_per_s)
 
 
@@ -176,12 +148,10 @@ class TraceArrivals:
 
 
 def make_process(kind: str, rate_per_s: float, seed: int = 0):
-    """Factory the sweep runner uses: ``kind`` is one of ``poisson``,
-    ``lognormal``, ``pareto`` (analytic defaults for sigma/alpha)."""
+    """Factory the sweep runner uses: ``kind`` is ``poisson`` or
+    ``pareto`` (the analytic default for alpha)."""
     if kind == "poisson":
         return PoissonArrivals(rate_per_s=rate_per_s, seed=seed)
-    if kind == "lognormal":
-        return LognormalArrivals(rate_per_s=rate_per_s, seed=seed)
     if kind == "pareto":
         return ParetoArrivals(rate_per_s=rate_per_s, seed=seed)
     raise ValueError(f"unknown arrival process kind {kind!r}")

@@ -85,38 +85,3 @@ class TestRanking:
             env.park["ua-sparc10"], list(env.park), comb, REQ, REP
         )
         assert all(e.machine != "sgi4d340.cs.arizona.edu" for e in ranked)
-
-
-class TestMoveRecommendation:
-    def test_no_move_when_already_best(self, world):
-        env, advisor, comb = world
-        caller = env.park["ua-sparc10"]
-        rec = advisor.recommend_move(
-            caller, env.park["ua-sgi340"], list(env.park), comb, REQ, REP,
-            remaining_calls=1000,
-        )
-        assert rec is None
-
-    def test_no_move_for_a_handful_of_calls(self, world):
-        """Few remaining calls never repay the move cost."""
-        env, advisor, comb = world
-        caller = env.park["ua-sparc10"]
-        env.park["ua-sgi340"].load = 0.9
-        rec = advisor.recommend_move(
-            caller, env.park["ua-sgi340"], list(env.park), comb, REQ, REP,
-            remaining_calls=1,
-        )
-        assert rec is None
-
-    def test_move_recommended_off_loaded_machine(self, world):
-        """Many calls against a 95%-loaded host with heavy work: the
-        §4.2 scheduled-downtime/load scenario, automated."""
-        env, advisor, comb = world
-        caller = env.park["ua-sparc10"]
-        env.park["ua-sgi340"].load = 0.95
-        rec = advisor.recommend_move(
-            caller, env.park["ua-sgi340"], list(env.park), comb, REQ, REP,
-            remaining_calls=100_000, flops=1e8,
-        )
-        assert rec is not None
-        assert rec.machine != "sgi4d340.cs.arizona.edu"

@@ -184,13 +184,12 @@ class TestModuleRemoval:
 
 class TestHostMigration:
     def test_move_instance_mid_simulation(self, executive):
-        """The §4.2 move: relocate a remote procedure between runs."""
+        """Relocate a remote procedure between runs: the machine widget
+        is the executive's one re-placement path."""
         place(executive, **{"nozzle": "rs6000.lerc.nasa.gov"})
         executive.modules["system"].set_param("transient seconds", 0.0)
         executive.execute()
         before = executive.solution.thrust_N
-        executive.host.move_instance("nozzle", "cray-ymp.lerc.nasa.gov")
-        # the widget is the placement's source of truth: reflect the move
         executive.modules["nozzle"].set_param("remote machine", "cray-ymp.lerc.nasa.gov")
         executive.modules["inlet"].set_param("mach", 0.01)  # force re-solve
         executive._engine = None

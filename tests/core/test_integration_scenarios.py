@@ -31,7 +31,6 @@ class TestFullLifecycle:
         assert ex.solution.thrust_N == pytest.approx(reference, rel=1e-9)
 
         # 3. the SGI is about to go down: migrate to the RS6000
-        ex.host.move_instance("nozzle", "rs6000.lerc.nasa.gov")
         ex.modules["nozzle"].set_param("remote machine", "rs6000.lerc.nasa.gov")
         ex._engine = None
         ex.execute()

@@ -80,8 +80,9 @@ class TestPlacementTransparency:
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_migration_sequence_same_answer(self, reference, moves):
-        """Apply an arbitrary sequence of §4.2 moves between runs: the
-        simulation result is placement-history-independent."""
+        """Apply an arbitrary sequence of re-placements between runs,
+        each through the machine widget: the simulation result is
+        placement-history-independent."""
         ex = NPSSExecutive()
         ex.modules = ex.build_f100_network()
         ex.modules["system"].set_param("transient seconds", 0.0)
@@ -91,7 +92,6 @@ class TestPlacementTransparency:
         for key, target in moves:
             if ex.host.placements.get(key) == target:
                 continue
-            ex.host.move_instance(key, target)
             ex.modules[key].set_param("remote machine", target)
         ex.execute()
         assert ex.solution.thrust_N == pytest.approx(

@@ -1,15 +1,13 @@
-"""Tests for trace analysis and the per-language interface renderers."""
+"""Tests for trace analysis."""
 
 import pytest
 
-from repro.core import REMOTE_PATHS, SHAFT_SPEC_SOURCE, install_tess_executables
+from repro.core import REMOTE_PATHS, install_tess_executables
 from repro.schooner import (
     Manager,
     ManagerMode,
     ModuleContext,
     SchoonerEnvironment,
-    render_c_header,
-    render_fortran_interface,
     render_summary,
     summarize,
 )
@@ -72,42 +70,3 @@ class TestSummarize:
         assert "duct" in text and "setduct" in text
         assert "TOTAL" in text
         assert "virtual s" in text
-
-
-class TestCHeader:
-    def test_header_covers_all_procedures(self):
-        header = render_c_header(SHAFT_SPEC_SOURCE)
-        assert "extern void setshaft(" in header
-        assert "extern void shaft(" in header
-
-    def test_modes_map_to_pointers(self):
-        header = render_c_header('export f prog("a" val double, "b" res double)')
-        assert "double a" in header
-        assert "double *b" in header
-
-    def test_arrays_keep_dimensions(self):
-        header = render_c_header(SHAFT_SPEC_SOURCE)
-        assert "double ecom[4]" in header
-
-    def test_integer_maps_to_long(self):
-        header = render_c_header(SHAFT_SPEC_SOURCE)
-        assert "long incom" in header
-
-    def test_empty_params(self):
-        assert "extern void noop(void);" in render_c_header("export noop prog()")
-
-
-class TestFortranInterface:
-    def test_subroutine_names_upper(self):
-        text = render_fortran_interface(SHAFT_SPEC_SOURCE)
-        assert "SUBROUTINE SETSHAFT(" in text
-        assert "SUBROUTINE SHAFT(" in text
-
-    def test_types_declared(self):
-        text = render_fortran_interface(SHAFT_SPEC_SOURCE)
-        assert "DOUBLE PRECISION ECOM(4)" in text
-        assert "INTEGER INCOM" in text
-
-    def test_ends_present(self):
-        text = render_fortran_interface(SHAFT_SPEC_SOURCE)
-        assert text.count("      END") == 2

@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import NPSSExecutive
 from repro.faults.plan import FaultPlan, LatencySpike
 from repro.network.transport import HEADER_STRUCT, Transport
 from repro.network.topology import Topology
@@ -213,9 +212,9 @@ class TestSurface:
         assert report.mode == "shard" and report.workers == 2
         assert _rows(report) == _rows(serve_sessions(specs, mode="inline"))
 
-    def test_executive_serve_forwards_shard_mode(self):
+    def test_serve_sessions_shard_mode_two_sessions(self):
         specs = build_session_specs(2, classes=2, points=2)
-        report = NPSSExecutive.serve(specs, mode="shard", workers=2)
+        report = serve_sessions(specs, mode="shard", workers=2)
         assert report.mode == "shard"
 
     def test_summary_gains_workers_and_per_shard_rows(self):

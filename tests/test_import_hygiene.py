@@ -93,3 +93,53 @@ class TestOneUTSCodec:
     def test_test_only_names_left_the_package(self):
         assert [n for n in TEST_ONLY_UTS_NAMES if hasattr(repro.uts, n)] == []
         assert set(TEST_ONLY_UTS_NAMES).isdisjoint(repro.uts.__all__)
+
+
+#: what no user entry point reached and no paper claim needed: the
+#: module compiler (``call_stubs`` is the one stub compiler), the
+#: explicit graph router (``classify`` is the one routing model), and
+#: the forwarders and arms only tests called
+GONE_NAMES = {
+    "repro.schooner": ("compile_stubs", "load_stub_module",
+                       "render_c_header", "render_fortran_interface"),
+    "repro.schooner.stubgen": ("compile_stubs", "load_stub_module",
+                               "client_stub_source", "server_stub_source",
+                               "render_c_header", "render_fortran_interface"),
+    "repro.traffic": ("LognormalArrivals",),
+    "repro.traffic.arrivals": ("LognormalArrivals",),
+}
+
+GONE_ATTRIBUTES = {
+    ("repro.network", "Topology"): (
+        "register", "add_link", "_links", "route", "route_transfer_seconds",
+        "graph_path_hops", "_shortest_paths", "set_override", "_overrides",
+        "transfer_seconds",
+    ),
+    ("repro.core", "NPSSExecutive"): ("serve",),
+    ("repro.schooner", "Manager"): ("call",),
+    ("repro.core.advisor", "PlacementAdvisor"): ("recommend_move", "_move_cost"),
+    ("repro.core", "SchoonerHost"): ("move_instance",),
+}
+
+
+class TestUnreachedCodeStaysGone:
+    @pytest.mark.parametrize("module", sorted(GONE_NAMES))
+    def test_deleted_names_left_the_package(self, module):
+        mod = importlib.import_module(module)
+        names = GONE_NAMES[module]
+        assert [n for n in names if hasattr(mod, n)] == []
+        assert set(names).isdisjoint(getattr(mod, "__all__", ()))
+
+    @pytest.mark.parametrize("owner", sorted(GONE_ATTRIBUTES), ids=lambda o: o[1])
+    def test_deleted_attributes_left_their_class(self, owner):
+        module, cls_name = owner
+        cls = getattr(importlib.import_module(module), cls_name)
+        fields = getattr(cls, "__dataclass_fields__", {})
+        names = GONE_ATTRIBUTES[owner]
+        assert [n for n in names if hasattr(cls, n) or n in fields] == []
+
+    def test_lognormal_is_no_arrival_kind(self):
+        from repro.traffic import make_process
+
+        with pytest.raises(ValueError, match="lognormal"):
+            make_process("lognormal", 1.0)

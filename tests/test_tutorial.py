@@ -104,3 +104,15 @@ class TestTutorialWalkthrough:
         assert 102.0 * h_out == pytest.approx(
             100.0 * inp.ht + 2.0 * FUEL_LHV, rel=1e-9
         )
+
+    def test_the_stub_compiler_block(self):
+        """§1's snippet: the one stub compiler's source for one call."""
+        from repro.machines import CRAY_YMP_ARCH, SPARC
+        from repro.schooner.stubgen import call_stubs
+        from repro.uts import OutOfRangePolicy
+
+        sig = SpecFile.parse(AFTERBURNER_SPEC).as_imports().import_named("ab")
+        stubs = call_stubs(sig, SPARC.native_format, CRAY_YMP_ARCH.native_format,
+                           OutOfRangePolicy.ERROR)
+        for name in ("request", "serve", "reply", "finish"):
+            assert f"def {name}(" in stubs.source

@@ -6,14 +6,13 @@ from __future__ import annotations
 import pytest
 
 from repro.traffic import (
-    LognormalArrivals,
     ParetoArrivals,
     PoissonArrivals,
     TraceArrivals,
     make_process,
 )
 
-ANALYTIC = [PoissonArrivals, LognormalArrivals, ParetoArrivals]
+ANALYTIC = [PoissonArrivals, ParetoArrivals]
 
 
 class TestSeededDeterminism:
@@ -84,7 +83,7 @@ class TestTraceReplay:
 
 
 class TestFactory:
-    @pytest.mark.parametrize("kind", ["poisson", "lognormal", "pareto"])
+    @pytest.mark.parametrize("kind", ["poisson", "pareto"])
     def test_makes_each_kind(self, kind):
         p = make_process(kind, 0.5, seed=2)
         assert p.kind == kind
