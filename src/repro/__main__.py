@@ -54,7 +54,8 @@ SHARED_OPTIONS = {
 
 def _subcommand(subparsers, name: str, run, about: str, *shared: str):
     """Add subcommand ``name``, which ``run(args)`` carries out, with
-    the ``shared`` options and ``--json``."""
+    the ``shared`` options and ``--json``; ``args.parser`` is the
+    subcommand's parser, for usage errors found after parsing."""
     parser = subparsers.add_parser(name, help=about, description=about)
     for flag in shared:
         parser.add_argument(flag, **SHARED_OPTIONS[flag])
@@ -62,7 +63,7 @@ def _subcommand(subparsers, name: str, run, about: str, *shared: str):
         "--json", action="store_true",
         help="write JSON lines to stdout instead of tables",
     )
-    parser.set_defaults(run=run)
+    parser.set_defaults(run=run, parser=parser)
     return parser
 
 
@@ -120,11 +121,21 @@ def _traffic(args):
 def _chaos(args):
     from .resilience.soak import STOCK_CONFIGS, run_soak
 
-    records, failures = [], 0
-    for name in args.configs or list(STOCK_CONFIGS):
-        soak = run_soak(
-            _overridden(STOCK_CONFIGS[name], args, "seed", "sessions", "mode")
+    configs = [
+        _overridden(STOCK_CONFIGS[name], args, "seed", "sessions", "mode")
+        for name in args.configs or list(STOCK_CONFIGS)
+    ]
+    inline_only = [
+        c.name for c in configs if c.mode == "shard" and c.faulty_fraction > 0
+    ]
+    if inline_only:
+        args.parser.error(
+            f"--mode shard: config(s) {', '.join(inline_only)} draw "
+            "per-session fault plans; fault-plan sessions are served inline only"
         )
+    records, failures = [], 0
+    for config in configs:
+        soak = run_soak(config)
         records += soak.records()
         failures += not soak.ok
     return records, failures, (

@@ -320,7 +320,6 @@ class NPSSExecutive:
     def run_resilient(
         self,
         plan=None,
-        heartbeat_interval_s: float = 0.5,
         checkpoint_interval_s: float = 1.0,
     ) -> OperatingPoint:
         """:meth:`run_simulation` under failure detection and failover.
@@ -342,7 +341,6 @@ class NPSSExecutive:
 
         self.supervisor = FailoverSupervisor(
             manager=self.manager,
-            heartbeat_interval_s=heartbeat_interval_s,
             checkpoint_interval_s=checkpoint_interval_s,
         )
         self.injector = FaultInjector(env=self.env, plan=plan) if plan is not None else None

@@ -61,10 +61,6 @@ class Machine:
                 f"{self.hostname}: no executable installed at {path!r}"
             ) from None
 
-    @property
-    def installed_paths(self) -> tuple:
-        return tuple(sorted(self._executables))
-
     # -- processes ---------------------------------------------------------
     def spawn(self, path: str) -> VirtualProcess:
         """Start a process from the executable at ``path``."""

@@ -9,7 +9,7 @@ Table 1: local Ethernet, same-building-multiple-gateways, and Internet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator
 
 from .arch import (
     CONVEX_C2,
@@ -67,9 +67,6 @@ class MachinePark:
 
     def __len__(self) -> int:
         return len(self.machines)
-
-    def at_site(self, site: str) -> Tuple[Machine, ...]:
-        return tuple(m for m in self if m.site == site)
 
 
 def standard_park() -> MachinePark:

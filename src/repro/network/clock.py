@@ -174,11 +174,6 @@ class VirtualClock:
         (used after attaching a schedule to an already-advanced clock)."""
         self._notify()
 
-    @property
-    def pending_events(self) -> int:
-        """Scheduled events not yet fired or cancelled."""
-        return sum(1 for _, _, ev in self._events if not ev.cancelled)
-
     def _fire_due_events(self) -> bool:
         fired = False
         while self._events and self._events[0][0] <= self._now:
@@ -210,18 +205,3 @@ class VirtualClock:
                     break
         finally:
             self._dispatching = False
-
-    def reset(self, keep_subscribers: bool = False) -> None:
-        """Return the clock to t = 0 with no timelines and no pending
-        events.
-
-        Subscribers are cleared too: a reused clock must not keep firing
-        the previous run's injector/supervisor callbacks.  Pass
-        ``keep_subscribers=True`` to retain them (e.g. a long-lived
-        monitor that spans runs)."""
-        self._now = 0.0
-        self._notified_at = 0.0
-        self._timelines.clear()
-        self._events.clear()
-        if not keep_subscribers:
-            self._subscribers.clear()

@@ -56,10 +56,6 @@ class LinkModel:
         serialization = nbytes / self.bandwidth_Bps
         return self.per_message_s + self.hops * (self.latency_s + serialization)
 
-    def round_trip_seconds(self, request_bytes: int, reply_bytes: int) -> float:
-        """Virtual time for a request/reply exchange (an RPC's wire cost)."""
-        return self.transfer_seconds(request_bytes) + self.transfer_seconds(reply_bytes)
-
 
 # One 10BASE; ~1.25 MB/s raw, ~1 MB/s effective; sub-millisecond latency.
 ETHERNET = LinkModel(

@@ -21,7 +21,7 @@ the Figure-1 benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 from ..machines.host import Machine
 from ..network.clock import Timeline, VirtualClock
@@ -57,10 +57,6 @@ class ScatterGatherResult:
     worker_seconds: List[float]  # per-worker compute+comm time
     messages: int
 
-    @property
-    def slowest_worker(self) -> float:
-        return max(self.worker_seconds) if self.worker_seconds else 0.0
-
 
 @dataclass
 class PVMachine:
@@ -92,14 +88,6 @@ class PVMachine:
             self._tasks.append(task)
             tasks.append(task)
         return tasks
-
-    @property
-    def tasks(self) -> Tuple[WorkerTask, ...]:
-        return tuple(self._tasks)
-
-    def halt(self) -> None:
-        """Dissolve the virtual machine (pvm_halt)."""
-        self._tasks.clear()
 
     def scatter_gather(
         self,

@@ -95,12 +95,11 @@ class SoakConfig:
     max_parked: Optional[int] = None
     mode: str = "inline"
     dedup: bool = True
-    #: shard-mode knobs: worker process count, transport, and how many
+    #: shard-mode knobs: worker process count and how many
     #: seeded SIGKILLs the kill plan schedules against the pool
     #: (``mode="shard"`` refuses per-session fault plans — set
     #: ``faulty_fraction=0.0`` — so worker kills are its chaos species)
     workers: int = 0
-    transport: str = "auto"
     worker_kills: int = 0
 
     @property
@@ -286,9 +285,7 @@ class SoakReport:
 def _serve(config: SoakConfig, specs: List[SessionSpec]) -> ServeReport:
     if config.mode == "shard":
         workers = config.workers or 2
-        with ShardPool(
-            workers, transport=config.transport, recv_timeout_s=120.0
-        ) as pool:
+        with ShardPool(workers, recv_timeout_s=120.0) as pool:
             if config.worker_kills:
                 pool.arm_kills(
                     build_kill_plan(config.seed, workers, config.worker_kills)

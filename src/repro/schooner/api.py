@@ -60,10 +60,6 @@ class ModuleContext:
             self._stubs.clear()
         return self._line
 
-    @property
-    def connected(self) -> bool:
-        return self._line is not None and self._line.state is LineState.ACTIVE
-
     def placed_alive(self, machine: Machine, path: str) -> bool:
         """:meth:`sch_contact_schx`'s idempotence test: the line is
         active, ``path`` is placed on ``machine`` and every process

@@ -122,10 +122,6 @@ class Manager:
             self._servers[machine.hostname] = SchoonerServer(env=self.env, machine=machine)
         return self._servers[machine.hostname]
 
-    @property
-    def servers(self) -> Tuple[SchoonerServer, ...]:
-        return tuple(self._servers.values())
-
     # -- the new startup protocol (§4.1) -------------------------------------
     def contact(self, line_name: str, caller_machine: Machine) -> Line:
         """A newly configured module establishes initial contact with the

@@ -623,10 +623,6 @@ class CallerContext:
     batch: Optional["CallBatch"] = None
     deadline: Optional[Deadline] = None
 
-    @property
-    def now(self) -> float:
-        return self.timeline.now
-
 
 class CallFuture:
     """One overlapped, in-flight RPC.
@@ -791,7 +787,3 @@ class CallBatch:
         for fut in self._entries:
             if fut._error is not None:
                 raise fut._error
-
-    @property
-    def finished_at(self) -> float:
-        return max((f.finished_at for f in self._entries), default=self.t0)

@@ -87,7 +87,7 @@ class WorkloadCache:
         self.misses = 0
 
     def get(self, key: str, count: bool = True) -> Optional[SessionRecord]:
-        """Fetch a record.  ``count=False`` (or :meth:`peek`) skips the
+        """Fetch a record.  ``count=False`` skips the
         hit/miss counters: the serve timeline's re-probe of a parked
         session is a scheduling decision, not cache traffic, and must
         not inflate the reported rates."""
@@ -98,10 +98,6 @@ class WorkloadCache:
             else:
                 self.hits += 1
         return rec
-
-    def peek(self, key: str) -> Optional[SessionRecord]:
-        """A non-counting :meth:`get` for scheduling probes."""
-        return self.get(key, count=False)
 
     def put(self, key: str, record: SessionRecord) -> None:
         self._records[key] = record

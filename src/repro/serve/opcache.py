@@ -29,9 +29,6 @@ hits stay skip-safe.  Stored solutions never downgrade: a ``"cold"``
 entry is not overwritten by a warm-started result for the same point.
 
 The arrays inside are private copies, never views over wire buffers.
-Scheduling probes should use
-:meth:`peek` — it does not touch the hit/miss counters, which are
-reserved for real cache traffic.
 
 The store also crosses process boundaries, in the one vocabulary the
 shard plane has: :meth:`OpPointCache.export` returns plain records for
@@ -157,26 +154,23 @@ class OpPointCache:
         self.misses = 0
 
     # ------------------------------------------------------------- lookup
-    def lookup(self, family: str, wf: float, count: bool = True) -> WarmStart:
+    def lookup(self, family: str, wf: float) -> WarmStart:
         """Resolve one operating-point request (see the module doc for
-        the tiers).  ``count=False`` (or :meth:`peek`) leaves the
-        traffic counters untouched — for scheduling probes."""
+        the tiers) and count it as a hit or a miss."""
         wf = float(wf)
         fam = self._families.get(family)
         if fam is not None:
             entry = fam.entries.get(wf_key(wf))
             if entry is not None:
                 if entry.canonical:
-                    if count:
-                        self.exact_hits += 1
+                    self.exact_hits += 1
                     return WarmStart(
                         kind="exact",
                         x0=entry.x.copy(),
                         jac0=self._copy(entry.jacobian),
                         solution=entry,
                     )
-                if count:
-                    self.near_hits += 1
+                self.near_hits += 1
                 return WarmStart(
                     kind="seed",
                     x0=entry.x.copy(),
@@ -184,16 +178,10 @@ class OpPointCache:
                 )
             ws = self._near(fam, wf)
             if ws is not None:
-                if count:
-                    self.near_hits += 1
+                self.near_hits += 1
                 return ws
-        if count:
-            self.misses += 1
+        self.misses += 1
         return WarmStart(kind="miss")
-
-    def peek(self, family: str, wf: float) -> WarmStart:
-        """A non-counting :meth:`lookup` for scheduling probes."""
-        return self.lookup(family, wf, count=False)
 
     def _near(self, fam: _Family, wf: float) -> Optional[WarmStart]:
         axis = fam.axis
@@ -338,10 +326,6 @@ class OpPointCache:
 
     def __len__(self) -> int:
         return sum(len(f.entries) for f in self._families.values())
-
-    @property
-    def families(self) -> int:
-        return len(self._families)
 
     def stats(self) -> Dict[str, int]:
         return {

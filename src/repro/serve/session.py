@@ -168,10 +168,9 @@ class SessionResult:
 
     Open-loop timestamps: ``arrival_s`` is the session's arrival
     instant on the serve call's shared virtual timeline (0.0 under
-    batch handover), and ``started_s`` / ``finished_s`` /
-    ``end_to_end_s`` derive from it — end-to-end latency is queue wait
-    plus the session's own virtual time, the quantity SLOs are judged
-    against.
+    batch handover), and ``finished_s`` / ``end_to_end_s`` derive from
+    it — end-to-end latency is queue wait plus the session's own virtual
+    time, the quantity SLOs are judged against.
     """
 
     name: str
@@ -198,15 +197,6 @@ class SessionResult:
     @property
     def shed(self) -> bool:
         return self.status == "shed"
-
-    @property
-    def degraded(self) -> bool:
-        return self.status == "degraded"
-
-    @property
-    def started_s(self) -> float:
-        """When service began on the shared timeline: arrival + wait."""
-        return self.arrival_s + self.wait_s
 
     @property
     def end_to_end_s(self) -> float:

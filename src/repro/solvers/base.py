@@ -125,14 +125,3 @@ class ODEResult:
     @property
     def final(self) -> np.ndarray:
         return self.y[-1]
-
-    def at(self, time: float) -> np.ndarray:
-        """Linear interpolation of the stored trajectory."""
-        t = self.t
-        if time <= t[0]:
-            return self.y[0]
-        if time >= t[-1]:
-            return self.y[-1]
-        idx = int(np.searchsorted(t, time))
-        f = (time - t[idx - 1]) / (t[idx] - t[idx - 1])
-        return (1 - f) * self.y[idx - 1] + f * self.y[idx]

@@ -136,10 +136,3 @@ class GasState(_Station):
             self.Pt if Pt is None else Pt,
             self.far if far is None else far,
         )
-
-    def as_dict(self) -> dict:
-        return {"W": self.W, "Tt": self.Tt, "Pt": self.Pt, "far": self.far}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GasState":
-        return cls(W=d["W"], Tt=d["Tt"], Pt=d["Pt"], far=d.get("far", 0.0))

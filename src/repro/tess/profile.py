@@ -51,10 +51,6 @@ class FlightProfile:
         """Build from (time, altitude, mach, fuel) tuples."""
         return cls(tuple(ProfilePoint(*p) for p in points))
 
-    @property
-    def duration(self) -> float:
-        return self.points[-1].time_s - self.points[0].time_s
-
     def _schedule(self, attr: str) -> Schedule:
         return Schedule(tuple((p.time_s, getattr(p, attr)) for p in self.points))
 
@@ -92,10 +88,6 @@ class ProfileResult:
     @property
     def max_t4(self) -> float:
         return float(self.t4.max())
-
-    @property
-    def thrust_range(self) -> Tuple[float, float]:
-        return float(self.thrust.min()), float(self.thrust.max())
 
 
 def fly_profile(

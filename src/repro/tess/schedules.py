@@ -61,10 +61,3 @@ class Schedule:
 
     def __call__(self, t: float) -> float:
         return self.value(t)
-
-    def shifted(self, dv: float) -> "Schedule":
-        """A copy with every value offset by ``dv`` (trim adjustments)."""
-        return Schedule(tuple((t, v + dv) for t, v in self.points))
-
-    def scaled(self, factor: float) -> "Schedule":
-        return Schedule(tuple((t, v * factor) for t, v in self.points))

@@ -6,8 +6,7 @@ over at once.  This package turns it into a capacity-planning tool
 sees — engineers submitting simulations *continuously*:
 
 * :mod:`repro.traffic.arrivals` — seeded arrival processes (Poisson,
-  heavy-tailed Pareto, deterministic trace replay) generating
-  virtual-clock arrival instants;
+  heavy-tailed Pareto) generating virtual-clock arrival instants;
 * :mod:`repro.traffic.classes` — traffic classes: named mixes of
   :class:`~repro.serve.SessionSpec` templates with per-class
   distributions over point counts, fuel-flow ranges, deadlines, and
@@ -32,12 +31,7 @@ gates the committed knee.
 """
 
 from ..resilience.ledger import ClassLedger, LedgerBook
-from .arrivals import (
-    ParetoArrivals,
-    PoissonArrivals,
-    TraceArrivals,
-    make_process,
-)
+from .arrivals import ParetoArrivals, PoissonArrivals, make_process
 from .classes import STOCK_MIXES, TrafficClass, TrafficMix
 from .driver import TrafficReport, TrafficStream, build_stream, run_traffic
 from .sweep import STOCK_SWEEPS, SweepResult, SweepSpec, run_sweep
@@ -45,7 +39,6 @@ from .sweep import STOCK_SWEEPS, SweepResult, SweepSpec, run_sweep
 __all__ = [
     "PoissonArrivals",
     "ParetoArrivals",
-    "TraceArrivals",
     "make_process",
     "TrafficClass",
     "TrafficMix",

@@ -105,16 +105,6 @@ class TrafficMix:
             self.classes, weights=[c.weight for c in self.classes], k=1
         )[0]
 
-    def by_name(self, name: str) -> TrafficClass:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    @property
-    def class_names(self) -> Tuple[str, ...]:
-        return tuple(c.name for c in self.classes)
-
 
 #: the stock populations the CLI and sweep specs draw on.  Calibrated
 #: against the serve plane's measured service times (a 1-point session

@@ -58,14 +58,6 @@ class TrafficStream:
     mix: TrafficMix
     arrivals: Tuple[Arrival, ...]
 
-    @property
-    def sessions(self) -> int:
-        return len(self.arrivals)
-
-    @property
-    def horizon_s(self) -> float:
-        return self.arrivals[-1].at_s if self.arrivals else 0.0
-
 
 def build_stream(
     mix: TrafficMix,
@@ -100,62 +92,16 @@ def build_stream(
 @dataclass
 class TrafficReport:
     """One traffic run: the raw serve report, the settled ledger book,
-    and the determinism digest.
-
-    ``warmup_s`` records the stationarity window applied to the
-    *ledgers* (0.0 = untrimmed).  The digest always covers the full
-    run — trimming is an accounting lens, not a different experiment.
-    """
+    and the determinism digest."""
 
     stream: TrafficStream
     report: ServeReport
     ledgers: Dict[str, ClassLedger]
     digest: str
-    warmup_s: float = 0.0
 
     @property
     def total(self) -> ClassLedger:
         return self.ledgers[LedgerBook.TOTAL]
-
-    def trimmed(self, warmup_s: float) -> "TrafficReport":
-        """This run re-settled over a stationarity window: tasks whose
-        *original* arrival fell inside the first ``warmup_s`` of the
-        stream are dropped from the ledgers (whole tasks, retries
-        included — a retry of a warm-up arrival must not leak in).
-
-        The open-loop driver starts from an empty installation, so the
-        first arrivals see an atypically idle queue; on a ramped or
-        bursty trace their waits drag the percentiles toward transient
-        state.  Trimming re-judges the ledgers over arrivals at or after
-        ``warmup_s`` only.  Serve results and the determinism digest are
-        untouched — same run, steadier lens."""
-        return TrafficReport(
-            stream=self.stream,
-            report=self.report,
-            ledgers=settle_ledgers(self.stream, self.report.results, warmup_s),
-            digest=self.digest,
-            warmup_s=warmup_s,
-        )
-
-    def records(self) -> List[dict]:
-        """One ``traffic`` record, then the settled ledgers' ``class``
-        records (``total`` last)."""
-        return [
-            {
-                "record": "traffic",
-                "stream": self.stream.name,
-                "seed": self.stream.seed,
-                "process": self.stream.process_kind,
-                "rate_per_s": self.stream.rate_per_s,
-                "sessions_offered": self.stream.sessions,
-                "horizon_virtual_s": self.stream.horizon_s,
-                "warmup_virtual_s": self.warmup_s,
-                "makespan_virtual_s": self.report.makespan_virtual_s,
-                "wall_s": self.report.wall_s,
-                "digest": self.digest,
-            },
-            *(led.record() for led in self.ledgers.values()),
-        ]
 
 
 def _digest(results) -> str:
@@ -228,17 +174,9 @@ def run_traffic(
     )
 
 
-def settle_ledgers(
-    stream: TrafficStream, results, warmup_s: float = 0.0
-) -> Dict[str, ClassLedger]:
-    """Fold serve results into the per-class ledger book.
-
-    ``warmup_s`` is the stationarity window: tasks whose original
-    arrival lands strictly before it contribute nothing — neither their
-    first attempt nor any retry (retries are grouped under the task, so
-    a warm-up arrival's ``#rN`` re-offers cannot leak into the trimmed
-    percentiles).  The default 0.0 settles everything.
-    """
+def settle_ledgers(stream: TrafficStream, results) -> Dict[str, ClassLedger]:
+    """Fold serve results into the per-class ledger book: every attempt,
+    then every task (an arrival and its retries, grouped by name)."""
     by_task: Dict[str, List] = {}
     for r in results:
         by_task.setdefault(task_name(r.name), []).append(r)
@@ -248,10 +186,6 @@ def settle_ledgers(
 
     book = LedgerBook()
     for base, rs in by_task.items():
-        # attempts arrive in offer order; the first is the original
-        # arrival, whose instant decides the whole task's window
-        if warmup_s > 0.0 and rs[0].arrival_s < warmup_s:
-            continue
         for r in rs:
             book.observe_attempt(r, is_retry=r.name != base)
         # the spec's deadline is per-attempt state; any attempt carrying

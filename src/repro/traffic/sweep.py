@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..serve import AdmissionPolicy, SharedInstallation
 from .arrivals import make_process
-from .classes import STOCK_MIXES, TrafficMix
+from .classes import STOCK_MIXES
 from .driver import TrafficReport, build_stream, run_traffic
 
 __all__ = ["SweepSpec", "SweepResult", "STOCK_SWEEPS", "run_sweep"]
@@ -70,15 +70,9 @@ class SweepSpec:
 
     ``admissions`` are ``(label, max_live, max_parked)`` triples;
     ``mixes`` name entries in :data:`repro.traffic.classes.STOCK_MIXES`.
-    ``dedup`` defaults off: a capacity sweep wants every offered session
-    to cost real work — cache hits would flatter the knee.
-
-    ``warmup_s`` trims a stationarity window off every cell: tasks
-    arriving in the first ``warmup_s`` of each stream are dropped from
-    the ledgers (see :meth:`TrafficReport.trimmed`), so the knee is
-    judged on steady-state percentiles instead of the empty-queue
-    transient.  0.0 (the default, and every stock sweep) settles
-    everything — the CI-gated CSV bytes are unchanged.
+    Every cell serves without dedup: a capacity sweep wants every
+    offered session to cost real work — cache hits would flatter the
+    knee.
     """
 
     name: str
@@ -90,9 +84,7 @@ class SweepSpec:
     process: str = "poisson"
     sessions: int = 12
     seed: int = 0
-    dedup: bool = False
     met_target: float = 0.95
-    warmup_s: float = 0.0
 
     def cells(self) -> List[Tuple[str, Tuple[str, Optional[int], Optional[int]], float]]:
         """The grid in execution order: mix-major, admission, then rate
@@ -239,10 +231,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             stream,
             installation=SharedInstallation.standard(),
             admission=AdmissionPolicy(max_live=max_live, max_parked=max_parked),
-            dedup=spec.dedup,
+            dedup=False,
         )
-        if spec.warmup_s > 0.0:
-            report = report.trimmed(spec.warmup_s)
         result.reports.append(report)
         for led in report.ledgers.values():
             row = {

@@ -75,49 +75,3 @@ class TestLinkProperties:
         assert many.transfer_seconds(nbytes) == pytest.approx(
             hops * one.transfer_seconds(nbytes)
         )
-
-    @given(
-        req=st.integers(min_value=0, max_value=100_000),
-        rep=st.integers(min_value=0, max_value=100_000),
-    )
-    def test_round_trip_is_sum(self, req, rep):
-        for link in LINKS:
-            assert link.round_trip_seconds(req, rep) == pytest.approx(
-                link.transfer_seconds(req) + link.transfer_seconds(rep)
-            )
-
-
-class TestClockReset:
-    """A reused clock must not keep firing the previous run's
-    injector/supervisor callbacks (the faults demo builds two
-    executives back to back)."""
-
-    def test_reset_clears_subscribers(self):
-        clock = VirtualClock()
-        fired = []
-        clock.subscribe(fired.append)
-        clock.timeline("a").advance(1.0)
-        assert fired
-
-        clock.reset()
-        fired.clear()
-        assert clock.now == 0.0
-        clock.timeline("a").advance(1.0)
-        assert fired == []
-
-    def test_reset_can_keep_subscribers(self):
-        clock = VirtualClock()
-        fired = []
-        clock.subscribe(fired.append)
-        clock.reset(keep_subscribers=True)
-        clock.timeline("a").advance(0.5)
-        assert fired == [0.5]
-
-    def test_reset_drops_timelines(self):
-        clock = VirtualClock()
-        tl = clock.timeline("old")
-        tl.advance(3.0)
-        clock.reset()
-        assert clock.now == 0.0
-        # a fresh timeline under the same name starts at zero
-        assert clock.timeline("old").now == 0.0

@@ -23,7 +23,6 @@ class TestSpawn:
         _, pvm, workers = cluster
         tasks = pvm.spawn(workers)
         assert len(tasks) == 3
-        assert len(pvm.tasks) == 3
         assert len({t.task_id for t in tasks}) == 3
 
     def test_spawn_on_dead_host_rejected(self, cluster):
@@ -31,12 +30,6 @@ class TestSpawn:
         workers[0].shutdown()
         with pytest.raises(PVMError, match="down"):
             pvm.spawn(workers)
-
-    def test_halt(self, cluster):
-        _, pvm, workers = cluster
-        pvm.spawn(workers)
-        pvm.halt()
-        assert pvm.tasks == ()
 
 
 class TestScatterGather:
@@ -56,7 +49,7 @@ class TestScatterGather:
         _, pvm, workers = cluster
         pvm.spawn(workers)
         res = pvm.scatter_gather(list(range(9)), lambda x: x, flops_per_item=1e7)
-        assert res.elapsed_seconds >= res.slowest_worker
+        assert res.elapsed_seconds >= max(res.worker_seconds)
 
     def test_parallel_speedup(self, cluster):
         """N workers finish a CPU-bound job roughly N times faster than

@@ -76,6 +76,8 @@ ENTRY_POINTS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("repro chaos crash-shard", ("-m", "repro", "chaos", "crash-shard")),
     ("repro traffic smoke", ("-m", "repro", "traffic", "smoke", "--sessions", "2",
                              "--json")),
+    ("repro traffic heavy-tail", ("-m", "repro", "traffic", "heavy-tail",
+                                  "--sessions", "2", "--json")),
     *((f"example {p.stem}", (f"examples/{p.name}",))
       for p in sorted((ROOT / "examples").glob("*.py"))),
     ("report", ("benchmarks/report.py",)),

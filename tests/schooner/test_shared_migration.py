@@ -109,4 +109,3 @@ class TestManagerLifecycleEdges:
         s3 = manager.server_for(env.park["lerc-rs6000"])
         assert s1 is s2
         assert s1 is not s3
-        assert len(manager.servers) == 2

@@ -107,7 +107,7 @@ class TestProbesDoNotCount:
 
     def test_workload_cache_peek_is_silent(self):
         inst = SharedInstallation.standard()
-        assert inst.cache.peek("nope") is None
+        assert inst.cache.get("nope", count=False) is None
         assert (inst.cache.hits, inst.cache.misses) == (0, 0)
         assert inst.cache.get("nope") is None
         assert (inst.cache.hits, inst.cache.misses) == (0, 1)

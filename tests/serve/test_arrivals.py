@@ -43,7 +43,7 @@ class TestTimeline:
         (r,) = report.results
         assert r.arrival_s == 3.5
         assert r.wait_s == 0.0
-        assert r.started_s == 3.5
+        assert r.arrival_s + r.wait_s == 3.5
         assert r.finished_s == pytest.approx(3.5 + r.virtual_s)
 
     def test_wait_charged_from_arrival_not_handover(self):
@@ -61,7 +61,7 @@ class TestTimeline:
         assert first.wait_s == 0.0
         departure = first.finished_s
         assert second.wait_s == pytest.approx(departure - 2.0)
-        assert second.started_s == pytest.approx(departure)
+        assert second.arrival_s + second.wait_s == pytest.approx(departure)
         assert report.parked == 1
 
     def test_late_arrival_into_idle_installation_waits_zero(self):
@@ -77,7 +77,7 @@ class TestTimeline:
         )
         late = report.by_name("late")
         assert late.wait_s == 0.0
-        assert late.started_s == 500.0
+        assert late.arrival_s + late.wait_s == 500.0
 
     def test_pair_form_and_input_order_ties(self):
         report = serve_arrivals(

@@ -170,13 +170,6 @@ class TestOpPointCacheUnit:
         assert c.lookup("fam", 1.04).kind == "interp"
         assert c.lookup("fam", 1.20).kind == "miss"
 
-    def test_peek_does_not_count(self):
-        c = OpPointCache()
-        c.store("fam", 1.3, self.X, self.J, {}, provenance="cold")
-        assert c.peek("fam", 1.3).kind == "exact"
-        assert c.peek("fam", 9.9).kind == "miss"
-        assert (c.exact_hits, c.near_hits, c.misses) == (0, 0, 0)
-
     def test_stored_arrays_are_private_copies(self):
         c = OpPointCache()
         x = self.X.copy()
@@ -191,7 +184,7 @@ class TestOpPointCacheUnit:
         c = OpPointCache()
         c.store("a", 1.3, self.X, self.J, {}, provenance="cold")
         assert c.lookup("b", 1.3).kind == "miss"
-        assert c.families == 1  # a miss does not create the family
+        assert c.stats()["families"] == 1  # a miss does not create the family
         assert len(c) == 1
 
 
@@ -266,7 +259,7 @@ class TestWireBlob:
         # only fam-a@1.45 is actually new
         assert d.preload(records) == 1
         np.testing.assert_array_equal(d.lookup("fam-a", 1.30).x0, 9 * x)
-        np.testing.assert_array_equal(d.peek("fam-b", 1.30).x0, 9 * x)
+        np.testing.assert_array_equal(d.lookup("fam-b", 1.30).x0, 9 * x)
 
     @pytest.mark.parametrize(
         "damage",
@@ -329,6 +322,6 @@ class TestWireBlob:
         # the shard close path's delta: preloaded minus the upgrades
         merged = OpPointCache()
         assert merged.preload(d.export(exclude=preloaded - upgraded)) == 1
-        ws = merged.peek("fam-b", 1.30)
+        ws = merged.lookup("fam-b", 1.30)
         assert ws.kind == "exact" and ws.skip_solve
         assert ws.x0.tobytes() == (5 * x).tobytes()

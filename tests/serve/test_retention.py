@@ -73,4 +73,4 @@ class TestAServeKeepsNoCallTrace:
             ctx.run_next_step()
         result = ctx.result()
         assert result.status == "degraded" and result.digest == trace_digest(traces)
-        assert not installation.cache.peek(ctx.key)
+        assert not installation.cache.get(ctx.key, count=False)

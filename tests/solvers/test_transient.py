@@ -71,12 +71,6 @@ class TestTrajectories:
         assert res.t[0] == 0.0
         assert res.t[-1] == pytest.approx(1.0)
 
-    def test_interpolation(self):
-        res = rk4(decay, 0.0, np.array([1.0]), 1.0, 0.1)
-        assert res.at(0.55)[0] == pytest.approx(np.exp(-0.55), rel=1e-2)
-        assert np.array_equal(res.at(-1.0), res.y[0])
-        assert np.array_equal(res.at(99.0), res.y[-1])
-
 
 class TestStiffness:
     STIFF_LAMBDA = -1000.0

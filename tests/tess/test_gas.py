@@ -80,10 +80,6 @@ class TestGasState:
         with pytest.raises(ValueError):
             GasState(W=1.0, Tt=288.0, Pt=0.0)
 
-    def test_dict_roundtrip(self):
-        s = GasState(W=50.0, Tt=400.0, Pt=2e5, far=0.02)
-        assert GasState.from_dict(s.as_dict()) == s
-
     def test_with_(self):
         s = GasState(W=50.0, Tt=400.0, Pt=2e5)
         s2 = s.with_(Pt=1e5)

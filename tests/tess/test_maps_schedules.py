@@ -113,11 +113,6 @@ class TestSchedules:
         with pytest.raises(ScheduleError):
             Schedule.of((1.0, 0.0), (1.0, 1.0))
 
-    def test_shifted_and_scaled(self):
-        s = Schedule.of((0.0, 1.0), (1.0, 3.0))
-        assert s.shifted(1.0).value(0.0) == 2.0
-        assert s.scaled(2.0).value(1.0) == 6.0
-
     @given(t=st.floats(min_value=-10, max_value=10))
     def test_value_within_breakpoint_envelope(self, t):
         s = Schedule.of((0.0, 1.0), (1.0, 5.0), (2.0, 3.0))

@@ -30,7 +30,6 @@ def engine():
 class TestFlightProfileDefinition:
     def test_of_constructor(self):
         p = FlightProfile.of((0, 0, 0, 1.3), (10, 3000, 0.5, 1.5))
-        assert p.duration == 10
         assert p.points[1].altitude_m == 3000
 
     def test_needs_two_points(self):
@@ -84,8 +83,6 @@ class TestFlyProfile:
     def test_t4_tracked(self, climb):
         res, _ = climb
         assert 1400 < res.max_t4 < 1700
-        lo, hi = res.thrust_range
-        assert lo < hi
 
     def test_state_continuous_across_legs(self, climb):
         res, _ = climb

@@ -83,6 +83,21 @@ class TestParser:
         assert "unrecognized arguments" in out.err
 
 
+    @pytest.mark.parametrize("argv, offender", [
+        (["chaos", "crash-heavy", "--mode", "shard", "--sessions", "2"], "crash-heavy"),
+        (["chaos", "crash-shard", "overload", "--mode", "shard"], "overload"),
+    ])
+    def test_shard_mode_refuses_fault_plan_configs(self, capsys, argv, offender):
+        """A config whose sessions draw fault plans is refused before
+        anything is served: those sessions are served inline only."""
+        code, out = _exit_code(capsys, argv)
+        assert code == 2
+        assert out.out == ""
+        assert f"config(s) {offender} draw" in out.err
+        assert "served inline" in out.err
+        assert "Traceback" not in out.err
+
+
 class TestJsonLines:
     def test_serve(self, capsys):
         assert cli.main(["serve", "--sessions", "4", "--points", "1", "--json"]) == 0

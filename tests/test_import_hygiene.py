@@ -8,6 +8,7 @@ since imported all three for the tests themselves.
 
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
@@ -105,8 +106,8 @@ GONE_NAMES = {
     "repro.schooner.stubgen": ("compile_stubs", "load_stub_module",
                                "client_stub_source", "server_stub_source",
                                "render_c_header", "render_fortran_interface"),
-    "repro.traffic": ("LognormalArrivals",),
-    "repro.traffic.arrivals": ("LognormalArrivals",),
+    "repro.traffic": ("LognormalArrivals", "TraceArrivals"),
+    "repro.traffic.arrivals": ("LognormalArrivals", "TraceArrivals"),
 }
 
 GONE_ATTRIBUTES = {
@@ -116,9 +117,43 @@ GONE_ATTRIBUTES = {
         "transfer_seconds",
     ),
     ("repro.core", "NPSSExecutive"): ("serve",),
-    ("repro.schooner", "Manager"): ("call",),
     ("repro.core.advisor", "PlacementAdvisor"): ("recommend_move", "_move_cost"),
     ("repro.core", "SchoonerHost"): ("move_instance",),
+    # the traffic package's warm-up lens, rate rescaler and report
+    # accessors, and the single-valued sweep and soak knobs
+    ("repro.traffic", "PoissonArrivals"): ("at_rate",),
+    ("repro.traffic", "ParetoArrivals"): ("at_rate",),
+    ("repro.traffic", "TrafficReport"): ("warmup_s", "trimmed", "records"),
+    ("repro.traffic", "TrafficStream"): ("sessions", "horizon_s"),
+    ("repro.traffic", "TrafficMix"): ("by_name", "class_names"),
+    ("repro.traffic", "SweepSpec"): ("warmup_s", "dedup"),
+    ("repro.resilience.soak", "SoakConfig"): ("transport",),
+    # accessors only their own tests called
+    ("repro.schooner.runtime", "CallerContext"): ("now",),
+    ("repro.schooner.runtime", "CallBatch"): ("finished_at",),
+    ("repro.schooner.api", "ModuleContext"): ("connected",),
+    ("repro.schooner", "Manager"): ("call", "servers"),
+    ("repro.serve.installation", "WorkloadCache"): ("peek",),
+    ("repro.serve.opcache", "OpPointCache"): ("peek", "families"),
+    ("repro.serve.session", "SessionResult"): ("degraded", "started_s"),
+    ("repro.network.clock", "VirtualClock"): ("pending_events", "reset"),
+    ("repro.network.link", "LinkModel"): ("round_trip_seconds",),
+    ("repro.machines.host", "Machine"): ("installed_paths",),
+    ("repro.machines.registry", "MachinePark"): ("at_site",),
+    ("repro.parallel.pvm", "ScatterGatherResult"): ("slowest_worker",),
+    ("repro.parallel.pvm", "PVMachine"): ("tasks", "halt"),
+    ("repro.solvers.base", "ODEResult"): ("at",),
+    ("repro.tess.gas", "GasState"): ("as_dict", "from_dict"),
+    ("repro.tess.schedules", "Schedule"): ("shifted", "scaled"),
+    ("repro.tess.profile", "FlightProfile"): ("duration",),
+    ("repro.tess.profile", "ProfileResult"): ("thrust_range",),
+}
+
+#: single-valued parameters that became constants
+GONE_PARAMETERS = {
+    ("repro.traffic.driver", "settle_ledgers"): ("warmup_s",),
+    ("repro.core.executive", "NPSSExecutive.run_resilient"): ("heartbeat_interval_s",),
+    ("repro.serve.opcache", "OpPointCache.lookup"): ("count",),
 }
 
 
@@ -137,6 +172,15 @@ class TestUnreachedCodeStaysGone:
         fields = getattr(cls, "__dataclass_fields__", {})
         names = GONE_ATTRIBUTES[owner]
         assert [n for n in names if hasattr(cls, n) or n in fields] == []
+
+    @pytest.mark.parametrize("owner", sorted(GONE_PARAMETERS), ids=lambda o: o[1])
+    def test_deleted_parameters_left_their_function(self, owner):
+        module, qualname = owner
+        fn = importlib.import_module(module)
+        for part in qualname.split("."):
+            fn = getattr(fn, part)
+        params = inspect.signature(fn).parameters
+        assert [n for n in GONE_PARAMETERS[owner] if n in params] == []
 
     def test_lognormal_is_no_arrival_kind(self):
         from repro.traffic import make_process

@@ -5,12 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.traffic import (
-    ParetoArrivals,
-    PoissonArrivals,
-    TraceArrivals,
-    make_process,
-)
+from repro.traffic import ParetoArrivals, PoissonArrivals, make_process
 
 ANALYTIC = [PoissonArrivals, ParetoArrivals]
 
@@ -46,12 +41,6 @@ class TestRateFidelity:
         empirical = n / ts[-1]
         assert empirical == pytest.approx(rate, rel=0.35)
 
-    @pytest.mark.parametrize("cls", ANALYTIC)
-    def test_at_rate_reparameterizes(self, cls):
-        p = cls(rate_per_s=0.1, seed=5)
-        assert p.at_rate(0.4).rate_per_s == 0.4
-        assert p.at_rate(0.4).seed == p.seed
-
     def test_zero_rate_rejected(self):
         with pytest.raises(ValueError):
             PoissonArrivals(rate_per_s=0.0).times(1)
@@ -59,27 +48,6 @@ class TestRateFidelity:
     def test_pareto_alpha_at_most_one_rejected(self):
         with pytest.raises(ValueError):
             ParetoArrivals(rate_per_s=1.0, alpha=1.0).times(1)
-
-
-class TestTraceReplay:
-    def test_replays_literally(self):
-        tr = TraceArrivals(instants=(0.0, 1.5, 1.5, 4.0))
-        assert tr.times(3) == [0.0, 1.5, 1.5]
-
-    def test_rejects_decreasing_instants(self):
-        with pytest.raises(ValueError):
-            TraceArrivals(instants=(0.0, 2.0, 1.0))
-
-    def test_rejects_overdraw(self):
-        with pytest.raises(ValueError):
-            TraceArrivals(instants=(0.0, 1.0)).times(3)
-
-    def test_at_rate_rescales_preserving_shape(self):
-        tr = TraceArrivals(instants=(0.0, 1.0, 3.0, 4.0))
-        doubled = tr.at_rate(tr.rate_per_s * 2)
-        # same arrival pattern, half the span
-        assert doubled.instants == (0.0, 0.5, 1.5, 2.0)
-        assert doubled.rate_per_s == pytest.approx(tr.rate_per_s * 2)
 
 
 class TestFactory:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.records import render
 from repro.serve import AdmissionPolicy, SharedInstallation
 from repro.traffic import (
     STOCK_MIXES,
@@ -178,16 +177,3 @@ class TestTaskAccounting:
         assert total.queue_wait.count == sum(
             l.queue_wait.count for l in per_class
         )
-
-    def test_summary_and_render_shapes(self):
-        report = run_traffic(
-            build_stream(_mix(), PoissonArrivals(0.1, seed=0), 3, seed=0),
-            dedup=False,
-        )
-        head, *classes = report.records()
-        assert head["record"] == "traffic"
-        assert head["sessions_offered"] == 3
-        assert [r["class"] for r in classes] == ["t", "total"]
-        assert head["digest"] == report.digest
-        text = render(report.records())
-        assert "[traffic]" in text and "total" in text
