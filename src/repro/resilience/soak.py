@@ -94,7 +94,6 @@ class SoakConfig:
     max_live: Optional[int] = None
     max_parked: Optional[int] = None
     mode: str = "inline"
-    dedup: bool = True
     #: shard-mode knobs: worker process count and how many
     #: seeded SIGKILLs the kill plan schedules against the pool
     #: (``mode="shard"`` refuses per-session fault plans — set
@@ -290,19 +289,16 @@ def _serve(config: SoakConfig, specs: List[SessionSpec]) -> ServeReport:
                 pool.arm_kills(
                     build_kill_plan(config.seed, workers, config.worker_kills)
                 )
-            return serve_sessions_sharded(
-                specs, pool, dedup=config.dedup, admission=config.admission
-            )
+            return serve_sessions_sharded(specs, pool, admission=config.admission)
     return serve_sessions(
         specs,
         installation=SharedInstallation.standard(),
         mode=config.mode,
-        dedup=config.dedup,
         admission=config.admission,
     )
 
 
-def run_soak(config: SoakConfig, solo_check: bool = True) -> SoakReport:
+def run_soak(config: SoakConfig) -> SoakReport:
     """Run the soak twice (run + replay) plus solo references, and
     check every invariant.  Violations are *collected*, not raised —
     the CLI and tests decide how loudly to fail."""
@@ -370,7 +366,6 @@ def run_soak(config: SoakConfig, solo_check: bool = True) -> SoakReport:
             specs,
             installation=SharedInstallation.standard(),
             mode="inline",
-            dedup=config.dedup,
             admission=config.admission,
         )
         for a, b in zip(report.results, inline_ref.results):
@@ -385,42 +380,41 @@ def run_soak(config: SoakConfig, solo_check: bool = True) -> SoakReport:
     # 3. solo equivalence: completed == untouched by chaos, so a solo
     # fault-free run of the same spec must produce identical numbers
     solo_checked = 0
-    if solo_check:
-        solo_cache: Dict[str, Tuple[List[dict], Optional[dict]]] = {}
-        for r, spec in zip(report.results, specs):
-            if r.status != "completed":
-                continue
-            solo = solo_cache.get(r.workload_key)
-            if solo is None:
-                solo_spec = SessionSpec(
-                    name=f"solo:{spec.name}",
-                    points=spec.points,
-                    placement=dict(spec.placement),
-                    altitude_m=spec.altitude_m,
-                    mach=spec.mach,
-                    transient_s=spec.transient_s,
-                    transient_dt=spec.transient_dt,
-                    avs_machine=spec.avs_machine,
-                    dispatch=spec.dispatch,
-                    fault_plan=None,
-                    deadline_s=spec.deadline_s,
-                    resilient=spec.resilient,
-                )
-                solo_report = serve_sessions(
-                    [solo_spec],
-                    installation=SharedInstallation.standard(),
-                    mode="inline",
-                    dedup=False,
-                )
-                sr = solo_report.results[0]
-                solo = (sr.results, sr.transient)
-                solo_cache[r.workload_key] = solo
-            solo_checked += 1
-            if r.results != solo[0] or r.transient != solo[1]:
-                violations.append(
-                    f"{r.name}: claims completed but differs from the solo "
-                    f"fault-free run (should have been marked degraded)"
-                )
+    solo_cache: Dict[str, Tuple[List[dict], Optional[dict]]] = {}
+    for r, spec in zip(report.results, specs):
+        if r.status != "completed":
+            continue
+        solo = solo_cache.get(r.workload_key)
+        if solo is None:
+            solo_spec = SessionSpec(
+                name=f"solo:{spec.name}",
+                points=spec.points,
+                placement=dict(spec.placement),
+                altitude_m=spec.altitude_m,
+                mach=spec.mach,
+                transient_s=spec.transient_s,
+                transient_dt=spec.transient_dt,
+                avs_machine=spec.avs_machine,
+                dispatch=spec.dispatch,
+                fault_plan=None,
+                deadline_s=spec.deadline_s,
+                resilient=spec.resilient,
+            )
+            solo_report = serve_sessions(
+                [solo_spec],
+                installation=SharedInstallation.standard(),
+                mode="inline",
+                dedup=False,
+            )
+            sr = solo_report.results[0]
+            solo = (sr.results, sr.transient)
+            solo_cache[r.workload_key] = solo
+        solo_checked += 1
+        if r.results != solo[0] or r.transient != solo[1]:
+            violations.append(
+                f"{r.name}: claims completed but differs from the solo "
+                f"fault-free run (should have been marked degraded)"
+            )
 
     return SoakReport(
         config=config,

@@ -154,12 +154,6 @@ class Manager:
         self._lines[line_id] = line
         return line
 
-    def line(self, line_id: str) -> Line:
-        try:
-            return self._lines[line_id]
-        except KeyError:
-            raise ManagerError(f"unknown line {line_id!r}") from None
-
     @property
     def active_lines(self) -> Tuple[Line, ...]:
         return tuple(l for l in self._lines.values() if l.state is LineState.ACTIVE)

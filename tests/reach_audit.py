@@ -78,6 +78,8 @@ ENTRY_POINTS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
                              "--json")),
     ("repro traffic heavy-tail", ("-m", "repro", "traffic", "heavy-tail",
                                   "--sessions", "2", "--json")),
+    # the stock overload sweep sheds, so it runs the retry-on-shed feedback
+    ("repro traffic overload", ("-m", "repro", "traffic", "overload", "--json")),
     *((f"example {p.stem}", (f"examples/{p.name}",))
       for p in sorted((ROOT / "examples").glob("*.py"))),
     ("report", ("benchmarks/report.py",)),

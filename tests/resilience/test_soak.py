@@ -36,7 +36,7 @@ def test_specs_are_a_pure_function_of_the_config():
 
 
 def test_overload_posture_actually_sheds_and_parks():
-    soak = run_soak(STOCK_CONFIGS["overload"], solo_check=False)
+    soak = run_soak(STOCK_CONFIGS["overload"])
     report = soak.report
     assert report.shed > 0
     assert all(r.shed_reason for r in report.results if r.status == "shed")
@@ -61,7 +61,7 @@ def test_crash_heavy_chaos_is_visible_not_silent():
 
 
 def test_render_mentions_every_session():
-    soak = run_soak(STOCK_CONFIGS["partition-heavy"], solo_check=False)
+    soak = run_soak(STOCK_CONFIGS["partition-heavy"])
     head, serve, *rest = soak.records()
     assert head["record"] == "soak" and serve["record"] == "serve"
     assert head["replay_identical"] is True and head["ok"] is True
@@ -123,9 +123,7 @@ def test_a_diverged_replay_is_reported(monkeypatch, diverge):
     serves = []
 
     def fake_serve(cfg, specs):
-        report = serve_sessions(
-            specs, installation=SharedInstallation.standard(), dedup=cfg.dedup
-        )
+        report = serve_sessions(specs, installation=SharedInstallation.standard())
         report.shard_rows = [{"shard": 0, "crashes": 0}]
         if serves:  # the replay
             report.results, report.shard_rows = diverge(report)
@@ -133,7 +131,7 @@ def test_a_diverged_replay_is_reported(monkeypatch, diverge):
         return report
 
     monkeypatch.setattr(soak_module, "_serve", fake_serve)
-    soak = run_soak(config, solo_check=False)
+    soak = run_soak(config)
     assert len(serves) == 2
     (head,) = [r for r in soak.records() if r["record"] == "soak"]
     assert head["replay_identical"] is False

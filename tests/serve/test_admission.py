@@ -25,7 +25,8 @@ from repro.serve import (
     serve_sessions,
 )
 from repro.serve.admission import AdmissionCore
-from repro.serve.demo import build_session_specs
+
+from tests.contract.scenarios import BATCHES, near
 
 
 class ScriptedExecutor:
@@ -385,46 +386,6 @@ def _rows(report):
     ]
 
 
-def _cold(n):
-    return [
-        SessionSpec(name=f"c{i:02d}", points=(1.30 + i * 0.004, 1.34 + i * 0.004))
-        for i in range(n)
-    ]
-
-
-def _near(n):
-    """One op-point family; each session's points sit beside the last's."""
-    return [
-        SessionSpec(
-            name=f"n{i:02d}", points=(1.30 + i * 0.003, 1.31 + i * 0.003), op_cache=True
-        )
-        for i in range(n)
-    ]
-
-
-def _mixed(n):
-    return [
-        dataclasses.replace(
-            s, priority=(i * 7) % 3, deadline_s=(30.0 + 9.0 * i) if i % 2 else None
-        )
-        for i, s in enumerate(_cold(n))
-    ]
-
-
-BATCHES = {
-    "cold-unbounded": (lambda: _cold(12), dict(dedup=False)),
-    "cold-bounded": (lambda: _cold(12), dict(dedup=False, admission=AdmissionPolicy(3, 6))),
-    "near-unbounded": (lambda: _near(12), dict(dedup=False)),
-    "near-bounded": (lambda: _near(12), dict(dedup=False, admission=AdmissionPolicy(3, 30))),
-    "dedup-unbounded": (lambda: build_session_specs(12, classes=5, points=2), dict()),
-    "dedup-bounded": (
-        lambda: build_session_specs(12, classes=5, points=2),
-        dict(admission=AdmissionPolicy(2, 8)),
-    ),
-    "mixed-bounded": (lambda: _mixed(12), dict(dedup=False, admission=AdmissionPolicy(3, 6))),
-}
-
-
 class TestThreeWayDifferential:
     """A batch, the same sessions as arrivals at t = 0, and the batch
     over two shard workers are one chronology: equal rows — statuses,
@@ -452,7 +413,7 @@ class TestParkedFamilyIsChargedItsQueue:
         and ``deadline_met`` was judged against it.  On the timeline the
         k-th session off the queue starts at the k-th departure."""
         policy = AdmissionPolicy(max_live=2, max_parked=10)
-        specs = _near(8)
+        specs = near(8)
         report = serve_sessions(specs, admission=policy, dedup=False)
         waits = [r.wait_s for r in report.results]
         assert waits[:2] == [0.0, 0.0] and report.parked == 6

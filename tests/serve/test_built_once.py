@@ -7,8 +7,8 @@ checked Figure-2 network by the first session that opens it, a
 session's workload and family keys once per distinct value.  Opening a
 session over a built installation parses no spec, installs no
 executable, sizes no engine and wires no network — and none of that may
-move a digest, a virtual time or a result (the pinned values below were
-recorded on the commit before the change).
+move a digest, a virtual time or a result (each served row equals the
+committed contract's row of that session, ``tests/contract/golden.json``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.avs import NetworkEditor
 from repro.core import NPSSExecutive
 from repro.core.specs import REMOTE_PATHS, install_tess_executables
 from repro.core.tess_modules import DuctModule
-from repro.faults import FaultPlan, GatewayOutage, GatewayRestore, LatencySpike
+from repro.faults import FaultPlan
 from repro.machines.host import Machine
 from repro.schooner.runtime import SchoonerEnvironment
 from repro.serve import SessionSpec, SharedInstallation, serve_sessions
@@ -36,6 +36,9 @@ from repro.tess.atmosphere import FlightCondition
 from repro.tess.engine import TwinSpoolTurbofan, design_closure, sized_deck
 from repro.tess.f100 import F100_SPEC
 from repro.uts import spec as uts_spec
+
+from tests.contract.golden import expected, session_row
+from tests.contract.scenarios import from_lerc, mixed_batch
 
 
 @pytest.fixture(autouse=True)
@@ -83,71 +86,13 @@ def installed(park):
     }
 
 
-def mixed_batch():
-    plan = FaultPlan(
-        seed=11,
-        events=(
-            LatencySpike(at_s=0.5, until_s=8.0, extra_s=0.3),
-            GatewayOutage(at_s=2.0, site="lerc.nasa.gov"),
-            GatewayRestore(at_s=4.0, site="lerc.nasa.gov"),
-        ),
-    )
-    return [
-        SessionSpec(name="steady", points=(1.30, 1.34)),
-        SessionSpec(name="transient", points=(1.32,), transient_s=0.1),
-        SessionSpec(name="faulted", points=(1.42,), fault_plan=plan),
-        SessionSpec(name="resilient", points=(1.36,), resilient=True),
-    ]
-
-
-def fingerprint(result):
-    """Digest, virtual time and the results' exact bits (``json`` writes
-    floats with ``repr``, which round-trips)."""
-    body = json.dumps([result.results, result.transient], sort_keys=True)
+def held(report):
+    """Each session's row, and the contract's row of that session."""
+    golden = expected("batch/mixed")
     return (
-        result.status,
-        result.digest,
-        float(result.virtual_s).hex(),
-        hashlib.sha256(body.encode()).hexdigest(),
+        {r.name: session_row(r) for r in report.results},
+        {r.name: golden[r.name] for r in report.results},
     )
-
-
-#: ``fingerprint`` of each ``mixed_batch`` session on the parent commit
-PINNED = {
-    "steady": (
-        "completed",
-        "b0e1fbbd3e199791375b20d9c951b3ae0d67216f222c04f32ef38cf60cc7d0c4",
-        "0x1.3710711fb6380p+3",
-        "6acdf63ee5478d19e27569afbb91345213e3ecc3e15e83ea126fa581936ef9b7",
-    ),
-    "transient": (
-        "completed",
-        "72812bf53c38e3ad0ffa09fe142a65ac7461612f833145769bcec436d041bf0a",
-        "0x1.0316319aacbe3p+4",
-        "abfb203b1e98d36682af25893656f3771e7fefd3895ac14d5a9a830645298453",
-    ),
-    "faulted": (
-        "degraded",
-        "556275a25da9bd755b423438b9116a6b4db2dc719892d50dc0e293ae18c2c4cd",
-        "0x1.7c85973c8070fp+3",
-        "7273a5190dae9df99eaaa0af0a48de277bb6654f11443122714117709e0c1923",
-    ),
-    "resilient": (
-        "completed",
-        "20e88fe844dde12410db1221dacb40f77d7b7e39a1d88c8fb57e69e51c4e485f",
-        "0x1.61134822f6174p+2",
-        "f6fba1eea98ce0213aebdac3629d452b70aa13dcc7cc48d471cbba83be0021c9",
-    ),
-}
-
-
-#: a fifth session of the batch, opened from the other AVS machine
-FROM_LERC = (
-    "completed",
-    "40cedfc1614cf1a96ee9ec2a65c291eb86d600aa172bcb9f686aaaf54b4dd5f8",
-    "0x1.12816105452b9p+2",
-    "b12ea9a8437e9197290d8f28c3bea9b18022800efab80dd1750f1115d3ae01bb",
-)
 
 
 def running(installation):
@@ -164,7 +109,8 @@ class TestExecutablesBuiltOnce:
         after = installed(installation.park)
         assert after.keys() == before.keys()
         assert all(after[k] is before[k] for k in before)
-        assert {r.name: fingerprint(r) for r in report.results} == PINNED
+        mine, golden = held(report)
+        assert mine == golden
 
     def test_the_installation_parses_each_spec_once(self, monkeypatch):
         parses, installs = count_builds(monkeypatch)
@@ -285,13 +231,12 @@ class TestTheFigureIsWiredOncePerInstallation:
         assert installation.park.saved_networks == {}  # nothing is wired before a session asks
         adds = Counter(monkeypatch, NetworkEditor, "add_module")
         connects = Counter(monkeypatch, NetworkEditor, "connect")
-        batch = mixed_batch() + [
-            SessionSpec(name="from-lerc", points=(1.30, 1.34), avs_machine="lerc-sparc10")
-        ]
-        report = serve_sessions(batch, installation=installation, dedup=False)
+        report = serve_sessions(mixed_batch() + [from_lerc()], installation=installation,
+                                dedup=False)
         assert (adds.calls, connects.calls) == (16, 18)
         assert list(installation.park.saved_networks) == ["f100"]
-        assert {r.name: fingerprint(r) for r in report.results} == {**PINNED, "from-lerc": FROM_LERC}
+        mine, golden = held(report)
+        assert len(mine) == 5 and mine == golden
         serve_sessions(mixed_batch(), installation=installation, dedup=False)
         assert (adds.calls, connects.calls) == (16, 18)
         assert running(installation) == 0
@@ -360,7 +305,7 @@ class TestTeardownLeavesNoProcessBehind:
         first, steady = report.results
         assert first.status == "degraded" and "core duct would not die" in first.error
         # the next session met a park with nobody else's processes on it
-        assert fingerprint(steady) == PINNED["steady"]
+        assert session_row(steady) == expected("batch/mixed")["steady"]
         assert running(installation) == 0
 
 

@@ -132,7 +132,7 @@ GONE_ATTRIBUTES = {
     ("repro.schooner.runtime", "CallerContext"): ("now",),
     ("repro.schooner.runtime", "CallBatch"): ("finished_at",),
     ("repro.schooner.api", "ModuleContext"): ("connected",),
-    ("repro.schooner", "Manager"): ("call", "servers"),
+    ("repro.schooner", "Manager"): ("call", "servers", "line"),
     ("repro.serve.installation", "WorkloadCache"): ("peek",),
     ("repro.serve.opcache", "OpPointCache"): ("peek", "families"),
     ("repro.serve.session", "SessionResult"): ("degraded", "started_s"),
@@ -154,6 +154,9 @@ GONE_PARAMETERS = {
     ("repro.traffic.driver", "settle_ledgers"): ("warmup_s",),
     ("repro.core.executive", "NPSSExecutive.run_resilient"): ("heartbeat_interval_s",),
     ("repro.serve.opcache", "OpPointCache.lookup"): ("count",),
+    # single-valued soak knobs: every soak deduplicates and solo-checks
+    ("repro.resilience.soak", "SoakConfig"): ("dedup",),
+    ("repro.resilience.soak", "run_soak"): ("solo_check",),
 }
 
 
