@@ -21,6 +21,11 @@ returns every row of the contract:
 A row is a flat JSON object; floats are written with ``repr``, which
 round-trips, so a one-ulp move is a move.  Rows are compared field by
 field on their JSON text (``0.0`` and ``-0.0``, ``1`` and ``1.0`` differ).
+A session row keeps its physics apart from its clocks: ``results``
+hashes every point field but the clock reading ``virtual_s``, which
+``point_virtual_s`` lists per point, so a change that only moves the
+modelled clock leaves every ``results`` hash (and ``--explain`` says
+"physics held").
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ GATES = ("chaos_serve", "opcache", "serve", "shard_serve", "shard_failover",
 #: row fields a trace digest moves alone: the session's own digest and
 #: the bench's output digest over it
 DIGEST_FIELDS = ("digest", "output_digest")
+#: row fields that say what a session computed, not when or at what cost
+PHYSICS_FIELDS = ("status", "results")
 
 
 def fingerprint() -> dict:
@@ -63,9 +70,11 @@ def fingerprint() -> dict:
 
 
 def results_hash(result) -> str:
-    """sha256 of a session's results and transient, exact bits (``json``
-    writes floats with ``repr``, which round-trips)."""
-    body = json.dumps([result.results, result.transient], sort_keys=True)
+    """sha256 of a session's physics: every field of every point but
+    its clock reading ``virtual_s``, and the transient, exact bits
+    (``json`` writes floats with ``repr``, which round-trips)."""
+    points = [{k: v for k, v in point.items() if k != "virtual_s"} for point in result.results]
+    body = json.dumps([points, result.transient], sort_keys=True)
     return hashlib.sha256(body.encode()).hexdigest()
 
 
@@ -80,6 +89,7 @@ def session_row(result) -> dict:
         "deadline_met": result.deadline_met,
         "shed_reason": result.shed_reason,
         "results": results_hash(result),
+        "point_virtual_s": [point.get("virtual_s") for point in result.results],
         "traces": result.traces,
         "messages": result.messages,
         "payload_bytes": result.payload_bytes,
@@ -307,6 +317,13 @@ def digest_only(fields) -> bool:
     return all(name in DIGEST_FIELDS for name, _, _ in fields)
 
 
+def physics_held(moved) -> bool:
+    """No row came or went and no session's status or results hash
+    moved: only clocks, counts, bytes or digests did."""
+    return all(name != "row" and name not in PHYSICS_FIELDS
+               for _, fields in moved for name, _, _ in fields)
+
+
 def verdict(golden: dict, fresh: dict, explain: bool = False) -> Tuple[bool, str]:
     """(held, what to print).  ``explain`` lists every moved field with
     its golden and its fresh value; otherwise the moved rows are named."""
@@ -325,6 +342,8 @@ def verdict(golden: dict, fresh: dict, explain: bool = False) -> Tuple[bool, str
         )
     if moved and all(digest_only(fields) for _, fields in moved):
         lines.append("only digests moved: every count and clock held")
+    if moved and physics_held(moved):
+        lines.append("physics held: every status and results hash is equal")
     for rid, fields in moved:
         if fields[0][0] == "row":
             lines.append(f"{rid}: {'new row' if fields[0][1] is None else 'row gone'}")

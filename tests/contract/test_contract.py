@@ -62,7 +62,7 @@ class TestTheToolNamesWhatMoved:
         status, out = run_cli(perturbed(golden, row["row"], status="degraded"), "--explain")
         assert status == 1
         assert f"{row['row']}\n    status: golden 'degraded', now 'completed'" in out
-        assert "only" not in out
+        assert "only" not in out and "physics held" not in out
         status, out = run_cli(perturbed(golden, row["row"], status="degraded"), "--check")
         assert (status, f"{row['row']}: status") == (1, out.splitlines()[1])
 
@@ -74,12 +74,29 @@ class TestTheToolNamesWhatMoved:
         assert f"    virtual_s: golden {ulp!r}, now {row['virtual_s']!r}" in out
         assert out.count("\n    ") == 1  # nothing else moved
 
+    def test_one_point_clock_alone_holds_physics(self, golden, run_cli):
+        row = first_row(golden, "workload/steady_near_opcache/")
+        clocks = list(row["point_virtual_s"])
+        clocks[-1] = math.nextafter(clocks[-1], math.inf)
+        status, out = run_cli(perturbed(golden, row["row"], point_virtual_s=clocks), "--explain")
+        assert status == 1
+        assert "physics held: every status and results hash is equal" in out
+        assert f"    point_virtual_s: golden {clocks!r}, now {row['point_virtual_s']!r}" in out
+        assert out.count("\n    ") == 1  # nothing else moved
+
+    def test_a_results_hash_is_physics(self, golden, run_cli):
+        row = first_row(golden, "batch/mixed/", status="completed")
+        status, out = run_cli(perturbed(golden, row["row"], results="0" * 64), "--explain")
+        assert status == 1 and f"{row['row']}\n    results: golden " in out
+        assert "physics held" not in out
+
     def test_a_digest_alone(self, golden, run_cli):
         row = first_row(golden, "workload/steady_cold_inline/")
         status, out = run_cli(perturbed(golden, row["row"], digest="0" * 64), "--explain")
         assert status == 1
         assert f"{row['row']}  (only the digest moved; every count and clock held)" in out
         assert "only digests moved: every count and clock held" in out
+        assert "physics held: every status and results hash is equal" in out
 
     def test_a_row_gone_and_a_row_new(self, golden, run_cli):
         doc = copy.deepcopy(golden)
