@@ -13,6 +13,7 @@ per-message Schooner header is accounted separately by
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Tuple
 
@@ -21,22 +22,32 @@ from .runtime import CallTrace
 __all__ = ["ProcedureSummary", "summarize", "render_summary", "trace_digest"]
 
 
+#: a trace's fixed-width fields, packed: the character counts of its six
+#: strings, then request/reply bytes, the six clock readings, retries and
+#: failed_over (16 fields, little-endian, doubles bit for bit)
+_TRACE_FIELDS = struct.Struct("<6I2q6dq?")
+
+
 def trace_digest(traces) -> str:
-    """SHA-256 over the serialized call traces — the replay-identity
+    """SHA-256 over the packed call traces — the replay-identity
     witness.  Every field that could vary between runs is included;
     process-global counters (instance ids, pids) are deliberately not
-    part of a trace."""
+    part of a trace.
+
+    Each trace is its fixed-width fields (:data:`_TRACE_FIELDS`), then
+    its six strings concatenated: the counts up front tell where one
+    string ends, so ``"ab" + "c"`` and ``"a" + "bc"`` hash apart, and a
+    double is hashed by its bits (``-0.0`` is not ``0.0``)."""
     h = hashlib.sha256()
+    update, pack = h.update, _TRACE_FIELDS.pack
     for t in traces:
-        h.update(
-            (
-                f"{t.procedure}|{t.caller}|{t.callee}|{t.request_bytes}|"
-                f"{t.reply_bytes}|{t.started_at!r}|{t.finished_at!r}|"
-                f"{t.client_cpu_s!r}|{t.server_cpu_s!r}|{t.compute_s!r}|"
-                f"{t.network_s!r}|{t.outcome}|{t.retries}|{int(t.failed_over)}|"
-                f"{t.dispatch}|{t.timeout_hop}\n"
-            ).encode()
-        )
+        text = (t.procedure, t.caller, t.callee, t.outcome, t.dispatch, t.timeout_hop)
+        update(pack(
+            *map(len, text), t.request_bytes, t.reply_bytes,
+            t.started_at, t.finished_at, t.client_cpu_s, t.server_cpu_s,
+            t.compute_s, t.network_s, t.retries, t.failed_over,
+        ))
+        update("".join(text).encode())
     return h.hexdigest()
 
 
