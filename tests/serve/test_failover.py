@@ -33,8 +33,10 @@ import gc
 import multiprocessing
 import os
 import signal
+import tempfile
 import threading
 import time
+from multiprocessing import shared_memory
 
 import pytest
 
@@ -80,8 +82,40 @@ def _kill(proc):
     proc.join(timeout=10)
 
 
-def _shm_segments():
-    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+@contextlib.contextmanager
+def _made_here():
+    """Inside the block, note every shared-memory segment this process
+    creates (``SharedMemory(create=True)``) and every shard stderr spool
+    it makes (``tempfile.mkstemp``), so a leak check counts only what
+    this process made — not what another checkout serving beside it
+    keeps in ``/dev/shm`` or the temp dir."""
+    made = {"shm": set(), "spools": set()}
+    real_segment, real_mkstemp = shared_memory.SharedMemory, tempfile.mkstemp
+
+    class Noted(real_segment):
+        def __init__(self, name=None, create=False, size=0, **kwargs):
+            super().__init__(name, create, size, **kwargs)
+            if create:
+                made["shm"].add(self.name)
+
+    def mkstemp(*args, **kwargs):
+        fd, path = real_mkstemp(*args, **kwargs)
+        if os.path.basename(path).startswith("shard-"):
+            made["spools"].add(path)
+        return fd, path
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shared_memory, "SharedMemory", Noted)
+        patch.setattr(tempfile, "mkstemp", mkstemp)
+        yield made
+
+
+def _left(made):
+    """What of ``made`` is still there: segment names and spool paths."""
+    return {
+        "shm": {n for n in made["shm"] if os.path.exists(os.path.join("/dev/shm", n))},
+        "spools": {p for p in made["spools"] if os.path.exists(p)},
+    }
 
 
 @contextlib.contextmanager
@@ -89,9 +123,10 @@ def nothing_left_behind(pools):
     """On exit, every pool appended to ``pools`` inside the block must
     be closed and have left no ``/dev/shm`` segment, stderr spool, child
     process or thread — respawned workers' included."""
-    segments, threads = _shm_segments(), set(threading.enumerate())
-    yield
-    assert _shm_segments() <= segments
+    threads = set(threading.enumerate())
+    with _made_here() as made:
+        yield
+    assert _left(made) == {"shm": set(), "spools": set()}
     assert set(threading.enumerate()) <= threads
     assert not [
         p for p in multiprocessing.active_children()
@@ -365,16 +400,13 @@ class TestLeakRegression:
             pool.close()
 
 
-def _os_resources():
-    """What a pool can leak: shm segments, stderr spools, open file
-    descriptors (pipe ends included) and child processes."""
-    import glob
-    import tempfile
-
+def _os_resources(made):
+    """What a pool can leak: the shm segments and stderr spools of
+    ``made`` still there, open file descriptors (pipe ends included)
+    and child processes."""
     gc.collect()  # a reaped Process keeps its sentinel fds until collected
     return {
-        "shm": _shm_segments(),
-        "spools": set(glob.glob(os.path.join(tempfile.gettempdir(), "shard-*-stderr-*.log"))),
+        **_left(made),
         "fds": len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0,
         "children": sorted(p.name for p in multiprocessing.active_children()),
     }
@@ -395,6 +427,11 @@ class TestFailedSpawnReleasesWhatItMade:
         # tracker (one more pipe fd, for good): not a leak of the test
         ShardPool(1, transport=transport).close()
 
+    @pytest.fixture
+    def made(self):
+        with _made_here() as made:
+            yield made
+
     @staticmethod
     def _start_fails_after(monkeypatch, n):
         from multiprocessing.process import BaseProcess
@@ -409,22 +446,27 @@ class TestFailedSpawnReleasesWhatItMade:
 
         monkeypatch.setattr(BaseProcess, "start", start)
 
-    def test_first_spawn(self, monkeypatch, transport):
-        before = _os_resources()
+    def test_first_spawn(self, monkeypatch, transport, made):
+        before = _os_resources(made)
         self._start_fails_after(monkeypatch, 1)
         with pytest.raises(OSError, match="injected"):
             ShardPool(2, transport=transport)  # worker 0 runs, worker 1 cannot
-        assert _os_resources() == before
+        # the check saw both workers' rings and spools made
+        assert len(made["shm"]) >= (4 if transport == "shm" else 0)
+        assert len(made["spools"]) == 2
+        assert _os_resources(made) == before
 
-    def test_respawn(self, monkeypatch, transport):
-        before = _os_resources()
+    def test_respawn(self, monkeypatch, transport, made):
+        before = _os_resources(made)
         pool = ShardPool(2, transport=transport)
-        live = _os_resources()
+        live = _os_resources(made)
+        assert len(live["shm"]) == (4 if transport == "shm" else 0)
+        assert len(live["spools"]) == 2
         with monkeypatch.context() as patch:
             self._start_fails_after(patch, 0)
             with pytest.raises(OSError, match="injected"):
                 pool.respawn(0)
-        after = _os_resources()
+        after = _os_resources(made)
         # slot 0 lost its worker, pipe and rings and got nothing new
         assert after["spools"] == live["spools"]
         assert after["children"] == ["serve-shard-1"]
@@ -433,7 +475,7 @@ class TestFailedSpawnReleasesWhatItMade:
         pool.close()  # over a slot whose pipe is closed and rings are gone
         assert all(not p.is_alive() for p in pool._procs)
         del pool  # and with it the reaped workers' sentinel fds
-        assert _os_resources() == before
+        assert _os_resources(made) == before
 
 
 class TestRecoverEdges:
