@@ -48,8 +48,9 @@ class Timeline:
         t = self._elapsed = self._elapsed + dt
         # the clock is touched only by an advance that pushes the
         # envelope: global time follows it, and due events and
-        # subscribers fire inside it (inline here and in sync_to: every
-        # charge of every call comes through this method)
+        # subscribers fire inside it (inline here and in sync_to, and
+        # inlined again, statement for statement, in each charge of
+        # schooner.runtime.execute_call and in Transport.send)
         clock = self.clock
         if t > clock._now:
             clock._now = t

@@ -183,7 +183,7 @@ class Transport:
         total = nbytes + header_bytes
         link = self.topology.classify(src, dst)
         dt = link.transfer_seconds(total)
-        now = timeline.now if timeline is not None else self.clock.now
+        now = timeline._elapsed if timeline is not None else self.clock._now
         src_host, dst_host = src.hostname, dst.hostname
         if not dst.up:
             self.dropped += 1
@@ -203,7 +203,20 @@ class Transport:
             queue_wait = max(0.0, free_at - now)
             self._trunk_free[trunk] = now + queue_wait + serialization
             dt = queue_wait + dt
-        delivered_at = (self.clock if timeline is None else timeline).advance(dt)
+        if timeline is None:
+            delivered_at = self.clock.advance(dt)
+        else:
+            # Timeline.advance inline: the same addition, refusal and
+            # envelope check, inside which due clock events fire
+            if not dt >= 0.0:
+                raise ValueError(f"cannot advance time by {dt}")
+            t = timeline._elapsed = timeline._elapsed + dt
+            clock = timeline.clock
+            if t > clock._now:
+                clock._now = t
+                if clock._events or clock._subscribers:
+                    clock._notify()
+            delivered_at = timeline._elapsed
         msg_id = self._next_id
         self._next_id = msg_id + 1
         header = HEADER_STRUCT.pack(

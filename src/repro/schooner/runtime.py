@@ -438,7 +438,7 @@ def execute_call(
         procedure=import_sig.name,
         caller=caller_machine.hostname,
         callee=callee_machine.hostname,
-        started_at=timeline.now,
+        started_at=timeline._elapsed,
         retries=retries,
         failed_over=failed_over,
         dispatch=dispatch,
@@ -446,16 +446,19 @@ def execute_call(
     sink_trace = env.record_trace if trace_sink is None else trace_sink.append
     deadline_s = None
     if deadline is not None:
-        if deadline.expired(timeline.now):
+        if deadline.expired(timeline._elapsed):
             # client-side refusal: don't marshal or touch the network
             # for work that is already late
             raise _late(timeline, trace, sink_trace, deadline, "before dispatch")
         deadline_s = deadline.at_s
     send = env.transport.send
-    advance = timeline.advance
+    clock = timeline.clock
     # Each marshal or compute charge is Machine.compute_seconds inline,
     # at the load read when the charge is made; a load outside [0, 1)
-    # goes to compute_seconds itself for its error.
+    # goes to compute_seconds itself for its error.  Each charge then
+    # does Timeline.advance inline: the same addition, the same refusal
+    # of a negative or NaN dt, and the same envelope check, inside which
+    # due clock events and subscribers fire.
 
     # --- client side: the request stub conforms, stores, packs ------------
     # Each direction encodes into a fresh bytearray and travels as one
@@ -469,7 +472,13 @@ def execute_call(
     dt = (req_flops / (plan.caller_rate * (1.0 - load)) if 0.0 <= load < 1.0
           else caller_machine.compute_seconds(req_flops))
     trace.client_cpu_s += dt
-    advance(dt)
+    if not dt >= 0.0:
+        raise ValueError(f"cannot advance time by {dt}")
+    t = timeline._elapsed = timeline._elapsed + dt
+    if t > clock._now:
+        clock._now = t
+        if clock._events or clock._subscribers:
+            clock._notify()
 
     # --- network: request --------------------------------------------------
     try:
@@ -491,7 +500,7 @@ def execute_call(
     # the server reads the deadline out of the message header before
     # spending any CPU: work that went late in transit is refused,
     # not computed (DeadlineExceeded, distinct from CallTimeout)
-    if msg.deadline_s is not None and timeline.now >= msg.deadline_s:
+    if msg.deadline_s is not None and timeline._elapsed >= msg.deadline_s:
         raise _late(
             timeline, trace, sink_trace, deadline,
             f"on arrival at {callee_machine.hostname}",
@@ -500,7 +509,13 @@ def execute_call(
     dt = (req_flops / (plan.callee_rate * (1.0 - load)) if 0.0 <= load < 1.0
           else callee_machine.compute_seconds(req_flops))
     trace.server_cpu_s += dt
-    advance(dt)
+    if not dt >= 0.0:
+        raise ValueError(f"cannot advance time by {dt}")
+    t = timeline._elapsed = timeline._elapsed + dt
+    if t > clock._now:
+        clock._now = t
+        if clock._events or clock._subscribers:
+            clock._notify()
 
     # The callee sees the subset of parameters its *export* declares
     # that the import actually sent (import may be a subset of the
@@ -515,7 +530,13 @@ def execute_call(
     dt = (cost / (plan.callee_rate * (1.0 - load)) if 0.0 <= load < 1.0
           else callee_machine.compute_seconds(cost))
     trace.compute_s += dt
-    advance(dt)
+    if not dt >= 0.0:
+        raise ValueError(f"cannot advance time by {dt}")
+    t = timeline._elapsed = timeline._elapsed + dt
+    if t > clock._now:
+        clock._now = t
+        if clock._events or clock._subscribers:
+            clock._notify()
 
     reply = plan.reply(raw_result, recv)
     nrep, rep_flops = plan.reply_bytes, plan.reply_flops
@@ -526,7 +547,13 @@ def execute_call(
     dt = (rep_flops / (plan.callee_rate * (1.0 - load)) if 0.0 <= load < 1.0
           else callee_machine.compute_seconds(rep_flops))
     trace.server_cpu_s += dt
-    advance(dt)
+    if not dt >= 0.0:
+        raise ValueError(f"cannot advance time by {dt}")
+    t = timeline._elapsed = timeline._elapsed + dt
+    if t > clock._now:
+        clock._now = t
+        if clock._events or clock._subscribers:
+            clock._notify()
 
     # --- network: reply ----------------------------------------------------
     try:
@@ -550,7 +577,14 @@ def execute_call(
     dt = (rep_flops / (plan.caller_rate * (1.0 - load)) if 0.0 <= load < 1.0
           else caller_machine.compute_seconds(rep_flops))
     trace.client_cpu_s += dt
-    finished_at = advance(dt)
+    if not dt >= 0.0:
+        raise ValueError(f"cannot advance time by {dt}")
+    t = timeline._elapsed = timeline._elapsed + dt
+    if t > clock._now:
+        clock._now = t
+        if clock._events or clock._subscribers:
+            clock._notify()
+    finished_at = timeline._elapsed
     out = plan.finish(msg.body)
 
     trace.finished_at = finished_at
