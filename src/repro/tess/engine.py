@@ -131,6 +131,37 @@ class TransientResult:
     ode: ODEResult
 
 
+class LastEvaluation:
+    """The operating point of a solve's last residual evaluation.
+
+    Every residual evaluation is one sweep of the gas path — on a
+    distributed host, one sweep of remote calls.  A solve that converges
+    has as a rule just evaluated the root it accepts, so each steady
+    solve site records every point its residual evaluates and asks
+    :meth:`at` for the accepted ``x`` before it sweeps once more: only
+    when the last evaluation was elsewhere (a finite-difference probe,
+    or an acceptance on step size that skips the confirming evaluation)
+    does the site evaluate again."""
+
+    __slots__ = ("x", "op")
+
+    def __init__(self) -> None:
+        self.x: Optional[np.ndarray] = None
+        self.op: Optional[OperatingPoint] = None
+
+    def keep(self, x: np.ndarray, op: OperatingPoint) -> OperatingPoint:
+        """Record ``op`` as the point evaluated at ``x``; returns it."""
+        self.x, self.op = np.array(x, copy=True), op
+        return op
+
+    def at(self, x: np.ndarray) -> Optional[OperatingPoint]:
+        """The kept point if the last evaluation was at ``x``, bit for
+        bit; otherwise None."""
+        if self.x is not None and np.array_equal(self.x, x):
+            return self.op
+        return None
+
+
 @dataclass(frozen=True)
 class SizedDeck:
     """What the design closure derives from an :class:`EngineSpec`: the
@@ -428,8 +459,10 @@ class TwinSpoolTurbofan:
         else:
             z0 = np.asarray(x0, dtype=float)
 
+        last = LastEvaluation()
+
         def residuals(z: np.ndarray) -> np.ndarray:
-            op = self.evaluate(flight, wf, z[5], z[6], z[:5], **schedule_values)
+            op = last.keep(z, self.evaluate(flight, wf, z[5], z[6], z[:5], **schedule_values))
             r_low = self.low_shaft.power_residual(
                 [op.powers["fan"]], 1, [op.powers["lpt"]], 1
             )
@@ -450,7 +483,9 @@ class TwinSpoolTurbofan:
             raise ValueError(f"unknown steady method {method!r}")
         self.steady_report = report
         z = report.x
-        op = self.evaluate(flight, wf, z[5], z[6], z[:5], **schedule_values)
+        op = last.at(z)
+        if op is None:
+            op = self.evaluate(flight, wf, z[5], z[6], z[:5], **schedule_values)
         op.converged = report.converged
         self._last_x = z[:5].copy()
         self._x_hist.clear()
@@ -476,12 +511,10 @@ class TwinSpoolTurbofan:
             if cached is not None:
                 return cached
 
-        last_eval: dict = {}
+        last = LastEvaluation()
 
         def residuals(x: np.ndarray) -> np.ndarray:
-            op = self.evaluate(flight, wf, n1, n2, x, **schedule_values)
-            last_eval["x"], last_eval["op"] = np.array(x, copy=True), op
-            return op.residuals
+            return last.keep(x, self.evaluate(flight, wf, n1, n2, x, **schedule_values)).residuals
 
         # secant extrapolation predictor: transient solves alternate
         # between the integrator's stage points (k1, k2, k1, ...), so
@@ -520,11 +553,8 @@ class TwinSpoolTurbofan:
         del hist[:-6]
         if self.jac_reuse:
             self._jac = report.jacobian
-        # the solver's final residual evaluation was at the accepted
-        # root: reuse that operating point instead of re-evaluating
-        if last_eval and np.array_equal(last_eval["x"], report.x):
-            op = last_eval["op"]
-        else:
+        op = last.at(report.x)
+        if op is None:
             op = self.evaluate(flight, wf, n1, n2, report.x, **schedule_values)
         if key is not None:
             self._op_memo[key] = op

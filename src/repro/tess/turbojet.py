@@ -17,7 +17,7 @@ import numpy as np
 from ..solvers import integrate, newton_raphson
 from .atmosphere import FlightCondition
 from .components import Combustor, Compressor, ConvergentNozzle, Inlet, Shaft, Turbine
-from .engine import OperatingPoint
+from .engine import LastEvaluation, OperatingPoint
 from .maps import load_map
 from .schedules import Schedule
 
@@ -125,8 +125,10 @@ class SingleSpoolTurbojet:
     ) -> OperatingPoint:
         z0 = np.concatenate([self._design_x, [1.0]]) if x0 is None else np.asarray(x0)
 
+        last = LastEvaluation()
+
         def residuals(z: np.ndarray) -> np.ndarray:
-            op = self.evaluate(flight, wf, z[2], z[:2])
+            op = last.keep(z, self.evaluate(flight, wf, z[2], z[:2]))
             r_shaft = self.shaft.power_residual(
                 [op.powers["compressor"]], 1, [op.powers["turbine"]], 1
             )
@@ -134,7 +136,9 @@ class SingleSpoolTurbojet:
 
         report = newton_raphson(residuals, z0, tol=tol, max_iter=60)
         z = report.x
-        op = self.evaluate(flight, wf, z[2], z[:2])
+        op = last.at(z)
+        if op is None:
+            op = self.evaluate(flight, wf, z[2], z[:2])
         op.converged = report.converged
         self._last_x = z[:2].copy()
         return op
@@ -147,12 +151,17 @@ class SingleSpoolTurbojet:
         self._last_x = start.x.copy()
 
         def solve_gas_path(wf: float, n: float) -> OperatingPoint:
+            last = LastEvaluation()
+
             def residuals(x: np.ndarray) -> np.ndarray:
-                return self.evaluate(flight, wf, n, x).residuals
+                return last.keep(x, self.evaluate(flight, wf, n, x)).residuals
 
             report = newton_raphson(residuals, self._last_x, tol=1e-10, max_iter=40)
             self._last_x = report.x.copy()
-            return self.evaluate(flight, wf, n, report.x)
+            op = last.at(report.x)
+            if op is None:
+                op = self.evaluate(flight, wf, n, report.x)
+            return op
 
         def rhs(t: float, y: np.ndarray) -> np.ndarray:
             op = solve_gas_path(fuel_schedule.value(t), float(y[0]))
