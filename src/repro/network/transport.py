@@ -183,7 +183,7 @@ class Transport:
         total = nbytes + header_bytes
         link = self.topology.classify(src, dst)
         dt = link.transfer_seconds(total)
-        now = timeline._elapsed if timeline is not None else self.clock._now
+        now = timeline._elapsed if timeline is not None else self.clock.now
         src_host, dst_host = src.hostname, dst.hostname
         if not dst.up:
             self.dropped += 1
