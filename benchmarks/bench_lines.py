@@ -24,6 +24,13 @@ SHAFT_ARGS = dict(
     ecom=[12.9e6, 0, 0, 0], incom=1, etur=[13.4e6, 0, 0, 0], intur=1,
     ecorr=0.0, xspool=1.0, xmyi=2.2,
 )
+SETSHAFT_ARGS = dict(inertia=2.2, omegad=1000.0, mecheff=1.0)
+
+
+def shaft_stub(ctx):
+    """The shaft's compute stub, after setshaft left its state."""
+    ctx.import_proc(SHAFT_IMPORTS.import_named("setshaft"))(**SETSHAFT_ARGS)
+    return ctx.import_proc(SHAFT_IMPORTS.import_named("shaft"))
 
 
 def fresh_env():
@@ -106,14 +113,13 @@ def test_manager_handles_repeated_runs(benchmark):
         ctx = ModuleContext(manager=mgr, module_name=f"run{counter['n']}",
                             machine=env.park["ua-sparc10"])
         ctx.sch_contact_schx("lerc-rs6000", REMOTE_PATHS["shaft"])
-        stub = ctx.import_proc(SHAFT_IMPORTS.import_named("shaft"))
+        stub = shaft_stub(ctx)
         out = stub(**SHAFT_ARGS)
         ctx.sch_i_quit()
         return out["dxspl"]
 
     dxspl = benchmark(one_run)
-    # setshaft is never called in this cycle, so the procedure falls
-    # back to its default omega_design of 1000 rad/s
+    # setshaft's omega_design of 1000 rad/s
     assert dxspl == pytest.approx(0.5e6 / (2.2 * 1000.0**2), rel=1e-6)
     assert mgr.running
     assert mgr.runs_handled == counter["n"]
@@ -133,7 +139,7 @@ def test_lines_concurrency_virtual_time(benchmark):
             ctx = ModuleContext(manager=mgr, module_name=f"m{i}",
                                 machine=env.park["ua-sparc10"])
             ctx.sch_contact_schx("lerc-rs6000", REMOTE_PATHS["shaft"])
-            stubs.append(ctx.import_proc(SHAFT_IMPORTS.import_named("shaft")))
+            stubs.append(shaft_stub(ctx))
         t0 = env.clock.now
         line_times = []
         for stub in stubs:

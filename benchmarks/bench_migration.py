@@ -26,6 +26,10 @@ def setup_context():
     mgr = Manager(env=env, host=env.park["ua-sparc10"], mode=ManagerMode.LINES)
     ctx = ModuleContext(manager=mgr, module_name="shaft", machine=env.park["ua-sparc10"])
     ctx.sch_contact_schx("lerc-rs6000", REMOTE_PATHS["shaft"])
+    # setshaft leaves the state a move ships along
+    ctx.import_proc(SHAFT_IMPORTS.import_named("setshaft"))(
+        inertia=2.2, omegad=1000.0, mecheff=1.0
+    )
     stub = ctx.import_proc(SHAFT_IMPORTS.import_named("shaft"))
     stub(**SHAFT_ARGS)  # warm the name cache
     return env, ctx, stub

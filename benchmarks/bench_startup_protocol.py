@@ -43,6 +43,7 @@ def test_apriori_startup(benchmark):
         env = fresh_env()
 
         def main(ctx):
+            ctx.import_proc(DUCT_IMPORTS.import_named("setduct"))(dpqp=0.0)
             stub = ctx.import_proc(DUCT_IMPORTS.import_named("duct"))
             return stub(w=100.0, tt=300.0, pt=2e5, far=0.0)
 
@@ -69,6 +70,7 @@ def test_dynamic_contact_startup(benchmark):
         ctx = ModuleContext(manager=mgr, module_name="duct",
                             machine=env.park["ua-sparc10"])
         ctx.sch_contact_schx("lerc-rs6000", REMOTE_PATHS["duct"])
+        ctx.import_proc(DUCT_IMPORTS.import_named("setduct"))(dpqp=0.0)
         stub = ctx.import_proc(DUCT_IMPORTS.import_named("duct"))
         stub(w=100.0, tt=300.0, pt=2e5, far=0.0)
         ctx.sch_i_quit()

@@ -16,6 +16,7 @@ Run:  python examples/migration_and_lines.py
 """
 
 from repro.core import build_shaft_executable, REMOTE_PATHS
+from repro.core.specs import SHAFT_SPEC_SOURCE
 from repro.machines import Language
 from repro.schooner import (
     DuplicateName,
@@ -56,11 +57,10 @@ def main() -> None:
     # --- migration off a loaded machine ------------------------------------
     print()
     print("=== migration: move off a machine approaching downtime ===")
-    spec = SpecFile.parse(
-        'import shaft prog("ecom" val array[4] of double, "incom" val integer,'
-        ' "etur" val array[4] of double, "intur" val integer, "ecorr" val double,'
-        ' "xspool" val double, "xmyi" val double, "dxspl" res double)'
-    )
+    spec = SpecFile.parse(SHAFT_SPEC_SOURCE).as_imports()
+    # setshaft leaves the shaft's declared state in its process: the
+    # compute procedure reads it, and a move ships it along
+    low.import_proc(spec.import_named("setshaft"))(inertia=2.2, omegad=1000.0, mecheff=1.0)
     stub = low.import_proc(spec.import_named("shaft"))
     args = dict(ecom=[12.9e6, 0, 0, 0], incom=1, etur=[13.4e6, 0, 0, 0], intur=1,
                 ecorr=0.0, xspool=1.0, xmyi=2.2)

@@ -139,9 +139,9 @@ def build_shaft_executable() -> Executable:
 
     def shaft(ecom, incom, etur, intur, ecorr, xspool, xmyi, _state):
         sh = Shaft(
-            inertia=_state.get("inertia", xmyi),
-            omega_design=_state.get("omegad", 1000.0),
-            mech_eff=_state.get("mecheff", 1.0),
+            inertia=_state["inertia"],
+            omega_design=_state["omegad"],
+            mech_eff=_state["mecheff"],
         )
         return sh.accel(ecom, incom, etur, intur, ecorr, xspool, xmyi)
 
@@ -172,7 +172,7 @@ def build_duct_executable() -> Executable:
         return 1
 
     def duct(w, tt, pt, far, _state):
-        d = Duct(dpqp=_state.get("dpqp", 0.0))
+        d = Duct(dpqp=_state["dpqp"])
         out = d.run(GasState(W=w, Tt=tt, Pt=pt, far=far))
         return (out.W, out.Tt, out.Pt, out.far)
 
@@ -202,9 +202,9 @@ def build_combustor_executable() -> Executable:
 
     def comb(w, tt, pt, far, wfuel, _state):
         c = Combustor(
-            efficiency=_state.get("eta", 0.985),
-            dpqp=_state.get("dpqp", 0.05),
-            t_max=_state.get("tmax", 2200.0),
+            efficiency=_state["eta"],
+            dpqp=_state["dpqp"],
+            t_max=_state["tmax"],
         )
         out = c.burn(GasState(W=w, Tt=tt, Pt=pt, far=far), wfuel)
         return (out.W, out.Tt, out.Pt, out.far)
@@ -236,7 +236,7 @@ def build_nozzle_executable() -> Executable:
         return 1
 
     def nozl(w, tt, pt, far, ps0, v0, _state):
-        n = ConvergentNozzle(cd=_state.get("cd", 0.98), area_m2=_state.get("area"))
+        n = ConvergentNozzle(cd=_state["cd"], area_m2=_state["area"])
         state = GasState(W=w, Tt=tt, Pt=pt, far=far)
         return (n.flow_capacity(state, ps0), n.net_thrust(state, ps0, v0))
 

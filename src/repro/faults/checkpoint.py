@@ -3,14 +3,18 @@
 A stateful procedure's recoverable state is exactly what its
 ``state_spec`` declares (the same specification that drives §4.2
 migration).  A checkpoint stores each state variable as UTS *wire*
-bytes — the architecture-neutral format, written by the same compiled
-codec (:func:`repro.uts.compiled.codec_for`) every RPC uses — so state
-checkpointed on a Cray can be restored into a process on a SPARC.
+bytes — the architecture-neutral format — taken by
+:func:`repro.schooner.lines.declared_state`, the encoder a move's
+snapshot of the live process uses too, so state checkpointed on a Cray
+can be restored into a process on a SPARC.
 
-Neither a restore nor a migration applies the destination's native
-format to the state: ``restore`` stores the decoded wire values as they
-are, and ``Manager.migrate`` copies the conformed values.  A restored
-variable is therefore exactly the conformed value that was saved.
+Restoring is not this module's: a failover hands the checkpoint's
+blobs to :meth:`repro.schooner.Manager.restart`, the one site where a
+move and a restore both install state, as the decoded wire values.
+Neither applies the destination's native format to them, so a restored
+or moved variable is exactly the conformed value that was saved.
+Whether arriving state should take the destination's native format, as
+an RPC argument does, is decided at that one site.
 """
 
 from __future__ import annotations
@@ -18,21 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from ..schooner.lines import InstanceRecord, Line
-from ..uts.compiled import codec_for
-from ..uts.values import conform
+from ..schooner.lines import Line, declared_state
 
 __all__ = ["Checkpoint", "CheckpointStore"]
-
-
-def _state_types(records) -> Dict[str, object]:
-    """Union of the state specs of an executable's procedures (they
-    share one process memory)."""
-    types: Dict[str, object] = {}
-    for r in records:
-        if r.procedure.state_spec:
-            types.update(r.procedure.state_spec)
-    return types
 
 
 @dataclass(frozen=True)
@@ -43,10 +35,6 @@ class Checkpoint:
     path: str
     taken_at: float  # virtual seconds
     blobs: Tuple[Tuple[str, bytes], ...]  # (var, UTS wire bytes), sorted
-
-    @property
-    def nbytes(self) -> int:
-        return sum(len(b) for _, b in self.blobs)
 
 
 @dataclass
@@ -67,17 +55,9 @@ class CheckpointStore:
             record = records[0]
             if not record.process.alive:
                 continue
-            types = _state_types(records)
-            if not types:
-                continue  # stateless executable: nothing to checkpoint
-            storage = record.state_storage()
-            blobs = tuple(
-                (var, codec_for(t).encode(conform(t, storage[var])))
-                for var, t in sorted(types.items())
-                if var in storage
-            )
+            blobs = declared_state(records)
             if not blobs:
-                continue  # set* has not run yet; no state to save
+                continue  # stateless, or set* has not run yet: nothing to save
             self._latest[(line.line_id, record.path)] = Checkpoint(
                 line_id=line.line_id,
                 path=record.path,
@@ -90,18 +70,3 @@ class CheckpointStore:
 
     def latest(self, line_id: str, path: str):
         return self._latest.get((line_id, path))
-
-    def restore(self, checkpoint: Checkpoint, new_records) -> int:
-        """Decode a checkpoint into a restarted instance's process
-        memory; returns the number of variables restored."""
-        types = _state_types(new_records)
-        storage = new_records[0].state_storage()
-        restored = 0
-        for var, blob in checkpoint.blobs:
-            t = types.get(var)
-            if t is None:
-                continue
-            value, _ = codec_for(t).decode(blob)
-            storage[var] = value
-            restored += 1
-        return restored

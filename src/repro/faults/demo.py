@@ -92,7 +92,8 @@ def run_demo(
 ) -> Dict[str, object]:
     """Run the reference and the faulted transient.  The result's
     scalar outcome is :func:`demo_records`' ``faults`` record; ``ok``
-    says the faulted thrust is within 1e-3 of the fault-free one and,
+    says the faulted thrust is within 1e-9 of the fault-free one (a
+    failover that lost declared state is off by far more) and,
     unless the plan only drops packets, a failover happened.  The
     injection log and both executives ride along; the faulted one's
     supervisor holds the failure log."""
@@ -127,7 +128,7 @@ def run_demo(
         "checkpoints": ex.supervisor.store.taken,
         "dropped": ex.env.transport.dropped,
         "digest": trace_digest(ex.env.traces),
-        "ok": rel_err < 1e-3
+        "ok": rel_err <= 1e-9
         and (plan_name == "packet-loss" or ex.supervisor.recoveries >= 1),
         "injections": list(ex.injector.log),
         "executive": ex,

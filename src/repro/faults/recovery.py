@@ -12,9 +12,11 @@ When a client stub or ``sch_contact_schx`` resolves a binding to a dead
 instance, the supervisor's :meth:`~FailoverSupervisor.recover` restarts
 the executable on a surviving machine — deterministically chosen: a
 same-site host if one survives, otherwise the first surviving host in
-hostname order — restores the latest checkpoint into the new process,
-and rebinds the line's names at a bumped generation, riding the same
-machinery §4.2 migration uses.
+hostname order — through :meth:`Manager.restart`, the one restart path
+§4.2 migration uses too: the latest checkpoint's state is shipped and
+installed, and every record the dead process hosted is rebound, at a
+bumped generation, in the database that held it (the line's or the
+shared registry).
 
 Everything the supervisor records (``events``) names hosts, paths, and
 virtual times only — never process-global counters like instance ids —
@@ -28,7 +30,7 @@ from typing import List, Optional, Set
 
 from ..network.clock import Timeline
 from ..schooner.errors import HostDown
-from ..schooner.lines import InstanceRecord, Line, new_instance_record
+from ..schooner.lines import InstanceRecord, Line
 from ..schooner.manager import Manager
 from .checkpoint import CheckpointStore
 
@@ -83,13 +85,6 @@ class FailoverSupervisor:
             self.manager.supervisor = None
         self.manager.env.clock.unsubscribe(self._on_tick)
         self._attached = False
-
-    def __enter__(self) -> "FailoverSupervisor":
-        self.attach()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.detach()
 
     # -- periodic sweeps -------------------------------------------------------
     def _on_tick(self, now: float) -> None:
@@ -176,10 +171,11 @@ class FailoverSupervisor:
         record: InstanceRecord,
         timeline: Optional[Timeline] = None,
     ):
-        """Restart a dead instance's executable on a surviving machine,
-        restore its latest checkpoint, and rebind the line at a bumped
-        generation.  Returns the new records (one per procedure the
-        executable exports for this line)."""
+        """Restart a dead instance's executable on a surviving machine
+        through :meth:`Manager.restart`, with its latest checkpoint as
+        the state (none: the restart comes back empty, and the first
+        read of a declared variable raises ``StateLost``).  Returns the
+        new records, one per procedure the dead process hosted."""
         env = self.manager.env
         tl = timeline if timeline is not None else env.clock.timeline("supervisor")
         dead = record.machine
@@ -196,51 +192,25 @@ class FailoverSupervisor:
                 )
             )
 
-        comoving = [r for r in line.records if r.process is record.process]
-        if not comoving:
-            comoving = [record]
         checkpoint = self.store.latest(line.line_id, record.path)
-
         target = self._pick_target(record)
-        server = self.manager.server_for(target)
-        proc = server.start_process(
-            record.path, requester=self.manager.host, timeline=tl
+        state = checkpoint.blobs if checkpoint is not None else ()
+        new_records = self.manager.restart(
+            line, record, target, record.path, state,
+            source=self.manager.host, kind=f"restore:{record.path}", timeline=tl,
         )
-        new_records = []
-        for r in sorted(comoving, key=lambda r: r.procedure.name):
-            new_def = proc.payload.procedure_named(r.procedure.name)
-            new_records.append(
-                new_instance_record(
-                    new_def, proc, target, record.path, generation=r.generation + 1
-                )
-            )
-
         detail = f"{dead.hostname} -> {target.hostname}"
-        if checkpoint is not None and checkpoint.blobs:
-            # ship the checkpointed state to the restart host (the same
-            # charge a migration's state transfer pays)
-            env.transport.send(
-                self.manager.host,
-                target,
-                f"restore:{record.path}",
-                None,
-                checkpoint.nbytes,
-                timeline=tl,
-            )
-            restored = self.store.restore(checkpoint, new_records)
+        if state:
             detail += (
-                f", {restored} state vars from checkpoint"
+                f", {len(state)} state vars from checkpoint"
                 f" @ {checkpoint.taken_at:g}s"
             )
         else:
             detail += ", no checkpoint available"
-
-        for new_rec in new_records:
-            line.rebind(new_rec)
         self.recoveries += 1
         self.events.append(
             RecoveryEvent(
                 at_s=tl.now, kind="failover", subject=record.path, detail=detail
             )
         )
-        return tuple(new_records)
+        return new_records

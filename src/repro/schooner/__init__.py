@@ -23,6 +23,7 @@ from .errors import (
     SchoonerError,
     StaleBinding,
     StaleRebind,
+    StateLost,
     TypeCheckError,
 )
 from .lines import InstanceRecord, Line, LineState
@@ -79,6 +80,7 @@ __all__ = [
     "BreakerOpen",
     "StaleBinding",
     "StaleRebind",
+    "StateLost",
     "LineTerminated",
     "ManagerError",
     "HostDown",

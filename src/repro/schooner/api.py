@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple, Union
 from ..machines.host import Machine
 from ..uts.spec import SpecFile
 from ..uts.types import Signature
-from .errors import SchoonerError
+from .errors import InstanceGone, SchoonerError
 from .lines import InstanceRecord, Line, LineState
 from .manager import Manager
 from .runtime import CallerContext
@@ -95,52 +95,10 @@ class ModuleContext:
         line = self.line
         current = self._placements.get(path)
         if current is not None:
-            cur_machine, cur_path, records = current
-            supervisor = getattr(self.manager, "supervisor", None)
-            if (
-                cur_machine is machine
-                and supervisor is not None
-                and any(not r.alive for r in records)
-            ):
-                # unchanged placement but the process died: this is a
-                # failover, not a re-placement — let the supervisor
-                # restart it (possibly elsewhere) with checkpointed
-                # state rather than cold-starting on the dead machine.
-                # A stub's retry path may have recovered the instance
-                # already, so consult the line's current bindings first.
-                try:
-                    refreshed = tuple(
-                        line.lookup(r.procedure.name) for r in records
-                    )
-                except SchoonerError:
-                    refreshed = records
-                if all(r.alive for r in refreshed):
-                    new_records = refreshed
-                else:
-                    new_records = supervisor.recover(
-                        line, refreshed[0], timeline=line.timeline
-                    )
-                    # annotate each stub's next call as failed over: the
-                    # trace log keeps its witness of the re-routing even
-                    # though no call had to fail first
-                    for stub in self._stubs.values():
-                        stub.note_failover()
-                if new_records:
-                    for stub in self._stubs.values():
-                        stub.invalidate()
-                    # keep the *requested* machine as the placement key:
-                    # idempotence still compares against the widget value,
-                    # while the line database knows where the instance
-                    # actually runs now
-                    self._placements[path] = (machine, path, tuple(new_records))
-                    return self._placements[path][2]
+            cur_machine, _, records = current
             if cur_machine is machine and any(not r.alive for r in records):
-                # same placement but the process is dead and no
-                # supervisor recovered it: the restart below is an
-                # *unplanned* one — record the witness, since no call
-                # failed and no trace will carry the disturbance
-                self.manager.env.unplanned_restarts += 1
-            # placement changed (or process died): stop the old instance
+                return self._recover(line, machine, path, records)
+            # placement changed: stop the old instance
             for r in records:
                 if r.process.alive:
                     self.manager.server_for(r.machine).stop_process(
@@ -157,6 +115,39 @@ class ModuleContext:
         records = self.manager.start_remote(line, machine, path)
         self._placements[path] = (machine, path, records)
         return records
+
+    def _recover(self, line: Line, machine: Machine, path: str,
+                 records: Tuple[InstanceRecord, ...]) -> Tuple[InstanceRecord, ...]:
+        """An unchanged placement whose process died: a failover, not a
+        re-placement.  The line's current bindings are used when a move
+        or a stub's retry path already replaced the instance; otherwise
+        the Manager's supervisor restarts it with its checkpointed
+        state, and with no supervisor the instance is gone — a cold
+        restart would come back without the state its ``set*`` left."""
+        try:
+            new_records = tuple(line.lookup(r.procedure.name) for r in records)
+        except SchoonerError:
+            new_records = records
+        if not all(r.alive for r in new_records):
+            supervisor = self.manager.supervisor
+            if supervisor is None:
+                raise InstanceGone(
+                    f"{path} on {records[0].machine.hostname} is no longer "
+                    f"running and no supervisor can restore its state"
+                )
+            new_records = supervisor.recover(line, new_records[0], timeline=line.timeline)
+            # annotate each stub's next call as failed over: the trace
+            # log keeps its witness of the re-routing even though no
+            # call had to fail first
+            for stub in self._stubs.values():
+                stub.note_failover()
+        for stub in self._stubs.values():
+            stub.invalidate()
+        # keep the *requested* machine as the placement key: idempotence
+        # still compares against the widget value, while the line
+        # database knows where the instance actually runs now
+        self._placements[path] = (machine, path, tuple(new_records))
+        return self._placements[path][2]
 
     def import_proc(self, spec: Union[Signature, SpecFile, str], name: Optional[str] = None) -> ClientStub:
         """Build a client stub from an import specification.

@@ -18,6 +18,7 @@ __all__ = [
     "DeadlineExceeded",
     "BreakerOpen",
     "StaleBinding",
+    "StateLost",
     "LineTerminated",
     "ManagerError",
     "HostDown",
@@ -125,6 +126,14 @@ class StaleBinding(CallFailed):
     cache-refresh-on-failed-call protocol."""
 
 
+class StateLost(CallFailed):
+    """A stateful procedure read a variable its ``state_spec`` declares
+    that nothing installed in its process: no ``set*`` call, move or
+    checkpoint restore put it there.  The message names the procedure,
+    the variable and the host; a default would have computed a
+    plausible wrong answer instead."""
+
+
 class LineTerminated(SchoonerError):
     """An operation was attempted on a line that has been shut down."""
 
@@ -145,10 +154,12 @@ class MigrationError(SchoonerError):
 
 
 class InstanceGone(MigrationError):
-    """A move was requested for an instance whose hosting process is no
-    longer running — there is nothing left to shut down or transfer
-    state from.  Recovery of dead instances is the failover path
-    (:mod:`repro.faults`), not :meth:`Manager.move`."""
+    """An instance's hosting process is no longer running: a move has
+    nothing left to shut down or transfer state from, and a placement
+    prologue with no failover supervisor has no state to restart it
+    with.  Recovery of dead instances is the supervisor's
+    (:mod:`repro.faults`), not :meth:`Manager.move`'s or a cold
+    restart's."""
 
 
 class StaleRebind(SchoonerError):

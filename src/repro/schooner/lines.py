@@ -16,17 +16,30 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from ..machines.host import Machine
 from ..machines.process import VirtualProcess
 from ..network.clock import Timeline
-from .errors import DuplicateName, LineTerminated, NameNotFound, StaleRebind
+from ..uts.compiled import codec_for
+from ..uts.values import conform
+from .errors import DuplicateName, LineTerminated, NameNotFound, StaleRebind, StateLost
 from .procedure import Procedure
 
-__all__ = ["Line", "LineState", "InstanceRecord"]
+__all__ = ["Line", "LineState", "InstanceRecord", "declared_state"]
 
 _instance_ids = itertools.count(1)
+
+
+class _ProcessState(dict):
+    """A process's state variables.  Reading one that nothing installed
+    raises :class:`StateLost` rather than :class:`KeyError`, so a
+    procedure that reads ``_state[var]`` fails typed, naming the host."""
+
+    __slots__ = ("host",)
+
+    def __missing__(self, var):
+        raise StateLost(f"declared state {var!r} is not installed on {self.host}")
 
 
 @dataclass
@@ -58,7 +71,11 @@ class InstanceRecord:
         is what lets the paper's ``set*`` initialization procedures
         leave values behind for their compute partners."""
         key = f"exe-state:{self.path}"
-        return self.process.memory.setdefault(key, {})
+        state = self.process.memory.get(key)
+        if state is None:
+            state = self.process.memory[key] = _ProcessState()
+            state.host = self.machine.hostname
+        return state
 
 
 class LineState(Enum):
@@ -119,17 +136,7 @@ class Line:
         a late, superseded update and raises :class:`StaleRebind` rather
         than silently clobbering the newer binding."""
         self.require_active()
-        synonyms = record.procedure.synonyms()
-        for name in synonyms:
-            cur = self._names.get(name)
-            if cur is not None and cur.generation > record.generation:
-                raise StaleRebind(
-                    f"line {self.line_id}: rebind of {name!r} at generation "
-                    f"{record.generation} would clobber generation "
-                    f"{cur.generation}"
-                )
-        for name in synonyms:
-            self._names[name] = record
+        rebind_names(self._names, record, f"line {self.line_id}: rebind")
         self._processes[record.process.address] = record.process
 
     @property
@@ -142,6 +149,47 @@ class Line:
     @property
     def processes(self) -> Tuple[VirtualProcess, ...]:
         return tuple(self._processes.values())
+
+
+def rebind_names(names: Dict[str, InstanceRecord], record: InstanceRecord, what: str) -> None:
+    """Point every synonym of ``record``'s procedure in the name database
+    ``names`` at it, unless that would clobber a newer generation."""
+    synonyms = record.procedure.synonyms()
+    for name in synonyms:
+        cur = names.get(name)
+        if cur is not None and cur.generation > record.generation:
+            raise StaleRebind(
+                f"{what} of {name!r} at generation {record.generation} "
+                f"would clobber generation {cur.generation}"
+            )
+    for name in synonyms:
+        names[name] = record
+
+
+def state_types(records: Iterable[InstanceRecord]) -> Dict[str, object]:
+    """Union of the state specs of the procedures one process hosts
+    (they share its memory)."""
+    types: Dict[str, object] = {}
+    for r in records:
+        if r.procedure.state_spec:
+            types.update(r.procedure.state_spec)
+    return types
+
+
+def declared_state(records: Sequence[InstanceRecord]) -> Tuple[Tuple[str, bytes], ...]:
+    """The declared state of the live process hosting ``records``, as
+    ``(var, UTS wire bytes)`` sorted by name: what a move ships and a
+    checkpoint keeps.  A declared variable not yet installed (its
+    ``set*`` has not run) is left out."""
+    types = state_types(records)
+    if not types:
+        return ()
+    storage = records[0].state_storage()
+    return tuple(
+        (var, codec_for(t).encode(conform(t, storage[var])))
+        for var, t in sorted(types.items())
+        if var in storage
+    )
 
 
 def new_instance_record(

@@ -26,17 +26,26 @@ from enum import Enum
 from typing import Dict, Optional, Tuple
 
 from ..machines.host import Machine
+from ..network.clock import Timeline
 from ..uts.compiled import codec_for
 from ..uts.types import Signature
-from ..uts.values import conform
 from .errors import (
     DuplicateName,
     InstanceGone,
     ManagerError,
     MigrationError,
     NameNotFound,
+    SchoonerError,
 )
-from .lines import InstanceRecord, Line, LineState, new_instance_record
+from .lines import (
+    InstanceRecord,
+    Line,
+    LineState,
+    declared_state,
+    new_instance_record,
+    rebind_names,
+    state_types,
+)
 from .procedure import Executable, Procedure
 from .runtime import SchoonerEnvironment, check_import
 from .server import SchoonerServer
@@ -67,19 +76,7 @@ class SharedRegistry:
         return self._names.get(name)
 
     def rebind(self, record: InstanceRecord) -> None:
-        from .errors import StaleRebind
-
-        synonyms = record.procedure.synonyms()
-        for name in synonyms:
-            cur = self._names.get(name)
-            if cur is not None and cur.generation > record.generation:
-                raise StaleRebind(
-                    f"shared rebind of {name!r} at generation "
-                    f"{record.generation} would clobber generation "
-                    f"{cur.generation}"
-                )
-        for name in synonyms:
-            self._names[name] = record
+        rebind_names(self._names, record, "shared rebind")
 
     def unbind(self, record: InstanceRecord) -> None:
         for name in list(self._names):
@@ -226,7 +223,8 @@ class Manager:
 
     # -- shutdown ---------------------------------------------------------------
     def quit_line(self, line: Line) -> None:
-        """``sch_i_quit``: terminate one line's remote procedures.
+        """``sch_i_quit``, and an error in any procedure of the line
+        (same scope): terminate one line's remote procedures.
 
         Under the lines model "the Manager terminates only the remote
         procedures within the affected line."  Under the original model
@@ -248,10 +246,6 @@ class Manager:
             server = self.server_for(proc.machine)
             server.stop_process(proc, requester=self.host, timeline=line.timeline)
         line.state = LineState.TERMINATED
-
-    def line_error(self, line: Line) -> None:
-        """An error in any procedure of a line: same scope as quit."""
-        self.quit_line(line)
 
     def stop_shared(self, record: InstanceRecord) -> None:
         self._shared.unbind(record)
@@ -276,7 +270,7 @@ class Manager:
         self.shutdown_all()
         self.running = False
 
-    # -- migration (§4.2) ---------------------------------------------------------
+    # -- migration (§4.2) and restart --------------------------------------------
     def move(
         self,
         line: Line,
@@ -295,10 +289,10 @@ class Manager:
         ``state_spec`` (the planned UTS extension); their listed state
         variables are UTS-encoded and shipped to the new process.
 
-        Moving a procedure relocates its hosting *process*, so any
-        co-resident procedures of the same line (an executable's
-        set/compute pair shares one process) move with it and keep
-        sharing state at the destination.
+        Moving a procedure relocates its hosting *process*, so every
+        record that process hosts (an executable's set/compute pair
+        shares one process) moves with it — the line's and the shared
+        registry's — and keeps sharing state at the destination.
         """
         self.require_running()
         line.require_active()
@@ -308,78 +302,72 @@ class Manager:
                 f"cannot move {name!r}: its hosting process on "
                 f"{old.machine.hostname} is no longer running"
             )
-        proc_def = old.procedure
-        path = target_path or old.path
-
-        # every record of this line hosted by the same process moves too
-        comoving = [r for r in line.records if r.process is old.process]
-        if not comoving:
-            comoving = [old]
-
-        state_payload: Dict = {}
-        state_bytes = 0
-        for rec in comoving:
-            rdef = rec.procedure
-            if rdef.stateless:
-                continue
-            if rdef.state_spec is None:
+        hosted = self._hosted(line, old)
+        for rec, _ in hosted:
+            if not rec.procedure.stateless and rec.procedure.state_spec is None:
                 raise MigrationError(
-                    f"{rdef.name!r} is stateful and has no state-transfer "
+                    f"{rec.procedure.name!r} is stateful and has no state-transfer "
                     f"specification; it cannot be moved"
                 )
-            storage = rec.state_storage()
-            for var, var_type in rdef.state_spec.items():
-                if var in storage:
-                    value = conform(var_type, storage[var])
-                    state_payload[var] = value
-                    state_bytes += len(codec_for(var_type).encode(value))
-
-        # shutdown message to the original process
-        old_server = self.server_for(old.machine)
-        shared_rec = self._shared.lookup(name)
-        shared = shared_rec is not None and shared_rec.instance_id == old.instance_id
-        if old.process.alive:
-            old_server.stop_process(old.process, requester=self.host, timeline=line.timeline)
-
-        # start the new copy
-        new_server = self.server_for(target_machine)
+        state = declared_state([rec for rec, _ in hosted])
+        self.server_for(old.machine).stop_process(
+            old.process, requester=self.host, timeline=line.timeline
+        )
         try:
-            new_proc = new_server.start_process(path, requester=self.host, timeline=line.timeline)
+            new_records = self.restart(
+                line, old, target_machine, target_path or old.path, state,
+                source=old.machine, kind=f"state:{name}", timeline=line.timeline,
+            )
         except ManagerError as exc:
             raise MigrationError(f"cannot start {name!r} on {target_machine.hostname}: {exc}") from exc
-        new_exec: Executable = new_proc.payload
+        return new_records[[rec.instance_id for rec, _ in hosted].index(old.instance_id)]
 
-        result: InstanceRecord = None  # type: ignore[assignment]
+    def _hosted(self, line: Line, old: InstanceRecord):
+        """Every record ``old``'s process hosts, each with the database
+        that binds it (``line`` or the shared registry), by procedure
+        name."""
+        hosted = [(r, line) for r in line.records if r.process is old.process]
+        hosted += [(r, self._shared) for r in self._shared.records if r.process is old.process]
+        return sorted(hosted or [(old, line)], key=lambda h: h[0].procedure.name)
+
+    def restart(self, line: Line, old: InstanceRecord, target: Machine, path: str,
+                state: Tuple[Tuple[str, bytes], ...], source: Machine, kind: str,
+                timeline: Timeline) -> Tuple[InstanceRecord, ...]:
+        """The one way an instance comes back on a new process, for a
+        move (``state`` is the live process's) and a failover (the
+        latest checkpoint's).
+
+        Starts ``path`` on ``target``, rebuilds every record the old
+        process hosted at generation + 1, ships ``state`` — ``(var, UTS
+        wire bytes)`` pairs — from ``source`` in one ``kind`` message,
+        installs the decoded values, and rebinds each record in the
+        database that held it.  Returns the new records by procedure
+        name."""
+        hosted = self._hosted(line, old)
+        proc = self.server_for(target).start_process(
+            path, requester=self.host, timeline=timeline
+        )
         new_records = []
-        for rec in comoving:
+        for rec, _ in hosted:
             try:
-                new_def = new_exec.procedure_named(rec.procedure.name)
-            except Exception as exc:
+                new_def = proc.payload.procedure_named(rec.procedure.name)
+            except SchoonerError as exc:
                 raise MigrationError(str(exc)) from exc
-            new_rec = new_instance_record(
-                new_def, new_proc, target_machine, path, generation=rec.generation + 1
-            )
-            new_records.append(new_rec)
-            if rec.instance_id == old.instance_id:
-                result = new_rec
-
-        # ship the state variables (one transfer message for the process)
-        if state_payload:
+            new_records.append(new_instance_record(
+                new_def, proc, target, path, generation=rec.generation + 1
+            ))
+        if state:
             self.env.transport.send(
-                old.machine,
-                target_machine,
-                f"state:{name}",
-                None,
-                state_bytes,
-                timeline=line.timeline,
+                source, target, kind, None, sum(len(b) for _, b in state),
+                timeline=timeline,
             )
-            new_records[0].state_storage().update(state_payload)
-
-        # update the mapping tables; stale client caches self-correct on
-        # their next (failing) call to the old location
-        for new_rec in new_records:
-            if shared:
-                self._shared.rebind(new_rec)
-            else:
-                line.rebind(new_rec)
-        return result
+            types = state_types(new_records)
+            storage = new_records[0].state_storage()
+            for var, blob in state:
+                if var in types:
+                    storage[var] = codec_for(types[var]).decode(blob)[0]
+        # stale client caches self-correct on their next (failing) call
+        # to the old location
+        for (_, names), new in zip(hosted, new_records):
+            names.rebind(new)
+        return tuple(new_records)

@@ -92,9 +92,6 @@ class Procedure:
                 f"procedure name {self.name!r} does not match its "
                 f"signature name {self.signature.name!r}"
             )
-        if not self.stateless and self.state_spec is None:
-            # allowed: such a procedure simply cannot be migrated
-            pass
         # derived once: every bind of every line asks for them
         object.__setattr__(self, "_synonyms", name_synonyms(self.name, self.language))
 

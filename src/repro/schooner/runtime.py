@@ -176,10 +176,6 @@ class SchoonerEnvironment:
     breakers: Optional[BreakerBoard] = None
     retry_budget: Optional[RetryBudget] = None
     deadline: Optional[Deadline] = None
-    #: cold restarts of remote processes that died under us (no
-    #: supervisor recovery, no failed call to witness it) — the serving
-    #: layer's last-resort signal that chaos touched a session
-    unplanned_restarts: int = 0
 
     @classmethod
     def standard(cls, **kw) -> "SchoonerEnvironment":

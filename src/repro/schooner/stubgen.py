@@ -44,7 +44,7 @@ from ..uts.types import (
     UTSType,
 )
 from ..uts.values import INT64_MAX, INT64_MIN, conform_args, conformer_for
-from .errors import CallFailed, StaleBinding
+from .errors import CallFailed, StaleBinding, StateLost
 from .procedure import STATE_ARG, TIMELINE_ARG
 
 __all__ = ["CallStubs", "call_stubs"]
@@ -168,6 +168,7 @@ class _Source:
             "_UTSConversionError": UTSConversionError,
             "_StaleBinding": StaleBinding,
             "_CallFailed": CallFailed,
+            "_StateLost": StateLost,
             "_conform_args": conform_args,
             "_frexp": math.frexp,
             "_ldexp": math.ldexp,
@@ -367,6 +368,10 @@ def _compile_call(sig: Signature, caller_fmt: NativeFormat, callee_fmt: NativeFo
         call = "**kwargs"
     src.emit(1, "try:")
     src.emit(2, f"raw = record.procedure.impl({call})")
+    if wants_state:
+        # a declared variable nothing installed: typed, not wrapped
+        src.emit(1, "except _StateLost as exc:")
+        src.emit(2, f"raise _StateLost({sig.name + ': '!r} + str(exc)) from None")
     src.emit(1, "except Exception as exc:")
     src.emit(2, "raise _CallFailed(_raised + repr(exc)) from exc")
     src.emit(1, "return raw, recv")

@@ -341,7 +341,7 @@ class ClientStub:
             # the paper's error semantics: "when ... an error occurs,
             # the Manager terminates only the remote procedures within
             # the affected line"
-            self.manager.line_error(self.line)
+            self.manager.quit_line(self.line)
             self.invalidate()
             raise
 

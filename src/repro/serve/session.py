@@ -515,12 +515,6 @@ class SessionContext:
             self.supervisor.recoveries or self.supervisor.dead_hosts
         ):
             impacted = True
-        # ... and a non-resilient session whose process died (e.g. a
-        # co-resident's crash event on the shared park) is silently
-        # cold-restarted by the placement prologue — the environment
-        # counts those unplanned restarts
-        if self.env is not None and self.env.unplanned_restarts:
-            impacted = True
         deadline_met: Optional[bool] = None
         if self.spec.deadline_s is not None:
             deadline_met = (self.wait_s + record.virtual_s) <= self.spec.deadline_s

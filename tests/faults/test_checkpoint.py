@@ -1,10 +1,10 @@
 """Checkpoint and migration bytes against the interpretive wire oracle.
 
 A stateful procedure on the Cray keeps one state variable of every UTS
-kind.  ``CheckpointStore.take`` and ``Manager.migrate`` encode that state
+kind.  ``CheckpointStore.take`` and ``Manager.move`` encode that state
 with the runtime's compiled codec; the bytes must be the oracle's
-``encode_value(t, conform(t, v))`` exactly, and ``restore`` must hand
-back bit-identical conformed values.
+``encode_value(t, conform(t, v))`` exactly, and ``Manager.restart`` must
+install bit-identical conformed values.
 """
 
 import copy
@@ -104,17 +104,21 @@ class TestCheckpointBytes:
         assert [var for var, _ in checkpoint.blobs] == sorted(STATE_SPEC)
         for var, blob in checkpoint.blobs:
             assert blob == expected_blob(var), var
-        assert checkpoint.nbytes == sum(len(expected_blob(v)) for v in STATE_SPEC)
 
     def test_restore_returns_the_conformed_values(self, filled):
         ctx = filled
         store = CheckpointStore()
         store.take(ctx.line, now=0.0)
         checkpoint = store.latest(ctx.line.line_id, PATH)
-        record = ctx.manager.lookup(ctx.line, "fill")
-        storage = record.state_storage()
-        storage.clear()
-        assert store.restore(checkpoint, [record]) == len(STATE_SPEC)
+        old = ctx.manager.lookup(ctx.line, "fill")
+        (new,) = ctx.manager.restart(
+            ctx.line, old, ctx.machine, PATH, checkpoint.blobs,
+            source=ctx.manager.host, kind=f"restore:{PATH}",
+            timeline=ctx.line.timeline,
+        )
+        assert new.generation == old.generation + 1
+        storage = new.state_storage()
+        assert sorted(storage) == sorted(STATE_SPEC)
         for var, t in STATE_SPEC.items():
             assert identical(t, storage[var], conform(t, STATE[var])), var
 

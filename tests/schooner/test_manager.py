@@ -5,6 +5,7 @@ import pytest
 
 from repro.machines import Language, ProcessState
 from repro.schooner import (
+    CallFailed,
     DuplicateName,
     Executable,
     LineState,
@@ -12,13 +13,14 @@ from repro.schooner import (
     Manager,
     ManagerError,
     ManagerMode,
+    ModuleContext,
     NameNotFound,
     Procedure,
     TypeCheckError,
 )
 from repro.uts import INTEGER, ParamMode, Parameter, Signature, SpecFile
 
-from .conftest import SHAFT_PATH, SHAFT_SPEC
+from .conftest import SHAFT_ARGS, SHAFT_PATH, SHAFT_SPEC
 
 
 class TestContactProtocol:
@@ -145,13 +147,17 @@ class TestLinesShutdown:
         with pytest.raises(LineTerminated):
             manager.start_remote(line, env.park["lerc-rs6000"], SHAFT_PATH)
 
-    def test_error_in_line_same_scope_as_quit(self, manager, env):
-        la = manager.contact("a", env.park["ua-sparc10"])
-        lb = manager.contact("b", env.park["ua-sparc10"])
-        manager.start_remote(la, env.park["lerc-rs6000"], SHAFT_PATH)
-        rb = manager.start_remote(lb, env.park["lerc-cray"], SHAFT_PATH)
-        manager.line_error(la)
-        assert la.state is LineState.TERMINATED
+    def test_error_in_line_same_scope_as_quit(self, manager, env, shaft_import_spec):
+        home = env.park["ua-sparc10"]
+        a = ModuleContext(manager=manager, module_name="a", machine=home)
+        b = ModuleContext(manager=manager, module_name="b", machine=home)
+        (ra, _) = a.sch_contact_schx("lerc-rs6000", SHAFT_PATH)
+        rb = b.sch_contact_schx("lerc-cray", SHAFT_PATH)
+        ra.machine.crash_process(ra.process.pid)
+        with pytest.raises(CallFailed):
+            a.import_proc(shaft_import_spec.import_named("shaft"))(**SHAFT_ARGS)
+        # the call's StaleBinding terminated line a, and line a alone
+        assert a._line.state is LineState.TERMINATED
         assert all(r.alive for r in rb)
 
     def test_manager_handles_multiple_runs(self, manager, env):

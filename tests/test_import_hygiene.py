@@ -108,6 +108,9 @@ GONE_NAMES = {
                                "render_c_header", "render_fortran_interface"),
     "repro.traffic": ("LognormalArrivals", "TraceArrivals"),
     "repro.traffic.arrivals": ("LognormalArrivals", "TraceArrivals"),
+    # checkpoints encode with the one snapshot encoder
+    # (repro.schooner.lines.declared_state)
+    "repro.faults.checkpoint": ("_state_types",),
 }
 
 GONE_ATTRIBUTES = {
@@ -132,7 +135,7 @@ GONE_ATTRIBUTES = {
     ("repro.schooner.runtime", "CallerContext"): ("now",),
     ("repro.schooner.runtime", "CallBatch"): ("finished_at",),
     ("repro.schooner.api", "ModuleContext"): ("connected",),
-    ("repro.schooner", "Manager"): ("call", "servers", "line"),
+    ("repro.schooner", "Manager"): ("call", "servers", "line", "line_error"),
     ("repro.serve.installation", "WorkloadCache"): ("peek",),
     ("repro.serve.opcache", "OpPointCache"): ("peek", "families"),
     ("repro.serve.session", "SessionResult"): ("degraded", "started_s"),
@@ -142,6 +145,12 @@ GONE_ATTRIBUTES = {
     ("repro.machines.registry", "MachinePark"): ("at_site",),
     ("repro.parallel.pvm", "ScatterGatherResult"): ("slowest_worker",),
     ("repro.parallel.pvm", "PVMachine"): ("tasks", "halt"),
+    # one restart path (Manager.restart): no cold restart without a
+    # supervisor, so nothing counts one; restoring is the restart's
+    ("repro.schooner.runtime", "SchoonerEnvironment"): ("unplanned_restarts",),
+    ("repro.faults.checkpoint", "CheckpointStore"): ("restore",),
+    ("repro.faults.checkpoint", "Checkpoint"): ("nbytes",),
+    ("repro.faults", "FailoverSupervisor"): ("__enter__", "__exit__"),
     ("repro.solvers.base", "ODEResult"): ("at",),
     ("repro.tess.gas", "GasState"): ("as_dict", "from_dict"),
     ("repro.tess.schedules", "Schedule"): ("shifted", "scaled"),
