@@ -317,18 +317,14 @@ class NPSSExecutive:
         return self.scheduler.execute_all()
 
     # ----------------------------------------------------- resilient running
-    def run_resilient(
-        self,
-        plan=None,
-        checkpoint_interval_s: float = 1.0,
-    ) -> OperatingPoint:
+    def run_resilient(self, plan=None) -> OperatingPoint:
         """:meth:`run_simulation` under failure detection and failover.
 
         A :class:`~repro.faults.FailoverSupervisor` is attached to the
-        Manager for the duration of the run: stateful remote instances
-        are checkpointed every ``checkpoint_interval_s`` virtual
-        seconds, dead hosts are detected by heartbeat or failed call,
-        and crashed instances restart on surviving machines with their
+        Manager for the duration of the run: a stateful remote
+        instance is checkpointed whenever its declared state changes,
+        dead hosts are detected by heartbeat or failed call, and
+        crashed instances restart on surviving machines with their
         checkpointed state — so the run completes even when ``plan``
         (a :class:`~repro.faults.FaultPlan`, applied by an injector for
         the duration) kills a component's host mid-transient.
@@ -339,10 +335,7 @@ class NPSSExecutive:
         """
         from ..faults import FailoverSupervisor, FaultInjector
 
-        self.supervisor = FailoverSupervisor(
-            manager=self.manager,
-            checkpoint_interval_s=checkpoint_interval_s,
-        )
+        self.supervisor = FailoverSupervisor(manager=self.manager)
         self.injector = FaultInjector(env=self.env, plan=plan) if plan is not None else None
         self.supervisor.attach()
         if self.injector is not None:

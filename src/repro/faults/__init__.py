@@ -5,8 +5,9 @@ hosts died and links failed; this package makes those failures *part of
 the simulation*.  A :class:`FaultPlan` schedules seeded failure events
 on the virtual clock; a :class:`FaultInjector` applies them to the
 network and machine layers; and a :class:`FailoverSupervisor` gives the
-Schooner Manager failure detection (heartbeats), periodic UTS-encoded
-checkpoints of stateful procedures, and automatic failover of crashed
+Schooner Manager failure detection (heartbeats), UTS-encoded
+checkpoints of a stateful procedure's declared state whenever it
+changes, and automatic failover of crashed
 instances onto surviving machines — layered on the same
 generation-bumped rebind machinery that §4.2 migration uses.
 

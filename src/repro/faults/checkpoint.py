@@ -15,16 +15,22 @@ Neither applies the destination's native format to them, so a restored
 or moved variable is exactly the conformed value that was saved.
 Whether arriving state should take the destination's native format, as
 an RPC argument does, is decided at that one site.
+
+When to take one is the supervisor's: at the first clock tick after a
+process's declared state changed (:mod:`repro.faults.recovery`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
-from ..schooner.lines import Line, declared_state
+from ..schooner.lines import InstanceRecord, declared_state
 
-__all__ = ["Checkpoint", "CheckpointStore"]
+__all__ = ["Checkpoint", "CheckpointStore", "SHARED"]
+
+#: the ``line_id`` of a shared instance's checkpoints (no line binds it)
+SHARED = "shared"
 
 
 @dataclass(frozen=True)
@@ -39,34 +45,22 @@ class Checkpoint:
 
 @dataclass
 class CheckpointStore:
-    """Latest checkpoint per ``(line_id, executable path)``."""
+    """Latest checkpoint per ``(line_id, executable path)``; ``taken``
+    counts the snapshots written."""
 
     _latest: Dict[Tuple[str, str], Checkpoint] = field(default_factory=dict)
     taken: int = 0
 
-    def take(self, line: Line, now: float) -> int:
-        """Checkpoint every live stateful executable instance of a line;
-        returns the number of snapshots written."""
-        wrote = 0
-        by_process: Dict[int, list] = {}
-        for record in line.records:
-            by_process.setdefault(id(record.process), []).append(record)
-        for records in by_process.values():
-            record = records[0]
-            if not record.process.alive:
-                continue
-            blobs = declared_state(records)
-            if not blobs:
-                continue  # stateless, or set* has not run yet: nothing to save
-            self._latest[(line.line_id, record.path)] = Checkpoint(
-                line_id=line.line_id,
-                path=record.path,
-                taken_at=now,
-                blobs=blobs,
-            )
+    def take(self, line_id: str, records: Sequence[InstanceRecord], now: float) -> None:
+        """Checkpoint the declared state of the process hosting
+        ``records``, as bound in ``line_id``'s database (or
+        :data:`SHARED`'s).  A process with nothing declared installed
+        (stateless, or ``set*`` has not run) leaves the store as it is."""
+        blobs = declared_state(records)
+        if blobs:
+            path = records[0].path
+            self._latest[(line_id, path)] = Checkpoint(line_id, path, now, blobs)
             self.taken += 1
-            wrote += 1
-        return wrote
 
     def latest(self, line_id: str, path: str):
         return self._latest.get((line_id, path))

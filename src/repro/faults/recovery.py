@@ -1,12 +1,17 @@
 """Failure detection and checkpointed failover.
 
 The :class:`FailoverSupervisor` is the Manager's recovery sidecar.  It
-watches the simulation's virtual clock and, at fixed intervals,
+watches the simulation's virtual clock and, on each tick,
 
-* **heartbeats** every machine hosting a live instance, marking hosts
-  that stopped answering as dead (Schooner's Manager-driven detection);
-* **checkpoints** every stateful executable instance's state variables
-  in UTS wire form (see :mod:`repro.faults.checkpoint`).
+* **heartbeats** every machine hosting an instance, at fixed
+  :data:`HEARTBEAT_INTERVAL_S` grid points, marking hosts that stopped
+  answering as dead (Schooner's Manager-driven detection);
+* **checkpoints** every live process whose declared state changed since
+  its last checkpoint, in UTS wire form (see
+  :mod:`repro.faults.checkpoint`).  A process's state counts its
+  writes, and a tick after which no state was written walks nothing.
+
+Both walk every active line's records and the shared registry's.
 
 When a client stub or ``sch_contact_schx`` resolves a binding to a dead
 instance, the supervisor's :meth:`~FailoverSupervisor.recover` restarts
@@ -26,15 +31,18 @@ so two replays of the same seeded run serialize identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..network.clock import Timeline
 from ..schooner.errors import HostDown
-from ..schooner.lines import InstanceRecord, Line
+from ..schooner.lines import InstanceRecord, Line, _ProcessState
 from ..schooner.manager import Manager
-from .checkpoint import CheckpointStore
+from .checkpoint import SHARED, CheckpointStore
 
 __all__ = ["FailoverSupervisor", "RecoveryEvent"]
+
+#: virtual seconds between two heartbeat sweeps
+HEARTBEAT_INTERVAL_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -55,15 +63,14 @@ class FailoverSupervisor:
     """Manager-driven failure detection, checkpointing, and failover."""
 
     manager: Manager
-    heartbeat_interval_s: float = 0.5
-    checkpoint_interval_s: float = 1.0
     store: CheckpointStore = field(default_factory=CheckpointStore)
     events: List[RecoveryEvent] = field(default_factory=list)
     dead_hosts: Set[str] = field(default_factory=set)
     recoveries: int = 0
-    heartbeats: int = 0
     _last_heartbeat_at: float = 0.0
-    _last_checkpoint_at: float = 0.0
+    # checkpoint key -> (state dict, its writes) at its last checkpoint
+    _saved: Dict[Tuple[str, str], tuple] = field(default_factory=dict)
+    _walked_at_writes: int = -1  # _ProcessState.all_writes at the last walk
     _attached: bool = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -88,58 +95,56 @@ class FailoverSupervisor:
 
     # -- periodic sweeps -------------------------------------------------------
     def _on_tick(self, now: float) -> None:
-        # fixed grid points, so sweep times are independent of how the
-        # clock happened to advance (and therefore replay-identical)
-        while self._last_heartbeat_at + self.heartbeat_interval_s <= now:
-            self._last_heartbeat_at += self.heartbeat_interval_s
+        # heartbeats at fixed grid points, so sweep times are independent
+        # of how the clock happened to advance (and therefore
+        # replay-identical)
+        while self._last_heartbeat_at + HEARTBEAT_INTERVAL_S <= now:
+            self._last_heartbeat_at += HEARTBEAT_INTERVAL_S
             self._heartbeat_sweep(self._last_heartbeat_at)
-        while self._last_checkpoint_at + self.checkpoint_interval_s <= now:
-            self._last_checkpoint_at += self.checkpoint_interval_s
-            self._checkpoint_sweep(self._last_checkpoint_at)
-        # baseline checkpoints: a stateful instance is snapshotted as
-        # soon as its set* initialization has produced state, not only
-        # at the first grid point — a fast run can crash before the
-        # first grid sweep, and restarting without the initialization
-        # state would fail
-        for line in sorted(self.manager.active_lines, key=lambda l: l.line_id):
-            if any(
-                r.procedure.state_spec
-                and self.store.latest(line.line_id, r.path) is None
-                for r in line.records
-            ):
-                self.store.take(line, now=now)
+        # a process is checkpointed at the first tick after its declared
+        # state changed, and at no other time; with no write anywhere
+        # since the last walk, nothing changed
+        if _ProcessState.all_writes == self._walked_at_writes:
+            return
+        self._walked_at_writes = _ProcessState.all_writes
+        for line_id, records in self._databases():
+            for record in records:
+                if not record.procedure.state_spec:
+                    continue
+                state = record.state_storage()
+                key = (line_id, record.path)
+                saved = self._saved.get(key, (state, 0))
+                if saved[0] is state and saved[1] == state.writes:
+                    continue
+                if record.process.alive:
+                    self._saved[key] = (state, state.writes)
+                    hosted = [r for r in records if r.process is record.process]
+                    self.store.take(line_id, hosted, now)
 
-    def _monitored_machines(self):
-        seen = {}
+    def _databases(self):
+        """``(line_id, records)`` of each active line, then the shared
+        registry's as :data:`SHARED`: the set ``Manager._hosted`` reads."""
         for line in self.manager.active_lines:
-            for record in line.records:
-                seen[record.machine.hostname] = record.machine
-        return [seen[h] for h in sorted(seen)]
+            yield line.line_id, line.records
+        yield SHARED, self.manager._shared.records
 
     def _heartbeat_sweep(self, at: float) -> None:
-        """The Manager pings every Server host; a host that cannot
-        answer is marked dead.  (Heartbeat traffic is control-plane and
-        is not charged to any line's timeline — detection *latency* is
-        still modelled, as a host's death is only observed at the next
-        sweep.)"""
-        self.heartbeats += 1
-        for machine in self._monitored_machines():
-            if machine.hostname in self.dead_hosts:
-                continue
-            if not machine.up:
-                self.dead_hosts.add(machine.hostname)
-                self.events.append(
-                    RecoveryEvent(
-                        at_s=at,
-                        kind="host-dead",
-                        subject=machine.hostname,
-                        detail="missed heartbeat",
-                    )
-                )
+        """The Manager pings every host an instance runs on; a host that
+        cannot answer is marked dead.  (Heartbeat traffic is
+        control-plane and is not charged to any line's timeline —
+        detection *latency* is still modelled, as a host's death is only
+        observed at the next sweep.)"""
+        machines = {r.machine.hostname: r.machine
+                    for _, records in self._databases() for r in records}
+        for hostname in sorted(machines.keys() - self.dead_hosts):
+            if not machines[hostname].up:
+                self._mark_dead(hostname, at, "missed heartbeat")
 
-    def _checkpoint_sweep(self, at: float) -> None:
-        for line in sorted(self.manager.active_lines, key=lambda l: l.line_id):
-            self.store.take(line, now=at)
+    def _mark_dead(self, hostname: str, at: float, how: str) -> None:
+        self.dead_hosts.add(hostname)
+        self.events.append(
+            RecoveryEvent(at_s=at, kind="host-dead", subject=hostname, detail=how)
+        )
 
     # -- failover ---------------------------------------------------------------
     def _pick_target(self, record: InstanceRecord):
@@ -182,17 +187,10 @@ class FailoverSupervisor:
 
         if dead.hostname not in self.dead_hosts and not dead.up:
             # detection by failed call, ahead of the next heartbeat sweep
-            self.dead_hosts.add(dead.hostname)
-            self.events.append(
-                RecoveryEvent(
-                    at_s=tl.now,
-                    kind="host-dead",
-                    subject=dead.hostname,
-                    detail="failed call",
-                )
-            )
+            self._mark_dead(dead.hostname, tl.now, "failed call")
 
-        checkpoint = self.store.latest(line.line_id, record.path)
+        line_id = line.line_id if line.has_name(record.procedure.name) else SHARED
+        checkpoint = self.store.latest(line_id, record.path)
         target = self._pick_target(record)
         state = checkpoint.blobs if checkpoint is not None else ()
         new_records = self.manager.restart(

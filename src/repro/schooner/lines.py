@@ -34,12 +34,35 @@ _instance_ids = itertools.count(1)
 class _ProcessState(dict):
     """A process's state variables.  Reading one that nothing installed
     raises :class:`StateLost` rather than :class:`KeyError`, so a
-    procedure that reads ``_state[var]`` fails typed, naming the host."""
+    procedure that reads ``_state[var]`` fails typed, naming the host.
 
-    __slots__ = ("host",)
+    ``writes`` counts the calls of every mutator, so a checkpointer
+    sees that the state changed by comparing one integer;
+    ``all_writes`` counts them over every process's state, so a tick
+    after which nothing wrote needs no look at any process."""
+
+    __slots__ = ("host", "writes")
+    all_writes = 0
+
+    def __init__(self, host: str):
+        self.host = host
+        self.writes = 0
 
     def __missing__(self, var):
         raise StateLost(f"declared state {var!r} is not installed on {self.host}")
+
+
+def _counted(write):
+    def counted(self, *args, **kwargs):
+        self.writes += 1
+        _ProcessState.all_writes += 1
+        return write(self, *args, **kwargs)
+    return counted
+
+
+for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem",
+              "setdefault", "update"):
+    setattr(_ProcessState, _name, _counted(getattr(dict, _name)))
 
 
 @dataclass
@@ -73,8 +96,7 @@ class InstanceRecord:
         key = f"exe-state:{self.path}"
         state = self.process.memory.get(key)
         if state is None:
-            state = self.process.memory[key] = _ProcessState()
-            state.host = self.machine.hostname
+            state = self.process.memory[key] = _ProcessState(self.machine.hostname)
         return state
 
 

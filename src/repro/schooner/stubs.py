@@ -250,45 +250,35 @@ class ClientStub:
                         record, timeline, failed_over
                     )
                 try:
-                    try:
-                        out = execute_call(
-                            env,
-                            self.caller_machine,
-                            timeline,
-                            record,
-                            self.import_sig,
-                            args,
-                            retries=retries,
-                            failed_over=failed_over,
-                            dispatch=dispatch,
-                            trace_sink=trace_sink,
-                            deadline=deadline,
-                            plan=self._plan(record, env),
-                        )
-                    except StaleBinding:
-                        # cache-refresh-on-failed-call: fetch the new
-                        # location and retry once at the new binding
-                        self.failovers += 1
-                        record, moved = self._refresh(record, timeline)
-                        failed_over = failed_over or moved
-                        if breaker is not None:
-                            breaker = env.breakers.lease(
-                                self.name, record.machine.hostname
+                    for stale_retry in (False, True):
+                        try:
+                            out = execute_call(
+                                env,
+                                self.caller_machine,
+                                timeline,
+                                record,
+                                self.import_sig,
+                                args,
+                                retries=retries,
+                                failed_over=failed_over,
+                                dispatch=dispatch,
+                                trace_sink=trace_sink,
+                                deadline=deadline,
+                                plan=self._plan(record, env),
                             )
-                        out = execute_call(
-                            env,
-                            self.caller_machine,
-                            timeline,
-                            record,
-                            self.import_sig,
-                            args,
-                            retries=retries,
-                            failed_over=failed_over,
-                            dispatch=dispatch,
-                            trace_sink=trace_sink,
-                            deadline=deadline,
-                            plan=self._plan(record, env),
-                        )
+                            break
+                        except StaleBinding:
+                            if stale_retry:
+                                raise
+                            # cache-refresh-on-failed-call: fetch the new
+                            # location and retry once at the new binding
+                            self.failovers += 1
+                            record, moved = self._refresh(record, timeline)
+                            failed_over = failed_over or moved
+                            if breaker is not None:
+                                breaker = env.breakers.lease(
+                                    self.name, record.machine.hostname
+                                )
                     if breaker is not None:
                         breaker.record_success(timeline.now)
                     if budget is not None:

@@ -52,8 +52,6 @@ class TrafficClass:
     transient_fraction: float = 0.0
     transient_s: float = 0.2
     priority: int = 0
-    resilient: bool = False
-    op_cache: bool = False
     retry_on_shed: int = 0
     retry_backoff_s: float = 4.0
 
@@ -80,8 +78,6 @@ class TrafficClass:
             transient_s=transient_s,
             deadline_s=deadline,
             priority=self.priority,
-            resilient=self.resilient,
-            op_cache=self.op_cache,
             traffic_class=self.name,
         )
 

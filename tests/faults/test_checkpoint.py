@@ -99,7 +99,8 @@ class TestCheckpointBytes:
     def test_blobs_are_the_oracles_bytes(self, filled):
         ctx = filled
         store = CheckpointStore()
-        assert store.take(ctx.line, now=0.0) == 1
+        store.take(ctx.line.line_id, ctx.line.records, now=0.0)
+        assert store.taken == 1
         checkpoint = store.latest(ctx.line.line_id, PATH)
         assert [var for var, _ in checkpoint.blobs] == sorted(STATE_SPEC)
         for var, blob in checkpoint.blobs:
@@ -108,7 +109,7 @@ class TestCheckpointBytes:
     def test_restore_returns_the_conformed_values(self, filled):
         ctx = filled
         store = CheckpointStore()
-        store.take(ctx.line, now=0.0)
+        store.take(ctx.line.line_id, ctx.line.records, now=0.0)
         checkpoint = store.latest(ctx.line.line_id, PATH)
         old = ctx.manager.lookup(ctx.line, "fill")
         (new,) = ctx.manager.restart(

@@ -2,8 +2,9 @@
 
 A seeded plan kills the machine hosting the F100 nozzle halfway through
 a transient; the run must still complete, with the post-recovery
-operating points matching the fault-free run within checkpoint-interval
-tolerance, and a byte-identical trace digest on replay.
+operating points matching the fault-free run (the checkpoint holds the
+declared state ``setnozl`` installed, which nothing changes afterwards),
+and a byte-identical trace digest on replay.
 
 These run the real executive, so they are the slow end of the suite
 (a few seconds); the cheap unit coverage lives in
@@ -12,13 +13,25 @@ These run the real executive, so they are the slow end of the suite
 
 import pytest
 
+from repro.core import REMOTE_PATHS, install_tess_executables
+from repro.core.specs import DUCT_SPEC_SOURCE
+from repro.faults import FailoverSupervisor
 from repro.faults.demo import DOOMED_HOST, demo_records, run_demo
+from repro.schooner import Manager, ManagerMode, ModuleContext, SchoonerEnvironment
 from repro.schooner.tracing import trace_digest
+from repro.uts import SpecFile, codec_for
+
+DUCT = SpecFile.parse(DUCT_SPEC_SOURCE).as_imports()
 
 
 def recoveries(result):
     """The demo's failure log, as its ``recovery`` records."""
     return [r for r in demo_records(result) if r["record"] == "recovery"]
+
+
+def checkpoint_time(failover):
+    """The virtual instant of the checkpoint a failover event restored."""
+    return float(failover.detail.rsplit("@ ", 1)[1].rstrip("s"))
 
 
 @pytest.fixture(scope="module")
@@ -47,20 +60,55 @@ class TestAcceptance:
 
     def test_state_restored_from_checkpoint(self, machine_crash):
         ex = machine_crash["executive"]
-        assert ex.supervisor.store.taken > 0
         (fo,) = [e for e in ex.supervisor.events if e.kind == "failover"]
-        assert "from checkpoint" in fo.detail
+        assert "2 state vars from checkpoint" in fo.detail
         crash_at = machine_crash["injections"][0][0]
-        # the restored snapshot predates the crash by at most one
-        # checkpoint interval
-        checkpoints = list(ex.supervisor.store._latest.values())
-        assert checkpoints, "no checkpoint retained"
-        assert any(blob for c in checkpoints for _, blob in c.blobs)
+        assert checkpoint_time(fo) < crash_at
+        # the restarted nozzle holds what setnozl installed in the
+        # fault-free run, and so does the checkpoint taken of it
+        (line,) = ex.manager.active_lines
+        record = ex.manager.lookup(line, "nozl")
+        assert record.machine.hostname != DOOMED_HOST
+        (ref_line,) = machine_crash["reference"].manager.active_lines
+        installed = dict(ref_line.records[0].state_storage())
+        assert sorted(installed) == ["area", "cd"]
+        assert dict(record.state_storage()) == installed
+        checkpoint = ex.supervisor.store.latest(line.line_id, record.path)
+        types = record.procedure.state_spec
+        decoded = {var: codec_for(types[var]).decode(blob)[0] for var, blob in checkpoint.blobs}
+        assert decoded == installed
 
     def test_traces_record_the_failover(self, machine_crash):
         ex = machine_crash["executive"]
         assert any(t.failed_over for t in ex.env.traces)
         assert all(t.outcome in ("ok", "timeout") for t in ex.env.traces)
+
+
+class TestTwoCrashes:
+    def test_second_restart_comes_back_with_the_declared_state(self):
+        env = SchoonerEnvironment.standard()
+        install_tess_executables(env.park)
+        manager = Manager(env=env, host=env.park["ua-sparc10"], mode=ManagerMode.LINES)
+        supervisor = FailoverSupervisor(manager=manager)
+        supervisor.attach()
+        ctx = ModuleContext(manager=manager, module_name="duct", machine=manager.host)
+        ctx.sch_contact_schx("lerc-cray", REMOTE_PATHS["duct"])
+        ctx.import_proc(DUCT.import_named("setduct"))(dpqp=0.02)
+        duct = ctx.import_proc(DUCT.import_named("duct"))
+        crashed_at = []
+        for _ in range(2):
+            env.clock.advance(0.01)  # one tick: the (restored) state is saved
+            dead = manager.lookup(ctx.line, "duct")
+            dead.machine.crash_process(dead.process.pid)
+            crashed_at.append(env.clock.now)
+            out = duct(w=100.0, tt=300.0, pt=2e5, far=0.0)
+            assert out["pto"] == pytest.approx(2e5 * (1 - 0.02), rel=1e-12)
+        first, second = [e for e in supervisor.events if e.kind == "failover"]
+        assert "1 state vars from checkpoint" in first.detail
+        assert "1 state vars from checkpoint" in second.detail
+        # the second restart restored the restarted process's checkpoint
+        assert checkpoint_time(first) < crashed_at[0]
+        assert crashed_at[0] < checkpoint_time(second) < crashed_at[1]
 
 
 class TestDeterminism:

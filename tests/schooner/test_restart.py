@@ -13,6 +13,7 @@ import pytest
 from repro.core import REMOTE_PATHS, install_tess_executables
 from repro.core.specs import DUCT_SPEC_SOURCE, SHAFT_SPEC_SOURCE
 from repro.faults import CheckpointStore, CrashProcess, FailoverSupervisor, FaultPlan
+from repro.faults.recovery import HEARTBEAT_INTERVAL_S
 from repro.schooner import (
     CallFailed,
     InstanceGone,
@@ -22,6 +23,7 @@ from repro.schooner import (
     SchoonerEnvironment,
     StateLost,
 )
+from repro.schooner.lines import _ProcessState
 from repro.serve import SessionSpec, serve_sessions
 from repro.serve.installation import SharedInstallation
 from repro.uts import SpecFile
@@ -84,6 +86,58 @@ class TestSharedInstances:
         # and it stays shared: no line got a private binding
         assert not requester.line.has_name("duct")
 
+    def test_failover_of_shared_duct_restores_its_checkpoint(self, world):
+        env, manager = world
+        manager.start_shared(env.park["lerc-cray"], REMOTE_PATHS["duct"])
+        supervisor = FailoverSupervisor(manager=manager)
+        supervisor.attach()
+        setter, caller = context(manager, "a"), context(manager, "b")
+        setter.import_proc(DUCT.import_named("setduct"))(dpqp=0.02)
+        env.clock.advance(0.01)  # one tick: the changed state is saved
+        assert supervisor.store.taken == 1
+        env.clock.advance(2.0)  # unchanged: no further checkpoint
+        assert supervisor.store.taken == 1
+        dead = manager.lookup(caller.line, "duct")
+        crash(dead)
+        out = caller.import_proc(DUCT.import_named("duct"))(**DUCT_ARGS)
+        assert out["pto"] == pytest.approx(2e5 * (1 - 0.02), rel=1e-12)
+        restarted = manager.lookup(caller.line, "duct")
+        assert restarted.process.alive and restarted.process is not dead.process
+        (failover,) = [e for e in supervisor.events if e.kind == "failover"]
+        assert "1 state vars from checkpoint" in failover.detail
+
+    def test_heartbeat_watches_a_host_running_only_shared_instances(self, world):
+        env, manager = world
+        cray = env.park["lerc-cray"]
+        manager.start_shared(cray, REMOTE_PATHS["duct"])
+        supervisor = FailoverSupervisor(manager=manager)
+        supervisor.attach()
+        cray.crash()
+        env.clock.advance(HEARTBEAT_INTERVAL_S + 0.01)  # no call is made
+        assert supervisor.dead_hosts == {cray.hostname}
+        (event,) = supervisor.events
+        assert (event.kind, event.subject, event.detail) == (
+            "host-dead", cray.hostname, "missed heartbeat"
+        )
+        assert event.at_s == HEARTBEAT_INTERVAL_S
+
+
+class TestStateWrites:
+    def test_every_mutator_counts_a_write(self):
+        state = _ProcessState("cray")
+        state["a"] = 1
+        state.update(b=2)
+        state.setdefault("c", 3)
+        state |= {"d": 4}
+        del state["d"]
+        state.pop("c")
+        state.popitem()
+        state.clear()
+        assert state.writes == 8
+        assert state == {}
+        assert state.get("a") is None and "a" not in state
+        assert state.writes == 8  # reads count nothing
+
 
 class TestStateLost:
     def test_supervisor_restart_without_checkpoint_fails_the_compute(self, world):
@@ -114,7 +168,7 @@ class TestStateLost:
     def test_session_error_names_state_lost(self, monkeypatch):
         # a resilient session whose supervisor never holds a checkpoint:
         # the restarted Cray duct has no dpqp
-        monkeypatch.setattr(CheckpointStore, "take", lambda self, line, now: 0)
+        monkeypatch.setattr(CheckpointStore, "take", lambda self, line_id, records, now: None)
         plan = FaultPlan(events=(CrashProcess(at_s=2.0, hostname="cray-ymp.lerc.nasa.gov"),))
         spec = SessionSpec(name="lost", points=(1.28,), resilient=True, fault_plan=plan)
         (result,) = serve_sessions(

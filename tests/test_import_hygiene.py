@@ -150,7 +150,16 @@ GONE_ATTRIBUTES = {
     ("repro.schooner.runtime", "SchoonerEnvironment"): ("unplanned_restarts",),
     ("repro.faults.checkpoint", "CheckpointStore"): ("restore",),
     ("repro.faults.checkpoint", "Checkpoint"): ("nbytes",),
-    ("repro.faults", "FailoverSupervisor"): ("__enter__", "__exit__"),
+    ("repro.faults", "FailoverSupervisor"): (
+        "__enter__", "__exit__",
+        # checkpoints follow declared-state writes, heartbeats a constant
+        "checkpoint_interval_s", "_last_checkpoint_at", "_checkpoint_sweep",
+        "heartbeat_interval_s", "_monitored_machines",
+        # a count nothing read
+        "heartbeats",
+    ),
+    # single-valued: no stock mix, CLI path or workload set them
+    ("repro.traffic", "TrafficClass"): ("resilient", "op_cache"),
     ("repro.solvers.base", "ODEResult"): ("at",),
     ("repro.tess.gas", "GasState"): ("as_dict", "from_dict"),
     ("repro.tess.schedules", "Schedule"): ("shifted", "scaled"),
@@ -161,7 +170,11 @@ GONE_ATTRIBUTES = {
 #: single-valued parameters that became constants
 GONE_PARAMETERS = {
     ("repro.traffic.driver", "settle_ledgers"): ("warmup_s",),
-    ("repro.core.executive", "NPSSExecutive.run_resilient"): ("heartbeat_interval_s",),
+    ("repro.core.executive", "NPSSExecutive.run_resilient"): (
+        "heartbeat_interval_s", "checkpoint_interval_s",
+    ),
+    # a checkpoint is of one process's records, not a line's
+    ("repro.faults.checkpoint", "CheckpointStore.take"): ("line",),
     ("repro.serve.opcache", "OpPointCache.lookup"): ("count",),
     # single-valued soak knobs: every soak deduplicates and solo-checks
     ("repro.resilience.soak", "SoakConfig"): ("dedup",),

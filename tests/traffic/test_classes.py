@@ -28,7 +28,6 @@ class TestSpecSampling:
             wf_max=1.40,
             deadline_range=(10.0, 20.0),
             priority=2,
-            resilient=True,
         )
         rng = random.Random(1)
         for i in range(50):
@@ -38,7 +37,6 @@ class TestSpecSampling:
             assert s.points[1] == pytest.approx(s.points[0] + cls.wf_step)
             assert 10.0 <= s.deadline_s <= 20.0
             assert s.priority == 2
-            assert s.resilient
             assert s.traffic_class == "t"
 
     def test_fuel_flows_snap_to_quantum(self):
