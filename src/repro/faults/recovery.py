@@ -50,12 +50,12 @@ class RecoveryEvent:
     """One detection or recovery action, for the run's failure log."""
 
     at_s: float
-    kind: str  # "host-dead" | "failover"
-    subject: str  # hostname, or the executable path that failed over
+    kind: str  # "host-dead" | "process-dead" | "failover"
+    subject: str  # hostname, or the executable path that died / failed over
     detail: str
 
     def describe(self) -> str:
-        return f"t={self.at_s:8.3f}s  {self.kind:<10} {self.subject}: {self.detail}"
+        return f"t={self.at_s:8.3f}s  {self.kind:<12} {self.subject}: {self.detail}"
 
 
 @dataclass
@@ -185,7 +185,14 @@ class FailoverSupervisor:
         tl = timeline if timeline is not None else env.clock.timeline("supervisor")
         dead = record.machine
 
-        if dead.hostname not in self.dead_hosts and not dead.up:
+        if dead.up:
+            # the process died on a live host: the failed call is the
+            # detection, and the host stays in service
+            self.events.append(RecoveryEvent(
+                at_s=tl.now, kind="process-dead", subject=record.path,
+                detail=f"failed call on {dead.hostname}",
+            ))
+        elif dead.hostname not in self.dead_hosts:
             # detection by failed call, ahead of the next heartbeat sweep
             self._mark_dead(dead.hostname, tl.now, "failed call")
 

@@ -100,14 +100,15 @@ class ScheduledEvent:
 class VirtualClock:
     """Global virtual time: the envelope of all timelines.
 
-    Subscribers (fault injectors, failure supervisors) are notified
-    whenever global time moves forward; a dispatch guard keeps a
-    subscriber that itself advances time (heartbeat messages, checkpoint
-    transfers) from recursing — its advances are folded into the same
-    notification pass.
+    Subscribers (the :class:`~repro.faults.FailoverSupervisor` is the
+    only one) are notified whenever global time moves forward; a
+    dispatch guard keeps a subscriber that itself advances time
+    (heartbeat messages, checkpoint transfers) from recursing — its
+    advances are folded into the same notification pass.
 
     One-shot *events* may additionally be scheduled for an absolute
-    instant (:meth:`schedule`).  The queue is a :mod:`heapq` priority
+    instant (:meth:`schedule`); a fault injector puts its plan's events
+    there.  The queue is a :mod:`heapq` priority
     queue keyed ``(at_s, seq)`` — ``seq`` is a monotonic counter, so
     same-instant events fire in scheduling order, exactly like the
     sorted-list queue this replaced.  Due events fire *before* the

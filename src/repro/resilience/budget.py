@@ -16,21 +16,15 @@ politeness: concurrent sessions draw from the same bucket.  Deposits
 and spends happen in call order, so inline (deterministic) serving
 replays identically.
 
-Across **process shards** the bucket cannot be one shared float —
-shard workers live in separate interpreters.  The spanning discipline is
-a parent-arbitrated *token lease* (:meth:`lease` / :meth:`absorb`): the
-parent carves its bucket into per-shard sub-budgets granted up front,
-each worker spends against its lease locally with zero cross-process
-traffic, and at settle time the parent folds every lease's unspent
-tokens and spent/denied counters back in — the installation-wide
-scarcity invariant (total granted retries never exceed the parent
-bucket) holds without a single mid-run round trip.
+Each :class:`~repro.serve.installation.SharedInstallation` holds its
+own bucket, so a process shard's episode installation has one too: a
+worker's resilient sessions share it exactly as an inline serve's share
+theirs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 __all__ = ["RetryBudget"]
 
@@ -66,35 +60,3 @@ class RetryBudget:
             "spent": self.spent,
             "denied": self.denied,
         }
-
-    # ------------------------------------------------- cross-shard leases
-    def lease(self, shares: int) -> List["RetryBudget"]:
-        """Carve this bucket into ``shares`` independent sub-budgets.
-
-        The parent's tokens are *withdrawn* (split evenly, to the last
-        drop) and handed to the leases, so the sum of retries grantable
-        across every shard can never exceed what the parent bucket held
-        — the arbitration happens once, up front, instead of per spend.
-        Each lease keeps the parent's ``deposit`` rate and a
-        proportional share of ``capacity`` so per-shard regrowth is
-        bounded the same way the shared bucket's was.  Settle with
-        :meth:`absorb`.
-        """
-        if shares < 1:
-            raise ValueError(f"lease shares must be >= 1, got {shares!r}")
-        grant = self.tokens / shares
-        cap = self.capacity / shares
-        self.tokens = 0.0
-        return [
-            RetryBudget(capacity=cap, deposit=self.deposit, tokens=grant)
-            for _ in range(shares)
-        ]
-
-    def absorb(self, settled: dict) -> None:
-        """Fold a settled lease (its :meth:`snapshot`) back in: unspent
-        tokens return to the bucket (clamped to capacity) and the
-        spent/denied counters sum — after every lease is absorbed the
-        parent reads as if all shards had drawn on one shared bucket."""
-        self.tokens = min(self.capacity, self.tokens + settled["tokens"])
-        self.spent += settled["spent"]
-        self.denied += settled["denied"]

@@ -143,7 +143,7 @@ STOCK_CONFIGS: Dict[str, SoakConfig] = {
     # worker-process chaos: sessions carry NO virtual fault plans (the
     # shard plane refuses them) — the chaos here is seeded SIGKILLs of
     # the serving pool's own workers, exercising the failover path
-    # (respawn, episode redo, ring rebuild, lease forfeit) end to end
+    # (respawn, episode redo, ring rebuild) end to end
     "crash-shard": SoakConfig(
         name="crash-shard",
         seed=4404,

@@ -36,7 +36,10 @@ The executor is two calls:
 ``replay(ctx, count=False)``
     finish ``ctx`` from the workload record of an identical session if
     one exists and say whether it did (``count`` marks the lookup as
-    cache traffic rather than a scheduling probe).
+    cache traffic rather than a scheduling probe).  The executor may
+    finish it in its next ``run`` instead: the core calls ``run`` at
+    least once after every replay it asks for, with an empty batch if
+    nothing else started.
 
 There are exactly two: :class:`InlineExecutor` here (real
 ``SessionContext.run_next_step``, ``WorkloadCache.get``) and the shard
@@ -198,6 +201,8 @@ class AdmissionCore:
         #: and the workload keys among them that a twin could replay
         self._started: List[Tuple[SessionContext, float]] = []
         self._started_keys: Set[str] = set()
+        #: a replay was resolved since the last ``ex.run``
+        self._replayed = False
 
     def offer(self, at_s: float, spec: SessionSpec) -> SessionContext:
         """A session arrives at ``at_s``; returns its context."""
@@ -232,6 +237,8 @@ class AdmissionCore:
                 self._admit_parked(now, ex)
             else:
                 self._arrive(ctx, now, ex)
+        if self._replayed:
+            self._resolve(ex)
 
     def _dedups(self, ctx: SessionContext) -> bool:
         return self.dedup and ctx.spec.cacheable
@@ -239,6 +246,7 @@ class AdmissionCore:
     def _resolve(self, ex) -> None:
         started, self._started = self._started, []
         self._started_keys.clear()
+        self._replayed = False
         for (ctx, at_s), virtual_s in zip(started, ex.run([c for c, _ in started])):
             if virtual_s is None:
                 self.live -= 1  # it replayed its twin: no slot was held
@@ -281,7 +289,7 @@ class AdmissionCore:
         if (
             self._dedups(ctx)
             and ctx.key not in self._started_keys
-            and ex.replay(ctx, count=True)
+            and self._replay(ex, ctx, count=True)
         ):
             return
         if self.live < self.max_live:
@@ -314,5 +322,10 @@ class AdmissionCore:
             reason = parked_expiry_reason(best, now)
             if reason is not None:
                 self._shed(best, now, reason, deadline_met=False)
-            elif not (self._dedups(best) and ex.replay(best)):
+            elif not (self._dedups(best) and self._replay(ex, best)):
                 self._start(best, now)
+
+    def _replay(self, ex, ctx: SessionContext, count: bool = False) -> bool:
+        replayed = ex.replay(ctx, count=count)
+        self._replayed |= replayed
+        return replayed

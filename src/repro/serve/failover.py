@@ -33,16 +33,17 @@ that lets the pool heal instead:
 
 Recovery itself lives where the knowledge lives: the pool knows how to
 replace a corpse (:meth:`~repro.serve.shards.ShardPool.respawn` — reap,
-unlink and rebuild the shm rings, fresh pipe, fresh process), and
-``serve_sessions_sharded`` knows what the dead episode contained (its
-open payload, every wave sent, the wave in flight), so it re-opens and
+unlink and rebuild the shm rings, fresh pipe, fresh process), and the
+shard parent's executor (``_ShardExecutor`` in
+:mod:`repro.serve.shards`) knows what the dead episode contained (its
+open payload, every wave sent, the frame in flight), so it re-opens and
 replays them verbatim.  Sessions are pure functions of their specs and
 op-cache exact hits are bitwise-equal to cold solves, so the redone
 results are bitwise-identical to the lost ones — a serve that survives
 N kills produces the same per-session digests as an uninterrupted run,
 with the disruption *accounted* (per-shard ``crashes`` /
-``redone_sessions`` / ``recovery_wall_s`` / forfeited-lease rows in the
-:class:`~repro.serve.scheduler.ServeReport`), never hidden.
+``crash_exitcodes`` / ``redone_sessions`` / ``recovery_wall_s`` rows in
+the :class:`~repro.serve.scheduler.ServeReport`), never hidden.
 """
 
 from __future__ import annotations

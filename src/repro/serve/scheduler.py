@@ -80,8 +80,6 @@ class ServeReport:
     op_miss: int = 0  # op-point cache: cold solves
     #: per-shard breakdown rows (process-sharded serving only)
     shard_rows: Optional[List[dict]] = None
-    #: settled cross-shard retry-budget snapshot (sharded + resilient only)
-    retry_budget: Optional[dict] = None
 
     @property
     def sessions(self) -> int:
@@ -174,8 +172,6 @@ class ServeReport:
             "aggregate_virtual_s": self.aggregate_virtual_s,
             "makespan_virtual_s": self.makespan_virtual_s,
         }
-        if self.retry_budget is not None:
-            head["retry_budget"] = self.retry_budget
         if self.wall_s <= WALL_S_FLOOR:
             head["wall_s_note"] = (
                 f"wall_s {self.wall_s!r} at or below the {WALL_S_FLOOR:g}s "

@@ -57,16 +57,19 @@ Four disciplines make sharding *exact* rather than approximate:
   runs its share through the same core, in the order the parent
   started it.
 
-* **Shared state spans shards.**  The
-  :class:`~repro.resilience.budget.RetryBudget` becomes a
-  parent-arbitrated token lease (each worker draws on a pre-granted
-  slice, settled back at merge).  The installation-wide
+* **The op-point store spans shards.**  The installation-wide
   :class:`~repro.serve.opcache.OpPointCache` flows both ways: each
   worker's episode cache is pre-seeded from the pool's store at open,
   and the points it solves come back as a delta merged into the store
   at close (never by a serve that failed) — so a re-serve, or a family
-  rebalanced onto a different shard, starts warm instead of rebuilding
-  PR 6's cache wins from scratch N times.
+  rebalanced onto a different shard, starts warm instead of re-solving
+  its points on every worker.  The retry budget does not
+  span shards: a worker's resilient sessions draw on their episode
+  installation's own :class:`~repro.resilience.budget.RetryBudget`, as
+  inline sessions do on theirs.  No shard session can spend a retry
+  token — fault plans are refused at :func:`spec_to_wire`, and a
+  ``CallTimeout`` needs a down host, a partition or a fault filter,
+  which only a fault plan brings.
 
 A serve runs on the pool it is handed, and every process knob (worker
 count, start method, transport, op store, receive timeout, armed kills)
@@ -96,7 +99,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from zlib import crc32
 
 from ..faults.plan import FaultPlan
-from ..resilience.budget import RetryBudget
 from .admission import AdmissionCore, AdmissionPolicy, InlineExecutor
 from .failover import (
     KillSchedule,
@@ -288,9 +290,6 @@ def _open_episode(payload: dict) -> dict:
     seed = payload.get("op_seed")
     if seed:  # encoded once by the parent for every worker of the serve
         installation.op_cache.preload(decode_payload(seed))
-    lease = payload.get("budget")
-    if lease is not None:
-        installation.retry_budget = RetryBudget(**lease)
     return {
         "installation": installation,
         # what the seed already held: the close-time export ships only
@@ -298,7 +297,6 @@ def _open_episode(payload: dict) -> dict:
         # (minus seed entries this worker cold-upgrades — see close)
         "preloaded": installation.op_cache.key_set(),
         "dedup": payload["dedup"],
-        "leased": lease is not None,
         "live": 0,
         "replayed": 0,
         "wall_s": 0.0,
@@ -335,10 +333,9 @@ def _serve_wave(shard_id: int, episode: Optional[dict], payload: dict) -> dict:
 
 
 def _close_episode(shard_id: int, episode: Optional[dict]) -> dict:
-    """Settle one episode: counters, op-cache stats, the settled budget
-    lease, and the delta of operating points this worker solved (export
-    records, for the parent to merge into the installation-wide
-    store)."""
+    """Settle one episode: counters, op-cache stats, and the delta of
+    operating points this worker solved (export records, for the parent
+    to merge into the installation-wide store)."""
     if episode is None:
         raise ShardProtocolError(
             f"shard {shard_id}: shard-close before shard-open"
@@ -356,9 +353,6 @@ def _close_episode(shard_id: int, episode: Optional[dict]) -> dict:
         "op_near": oc.near_hits,
         "op_miss": oc.misses,
         "op_stats": oc.stats(),
-        "budget": (
-            inst.retry_budget.snapshot() if episode["leased"] else None
-        ),
         # the delta: points this worker solved, plus seeded warm-derived
         # entries it cold-upgraded (those were rewritten bitwise-canonical
         # and must flow back or the merged store's tier is not monotone)
@@ -765,29 +759,100 @@ class ShardPool:
 
 
 class _ShardExecutor:
-    """The shard parent's side of :class:`AdmissionCore`: sessions
-    execute in worker processes, so ``run`` is one wave — ``dispatch``
-    sends the batch to its shards and fills ``wire_results`` from the
-    replies — and ``replay`` answers from what earlier waves recorded."""
+    """The shard parent as :class:`AdmissionCore`'s executor: sessions
+    execute in worker processes, in one episode per busy shard.
 
-    def __init__(self, dispatch, wire_results):
-        self.dispatch = dispatch
-        self.wire_results: Dict[int, SessionResult] = wire_results
+    Building it opens every busy shard's episode, seeding each worker's
+    op-point cache from the pool's store.  ``run`` is one wave: the
+    started sessions, plus the replays resolved since the last wave
+    (replay content is timing-independent), grouped per shard in start
+    order, sent, and collected into :attr:`results`.  ``replay``
+    answers from what earlier waves recorded.  :meth:`close` settles
+    every episode into :attr:`closes`.
+
+    **Failover**: a worker that dies at any of those frames (typed
+    :class:`~repro.serve.failover.ShardCrashed` from the supervised
+    pool), or outlives the pool's ``recv_timeout_s``, is respawned —
+    fresh process, rebuilt shm rings — and its episode is redone:
+    re-opened from the identical open payload, every wave it had served
+    replayed verbatim, and the frame in flight re-sent.  Sessions are
+    pure functions of their specs and op-cache exact hits are
+    bitwise-equal to cold solves, so the redone results are bitwise the
+    lost ones; :meth:`crash_row` accounts the disruption per shard."""
+
+    def __init__(
+        self,
+        pool: ShardPool,
+        dedup: bool,
+        wires: Dict[int, dict],
+        shard_of: Dict[int, int],
+        active: Sequence[int],
+        op_cache: bool,
+    ):
+        self.pool = pool
+        self.wires = wires
+        self.shard_of = shard_of
+        #: each served session's result, by seq
+        self.results: Dict[int, SessionResult] = {}
         #: workload keys a worker's cache now holds a record for (only
         #: clean runs are cached, mirroring ``SessionContext._finalize``)
         self.record_keys: set = set()
         #: sessions resolved to a replay: they ride the next wave with
-        #: their charged wait (replay content is timing-independent)
+        #: their charged wait
         self.pending_replays: List[SessionContext] = []
+        #: each busy shard's settle, once :meth:`close` collected it
+        self.closes: Dict[int, dict] = {}
+        # what redoing a dead shard's episode takes besides its open
+        # payload: the waves it served, and the frame awaiting a reply
+        self.history: Dict[int, List[dict]] = {w: [] for w in active}
+        self.in_flight: Dict[int, Tuple[str, Optional[dict]]] = {}
+        self.crash_rows: Dict[int, dict] = {
+            w: {"crashes": 0, "redone_sessions": 0, "recovery_wall_s": 0.0,
+                "crash_exitcodes": []}
+            for w in range(pool.workers)
+        }
+        # a runaway backstop, not a budget: every armed kill is allowed
+        # to fire, plus headroom for genuine deaths — past it, the
+        # serve stops healing and raises the last crash
+        armed = pool._kills
+        self.recovery_cap = 4 + (len(armed.fired) + len(armed) if armed else 0)
+        self.total_crashes = 0
 
+        # the parent cannot compute full cache families (the engine-deck
+        # digest is resolved only at session setup), so every worker
+        # receives the whole store (preload is idempotent and
+        # first-write-wins), encoded once here and nested in each open
+        # payload as bytes
+        op_seed: Optional[bytearray] = None
+        if op_cache and len(pool.op_store):
+            op_seed = bytearray()
+            encode_payload_into(op_seed, pool.op_store.export())
+        self.open_payloads = {
+            w: {"shard": w, "dedup": dedup, "op_seed": op_seed} for w in active
+        }
+        for w, payload in self.open_payloads.items():
+            try:
+                pool.send(w, "shard-open", payload)
+            except (ShardCrashed, ShardTimeout) as exc:
+                self._rebuild(w, exc)  # re-opens
+
+    # -- the executor: one wave per run -------------------------------------
     def run(self, batch: Sequence[SessionContext]) -> List[Optional[float]]:
-        """An empty ``batch`` still flushes the pending replays."""
-        if batch or self.pending_replays:
-            self.dispatch(list(batch) + self.pending_replays)
-            self.pending_replays.clear()
+        per: Dict[int, List[SessionContext]] = {}
+        for c in list(batch) + self.pending_replays:
+            per.setdefault(self.shard_of[c.seq], []).append(c)
+        self.pending_replays = []
+        for w in sorted(per):
+            self._send(w, "shard-serve", {
+                "seqs": [c.seq for c in per[w]],
+                "specs": [self.wires[c.seq] for c in per[w]],
+                "waits": [c.wait_s for c in per[w]],
+            })
+        for w in sorted(per):
+            self._absorb(self._reply(w, "shard-result"))
         out: List[Optional[float]] = []
         for c in batch:
-            served = self.wire_results[c.seq]
+            served = self.results[c.seq]
             if served.status == "completed":
                 self.record_keys.add(c.key)
             out.append(None if served.replayed else served.virtual_s)
@@ -798,6 +863,88 @@ class _ShardExecutor:
             return False
         self.pending_replays.append(c)
         return True
+
+    def close(self) -> None:
+        """Settle every episode.  A worker that dies at (or before) its
+        close loses the episode's counters and op-point delta with it,
+        so the rebuild redoes the whole episode and closes the
+        replacement — the settle is then bitwise the one the dead
+        worker would have sent."""
+        for w in self.open_payloads:
+            self._send(w, "shard-close", None)
+            self.closes[w] = self._reply(w, "shard-closed")
+
+    def crash_row(self, w: int) -> dict:
+        """Shard ``w``'s disruption: crashes, sessions redone, the wall
+        the redo took and, after a crash, each death's exit code."""
+        row = self.crash_rows[w]
+        out = {
+            "crashes": row["crashes"],
+            "redone_sessions": row["redone_sessions"],
+            "recovery_wall_s": round(row["recovery_wall_s"], 6),
+        }
+        if row["crash_exitcodes"]:
+            out["crash_exitcodes"] = list(row["crash_exitcodes"])
+        return out
+
+    # -- frames, and failover ------------------------------------------------
+    def _absorb(self, reply: dict) -> None:
+        for seq, wire in zip(reply["seqs"], reply["results"]):
+            self.results[seq] = result_from_wire(wire)
+
+    def _send(self, w: int, kind: str, payload: Optional[dict]) -> None:
+        """Send a frame that expects a reply; until :meth:`_reply`
+        collects it, a rebuild of ``w`` re-sends it."""
+        self.in_flight[w] = (kind, payload)
+        try:
+            self.pool.send(w, kind, payload)
+        except (ShardCrashed, ShardTimeout) as exc:
+            self._rebuild(w, exc)
+
+    def _reply(self, w: int, expect: str) -> dict:
+        while True:
+            try:
+                reply = self.pool.recv(w, expect)
+                break
+            except (ShardCrashed, ShardTimeout) as exc:
+                self._rebuild(w, exc)
+        kind, payload = self.in_flight.pop(w)
+        if kind == "shard-serve":
+            self.history[w].append(payload)
+        return reply
+
+    def _rebuild(self, w: int, exc: BaseException) -> None:
+        """Fail shard ``w`` over: respawn its worker, re-open the
+        episode from the identical open payload (same op-point seed, so
+        redone sessions warm-start alike), replay every wave the dead
+        episode had served and re-send the frame in flight.  A death
+        during the redo starts it over."""
+        pool, row = self.pool, self.crash_rows[w]
+        while True:
+            self.total_crashes += 1
+            row["crashes"] += 1
+            row["crash_exitcodes"].append(
+                exc.exitcode if isinstance(exc, ShardCrashed) else None
+            )
+            if self.total_crashes > self.recovery_cap:
+                raise exc
+            t_rec = time.perf_counter()
+            try:
+                pool.respawn(w)
+                pool.send(w, "shard-open", self.open_payloads[w])
+                for wave in self.history[w]:
+                    pool.send(w, "shard-serve", wave)
+                    self._absorb(pool.recv(w, "shard-result"))
+                if w in self.in_flight:
+                    pool.send(w, *self.in_flight[w])
+                row["redone_sessions"] += sum(
+                    len(wave["seqs"]) for wave in self.history[w]
+                )
+                return
+            except (ShardCrashed, ShardTimeout) as again:
+                exc = again
+            finally:
+                row["recovery_wall_s"] += time.perf_counter() - t_rec
 
 
 # --------------------------------------------------------------------------
@@ -821,21 +968,13 @@ def serve_sessions_sharded(
     ``serve_sessions(mode="shard")`` builds one for a single call.
     ``wall_s`` covers the serve on the pool, not its spawn or close.
 
-    **Self-healing**: a worker that dies mid-serve (typed
-    :class:`~repro.serve.failover.ShardCrashed` from the supervised
-    pool) is replaced in place — respawned worker, rebuilt shm rings —
-    and its episode is *redone deterministically*: re-opened from the
-    identical open payload (same op-point seed, the forfeited
-    retry-budget lease re-issued) and every wave it had served replayed
-    verbatim.  Sessions are pure functions of their specs and op-cache
-    exact hits are bitwise-equal to cold solves, so a serve surviving N
-    kills returns per-session digests bitwise-identical to an
-    uninterrupted run; the disruption is accounted in the per-shard
-    rows (``crashes``, ``redone_sessions``, ``recovery_wall_s``,
-    ``forfeited_leases``/``forfeited_tokens``), and the redo wall is
-    charged to the report like any other work.  The pool's
-    ``recv_timeout_s`` bounds every worker wait (a live-but-wedged
-    worker past it is recycled and redone the same way).
+    **Self-healing**: a worker that dies mid-serve is replaced in place
+    and its episode redone deterministically (see
+    :class:`_ShardExecutor`), so a serve surviving N kills returns
+    per-session digests bitwise-identical to an uninterrupted run; the
+    disruption is accounted in the per-shard rows (``crashes``,
+    ``crash_exitcodes``, ``redone_sessions``, ``recovery_wall_s``), and
+    the redo wall is charged to the report like any other work.
 
     **A failed serve leaves the pool usable**: if the call raises,
     every worker it touched is respawned (~10 ms each under fork,
@@ -864,174 +1003,18 @@ def serve_sessions_sharded(
     shard_of = {seq: w for w, bucket in enumerate(buckets) for seq, _ in bucket}
     active = [w for w in range(workers) if buckets[w]]
 
-    # parent-arbitrated retry-budget lease, only when someone will draw
-    # on it (a resilient session); settled back into `parent_budget`
-    parent_budget: Optional[RetryBudget] = None
-    leases: List[Optional[dict]] = [None] * workers
-    if any(spec.resilient for spec in specs):
-        parent_budget = RetryBudget()
-        for w, lease in zip(active, parent_budget.lease(max(1, len(active)))):
-            leases[w] = {
-                "capacity": lease.capacity,
-                "deposit": lease.deposit,
-                "tokens": lease.tokens,
-            }
-
     try:
-        # open one episode per busy shard, seeding each worker's
-        # op-point cache from the installation-wide store.  The parent
-        # cannot compute full cache families (the engine-deck digest is
-        # resolved only at session setup), so every worker receives the
-        # whole store (preload is idempotent and first-write-wins),
-        # encoded once here and nested in each open payload as bytes.
-        op_seed: Optional[bytearray] = None
-        if len(pool.op_store) and any(spec.op_cache for spec in specs):
-            op_seed = bytearray()
-            encode_payload_into(op_seed, pool.op_store.export())
-
-        wire_results: Dict[int, SessionResult] = {}
-
-        # ---- failover bookkeeping: everything needed to redo a dead
-        # shard's episode verbatim, and the honest account of doing so
-        open_payloads: Dict[int, dict] = {}
-        history: Dict[int, List[dict]] = {w: [] for w in active}
-        pending_wave: Dict[int, dict] = {}
-        crash_rows: Dict[int, dict] = {
-            w: {"crashes": 0, "redone_sessions": 0, "recovery_wall_s": 0.0,
-                "forfeited_leases": 0, "forfeited_tokens": 0.0,
-                "crash_exitcodes": []}
-            for w in range(workers)
-        }
-        # a runaway backstop, not a budget: every armed kill is allowed
-        # to fire, plus headroom for genuine deaths — past it, the
-        # serve stops healing and raises the last crash
-        armed = pool._kills
-        recovery_cap = 4 + (len(armed.fired) + len(armed) if armed else 0)
-        total_crashes = 0
-
-        def absorb_wave(reply: dict) -> None:
-            for seq, wire in zip(reply["seqs"], reply["results"]):
-                wire_results[seq] = result_from_wire(wire)
-
-        def note_crash(w: int, exc: BaseException) -> None:
-            nonlocal total_crashes
-            total_crashes += 1
-            row = crash_rows[w]
-            row["crashes"] += 1
-            row["crash_exitcodes"].append(
-                exc.exitcode if isinstance(exc, ShardCrashed) else None
-            )
-            if leases[w] is not None:
-                # the dead episode's lease is settled as forfeited: its
-                # tokens died with the worker.  The replacement episode
-                # is re-issued the identical grant (no second withdrawal
-                # from the parent bucket — the tokens were withdrawn
-                # once, at lease time), so the settled budget matches an
-                # uninterrupted run while the forfeit stays visible.
-                row["forfeited_leases"] += 1
-                row["forfeited_tokens"] += leases[w]["tokens"]
-
-        def rebuild(w: int, exc: BaseException) -> None:
-            """Deterministic failover for shard ``w``: respawn a
-            replacement worker (fresh shm rings), re-open the episode
-            from the identical open payload (same op-point seed,
-            re-issued lease) so redone sessions warm-start, replay
-            every wave the dead episode had served — sessions are pure
-            functions of their specs, so the redone results are bitwise
-            the lost ones — and re-send any wave still in flight."""
-            note_crash(w, exc)
-            while True:
-                if total_crashes > recovery_cap:
-                    raise exc
-                t_rec = time.perf_counter()
-                try:
-                    pool.respawn(w)
-                    pool.send(w, "shard-open", open_payloads[w])
-                    redone = 0
-                    for wave in history[w]:
-                        pool.send(w, "shard-serve", wave)
-                        absorb_wave(pool.recv(w, "shard-result"))
-                        redone += len(wave["seqs"])
-                    if w in pending_wave:
-                        pool.send(w, "shard-serve", pending_wave[w])
-                    crash_rows[w]["redone_sessions"] += redone
-                    crash_rows[w]["recovery_wall_s"] += (
-                        time.perf_counter() - t_rec
-                    )
-                    return
-                except (ShardCrashed, ShardTimeout) as exc2:
-                    crash_rows[w]["recovery_wall_s"] += (
-                        time.perf_counter() - t_rec
-                    )
-                    note_crash(w, exc2)
-                    exc = exc2
-
-        for w in active:
-            open_payloads[w] = {
-                "shard": w,
-                "dedup": dedup,
-                "budget": leases[w],
-                "op_seed": op_seed,
-            }
-            try:
-                pool.send(w, "shard-open", open_payloads[w])
-            except (ShardCrashed, ShardTimeout) as exc:
-                rebuild(w, exc)
-
-        def dispatch(batch: List[SessionContext]) -> None:
-            """One wave: the batch grouped per shard in the order it
-            was started, sent, collected — crashed shards are rebuilt
-            and their episodes redone before the wave is considered
-            delivered."""
-            per: Dict[int, List[SessionContext]] = {}
-            for c in batch:
-                per.setdefault(shard_of[c.seq], []).append(c)
-            for w in sorted(per):
-                group = per[w]
-                payload = {
-                    "seqs": [c.seq for c in group],
-                    "specs": [wires[c.seq] for c in group],
-                    "waits": [c.wait_s for c in group],
-                }
-                pending_wave[w] = payload
-                try:
-                    pool.send(w, "shard-serve", payload)
-                except (ShardCrashed, ShardTimeout) as exc:
-                    rebuild(w, exc)  # replays history + re-sends this wave
-            for w in sorted(per):
-                while True:
-                    try:
-                        reply = pool.recv(w, "shard-result")
-                        break
-                    except (ShardCrashed, ShardTimeout) as exc:
-                        rebuild(w, exc)
-                history[w].append(pending_wave.pop(w))
-                absorb_wave(reply)
-
+        executor = _ShardExecutor(
+            pool, dedup, wires, shard_of, active,
+            op_cache=any(spec.op_cache for spec in specs),
+        )
         # wave 1 is everything that starts at t = 0 — each worker's own
         # core reproduces the in-wave twin replays and the per-family
         # execution order exactly (families never split across shards);
         # after it the core admits, charges and expiry-sheds the parked
         # queue at the instants the returned virtual times give
-        executor = _ShardExecutor(dispatch, wire_results)
         core.run(executor)
-        executor.run([])
-
-        # ---- settle the episodes ----
-        # per shard: send close, collect the settle.  A worker that dies
-        # at (or before) its close loses the episode's counters and
-        # op-point delta with it, so the rebuild replays the whole
-        # episode and closes the replacement — the settle is then
-        # bitwise the one the dead worker would have sent.
-        closes: Dict[int, dict] = {}
-        for w in active:
-            while True:
-                try:
-                    pool.send(w, "shard-close", None)
-                    closes[w] = pool.recv(w, "shard-closed")
-                    break
-                except (ShardCrashed, ShardTimeout) as exc:
-                    rebuild(w, exc)
+        executor.close()
     except BaseException:
         # the pool outlives this failed serve: its workers may hold an
         # open episode and unread frames, so each is replaced and the
@@ -1043,81 +1026,58 @@ def serve_sessions_sharded(
                 pass  # a dead slot: the next send raises ShardCrashed
         raise
 
-    # merge: results back into global admission order, counters summed,
-    # solved op points folded into the installation-wide store,
-    # per-shard rows for the report's imbalance breakdown
-    results: List[Optional[SessionResult]] = [
-        (c.result() if c.done else None) for c in contexts
+    # merge: results back into global admission order (the parent's core
+    # finished the sessions it shed), counters summed, solved op points
+    # folded into the installation-wide store, per-shard rows for the
+    # report's imbalance breakdown
+    served = executor.results
+    results = [
+        served[c.seq] if c.seq in served else c.result() if c.done else None
+        for c in contexts
     ]
-    for seq, res in wire_results.items():
-        results[seq] = res
+    missing = [i for i, r in enumerate(results) if r is None]
+    if missing:  # pragma: no cover - protocol invariant
+        raise ShardProtocolError(f"no shard returned sessions {missing}")
 
-    totals = {k: 0 for k in (
-        "cache_hits", "cache_misses", "op_exact", "op_near", "op_miss",
-    )}
+    totals = dict.fromkeys(
+        ("cache_hits", "cache_misses", "op_exact", "op_near", "op_miss"), 0
+    )
     shard_rows: List[dict] = []
-
-    def crash_fields(w: int) -> dict:
-        extra = crash_rows[w]
-        fields = {
-            "crashes": extra["crashes"],
-            "redone_sessions": extra["redone_sessions"],
-            "recovery_wall_s": round(extra["recovery_wall_s"], 6),
-            "forfeited_leases": extra["forfeited_leases"],
-            "forfeited_tokens": round(extra["forfeited_tokens"], 6),
-        }
-        if extra["crash_exitcodes"]:
-            fields["crash_exitcodes"] = list(extra["crash_exitcodes"])
-        return fields
-
     for w in range(workers):
-        reply = closes.get(w)
+        reply = executor.closes.get(w)
         if reply is None:
             shard_rows.append({
                 "shard": w, "sessions": 0, "live": 0, "replayed": 0,
                 "shed": 0, "points": 0, "op_exact": 0, "op_near": 0,
-                "op_miss": 0, "wall_s": 0.0, **crash_fields(w),
+                "op_miss": 0, "wall_s": 0.0, **executor.crash_row(w),
             })
             continue
         for k in totals:
             totals[k] += reply[k]
         seqs_w = [seq for seq, ws in shard_of.items() if ws == w]
-        row = {
+        shard_rows.append({
             "shard": w,
-            "sessions": sum(1 for seq in seqs_w if seq in wire_results),
+            "sessions": sum(1 for seq in seqs_w if seq in served),
             "live": reply["live"],
             "replayed": reply["replayed"],
-            "shed": sum(
-                1 for seq in seqs_w
-                if results[seq] is not None and results[seq].status == "shed"
-            ),
+            "shed": sum(1 for seq in seqs_w if results[seq].status == "shed"),
             "points": sum(
-                len(wire_results[seq].results)
-                for seq in seqs_w if seq in wire_results
+                len(served[seq].results) for seq in seqs_w if seq in served
             ),
             "op_exact": reply["op_exact"],
             "op_near": reply["op_near"],
             "op_miss": reply["op_miss"],
             "op_cache": reply["op_stats"],
             "wall_s": round(reply["wall_s"], 6),
-            **crash_fields(w),
-        }
-        if reply.get("budget") is not None:
-            row["retry_budget"] = reply["budget"]
-            if parent_budget is not None:
-                parent_budget.absorb(reply["budget"])
-        shard_rows.append(row)
+            **executor.crash_row(w),
+        })
         if reply.get("op_export"):
             pool.op_store.preload(reply["op_export"])
-
-    missing = [i for i, r in enumerate(results) if r is None]
-    if missing:  # pragma: no cover - protocol invariant
-        raise ShardProtocolError(f"no shard returned sessions {missing}")
 
     n_replayed = sum(1 for r in results if r.replayed)
     n_shed = sum(1 for r in results if r.status == "shed")
     return ServeReport(
-        results=list(results),
+        results=results,
         wall_s=time.perf_counter() - t0,
         mode="shard",
         workers=workers,
@@ -1130,5 +1090,4 @@ def serve_sessions_sharded(
         op_near=totals["op_near"],
         op_miss=totals["op_miss"],
         shard_rows=shard_rows,
-        retry_budget=parent_budget.snapshot() if parent_budget is not None else None,
     )

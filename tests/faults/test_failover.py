@@ -84,6 +84,21 @@ class TestAcceptance:
         assert all(t.outcome in ("ok", "timeout") for t in ex.env.traces)
 
 
+class TestProcessCrash:
+    def test_the_death_is_logged_between_the_crash_and_the_failover(self):
+        """A process that dies on a live host is detected by the call
+        that fails on it; the host is not marked dead."""
+        r = run_demo("process-crash", seed=0, quick=True)
+        supervisor = r["executive"].supervisor
+        crash_at = r["injections"][-1][0]  # the plan ends with its crash
+        (dead,) = [e for e in supervisor.events if e.kind == "process-dead"]
+        (fo,) = [e for e in supervisor.events if e.kind == "failover"]
+        assert crash_at < dead.at_s <= fo.at_s
+        assert dead.subject == fo.subject
+        assert dead.detail == f"failed call on {DOOMED_HOST}"
+        assert DOOMED_HOST not in supervisor.dead_hosts
+
+
 class TestTwoCrashes:
     def test_second_restart_comes_back_with_the_declared_state(self):
         env = SchoonerEnvironment.standard()

@@ -61,54 +61,3 @@ class TestStubIntegration:
         assert world.stub(x=1.0)["y"] == 2.0
         assert world.stub(x=2.0)["y"] == 4.0
         assert world.env.retry_budget.tokens == 2.0
-
-
-class TestLease:
-    """PR 8 tentpole: the parent-arbitrated cross-shard token lease."""
-
-    def test_lease_withdraws_every_token(self):
-        parent = RetryBudget(capacity=10.0, deposit=0.1, tokens=8.0)
-        leases = parent.lease(4)
-        assert parent.tokens == 0.0
-        assert len(leases) == 4
-        assert all(l.tokens == 2.0 for l in leases)
-        assert all(l.capacity == 2.5 for l in leases)
-        assert all(l.deposit == 0.1 for l in leases)
-
-    def test_total_grantable_retries_never_exceed_parent(self):
-        parent = RetryBudget(capacity=10.0, tokens=3.0)
-        leases = parent.lease(3)
-        granted = 0
-        for l in leases:
-            while l.try_spend():
-                granted += 1
-        assert granted <= 3
-        assert parent.tokens == 0.0  # and the parent can grant none
-
-    def test_absorb_settles_tokens_and_counters(self):
-        parent = RetryBudget(capacity=10.0, tokens=8.0)
-        leases = parent.lease(2)  # 4.0 tokens each, 5.0 capacity headroom
-        assert leases[0].try_spend()  # one shard pays for a retry
-        assert leases[0].try_spend()
-        leases[1].on_success()  # the other deposits
-        for l in leases:
-            parent.absorb(l.snapshot())
-        assert parent.tokens == pytest.approx(8.0 - 2.0 + 0.1)
-        assert parent.spent == 2
-        assert parent.denied == 0
-
-    def test_absorb_clamps_at_capacity(self):
-        parent = RetryBudget(capacity=10.0, tokens=5.0)
-        parent.absorb({"tokens": 50.0, "spent": 0, "denied": 0})
-        assert parent.tokens == 10.0
-
-    def test_lease_shares_must_be_positive(self):
-        with pytest.raises(ValueError, match="shares"):
-            RetryBudget().lease(0)
-
-    def test_dry_lease_denies_like_a_dry_bucket(self):
-        parent = RetryBudget(tokens=0.5)
-        (lease,) = parent.lease(1)
-        assert not lease.try_spend()
-        parent.absorb(lease.snapshot())
-        assert parent.denied == 1

@@ -237,24 +237,21 @@ class TestSurface:
         )
 
     def test_retry_budget_is_leased_and_settled(self):
-        import dataclasses
-
+        # No lease crosses the pipe any more: resilient sessions run the
+        # supervisor and breakers in each worker, on the episode
+        # installation's own retry budget, exactly as inline sessions do.
         specs = [
             dataclasses.replace(s, resilient=True)
             for s in build_session_specs(4, classes=2, points=2)
         ]
         report = serve_sessions(specs, mode="shard", workers=2)
-        assert report.retry_budget is not None
-        # fault-free run: every leased token came back
-        assert report.retry_budget["tokens"] == pytest.approx(10.0)
-        assert report.retry_budget["spent"] == 0
-        leased_rows = [r for r in report.shard_rows if "retry_budget" in r]
-        assert leased_rows, "busy shards must carry their settled lease"
-        # the nested snapshots flatten into scalar record fields
+        assert report.mode == "shard" and report.workers == 2
+        assert _rows(report) == _rows(serve_sessions(specs, mode="inline"))
+        assert all("retry_budget" not in r for r in report.shard_rows)
         records = report.records()
-        assert records[0]["retry_budget_spent"] == 0
-        leased = [r for r in records if "retry_budget_tokens" in r][1:]
-        assert len(leased) == len(leased_rows)
+        assert all(
+            not any(k.startswith("retry_budget") for k in r) for r in records
+        )
         render(records, as_json=True)
 
     def test_pool_reuse_across_rounds(self):

@@ -165,6 +165,10 @@ GONE_ATTRIBUTES = {
     ("repro.tess.schedules", "Schedule"): ("shifted", "scaled"),
     ("repro.tess.profile", "FlightProfile"): ("duration",),
     ("repro.tess.profile", "ProfileResult"): ("thrust_range",),
+    # no shard session can spend a retry token: each episode
+    # installation keeps its own budget, so nothing is leased or settled
+    ("repro.resilience.budget", "RetryBudget"): ("lease", "absorb"),
+    ("repro.serve.scheduler", "ServeReport"): ("retry_budget",),
 }
 
 #: single-valued parameters that became constants
