@@ -12,8 +12,8 @@ long the run is disrupted:
 * recovery latency — crash until the instance is rebound on a
   surviving machine with its checkpointed state restored;
 * checkpoints — snapshots written; a process is checkpointed at the
-  first tick after its declared state changes, so the count is the
-  nozzle's ``setnozl`` plus one per restart;
+  first clock advance after its declared state changes, so the count
+  is the nozzle's ``setnozl`` plus one per restart;
 * accuracy — final thrust vs the fault-free reference.  The checkpoint
   holds exactly the declared state, so it must agree to ``run_demo``'s
   1e-9.

@@ -16,8 +16,9 @@ or moved variable is exactly the conformed value that was saved.
 Whether arriving state should take the destination's native format, as
 an RPC argument does, is decided at that one site.
 
-When to take one is the supervisor's: at the first clock tick after a
-process's declared state changed (:mod:`repro.faults.recovery`).
+When to take one is the supervisor's: the first write to a process's
+declared state schedules a checkpoint event, which fires at the next
+clock advance (:mod:`repro.faults.recovery`).
 """
 
 from __future__ import annotations

@@ -1,17 +1,18 @@
 """Failure detection and checkpointed failover.
 
-The :class:`FailoverSupervisor` is the Manager's recovery sidecar.  It
-watches the simulation's virtual clock and, on each tick,
+The :class:`FailoverSupervisor` is the Manager's recovery sidecar.  Its
+periodic work runs as events on the simulation's virtual clock, ordered
+with the fault injector's by instant (ties in scheduling order):
 
-* **heartbeats** every machine hosting an instance, at fixed
-  :data:`HEARTBEAT_INTERVAL_S` grid points, marking hosts that stopped
-  answering as dead (Schooner's Manager-driven detection);
-* **checkpoints** every live process whose declared state changed since
-  its last checkpoint, in UTS wire form (see
-  :mod:`repro.faults.checkpoint`).  A process's state counts its
-  writes, and a tick after which no state was written walks nothing.
-
-Both walk every active line's records and the shared registry's.
+* **heartbeats** — one event per :data:`HEARTBEAT_INTERVAL_S` grid
+  point sweeps every machine hosting an instance at that instant,
+  marking hosts that stopped answering as dead (Schooner's
+  Manager-driven detection), and schedules the next sweep;
+* **checkpoints** — the first write to a watched process's declared
+  state (:meth:`~FailoverSupervisor.watch`) schedules one checkpoint
+  event at the current instant; it fires at the next advance, ahead of
+  any fault that came due in it, and snapshots every written, live
+  process in UTS wire form (see :mod:`repro.faults.checkpoint`).
 
 When a client stub or ``sch_contact_schx`` resolves a binding to a dead
 instance, the supervisor's :meth:`~FailoverSupervisor.recover` restarts
@@ -31,9 +32,9 @@ so two replays of the same seeded run serialize identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
-from ..network.clock import Timeline
+from ..network.clock import ScheduledEvent, Timeline
 from ..schooner.errors import HostDown
 from ..schooner.lines import InstanceRecord, Line, _ProcessState
 from ..schooner.manager import Manager
@@ -67,57 +68,77 @@ class FailoverSupervisor:
     events: List[RecoveryEvent] = field(default_factory=list)
     dead_hosts: Set[str] = field(default_factory=set)
     recoveries: int = 0
-    _last_heartbeat_at: float = 0.0
-    # checkpoint key -> (state dict, its writes) at its last checkpoint
-    _saved: Dict[Tuple[str, str], tuple] = field(default_factory=dict)
-    _walked_at_writes: int = -1  # _ProcessState.all_writes at the last walk
-    _attached: bool = False
+    # hooked declared states, and those written since the last
+    # checkpoint, each by id
+    _watched: Dict[int, _ProcessState] = field(default_factory=dict)
+    _written: Dict[int, _ProcessState] = field(default_factory=dict)
+    # the pending clock events: the next sweep, the next checkpoint
+    _heartbeat: Optional[ScheduledEvent] = None
+    _checkpoint: Optional[ScheduledEvent] = None
 
     # -- lifecycle -----------------------------------------------------------
     def attach(self) -> None:
-        """Install as the Manager's supervisor and start watching the
-        clock.  Recovery is strictly opt-in: without an attached
-        supervisor, dead bindings surface as call failures exactly as
-        before."""
-        if self._attached:
+        """Install as the Manager's supervisor, watch every stateful
+        record, and schedule the first heartbeat sweep.  Recovery is
+        strictly opt-in: without an attached supervisor, dead bindings
+        surface as call failures exactly as before."""
+        if self._heartbeat is not None:
             return
         self.manager.supervisor = self
-        self.manager.env.clock.subscribe(self._on_tick)
-        self._attached = True
+        for _, records in self._databases():
+            self.watch(records)
+        self._heartbeat = self.manager.env.clock.schedule(
+            HEARTBEAT_INTERVAL_S, self._heartbeat_sweep
+        )
 
     def detach(self) -> None:
-        if not self._attached:
+        if self._heartbeat is None:
             return
         if self.manager.supervisor is self:
             self.manager.supervisor = None
-        self.manager.env.clock.unsubscribe(self._on_tick)
-        self._attached = False
+        for state in self._watched.values():
+            state.hook = None
+        self._watched.clear()
+        self._written.clear()
+        for event in (self._heartbeat, self._checkpoint):
+            if event is not None:
+                self.manager.env.clock.cancel(event)
+        self._heartbeat = self._checkpoint = None
 
-    # -- periodic sweeps -------------------------------------------------------
-    def _on_tick(self, now: float) -> None:
-        # heartbeats at fixed grid points, so sweep times are independent
-        # of how the clock happened to advance (and therefore
-        # replay-identical)
-        while self._last_heartbeat_at + HEARTBEAT_INTERVAL_S <= now:
-            self._last_heartbeat_at += HEARTBEAT_INTERVAL_S
-            self._heartbeat_sweep(self._last_heartbeat_at)
-        # a process is checkpointed at the first tick after its declared
-        # state changed, and at no other time; with no write anywhere
-        # since the last walk, nothing changed
-        if _ProcessState.all_writes == self._walked_at_writes:
-            return
-        self._walked_at_writes = _ProcessState.all_writes
+    # -- checkpoints -----------------------------------------------------------
+    def watch(self, records: Sequence[InstanceRecord]) -> None:
+        """Hook the declared state of each stateful record's process, so
+        its next write schedules a checkpoint; a state already written
+        counts as written.  Called at attach for every record, and by
+        the Manager for every record it starts or restarts."""
+        for record in records:
+            if record.procedure.state_spec:
+                state = record.state_storage()
+                state.hook = self._state_written
+                self._watched[id(state)] = state
+                if state:
+                    self._state_written(state)
+
+    def _state_written(self, state: _ProcessState) -> None:
+        self._written[id(state)] = state
+        if self._checkpoint is None:
+            clock = self.manager.env.clock
+            self._checkpoint = clock.schedule(clock.now, self._take_checkpoints)
+
+    def _take_checkpoints(self) -> None:
+        """Snapshot each written, live process, once per database that
+        binds it."""
+        self._checkpoint = None
+        written, self._written = self._written, {}
+        now = self.manager.env.clock.now
         for line_id, records in self._databases():
+            taken = set()
             for record in records:
                 if not record.procedure.state_spec:
                     continue
-                state = record.state_storage()
-                key = (line_id, record.path)
-                saved = self._saved.get(key, (state, 0))
-                if saved[0] is state and saved[1] == state.writes:
-                    continue
-                if record.process.alive:
-                    self._saved[key] = (state, state.writes)
+                key = id(record.state_storage())
+                if key in written and key not in taken and record.process.alive:
+                    taken.add(key)
                     hosted = [r for r in records if r.process is record.process]
                     self.store.take(line_id, hosted, now)
 
@@ -128,17 +149,24 @@ class FailoverSupervisor:
             yield line.line_id, line.records
         yield SHARED, self.manager._shared.records
 
-    def _heartbeat_sweep(self, at: float) -> None:
+    # -- heartbeats --------------------------------------------------------------
+    def _heartbeat_sweep(self) -> None:
         """The Manager pings every host an instance runs on; a host that
         cannot answer is marked dead.  (Heartbeat traffic is
         control-plane and is not charged to any line's timeline —
         detection *latency* is still modelled, as a host's death is only
-        observed at the next sweep.)"""
+        observed at the next sweep.)  Sweeps sit on a fixed grid, so
+        their instants do not depend on how the clock happened to
+        advance."""
+        at = self._heartbeat.at_s
         machines = {r.machine.hostname: r.machine
                     for _, records in self._databases() for r in records}
         for hostname in sorted(machines.keys() - self.dead_hosts):
             if not machines[hostname].up:
                 self._mark_dead(hostname, at, "missed heartbeat")
+        self._heartbeat = self.manager.env.clock.schedule(
+            at + HEARTBEAT_INTERVAL_S, self._heartbeat_sweep
+        )
 
     def _mark_dead(self, hostname: str, at: float, how: str) -> None:
         self.dead_hosts.add(hostname)

@@ -11,8 +11,9 @@ clock's global ``now`` is the maximum across them, which is the standard
 conservative-parallel virtual-time treatment.  The concurrency is
 virtual: one OS thread runs every timeline, so the clock takes no lock,
 and a timeline touches it only when an advance pushes the envelope —
-which is also the only moment a scheduled event or a subscriber can
-fire.
+which is also the only moment a scheduled event can fire.  Scheduled
+events are the one way virtual time triggers work: fault injection,
+heartbeats and checkpoints alike.
 """
 
 from __future__ import annotations
@@ -47,14 +48,14 @@ class Timeline:
             raise ValueError(f"cannot advance time by {dt}")
         t = self._elapsed = self._elapsed + dt
         # the clock is touched only by an advance that pushes the
-        # envelope: global time follows it, and due events and
-        # subscribers fire inside it (inline here and in sync_to, and
-        # inlined again, statement for statement, in each charge of
-        # schooner.runtime.execute_call and in Transport.send)
+        # envelope: global time follows it, and due events fire inside
+        # it (inline here and in sync_to, and inlined again, statement
+        # for statement, in each charge of schooner.runtime.execute_call
+        # and in Transport.send)
         clock = self.clock
         if t > clock._now:
             clock._now = t
-            if clock._events or clock._subscribers:
+            if clock._events and clock._events[0][0] <= t:
                 clock._notify()
         # read again: what fired may itself have charged this timeline
         return self._elapsed
@@ -77,7 +78,7 @@ class Timeline:
             clock = self.clock
             if t > clock._now:
                 clock._now = t
-                if clock._events or clock._subscribers:
+                if clock._events and clock._events[0][0] <= t:
                     clock._notify()
         elif t != t:
             raise ValueError(f"cannot move time to {t}")
@@ -100,27 +101,20 @@ class ScheduledEvent:
 class VirtualClock:
     """Global virtual time: the envelope of all timelines.
 
-    Subscribers (the :class:`~repro.faults.FailoverSupervisor` is the
-    only one) are notified whenever global time moves forward; a
-    dispatch guard keeps a subscriber that itself advances time
-    (heartbeat messages, checkpoint transfers) from recursing — its
-    advances are folded into the same notification pass.
-
-    One-shot *events* may additionally be scheduled for an absolute
-    instant (:meth:`schedule`); a fault injector puts its plan's events
-    there.  The queue is a :mod:`heapq` priority
-    queue keyed ``(at_s, seq)`` — ``seq`` is a monotonic counter, so
-    same-instant events fire in scheduling order, exactly like the
-    sorted-list queue this replaced.  Due events fire *before* the
-    subscriber pass at each instant, and an event callback may advance
-    time or schedule further events; the dispatch loop runs until the
-    clock is quiescent.
+    Work is triggered by one-shot *events* scheduled for an absolute
+    instant (:meth:`schedule`): a fault injector puts its plan's events
+    there, and a :class:`~repro.faults.FailoverSupervisor` its
+    heartbeat sweeps and checkpoints.  The queue is a :mod:`heapq`
+    priority queue keyed ``(at_s, seq)`` — ``seq`` is a monotonic
+    counter, so same-instant events fire in scheduling order, exactly
+    like the sorted-list queue this replaced.  An event callback may
+    advance time or schedule further events; a dispatch guard keeps
+    those advances from recursing, and the dispatch loop fires every
+    event they make due until the clock is quiescent.
     """
 
     _now: float = 0.0
     _timelines: Dict[str, Timeline] = field(default_factory=dict)
-    _subscribers: List[Callable[[float], None]] = field(default_factory=list)
-    _notified_at: float = 0.0
     _dispatching: bool = False
     # pending one-shot events: a heap of (at_s, seq, ScheduledEvent)
     _events: List[Tuple[float, int, ScheduledEvent]] = field(default_factory=list)
@@ -135,15 +129,6 @@ class VirtualClock:
         if name not in self._timelines:
             self._timelines[name] = Timeline(name=name, clock=self)
         return self._timelines[name]
-
-    def subscribe(self, callback: Callable[[float], None]) -> None:
-        """Call ``callback(now)`` every time global time advances."""
-        if callback not in self._subscribers:
-            self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[float], None]) -> None:
-        if callback in self._subscribers:
-            self._subscribers.remove(callback)
 
     def advance(self, dt: float) -> float:
         """Advance global time directly (for strictly sequential runs)."""
@@ -176,34 +161,19 @@ class VirtualClock:
         (used after attaching a schedule to an already-advanced clock)."""
         self._notify()
 
-    def _fire_due_events(self) -> bool:
-        fired = False
-        while self._events and self._events[0][0] <= self._now:
-            _, _, ev = heapq.heappop(self._events)
-            if ev.cancelled:
-                continue
-            ev.cancelled = True  # one-shot
-            fired = True
-            ev.callback()
-        return fired
-
     def _notify(self) -> None:
-        if self._dispatching or not (self._subscribers or self._events):
+        if self._dispatching:
             return
         self._dispatching = True
         try:
-            # subscribers and event callbacks may advance time themselves
-            # (or schedule further events); loop until the clock is
-            # quiescent so no advance goes unreported.  Due events fire
-            # before the subscriber pass at each instant.
-            while True:
-                fired = self._fire_due_events()
-                if self._notified_at < self._now:
-                    t = self._now
-                    self._notified_at = t
-                    for callback in list(self._subscribers):
-                        callback(t)
-                elif not fired:
-                    break
+            # a callback may advance time or schedule further events:
+            # the head is read again after each one, so every event
+            # that came due fires in (at_s, seq) order
+            events = self._events
+            while events and events[0][0] <= self._now:
+                _, _, ev = heapq.heappop(events)
+                if not ev.cancelled:
+                    ev.cancelled = True  # one-shot
+                    ev.callback()
         finally:
             self._dispatching = False

@@ -214,7 +214,7 @@ class Transport:
             clock = timeline.clock
             if t > clock._now:
                 clock._now = t
-                if clock._events or clock._subscribers:
+                if clock._events and clock._events[0][0] <= t:
                     clock._notify()
             delivered_at = timeline._elapsed
         msg_id = self._next_id

@@ -52,11 +52,3 @@ class RetryBudget:
             return True
         self.denied += 1
         return False
-
-    def snapshot(self) -> dict:
-        return {
-            "tokens": self.tokens,
-            "capacity": self.capacity,
-            "spent": self.spent,
-            "denied": self.denied,
-        }

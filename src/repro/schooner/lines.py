@@ -36,33 +36,32 @@ class _ProcessState(dict):
     raises :class:`StateLost` rather than :class:`KeyError`, so a
     procedure that reads ``_state[var]`` fails typed, naming the host.
 
-    ``writes`` counts the calls of every mutator, so a checkpointer
-    sees that the state changed by comparing one integer;
-    ``all_writes`` counts them over every process's state, so a tick
-    after which nothing wrote needs no look at any process."""
+    ``hook``, when set, is called with the state after every call of a
+    mutator: a failover supervisor sets it on the processes it watches,
+    so a write is what schedules their next checkpoint."""
 
-    __slots__ = ("host", "writes")
-    all_writes = 0
+    __slots__ = ("host", "hook")
 
     def __init__(self, host: str):
         self.host = host
-        self.writes = 0
+        self.hook = None
 
     def __missing__(self, var):
         raise StateLost(f"declared state {var!r} is not installed on {self.host}")
 
 
-def _counted(write):
-    def counted(self, *args, **kwargs):
-        self.writes += 1
-        _ProcessState.all_writes += 1
-        return write(self, *args, **kwargs)
-    return counted
+def _hooked(write):
+    def hooked(self, *args, **kwargs):
+        result = write(self, *args, **kwargs)
+        if self.hook is not None:
+            self.hook(self)
+        return result
+    return hooked
 
 
 for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem",
               "setdefault", "update"):
-    setattr(_ProcessState, _name, _counted(getattr(dict, _name)))
+    setattr(_ProcessState, _name, _hooked(getattr(dict, _name)))
 
 
 @dataclass

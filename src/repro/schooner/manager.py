@@ -105,7 +105,9 @@ class Manager:
     runs_handled: int = 0
     # failure-detection/recovery sidecar (repro.faults.FailoverSupervisor):
     # consulted by client stubs and sch_contact_schx when a binding
-    # resolves to a dead instance.  None = no automatic recovery.
+    # resolves to a dead instance, and told of every record started
+    # while attached (it watches their declared state for checkpoints).
+    # None = no automatic recovery.
     supervisor: Optional[object] = None
 
     # -- infrastructure -----------------------------------------------------
@@ -185,6 +187,8 @@ class Manager:
             record = new_instance_record(p, proc, machine, path)
             line.bind(p, record)
             records.append(record)
+        if self.supervisor is not None:
+            self.supervisor.watch(records)
         return tuple(records)
 
     def start_shared(self, machine: Machine, path: str) -> Tuple[InstanceRecord, ...]:
@@ -202,6 +206,8 @@ class Manager:
             record = new_instance_record(p, proc, machine, path)
             self._shared.bind(p, record)
             records.append(record)
+        if self.supervisor is not None:
+            self.supervisor.watch(records)
         return tuple(records)
 
     # -- lookup and type checking ----------------------------------------------
@@ -356,6 +362,9 @@ class Manager:
             new_records.append(new_instance_record(
                 new_def, proc, target, path, generation=rec.generation + 1
             ))
+        if self.supervisor is not None:
+            # watched before the state goes in: installing it is a write
+            self.supervisor.watch(new_records)
         if state:
             self.env.transport.send(
                 source, target, kind, None, sum(len(b) for _, b in state),

@@ -454,7 +454,7 @@ def execute_call(
     # goes to compute_seconds itself for its error.  Each charge then
     # does Timeline.advance inline: the same addition, the same refusal
     # of a negative or NaN dt, and the same envelope check, inside which
-    # due clock events and subscribers fire.
+    # due clock events fire.
 
     # --- client side: the request stub conforms, stores, packs ------------
     # Each direction encodes into a fresh bytearray and travels as one
@@ -473,7 +473,7 @@ def execute_call(
     t = timeline._elapsed = timeline._elapsed + dt
     if t > clock._now:
         clock._now = t
-        if clock._events or clock._subscribers:
+        if clock._events and clock._events[0][0] <= t:
             clock._notify()
 
     # --- network: request --------------------------------------------------
@@ -510,7 +510,7 @@ def execute_call(
     t = timeline._elapsed = timeline._elapsed + dt
     if t > clock._now:
         clock._now = t
-        if clock._events or clock._subscribers:
+        if clock._events and clock._events[0][0] <= t:
             clock._notify()
 
     # The callee sees the subset of parameters its *export* declares
@@ -531,7 +531,7 @@ def execute_call(
     t = timeline._elapsed = timeline._elapsed + dt
     if t > clock._now:
         clock._now = t
-        if clock._events or clock._subscribers:
+        if clock._events and clock._events[0][0] <= t:
             clock._notify()
 
     reply = plan.reply(raw_result, recv)
@@ -548,7 +548,7 @@ def execute_call(
     t = timeline._elapsed = timeline._elapsed + dt
     if t > clock._now:
         clock._now = t
-        if clock._events or clock._subscribers:
+        if clock._events and clock._events[0][0] <= t:
             clock._notify()
 
     # --- network: reply ----------------------------------------------------
@@ -578,7 +578,7 @@ def execute_call(
     t = timeline._elapsed = timeline._elapsed + dt
     if t > clock._now:
         clock._now = t
-        if clock._events or clock._subscribers:
+        if clock._events and clock._events[0][0] <= t:
             clock._notify()
     finished_at = timeline._elapsed
     out = plan.finish(msg.body)

@@ -104,7 +104,7 @@ class ClientStub:
                 attempt += 1
         self.lookups += 1
         record = self.manager.lookup(self.line, self.name, self.import_sig)
-        supervisor = getattr(self.manager, "supervisor", None)
+        supervisor = self.manager.supervisor
         if not record.alive and supervisor is not None:
             supervisor.recover(self.line, record, timeline=timeline)
             record = self.manager.lookup(self.line, self.name, self.import_sig)

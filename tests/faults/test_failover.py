@@ -15,8 +15,8 @@ import pytest
 
 from repro.core import REMOTE_PATHS, install_tess_executables
 from repro.core.specs import DUCT_SPEC_SOURCE
-from repro.faults import FailoverSupervisor
-from repro.faults.demo import DOOMED_HOST, demo_records, run_demo
+from repro.faults import CrashMachine, CrashProcess, FailoverSupervisor, FaultPlan
+from repro.faults.demo import DOOMED_HOST, _build_executive, demo_records, run_demo
 from repro.schooner import Manager, ManagerMode, ModuleContext, SchoonerEnvironment
 from repro.schooner.tracing import trace_digest
 from repro.uts import SpecFile, codec_for
@@ -124,6 +124,41 @@ class TestTwoCrashes:
         # the second restart restored the restarted process's checkpoint
         assert checkpoint_time(first) < crashed_at[0]
         assert crashed_at[0] < checkpoint_time(second) < crashed_at[1]
+
+
+def quick_run(event):
+    """The quick demo transient under a one-event plan."""
+    ex = _build_executive(0.4, 0.02)
+    ex.run_resilient(FaultPlan(events=(event,)))
+    return ex
+
+
+@pytest.fixture(scope="module")
+def fault_free_thrust():
+    ref = _build_executive(0.4, 0.02)
+    ref.run_simulation()
+    return ref.solution.thrust_N
+
+
+class TestSameAdvance:
+    """Heartbeats and checkpoints are clock events: a fault that comes
+    due in the same advance fires in instant order with them."""
+
+    def test_no_host_is_declared_dead_before_it_crashed(self):
+        # the 1.5 s heartbeat falls in the advance that makes the
+        # 1.511 s crash due, and must sweep before the crash
+        ex = quick_run(CrashMachine(at_s=1.511, hostname=DOOMED_HOST))
+        (crash_at, _), = ex.injector.log
+        dead = [e for e in ex.supervisor.events if e.kind == "host-dead"]
+        assert dead and all(e.at_s >= crash_at for e in dead)
+
+    def test_a_checkpoint_due_before_the_crash_survives_it(self, fault_free_thrust):
+        # setnozl wrote its state before 0.5165 s, and the advance that
+        # makes the crash due is the first after the write
+        ex = quick_run(CrashProcess(at_s=0.5165, hostname=DOOMED_HOST))
+        (fo,) = [e for e in ex.supervisor.events if e.kind == "failover"]
+        assert "2 state vars from checkpoint" in fo.detail
+        assert ex.solution.thrust_N == pytest.approx(fault_free_thrust, rel=1e-9, abs=0)
 
 
 class TestDeterminism:

@@ -1,9 +1,12 @@
-"""The heap-scheduled clock event queue (PR 4, satellite 1).
+"""The heap-scheduled clock event queue: the one way virtual time
+triggers work.
 
 The headline property: on randomized schedules of inserts, cancels, and
 time advances, the heapq-based queue fires events in *exactly* the order
 the previous sorted-list implementation did — ``(at_s, scheduling
-order)``, due events before the subscriber pass, one-shot.
+order)``, one-shot.  The failover supervisor's heartbeats and
+checkpoints are such events too, ordered with a fault plan's by
+instant, and an advance with nothing due dispatches nothing.
 """
 
 from __future__ import annotations
@@ -13,7 +16,11 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import REMOTE_PATHS, install_tess_executables
+from repro.faults import CrashMachine, FailoverSupervisor, FaultInjector, FaultPlan
 from repro.network import ScheduledEvent, VirtualClock
+from repro.schooner import Manager, ManagerMode, SchoonerEnvironment
+from repro.serve import SessionSpec, serve_sessions
 
 
 class SortedListScheduler:
@@ -142,14 +149,48 @@ def test_callback_may_schedule_followup_events():
     assert fired == ["first", "chained"]
 
 
-def test_events_fire_before_subscribers_at_each_instant():
-    clock = VirtualClock()
-    order = []
-    clock.schedule(1.0, lambda: order.append("event"))
-    clock.subscribe(lambda now: order.append(f"subscriber@{now}"))
-    clock.advance(1.0)
-    assert order[0] == "event"
-    assert order[1:] == ["subscriber@1.0"]
+def test_heartbeats_and_faults_due_in_one_advance_fire_in_instant_order():
+    """One advance over the 0.5 s heartbeat, a 0.7 s crash and the 1.0 s
+    heartbeat: the first sweep still finds the host up, the second
+    marks it dead at its own instant, never before the crash."""
+    env = SchoonerEnvironment.standard()
+    install_tess_executables(env.park)
+    manager = Manager(env=env, host=env.park["ua-sparc10"], mode=ManagerMode.LINES)
+    cray = env.park["lerc-cray"]
+    manager.start_shared(cray, REMOTE_PATHS["duct"])
+    supervisor = FailoverSupervisor(manager=manager)
+    supervisor.attach()
+    plan = FaultPlan(events=(CrashMachine(at_s=0.7, hostname=cray.hostname),))
+    FaultInjector(env=env, plan=plan).attach()
+    env.clock.advance(1.2)
+    (event,) = supervisor.events
+    assert (event.kind, event.subject, event.at_s) == ("host-dead", cray.hostname, 1.0)
+
+
+def test_every_dispatch_fires_an_event_on_a_fault_free_resilient_serve(monkeypatch):
+    """An advance reaches the dispatch loop only when an event is due."""
+    fired = []
+    per_dispatch = []
+    schedule, notify = VirtualClock.schedule, VirtualClock._notify
+
+    def counted_schedule(self, at_s, callback):
+        def counted():
+            fired.append(at_s)
+            callback()
+        return schedule(self, at_s, counted)
+
+    def counted_notify(self):
+        before = len(fired)
+        notify(self)
+        per_dispatch.append(len(fired) - before)
+
+    monkeypatch.setattr(VirtualClock, "schedule", counted_schedule)
+    monkeypatch.setattr(VirtualClock, "_notify", counted_notify)
+    specs = [SessionSpec(name=f"s{i}", points=(1.28 + 0.02 * i,), resilient=True)
+             for i in range(2)]
+    report = serve_sessions(specs)
+    assert all(r.status == "completed" for r in report.results)
+    assert per_dispatch and min(per_dispatch) >= 1
 
 
 def test_heap_invariant_holds_under_interleaved_schedule_and_fire():

@@ -17,12 +17,7 @@ class TestBucket:
         assert b.try_spend()
         assert b.tokens == 0.0
         assert not b.try_spend()
-        assert b.snapshot() == {
-            "tokens": 0.0,
-            "capacity": 2.0,
-            "spent": 1,
-            "denied": 1,
-        }
+        assert (b.tokens, b.capacity, b.spent, b.denied) == (0.0, 2.0, 1, 1)
 
     def test_deposits_cap_at_capacity(self):
         b = RetryBudget(capacity=1.0, deposit=0.4, tokens=0.9)

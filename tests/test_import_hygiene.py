@@ -139,7 +139,13 @@ GONE_ATTRIBUTES = {
     ("repro.serve.installation", "WorkloadCache"): ("peek",),
     ("repro.serve.opcache", "OpPointCache"): ("peek", "families"),
     ("repro.serve.session", "SessionResult"): ("degraded", "started_s"),
-    ("repro.network.clock", "VirtualClock"): ("pending_events", "reset"),
+    # scheduled events are the one way virtual time triggers work: no
+    # subscriber pass, no process-global write count
+    ("repro.network.clock", "VirtualClock"): (
+        "pending_events", "reset",
+        "subscribe", "unsubscribe", "_subscribers", "_notified_at", "_fire_due_events",
+    ),
+    ("repro.schooner.lines", "_ProcessState"): ("all_writes", "writes"),
     ("repro.network.link", "LinkModel"): ("round_trip_seconds",),
     ("repro.machines.host", "Machine"): ("installed_paths",),
     ("repro.machines.registry", "MachinePark"): ("at_site",),
@@ -157,6 +163,8 @@ GONE_ATTRIBUTES = {
         "heartbeat_interval_s", "_monitored_machines",
         # a count nothing read
         "heartbeats",
+        # heartbeats and checkpoints are clock events, not a tick walk
+        "_on_tick", "_walked_at_writes", "_saved", "_last_heartbeat_at",
     ),
     # single-valued: no stock mix, CLI path or workload set them
     ("repro.traffic", "TrafficClass"): ("resilient", "op_cache"),
@@ -167,7 +175,7 @@ GONE_ATTRIBUTES = {
     ("repro.tess.profile", "ProfileResult"): ("thrust_range",),
     # no shard session can spend a retry token: each episode
     # installation keeps its own budget, so nothing is leased or settled
-    ("repro.resilience.budget", "RetryBudget"): ("lease", "absorb"),
+    ("repro.resilience.budget", "RetryBudget"): ("lease", "absorb", "snapshot"),
     ("repro.serve.scheduler", "ServeReport"): ("retry_budget",),
 }
 
