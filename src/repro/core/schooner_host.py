@@ -16,7 +16,9 @@ from typing import Callable, Dict, Optional, Sequence, Union
 import numpy as np
 
 from ..machines.host import Machine
+from ..machines import process as _process
 from ..schooner.api import ModuleContext
+from ..schooner.lines import LineState
 from ..schooner.manager import Manager
 from ..schooner.runtime import CallBatch, CallerContext
 from ..schooner.stubs import ClientStub
@@ -36,6 +38,8 @@ __all__ = ["SchoonerHost", "Placement"]
 
 #: machine (nickname/hostname or Machine) where an instance computes
 Placement = Union[Machine, str]
+
+_ACTIVE = LineState.ACTIVE
 
 _IMPORTS = {
     "shaft": SpecFile.parse(SHAFT_SPEC_SOURCE).as_imports(),
@@ -57,17 +61,28 @@ _PROCS = {
 
 
 class _Placed:
-    """What one instance key's placement fixes: the machine it names,
-    the executable path, the key's ModuleContext (kept when the
-    placement is replaced, so the line is too), and — once a call made
-    them — the set*/compute stubs of the context's current line."""
+    """One placed instance: what its placement fixes — the machine it
+    names, the executable path, the key's ModuleContext (kept when the
+    placement is replaced, so the line is too) — and, once a call made
+    them, the set*/compute stubs of the context's current line.
 
-    __slots__ = ("placement", "machine", "path", "ctx", "line", "setter", "compute")
+    It is also the instance's per-call wrapper: a call rides
+    ``compute`` as it is while the placement is the same object, the
+    line is active, no process anywhere has exited since every process
+    of the placement was seen alive (``exits``, read from
+    :data:`repro.machines.process.exits`) and the set* parameters are the ones
+    the line's process was given (``params``).  Anything else goes
+    through :meth:`SchoonerHost._bind`."""
 
-    def __init__(self, placement: Placement, machine: Machine, path: str,
+    __slots__ = ("key", "placement", "machine", "path", "ctx", "line", "setter",
+                 "compute", "params", "exits")
+
+    def __init__(self, key: str, placement: Placement, machine: Machine, path: str,
                  ctx: ModuleContext) -> None:
+        self.key = key
         self.placement, self.machine, self.path, self.ctx = placement, machine, path, ctx
-        self.line = self.setter = self.compute = None
+        self.line = self.setter = self.compute = self.params = None
+        self.exits = -1  # never seen alive yet
 
 
 def _pad4(seq) -> list:
@@ -110,6 +125,8 @@ class SchoonerHost(ComponentHost):
     # line, is kept)
     _placed: Dict[str, _Placed] = field(default_factory=dict)
     _initialized: Dict[str, tuple] = field(default_factory=dict)
+    # (kind, instance name) -> the _Placed whose wrapper a call rides
+    _live: Dict[tuple, _Placed] = field(default_factory=dict)
     _local: LocalHost = field(default_factory=LocalHost)
     calls: Dict[str, int] = field(default_factory=dict)
     _caller: Optional[CallerContext] = field(default=None, repr=False)
@@ -132,20 +149,15 @@ class SchoonerHost(ComponentHost):
     def _open_batch(self, label: str) -> CallBatch:
         return CallBatch(self.manager.env, self.caller_context(), label=label)
 
-    def _in_overlap_region(self) -> bool:
-        ctx = self._caller
-        return (ctx is not None and ctx.batch is not None
-                and ctx.batch.active_branch is not None)
-
     def _context(self, key: str) -> Optional[_Placed]:
         """The placement of an instance key, contacted, or None if local.
 
         What the key says (kind, path) and what its placement names
         (the machine) are resolved once; what can change under a
         running simulation — the line, the remote processes — is
-        revalidated on every use by ``sch_contact_schx``'s own
-        idempotence test, and anything but "placed there and alive"
-        goes through ``sch_contact_schx`` itself."""
+        revalidated by ``sch_contact_schx``'s own idempotence test, and
+        anything but "placed there and alive" goes through
+        ``sch_contact_schx`` itself."""
         placement = self.placements.get(key)
         if placement is None:
             return None
@@ -156,7 +168,7 @@ class SchoonerHost(ComponentHost):
                 caller=self.caller_context(),
             )
             placed = self._placed[key] = _Placed(
-                placement, self._machine(placement), REMOTE_PATHS[key.split(":")[0]], ctx,
+                key, placement, self._machine(placement), REMOTE_PATHS[key.split(":")[0]], ctx,
             )
         ctx = placed.ctx
         if not ctx.placed_alive(placed.machine, placed.path):
@@ -178,6 +190,7 @@ class SchoonerHost(ComponentHost):
         """The AVS destroy path: sch_i_quit for one module instance."""
         placed = self._placed.pop(key, None)
         if placed is not None:
+            placed.exits = -1  # its wrapper is gone with it
             placed.ctx.sch_i_quit()
         self._initialized.pop(key, None)
 
@@ -186,15 +199,33 @@ class SchoonerHost(ComponentHost):
             self.destroy_instance(key)
 
     # ------------------------------------------------------------ components
-    def _stub(self, key: str, kind: str, params: tuple) -> Optional[ClientStub]:
-        """The compute stub of a placed instance — contacted, counted
-        and initialised by its set* procedure (once, or again after a
-        parameter/placement change) — or None when it computes locally.
-        The two stubs are the line's: made once per line, not looked up
-        per call."""
+    def _compute(self, kind: str, name: str, params: tuple) -> Optional[ClientStub]:
+        """The compute stub of instance ``name`` of ``kind`` — contacted,
+        counted and initialised by its set* procedure (once, or again
+        after a parameter/placement change) — or None when it computes
+        locally.  A call whose wrapper still holds (see :class:`_Placed`)
+        takes the stub from it and only counts itself."""
+        placed = self._live.get((kind, name))
+        if (placed is not None and placed.exits == _process.exits
+                and placed.params == params and placed.line.state is _ACTIVE
+                and self.placements.get(placed.key) is placed.placement):
+            self.calls[placed.key] += 1
+            return placed.compute
+        return self._bind(kind, name, params)
+
+    def _bind(self, kind: str, name: str, params: tuple) -> Optional[ClientStub]:
+        """A component call whose wrapper does not hold: contact the
+        placement (starting or recovering its process), make the line's
+        two stubs once per line, run set* when the line, the placement
+        or the parameters moved, and leave the wrapper for the next
+        call."""
+        key = f"{kind}:{name}" if name else kind
         placed = self._context(key)
         if placed is None:
             return None
+        # every process of the placement is alive here: a later exit,
+        # anywhere, sends the next call back through here
+        exits = _process.exits
         self.calls[key] = self.calls.get(key, 0) + 1
         line = placed.ctx.line
         if placed.line is not line:
@@ -206,32 +237,26 @@ class SchoonerHost(ComponentHost):
         if self._initialized.get(key) != marker:
             placed.setter(**dict(zip(_PROCS[kind][1], params)))
             self._initialized[key] = marker
+        placed.params, placed.exits = params, exits
+        self._live[(kind, name)] = placed
         return placed.compute
 
-    def _duct_stub(self, name: str, duct) -> Optional[ClientStub]:
-        return self._stub(f"duct:{name}", "duct", (duct.dpqp,))
-
-    def _shaft_stub(self, name: str, shaft) -> Optional[ClientStub]:
-        return self._stub(
-            f"shaft:{name}", "shaft", (shaft.inertia, shaft.omega_design, shaft.mech_eff)
-        )
-
     def duct(self, name: str, duct, state: GasState) -> GasState:
-        stub = self._duct_stub(name, duct)
+        stub = self._compute("duct", name, (duct.dpqp,))
         if stub is None:
             return self._local.duct(name, duct, state)
         out = stub(w=state.W, tt=state.Tt, pt=state.Pt, far=state.far)
-        return GasState(W=out["wo"], Tt=out["tto"], Pt=out["pto"], far=out["faro"])
+        return GasState(out["wo"], out["tto"], out["pto"], out["faro"])
 
     def combustor(self, comb, state: GasState, wf: float) -> GasState:
-        stub = self._stub("combustor", "combustor", (comb.efficiency, comb.dpqp, comb.t_max))
+        stub = self._compute("combustor", "", (comb.efficiency, comb.dpqp, comb.t_max))
         if stub is None:
             return self._local.combustor(comb, state, wf)
         out = stub(w=state.W, tt=state.Tt, pt=state.Pt, far=state.far, wfuel=wf)
-        return GasState(W=out["wo"], Tt=out["tto"], Pt=out["pto"], far=out["faro"])
+        return GasState(out["wo"], out["tto"], out["pto"], out["faro"])
 
     def nozzle(self, nozzle, state: GasState, ps_ambient: float, flight_speed: float):
-        stub = self._stub("nozzle", "nozzle", (nozzle.cd, nozzle.area_m2))
+        stub = self._compute("nozzle", "", (nozzle.cd, nozzle.area_m2))
         if stub is None:
             return self._local.nozzle(nozzle, state, ps_ambient, flight_speed)
         out = stub(
@@ -249,51 +274,60 @@ class SchoonerHost(ComponentHost):
         )
 
     def shaft_accel(self, name, shaft, ecom, etur, ecorr, xspool):
-        stub = self._shaft_stub(name, shaft)
+        stub = self._compute(
+            "shaft", name, (shaft.inertia, shaft.omega_design, shaft.mech_eff)
+        )
         if stub is None:
             return self._local.shaft_accel(name, shaft, ecom, etur, ecorr, xspool)
         return stub(**self._shaft_args(shaft, ecom, etur, ecorr, xspool))["dxspl"]
 
     # ------------------------------------------------------------- overlapped
-    def _overlappable(self, keys: Sequence[str]) -> bool:
-        return (
-            self.dispatch == "overlap"
-            and not self._in_overlap_region()
-            and any(k in self.placements for k in keys)
-        )
+    def _overlappable(self, kind: str, names: Sequence[str]) -> bool:
+        ctx = self._caller
+        if self.dispatch != "overlap" or (
+            ctx is not None and ctx.batch is not None
+            and ctx.batch._active_branch is not None
+        ):
+            return False
+        placements = self.placements
+        for name in names:
+            if f"{kind}:{name}" in placements:
+                return True
+        return False
 
     def duct_pair(self, jobs):
         """Independent duct computations as one overlapped batch: the
         bypass/core branch costs the caller max(round trips), with only
         same-line/server work serialized."""
-        if not self._overlappable([f"duct:{name}" for name, _, _ in jobs]):
+        if not self._overlappable("duct", [name for name, _, _ in jobs]):
             return ComponentHost.duct_pair(self, jobs)
         out: list = [None] * len(jobs)
         prepared = []
         for i, (name, duct, state) in enumerate(jobs):
-            stub = self._duct_stub(name, duct)
+            stub = self._compute("duct", name, (duct.dpqp,))
             if stub is None:
                 out[i] = self._local.duct(name, duct, state)
                 continue
-            prepared.append((i, stub, dict(
-                w=state.W, tt=state.Tt, pt=state.Pt, far=state.far
-            )))
+            prepared.append((i, stub, state))
         batch = self._open_batch("duct-pair")
-        futures = [(i, stub.begin(batch, **args)) for i, stub, args in prepared]
+        futures = [(i, stub.begin(batch, w=state.W, tt=state.Tt, pt=state.Pt, far=state.far))
+                   for i, stub, state in prepared]
         for i, fut in futures:
             r = fut.wait()
-            out[i] = GasState(W=r["wo"], Tt=r["tto"], Pt=r["pto"], far=r["faro"])
+            out[i] = GasState(r["wo"], r["tto"], r["pto"], r["faro"])
         return tuple(out)
 
     def shaft_accel_pair(self, jobs):
         """The low/high spool accelerations as one overlapped batch."""
-        if not self._overlappable([f"shaft:{job[0]}" for job in jobs]):
+        if not self._overlappable("shaft", [job[0] for job in jobs]):
             return ComponentHost.shaft_accel_pair(self, jobs)
         out: list = [None] * len(jobs)
         prepared = []
         for i, job in enumerate(jobs):
             name, shaft, ecom, etur, ecorr, xspool = job
-            stub = self._shaft_stub(name, shaft)
+            stub = self._compute(
+                "shaft", name, (shaft.inertia, shaft.omega_design, shaft.mech_eff)
+            )
             if stub is None:
                 out[i] = self._local.shaft_accel(*job)
                 continue

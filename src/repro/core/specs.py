@@ -173,7 +173,7 @@ def build_duct_executable() -> Executable:
 
     def duct(w, tt, pt, far, _state):
         d = Duct(dpqp=_state["dpqp"])
-        out = d.run(GasState(W=w, Tt=tt, Pt=pt, far=far))
+        out = d.run(GasState(w, tt, pt, far))
         return (out.W, out.Tt, out.Pt, out.far)
 
     return Executable(
@@ -206,7 +206,7 @@ def build_combustor_executable() -> Executable:
             dpqp=_state["dpqp"],
             t_max=_state["tmax"],
         )
-        out = c.burn(GasState(W=w, Tt=tt, Pt=pt, far=far), wfuel)
+        out = c.burn(GasState(w, tt, pt, far), wfuel)
         return (out.W, out.Tt, out.Pt, out.far)
 
     return Executable(
@@ -237,7 +237,7 @@ def build_nozzle_executable() -> Executable:
 
     def nozl(w, tt, pt, far, ps0, v0, _state):
         n = ConvergentNozzle(cd=_state["cd"], area_m2=_state["area"])
-        state = GasState(W=w, Tt=tt, Pt=pt, far=far)
+        state = GasState(w, tt, pt, far)
         return (n.flow_capacity(state, ps0), n.net_thrust(state, ps0, v0))
 
     return Executable(

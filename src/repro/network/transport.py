@@ -10,9 +10,11 @@ delivery instant.  Counters record traffic for the benchmark reports.
 
 One thread runs the simulation, so nothing here is synchronised.  What
 is a pure function of a (source, destination) machine pair comes from
-the topology's route record; what a fault can change — the link class,
-the destination's liveness, the fault filter, trunk occupancy — is read
-on every send.
+the topology's route record — or, for a call plan's messages, from the
+plan's :class:`Hop`, which also keeps the message kind's header tag and
+the transfer time of the last link at the last size; what a fault can
+change — the link class, the destination's liveness, the fault filter,
+trunk occupancy — is read on every send.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from ..machines.host import Machine
 from .clock import Timeline, VirtualClock
 from .topology import NetworkError, Topology
 
-__all__ = ["Message", "Transport", "TrafficStats", "MessageDropped", "FaultFilter"]
+__all__ = ["Message", "Transport", "TrafficStats", "MessageDropped", "FaultFilter", "Hop"]
 
 # The Schooner message header, packed exactly once per message: call id,
 # kind tag, payload size, source/destination host tags, and the caller's
@@ -49,6 +51,27 @@ NO_DEADLINE = float("inf")
 @lru_cache(maxsize=4096)
 def _kind_tag(kind: str) -> int:
     return crc32(kind.encode("ascii", "replace"))
+
+
+class Hop:
+    """One direction of a call plan's messages, as :meth:`Transport.send`
+    can keep it between sends: the (``src``, ``dst``) route record, the
+    header tag of ``kind``, and the transfer time of the last link
+    ``classify`` returned at the last message size — recomputed when
+    either is another one (another topology's link model, a message of
+    another size).  Nothing a fault can change is kept: the link itself
+    (a partition or a gateway outage still raises from ``classify``),
+    the destination's liveness, the fault filter and the trunk's
+    occupancy are still read on every send."""
+
+    __slots__ = ("src_tag", "dst_tag", "trunk", "kind_tag", "link", "total", "dt")
+
+    def __init__(self, topology: Topology, src: Machine, dst: Machine, kind: str) -> None:
+        self.src_tag, self.dst_tag, self.trunk = topology.route_record(src, dst)
+        self.kind_tag = _kind_tag(kind)
+        self.link = None
+        self.total = -1
+        self.dt = 0.0
 
 
 _new_tuple = tuple.__new__
@@ -172,17 +195,27 @@ class Transport:
         timeline: Optional[Timeline] = None,
         header_bytes: int = 64,
         deadline_s: Optional[float] = None,
+        hop: Optional[Hop] = None,
     ) -> Message:
         """Deliver a message, charging virtual time to ``timeline``.
 
         ``nbytes`` is the payload size (UTS-encoded arguments); a fixed
         ``header_bytes`` models the Schooner message header (procedure
         name, call id, type tags).  ``deadline_s`` rides in the packed
-        header so the receiver can refuse already-late work.
+        header so the receiver can refuse already-late work.  ``hop`` is
+        the call plan's record of this (``src``, ``dst``, ``kind``)
+        direction; without one the route record and kind tag are looked
+        up.
         """
         total = nbytes + header_bytes
         link = self.topology.classify(src, dst)
-        dt = link.transfer_seconds(total)
+        if hop is None:
+            dt = link.transfer_seconds(total)
+        elif link is hop.link and total == hop.total:
+            dt = hop.dt
+        else:
+            dt = hop.dt = link.transfer_seconds(total)
+            hop.link, hop.total = link, total
         now = timeline._elapsed if timeline is not None else self.clock.now
         src_host, dst_host = src.hostname, dst.hostname
         if not dst.up:
@@ -196,7 +229,11 @@ class Transport:
                     f"{kind}: message {src_host} -> {dst_host} lost in transit"
                 )
             dt += extra_s
-        src_tag, dst_tag, trunk = self.topology.route_record(src, dst)
+        if hop is None:
+            src_tag, dst_tag, trunk = self.topology.route_record(src, dst)
+            kind_tag = _kind_tag(kind)
+        else:
+            src_tag, dst_tag, trunk, kind_tag = hop.src_tag, hop.dst_tag, hop.trunk, hop.kind_tag
         if self.contention:
             serialization = total / link.bandwidth_Bps
             free_at = self._trunk_free.get(trunk, 0.0)
@@ -221,7 +258,7 @@ class Transport:
         self._next_id = msg_id + 1
         header = HEADER_STRUCT.pack(
             msg_id & 0xFFFFFFFF,
-            _kind_tag(kind),
+            kind_tag,
             nbytes,
             src_tag,
             dst_tag,

@@ -91,11 +91,13 @@ class InstanceRecord:
         The storage is shared by every procedure the process's
         executable exports — a real process's global variables — which
         is what lets the paper's ``set*`` initialization procedures
-        leave values behind for their compute partners."""
-        key = f"exe-state:{self.path}"
-        state = self.process.memory.get(key)
+        leave values behind for their compute partners.  The process
+        keeps it under the executable's path, so the generated ``serve``
+        of a stateful call reads ``process.memory[record.path]`` and
+        comes here only to make it."""
+        state = self.process.memory.get(self.path)
         if state is None:
-            state = self.process.memory[key] = _ProcessState(self.machine.hostname)
+            state = self.process.memory[self.path] = _ProcessState(self.machine.hostname)
         return state
 
 

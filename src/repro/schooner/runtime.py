@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..machines.host import Machine
+from ..machines.process import ProcessState
 from ..machines.registry import MachinePark, standard_park
 from ..network.clock import Timeline, VirtualClock
 from ..network.topology import NetworkError, Topology
-from ..network.transport import Transport
+from ..network.transport import Hop, Transport
 from ..resilience.breaker import BreakerBoard
 from ..resilience.budget import RetryBudget
 from ..resilience.deadline import Deadline
@@ -242,7 +243,10 @@ class CallPlan:
     constant cost.  The four conversion tuples name the parameters that
     need a native conversion at all, per side and direction: on an IEEE
     machine every double's round trip is the identity, and the
-    generated code emits nothing for it.
+    generated code emits nothing for it.  The two :class:`Hop` objects
+    are what each direction's sends keep: the route record, the kind's
+    header tag and the last link's transfer time at the fixed size
+    (the link itself is still classified on every send).
 
     Plans live in the machine park's ``call_plans`` and die with the
     park; a client stub keeps the plan of its current binding.  The key
@@ -263,6 +267,7 @@ class CallPlan:
         "request_bytes", "reply_bytes", "request_flops", "reply_flops",
         "caller_rate", "callee_rate", "cost_flops",
         "caller_send", "callee_recv", "callee_return", "caller_recv",
+        "request_hop", "reply_hop",
     )
 
     def __init__(
@@ -305,6 +310,9 @@ class CallPlan:
         self.cost_flops = None if callable(proc.flops) else float(proc.flops)
         self.caller_send, self.callee_recv = stubs.caller_send, stubs.callee_recv
         self.callee_return, self.caller_recv = stubs.callee_return, stubs.caller_recv
+        topology = env.topology
+        self.request_hop = Hop(topology, caller_machine, callee_machine, self.call_kind)
+        self.reply_hop = Hop(topology, callee_machine, caller_machine, self.reply_kind)
 
 
 def plan_for(
@@ -326,6 +334,9 @@ def plan_for(
         # attempt: no plan is ever kept for it.
         plan = plans[key] = CallPlan(env, caller_machine, record, import_sig)
     return plan
+
+
+_RUNNING = ProcessState.RUNNING
 
 
 def _lost(
@@ -422,7 +433,7 @@ def execute_call(
     charge (priced at the machine's load when it is made), both sends,
     both deadline checks and the trace.
     """
-    if not record.process.alive:
+    if record.process.state is not _RUNNING:
         raise StaleBinding(
             f"{import_sig.name}: process {record.process.address} is not running"
         )
@@ -480,7 +491,7 @@ def execute_call(
     try:
         msg = send(
             caller_machine, callee_machine, plan.call_kind, request, nreq,
-            timeline, plan.header_bytes, deadline_s,
+            timeline, plan.header_bytes, deadline_s, plan.request_hop,
         )
     except NetworkError as exc:
         # request lost: the remote never saw the call, any procedure
@@ -555,7 +566,7 @@ def execute_call(
     try:
         msg = send(
             callee_machine, caller_machine, plan.reply_kind, reply, nrep,
-            timeline, plan.header_bytes, deadline_s,
+            timeline, plan.header_bytes, deadline_s, plan.reply_hop,
         )
     except NetworkError as exc:
         # reply lost: the remote *did* execute, so only procedures
@@ -654,26 +665,34 @@ class CallerContext:
     deadline: Optional[Deadline] = None
 
 
-class CallFuture:
-    """One overlapped, in-flight RPC.
+_WAITED = "CallBatch already waited on"
+
+
+class CallFuture(Timeline):
+    """One overlapped, in-flight RPC, and the branch of virtual time it
+    runs on.
 
     Created by :meth:`CallBatch.begin` (or internally for probe-region
-    calls).  ``wait()`` completes the whole batch — the overlap model
-    is fork/join, not fire-and-forget — then returns this call's result
-    parameters or re-raises its failure.
+    calls), starting at its line's current instant: the call is charged
+    to the future itself, which is the member's own timeline, so an
+    overlapped call builds one object.  ``wait()`` completes the whole
+    batch — the overlap model is fork/join, not fire-and-forget — then
+    returns this call's result parameters or re-raises its failure.
+    Futures compare by identity, not as timelines do.
     """
 
-    __slots__ = (
-        "procedure", "line_id", "issued_at", "finished_at",
-        "traces", "done", "_results", "_error", "_batch", "_line",
-    )
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, procedure: str, line, issued_at: float, batch: "CallBatch"):
+        timeline = line.timeline
+        self.name = procedure
+        self.clock = timeline.clock
+        self._elapsed = timeline._elapsed
         self.procedure = procedure
         self._line = line
         self.line_id = line.line_id
         self.issued_at = issued_at
-        self.finished_at = issued_at
         self.traces: List[CallTrace] = []
         self.done = False
         self._results: Optional[Dict[str, Any]] = None
@@ -707,10 +726,14 @@ class CallBatch:
     starts at ``t0`` and serializes the calls made inside it — one
     finite-difference Jacobian column, say — so independent regions
     overlap with each other while each region's internal data
-    dependencies stay honest.
+    dependencies stay honest.  A stub call made inside one rides it
+    (:meth:`call_on_branch`).
 
     Wall-clock execution: members run inline, in submission order; the
-    overlap is charged on the virtual timeline only.
+    overlap is charged on the virtual timeline only.  Each time a
+    timeline moves to another's instant below, it is
+    ``Timeline.sync_to`` inline: the same refusal of a NaN instant and
+    the same envelope check, inside which due clock events fire.
     """
 
     def __init__(self, env: SchoonerEnvironment, caller: CallerContext,
@@ -718,25 +741,32 @@ class CallBatch:
         self.env = env
         self.caller = caller
         self.label = label
-        self.t0 = caller.timeline.now
+        # the caller's instant when the batch opened, as a timeline the
+        # probe regions branch from
+        self._opened = caller.timeline.branch(label)
+        self.t0 = self._opened._elapsed
         self._avail: Dict[str, float] = {}  # line_id -> server free-at
         self._entries: List[CallFuture] = []  # submission order
+        # the open probe region's branch, read by stubs sharing the
+        # caller context
         self._active_branch: Optional[Timeline] = None
         self._done = False
 
     # -- issuing ----------------------------------------------------------
     def _require_open(self) -> None:
         # wait() flushes traces once; a call issued after it would run
-        # and never reach env.traces
+        # and never reach env.traces (begin and call_on_branch make the
+        # same test inline)
         if self._done:
-            raise RuntimeError("CallBatch already waited on")
+            raise RuntimeError(_WAITED)
 
     def begin(self, stub: "ClientStub", args: Dict[str, Any]) -> CallFuture:
         """Dispatch one overlapped call; returns its future."""
-        self._require_open()
-        fut = CallFuture(stub.name, stub.line, self.t0, self)
+        if self._done:
+            raise RuntimeError(_WAITED)
+        fut = CallFuture(stub.import_sig.name, stub.line, self.t0, self)
         self._entries.append(fut)
-        self._run(stub, args, fut, None)
+        self._run(stub, args, fut)
         return fut
 
     @contextmanager
@@ -747,28 +777,31 @@ class CallBatch:
         the batch's other members and regions."""
         self._require_open()
         prev = self._active_branch
-        self._active_branch = Timeline(
-            name=f"{self.label}:{label}",
-            clock=self.caller.timeline.clock,
-            _elapsed=self.t0,
-        )
+        self._active_branch = self._opened.branch(f"{self.label}:{label}")
         try:
             yield self._active_branch
         finally:
             self._active_branch = prev
 
-    @property
-    def active_branch(self) -> Optional[Timeline]:
-        return self._active_branch
-
     def call_on_branch(self, stub: "ClientStub", args: Dict[str, Any],
                        branch: Timeline) -> Dict[str, Any]:
         """A blocking call issued inside a probe region: it runs now, on
         the region's branch, and moves the branch to its completion."""
-        self._require_open()
-        fut = CallFuture(stub.name, stub.line, branch.now, self)
+        if self._done:
+            raise RuntimeError(_WAITED)
+        fut = CallFuture(stub.import_sig.name, stub.line, branch._elapsed, self)
         self._entries.append(fut)
-        self._run(stub, args, fut, branch)
+        self._run(stub, args, fut)
+        t = fut._elapsed
+        if t > branch._elapsed:
+            branch._elapsed = t
+            clock = branch.clock
+            if t > clock._now:
+                clock._now = t
+                if clock._events and clock._events[0][0] <= t:
+                    clock._notify()
+        elif t != t:
+            raise ValueError(f"cannot move time to {t}")
         if fut._error is not None:
             # raised here, synchronously — cleared so wait() (typically
             # reached from a finally block) does not raise it again
@@ -778,29 +811,36 @@ class CallBatch:
         return fut._results
 
     # -- execution --------------------------------------------------------
-    def _run(self, stub: "ClientStub", args: Dict[str, Any],
-             fut: CallFuture, branch: Optional[Timeline]) -> None:
-        line = stub.line
+    def _run(self, stub: "ClientStub", args: Dict[str, Any], fut: CallFuture) -> None:
         # the call leaves the caller at the batch instant (or its probe
         # region's current instant) but cannot occupy the server before
         # the line's earlier members finish their server-side work (or
         # earlier sync traffic completes)
-        issue_at = self.t0 if branch is None else branch.now
-        start = max(issue_at, self._avail.get(line.line_id, line.timeline.now))
-        tl = line.timeline.branch(f"{line.line_id}:{self.label}")
-        tl.sync_to(start)
-        sink: List[CallTrace] = []
+        line_id = fut.line_id
+        avail = self._avail
+        start = avail[line_id] if line_id in avail else fut._line.timeline._elapsed
+        issue_at = fut.issued_at
+        if not start > issue_at:  # max(issue_at, start)
+            start = issue_at
+        if start > fut._elapsed:
+            fut._elapsed = start
+            clock = fut.clock
+            if start > clock._now:
+                clock._now = start
+                if clock._events and clock._events[0][0] <= start:
+                    clock._notify()
+        elif start != start:
+            raise ValueError(f"cannot move time to {start}")
+        sink = fut.traces
         try:
-            fut._results = stub._invoke(args, tl, "overlap", sink)
+            fut._results = stub._invoke(args, fut, "overlap", sink)
         except BaseException as exc:  # re-raised at wait(), in order
             fut._error = exc
-        occupancy = sum(t.server_cpu_s + t.compute_s for t in sink)
-        self._avail[line.line_id] = start + occupancy
-        fut.finished_at = tl.now
-        fut.traces = sink
+        occupancy = 0
+        for t in sink:
+            occupancy += t.server_cpu_s + t.compute_s
+        avail[line_id] = start + occupancy
         fut.done = True
-        if branch is not None:
-            branch.sync_to(tl.now)
 
     # -- joining ----------------------------------------------------------
     def wait(self) -> None:
@@ -809,11 +849,25 @@ class CallBatch:
         if self._done:
             return
         self._done = True
-        for fut in self._entries:
-            for t in fut.traces:
-                self.env.record_trace(t)
-            fut._line.timeline.sync_to(fut.finished_at)
-            self.caller.timeline.sync_to(fut.finished_at)
-        for fut in self._entries:
+        # the futures keep their batch for wait(); once joined, the batch
+        # lets them go, so no future <-> batch cycle outlives the join
+        # and holds the environment until a full collection
+        entries, self._entries = self._entries, []
+        caller = self.caller.timeline
+        for fut in entries:
+            for trace in fut.traces:
+                self.env.record_trace(trace)
+            t = fut._elapsed
+            for tl in (fut._line.timeline, caller):
+                if t > tl._elapsed:
+                    tl._elapsed = t
+                    clock = tl.clock
+                    if t > clock._now:
+                        clock._now = t
+                        if clock._events and clock._events[0][0] <= t:
+                            clock._notify()
+                elif t != t:
+                    raise ValueError(f"cannot move time to {t}")
+        for fut in entries:
             if fut._error is not None:
                 raise fut._error

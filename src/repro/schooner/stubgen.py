@@ -22,6 +22,7 @@ import keyword
 import math
 import struct
 from typing import Any, Callable, Dict, List, Optional, Tuple
+from ..machines.process import ProcessState
 from ..uts.compiled import (
     codec_for,
     flat_message_layout,
@@ -169,6 +170,7 @@ class _Source:
             "_StaleBinding": StaleBinding,
             "_CallFailed": CallFailed,
             "_StateLost": StateLost,
+            "_RUNNING": ProcessState.RUNNING,
             "_conform_args": conform_args,
             "_frexp": math.frexp,
             "_ldexp": math.ldexp,
@@ -346,11 +348,15 @@ def _compile_call(sig: Signature, caller_fmt: NativeFormat, callee_fmt: NativeFo
     src.emit(0, "def serve(body, record, timeline):")
     _emit_unpack(src, 1, vs, sent, sig, "send")
     callee_recv = _conversions(src, 1, vs, sent, callee_fmt, policy)
-    src.emit(1, "if not record.machine.up or not record.process.alive:")
+    src.emit(1, "if not record.machine.up or record.process.state is not _RUNNING:")
     src.emit(2, "raise _StaleBinding(_died)")
     extras = []
     if wants_state:
-        src.emit(1, "_state = record.state_storage()")
+        # the executable's state, made by its first stateful call
+        src.emit(1, "try:")
+        src.emit(2, "_state = record.process.memory[record.path]")
+        src.emit(1, "except KeyError:")
+        src.emit(2, "_state = record.state_storage()")
         extras.append((STATE_ARG, "_state"))
     if wants_timeline:
         extras.append((TIMELINE_ARG, "timeline"))

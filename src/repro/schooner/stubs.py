@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..machines.host import Machine
+from ..machines.process import ProcessState
 from ..network.clock import Timeline
 from ..network.topology import NetworkError
 from ..uts.types import Signature
@@ -28,7 +29,6 @@ from .runtime import (
     CallBatch,
     CallerContext,
     CallFuture,
-    CallPlan,
     CallTrace,
     execute_call,
     plan_for,
@@ -38,6 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .manager import Manager
 
 __all__ = ["ClientStub"]
+
+_RUNNING = ProcessState.RUNNING
 
 
 @dataclass
@@ -157,44 +159,41 @@ class ClientStub:
         if ctx is None:
             return self._invoke(args, self.line.timeline, "sync", None)
         batch = ctx.batch
-        if batch is not None and batch.active_branch is not None:
-            return batch.call_on_branch(self, args, batch.active_branch)
+        if batch is not None and batch._active_branch is not None:
+            return batch.call_on_branch(self, args, batch._active_branch)
         # honest sequential semantics: the caller blocks for the whole
-        # round trip, so back-to-back calls on different lines sum
+        # round trip, so back-to-back calls on different lines sum.  The
+        # line moves to the caller's instant before the call and the
+        # caller to the line's after it: Timeline.sync_to, inline both
+        # times (the envelope check is where due clock events fire)
         tl = self.line.timeline
-        tl.sync_to(ctx.timeline.now)
+        t = ctx.timeline._elapsed
+        if t > tl._elapsed:
+            tl._elapsed = t
+            clock = tl.clock
+            if t > clock._now:
+                clock._now = t
+                if clock._events and clock._events[0][0] <= t:
+                    clock._notify()
+        elif t != t:
+            raise ValueError(f"cannot move time to {t}")
         out = self._invoke(args, tl, "sync", None)
-        ctx.timeline.sync_to(tl.now)
+        t, tl = tl._elapsed, ctx.timeline
+        if t > tl._elapsed:
+            tl._elapsed = t
+            clock = tl.clock
+            if t > clock._now:
+                clock._now = t
+                if clock._events and clock._events[0][0] <= t:
+                    clock._notify()
+        elif t != t:
+            raise ValueError(f"cannot move time to {t}")
         return out
 
     def begin(self, batch: CallBatch, /, **args: Any) -> CallFuture:
         """Dispatch this call into an overlap ``batch``; the returned
         future's ``wait()`` joins the batch and yields the results."""
         return batch.begin(self, args)
-
-    def _deadline(self):
-        """The deadline in force for this stub's calls: the caller
-        context's, falling back to the environment-wide one (a serving
-        session's per-session deadline)."""
-        if self.caller is not None and self.caller.deadline is not None:
-            return self.caller.deadline
-        return self.manager.env.deadline
-
-    def _plan(self, record: InstanceRecord, env) -> Optional[CallPlan]:
-        """The :class:`CallPlan` for calling ``record``, kept with the
-        binding and looked up again only when the record, the range
-        policy or the cost model is another object.  ``None`` for a
-        dead process, so ``execute_call`` refuses the binding before
-        any plan (and its type check) is built, as it always has."""
-        bound = self._bound
-        if (bound is not None and bound[0] is record
-                and bound[1] is env.range_policy and bound[2] is env.costs):
-            return bound[3]
-        if not record.process.alive:
-            return None
-        plan = plan_for(env, self.caller_machine, record, self.import_sig)
-        self._bound = (record, env.range_policy, env.costs, plan)
-        return plan
 
     def _breaker_gate(
         self, record: InstanceRecord, timeline: Timeline, failed_over: bool
@@ -235,11 +234,18 @@ class ClientStub:
         if record is None:
             record = self._resolve(timeline)
         retries = 0
-        failed_over = self._consume_recovered()
+        failed_over, self._recovered = self._recovered, False
         if failed_over:
             self.failovers += 1
         policy = env.retry
-        deadline = self._deadline()
+        # the deadline in force: the caller context's, falling back to
+        # the environment-wide one (a serving session's per-session
+        # deadline)
+        caller = self.caller
+        if caller is not None and caller.deadline is not None:
+            deadline = caller.deadline
+        else:
+            deadline = env.deadline
         budget = env.retry_budget
         try:
             attempt = 1
@@ -251,6 +257,20 @@ class ClientStub:
                     )
                 try:
                     for stale_retry in (False, True):
+                        # the binding's CallPlan, looked up again only
+                        # when the record, the range policy or the cost
+                        # model is another object; none for a dead
+                        # process, so execute_call refuses the binding
+                        # before any plan (and its type check) is built
+                        bound = self._bound
+                        if (bound is not None and bound[0] is record
+                                and bound[1] is env.range_policy and bound[2] is env.costs):
+                            plan = bound[3]
+                        elif record.process.state is not _RUNNING:
+                            plan = None
+                        else:
+                            plan = plan_for(env, self.caller_machine, record, self.import_sig)
+                            self._bound = (record, env.range_policy, env.costs, plan)
                         try:
                             out = execute_call(
                                 env,
@@ -264,7 +284,7 @@ class ClientStub:
                                 dispatch=dispatch,
                                 trace_sink=trace_sink,
                                 deadline=deadline,
-                                plan=self._plan(record, env),
+                                plan=plan,
                             )
                             break
                         except StaleBinding:

@@ -2,7 +2,8 @@
 
 Map-driven: corrected speed and the map beta parameter determine flow,
 pressure ratio, and efficiency; the work absorbed comes from the
-enthalpy rise at the map efficiency.
+enthalpy rise at the map efficiency.  :meth:`Compressor.operate`
+computes the gas model in its own body (see :mod:`repro.tess.gas`).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import sqrt
 
-from ..gas import GasState, enthalpy, gamma, temperature_from_enthalpy
+from ..gas import _CP_A, _CP_B, _PRODUCTS_FACTOR, R_AIR, GasState
 from ..maps import CompressorMap
 
 __all__ = ["Compressor", "CompressorOperatingPoint"]
@@ -66,20 +67,30 @@ class Compressor:
         Uses ``state_in.W`` as the through-flow (continuity is enforced
         by the engine-level balance, whose residual compares ``W`` with
         :meth:`map_physical_flow`)."""
-        Nc = self.corrected_speed(N, state_in)
+        W, Tt, Pt, far = state_in
+        Nc = N / sqrt(Tt / self.t_ref)  # corrected_speed
         pr = self.map.pressure_ratio(Nc, beta)
         eta = self.map.efficiency(Nc, beta)
-        g = gamma(state_in.Tt, state_in.far)
-        Tt_ideal = state_in.Tt * pr ** ((g - 1.0) / g)
-        dh_ideal = enthalpy(Tt_ideal, state_in.far) - state_in.ht
+        scale = 1.0 + _PRODUCTS_FACTOR * far / (1.0 + far)  # gas._far_scale
+        c = (_CP_A + _CP_B * Tt) * scale
+        g = c / (c - R_AIR)  # gamma(Tt, far)
+        Tt_ideal = Tt * pr ** ((g - 1.0) / g)
+        ht = (_CP_A * Tt + 0.5 * _CP_B * Tt * Tt) * scale  # state_in.ht
+        dh_ideal = (_CP_A * Tt_ideal + 0.5 * _CP_B * Tt_ideal * Tt_ideal) * scale - ht
         dh = dh_ideal / eta
-        Tt_out = temperature_from_enthalpy(state_in.ht + dh, state_in.far)
-        state_out = state_in.with_(Tt=Tt_out, Pt=state_in.Pt * pr)
+        h = ht + dh  # temperature_from_enthalpy(h, far):
+        disc = _CP_A * _CP_A + 2.0 * _CP_B * h / scale
+        if disc < 0:
+            raise ValueError(f"enthalpy {h} out of range")
+        Tt_out = (-_CP_A + sqrt(disc)) / _CP_B
+        state_out = GasState(W, Tt_out, Pt * pr, far)
+        # map_physical_flow at the same corrected speed
+        wc = self.map.corrected_flow(Nc, beta, stator_angle)
         return CompressorOperatingPoint(
             state_out=state_out,
-            power_W=state_in.W * dh,
+            power_W=W * dh,
             pressure_ratio=pr,
             efficiency=eta,
             corrected_speed=Nc,
-            map_flow_kgs=self.map_physical_flow(state_in, N, beta, stator_angle),
+            map_flow_kgs=wc * (Pt / 101325.0) / sqrt(Tt / 288.15),
         )

@@ -21,4 +21,5 @@ class Duct:
             raise ValueError(f"duct loss fraction {self.dpqp} outside [0, 1)")
 
     def run(self, state_in: GasState) -> GasState:
-        return state_in.with_(Pt=state_in.Pt * (1.0 - self.dpqp))
+        W, Tt, Pt, far = state_in
+        return GasState(W, Tt, Pt * (1.0 - self.dpqp), far)

@@ -1,11 +1,14 @@
-"""Flow-splitting and flow-mixing components: bleed, splitter, mixer."""
+"""Flow-splitting and flow-mixing components: bleed, splitter, mixer.
+The mixer computes the gas model in its own body (see
+:mod:`repro.tess.gas`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 from typing import Tuple
 
-from ..gas import GasState, temperature_from_enthalpy
+from ..gas import _CP_A, _CP_B, _PRODUCTS_FACTOR, GasState
 
 __all__ = ["Bleed", "Splitter", "MixingVolume"]
 
@@ -22,10 +25,9 @@ class Bleed:
 
     def run(self, state_in: GasState) -> Tuple[GasState, GasState]:
         """Returns (main stream, bleed stream)."""
-        wb = state_in.W * self.fraction
-        main = state_in.with_(W=state_in.W - wb)
-        bleed = state_in.with_(W=wb)
-        return main, bleed
+        W, Tt, Pt, far = state_in
+        wb = W * self.fraction
+        return GasState(W - wb, Tt, Pt, far), GasState(wb, Tt, Pt, far)
 
 
 @dataclass(frozen=True)
@@ -36,10 +38,9 @@ class Splitter:
         """Returns (core, bypass); ``bypass_ratio`` = W_bypass/W_core."""
         if bypass_ratio < 0:
             raise ValueError(f"negative bypass ratio {bypass_ratio}")
-        w_core = state_in.W / (1.0 + bypass_ratio)
-        core = state_in.with_(W=w_core)
-        bypass = state_in.with_(W=state_in.W - w_core)
-        return core, bypass
+        W, Tt, Pt, far = state_in
+        w_core = W / (1.0 + bypass_ratio)
+        return GasState(w_core, Tt, Pt, far), GasState(W - w_core, Tt, Pt, far)
 
 
 @dataclass(frozen=True)
@@ -53,18 +54,27 @@ class MixingVolume:
     """
 
     def mix(self, a: GasState, b: GasState) -> GasState:
-        w = a.W + b.W
+        wa, ta, pa, fa = a
+        wb, tb, pb, fb = b
+        w = wa + wb
         if w <= 0:
             raise ValueError("mixing zero total flow")
-        h = (a.W * a.ht + b.W * b.ht) / w
+        ha = (_CP_A * ta + 0.5 * _CP_B * ta * ta) * (1.0 + _PRODUCTS_FACTOR * fa / (1.0 + fa))
+        hb = (_CP_A * tb + 0.5 * _CP_B * tb * tb) * (1.0 + _PRODUCTS_FACTOR * fb / (1.0 + fb))
+        h = (wa * ha + wb * hb) / w
         # combine fuel-air ratios through the air flows
-        wa_air = a.W / (1.0 + a.far)
-        wb_air = b.W / (1.0 + b.far)
-        wf = a.far * wa_air + b.far * wb_air
+        wa_air = wa / (1.0 + fa)
+        wb_air = wb / (1.0 + fb)
+        wf = fa * wa_air + fb * wb_air
         far = wf / (wa_air + wb_air)
-        Tt = temperature_from_enthalpy(h, far)
-        Pt = (a.W * a.Pt + b.W * b.Pt) / w
-        return GasState(W=w, Tt=Tt, Pt=Pt, far=far)
+        # temperature_from_enthalpy(h, far)
+        scale = 1.0 + _PRODUCTS_FACTOR * far / (1.0 + far)
+        disc = _CP_A * _CP_A + 2.0 * _CP_B * h / scale
+        if disc < 0:
+            raise ValueError(f"enthalpy {h} out of range")
+        Tt = (-_CP_A + sqrt(disc)) / _CP_B
+        Pt = (wa * pa + wb * pb) / w
+        return GasState(w, Tt, Pt, far)
 
     def pressure_imbalance(self, a: GasState, b: GasState) -> float:
         """Normalized static-pressure mismatch at the mixing plane; the

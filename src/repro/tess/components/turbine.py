@@ -4,13 +4,24 @@ The balance formulation treats each turbine as choked at its inlet: the
 engine-level residual pins the inlet corrected flow to the design value
 (set by the design closure), while the expansion ratio is a balance
 unknown from which the delivered power follows.
+:meth:`Turbine.expand_with_ratio` computes the gas model in its own
+body (see :mod:`repro.tess.gas`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
-from ..gas import GasState, enthalpy, gamma, temperature_from_enthalpy
+from ..gas import (
+    _CP_A,
+    _CP_B,
+    _PRODUCTS_FACTOR,
+    R_AIR,
+    GasState,
+    gamma,
+    temperature_from_enthalpy,
+)
 
 __all__ = ["Turbine", "TurbineOperatingPoint"]
 
@@ -47,14 +58,21 @@ class Turbine:
         """Expand through total-pressure ratio ``pr`` = Pt_in/Pt_out."""
         if pr < 1.0:
             raise ValueError(f"turbine expansion ratio {pr} < 1")
-        g = gamma(state_in.Tt, state_in.far)
-        Tt_ideal = state_in.Tt * pr ** (-(g - 1.0) / g)
-        dh_ideal = state_in.ht - enthalpy(Tt_ideal, state_in.far)
+        W, Tt, Pt, far = state_in
+        scale = 1.0 + _PRODUCTS_FACTOR * far / (1.0 + far)  # gas._far_scale
+        c = (_CP_A + _CP_B * Tt) * scale
+        g = c / (c - R_AIR)  # gamma(Tt, far)
+        Tt_ideal = Tt * pr ** (-(g - 1.0) / g)
+        ht = (_CP_A * Tt + 0.5 * _CP_B * Tt * Tt) * scale  # state_in.ht
+        dh_ideal = ht - (_CP_A * Tt_ideal + 0.5 * _CP_B * Tt_ideal * Tt_ideal) * scale
         dh = dh_ideal * self.efficiency
-        Tt_out = temperature_from_enthalpy(state_in.ht - dh, state_in.far)
-        state_out = state_in.with_(Tt=Tt_out, Pt=state_in.Pt / pr)
+        h = ht - dh  # temperature_from_enthalpy(h, far):
+        disc = _CP_A * _CP_A + 2.0 * _CP_B * h / scale
+        if disc < 0:
+            raise ValueError(f"enthalpy {h} out of range")
+        Tt_out = (-_CP_A + sqrt(disc)) / _CP_B
         return TurbineOperatingPoint(
-            state_out=state_out, power_W=state_in.W * dh, pressure_ratio=pr
+            state_out=GasState(W, Tt_out, Pt / pr, far), power_W=W * dh, pressure_ratio=pr
         )
 
     def expand_to_power(self, state_in: GasState, power_W: float) -> TurbineOperatingPoint:

@@ -365,7 +365,7 @@ class TwinSpoolTurbofan:
 
         face = self.inlet.capture(flight, W=1.0)
         w_fan = self.fan.map_physical_flow(face, n1, beta_fan, fan_stator)
-        face = face.with_(W=w_fan)
+        face = GasState(w_fan, face.Tt, face.Pt, face.far)
         fan_op = self.fan.operate(face, n1, beta_fan, fan_stator)
         core, bypass = self.splitter.split(fan_op.state_out, bpr)
         # the two branch ducts are data-independent: a host with

@@ -14,6 +14,16 @@ bitwise what the numpy scalar expression gives (docs/PERFORMANCE.md,
 "Third pass: a cold point on plain floats", lists where the two differ
 on a bad input, and why no station reaches it or where the numpy
 outcome is kept).
+
+The component bodies a balance evaluates (``repro.tess.components``:
+compressor, turbine, combustor, duct, bleed, splitter, mixer,
+afterburner, nozzle) do not call :func:`cp`, :func:`gamma`,
+:func:`enthalpy`, :func:`temperature_from_enthalpy` or the
+``GasState`` properties: each computes the expressions below in its
+own body, with the same float operations in the same order, and builds
+its outlet ``GasState`` once.  A change to the gas model here is a
+change to those bodies too; ``tests/tess/test_gas_path_floats.py``
+holds each body bitwise to the property chain it replaced.
 """
 
 from __future__ import annotations

@@ -63,6 +63,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.machines.arch import ALL_NATIVE_FORMATS
+from repro.machines.process import ProcessState
 from repro.schooner.runtime import _shape_results
 from repro.schooner.stubgen import call_stubs
 from repro.uts.compiled import (
@@ -566,13 +567,18 @@ def reference_finish(sig: Signature, fmt: NativeFormat, policy: OutOfRangePolicy
 
 class _Record:
     """What a generated ``serve`` reads of an instance record: a live
-    host and process, the implementation, the state storage."""
+    host and process, the implementation, the state storage (kept in
+    the process's memory under the executable's path)."""
 
-    machine = process = SimpleNamespace(up=True, alive=True)
+    machine = SimpleNamespace(up=True)
+    path = "/bin/exe"
 
     def __init__(self, impl: Callable[..., Any]) -> None:
         self.procedure = SimpleNamespace(impl=impl)
         self.state: Dict[str, Any] = {}
+        self.process = SimpleNamespace(
+            state=ProcessState.RUNNING, memory={self.path: self.state}
+        )
 
     def state_storage(self) -> Dict[str, Any]:
         return self.state
