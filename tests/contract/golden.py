@@ -13,6 +13,13 @@ returns every row of the contract:
 * ``batch/<batch>/<session>`` — the seven three-way batches and the
   built-once mixed batch (``scenarios.py``);
 * ``chaos/<config>`` — the disposition counts of each stock soak;
+* ``faults/<plan>`` — each ``python -m repro faults --quick`` plan's
+  outcome, and ``faults/<plan>/injection/<k>`` and
+  ``faults/<plan>/recovery/<k>`` each fault it fired and each death,
+  and failover its supervisor logged; ``failover/<plan>`` —
+  ``benchmarks/bench_failover.py``'s row per crash plan;
+  ``crash/<kind>/<event>/<plain|resilient>`` — the outcome of each
+  crash-matrix run (``scenarios.py``);
 * ``transient/floor`` — Table 2's transient on both dispatch paths;
 * ``gate/<script>`` — every field of a ``benchmarks/BENCH_*.json`` not
   read off the host clock, from that script's own ``measure()``;
@@ -45,10 +52,24 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.faults.demo import demo_records
 from repro.resilience.soak import STOCK_CONFIGS, run_soak
 from repro.serve import SharedInstallation, serve_sessions
 
-from .scenarios import BATCHES, from_lerc, mixed_batch, run_transient
+from .scenarios import (
+    BATCHES,
+    CRASH_CASES,
+    CRASH_EVENTS,
+    FAILOVER_PLANS,
+    FAULT_PLANS,
+    crash_plan,
+    crash_rel_errors,
+    fault_demo,
+    from_lerc,
+    mixed_batch,
+    run_transient,
+    serve_crash,
+)
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
@@ -200,6 +221,45 @@ def _chaos_rows() -> List[dict]:
     return rows
 
 
+#: the ``faults`` record's fields a row holds
+FAULT_FIELDS = ("checkpoints", "recoveries", "end_virtual_s", "thrust_N", "rel_err", "digest")
+
+
+def _fault_rows() -> List[dict]:
+    rows = []
+    for plan in FAULT_PLANS:
+        head, *log = demo_records(fault_demo(plan))
+        rows.append({"row": f"faults/{plan}", **{k: head[k] for k in FAULT_FIELDS}})
+        seen = {"injection": 0, "recovery": 0}
+        for record in log:
+            kind = record.pop("record")
+            rows.append({"row": f"faults/{plan}/{kind}/{seen[kind]}", **record})
+            seen[kind] += 1
+    with _same_sys_path():
+        bench = _script(ROOT / "benchmarks" / "bench_failover.py")
+    reference = bench.run_reference(quick=True)
+    for plan in FAILOVER_PLANS:
+        row = bench.measure(reference, plan, quick=True)
+        rows.append({"row": f"failover/{plan}", "checkpoints": row["checkpoints"],
+                     "detect_s": row["detect_s"], "recover_s": row["recover_s"]})
+    reference = serve_crash()
+    for kind in sorted(CRASH_CASES):
+        for event in CRASH_EVENTS:
+            for mode in ("plain", "resilient"):
+                result = serve_crash(fault_plan=crash_plan(kind, event),
+                                     resilient=mode == "resilient")
+                worst = max(crash_rel_errors(result, reference), default=0.0)
+                rows.append({
+                    "row": f"crash/{kind}/{event.__name__}/{mode}",
+                    "status": result.status,
+                    "error": result.error.split(":", 1)[0],
+                    "points": len(result.results),
+                    "transient": result.transient is not None,
+                    "max_rel_err": "0" if worst == 0.0 else "<=1e-12" if worst <= 1e-12 else ">1e-12",
+                })
+    return rows
+
+
 def _transient_rows() -> List[dict]:
     sync = run_transient("sync", jac_reuse=False)
     overlap = run_transient("overlap", jac_reuse=True)
@@ -261,8 +321,8 @@ def _report_rows() -> List[dict]:
 
 def generate() -> dict:
     """Every row of the contract, in golden order."""
-    rows = (_workload_rows() + _batch_rows() + _chaos_rows() + _transient_rows()
-            + _gate_rows() + _report_rows())
+    rows = (_workload_rows() + _batch_rows() + _chaos_rows() + _fault_rows()
+            + _transient_rows() + _gate_rows() + _report_rows())
     ids = [row["row"] for row in rows]
     assert len(set(ids)) == len(ids), "two contract rows share an id"
     return {"fingerprint": fingerprint(), "rows": rows}

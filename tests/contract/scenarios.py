@@ -9,7 +9,15 @@ Each is defined once, here; the tests that serve them import them.
   and a resilient session, and a fifth opened from the other AVS
   machine;
 * ``run_transient`` — Table 2's 1 s throttle transient, all four adapted
-  executables remote (``tests/core/test_transient_floor.py``).
+  executables remote (``tests/core/test_transient_floor.py``);
+* ``FAULT_PLANS`` plus ``fault_demo`` — ``python -m repro faults``' three
+  stock plans, each run ``--quick`` at seed 0;
+* ``FAILOVER_PLANS`` — the crash plans ``benchmarks/bench_failover.py``
+  measures;
+* ``CRASH_CASES`` plus ``crash_plan`` and ``serve_crash`` — the crash
+  matrix of ``tests/faults/test_crash_matrix.py``: each adapted kind
+  crashed on its Table 2 host, by process and by machine, in a plain
+  and in a resilient session.
 """
 
 from __future__ import annotations
@@ -17,8 +25,16 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core import NPSSExecutive
-from repro.faults import FaultPlan, GatewayOutage, GatewayRestore, LatencySpike
-from repro.serve import AdmissionPolicy, SessionSpec
+from repro.faults import (
+    CrashMachine,
+    CrashProcess,
+    FaultPlan,
+    GatewayOutage,
+    GatewayRestore,
+    LatencySpike,
+)
+from repro.faults.demo import PLAN_NAMES, run_demo
+from repro.serve import AdmissionPolicy, SessionSpec, SharedInstallation, serve_sessions
 from repro.serve.demo import build_session_specs
 
 
@@ -109,3 +125,60 @@ def run_transient(dispatch: str, jac_reuse: bool) -> NPSSExecutive:
         ex.modules[module].set_param("remote machine", machine)
     ex.execute()
     return ex
+
+
+# ------------------------------------------------------------ fault recovery
+#: ``python -m repro faults --plan <name>``'s stock plans
+FAULT_PLANS = PLAN_NAMES
+
+
+def fault_demo(plan: str):
+    """``python -m repro faults --quick --plan <plan>`` at seed 0."""
+    return run_demo(plan, seed=0, quick=True)
+
+
+#: the crash plans ``benchmarks/bench_failover.py`` measures
+FAILOVER_PLANS = ("machine-crash", "process-crash")
+
+#: the crash matrix's session: three balances and a 0.2 s transient
+CRASH_POINTS = (1.28, 1.30, 1.32)
+CRASH_TRANSIENT_S = 0.2
+#: kind -> (its Table 2 host, a crash instant after its set* ran)
+CRASH_CASES = {
+    "duct": ("cray-ymp.lerc.nasa.gov", 2.0),
+    "combustor": ("sgi4d340.cs.arizona.edu", 2.0),
+    "nozzle": ("sgi4d420.lerc.nasa.gov", 2.0),
+    "shaft": ("rs6000.lerc.nasa.gov", 15.0),
+}
+CRASH_EVENTS = (CrashProcess, CrashMachine)
+CRASH_POINT_FIELDS = ("n1", "n2", "thrust_N", "t4", "sfc")
+CRASH_TRANSIENT_FIELDS = ("n1_final", "n2_final", "thrust_final")
+
+
+def crash_plan(kind: str, event) -> FaultPlan:
+    host, at_s = CRASH_CASES[kind]
+    return FaultPlan(seed=0, events=(event(at_s=at_s, hostname=host),))
+
+
+def serve_crash(**kw):
+    """The crash matrix's session, served alone; with no keywords, the
+    fault-free reference.  A fresh installation per run: a
+    ``CrashMachine`` downs a host of the installation's shared park for
+    every later session."""
+    spec = SessionSpec(name="crash", points=CRASH_POINTS, transient_s=CRASH_TRANSIENT_S, **kw)
+    (result,) = serve_sessions(
+        [spec], installation=SharedInstallation.standard(), dedup=False
+    ).results
+    return result
+
+
+def crash_rel_errors(result, reference):
+    """Relative error of every value a crash run delivered."""
+    pairs = [
+        (point[f], ref[f])
+        for point, ref in zip(result.results, reference.results)
+        for f in CRASH_POINT_FIELDS
+    ]
+    if result.transient is not None:
+        pairs += [(result.transient[f], reference.transient[f]) for f in CRASH_TRANSIENT_FIELDS]
+    return [abs(a - b) / abs(b) for a, b in pairs]
