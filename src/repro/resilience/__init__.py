@@ -8,9 +8,6 @@ scheduler (PR 4):
   header; servers refuse already-late work with
   :class:`~repro.schooner.errors.DeadlineExceeded`, and the retry
   engine spends the remaining budget instead of its own clock.
-* :class:`CircuitBreaker` / :class:`BreakerBoard` — per-(procedure,
-  host) closed/open/half-open breakers with virtual-clock cooldowns, so
-  sessions fast-fail away from a crashed or derated machine.
 * :class:`RetryBudget` — an installation-wide token bucket that stops
   retry storms across concurrent sessions.
 * :class:`PercentileLedger` — exact streaming quantiles (p50/p95/p99)
@@ -28,16 +25,12 @@ The soak harness is intentionally not imported here (it pulls in the
 whole serving stack); import :mod:`repro.resilience.soak` directly.
 """
 
-from .breaker import BreakerBoard, BreakerPolicy, CircuitBreaker
 from .budget import RetryBudget
 from .deadline import Deadline
 from .ledger import ClassLedger, LedgerBook, PercentileLedger
 
 __all__ = [
     "Deadline",
-    "BreakerPolicy",
-    "CircuitBreaker",
-    "BreakerBoard",
     "RetryBudget",
     "PercentileLedger",
     "ClassLedger",

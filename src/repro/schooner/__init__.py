@@ -9,7 +9,6 @@ lines, procedure migration, and shared procedures.
 
 from .api import ModuleContext
 from .errors import (
-    BreakerOpen,
     CallFailed,
     CallTimeout,
     DeadlineExceeded,
@@ -77,7 +76,6 @@ __all__ = [
     "CallFailed",
     "CallTimeout",
     "DeadlineExceeded",
-    "BreakerOpen",
     "StaleBinding",
     "StaleRebind",
     "StateLost",

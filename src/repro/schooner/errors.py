@@ -16,7 +16,6 @@ __all__ = [
     "CallFailed",
     "CallTimeout",
     "DeadlineExceeded",
-    "BreakerOpen",
     "StaleBinding",
     "StateLost",
     "LineTerminated",
@@ -105,18 +104,6 @@ class DeadlineExceeded(CallFailed):
         super().__init__(message)
         self.trace = trace
         self.remaining_s = remaining_s
-
-
-class BreakerOpen(CallFailed):
-    """A circuit breaker for the call's (procedure, host) pair is open:
-    the host has recently eaten ``failure_threshold`` consecutive
-    timeouts and the cooldown has not elapsed, so the call fast-fails
-    without touching the network.  ``retry_after_s`` is the virtual
-    instant at which the breaker will admit a half-open trial."""
-
-    def __init__(self, message: str, retry_after_s: float = 0.0):
-        super().__init__(message)
-        self.retry_after_s = retry_after_s
 
 
 class StaleBinding(CallFailed):

@@ -27,7 +27,6 @@ from ..machines.registry import MachinePark, standard_park
 from ..network.clock import Timeline, VirtualClock
 from ..network.topology import NetworkError, Topology
 from ..network.transport import Hop, Transport
-from ..resilience.breaker import BreakerBoard
 from ..resilience.budget import RetryBudget
 from ..resilience.deadline import Deadline
 from ..uts.compiled import native_roundtrip_for  # noqa: F401
@@ -170,11 +169,10 @@ class SchoonerEnvironment:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     range_policy: OutOfRangePolicy = OutOfRangePolicy.ERROR
     traces: List[CallTrace] = field(default_factory=list)
-    # the resilience layer (repro.resilience), all opt-in and None by
-    # default: per-(procedure, host) circuit breakers, the
-    # installation-shared retry token bucket, and the environment-wide
-    # virtual-time deadline every call propagates in its header
-    breakers: Optional[BreakerBoard] = None
+    # the resilience layer (repro.resilience), both opt-in and None by
+    # default: the installation-shared retry token bucket, and the
+    # environment-wide virtual-time deadline every call propagates in
+    # its header
     retry_budget: Optional[RetryBudget] = None
     deadline: Optional[Deadline] = None
 
@@ -229,7 +227,7 @@ class CallPlan:
     function of the import signature, the bound procedure, the caller
     and callee machines (their native formats and rates), the
     out-of-range policy and the cost model, so it holds nothing a fault
-    plan, breaker, deadline, derate or partition can change — liveness,
+    plan, deadline, derate or partition can change — liveness,
     the route, the fault filter, machine loads and deadlines are still
     read on every call, at the instant they are used (fault events fire
     inside ``Timeline.advance``, i.e. between two statements of one

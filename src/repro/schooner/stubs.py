@@ -23,7 +23,7 @@ from ..machines.process import ProcessState
 from ..network.clock import Timeline
 from ..network.topology import NetworkError
 from ..uts.types import Signature
-from .errors import BreakerOpen, CallFailed, CallTimeout, DeadlineExceeded, StaleBinding
+from .errors import CallFailed, CallTimeout, DeadlineExceeded, StaleBinding
 from .lines import InstanceRecord, Line
 from .runtime import (
     CallBatch,
@@ -195,31 +195,6 @@ class ClientStub:
         future's ``wait()`` joins the batch and yields the results."""
         return batch.begin(self, args)
 
-    def _breaker_gate(
-        self, record: InstanceRecord, timeline: Timeline, failed_over: bool
-    ):
-        """Consult the (procedure, host) circuit breaker before an
-        attempt, when the environment has a board.  An open breaker
-        fast-fails — but first the stub asks the Manager for a fresh
-        binding, so a supervisor that has
-        rebound the instance onto a healthy machine steers the call
-        *away* from the sick host instead of refusing it."""
-        board = self.manager.env.breakers
-        breaker = board.lease(self.name, record.machine.hostname)
-        if breaker.allow(timeline.now):
-            return record, failed_over, breaker
-        fresh, moved = self._refresh(record, timeline)
-        if moved and fresh.machine.hostname != record.machine.hostname:
-            alt = board.lease(self.name, fresh.machine.hostname)
-            if alt.allow(timeline.now):
-                self.failovers += 1
-                return fresh, True, alt
-        raise BreakerOpen(
-            f"{self.name}: circuit open for {record.machine.hostname} "
-            f"until t={breaker.retry_after_s:g}s (fast-fail)",
-            retry_after_s=breaker.retry_after_s,
-        )
-
     def _invoke(
         self,
         args: Dict[str, Any],
@@ -250,11 +225,6 @@ class ClientStub:
         try:
             attempt = 1
             while True:
-                breaker = None
-                if env.breakers is not None:
-                    record, failed_over, breaker = self._breaker_gate(
-                        record, timeline, failed_over
-                    )
                 try:
                     for stale_retry in (False, True):
                         # the binding's CallPlan, looked up again only
@@ -295,18 +265,10 @@ class ClientStub:
                             self.failovers += 1
                             record, moved = self._refresh(record, timeline)
                             failed_over = failed_over or moved
-                            if breaker is not None:
-                                breaker = env.breakers.lease(
-                                    self.name, record.machine.hostname
-                                )
-                    if breaker is not None:
-                        breaker.record_success(timeline.now)
                     if budget is not None:
                         budget.on_success()
                     return out
                 except CallTimeout as exc:
-                    if breaker is not None:
-                        breaker.record_failure(timeline.now)
                     # retry_safe already folds in the procedure's
                     # stateless/idempotent contract for lost replies
                     if not exc.retry_safe:
@@ -342,10 +304,10 @@ class ClientStub:
                     # packet: refresh the binding before trying again
                     record, moved = self._refresh(record, timeline)
                     failed_over = failed_over or moved
-        except (DeadlineExceeded, BreakerOpen):
-            # fast-fail semantics: late or breaker-refused work is a
-            # caller-side condition, not a line error — the line's
-            # remote procedures stay up for the next call
+        except DeadlineExceeded:
+            # fast-fail semantics: late work is a caller-side
+            # condition, not a line error — the line's remote
+            # procedures stay up for the next call
             raise
         except CallFailed:
             # the paper's error semantics: "when ... an error occurs,

@@ -81,9 +81,9 @@ class SessionSpec:
     #: *not* part of the workload key: two specs differing only in
     #: class produce identical trace streams
     traffic_class: str = ""
-    #: enable the resilience kit: per-session circuit breakers, the
-    #: installation-shared retry budget, and a failover supervisor
-    #: (heartbeats + checkpoints + rebind-on-crash)
+    #: enable the resilience kit: the installation-shared retry budget
+    #: and a failover supervisor (heartbeats + checkpoints +
+    #: rebind-on-crash)
     resilient: bool = False
     #: share solved operating points installation-wide through the
     #: :class:`~repro.serve.opcache.OpPointCache`: exact hits skip the
@@ -345,13 +345,9 @@ class SessionContext:
             self._op_family = combine_keys(family, deck_key(self._engine.spec))
         if spec.resilient:
             from ..faults import FailoverSupervisor
-            from ..resilience import BreakerBoard
 
-            # breakers are per-session (their trip history is part
-            # of the session's deterministic state); the retry
-            # budget is the installation's — shared scarcity is the
-            # point
-            self.env.breakers = BreakerBoard()
+            # the retry budget is the installation's — shared scarcity
+            # is the point
             self.env.retry_budget = self.installation.retry_budget
             self.supervisor = FailoverSupervisor(manager=ex.manager)
             self.supervisor.attach()

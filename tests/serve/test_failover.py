@@ -155,8 +155,8 @@ class TestKillMatrix:
     both start methods and both transports, with exact accounting."""
 
     def _specs_and_plan(self):
-        # resilient specs, so the supervisor and breakers run inside
-        # the workers the kills take down
+        # resilient specs, so the supervisor runs inside the workers
+        # the kills take down
         specs = [
             dataclasses.replace(s, resilient=True)
             for s in build_session_specs(8, classes=4, points=2)

@@ -238,8 +238,8 @@ class TestSurface:
 
     def test_retry_budget_is_leased_and_settled(self):
         # No lease crosses the pipe any more: resilient sessions run the
-        # supervisor and breakers in each worker, on the episode
-        # installation's own retry budget, exactly as inline sessions do.
+        # supervisor in each worker, on the episode installation's own
+        # retry budget, exactly as inline sessions do.
         specs = [
             dataclasses.replace(s, resilient=True)
             for s in build_session_specs(4, classes=2, points=2)

@@ -102,7 +102,7 @@ class TestOneUTSCodec:
 #: the forwarders and arms only tests called
 GONE_NAMES = {
     "repro.schooner": ("compile_stubs", "load_stub_module",
-                       "render_c_header", "render_fortran_interface"),
+                       "render_c_header", "render_fortran_interface", "BreakerOpen"),
     "repro.schooner.stubgen": ("compile_stubs", "load_stub_module",
                                "client_stub_source", "server_stub_source",
                                "render_c_header", "render_fortran_interface"),
@@ -111,6 +111,9 @@ GONE_NAMES = {
     # checkpoints encode with the one snapshot encoder
     # (repro.schooner.lines.declared_state)
     "repro.faults.checkpoint": ("_state_types",),
+    # the circuit breakers: no run was refused by one or opened one
+    "repro.schooner.errors": ("BreakerOpen",),
+    "repro.resilience": ("BreakerPolicy", "CircuitBreaker", "BreakerBoard"),
 }
 
 GONE_ATTRIBUTES = {
@@ -128,7 +131,7 @@ GONE_ATTRIBUTES = {
         "_stub", "_duct_stub", "_shaft_stub", "_in_overlap_region",
     ),
     # folded into their one caller on the call path
-    ("repro.schooner.stubs", "ClientStub"): ("_plan", "_deadline"),
+    ("repro.schooner.stubs", "ClientStub"): ("_plan", "_deadline", "_breaker_gate"),
     ("repro.schooner.runtime", "CallFuture"): ("finished_at",),
     ("repro.tess", "ConvergentNozzle"): ("_require_sized",),
     # the traffic package's warm-up lens, rate rescaler and report
@@ -162,7 +165,7 @@ GONE_ATTRIBUTES = {
     ("repro.parallel.pvm", "PVMachine"): ("tasks", "halt"),
     # one restart path (Manager.restart): no cold restart without a
     # supervisor, so nothing counts one; restoring is the restart's
-    ("repro.schooner.runtime", "SchoonerEnvironment"): ("unplanned_restarts",),
+    ("repro.schooner.runtime", "SchoonerEnvironment"): ("unplanned_restarts", "breakers"),
     ("repro.faults.checkpoint", "CheckpointStore"): ("restore",),
     ("repro.faults.checkpoint", "Checkpoint"): ("nbytes",),
     ("repro.faults", "FailoverSupervisor"): (
@@ -227,6 +230,10 @@ class TestUnreachedCodeStaysGone:
             fn = getattr(fn, part)
         params = inspect.signature(fn).parameters
         assert [n for n in GONE_PARAMETERS[owner] if n in params] == []
+
+    def test_the_breaker_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.resilience.breaker")
 
     def test_lognormal_is_no_arrival_kind(self):
         from repro.traffic import make_process
