@@ -6,13 +6,15 @@ with the fault injector's by instant (ties in scheduling order):
 
 * **heartbeats** — one event per :data:`HEARTBEAT_INTERVAL_S` grid
   point sweeps every machine hosting an instance at that instant,
-  marking hosts that stopped answering as dead (Schooner's
-  Manager-driven detection), and schedules the next sweep;
+  after every other event due at it, marking hosts that stopped
+  answering as dead (Schooner's Manager-driven detection), and
+  schedules the next sweep;
 * **checkpoints** — the first write to a watched process's declared
   state (:meth:`~FailoverSupervisor.watch`) schedules one checkpoint
   event at the current instant; it fires at the next advance, ahead of
   any fault that came due in it, and snapshots every written, live
-  process in UTS wire form (see :mod:`repro.faults.checkpoint`).
+  process in UTS wire form (see :mod:`repro.faults.checkpoint`),
+  stamped with the instant of the write.
 
 When a client stub or ``sch_contact_schx`` resolves a binding to a dead
 instance, the supervisor's :meth:`~FailoverSupervisor.recover` restarts
@@ -127,10 +129,12 @@ class FailoverSupervisor:
 
     def _take_checkpoints(self) -> None:
         """Snapshot each written, live process, once per database that
-        binds it."""
+        binds it.  A checkpoint is stamped with the instant of the write
+        that scheduled it, not with the advance it fires in: the state
+        it holds is the state as of that write."""
+        at = self._checkpoint.at_s
         self._checkpoint = None
         written, self._written = self._written, {}
-        now = self.manager.env.clock.now
         for line_id, records in self._databases():
             taken = set()
             for record in records:
@@ -140,7 +144,7 @@ class FailoverSupervisor:
                 if key in written and key not in taken and record.process.alive:
                     taken.add(key)
                     hosted = [r for r in records if r.process is record.process]
-                    self.store.take(line_id, hosted, now)
+                    self.store.take(line_id, hosted, at)
 
     def _databases(self):
         """``(line_id, records)`` of each active line, then the shared
@@ -157,16 +161,22 @@ class FailoverSupervisor:
         detection *latency* is still modelled, as a host's death is only
         observed at the next sweep.)  Sweeps sit on a fixed grid, so
         their instants do not depend on how the clock happened to
-        advance."""
+        advance.  A sweep sees its instant whole: an event queued for
+        it after the sweep was (a fault plan attached after the
+        supervisor) fires first, so a crash on a grid instant is
+        detected at that instant, whichever was attached first."""
+        clock = self.manager.env.clock
         at = self._heartbeat.at_s
+        if clock._events and clock._events[0][0] <= at:
+            # something else is due at this instant: sweep behind it
+            self._heartbeat = clock.schedule(at, self._heartbeat_sweep)
+            return
         machines = {r.machine.hostname: r.machine
                     for _, records in self._databases() for r in records}
         for hostname in sorted(machines.keys() - self.dead_hosts):
             if not machines[hostname].up:
                 self._mark_dead(hostname, at, "missed heartbeat")
-        self._heartbeat = self.manager.env.clock.schedule(
-            at + HEARTBEAT_INTERVAL_S, self._heartbeat_sweep
-        )
+        self._heartbeat = clock.schedule(at + HEARTBEAT_INTERVAL_S, self._heartbeat_sweep)
 
     def _mark_dead(self, hostname: str, at: float, how: str) -> None:
         self.dead_hosts.add(hostname)

@@ -15,7 +15,13 @@ import pytest
 
 from repro.core import REMOTE_PATHS, install_tess_executables
 from repro.core.specs import DUCT_SPEC_SOURCE
-from repro.faults import CrashMachine, CrashProcess, FailoverSupervisor, FaultPlan
+from repro.faults import (
+    CrashMachine,
+    CrashProcess,
+    FailoverSupervisor,
+    FaultInjector,
+    FaultPlan,
+)
 from repro.faults.demo import DOOMED_HOST, _build_executive, demo_records, run_demo
 from repro.schooner import Manager, ManagerMode, ModuleContext, SchoonerEnvironment
 from repro.schooner.tracing import trace_digest
@@ -159,6 +165,39 @@ class TestSameAdvance:
         (fo,) = [e for e in ex.supervisor.events if e.kind == "failover"]
         assert "2 state vars from checkpoint" in fo.detail
         assert ex.solution.thrust_N == pytest.approx(fault_free_thrust, rel=1e-9, abs=0)
+
+    def test_a_checkpoint_carries_the_instant_of_its_write(self):
+        # the checkpoint fires in the advance past 0.5165 s (at
+        # 0.517241 s), but holds the state setnozl wrote inside its
+        # call, before the crash
+        ex = quick_run(CrashProcess(at_s=0.5165, hostname=DOOMED_HOST))
+        (fo,) = [e for e in ex.supervisor.events if e.kind == "failover"]
+        setnozl = next(t for t in ex.env.traces if t.procedure == "setnozl")
+        assert setnozl.started_at < checkpoint_time(fo) < 0.5165
+
+
+@pytest.mark.parametrize("supervisor_first", [True, False], ids=["supervisor-first", "plan-first"])
+@pytest.mark.parametrize("at_s", [0.5, 1.0])
+def test_a_crash_on_a_heartbeat_instant_is_detected_at_it(at_s, supervisor_first):
+    """The first sweep (0.5 s) is put on the clock when the supervisor
+    attaches, the later ones by the sweep before; a crash on either
+    instant is seen by that instant's sweep, whichever of supervisor
+    and plan was attached first (sessions and ``run_resilient`` attach
+    the supervisor first).  Nothing calls the duct after the crash, so
+    only a sweep can see it."""
+    env = SchoonerEnvironment.standard()
+    install_tess_executables(env.park)
+    manager = Manager(env=env, host=env.park["ua-sparc10"], mode=ManagerMode.LINES)
+    ctx = ModuleContext(manager=manager, module_name="duct", machine=manager.host)
+    ctx.sch_contact_schx("lerc-cray", REMOTE_PATHS["duct"])
+    assert env.clock.now < 0.5
+    supervisor = FailoverSupervisor(manager=manager)
+    host = "cray-ymp.lerc.nasa.gov"
+    injector = FaultInjector(env=env, plan=FaultPlan(events=(CrashMachine(at_s=at_s, hostname=host),)))
+    for part in (supervisor, injector) if supervisor_first else (injector, supervisor):
+        part.attach()
+    env.clock.advance(2.0)
+    assert [(e.at_s, e.kind, e.subject) for e in supervisor.events] == [(at_s, "host-dead", host)]
 
 
 class TestDeterminism:
