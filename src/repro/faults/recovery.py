@@ -4,11 +4,11 @@ The :class:`FailoverSupervisor` is the Manager's recovery sidecar.  Its
 periodic work runs as events on the simulation's virtual clock, ordered
 with the fault injector's by instant (ties in scheduling order):
 
-* **heartbeats** — one event per :data:`HEARTBEAT_INTERVAL_S` grid
-  point sweeps every machine hosting an instance at that instant,
-  after every other event due at it, marking hosts that stopped
+* **heartbeats** — at each :data:`HEARTBEAT_INTERVAL_S` grid point a
+  sweep, queued behind every event already due at that instant,
+  checks every machine hosting an instance, marks hosts that stopped
   answering as dead (Schooner's Manager-driven detection), and
-  schedules the next sweep;
+  schedules the next grid point;
 * **checkpoints** — the first write to a watched process's declared
   state (:meth:`~FailoverSupervisor.watch`) schedules one checkpoint
   event at the current instant; it fires at the next advance, ahead of
@@ -90,7 +90,7 @@ class FailoverSupervisor:
         for _, records in self._databases():
             self.watch(records)
         self._heartbeat = self.manager.env.clock.schedule(
-            HEARTBEAT_INTERVAL_S, self._heartbeat_sweep
+            HEARTBEAT_INTERVAL_S, self._heartbeat_due
         )
 
     def detach(self) -> None:
@@ -154,6 +154,17 @@ class FailoverSupervisor:
         yield SHARED, self.manager._shared.records
 
     # -- heartbeats --------------------------------------------------------------
+    def _heartbeat_due(self) -> None:
+        """A grid instant came due: its sweep goes back on the clock at
+        the same instant, behind every event already queued for it.  A
+        fault the plan put there after this event was scheduled (an
+        injector attached after the supervisor) is thus applied before
+        the sweep looks, so a crash on a grid instant is detected at
+        that instant, whichever was attached first."""
+        self._heartbeat = self.manager.env.clock.schedule(
+            self._heartbeat.at_s, self._heartbeat_sweep
+        )
+
     def _heartbeat_sweep(self) -> None:
         """The Manager pings every host an instance runs on; a host that
         cannot answer is marked dead.  (Heartbeat traffic is
@@ -161,22 +172,16 @@ class FailoverSupervisor:
         detection *latency* is still modelled, as a host's death is only
         observed at the next sweep.)  Sweeps sit on a fixed grid, so
         their instants do not depend on how the clock happened to
-        advance.  A sweep sees its instant whole: an event queued for
-        it after the sweep was (a fault plan attached after the
-        supervisor) fires first, so a crash on a grid instant is
-        detected at that instant, whichever was attached first."""
-        clock = self.manager.env.clock
+        advance."""
         at = self._heartbeat.at_s
-        if clock._events and clock._events[0][0] <= at:
-            # something else is due at this instant: sweep behind it
-            self._heartbeat = clock.schedule(at, self._heartbeat_sweep)
-            return
         machines = {r.machine.hostname: r.machine
                     for _, records in self._databases() for r in records}
         for hostname in sorted(machines.keys() - self.dead_hosts):
             if not machines[hostname].up:
                 self._mark_dead(hostname, at, "missed heartbeat")
-        self._heartbeat = clock.schedule(at + HEARTBEAT_INTERVAL_S, self._heartbeat_sweep)
+        self._heartbeat = self.manager.env.clock.schedule(
+            at + HEARTBEAT_INTERVAL_S, self._heartbeat_due
+        )
 
     def _mark_dead(self, hostname: str, at: float, how: str) -> None:
         self.dead_hosts.add(hostname)
