@@ -235,6 +235,11 @@ def _fault_rows() -> List[dict]:
             kind = record.pop("record")
             rows.append({"row": f"faults/{plan}/{kind}/{seen[kind]}", **record})
             seen[kind] += 1
+    return rows
+
+
+def _failover_rows() -> List[dict]:
+    rows = []
     with _same_sys_path():
         bench = _script(ROOT / "benchmarks" / "bench_failover.py")
     reference = bench.run_reference(quick=True)
@@ -242,6 +247,11 @@ def _fault_rows() -> List[dict]:
         row = bench.measure(reference, plan, quick=True)
         rows.append({"row": f"failover/{plan}", "checkpoints": row["checkpoints"],
                      "detect_s": row["detect_s"], "recover_s": row["recover_s"]})
+    return rows
+
+
+def _crash_rows() -> List[dict]:
+    rows = []
     reference = serve_crash()
     for kind in sorted(CRASH_CASES):
         for event in CRASH_EVENTS:
@@ -322,7 +332,8 @@ def _report_rows() -> List[dict]:
 def generate() -> dict:
     """Every row of the contract, in golden order."""
     rows = (_workload_rows() + _batch_rows() + _chaos_rows() + _fault_rows()
-            + _transient_rows() + _gate_rows() + _report_rows())
+            + _failover_rows() + _crash_rows() + _transient_rows() + _gate_rows()
+            + _report_rows())
     ids = [row["row"] for row in rows]
     assert len(set(ids)) == len(ids), "two contract rows share an id"
     return {"fingerprint": fingerprint(), "rows": rows}
