@@ -13,6 +13,7 @@ from typing import Optional
 from ..machines.host import Machine, MachineError
 from ..machines.process import VirtualProcess
 from ..network.clock import Timeline
+from ..network.topology import NetworkError
 from ..network.transport import MessageDropped
 from .errors import HostDown, ManagerError
 from .procedure import Executable
@@ -85,7 +86,8 @@ class SchoonerServer:
     ) -> None:
         """Deliver a shutdown message to a process (idempotent).
 
-        An unreachable host is tolerated: a process that cannot hear the
+        An unreachable host is tolerated, whether the message is lost or
+        a partition leaves no route: a process that cannot hear the
         shutdown is either already gone with its machine or will be
         reaped when the machine is, so losing the message changes
         nothing the Manager cares about."""
@@ -98,7 +100,7 @@ class SchoonerServer:
                 self.env.costs.control_message_bytes,
                 timeline=timeline,
             )
-        except MessageDropped:
+        except NetworkError:
             pass
         if proc.alive and self.machine.up:
             self.machine.kill(proc.pid)

@@ -2,13 +2,20 @@
 terminates its line (and only its line), and every call path is
 runtime type checked."""
 
+import math
+from contextlib import contextmanager
+
 import pytest
 
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, PacketLoss
 from repro.machines import Language
 from repro.schooner import (
     CallFailed,
+    CallTimeout,
     Executable,
     LineState,
+    LineTerminated,
     Manager,
     ManagerMode,
     ModuleContext,
@@ -41,8 +48,41 @@ def world():
     return env, manager, spec
 
 
+@contextmanager
+def _partition(env):
+    env.topology.partition("lerc", "arizona")
+    try:
+        yield
+    finally:
+        env.topology.heal("lerc", "arizona")
+
+
+def fail_call(env, stub, how):
+    """Make one call on ``stub`` (bound on lerc-rs6000) end in a line
+    error, then let the host answer again.  ``remote-error``: the remote
+    procedure raises.  ``request-loss`` and ``partition``: every attempt
+    times out, and the teardown's shutdown message is lost as well."""
+    if how == "remote-error":
+        with pytest.raises(CallFailed, match="negative"):
+            stub(x=-1.0)
+        return
+    if how == "request-loss":
+        loss = PacketLoss(at_s=0.0, until_s=math.inf, rate=1.0,
+                          dst_host=env.park["lerc-rs6000"].hostname)
+        fault = FaultInjector(env=env, plan=FaultPlan(seed=1, events=(loss,)))
+    else:
+        fault = _partition(env)
+    with fault, pytest.raises(CallTimeout):
+        stub(x=1.0)
+    assert sum(t.outcome == "timeout" for t in env.traces) == env.retry.max_attempts
+
+
+FAILURES = ("remote-error", "request-loss", "partition")
+
+
 class TestErrorTerminatesLine:
-    def test_remote_error_kills_only_its_line(self, world):
+    @pytest.mark.parametrize("how", FAILURES)
+    def test_error_kills_only_its_line(self, world, how):
         env, manager, spec = world
         bad = ModuleContext(manager=manager, module_name="bad", machine=env.park["ua-sparc10"])
         good = ModuleContext(manager=manager, module_name="good", machine=env.park["ua-sparc10"])
@@ -53,8 +93,7 @@ class TestErrorTerminatesLine:
         bad_line = bad.line  # hold the original (ctx.line auto-reconnects)
         assert good_stub.call1(x=2.0) == 4.0
 
-        with pytest.raises(CallFailed, match="negative"):
-            bad_stub(x=-1.0)
+        fail_call(env, bad_stub, how)
         # the erroring line is dead; its remote process was shut down
         assert bad_line.state is LineState.TERMINATED
         assert len(env.park["lerc-rs6000"].running_processes) == 0
@@ -63,20 +102,40 @@ class TestErrorTerminatesLine:
         assert good_stub.call1(x=3.0) == 6.0
         assert manager.running
 
-    def test_module_recovers_with_a_fresh_line(self, world):
+    @pytest.mark.parametrize("how", FAILURES)
+    def test_module_recovers_with_a_fresh_line(self, world, how):
         """After an error kills the line, the module's next contact gets
-        a fresh line (the AVS user reruns the module)."""
+        a fresh line (the AVS user reruns the module), served at once:
+        nothing remembers the failure across lines."""
         env, manager, spec = world
         ctx = ModuleContext(manager=manager, module_name="m", machine=env.park["ua-sparc10"])
         ctx.sch_contact_schx("lerc-rs6000", "/bin/f")
         stub = ctx.import_proc(spec.as_imports(), name="f")
         old_line = ctx.line
-        with pytest.raises(CallFailed):
-            stub(x=-1.0)
+        fail_call(env, stub, how)
         ctx.sch_contact_schx("lerc-rs6000", "/bin/f")  # re-establish
         assert ctx.line is not old_line
         fresh = ctx.import_proc(spec.as_imports(), name="f")
+        traces = len(env.traces)
         assert fresh.call1(x=5.0) == 10.0
+        assert [t.outcome for t in env.traces[traces:]] == ["ok"]
+
+    @pytest.mark.parametrize("how", FAILURES)
+    def test_a_call_on_the_terminated_line_sends_nothing(self, world, how):
+        env, manager, spec = world
+        ctx = ModuleContext(manager=manager, module_name="m", machine=env.park["ua-sparc10"])
+        ctx.sch_contact_schx("lerc-rs6000", "/bin/f")
+        stub = ctx.import_proc(spec.as_imports(), name="f")
+        fail_call(env, stub, how)
+        assert stub.line.state is LineState.TERMINATED
+        timeline, traces = stub.line.timeline, len(env.traces)
+        before_s = timeline.now
+        with pytest.raises(LineTerminated):
+            stub(x=2.0)
+        # refused at the local lookup: no call left the caller and no
+        # call timeout was spent
+        assert len(env.traces) == traces
+        assert timeline.now - before_s < env.costs.call_timeout_s
 
 
 class TestPerCallTypeChecking:

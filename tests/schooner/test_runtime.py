@@ -5,11 +5,13 @@ and failure injection."""
 import pytest
 
 from repro.machines import Language
-from repro.network import NetworkError
 from repro.schooner import (
     CallFailed,
+    CallTimeout,
     CostModel,
     Executable,
+    LineState,
+    LineTerminated,
     Manager,
     ManagerMode,
     ModuleContext,
@@ -223,10 +225,16 @@ class TestFailureInjection:
         stub = ctx.import_proc(spec.as_imports(), name="f")
         stub(x=1.0)
         env.topology.partition("arizona", "lerc")
-        with pytest.raises(NetworkError):
+        # every attempt is lost; the line-error teardown cannot reach the
+        # remote host either, and must not hide the typed timeout
+        with pytest.raises(CallTimeout):
             stub(x=2.0)
+        assert stub.line.state is LineState.TERMINATED
         env.topology.heal("arizona", "lerc")
-        assert stub.call1(x=3.0) == 3.0
+        with pytest.raises(LineTerminated):
+            stub(x=3.0)
+        ctx.sch_contact_schx("lerc-rs6000", "/bin/exe")
+        assert ctx.import_proc(spec.as_imports(), name="f").call1(x=3.0) == 3.0
 
     def test_type_error_in_arguments(self):
         exe, spec = simple_exe(
