@@ -26,17 +26,13 @@ Usable both as a pytest-benchmark module and as a script::
 import argparse
 import math
 import sys
-from pathlib import Path
 
 import pytest
 
-# the crash plans are the contract's scenarios (tests/contract/)
-_ROOT = str(Path(__file__).resolve().parents[1])
-if _ROOT not in sys.path:
-    sys.path.insert(0, _ROOT)
-
 from repro.faults.demo import _build_executive, named_plan
-from tests.contract.scenarios import FAILOVER_PLANS as PLANS
+
+#: the crash plans measured by both entry points
+PLANS = ("machine-crash", "process-crash")
 #: ``run_demo``'s accuracy bar: a failover that lost declared state is
 #: off by far more
 REL_ERR_MAX = 1e-9

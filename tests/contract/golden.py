@@ -52,7 +52,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.faults.demo import demo_records
+from repro.faults.demo import PLAN_NAMES, demo_records, run_demo
 from repro.resilience.soak import STOCK_CONFIGS, run_soak
 from repro.serve import SharedInstallation, serve_sessions
 
@@ -60,11 +60,8 @@ from .scenarios import (
     BATCHES,
     CRASH_CASES,
     CRASH_EVENTS,
-    FAILOVER_PLANS,
-    FAULT_PLANS,
     crash_plan,
     crash_rel_errors,
-    fault_demo,
     from_lerc,
     mixed_batch,
     run_transient,
@@ -227,8 +224,8 @@ FAULT_FIELDS = ("checkpoints", "recoveries", "end_virtual_s", "thrust_N", "rel_e
 
 def _fault_rows() -> List[dict]:
     rows = []
-    for plan in FAULT_PLANS:
-        head, *log = demo_records(fault_demo(plan))
+    for plan in PLAN_NAMES:
+        head, *log = demo_records(run_demo(plan, seed=0, quick=True))
         rows.append({"row": f"faults/{plan}", **{k: head[k] for k in FAULT_FIELDS}})
         seen = {"injection": 0, "recovery": 0}
         for record in log:
@@ -240,10 +237,9 @@ def _fault_rows() -> List[dict]:
 
 def _failover_rows() -> List[dict]:
     rows = []
-    with _same_sys_path():
-        bench = _script(ROOT / "benchmarks" / "bench_failover.py")
+    bench = _script(ROOT / "benchmarks" / "bench_failover.py")
     reference = bench.run_reference(quick=True)
-    for plan in FAILOVER_PLANS:
+    for plan in bench.PLANS:
         row = bench.measure(reference, plan, quick=True)
         rows.append({"row": f"failover/{plan}", "checkpoints": row["checkpoints"],
                      "detect_s": row["detect_s"], "recover_s": row["recover_s"]})

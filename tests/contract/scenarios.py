@@ -10,10 +10,6 @@ Each is defined once, here; the tests that serve them import them.
   machine;
 * ``run_transient`` — Table 2's 1 s throttle transient, all four adapted
   executables remote (``tests/core/test_transient_floor.py``);
-* ``FAULT_PLANS`` plus ``fault_demo`` — ``python -m repro faults``' three
-  stock plans, each run ``--quick`` at seed 0;
-* ``FAILOVER_PLANS`` — the crash plans ``benchmarks/bench_failover.py``
-  measures;
 * ``CRASH_CASES`` plus ``crash_plan`` and ``serve_crash`` — the crash
   matrix of ``tests/faults/test_crash_matrix.py``: each adapted kind
   crashed on its Table 2 host, by process and by machine, in a plain
@@ -33,7 +29,6 @@ from repro.faults import (
     GatewayRestore,
     LatencySpike,
 )
-from repro.faults.demo import PLAN_NAMES, run_demo
 from repro.serve import AdmissionPolicy, SessionSpec, SharedInstallation, serve_sessions
 from repro.serve.demo import build_session_specs
 
@@ -128,18 +123,6 @@ def run_transient(dispatch: str, jac_reuse: bool) -> NPSSExecutive:
 
 
 # ------------------------------------------------------------ fault recovery
-#: ``python -m repro faults --plan <name>``'s stock plans
-FAULT_PLANS = PLAN_NAMES
-
-
-def fault_demo(plan: str):
-    """``python -m repro faults --quick --plan <plan>`` at seed 0."""
-    return run_demo(plan, seed=0, quick=True)
-
-
-#: the crash plans ``benchmarks/bench_failover.py`` measures
-FAILOVER_PLANS = ("machine-crash", "process-crash")
-
 #: the crash matrix's session: three balances and a 0.2 s transient
 CRASH_POINTS = (1.28, 1.30, 1.32)
 CRASH_TRANSIENT_S = 0.2
