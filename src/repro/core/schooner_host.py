@@ -11,7 +11,7 @@ compute procedure is then called repeatedly through the line's stubs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -146,9 +146,6 @@ class SchoonerHost(ComponentHost):
             self._caller = CallerContext(timeline=tl)
         return self._caller
 
-    def _open_batch(self, label: str) -> CallBatch:
-        return CallBatch(self.manager.env, self.caller_context(), label=label)
-
     def _context(self, key: str) -> Optional[_Placed]:
         """The placement of an instance key, contacted, or None if local.
 
@@ -282,47 +279,50 @@ class SchoonerHost(ComponentHost):
         return stub(**self._shaft_args(shaft, ecom, etur, ecorr, xspool))["dxspl"]
 
     # ------------------------------------------------------------- overlapped
-    def _overlappable(self, kind: str, names: Sequence[str]) -> bool:
-        ctx = self._caller
-        if self.dispatch != "overlap" or (
-            ctx is not None and ctx.batch is not None
-            and ctx.batch._active_branch is not None
-        ):
+    def _overlappable(self) -> bool:
+        """Whether a pair goes out as an overlapped batch: under overlap
+        dispatch, and not from inside a probe region (whose calls
+        serialize on the region's branch)."""
+        if self.dispatch != "overlap":
             return False
-        placements = self.placements
-        for name in names:
-            if f"{kind}:{name}" in placements:
-                return True
-        return False
+        ctx = self._caller
+        return ctx is None or ctx.batch is None or ctx.batch._active_branch is None
 
     def duct_pair(self, jobs):
         """Independent duct computations as one overlapped batch: the
         bypass/core branch costs the caller max(round trips), with only
-        same-line/server work serialized."""
-        if not self._overlappable("duct", [name for name, _, _ in jobs]):
+        same-line/server work serialized.  An instance that computes
+        locally does so in job order, and no batch opens when none is
+        remote."""
+        if not self._overlappable():
             return ComponentHost.duct_pair(self, jobs)
         out: list = [None] * len(jobs)
-        prepared = []
+        remote = []
         for i, (name, duct, state) in enumerate(jobs):
             stub = self._compute("duct", name, (duct.dpqp,))
             if stub is None:
                 out[i] = self._local.duct(name, duct, state)
-                continue
-            prepared.append((i, stub, state))
-        batch = self._open_batch("duct-pair")
-        futures = [(i, stub.begin(batch, w=state.W, tt=state.Tt, pt=state.Pt, far=state.far))
-                   for i, stub, state in prepared]
-        for i, fut in futures:
-            r = fut.wait()
-            out[i] = GasState(r["wo"], r["tto"], r["pto"], r["faro"])
+            else:
+                remote.append((i, stub, state))
+        if remote:
+            # opened once every set* a binding ran has moved the caller
+            batch = CallBatch(self.manager.env, self.caller_context(), "duct-pair")
+            pending = []
+            for i, stub, state in remote:
+                pending.append((i, stub.begin(batch, w=state.W, tt=state.Tt, pt=state.Pt,
+                                               far=state.far)))
+            batch.wait()  # re-raises the first member's failure
+            for i, fut in pending:
+                r = fut.results
+                out[i] = GasState(r["wo"], r["tto"], r["pto"], r["faro"])
         return tuple(out)
 
     def shaft_accel_pair(self, jobs):
         """The low/high spool accelerations as one overlapped batch."""
-        if not self._overlappable("shaft", [job[0] for job in jobs]):
+        if not self._overlappable():
             return ComponentHost.shaft_accel_pair(self, jobs)
         out: list = [None] * len(jobs)
-        prepared = []
+        remote = []
         for i, job in enumerate(jobs):
             name, shaft, ecom, etur, ecorr, xspool = job
             stub = self._compute(
@@ -330,12 +330,16 @@ class SchoonerHost(ComponentHost):
             )
             if stub is None:
                 out[i] = self._local.shaft_accel(*job)
-                continue
-            prepared.append((i, stub, self._shaft_args(shaft, ecom, etur, ecorr, xspool)))
-        batch = self._open_batch("shaft-pair")
-        futures = [(i, stub.begin(batch, **args)) for i, stub, args in prepared]
-        for i, fut in futures:
-            out[i] = fut.wait()["dxspl"]
+            else:
+                remote.append((i, stub, self._shaft_args(shaft, ecom, etur, ecorr, xspool)))
+        if remote:
+            batch = CallBatch(self.manager.env, self.caller_context(), "shaft-pair")
+            pending = []
+            for i, stub, args in remote:
+                pending.append((i, stub.begin(batch, **args)))
+            batch.wait()
+            for i, fut in pending:
+                out[i] = fut.results["dxspl"]
         return tuple(out)
 
     def jacobian(
@@ -362,7 +366,7 @@ class SchoonerHost(ComponentHost):
             fx = np.asarray(f(x), dtype=float)
         n = x.size
         J = np.empty((fx.size, n))
-        batch = self._open_batch("fd-jacobian")
+        batch = CallBatch(self.manager.env, caller, "fd-jacobian")
         caller.batch = batch
         try:
             for j in range(n):

@@ -127,6 +127,19 @@ _COMB_FLOPS = 8.0e4
 _NOZL_FLOPS = 5.0e4
 
 
+def _kept(state, component):
+    """Keep ``component``, built from ``state``, on a process's declared
+    state (:class:`~repro.schooner.lines._ProcessState`) until its next
+    write; a plain mapping keeps nothing.  Only a built component is
+    kept: one whose checks refused the state is refused again on the
+    next call."""
+    try:
+        state.component = component
+    except AttributeError:  # a plain mapping
+        pass
+    return component
+
+
 def build_shaft_executable() -> Executable:
     """npss-shaft: the paper's running example."""
     spec = SpecFile.parse(SHAFT_SPEC_SOURCE)
@@ -138,11 +151,13 @@ def build_shaft_executable() -> Executable:
         return 0.0  # ecorr: no parasitic extraction modelled
 
     def shaft(ecom, incom, etur, intur, ecorr, xspool, xmyi, _state):
-        sh = Shaft(
-            inertia=_state["inertia"],
-            omega_design=_state["omegad"],
-            mech_eff=_state["mecheff"],
-        )
+        sh = getattr(_state, "component", None)
+        if sh is None:
+            sh = _kept(_state, Shaft(
+                inertia=_state["inertia"],
+                omega_design=_state["omegad"],
+                mech_eff=_state["mecheff"],
+            ))
         return sh.accel(ecom, incom, etur, intur, ecorr, xspool, xmyi)
 
     return Executable(
@@ -172,7 +187,9 @@ def build_duct_executable() -> Executable:
         return 1
 
     def duct(w, tt, pt, far, _state):
-        d = Duct(dpqp=_state["dpqp"])
+        d = getattr(_state, "component", None)
+        if d is None:
+            d = _kept(_state, Duct(dpqp=_state["dpqp"]))
         out = d.run(GasState(w, tt, pt, far))
         return (out.W, out.Tt, out.Pt, out.far)
 
@@ -201,11 +218,13 @@ def build_combustor_executable() -> Executable:
         return 1
 
     def comb(w, tt, pt, far, wfuel, _state):
-        c = Combustor(
-            efficiency=_state["eta"],
-            dpqp=_state["dpqp"],
-            t_max=_state["tmax"],
-        )
+        c = getattr(_state, "component", None)
+        if c is None:
+            c = _kept(_state, Combustor(
+                efficiency=_state["eta"],
+                dpqp=_state["dpqp"],
+                t_max=_state["tmax"],
+            ))
         out = c.burn(GasState(w, tt, pt, far), wfuel)
         return (out.W, out.Tt, out.Pt, out.far)
 
@@ -236,7 +255,9 @@ def build_nozzle_executable() -> Executable:
         return 1
 
     def nozl(w, tt, pt, far, ps0, v0, _state):
-        n = ConvergentNozzle(cd=_state["cd"], area_m2=_state["area"])
+        n = getattr(_state, "component", None)
+        if n is None:
+            n = _kept(_state, ConvergentNozzle(cd=_state["cd"], area_m2=_state["area"]))
         state = GasState(w, tt, pt, far)
         return (n.flow_capacity(state, ps0), n.net_thrust(state, ps0, v0))
 

@@ -9,7 +9,7 @@ Table 1: local Ethernet, same-building-multiple-gateways, and Internet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator
+from typing import Any, Dict, Iterator, Set
 
 from .arch import (
     CONVEX_C2,
@@ -40,6 +40,10 @@ class MachinePark:
     #: by every session over the park and dropped with it (see
     #: ``repro.schooner.runtime.CallPlan``)
     call_plans: Dict[tuple, Any] = field(default_factory=dict, repr=False)
+    #: the (import, export) signature pairs that passed the Manager's
+    #: type check on this installation (see
+    #: ``repro.schooner.runtime.check_import_once``)
+    checked_imports: Set[tuple] = field(default_factory=set, repr=False)
 
     def add(self, nickname: str, machine: Machine) -> Machine:
         if nickname in self.machines:

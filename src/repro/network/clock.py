@@ -60,14 +60,6 @@ class Timeline:
         # read again: what fired may itself have charged this timeline
         return self._elapsed
 
-    def branch(self, name: str) -> "Timeline":
-        """A scratch timeline starting at this timeline's current
-        instant — one concurrent branch of execution (an overlapped
-        call batch, an FD-probe column).  The branch is not registered
-        with the clock's named timelines; its advances still push the
-        global envelope."""
-        return Timeline(name=name, clock=self.clock, _elapsed=self._elapsed)
-
     def sync_to(self, t: float) -> None:
         """Move this timeline forward to absolute virtual time ``t``
         (used when a message from another timeline arrives: the receiver

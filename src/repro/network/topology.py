@@ -62,7 +62,8 @@ class Topology:
 
     def classify(self, src: Machine, dst: Machine) -> LinkModel:
         """The link model connecting ``src`` to ``dst``."""
-        if src.site != dst.site and frozenset((src.site, dst.site)) in self._partitioned:
+        if (self._partitioned and src.site != dst.site
+                and frozenset((src.site, dst.site)) in self._partitioned):
             raise NetworkError(
                 f"network partition between {src.site} and {dst.site}"
             )

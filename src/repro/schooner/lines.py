@@ -38,13 +38,18 @@ class _ProcessState(dict):
 
     ``hook``, when set, is called with the state after every call of a
     mutator: a failover supervisor sets it on the processes it watches,
-    so a write is what schedules their next checkpoint."""
+    so a write is what schedules their next checkpoint.
 
-    __slots__ = ("host", "hook")
+    ``component`` is what the executable's compute procedure built from
+    the declared state (a TESS ``Duct``, say), kept for its next call:
+    every mutator clears it, so it is built once per write."""
+
+    __slots__ = ("host", "hook", "component")
 
     def __init__(self, host: str):
         self.host = host
         self.hook = None
+        self.component = None
 
     def __missing__(self, var):
         raise StateLost(f"declared state {var!r} is not installed on {self.host}")
@@ -52,6 +57,7 @@ class _ProcessState(dict):
 
 def _hooked(write):
     def hooked(self, *args, **kwargs):
+        self.component = None
         result = write(self, *args, **kwargs)
         if self.hook is not None:
             self.hook(self)

@@ -47,7 +47,7 @@ from .lines import (
     state_types,
 )
 from .procedure import Executable, Procedure
-from .runtime import SchoonerEnvironment, check_import
+from .runtime import SchoonerEnvironment, check_import_once
 from .server import SchoonerServer
 
 __all__ = ["Manager", "ManagerMode", "SharedRegistry"]
@@ -224,7 +224,7 @@ class Manager:
                 raise
             record = shared
         if import_sig is not None:
-            check_import(import_sig, record.procedure.signature)
+            check_import_once(self.env.park, import_sig, record.procedure.signature)
         return record
 
     # -- shutdown ---------------------------------------------------------------

@@ -17,7 +17,6 @@ two statements of one call (docs/PERFORMANCE.md, "The call path").
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
@@ -217,6 +216,19 @@ def check_import(import_sig: Signature, export_sig: Signature) -> None:
         raise TypeCheckError(str(exc)) from exc
 
 
+def check_import_once(park: MachinePark, import_sig: Signature, export_sig: Signature) -> None:
+    """:func:`check_import`, run once per (import, export) pair on an
+    installation: the check is a pure function of the two signatures'
+    values, so the park keeps each pair that passed and every session
+    over it, and every call plan, finds it there.  A pair that fails is
+    never kept, so it raises on every attempt."""
+    key = (import_sig, export_sig)
+    checked = park.checked_imports
+    if key not in checked:
+        check_import(import_sig, export_sig)
+        checked.add(key)
+
+
 class CallPlan:
     """Everything about one call that does not depend on the call.
 
@@ -276,7 +288,7 @@ class CallPlan:
         import_sig: Signature,
     ) -> None:
         proc = record.procedure
-        check_import(import_sig, proc.signature)
+        check_import_once(env.park, import_sig, proc.signature)
         callee_machine = record.machine
         self.caller_machine = caller_machine
         self.callee_machine = callee_machine
@@ -666,43 +678,54 @@ class CallerContext:
 _WAITED = "CallBatch already waited on"
 
 
-class CallFuture(Timeline):
-    """One overlapped, in-flight RPC, and the branch of virtual time it
-    runs on.
+class CallFuture:
+    """The result of one overlapped RPC, held until its batch joins.
 
-    Created by :meth:`CallBatch.begin` (or internally for probe-region
-    calls), starting at its line's current instant: the call is charged
-    to the future itself, which is the member's own timeline, so an
-    overlapped call builds one object.  ``wait()`` completes the whole
-    batch — the overlap model is fork/join, not fire-and-forget — then
-    returns this call's result parameters or re-raises its failure.
-    Futures compare by identity, not as timelines do.
+    Returned by :meth:`CallBatch.begin`.  Members run inline when they
+    are issued, so a future is done as soon as it exists and holds the
+    call's result parameters (``results``) or its failure (``error``).
+    ``wait()`` completes the whole batch — the overlap model is
+    fork/join, not fire-and-forget — then returns ``results`` or
+    re-raises ``error``.
     """
 
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+    __slots__ = ("_batch", "results", "error")
 
-    def __init__(self, procedure: str, line, issued_at: float, batch: "CallBatch"):
-        timeline = line.timeline
-        self.name = procedure
-        self.clock = timeline.clock
-        self._elapsed = timeline._elapsed
-        self.procedure = procedure
-        self._line = line
-        self.line_id = line.line_id
-        self.issued_at = issued_at
-        self.traces: List[CallTrace] = []
-        self.done = False
-        self._results: Optional[Dict[str, Any]] = None
-        self._error: Optional[BaseException] = None
+    done = True
+
+    def __init__(self, batch: "CallBatch") -> None:
         self._batch = batch
+        self.results: Optional[Dict[str, Any]] = None
+        self.error: Optional[BaseException] = None
 
     def wait(self) -> Dict[str, Any]:
-        self._batch.wait()
-        if self._error is not None:
-            raise self._error
-        assert self._results is not None
-        return self._results
+        batch = self._batch
+        if not batch._done:
+            batch.wait()
+        if self.error is not None:
+            raise self.error
+        assert self.results is not None
+        return self.results
+
+
+class _Region:
+    """One open probe region: makes its branch the batch's active one
+    for the ``with`` block and restores the enclosing one after."""
+
+    __slots__ = ("_batch", "_branch", "_prev")
+
+    def __init__(self, batch: "CallBatch", branch: Timeline) -> None:
+        self._batch = batch
+        self._branch = branch
+
+    def __enter__(self) -> Timeline:
+        batch = self._batch
+        self._prev = batch._active_branch
+        batch._active_branch = self._branch
+        return self._branch
+
+    def __exit__(self, *exc_info) -> None:
+        self._batch._active_branch = self._prev
 
 
 class CallBatch:
@@ -728,58 +751,103 @@ class CallBatch:
     (:meth:`call_on_branch`).
 
     Wall-clock execution: members run inline, in submission order; the
-    overlap is charged on the virtual timeline only.  Each time a
+    overlap is charged on the virtual timeline only.  A member issued
+    by :meth:`begin` is charged to a plain :class:`Timeline` of its
+    own, one made inside a region to the region's branch; every
+    member's traces go to one list, flushed at ``wait()``.  Each time a
     timeline moves to another's instant below, it is
     ``Timeline.sync_to`` inline: the same refusal of a NaN instant and
     the same envelope check, inside which due clock events fire.
     """
+
+    __slots__ = ("env", "caller", "label", "t0", "_lines", "_traces", "_futures",
+                 "_active_branch", "_done")
 
     def __init__(self, env: SchoonerEnvironment, caller: CallerContext,
                  label: str = "overlap"):
         self.env = env
         self.caller = caller
         self.label = label
-        # the caller's instant when the batch opened, as a timeline the
-        # probe regions branch from
-        self._opened = caller.timeline.branch(label)
-        self.t0 = self._opened._elapsed
-        self._avail: Dict[str, float] = {}  # line_id -> server free-at
-        self._entries: List[CallFuture] = []  # submission order
+        # the caller's instant when the batch opened: where every member
+        # and every probe region starts
+        self.t0 = caller.timeline._elapsed
+        # line_id -> [line, its server's free-at, its members' latest
+        # finish], in the order the lines were first called
+        self._lines: Dict[str, list] = {}
+        # every member's traces, and the futures begin() handed out, in
+        # submission order
+        self._traces: List[CallTrace] = []
+        self._futures: List[CallFuture] = []
         # the open probe region's branch, read by stubs sharing the
         # caller context
         self._active_branch: Optional[Timeline] = None
         self._done = False
 
     # -- issuing ----------------------------------------------------------
-    def _require_open(self) -> None:
-        # wait() flushes traces once; a call issued after it would run
-        # and never reach env.traces (begin and call_on_branch make the
-        # same test inline)
-        if self._done:
-            raise RuntimeError(_WAITED)
+    # wait() flushes traces once; a call issued after it would run and
+    # never reach env.traces, so every way of issuing refuses instead.
+    # A member leaves the caller at its issuing instant — the batch's,
+    # or its probe region's current one — but cannot occupy the server
+    # before the line's earlier members finish their server-side work
+    # (or earlier sync traffic completes): it starts at the latest of
+    # the two and the line's own instant, and then holds the line's
+    # server for its server CPU and compute.  begin() and
+    # call_on_branch() each do this inline (a shared helper would be one
+    # more call per member, on the path most cold RPCs take), and keep
+    # the line's latest finish for the join.
 
     def begin(self, stub: "ClientStub", args: Dict[str, Any]) -> CallFuture:
         """Dispatch one overlapped call; returns its future."""
         if self._done:
             raise RuntimeError(_WAITED)
-        fut = CallFuture(stub.import_sig.name, stub.line, self.t0, self)
-        self._entries.append(fut)
-        self._run(stub, args, fut)
+        line = stub.line
+        line_id = line.line_id
+        line_tl = line.timeline
+        at = line_tl._elapsed
+        entry = self._lines.get(line_id)
+        start = at if entry is None else entry[1]
+        t0 = self.t0
+        if not start > t0:  # max(t0, start)
+            start = t0
+        clock = line_tl.clock
+        if start > at:
+            at = start
+            if start > clock._now:
+                clock._now = start
+                if clock._events and clock._events[0][0] <= start:
+                    clock._notify()
+        elif start != start:
+            raise ValueError(f"cannot move time to {start}")
+        timeline = Timeline(stub.import_sig.name, clock, at)
+        fut = CallFuture(self)
+        self._futures.append(fut)
+        sink = self._traces
+        first = len(sink)
+        try:
+            fut.results = stub._invoke(args, timeline, "overlap", sink)
+        except BaseException as exc:  # re-raised at wait(), in order
+            fut.error = exc
+        occupancy = 0
+        for trace in sink[first:]:
+            occupancy += trace.server_cpu_s + trace.compute_s
+        t = timeline._elapsed
+        if entry is None:
+            self._lines[line_id] = [line, start + occupancy, t]
+        else:
+            entry[1] = start + occupancy
+            if t > entry[2]:
+                entry[2] = t
         return fut
 
-    @contextmanager
-    def region(self, label: str):
+    def region(self, label: str) -> _Region:
         """A probe region: a caller branch starting at ``t0``.  Calls
         made inside (through stubs sharing this batch's caller context)
         serialize on the branch; the region as a whole overlaps with
         the batch's other members and regions."""
-        self._require_open()
-        prev = self._active_branch
-        self._active_branch = self._opened.branch(f"{self.label}:{label}")
-        try:
-            yield self._active_branch
-        finally:
-            self._active_branch = prev
+        if self._done:
+            raise RuntimeError(_WAITED)
+        return _Region(self, Timeline(
+            f"{self.label}:{label}", self.caller.timeline.clock, self.t0))
 
     def call_on_branch(self, stub: "ClientStub", args: Dict[str, Any],
                        branch: Timeline) -> Dict[str, Any]:
@@ -787,85 +855,89 @@ class CallBatch:
         the region's branch, and moves the branch to its completion."""
         if self._done:
             raise RuntimeError(_WAITED)
-        fut = CallFuture(stub.import_sig.name, stub.line, branch._elapsed, self)
-        self._entries.append(fut)
-        self._run(stub, args, fut)
-        t = fut._elapsed
-        if t > branch._elapsed:
-            branch._elapsed = t
-            clock = branch.clock
-            if t > clock._now:
-                clock._now = t
-                if clock._events and clock._events[0][0] <= t:
-                    clock._notify()
-        elif t != t:
-            raise ValueError(f"cannot move time to {t}")
-        if fut._error is not None:
-            # raised here, synchronously — cleared so wait() (typically
-            # reached from a finally block) does not raise it again
-            err, fut._error = fut._error, None
-            raise err
-        assert fut._results is not None
-        return fut._results
-
-    # -- execution --------------------------------------------------------
-    def _run(self, stub: "ClientStub", args: Dict[str, Any], fut: CallFuture) -> None:
-        # the call leaves the caller at the batch instant (or its probe
-        # region's current instant) but cannot occupy the server before
-        # the line's earlier members finish their server-side work (or
-        # earlier sync traffic completes)
-        line_id = fut.line_id
-        avail = self._avail
-        start = avail[line_id] if line_id in avail else fut._line.timeline._elapsed
-        issue_at = fut.issued_at
-        if not start > issue_at:  # max(issue_at, start)
-            start = issue_at
-        if start > fut._elapsed:
-            fut._elapsed = start
-            clock = fut.clock
-            if start > clock._now:
-                clock._now = start
-                if clock._events and clock._events[0][0] <= start:
-                    clock._notify()
+        line = stub.line
+        line_id = line.line_id
+        at = line.timeline._elapsed
+        entry = self._lines.get(line_id)
+        start = at if entry is None else entry[1]
+        issued_at = branch._elapsed
+        if not start > issued_at:  # max(issued_at, start)
+            start = issued_at
+        if start > at:
+            at = start
         elif start != start:
             raise ValueError(f"cannot move time to {start}")
-        sink = fut.traces
+        # the call runs on the branch itself, moved to where it starts
+        if at > issued_at:
+            branch._elapsed = at
+            clock = branch.clock
+            if at > clock._now:
+                clock._now = at
+                if clock._events and clock._events[0][0] <= at:
+                    clock._notify()
+        sink = self._traces
+        first = len(sink)
+        error = None
         try:
-            fut._results = stub._invoke(args, fut, "overlap", sink)
-        except BaseException as exc:  # re-raised at wait(), in order
-            fut._error = exc
+            results = stub._invoke(args, branch, "overlap", sink)
+        except BaseException as exc:
+            error = exc
         occupancy = 0
-        for t in sink:
-            occupancy += t.server_cpu_s + t.compute_s
-        avail[line_id] = start + occupancy
-        fut.done = True
+        for trace in sink[first:]:
+            occupancy += trace.server_cpu_s + trace.compute_s
+        t = branch._elapsed
+        if entry is None:
+            self._lines[line_id] = [line, start + occupancy, t]
+        else:
+            entry[1] = start + occupancy
+            if t > entry[2]:
+                entry[2] = t
+        if error is not None:
+            # raised here, synchronously, and not again at wait()
+            raise error
+        return results
 
     # -- joining ----------------------------------------------------------
     def wait(self) -> None:
         """Join all members: flush traces (submission order), advance
-        the member lines and the caller, re-raise the first failure."""
+        the member lines and the caller, re-raise the first failure of
+        a member :meth:`begin` issued."""
         if self._done:
             return
         self._done = True
-        # the futures keep their batch for wait(); once joined, the batch
-        # lets them go, so no future <-> batch cycle outlives the join
-        # and holds the environment until a full collection
-        entries, self._entries = self._entries, []
+        record = self.env.record_trace
+        for trace in self._traces:
+            record(trace)
+        # once joined, the batch lets its futures go, so no future <->
+        # batch cycle outlives the join and holds the environment until
+        # a full collection
+        futures, self._futures = self._futures, ()
+        # each line moves to its members' latest finish and the caller
+        # to the latest of all: where moving after every member, in
+        # order, would leave them (every finish is already inside the
+        # clock's envelope, so no event is due between two such moves)
         caller = self.caller.timeline
-        for fut in entries:
-            for trace in fut.traces:
-                self.env.record_trace(trace)
-            t = fut._elapsed
-            for tl in (fut._line.timeline, caller):
-                if t > tl._elapsed:
-                    tl._elapsed = t
-                    clock = tl.clock
-                    if t > clock._now:
-                        clock._now = t
-                        if clock._events and clock._events[0][0] <= t:
-                            clock._notify()
-                elif t != t:
-                    raise ValueError(f"cannot move time to {t}")
-        for fut in entries:
-            if fut._error is not None:
-                raise fut._error
+        latest = caller._elapsed
+        for line, _, t in self._lines.values():
+            tl = line.timeline
+            if t > tl._elapsed:
+                tl._elapsed = t
+                clock = tl.clock
+                if t > clock._now:
+                    clock._now = t
+                    if clock._events and clock._events[0][0] <= t:
+                        clock._notify()
+            elif t != t:
+                raise ValueError(f"cannot move time to {t}")
+            if t > latest:
+                latest = t
+        if latest > caller._elapsed:
+            caller._elapsed = latest
+            clock = caller.clock
+            if latest > clock._now:
+                clock._now = latest
+                if clock._events and clock._events[0][0] <= latest:
+                    clock._notify()
+        for fut in futures:
+            if fut.error is not None:
+                raise fut.error

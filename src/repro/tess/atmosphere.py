@@ -10,6 +10,7 @@ conditions seen by the engine inlet at a flight Mach number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,18 +70,29 @@ class FlightCondition:
     mach: float = 0.0
     humidity: float = 0.0
 
-    def ambient(self) -> Ambient:
+    # A condition is immutable, so its atmosphere is evaluated once, on
+    # first use: ``cached_property`` keeps it in the instance
+    # ``__dict__``, which a frozen dataclass still has and which
+    # equality, hashing, ``dataclasses.replace`` and the op-cache keys
+    # (``opkey.stable_value`` reads ``dataclasses.fields``) never read.
+    # An out-of-range condition raises on every use: nothing is kept.
+
+    @cached_property
+    def _ambient(self) -> Ambient:
         return standard_atmosphere(self.altitude_m, self.humidity)
+
+    def ambient(self) -> Ambient:
+        return self._ambient
 
     def ram_conditions(self) -> tuple:
         """Free-stream total temperature and pressure (Tt0, Pt0)."""
-        amb = self.ambient()
+        amb = self._ambient
         m2 = self.mach * self.mach
         Tt = amb.Ts * (1.0 + 0.2 * m2)
         Pt = amb.Ps * (1.0 + 0.2 * m2) ** 3.5
         return float(Tt), float(Pt)
 
-    @property
+    @cached_property
     def flight_speed(self) -> float:
         """True airspeed, m/s."""
-        return self.mach * self.ambient().speed_of_sound
+        return self.mach * self._ambient.speed_of_sound

@@ -178,6 +178,26 @@ class TestTopology:
         topo.heal("lerc", "arizona")
         topo.classify(park["ua-sparc10"], park["lerc-cray"])
 
+    def test_partition_made_after_warm_hops_blocks_both_orders(self, topo, park):
+        """Without a partition the check costs nothing per send; one made
+        after every hop and route record is warm is still seen, whichever
+        site sends, and healing it lets both directions through."""
+        tx = Transport(topology=topo, clock=VirtualClock())
+        ua, cray = park["ua-sparc10"], park["lerc-cray"]
+        for src, dst in ((ua, cray), (cray, ua)):
+            for _ in range(3):
+                tx.send(src, dst, "call", None, 100)
+        topo.partition("arizona", "lerc")
+        for src, dst in ((ua, cray), (cray, ua)):
+            with pytest.raises(NetworkError, match="network partition"):
+                topo.classify(src, dst)
+            with pytest.raises(NetworkError, match="network partition"):
+                tx.send(src, dst, "call", None, 100)
+        topo.heal("lerc", "arizona")
+        for src, dst in ((ua, cray), (cray, ua)):
+            assert topo.classify(src, dst) is topo.internet
+            tx.send(src, dst, "call", None, 100)
+
 
 class TestTransport:
     @pytest.fixture

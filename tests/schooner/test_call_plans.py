@@ -227,6 +227,59 @@ class TestPlanInvalidation:
         assert env.traces[-1].failed_over
 
 
+class TestImportCheckedOncePerInstallation:
+    """The Manager's import check is a pure function of the two
+    signatures, so an installation runs it once per (import, export)
+    pair: a session after the first, and the call plan, find the pair
+    kept on the park.  A pair that fails is kept nowhere."""
+
+    @pytest.fixture
+    def installation(self):
+        inst = SharedInstallation.standard()
+        exe = Executable(
+            "echo",
+            (Procedure(name="echo", signature=SpecFile.parse(ECHO_SPEC).export_named("echo"),
+                       impl=lambda x: x, language=Language.C),),
+        )
+        for machine in inst.park:
+            machine.install(ECHO_PATH, exe)
+        return inst
+
+    @staticmethod
+    def session(inst):
+        """A fresh session's environment, Manager and contacted line."""
+        env = inst.session_env()
+        manager = Manager(env=env, host=env.park["ua-sparc10"], mode=ManagerMode.LINES)
+        ctx = ModuleContext(manager=manager, module_name="m", machine=env.park["ua-sparc10"])
+        ctx.sch_contact_schx("lerc-rs6000", ECHO_PATH)
+        return env, ctx
+
+    def test_a_later_session_checks_nothing(self, installation, monkeypatch):
+        checks = []
+        real = Signature.check_import_subset
+        monkeypatch.setattr(
+            Signature, "check_import_subset",
+            lambda self, export: (checks.append(self.name), real(self, export))[1],
+        )
+        sig = SpecFile.parse(ECHO_SPEC).as_imports().import_named("echo")
+        first_calls = []
+        for _ in range(2):
+            env, ctx = self.session(installation)
+            ctx.import_proc(sig)(x=1.0)
+            first_calls.append((env.clock.now, env.transport.stats.by_kind["lookup"]))
+        assert checks == ["echo"], "the lookup of the first session checks; nothing after"
+        # the lookup round trip is still made and charged in every session
+        assert first_calls[0] == first_calls[1] and first_calls[0][1] == 1
+
+    def test_a_mismatched_import_is_refused_in_every_session(self, installation):
+        for _ in range(2):
+            env, ctx = self.session(installation)
+            with pytest.raises(TypeCheckError, match="import type integer"):
+                ctx.import_proc(TestTypeCheckStillHolds.WRONG)(x=1)
+        assert not any(imp == TestTypeCheckStillHolds.WRONG
+                       for imp, _ in installation.park.checked_imports)
+
+
 class TestTypeCheckStillHolds:
     WRONG = Signature(
         "echo",

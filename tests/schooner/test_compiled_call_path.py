@@ -27,7 +27,7 @@ from repro.network.topology import Topology
 from repro.network.transport import Transport
 from repro.schooner.api import ModuleContext
 from repro.schooner.lines import InstanceRecord
-from repro.schooner.runtime import CallBatch, SchoonerEnvironment, execute_call
+from repro.schooner.runtime import SchoonerEnvironment, execute_call
 from repro.serve import SessionSpec, SharedInstallation, serve_sessions
 from repro.tess import gas
 from repro.uts.compiled import SignatureCodec
@@ -90,13 +90,11 @@ FOLDED_IN_THE_CALL = {
 }
 
 #: folded everywhere a served steady point runs: the clock reads of the
-#: stub and the overlap batch, the branch timeline each overlapped call
-#: built, and the gas model's property chains and station copies
+#: stub and the overlap batch, and the gas model's property chains and
+#: station copies
 FOLDED_EVERYWHERE = {
     Timeline.now.fget.__code__: "Timeline.now",
     Timeline.sync_to.__code__: "Timeline.sync_to",
-    Timeline.branch.__code__: "Timeline.branch per call",
-    CallBatch._require_open.__code__: "CallBatch._require_open per call",
     gas._far_scale.__code__: "gas._far_scale",
     gas.cp.__code__: "gas.cp",
     gas.gamma.__code__: "gas.gamma",
@@ -124,11 +122,10 @@ def test_a_warm_installation_s_cold_session_calls_no_folded_helper():
                   state_storage=0)
     components = {getattr(SchoonerHost, name).__code__ for name in (
         "duct", "combustor", "nozzle", "shaft_accel", "duct_pair", "shaft_accel_pair")}
-    call, regions = execute_call.__code__, CallBatch.region.__wrapped__.__code__
+    call = execute_call.__code__
     record_trace = SchoonerEnvironment.record_trace.__code__
     send, placed_alive = Transport.send.__code__, ModuleContext.placed_alive.__code__
     state_storage = InstanceRecord.state_storage.__code__
-    per_batch = {CallBatch.__init__.__code__, regions}
     depth = {call: 0}
 
     def hook(frame, event, arg):
@@ -140,9 +137,7 @@ def test_a_warm_installation_s_cold_session_calls_no_folded_helper():
         if code in FOLDED_IN_THE_CALL:
             counts[FOLDED_IN_THE_CALL[code]] += depth[call] > 0
         elif code in FOLDED_EVERYWHERE:
-            # a batch branches the caller once when it opens, and each
-            # probe region checks it is open and branches that once
-            counts[FOLDED_EVERYWHERE[code]] += frame.f_back.f_code not in per_batch
+            counts[FOLDED_EVERYWHERE[code]] += 1
         elif code is record_trace:
             counts["record_trace"] += 1
         elif code is placed_alive:

@@ -164,3 +164,43 @@ class TestWaitedBatchIsClosed:
         finally:
             caller.batch = None
         assert env.traces == []  # nothing ran behind the log's back
+
+
+class TestBatchShape:
+    """A batch builds what it uses: a plain timeline per member, a branch
+    per probe region, one trace list, and futures that only hold a
+    result."""
+
+    def test_a_region_restores_the_enclosing_branch_even_on_error(self, env, caller):
+        batch = CallBatch(env, caller, label="shape")
+        with batch.region("outer") as outer:
+            with pytest.raises(KeyError):
+                with batch.region("inner") as inner:
+                    assert batch._active_branch is inner is not outer
+                    assert inner.now == outer.now == batch.t0
+                    raise KeyError("column failed")
+            assert batch._active_branch is outer
+        assert batch._active_branch is None
+        batch.wait()
+
+    def test_a_failed_member_is_raised_after_the_join(self, manager, env, caller):
+        from repro.uts.errors import UTSTypeError
+
+        good = make_stub(manager, env, caller, "mod-good", "lerc-cray")
+        bad = make_stub(manager, env, caller, "mod-bad", "lerc-rs6000")
+        good(**SHAFT_ARGS)
+        bad(**SHAFT_ARGS)
+        env.reset_traces()
+        batch = CallBatch(env, caller, label="fails")
+        fg = good.begin(batch, **SHAFT_ARGS)
+        fb = bad.begin(batch, **{**SHAFT_ARGS, "incom": "many"})
+        assert fg.done and fb.done and fb.error is not None
+        with pytest.raises(UTSTypeError, match="expected integer"):
+            batch.wait()
+        # the join ran first: the good member's trace is flushed and the
+        # caller moved to its finish
+        (trace,) = env.traces
+        assert trace.dispatch == "overlap" and caller.timeline.now == trace.finished_at
+        assert fg.wait() == fg.results
+        with pytest.raises(UTSTypeError):
+            fb.wait()

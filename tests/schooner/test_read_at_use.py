@@ -15,6 +15,7 @@ stops a route or rate "plan" from hoisting a read out of the call.
 import pytest
 
 from repro.machines import Language
+from repro.network.clock import Timeline
 from repro.schooner import (
     CallTimeout,
     Executable,
@@ -132,8 +133,8 @@ class TestStateChangedInsideACall:
         w = World()
         w.schedule_mid_call(w.callee.crash)
         tl = w.ctx.line.timeline
-        if how == "overlap":
-            tl = tl.branch("member")
+        if how == "overlap":  # a batch member's own timeline
+            tl = Timeline("member", tl.clock, tl.now)
         with pytest.raises(StaleBinding, match="host died mid-call"):
             execute_call(w.env, w.ctx.machine, tl, w.record,
                          w.stub.import_sig, {"x": 1.0}, dispatch=how)

@@ -78,3 +78,50 @@ class TestKeys:
         assert combine_keys("a", "b") == combine_keys("a", "b")
         # not vulnerable to concatenation ambiguity
         assert combine_keys("ab", "c") != combine_keys("a", "bc")
+
+
+class TestFlightConditionAtmosphere:
+    """A condition evaluates the ISA atmosphere once, on first use, and
+    keeps it beside its fields: keys, equality and ``replace`` see the
+    fields only, and every reader gets the same bits."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        from repro.tess import atmosphere
+
+        calls = []
+        real = atmosphere.standard_atmosphere
+        monkeypatch.setattr(atmosphere, "standard_atmosphere",
+                            lambda *a: (calls.append(a), real(*a))[1])
+        return calls
+
+    def test_one_evaluation_serves_every_reader(self, evaluations):
+        from repro.tess.atmosphere import standard_atmosphere
+
+        fc = FlightCondition(altitude_m=9000.0, mach=0.7, humidity=0.01)
+        amb, (tt, pt), v = fc.ambient(), fc.ram_conditions(), fc.flight_speed
+        assert (fc.ambient(), fc.ram_conditions(), fc.flight_speed) == (amb, (tt, pt), v)
+        assert evaluations == [(9000.0, 0.01)]
+        fresh = standard_atmosphere(9000.0, 0.01)
+        assert (amb.Ts, amb.Ps) == (fresh.Ts, fresh.Ps)
+        assert v == 0.7 * fresh.speed_of_sound
+
+    def test_keys_equality_and_replace_see_the_fields_only(self):
+        import dataclasses
+
+        used, unused = FlightCondition(3000.0, 0.5), FlightCondition(3000.0, 0.5)
+        key = flight_key(used)
+        used.ram_conditions()
+        assert used == unused and hash(used) == hash(unused)
+        assert flight_key(used) == flight_key(unused) == key
+        assert stable_value(used) == stable_value(unused)
+        higher = dataclasses.replace(used, altitude_m=6000.0)
+        assert higher.ambient().Ts < used.ambient().Ts
+        assert flight_key(higher) != key
+
+    def test_an_out_of_range_condition_raises_on_every_use(self, evaluations):
+        fc = FlightCondition(altitude_m=25000.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="outside model range"):
+                fc.ambient()
+        assert len(evaluations) == 2

@@ -132,7 +132,8 @@ GONE_ATTRIBUTES = {
     ),
     # folded into their one caller on the call path
     ("repro.schooner.stubs", "ClientStub"): ("_plan", "_deadline", "_breaker_gate"),
-    ("repro.schooner.runtime", "CallFuture"): ("finished_at",),
+    # a future holds a result; its member is charged to a plain Timeline
+    ("repro.schooner.runtime", "CallFuture"): ("finished_at", "advance", "sync_to", "traces"),
     ("repro.tess", "ConvergentNozzle"): ("_require_sized",),
     # the traffic package's warm-up lens, rate rescaler and report
     # accessors, and the single-valued sweep and soak knobs
@@ -145,7 +146,8 @@ GONE_ATTRIBUTES = {
     ("repro.resilience.soak", "SoakConfig"): ("transport",),
     # accessors only their own tests called
     ("repro.schooner.runtime", "CallerContext"): ("now",),
-    ("repro.schooner.runtime", "CallBatch"): ("finished_at", "active_branch"),
+    ("repro.schooner.runtime", "CallBatch"): ("finished_at", "active_branch", "_opened",
+                                              "_require_open"),
     ("repro.schooner.api", "ModuleContext"): ("connected",),
     ("repro.schooner", "Manager"): ("call", "servers", "line", "line_error"),
     ("repro.serve.installation", "WorkloadCache"): ("peek",),
@@ -159,6 +161,8 @@ GONE_ATTRIBUTES = {
     ),
     ("repro.schooner.lines", "_ProcessState"): ("all_writes", "writes"),
     ("repro.network.link", "LinkModel"): ("round_trip_seconds",),
+    # a batch member or probe region builds its Timeline directly
+    ("repro.network.clock", "Timeline"): ("branch",),
     ("repro.machines.host", "Machine"): ("installed_paths",),
     ("repro.machines.registry", "MachinePark"): ("at_site",),
     ("repro.parallel.pvm", "ScatterGatherResult"): ("slowest_worker",),
