@@ -29,6 +29,7 @@ import sys
 
 import pytest
 
+from repro.faults import FaultInjector
 from repro.faults.demo import _build_executive, named_plan
 
 #: the crash plans measured by both entry points
@@ -52,7 +53,8 @@ def measure(reference, plan_name: str, seed: int = 0, quick: bool = True) -> dic
     plan = named_plan(plan_name, seed, reference.env.clock.now)
     crash_at = plan.events[-1].at_s  # each plan ends with its crash
     ex = _build_executive(transient_s, 0.02)
-    ex.run_resilient(plan)
+    with FaultInjector(env=ex.env, plan=plan):
+        ex.run_simulation()
 
     detected = [
         e for e in ex.supervisor.events

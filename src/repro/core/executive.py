@@ -22,6 +22,7 @@ from typing import Dict, Optional
 from ..avs.editor import NetworkEditor
 from ..avs.panel import ControlPanel
 from ..avs.scheduler import DataflowScheduler
+from ..faults.recovery import FailoverSupervisor
 from ..machines.host import Machine
 from ..schooner.manager import Manager, ManagerMode
 from ..schooner.runtime import SchoonerEnvironment
@@ -71,6 +72,12 @@ class NPSSExecutive:
         install_tess_executables(self.env.park)
         self.avs_machine: Machine = self.env.park[avs_machine]
         self.manager = Manager(env=self.env, host=self.avs_machine, mode=ManagerMode.LINES)
+        #: the Manager's failure detection, checkpoints and failover: a
+        #: crashed instance restarts with its checkpointed state, so a
+        #: run under a fault plan (a :class:`~repro.faults.FaultInjector`
+        #: attached to ``env``) completes
+        self.supervisor = FailoverSupervisor(manager=self.manager)
+        self.supervisor.attach()
         self.jac_reuse = jac_reuse
         self.host = SchoonerHost(
             manager=self.manager, avs_machine=self.avs_machine, dispatch=dispatch
@@ -315,37 +322,6 @@ class NPSSExecutive:
         """Run the AVS network: the system module solves, downstream
         modules publish their station states."""
         return self.scheduler.execute_all()
-
-    # ----------------------------------------------------- resilient running
-    def run_resilient(self, plan=None) -> OperatingPoint:
-        """:meth:`run_simulation` under failure detection and failover.
-
-        A :class:`~repro.faults.FailoverSupervisor` is attached to the
-        Manager for the duration of the run: a stateful remote
-        instance is checkpointed whenever its declared state changes,
-        dead hosts are detected by heartbeat or failed call, and
-        crashed instances restart on surviving machines with their
-        checkpointed state — so the run completes even when ``plan``
-        (a :class:`~repro.faults.FaultPlan`, applied by an injector for
-        the duration) kills a component's host mid-transient.
-
-        The supervisor and injector remain available afterwards as
-        ``self.supervisor`` / ``self.injector`` for failure-log and
-        trace inspection.
-        """
-        from ..faults import FailoverSupervisor, FaultInjector
-
-        self.supervisor = FailoverSupervisor(manager=self.manager)
-        self.injector = FaultInjector(env=self.env, plan=plan) if plan is not None else None
-        self.supervisor.attach()
-        if self.injector is not None:
-            self.injector.attach()
-        try:
-            return self.run_simulation()
-        finally:
-            if self.injector is not None:
-                self.injector.detach()
-            self.supervisor.detach()
 
     # --------------------------------------------------- interactive running
     def run_interactive(self, segments) -> "TransientResult":

@@ -4,11 +4,11 @@ The paper's Schooner/NPSS system ran across the 1993 Internet, where
 hosts died and links failed; this package makes those failures *part of
 the simulation*.  A :class:`FaultPlan` schedules seeded failure events
 on the virtual clock; a :class:`FaultInjector` applies them to the
-network and machine layers; and a :class:`FailoverSupervisor` gives the
-Schooner Manager failure detection (heartbeats), UTS-encoded
-checkpoints of a stateful procedure's declared state whenever it
-changes, and automatic failover of crashed
-instances onto surviving machines — layered on the same
+network and machine layers; and a :class:`FailoverSupervisor` — one per
+executive — gives the Schooner Manager failure detection (by the call
+that meets a dead instance), UTS-encoded checkpoints of a stateful
+procedure's declared state whenever it changes, and automatic failover
+of crashed instances onto surviving machines — layered on the same
 generation-bumped rebind machinery that §4.2 migration uses.
 
 Everything is deterministic: the same plan and seed replayed twice

@@ -18,7 +18,9 @@ an RPC argument does, is decided at that one site.
 
 When to take one is the supervisor's: the first write to a process's
 declared state schedules a checkpoint event, which fires at the next
-clock advance (:mod:`repro.faults.recovery`).
+clock advance (:mod:`repro.faults.recovery`).  A shared instance's
+checkpoints are kept under :data:`SHARED`, the shared registry's
+database id (no line binds it).
 """
 
 from __future__ import annotations
@@ -27,11 +29,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
 from ..schooner.lines import InstanceRecord, declared_state
+from ..schooner.manager import SHARED
 
 __all__ = ["Checkpoint", "CheckpointStore", "SHARED"]
-
-#: the ``line_id`` of a shared instance's checkpoints (no line binds it)
-SHARED = "shared"
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Runs the F100 transient with one TESS component placed on a remote
 machine, first fault-free (the reference), then under a seeded
-:class:`~repro.faults.plan.FaultPlan` with a
-:class:`~repro.faults.recovery.FailoverSupervisor` attached.  The
+:class:`~repro.faults.plan.FaultPlan`; the executive's
+:class:`~repro.faults.recovery.FailoverSupervisor` recovers.  The
 default plan kills the component's host halfway through the run; the
 transient still completes, with the instance restarted from its latest
 UTS-encoded checkpoint on a surviving machine.
@@ -22,6 +22,7 @@ from typing import Dict, List
 
 from ..core.specs import REMOTE_PATHS
 from ..schooner.tracing import trace_digest
+from .injector import FaultInjector
 from .plan import (
     CrashMachine,
     CrashProcess,
@@ -108,7 +109,8 @@ def run_demo(
     # --- the faulted run --------------------------------------------------
     plan = named_plan(plan_name, seed, horizon_s)
     ex = _build_executive(transient_s, dt)
-    ex.run_resilient(plan)
+    with FaultInjector(env=ex.env, plan=plan) as injector:
+        ex.run_simulation()
 
     thrust_ref = ref.solution.thrust_N
     thrust = ex.solution.thrust_N
@@ -130,7 +132,7 @@ def run_demo(
         "digest": trace_digest(ex.env.traces),
         "ok": rel_err <= 1e-9
         and (plan_name == "packet-loss" or ex.supervisor.recoveries >= 1),
-        "injections": list(ex.injector.log),
+        "injections": list(injector.log),
         "executive": ex,
         "reference": ref,
     }

@@ -1,30 +1,30 @@
 """Failure detection and checkpointed failover.
 
-The :class:`FailoverSupervisor` is the Manager's recovery sidecar.  Its
-periodic work runs as events on the simulation's virtual clock, ordered
-with the fault injector's by instant (ties in scheduling order):
+The :class:`FailoverSupervisor` is the Manager's recovery sidecar; the
+executive creates one with its Manager, so every run is supervised.
 
-* **heartbeats** — at each :data:`HEARTBEAT_INTERVAL_S` grid point a
-  sweep, queued behind every event already due at that instant,
-  checks every machine hosting an instance, marks hosts that stopped
-  answering as dead (Schooner's Manager-driven detection), and
-  schedules the next grid point;
+* **detection** — a dead host or process is detected by the call that
+  meets it: when a client stub or ``sch_contact_schx`` resolves a
+  binding to a dead instance, :meth:`~FailoverSupervisor.recover` logs
+  the death (``host-dead`` or ``process-dead``, "failed call") at that
+  call's instant.  Nothing polls: a crash no call meets is never
+  logged, and changes nothing;
 * **checkpoints** — the first write to a watched process's declared
   state (:meth:`~FailoverSupervisor.watch`) schedules one checkpoint
-  event at the current instant; it fires at the next advance, ahead of
-  any fault that came due in it, and snapshots every written, live
-  process in UTS wire form (see :mod:`repro.faults.checkpoint`),
-  stamped with the instant of the write.
+  event on the simulation's virtual clock at the current instant; it
+  fires at the next advance, ahead of any fault that came due in it,
+  and snapshots every written, live process in UTS wire form (see
+  :mod:`repro.faults.checkpoint`), stamped with the instant of the
+  write.
 
-When a client stub or ``sch_contact_schx`` resolves a binding to a dead
-instance, the supervisor's :meth:`~FailoverSupervisor.recover` restarts
-the executable on a surviving machine — deterministically chosen: a
-same-site host if one survives, otherwise the first surviving host in
-hostname order — through :meth:`Manager.restart`, the one restart path
-§4.2 migration uses too: the latest checkpoint's state is shipped and
-installed, and every record the dead process hosted is rebound, at a
-bumped generation, in the database that held it (the line's or the
-shared registry).
+:meth:`~FailoverSupervisor.recover` then restarts the executable on a
+surviving machine — deterministically chosen: a same-site host if one
+survives, otherwise the first surviving host in hostname order —
+through :meth:`Manager.restart`, the one restart path §4.2 migration
+uses too: the latest checkpoint's state is shipped and installed, and
+every record the dead process hosted is rebound, at a bumped
+generation, in the database that held it (the line's or the shared
+registry).
 
 Everything the supervisor records (``events``) names hosts, paths, and
 virtual times only — never process-global counters like instance ids —
@@ -33,9 +33,12 @@ so two replays of the same seeded run serialize identically.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..machines.process import ProcessState
 from ..network.clock import ScheduledEvent, Timeline
 from ..schooner.errors import HostDown
 from ..schooner.lines import InstanceRecord, Line, _ProcessState
@@ -43,9 +46,6 @@ from ..schooner.manager import Manager
 from .checkpoint import SHARED, CheckpointStore
 
 __all__ = ["FailoverSupervisor", "RecoveryEvent"]
-
-#: virtual seconds between two heartbeat sweeps
-HEARTBEAT_INTERVAL_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -70,59 +70,48 @@ class FailoverSupervisor:
     events: List[RecoveryEvent] = field(default_factory=list)
     dead_hosts: Set[str] = field(default_factory=set)
     recoveries: int = 0
-    # hooked declared states, and those written since the last
-    # checkpoint, each by id
-    _watched: Dict[int, _ProcessState] = field(default_factory=dict)
-    _written: Dict[int, _ProcessState] = field(default_factory=dict)
-    # the pending clock events: the next sweep, the next checkpoint
-    _heartbeat: Optional[ScheduledEvent] = None
+    # the declared states written since the last checkpoint: (database,
+    # id(state)) -> weak references to the records their process hosts
+    # in that database
+    _written: Dict[Tuple[str, int], Tuple[weakref.ref, ...]] = field(default_factory=dict)
+    # the pending checkpoint event
     _checkpoint: Optional[ScheduledEvent] = None
+
+    def __post_init__(self) -> None:
+        # The Manager holds its supervisor, and a watched record or state
+        # holds the supervisor's hook; every reference back is weak, so a
+        # finished run's Manager is freed by its last user letting go,
+        # not left to the cycle collector with everything it reaches.
+        self.manager = weakref.proxy(self.manager)
 
     # -- lifecycle -----------------------------------------------------------
     def attach(self) -> None:
-        """Install as the Manager's supervisor, watch every stateful
-        record, and schedule the first heartbeat sweep.  Recovery is
-        strictly opt-in: without an attached supervisor, dead bindings
-        surface as call failures exactly as before."""
-        if self._heartbeat is not None:
-            return
+        """Install as the Manager's supervisor, before it starts anything:
+        it watches each process the Manager starts from then on.  Without
+        a supervisor, dead bindings surface as typed call failures
+        (``InstanceGone``)."""
         self.manager.supervisor = self
-        for _, records in self._databases():
-            self.watch(records)
-        self._heartbeat = self.manager.env.clock.schedule(
-            HEARTBEAT_INTERVAL_S, self._heartbeat_due
-        )
-
-    def detach(self) -> None:
-        if self._heartbeat is None:
-            return
-        if self.manager.supervisor is self:
-            self.manager.supervisor = None
-        for state in self._watched.values():
-            state.hook = None
-        self._watched.clear()
-        self._written.clear()
-        for event in (self._heartbeat, self._checkpoint):
-            if event is not None:
-                self.manager.env.clock.cancel(event)
-        self._heartbeat = self._checkpoint = None
 
     # -- checkpoints -----------------------------------------------------------
-    def watch(self, records: Sequence[InstanceRecord]) -> None:
-        """Hook the declared state of each stateful record's process, so
-        its next write schedules a checkpoint; a state already written
-        counts as written.  Called at attach for every record, and by
-        the Manager for every record it starts or restarts."""
+    def watch(self, database: str, records: Sequence[InstanceRecord]) -> None:
+        """Hook the declared state of the process hosting ``records`` —
+        every record it hosts in ``database`` (a line's id, or
+        :data:`SHARED`) — so its first write schedules a checkpoint under
+        that database.  Called by the Manager for every process it starts
+        or restarts, before any state is installed.  Builds no state:
+        each record hands the hook to the state it makes, which the first
+        call that needs it does."""
         for record in records:
             if record.procedure.state_spec:
-                state = record.state_storage()
-                state.hook = self._state_written
-                self._watched[id(state)] = state
-                if state:
-                    self._state_written(state)
+                break
+        else:
+            return
+        hook = partial(self._state_written, database, tuple(map(weakref.ref, records)))
+        for record in records:
+            record.state_hook = hook
 
-    def _state_written(self, state: _ProcessState) -> None:
-        self._written[id(state)] = state
+    def _state_written(self, database: str, records, state: _ProcessState) -> None:
+        self._written[database, id(state)] = records
         if self._checkpoint is None:
             clock = self.manager.env.clock
             self._checkpoint = clock.schedule(clock.now, self._take_checkpoints)
@@ -135,59 +124,11 @@ class FailoverSupervisor:
         at = self._checkpoint.at_s
         self._checkpoint = None
         written, self._written = self._written, {}
-        for line_id, records in self._databases():
-            taken = set()
-            for record in records:
-                if not record.procedure.state_spec:
-                    continue
-                key = id(record.state_storage())
-                if key in written and key not in taken and record.process.alive:
-                    taken.add(key)
-                    hosted = [r for r in records if r.process is record.process]
-                    self.store.take(line_id, hosted, at)
-
-    def _databases(self):
-        """``(line_id, records)`` of each active line, then the shared
-        registry's as :data:`SHARED`: the set ``Manager._hosted`` reads."""
-        for line in self.manager.active_lines:
-            yield line.line_id, line.records
-        yield SHARED, self.manager._shared.records
-
-    # -- heartbeats --------------------------------------------------------------
-    def _heartbeat_due(self) -> None:
-        """A grid instant came due: its sweep goes back on the clock at
-        the same instant, behind every event already queued for it.  A
-        fault the plan put there after this event was scheduled (an
-        injector attached after the supervisor) is thus applied before
-        the sweep looks, so a crash on a grid instant is detected at
-        that instant, whichever was attached first."""
-        self._heartbeat = self.manager.env.clock.schedule(
-            self._heartbeat.at_s, self._heartbeat_sweep
-        )
-
-    def _heartbeat_sweep(self) -> None:
-        """The Manager pings every host an instance runs on; a host that
-        cannot answer is marked dead.  (Heartbeat traffic is
-        control-plane and is not charged to any line's timeline —
-        detection *latency* is still modelled, as a host's death is only
-        observed at the next sweep.)  Sweeps sit on a fixed grid, so
-        their instants do not depend on how the clock happened to
-        advance."""
-        at = self._heartbeat.at_s
-        machines = {r.machine.hostname: r.machine
-                    for _, records in self._databases() for r in records}
-        for hostname in sorted(machines.keys() - self.dead_hosts):
-            if not machines[hostname].up:
-                self._mark_dead(hostname, at, "missed heartbeat")
-        self._heartbeat = self.manager.env.clock.schedule(
-            at + HEARTBEAT_INTERVAL_S, self._heartbeat_due
-        )
-
-    def _mark_dead(self, hostname: str, at: float, how: str) -> None:
-        self.dead_hosts.add(hostname)
-        self.events.append(
-            RecoveryEvent(at_s=at, kind="host-dead", subject=hostname, detail=how)
-        )
+        for (database, _), refs in written.items():
+            # a running process's records are all still bound
+            records = [ref() for ref in refs]
+            if records[0] is not None and records[0].process.state is ProcessState.RUNNING:
+                self.store.take(database, records, at)
 
     # -- failover ---------------------------------------------------------------
     def _pick_target(self, record: InstanceRecord):
@@ -236,8 +177,11 @@ class FailoverSupervisor:
                 detail=f"failed call on {dead.hostname}",
             ))
         elif dead.hostname not in self.dead_hosts:
-            # detection by failed call, ahead of the next heartbeat sweep
-            self._mark_dead(dead.hostname, tl.now, "failed call")
+            self.dead_hosts.add(dead.hostname)
+            self.events.append(RecoveryEvent(
+                at_s=tl.now, kind="host-dead", subject=dead.hostname,
+                detail="failed call",
+            ))
 
         line_id = line.line_id if line.has_name(record.procedure.name) else SHARED
         checkpoint = self.store.latest(line_id, record.path)

@@ -12,8 +12,8 @@ conservative-parallel virtual-time treatment.  The concurrency is
 virtual: one OS thread runs every timeline, so the clock takes no lock,
 and a timeline touches it only when an advance pushes the envelope —
 which is also the only moment a scheduled event can fire.  Scheduled
-events are the one way virtual time triggers work: fault injection,
-heartbeats and checkpoints alike.
+events are the one way virtual time triggers work: fault injection
+and checkpoints alike.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class VirtualClock:
     Work is triggered by one-shot *events* scheduled for an absolute
     instant (:meth:`schedule`): a fault injector puts its plan's events
     there, and a :class:`~repro.faults.FailoverSupervisor` its
-    heartbeat sweeps and checkpoints.  The queue is a :mod:`heapq`
+    checkpoints.  The queue is a :mod:`heapq`
     priority queue keyed ``(at_s, seq)`` — ``seq`` is a monotonic
     counter, so same-instant events fire in scheduling order, exactly
     like the sorted-list queue this replaced.  An event callback may

@@ -9,7 +9,7 @@ a whole one, and when the bucket runs dry retries are simply not
 attempted — first attempts always proceed, so a healthy installation is
 unaffected while a sick one sheds its retry amplification.
 
-One :class:`RetryBudget` is shared by every resilient session of a
+One :class:`RetryBudget` is shared by every session of a
 :class:`~repro.serve.installation.SharedInstallation`, which is exactly
 what makes it an *admission* mechanism rather than a per-client
 politeness: concurrent sessions draw from the same bucket.  Deposits
@@ -18,7 +18,7 @@ replays identically.
 
 Each :class:`~repro.serve.installation.SharedInstallation` holds its
 own bucket, so a process shard's episode installation has one too: a
-worker's resilient sessions share it exactly as an inline serve's share
+worker's sessions share it exactly as an inline serve's share
 theirs.
 """
 

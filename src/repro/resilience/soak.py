@@ -88,8 +88,6 @@ class SoakConfig:
     crash_weight: float = 1.0
     partition_weight: float = 1.0
     loss_weight: float = 1.0
-    #: fraction of sessions running with the resilience kit on
-    resilient_fraction: float = 0.75
     tight_deadlines: bool = False
     max_live: Optional[int] = None
     max_parked: Optional[int] = None
@@ -149,7 +147,6 @@ STOCK_CONFIGS: Dict[str, SoakConfig] = {
         seed=4404,
         sessions=10,
         faulty_fraction=0.0,
-        resilient_fraction=0.5,
         mode="shard",
         workers=4,
         worker_kills=3,
@@ -213,7 +210,7 @@ def build_soak_specs(config: SoakConfig) -> List[SessionSpec]:
         plan = (
             _fault_plan(rng, config, seed=config.seed * 1000 + i) if faulty else None
         )
-        resilient = rng.random() < config.resilient_fraction
+        rng.random()  # the old serving-mode draw: each stock config keeps its mix
         if config.tight_deadlines:
             deadline = round(rng.uniform(15.0, 45.0), 1)
         else:
@@ -224,7 +221,6 @@ def build_soak_specs(config: SoakConfig) -> List[SessionSpec]:
                 points=points,
                 transient_s=transient_s,
                 fault_plan=plan,
-                resilient=resilient,
                 deadline_s=deadline,
                 priority=rng.choice((0, 0, 0, 1, 2)),
             )
@@ -398,7 +394,6 @@ def run_soak(config: SoakConfig) -> SoakReport:
                 dispatch=spec.dispatch,
                 fault_plan=None,
                 deadline_s=spec.deadline_s,
-                resilient=spec.resilient,
             )
             solo_report = serve_sessions(
                 [solo_spec],

@@ -131,8 +131,8 @@ class ManagerError(SchoonerError):
 
 class HostDown(ManagerError):
     """A Manager/Server protocol message could not be delivered because
-    the target machine is down (detected by heartbeat or a lost
-    control message)."""
+    the target machine is down (a lost control message), or no
+    surviving machine can take a failed-over instance."""
 
 
 class MigrationError(SchoonerError):

@@ -16,13 +16,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..machines.host import Machine
 from ..machines.process import VirtualProcess
 from ..network.clock import Timeline
 from ..uts.compiled import codec_for
-from ..uts.values import conform
+from ..uts.values import conformer_for
 from .errors import DuplicateName, LineTerminated, NameNotFound, StaleRebind, StateLost
 from .procedure import Procedure
 
@@ -37,8 +37,8 @@ class _ProcessState(dict):
     procedure that reads ``_state[var]`` fails typed, naming the host.
 
     ``hook``, when set, is called with the state after every call of a
-    mutator: a failover supervisor sets it on the processes it watches,
-    so a write is what schedules their next checkpoint.
+    mutator: a failover supervisor's, on the processes it watches, so a
+    write is what schedules their next checkpoint.
 
     ``component`` is what the executable's compute procedure built from
     the declared state (a TESS ``Duct``, say), kept for its next call:
@@ -85,6 +85,11 @@ class InstanceRecord:
     machine: Machine
     path: str
     generation: int = 0  # bumped by every migration
+    #: the ``hook`` the process's state gets when this record makes it
+    #: (a failover supervisor's, set by its ``watch``)
+    state_hook: Optional[Callable[["_ProcessState"], None]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def alive(self) -> bool:
@@ -104,6 +109,7 @@ class InstanceRecord:
         state = self.process.memory.get(self.path)
         if state is None:
             state = self.process.memory[self.path] = _ProcessState(self.machine.hostname)
+            state.hook = self.state_hook
         return state
 
 
@@ -213,9 +219,10 @@ def declared_state(records: Sequence[InstanceRecord]) -> Tuple[Tuple[str, bytes]
     types = state_types(records)
     if not types:
         return ()
-    storage = records[0].state_storage()
+    # read, never made: a process no stateful call reached has none
+    storage = records[0].process.memory.get(records[0].path, ())
     return tuple(
-        (var, codec_for(t).encode(conform(t, storage[var])))
+        (var, codec_for(t).encode(conformer_for(t)(storage[var])))
         for var, t in sorted(types.items())
         if var in storage
     )

@@ -58,10 +58,16 @@ class ManagerMode(Enum):
     LINES = "lines"  # the extended model
 
 
+#: the shared registry's database id, as a line's is its ``line_id``
+SHARED = "shared"
+
+
 @dataclass
 class SharedRegistry:
     """The Manager's separate database for shared procedures (§4.2):
     procedures "available for use by any line"."""
+
+    line_id = SHARED
 
     _names: Dict[str, InstanceRecord] = field(default_factory=dict)
 
@@ -188,7 +194,7 @@ class Manager:
             line.bind(p, record)
             records.append(record)
         if self.supervisor is not None:
-            self.supervisor.watch(records)
+            self.supervisor.watch(line.line_id, records)
         return tuple(records)
 
     def start_shared(self, machine: Machine, path: str) -> Tuple[InstanceRecord, ...]:
@@ -207,7 +213,7 @@ class Manager:
             self._shared.bind(p, record)
             records.append(record)
         if self.supervisor is not None:
-            self.supervisor.watch(records)
+            self.supervisor.watch(SHARED, records)
         return tuple(records)
 
     # -- lookup and type checking ----------------------------------------------
@@ -363,8 +369,10 @@ class Manager:
                 new_def, proc, target, path, generation=rec.generation + 1
             ))
         if self.supervisor is not None:
-            # watched before the state goes in: installing it is a write
-            self.supervisor.watch(new_records)
+            # watched before the state goes in: installing it is a write;
+            # a process's records live in one database, its line's or
+            # the shared registry
+            self.supervisor.watch(hosted[0][1].line_id, new_records)
         if state:
             self.env.transport.send(
                 source, target, kind, None, sum(len(b) for _, b in state),

@@ -265,7 +265,8 @@ class ClientStub:
                             self.failovers += 1
                             record, moved = self._refresh(record, timeline)
                             failed_over = failed_over or moved
-                    if budget is not None:
+                    # a deposit into a full bucket changes nothing
+                    if budget is not None and budget.tokens < budget.capacity:
                         budget.on_success()
                     return out
                 except CallTimeout as exc:

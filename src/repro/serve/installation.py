@@ -127,7 +127,7 @@ class SharedInstallation:
     #: long-running-server compounding win of ROADMAP item 4.
     op_cache: OpPointCache = field(default_factory=OpPointCache)
     #: the installation-wide retry-budget token bucket, shared by every
-    #: ``resilient`` session: when many sessions hit the same sick host,
+    #: session: when many sessions hit the same sick host,
     #: the bucket drains and further retries are refused, so one fault
     #: cannot amplify into a cross-session retry storm
     retry_budget: RetryBudget = field(default_factory=RetryBudget)

@@ -81,10 +81,6 @@ class SessionSpec:
     #: *not* part of the workload key: two specs differing only in
     #: class produce identical trace streams
     traffic_class: str = ""
-    #: enable the resilience kit: the installation-shared retry budget
-    #: and a failover supervisor (heartbeats + checkpoints +
-    #: rebind-on-crash)
-    resilient: bool = False
     #: share solved operating points installation-wide through the
     #: :class:`~repro.serve.opcache.OpPointCache`: exact hits skip the
     #: Newton solve, near hits interpolate stored neighbours.  Misses
@@ -119,9 +115,8 @@ class SessionSpec:
         ``priority`` excluded): two specs with equal keys produce
         byte-identical trace streams, which is the contract the
         :class:`~repro.serve.installation.WorkloadCache` relies on.
-        ``deadline_s`` and ``resilient`` are included — a deadline rides
-        in every RPC header and the resilience kit changes failure-path
-        behaviour, so they are part of the trace-determining state."""
+        ``deadline_s`` is included — a deadline rides in every RPC
+        header, so it is part of the trace-determining state."""
         return _workload_key(
             tuple(self.points), tuple(map(type, self.points)),
             tuple(sorted(self.placement.items())), *_scalar_fields(self),
@@ -132,7 +127,7 @@ class SessionSpec:
 #: hits, so that flag splits the key too)
 _SCALAR_FIELDS = (
     "altitude_m", "mach", "transient_s", "transient_dt", "avs_machine",
-    "dispatch", "deadline_s", "resilient", "op_cache",
+    "dispatch", "deadline_s", "op_cache",
 )
 _scalar_fields = attrgetter(*_SCALAR_FIELDS)
 
@@ -274,7 +269,6 @@ class SessionContext:
         self.env = None
         self.executive: Optional[NPSSExecutive] = None
         self.injector = None
-        self.supervisor = None
         self.replayed = False
         #: virtual queue time charged at admission (0 when admitted
         #: immediately); counts against the spec's deadline
@@ -343,14 +337,9 @@ class SessionContext:
         family = spec.op_family()
         if family is not None:
             self._op_family = combine_keys(family, deck_key(self._engine.spec))
-        if spec.resilient:
-            from ..faults import FailoverSupervisor
-
-            # the retry budget is the installation's — shared scarcity
-            # is the point
-            self.env.retry_budget = self.installation.retry_budget
-            self.supervisor = FailoverSupervisor(manager=ex.manager)
-            self.supervisor.attach()
+        # the retry budget is the installation's — shared scarcity is
+        # the point
+        self.env.retry_budget = self.installation.retry_budget
         if spec.deadline_s is not None:
             from ..resilience import Deadline
 
@@ -507,9 +496,8 @@ class SessionContext:
         # supervisor's recovery log too
         if self.injector is not None and self.injector.perturbed:
             impacted = True
-        if self.supervisor is not None and (
-            self.supervisor.recoveries or self.supervisor.dead_hosts
-        ):
+        ex = self.executive
+        if ex is not None and (ex.supervisor.recoveries or ex.supervisor.dead_hosts):
             impacted = True
         deadline_met: Optional[bool] = None
         if self.spec.deadline_s is not None:
@@ -521,9 +509,6 @@ class SessionContext:
         if self.injector is not None:
             self.injector.detach()
             self.injector = None
-        if self.supervisor is not None:
-            self.supervisor.detach()
-            self.supervisor = None
         if self.executive is not None:
             self.executive.clear_network()
         self.executive = None

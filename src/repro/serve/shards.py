@@ -64,7 +64,7 @@ Four disciplines make sharding *exact* rather than approximate:
   at close (never by a serve that failed) — so a re-serve, or a family
   rebalanced onto a different shard, starts warm instead of re-solving
   its points on every worker.  The retry budget does not
-  span shards: a worker's resilient sessions draw on their episode
+  span shards: a worker's sessions draw on their episode
   installation's own :class:`~repro.resilience.budget.RetryBudget`, as
   inline sessions do on theirs.  No shard session can spend a retry
   token — fault plans are refused at :func:`spec_to_wire`, and a

@@ -18,8 +18,8 @@ returns every row of the contract:
   ``faults/<plan>/recovery/<k>`` each fault it fired and each death,
   and failover its supervisor logged; ``failover/<plan>`` —
   ``benchmarks/bench_failover.py``'s row per crash plan;
-  ``crash/<kind>/<event>/<plain|resilient>`` — the outcome of each
-  crash-matrix run (``scenarios.py``);
+  ``crash/<kind>/<event>`` — the outcome of each crash-matrix run
+  (``scenarios.py``);
 * ``transient/floor`` — Table 2's transient on both dispatch paths;
 * ``gate/<script>`` — every field of a ``benchmarks/BENCH_*.json`` not
   read off the host clock, from that script's own ``measure()``;
@@ -251,18 +251,16 @@ def _crash_rows() -> List[dict]:
     reference = serve_crash()
     for kind in sorted(CRASH_CASES):
         for event in CRASH_EVENTS:
-            for mode in ("plain", "resilient"):
-                result = serve_crash(fault_plan=crash_plan(kind, event),
-                                     resilient=mode == "resilient")
-                worst = max(crash_rel_errors(result, reference), default=0.0)
-                rows.append({
-                    "row": f"crash/{kind}/{event.__name__}/{mode}",
-                    "status": result.status,
-                    "error": result.error.split(":", 1)[0],
-                    "points": len(result.results),
-                    "transient": result.transient is not None,
-                    "max_rel_err": "0" if worst == 0.0 else "<=1e-12" if worst <= 1e-12 else ">1e-12",
-                })
+            result = serve_crash(fault_plan=crash_plan(kind, event))
+            worst = max(crash_rel_errors(result, reference), default=0.0)
+            rows.append({
+                "row": f"crash/{kind}/{event.__name__}",
+                "status": result.status,
+                "error": result.error.split(":", 1)[0],
+                "points": len(result.results),
+                "transient": result.transient is not None,
+                "max_rel_err": "0" if worst == 0.0 else "<=1e-12" if worst <= 1e-12 else ">1e-12",
+            })
     return rows
 
 

@@ -5,15 +5,13 @@ Each is defined once, here; the tests that serve them import them.
 * ``BATCHES`` — the seven batches ``TestThreeWayDifferential`` serves
   three ways (``tests/serve/test_admission.py``);
 * ``mixed_batch`` plus ``from_lerc`` — the built-once batch of
-  ``tests/serve/test_built_once.py``: a steady, a transient, a faulted
-  and a resilient session, and a fifth opened from the other AVS
-  machine;
+  ``tests/serve/test_built_once.py``: two steady sessions, a transient
+  and a faulted one, and a fifth opened from the other AVS machine;
 * ``run_transient`` — Table 2's 1 s throttle transient, all four adapted
   executables remote (``tests/core/test_transient_floor.py``);
 * ``CRASH_CASES`` plus ``crash_plan`` and ``serve_crash`` — the crash
   matrix of ``tests/faults/test_crash_matrix.py``: each adapted kind
-  crashed on its Table 2 host, by process and by machine, in a plain
-  and in a resilient session.
+  crashed on its Table 2 host, by process and by machine.
 """
 
 from __future__ import annotations
@@ -87,7 +85,9 @@ def mixed_batch():
         SessionSpec(name="steady", points=(1.30, 1.34)),
         SessionSpec(name="transient", points=(1.32,), transient_s=0.1),
         SessionSpec(name="faulted", points=(1.42,), fault_plan=plan),
-        SessionSpec(name="resilient", points=(1.36,), resilient=True),
+        # named for the serving mode it once opted into; every session
+        # is supervised now, and the name keeps its contract row
+        SessionSpec(name="resilient", points=(1.36,)),
     ]
 
 

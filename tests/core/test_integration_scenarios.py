@@ -56,8 +56,10 @@ class TestFullLifecycle:
         assert ex.solution.thrust_N == pytest.approx(reference, rel=1e-9)
 
     def test_machine_death_surfaces_and_recovers(self):
-        """A remote machine dies mid-session: the next run fails with a
-        stale binding; re-placing on a healthy machine recovers."""
+        """A remote machine dies mid-session: the next run's call on it
+        detects the death and the executive's supervisor fails the
+        nozzle over with its checkpointed state; re-placing on a healthy
+        machine works too."""
         ex = NPSSExecutive()
         ex.modules = ex.build_f100_network()
         ex.modules["system"].set_param("transient seconds", 0.0)
@@ -66,8 +68,13 @@ class TestFullLifecycle:
         good = ex.solution.thrust_N
 
         ex.env.park["lerc-sgi420"].shutdown()
-        with pytest.raises(Exception):  # surfaces as a call failure
-            ex.execute()
+        ex.execute()
+        assert ex.solution.thrust_N == pytest.approx(good, rel=1e-9)
+        dead, failover = ex.supervisor.events
+        assert (dead.kind, dead.subject, dead.detail) == (
+            "host-dead", "sgi4d420.lerc.nasa.gov", "failed call"
+        )
+        assert failover.kind == "failover" and "from checkpoint" in failover.detail
 
         # the user flips the widget to a healthy machine
         ex.modules["nozzle"].set_param("remote machine", "rs6000.lerc.nasa.gov")

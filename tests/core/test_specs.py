@@ -176,9 +176,9 @@ class TestComponentBuiltOncePerWrite:
         from repro.faults import FailoverSupervisor
 
         env, manager = world
-        ctx, setduct, duct = self.duct_line(manager)
         supervisor = FailoverSupervisor(manager=manager)
         supervisor.attach()
+        ctx, setduct, duct = self.duct_line(manager)
         setduct(dpqp=0.05)
         env.clock.advance(0.01)  # one tick: the write is checkpointed
         duct(**self.DUCT_ARGS)

@@ -1,9 +1,9 @@
-"""A crashed remote process comes back with its declared state, or the
-session fails typed.
+"""A crashed remote process comes back with its declared state.
 
 Each adapted module kind is crashed on its Table 2 host, by
-``CrashProcess`` and by ``CrashMachine``, in a plain session and in a
-resilient one (a failover supervisor attached).  The session balances
+``CrashProcess`` and by ``CrashMachine``, in a served session (every
+session is supervised: its executive's failover supervisor restarts the
+dead process with its latest checkpoint).  The session balances
 fuel flows 1.28/1.30/1.32 kg/s and runs a 0.2 s transient.  Every crash
 lands after that kind's ``set*`` ran: at 2.0 virtual s, inside the first
 balance, for the duct, combustor and nozzle; at 15.0 virtual s, inside
@@ -12,14 +12,11 @@ at 13.6 s).  The cases are the contract's (``CRASH_CASES`` in
 ``tests/contract/scenarios.py``), which holds each run's outcome as a
 ``crash/`` row.
 
-The pass rule: every point a run delivered equals the fault-free run's
-within 1e-12 relative, and the run either delivered everything or ended
-with a typed Schooner error — never the generic ``CallFailed`` that
-wraps whatever a remote procedure raised.  A resilient run restores the
-latest checkpoint and agrees to about 8e-14 (the duct); a plain run
-has no state to restart with and ends ``InstanceGone``.
+The pass rule: the run delivers every point and the transient with no
+error, each value equal to the fault-free run's within 1e-12 relative
+(the restored duct agrees to about 8e-14).
 
-Before the one restart path, a plain session cold-restarted the dead
+Before the one restart path, an unsupervised session cold-restarted the dead
 process without its ``set*`` state and its procedures read defaults:
 the Cray duct's lossless ``dpqp`` of 0.0 put thrust 10.1 % high
 (60,316 -> 66,389 N) with no error; the SGI 4D/420 nozzle, whose
@@ -38,7 +35,6 @@ for reasons that hid the fault:
 
 import pytest
 
-from repro.schooner import errors
 from tests.contract.scenarios import (
     CRASH_CASES,
     CRASH_EVENTS,
@@ -48,9 +44,6 @@ from tests.contract.scenarios import (
     serve_crash,
 )
 
-#: the generic bases: a wrapped remote exception is not a typed outcome
-UNTYPED = {"SchoonerError", "CallFailed"}
-
 
 @pytest.fixture(scope="module")
 def reference():
@@ -59,19 +52,12 @@ def reference():
     return result
 
 
-@pytest.mark.parametrize("resilient", [False, True], ids=["plain", "resilient"])
 @pytest.mark.parametrize("event", CRASH_EVENTS, ids=lambda e: e.__name__)
 @pytest.mark.parametrize("kind", sorted(CRASH_CASES))
-def test_crash_restores_state_or_fails_typed(kind, event, resilient, reference):
-    result = serve_crash(fault_plan=crash_plan(kind, event), resilient=resilient)
+def test_crash_restores_state(kind, event, reference):
+    result = serve_crash(fault_plan=crash_plan(kind, event))
     assert result.status == "degraded"
     assert max(crash_rel_errors(result, reference), default=0.0) <= 1e-12
-    delivered_all = len(result.results) == len(CRASH_POINTS) and result.transient is not None
-    if result.error or not delivered_all:
-        name = result.error.split(":", 1)[0]
-        assert name in errors.__all__ and name not in UNTYPED, result.error
-    if resilient:
-        # the supervisor restored the checkpoint: nothing was lost
-        assert delivered_all and result.error == ""
-    else:
-        assert result.error.startswith("InstanceGone: "), result.error
+    # the supervisor restored the checkpoint: nothing was lost
+    assert result.error == "", result.error
+    assert len(result.results) == len(CRASH_POINTS) and result.transient is not None

@@ -133,10 +133,12 @@ class TestTwoCrashes:
 
 
 def quick_run(event):
-    """The quick demo transient under a one-event plan."""
+    """The quick demo transient under a one-event plan: its executive
+    and the plan's injector."""
     ex = _build_executive(0.4, 0.02)
-    ex.run_resilient(FaultPlan(events=(event,)))
-    return ex
+    with FaultInjector(env=ex.env, plan=FaultPlan(events=(event,))) as injector:
+        ex.run_simulation()
+    return ex, injector
 
 
 @pytest.fixture(scope="module")
@@ -147,21 +149,20 @@ def fault_free_thrust():
 
 
 class TestSameAdvance:
-    """Heartbeats and checkpoints are clock events: a fault that comes
-    due in the same advance fires in instant order with them."""
+    """Checkpoints are clock events: a fault that comes due in the same
+    advance fires in instant order with them."""
 
     def test_no_host_is_declared_dead_before_it_crashed(self):
-        # the 1.5 s heartbeat falls in the advance that makes the
-        # 1.511 s crash due, and must sweep before the crash
-        ex = quick_run(CrashMachine(at_s=1.511, hostname=DOOMED_HOST))
-        (crash_at, _), = ex.injector.log
+        # only the call that meets the dead host declares it dead
+        ex, injector = quick_run(CrashMachine(at_s=1.511, hostname=DOOMED_HOST))
+        (crash_at, _), = injector.log
         dead = [e for e in ex.supervisor.events if e.kind == "host-dead"]
         assert dead and all(e.at_s >= crash_at for e in dead)
 
     def test_a_checkpoint_due_before_the_crash_survives_it(self, fault_free_thrust):
         # setnozl wrote its state before 0.5165 s, and the advance that
         # makes the crash due is the first after the write
-        ex = quick_run(CrashProcess(at_s=0.5165, hostname=DOOMED_HOST))
+        ex, _ = quick_run(CrashProcess(at_s=0.5165, hostname=DOOMED_HOST))
         (fo,) = [e for e in ex.supervisor.events if e.kind == "failover"]
         assert "2 state vars from checkpoint" in fo.detail
         assert ex.solution.thrust_N == pytest.approx(fault_free_thrust, rel=1e-9, abs=0)
@@ -170,34 +171,39 @@ class TestSameAdvance:
         # the checkpoint fires in the advance past 0.5165 s (at
         # 0.517241 s), but holds the state setnozl wrote inside its
         # call, before the crash
-        ex = quick_run(CrashProcess(at_s=0.5165, hostname=DOOMED_HOST))
+        ex, _ = quick_run(CrashProcess(at_s=0.5165, hostname=DOOMED_HOST))
         (fo,) = [e for e in ex.supervisor.events if e.kind == "failover"]
         setnozl = next(t for t in ex.env.traces if t.procedure == "setnozl")
         assert setnozl.started_at < checkpoint_time(fo) < 0.5165
 
 
-@pytest.mark.parametrize("supervisor_first", [True, False], ids=["supervisor-first", "plan-first"])
-@pytest.mark.parametrize("at_s", [0.5, 1.0])
-def test_a_crash_on_a_heartbeat_instant_is_detected_at_it(at_s, supervisor_first):
-    """The first sweep (0.5 s) is put on the clock when the supervisor
-    attaches, the later ones by the sweep before; a crash on either
-    instant is seen by that instant's sweep, whichever of supervisor
-    and plan was attached first (sessions and ``run_resilient`` attach
-    the supervisor first).  Nothing calls the duct after the crash, so
-    only a sweep can see it."""
-    env = SchoonerEnvironment.standard()
-    install_tess_executables(env.park)
-    manager = Manager(env=env, host=env.park["ua-sparc10"], mode=ManagerMode.LINES)
-    ctx = ModuleContext(manager=manager, module_name="duct", machine=manager.host)
-    ctx.sch_contact_schx("lerc-cray", REMOTE_PATHS["duct"])
-    assert env.clock.now < 0.5
-    supervisor = FailoverSupervisor(manager=manager)
-    host = "cray-ymp.lerc.nasa.gov"
-    injector = FaultInjector(env=env, plan=FaultPlan(events=(CrashMachine(at_s=at_s, hostname=host),)))
-    for part in (supervisor, injector) if supervisor_first else (injector, supervisor):
-        part.attach()
-    env.clock.advance(2.0)
-    assert [(e.at_s, e.kind, e.subject) for e in supervisor.events] == [(at_s, "host-dead", host)]
+class TestDetectionByCall:
+    def test_a_crash_no_call_meets_is_not_logged_until_one_does(self):
+        """Nothing polls: a host that dies while no call goes to it is
+        logged dead by the next call that meets it, at that call's
+        instant, which then fails over."""
+        env = SchoonerEnvironment.standard()
+        install_tess_executables(env.park)
+        manager = Manager(env=env, host=env.park["ua-sparc10"], mode=ManagerMode.LINES)
+        supervisor = FailoverSupervisor(manager=manager)
+        supervisor.attach()
+        ctx = ModuleContext(manager=manager, module_name="duct", machine=manager.host)
+        ctx.sch_contact_schx("lerc-cray", REMOTE_PATHS["duct"])
+        ctx.import_proc(DUCT.import_named("setduct"))(dpqp=0.02)
+        host = "cray-ymp.lerc.nasa.gov"
+        plan = FaultPlan(events=(CrashMachine(at_s=1.0, hostname=host),))
+        FaultInjector(env=env, plan=plan).attach()
+        ctx.line.timeline.advance(2.0)  # the crash fires; no call is made
+        assert not env.park[host].up
+        assert supervisor.events == [] and supervisor.dead_hosts == set()
+        called_at = ctx.line.timeline.now
+        out = ctx.import_proc(DUCT.import_named("duct"))(w=100.0, tt=300.0, pt=2e5, far=0.0)
+        assert out["pto"] == pytest.approx(2e5 * (1 - 0.02), rel=1e-12)
+        dead, fo = supervisor.events
+        assert (dead.kind, dead.subject, dead.detail) == ("host-dead", host, "failed call")
+        assert fo.kind == "failover" and fo.subject == REMOTE_PATHS["duct"]
+        assert called_at <= dead.at_s <= fo.at_s <= env.traces[-1].started_at
+        assert supervisor.dead_hosts == {host}
 
 
 class TestDeterminism:

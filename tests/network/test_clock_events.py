@@ -4,9 +4,9 @@ triggers work.
 The headline property: on randomized schedules of inserts, cancels, and
 time advances, the heapq-based queue fires events in *exactly* the order
 the previous sorted-list implementation did — ``(at_s, scheduling
-order)``, one-shot.  The failover supervisor's heartbeats and
-checkpoints are such events too, ordered with a fault plan's by
-instant, and an advance with nothing due dispatches nothing.
+order)``, one-shot.  The failover supervisor's checkpoints are such
+events too, ordered with a fault plan's by instant, and an advance with
+nothing due dispatches nothing.
 """
 
 from __future__ import annotations
@@ -16,10 +16,7 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import REMOTE_PATHS, install_tess_executables
-from repro.faults import CrashMachine, FailoverSupervisor, FaultInjector, FaultPlan
 from repro.network import ScheduledEvent, VirtualClock
-from repro.schooner import Manager, ManagerMode, SchoonerEnvironment
 from repro.serve import SessionSpec, serve_sessions
 
 
@@ -149,33 +146,17 @@ def test_callback_may_schedule_followup_events():
     assert fired == ["first", "chained"]
 
 
-def test_heartbeats_and_faults_due_in_one_advance_fire_in_instant_order():
-    """One advance over the 0.5 s heartbeat, a 0.7 s crash and the 1.0 s
-    heartbeat: the first sweep still finds the host up, the second
-    marks it dead at its own instant, never before the crash."""
-    env = SchoonerEnvironment.standard()
-    install_tess_executables(env.park)
-    manager = Manager(env=env, host=env.park["ua-sparc10"], mode=ManagerMode.LINES)
-    cray = env.park["lerc-cray"]
-    manager.start_shared(cray, REMOTE_PATHS["duct"])
-    supervisor = FailoverSupervisor(manager=manager)
-    supervisor.attach()
-    plan = FaultPlan(events=(CrashMachine(at_s=0.7, hostname=cray.hostname),))
-    FaultInjector(env=env, plan=plan).attach()
-    env.clock.advance(1.2)
-    (event,) = supervisor.events
-    assert (event.kind, event.subject, event.at_s) == ("host-dead", cray.hostname, 1.0)
-
-
-def test_every_dispatch_fires_an_event_on_a_fault_free_resilient_serve(monkeypatch):
-    """An advance reaches the dispatch loop only when an event is due."""
+def test_a_fault_free_serve_dispatches_only_checkpoints(monkeypatch):
+    """Nothing polls: a fault-free session's only clock events are the
+    checkpoints its declared-state writes schedule, and an advance
+    reaches the dispatch loop only when one is due."""
     fired = []
     per_dispatch = []
     schedule, notify = VirtualClock.schedule, VirtualClock._notify
 
     def counted_schedule(self, at_s, callback):
         def counted():
-            fired.append(at_s)
+            fired.append(callback.__name__)
             callback()
         return schedule(self, at_s, counted)
 
@@ -186,10 +167,10 @@ def test_every_dispatch_fires_an_event_on_a_fault_free_resilient_serve(monkeypat
 
     monkeypatch.setattr(VirtualClock, "schedule", counted_schedule)
     monkeypatch.setattr(VirtualClock, "_notify", counted_notify)
-    specs = [SessionSpec(name=f"s{i}", points=(1.28 + 0.02 * i,), resilient=True)
-             for i in range(2)]
+    specs = [SessionSpec(name=f"s{i}", points=(1.28 + 0.02 * i,)) for i in range(2)]
     report = serve_sessions(specs)
     assert all(r.status == "completed" for r in report.results)
+    assert fired and set(fired) == {"_take_checkpoints"}
     assert per_dispatch and min(per_dispatch) >= 1
 
 

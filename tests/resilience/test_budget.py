@@ -56,3 +56,30 @@ class TestStubIntegration:
         assert world.stub(x=1.0)["y"] == 2.0
         assert world.stub(x=2.0)["y"] == 4.0
         assert world.env.retry_budget.tokens == 2.0
+
+    @pytest.mark.parametrize("n", [1, 10, 11, 30])
+    def test_skipped_full_deposits_leave_the_tokens_as_every_deposit_would(
+        self, world, monkeypatch, n
+    ):
+        """The stub deposits only while the bucket is below capacity:
+        after a spend and ``n`` successes the tokens equal ``n``
+        unguarded deposits, bit for bit, and a full bucket is not
+        deposited into."""
+        deposits = []
+        on_success = RetryBudget.on_success
+
+        def counted(self):
+            deposits.append(self.tokens)
+            on_success(self)
+
+        world.env.retry_budget = budget = RetryBudget()
+        unguarded = RetryBudget()
+        assert budget.try_spend() and unguarded.try_spend()
+        for _ in range(n):
+            unguarded.on_success()
+        monkeypatch.setattr(RetryBudget, "on_success", counted)
+        for i in range(n):
+            assert world.stub(x=float(i))["y"] == 2.0 * i
+        assert budget.tokens.hex() == unguarded.tokens.hex()
+        assert all(tokens < budget.capacity for tokens in deposits)
+        assert len(deposits) == min(n, 11)

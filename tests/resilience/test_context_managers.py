@@ -50,21 +50,21 @@ class TestNPSSExecutive:
 
 class TestServeContainment:
     def test_session_blown_up_by_chaos_leaks_no_threads(self):
-        """A session whose executive dies mid-serve (its compute host is
-        crashed under it, no supervisor) is contained as degraded and
-        leaves no workers behind."""
-        from repro.faults.plan import CrashMachine, FaultPlan
+        """A session whose executive dies mid-serve (a partition that
+        never heals cuts it off from its LeRC hosts: its retries run
+        out) is contained as degraded and leaves no workers behind."""
+        from repro.faults.plan import FaultPlan, PartitionLink
+        from repro.machines.registry import SITE_ARIZONA, SITE_LERC
 
         before = _thread_names()
         plan = FaultPlan(
-            seed=5, events=(CrashMachine(at_s=0.5, hostname="sgi4d340.cs.arizona.edu"),)
+            seed=5, events=(PartitionLink(at_s=0.5, site_a=SITE_LERC, site_b=SITE_ARIZONA),)
         )
         doomed = SessionSpec(name="doomed", points=(1.30, 1.34), fault_plan=plan)
-        # all-local: the innocent session never touches the machine the
-        # doomed session's plan leaves dead in the shared park
+        # all-local: the innocent session never crosses the partition
         innocent = SessionSpec(name="innocent", points=(1.46, 1.50), placement={})
         report = serve_sessions([doomed, innocent], dedup=False)
         assert report.by_name("doomed").status == "degraded"
-        assert report.by_name("doomed").error
+        assert report.by_name("doomed").error.startswith("CallTimeout: ")
         assert report.by_name("innocent").status == "completed"
         assert _thread_names() == before

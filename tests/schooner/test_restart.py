@@ -13,7 +13,6 @@ import pytest
 from repro.core import REMOTE_PATHS, install_tess_executables
 from repro.core.specs import DUCT_SPEC_SOURCE, SHAFT_SPEC_SOURCE
 from repro.faults import CheckpointStore, CrashProcess, FailoverSupervisor, FaultPlan
-from repro.faults.recovery import HEARTBEAT_INTERVAL_S
 from repro.schooner import (
     CallFailed,
     InstanceGone,
@@ -88,9 +87,9 @@ class TestSharedInstances:
 
     def test_failover_of_shared_duct_restores_its_checkpoint(self, world):
         env, manager = world
-        manager.start_shared(env.park["lerc-cray"], REMOTE_PATHS["duct"])
         supervisor = FailoverSupervisor(manager=manager)
         supervisor.attach()
+        manager.start_shared(env.park["lerc-cray"], REMOTE_PATHS["duct"])
         setter, caller = context(manager, "a"), context(manager, "b")
         setter.import_proc(DUCT.import_named("setduct"))(dpqp=0.02)
         env.clock.advance(0.01)  # one tick: the changed state is saved
@@ -105,21 +104,6 @@ class TestSharedInstances:
         assert restarted.process.alive and restarted.process is not dead.process
         (failover,) = [e for e in supervisor.events if e.kind == "failover"]
         assert "1 state vars from checkpoint" in failover.detail
-
-    def test_heartbeat_watches_a_host_running_only_shared_instances(self, world):
-        env, manager = world
-        cray = env.park["lerc-cray"]
-        manager.start_shared(cray, REMOTE_PATHS["duct"])
-        supervisor = FailoverSupervisor(manager=manager)
-        supervisor.attach()
-        cray.crash()
-        env.clock.advance(HEARTBEAT_INTERVAL_S + 0.01)  # no call is made
-        assert supervisor.dead_hosts == {cray.hostname}
-        (event,) = supervisor.events
-        assert (event.kind, event.subject, event.detail) == (
-            "host-dead", cray.hostname, "missed heartbeat"
-        )
-        assert event.at_s == HEARTBEAT_INTERVAL_S
 
 
 class TestStateWrites:
@@ -147,7 +131,8 @@ class TestStateLost:
         ctx = context(manager, "duct")
         ctx.sch_contact_schx("lerc-cray", REMOTE_PATHS["duct"])
         ctx.import_proc(DUCT.import_named("setduct"))(dpqp=0.02)
-        # attached after set* ran and before any clock tick: no checkpoint
+        # attached after the duct started: its process is not watched,
+        # so no checkpoint holds its state
         FailoverSupervisor(manager=manager).attach()
         crash(manager.lookup(ctx.line, "duct"))
         with pytest.raises(StateLost, match=r"^duct: declared state 'dpqp' is not installed on "):
@@ -168,11 +153,11 @@ class TestStateLost:
         assert isinstance(caught.value, CallFailed)
 
     def test_session_error_names_state_lost(self, monkeypatch):
-        # a resilient session whose supervisor never holds a checkpoint:
+        # a session whose supervisor never holds a checkpoint:
         # the restarted Cray duct has no dpqp
         monkeypatch.setattr(CheckpointStore, "take", lambda self, line_id, records, now: None)
         plan = FaultPlan(events=(CrashProcess(at_s=2.0, hostname="cray-ymp.lerc.nasa.gov"),))
-        spec = SessionSpec(name="lost", points=(1.28,), resilient=True, fault_plan=plan)
+        spec = SessionSpec(name="lost", points=(1.28,), fault_plan=plan)
         (result,) = serve_sessions(
             [spec], installation=SharedInstallation.standard(), dedup=False
         ).results

@@ -225,8 +225,8 @@ class TestAnInstallationKeepsNoDeadProcesses:
 
 class TestTheFigureIsWiredOncePerInstallation:
     def test_a_mixed_batch_opens_copies_of_one_checked_network(self, monkeypatch):
-        """Two AVS machines, a private topology (the fault plan) and a
-        resilient session: one park, so one saved network."""
+        """Two AVS machines and a private topology (the fault plan): one
+        park, so one saved network."""
         installation = SharedInstallation.standard()
         assert installation.park.saved_networks == {}  # nothing is wired before a session asks
         adds = Counter(monkeypatch, NetworkEditor, "add_module")
@@ -322,7 +322,6 @@ def reference_workload_key(spec):
             "avs_machine": spec.avs_machine,
             "dispatch": spec.dispatch,
             "deadline_s": spec.deadline_s,
-            "resilient": spec.resilient,
             "op_cache": spec.op_cache,
         },
         sort_keys=True,
@@ -352,14 +351,12 @@ class TestSessionKeysComputedOncePerValue:
         {"avs_machine": "lerc-sparc10"},
         {"dispatch": "sync"},
         {"deadline_s": 30.0},
-        {"resilient": True},
         {"op_cache": False},
         {"points": (1, 2)},
         {"points": (1.0, 2.0)},
         {"points": [1.0, 2.0, 3.0]},
         {"altitude_m": 3000},
         {"deadline_s": 30},
-        {"resilient": 1},
         {"transient_s": 0.2, "op_cache": False},
     )
 

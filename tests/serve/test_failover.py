@@ -155,12 +155,9 @@ class TestKillMatrix:
     both start methods and both transports, with exact accounting."""
 
     def _specs_and_plan(self):
-        # resilient specs, so the supervisor runs inside the workers
-        # the kills take down
-        specs = [
-            dataclasses.replace(s, resilient=True)
-            for s in build_session_specs(8, classes=4, points=2)
-        ]
+        # every session is supervised, so the supervisor runs inside
+        # the workers the kills take down
+        specs = build_session_specs(8, classes=4, points=2)
         buckets = assign_shards(list(enumerate(specs)), 4)
         busy = [w for w, bucket in enumerate(buckets) if bucket]
         assert len(busy) >= 3, "kill matrix needs three busy shards"

@@ -74,3 +74,32 @@ class TestAServeKeepsNoCallTrace:
         result = ctx.result()
         assert result.status == "degraded" and result.digest == trace_digest(traces)
         assert not installation.cache.get(ctx.key, count=False)
+
+
+class TestSupervisionAddsNoCycle:
+    def test_a_finished_session_s_manager_is_freed_without_the_collector(self):
+        """Every session is supervised; the supervisor and its hooks
+        refer back to the Manager and its records only weakly, so when
+        the session ends its Manager goes with its last reference, not
+        at the next full collection with everything it reaches."""
+        from repro.faults import FailoverSupervisor
+        from repro.schooner import Manager
+
+        installation = SharedInstallation.standard()
+        serve_sessions([SessionSpec(name="warm-up", points=(1.29,))],
+                       installation=installation, dedup=False)
+        def managers():
+            return {id(obj): obj for obj in gc.get_objects()
+                    if type(obj) in (Manager, FailoverSupervisor)}
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = managers()  # what other tests' fixtures keep
+            report = serve_sessions([SessionSpec(name="s", points=(1.30,))],
+                                    installation=installation, dedup=False)
+            kept = [obj for key, obj in managers().items() if key not in before]
+        finally:
+            gc.enable()
+        assert report.results[0].status == "completed"
+        assert kept == []

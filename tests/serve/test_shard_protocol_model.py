@@ -13,7 +13,7 @@ is left.
 
 The explicit fork/spawn x pipe/shm x open/wave/close matrix stays in
 ``test_failover.py`` for what this does not reach (spawn, pipe-only
-pools, four workers, resilient sessions inside killed workers).
+pools, four workers, supervised sessions inside killed workers).
 """
 
 from __future__ import annotations

@@ -237,13 +237,10 @@ class TestSurface:
         )
 
     def test_retry_budget_is_leased_and_settled(self):
-        # No lease crosses the pipe any more: resilient sessions run the
+        # No lease crosses the pipe any more: sessions run the
         # supervisor in each worker, on the episode installation's own
         # retry budget, exactly as inline sessions do.
-        specs = [
-            dataclasses.replace(s, resilient=True)
-            for s in build_session_specs(4, classes=2, points=2)
-        ]
+        specs = build_session_specs(4, classes=2, points=2)
         report = serve_sessions(specs, mode="shard", workers=2)
         assert report.mode == "shard" and report.workers == 2
         assert _rows(report) == _rows(serve_sessions(specs, mode="inline"))
@@ -412,7 +409,7 @@ class TestFrames:
         spec = SessionSpec(
             name="s", points=(1.3, 1.34), placement={"combustor": "cray"},
             altitude_m=5000.0, mach=0.4, deadline_s=30.0, priority=2,
-            traffic_class="interactive", resilient=True, op_cache=True,
+            traffic_class="interactive", op_cache=True,
         )
         back = spec_from_wire(spec_to_wire(spec))
         assert back == spec
@@ -434,7 +431,7 @@ class TestFrames:
         avs_machine=st.text(max_size=8), dispatch=st.text(max_size=8),
         deadline_s=st.none() | _reals, priority=st.integers(-5, 5),
         traffic_class=st.text(max_size=8),
-        resilient=st.booleans(), op_cache=st.booleans(),
+        op_cache=st.booleans(),
     ))
     def test_the_spec_dataclass_is_the_wire_field_list(self, spec):
         """Every field but the (refused) fault plan crosses, in

@@ -114,6 +114,8 @@ GONE_NAMES = {
     # the circuit breakers: no run was refused by one or opened one
     "repro.schooner.errors": ("BreakerOpen",),
     "repro.resilience": ("BreakerPolicy", "CircuitBreaker", "BreakerBoard"),
+    # a dead host is detected by the call that meets it: no sweeps
+    "repro.faults.recovery": ("HEARTBEAT_INTERVAL_S",),
 }
 
 GONE_ATTRIBUTES = {
@@ -122,7 +124,8 @@ GONE_ATTRIBUTES = {
         "graph_path_hops", "_shortest_paths", "set_override", "_overrides",
         "transfer_seconds",
     ),
-    ("repro.core", "NPSSExecutive"): ("serve",),
+    # every run is supervised: the executive makes its supervisor
+    ("repro.core", "NPSSExecutive"): ("serve", "run_resilient"),
     ("repro.core.advisor", "PlacementAdvisor"): ("recommend_move", "_move_cost"),
     ("repro.core", "SchoonerHost"): (
         "move_instance",
@@ -143,7 +146,9 @@ GONE_ATTRIBUTES = {
     ("repro.traffic", "TrafficStream"): ("sessions", "horizon_s"),
     ("repro.traffic", "TrafficMix"): ("by_name", "class_names"),
     ("repro.traffic", "SweepSpec"): ("warmup_s", "dedup"),
-    ("repro.resilience.soak", "SoakConfig"): ("transport",),
+    ("repro.resilience.soak", "SoakConfig"): ("transport", "resilient_fraction"),
+    # one serving mode: every session is supervised
+    ("repro.serve.session", "SessionSpec"): ("resilient",),
     # accessors only their own tests called
     ("repro.schooner.runtime", "CallerContext"): ("now",),
     ("repro.schooner.runtime", "CallBatch"): ("finished_at", "active_branch", "_opened",
@@ -181,6 +186,9 @@ GONE_ATTRIBUTES = {
         "heartbeats",
         # heartbeats and checkpoints are clock events, not a tick walk
         "_on_tick", "_walked_at_writes", "_saved", "_last_heartbeat_at",
+        # no sweeps: a dead host is detected by the call that meets it,
+        # and a checkpoint visits only the states written since the last
+        "_heartbeat", "_heartbeat_due", "_heartbeat_sweep", "_databases",
     ),
     # single-valued: no stock mix, CLI path or workload set them
     ("repro.traffic", "TrafficClass"): ("resilient", "op_cache"),
@@ -198,9 +206,6 @@ GONE_ATTRIBUTES = {
 #: single-valued parameters that became constants
 GONE_PARAMETERS = {
     ("repro.traffic.driver", "settle_ledgers"): ("warmup_s",),
-    ("repro.core.executive", "NPSSExecutive.run_resilient"): (
-        "heartbeat_interval_s", "checkpoint_interval_s",
-    ),
     # a checkpoint is of one process's records, not a line's
     ("repro.faults.checkpoint", "CheckpointStore.take"): ("line",),
     ("repro.serve.opcache", "OpPointCache.lookup"): ("count",),
