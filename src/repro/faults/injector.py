@@ -14,15 +14,20 @@ events in scheduling order — identical firing order to the sorted-list
 queue this replaced (property-tested in tests/network/).  The loss PRNG
 is seeded from the plan and consumed once per message matched by an
 active loss window, in send order.  Nothing reads the wall clock.
+
+A plan's effects end when its injector detaches: the routes it cuts are
+its filter's, and each host it touches is saved first and put back.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from functools import partial
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..machines.host import Machine
+from ..network.topology import NetworkError
 from ..schooner.runtime import SchoonerEnvironment
 from .plan import (
     CrashMachine,
@@ -62,15 +67,18 @@ class FaultInjector:
     #: anything — the serving layer uses this to decide whether a
     #: finished session may claim to equal its fault-free solo run.
     perturbed: int = 0
-    _pending: List[Tuple[float, int, FaultEvent]] = field(default_factory=list)
     _handles: List[object] = field(default_factory=list)
     _loss: List[PacketLoss] = field(default_factory=list)
     _latency: List[LatencySpike] = field(default_factory=list)
+    # cut site pairs; sites whose campus gateways (not Ethernets) are down
+    _cuts: Set[FrozenSet[str]] = field(default_factory=set)
+    _dead_gateways: Set[str] = field(default_factory=set)
+    # each touched host's (up, load, down_at) before this plan touched it
+    _saved: Dict[str, Tuple[Machine, tuple]] = field(default_factory=dict)
     _rng: random.Random = field(default=None)  # type: ignore[assignment]
     _attached: bool = False
 
     def __post_init__(self):
-        self._pending = list(self.plan.scheduled())
         self._rng = random.Random(self.plan.seed)
 
     # -- lifecycle -----------------------------------------------------------
@@ -87,25 +95,16 @@ class FaultInjector:
         if self.env.transport.fault_filter is not None:
             raise RuntimeError("another fault filter is already installed")
         self.env.transport.fault_filter = self._filter
-
-        def _fire(entry: Tuple[float, int, FaultEvent]) -> Callable[[], None]:
-            def fire() -> None:
-                ev = entry[2]
-                self._apply(ev)
-                self.log.append((ev.at_s, ev.describe()))
-                # fired events leave the pending set; a later
-                # detach/attach cycle reschedules only the remainder
-                if entry in self._pending:
-                    self._pending.remove(entry)
-
-            return fire
-
-        for entry in list(self._pending):
-            self._handles.append(self.env.clock.schedule(entry[0], _fire(entry)))
+        clock = self.env.clock
+        for at_s, _, ev in self.plan.scheduled():
+            self._handles.append(clock.schedule(at_s, partial(self._fire, ev)))
         self._attached = True
-        self.env.clock.fire_due()
+        clock.fire_due()
 
     def detach(self) -> None:
+        """Stop injecting, for good: events not yet due never fire, the
+        routes the plan cut carry traffic again, and every host it
+        touched is put back as it found it."""
         if not self._attached:
             return
         # == not `is`: each `self._filter` access builds a new bound method
@@ -114,6 +113,9 @@ class FaultInjector:
         for handle in self._handles:
             self.env.clock.cancel(handle)
         self._handles.clear()
+        for machine, (up, load, down_at) in self._saved.values():
+            machine.up, machine.load, machine.down_at = up, load, down_at
+        self._saved.clear()
         self._attached = False
 
     def __enter__(self) -> "FaultInjector":
@@ -124,33 +126,44 @@ class FaultInjector:
         self.detach()
 
     # -- event application ----------------------------------------------------
+    def _fire(self, ev: FaultEvent) -> None:
+        self._apply(ev)
+        self.log.append((ev.at_s, ev.describe()))
+
+    def _host(self, hostname: str) -> Machine:
+        """The park's ``hostname``, its state saved on first touch."""
+        machine = self.env.park[hostname]
+        self._saved.setdefault(hostname, (machine, (machine.up, machine.load, machine.down_at)))
+        return machine
+
     def _apply(self, ev: FaultEvent) -> None:
-        topo = self.env.topology
         if isinstance(ev, PartitionLink):
-            topo.partition(ev.site_a, ev.site_b)
+            self._cuts.add(frozenset((ev.site_a, ev.site_b)))
         elif isinstance(ev, HealLink):
-            topo.heal(ev.site_a, ev.site_b)
+            self._cuts.discard(frozenset((ev.site_a, ev.site_b)))
         elif isinstance(ev, GatewayOutage):
-            topo.gateway_down(ev.site)
+            self._dead_gateways.add(ev.site)
         elif isinstance(ev, GatewayRestore):
-            topo.gateway_restore(ev.site)
+            self._dead_gateways.discard(ev.site)
         elif isinstance(ev, PacketLoss):
             self._loss.append(ev)
         elif isinstance(ev, LatencySpike):
             self._latency.append(ev)
         elif isinstance(ev, CrashProcess):
-            machine = self.env.park[ev.hostname]
+            machine = self._host(ev.hostname)
             for proc in machine.running_processes:
                 if ev.path is None or proc.executable_path == ev.path:
                     machine.crash_process(proc.pid)
                     self.perturbed += 1
         elif isinstance(ev, CrashMachine):
-            self.env.park[ev.hostname].crash()
+            machine = self._host(ev.hostname)
+            machine.crash()
+            machine.down_at = ev.at_s
             self.perturbed += 1
         elif isinstance(ev, RestoreMachine):
-            self.env.park[ev.hostname].boot()
+            self._host(ev.hostname).boot()
         elif isinstance(ev, DerateHost):
-            self.env.park[ev.hostname].load = ev.load
+            self._host(ev.hostname).load = ev.load
             self.perturbed += 1
         else:  # pragma: no cover - future event kinds
             raise TypeError(f"unknown fault event {type(ev).__name__}")
@@ -159,6 +172,19 @@ class FaultInjector:
     def _filter(
         self, src: Machine, dst: Machine, kind: str, nbytes: int, now: float
     ) -> Tuple[bool, float]:
+        if src.site != dst.site:
+            if self._cuts and frozenset((src.site, dst.site)) in self._cuts:
+                raise NetworkError(
+                    f"network partition between {src.site} and {dst.site}"
+                )
+        elif src.subnet != dst.subnet and src.site in self._dead_gateways:
+            raise NetworkError(
+                f"gateway outage at {src.site}: "
+                f"{src.subnet} cannot reach {dst.subnet}"
+            )
+        if not dst.up:
+            # the transport loses it; no window draws for it
+            return False, 0.0
         extra = 0.0
         for rule in self._latency:
             if (

@@ -10,7 +10,7 @@ widget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from .arch import Architecture
 from .process import VirtualProcess
@@ -43,6 +43,8 @@ class Machine:
     _processes: Dict[int, VirtualProcess] = field(default_factory=dict, repr=False)
     _next_pid: int = field(default=1, repr=False)
     up: bool = True
+    #: the instant a fault plan crashed it; no call meets the death earlier
+    down_at: Optional[float] = None
 
     # -- executables -------------------------------------------------------
     def install(self, path: str, executable: Any) -> None:
@@ -121,6 +123,7 @@ class Machine:
 
     def boot(self) -> None:
         self.up = True
+        self.down_at = None
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return f"{self.hostname} ({self.architecture.name} @ {self.site}/{self.subnet})"

@@ -10,11 +10,11 @@ delivery instant.  Counters record traffic for the benchmark reports.
 
 One thread runs the simulation, so nothing here is synchronised.  What
 is a pure function of a (source, destination) machine pair comes from
-the topology's route record — or, for a call plan's messages, from the
-plan's :class:`Hop`, which also keeps the message kind's header tag and
-the transfer time of the last link at the last size; what a fault can
-change — the link class, the destination's liveness, the fault filter,
-trunk occupancy — is read on every send.
+the topology — or, for a call plan's messages, from the plan's
+:class:`Hop`, which also keeps the kind's header tag and the transfer
+time at the last size; what a fault can change — a cut route, the
+destination's liveness, the fault filter, trunk occupancy — is read on
+every send.
 """
 
 from __future__ import annotations
@@ -55,21 +55,19 @@ def _kind_tag(kind: str) -> int:
 
 class Hop:
     """One direction of a call plan's messages, as :meth:`Transport.send`
-    can keep it between sends: the (``src``, ``dst``) route record, the
-    header tag of ``kind``, and the transfer time of the last link
-    ``classify`` returned at the last message size — recomputed when
-    either is another one (another topology's link model, a message of
-    another size).  Nothing a fault can change is kept: the link itself
-    (a partition or a gateway outage still raises from ``classify``),
-    the destination's liveness, the fault filter and the trunk's
-    occupancy are still read on every send."""
+    can keep it between sends: the (``src``, ``dst``) route record and
+    link, the header tag of ``kind``, and the link's transfer time at
+    the last message size — recomputed for a message of another size.
+    Nothing a fault can change is kept: a cut route, the destination's
+    liveness, the fault filter and the trunk's occupancy are still read
+    on every send."""
 
     __slots__ = ("src_tag", "dst_tag", "trunk", "kind_tag", "link", "total", "dt")
 
     def __init__(self, topology: Topology, src: Machine, dst: Machine, kind: str) -> None:
         self.src_tag, self.dst_tag, self.trunk = topology.route_record(src, dst)
         self.kind_tag = _kind_tag(kind)
-        self.link = None
+        self.link = topology.classify(src, dst)
         self.total = -1
         self.dt = 0.0
 
@@ -83,8 +81,10 @@ class MessageDropped(NetworkError):
     by timing out."""
 
 
-#: hook signature: (src, dst, kind, total_bytes, now) -> (drop, extra_latency_s)
+#: hook signature: (src, dst, kind, total_bytes, now) -> (drop, extra_latency_s);
+#: asked ahead of the liveness check, it raises for a route a fault cut
 FaultFilter = Callable[[Machine, Machine, str, int, float], Tuple[bool, float]]
+NO_FAULT = (False, 0.0)
 
 
 class Message(NamedTuple):
@@ -204,31 +204,32 @@ class Transport:
         name, call id, type tags).  ``deadline_s`` rides in the packed
         header so the receiver can refuse already-late work.  ``hop`` is
         the call plan's record of this (``src``, ``dst``, ``kind``)
-        direction; without one the route record and kind tag are looked
-        up.
+        direction; without one the link, route record and kind tag are
+        looked up.
         """
         total = nbytes + header_bytes
-        link = self.topology.classify(src, dst)
         if hop is None:
+            link = self.topology.classify(src, dst)
             dt = link.transfer_seconds(total)
-        elif link is hop.link and total == hop.total:
-            dt = hop.dt
         else:
-            dt = hop.dt = link.transfer_seconds(total)
-            hop.link, hop.total = link, total
+            link = hop.link
+            if total == hop.total:
+                dt = hop.dt
+            else:
+                dt = hop.dt = link.transfer_seconds(total)
+                hop.total = total
         now = timeline._elapsed if timeline is not None else self.clock.now
         src_host, dst_host = src.hostname, dst.hostname
+        fault_filter = self.fault_filter
+        # a cut route raises from the filter, before the liveness check
+        drop, extra_s = NO_FAULT if fault_filter is None else fault_filter(src, dst, kind, total, now)
         if not dst.up:
             self.dropped += 1
             raise MessageDropped(f"{kind}: host {dst_host} is down; message lost")
-        if self.fault_filter is not None:
-            drop, extra_s = self.fault_filter(src, dst, kind, total, now)
-            if drop:
-                self.dropped += 1
-                raise MessageDropped(
-                    f"{kind}: message {src_host} -> {dst_host} lost in transit"
-                )
-            dt += extra_s
+        if drop:
+            self.dropped += 1
+            raise MessageDropped(f"{kind}: message {src_host} -> {dst_host} lost in transit")
+        dt += extra_s
         if hop is None:
             src_tag, dst_tag, trunk = self.topology.route_record(src, dst)
             kind_tag = _kind_tag(kind)

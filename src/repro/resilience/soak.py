@@ -16,7 +16,8 @@ invariants:
    because every fault is a seeded virtual-clock event.
 4. **Solo equivalence**: every session that claims ``completed``
    produces results identical to a solo, fault-free run of its spec;
-   anything touched by chaos must have marked itself ``degraded``.
+   anything touched by chaos must have marked itself ``degraded``; a
+   soak that checked no session this way fails.
 
 Everything is derived from the config's seed: two runs of the same
 config are indistinguishable, which is what makes a chaos failure a
@@ -410,6 +411,9 @@ def run_soak(config: SoakConfig) -> SoakReport:
                 f"{r.name}: claims completed but differs from the solo "
                 f"fault-free run (should have been marked degraded)"
             )
+    if not solo_checked:
+        # a check that saw nothing cannot fail: it shows nothing
+        violations.append("solo equivalence checked no session: none completed")
 
     return SoakReport(
         config=config,

@@ -75,8 +75,8 @@ class WorkloadCache:
 
     Keyed by :meth:`SessionSpec.workload_key` — a digest of every field
     that determines the session's deterministic trace stream.  Sessions
-    with fault plans are never cached (their injectors own mutable
-    park/network state).  A put of an already-present key
+    with fault plans are never cached (a plan's run is not the
+    workload's canonical one).  A put of an already-present key
     overwrites with identical content (two clean live runs of one
     workload record the same run).
     """
@@ -115,6 +115,9 @@ class SharedInstallation:
     Sessions run one after another on the one thread that serves them:
     set-up spawns on the shared park and teardown kills there; the
     solve phases only *read* shared state (machine speeds, link costs).
+    A session's fault plan changes hosts only while the session runs:
+    its injector puts every host it touched back when the session ends,
+    and the routes it cut are its own.
     """
 
     park: MachinePark
@@ -152,22 +155,14 @@ class SharedInstallation:
         install_tess_executables(park)
         return cls(park=park, topology=topology)
 
-    def session_topology(self) -> Topology:
-        """A private network view over the shared machines — given to
-        fault-plan sessions so injected partitions/outages mutate their
-        own routing state, not their co-residents'."""
-        return Topology()
-
-    def session_env(self, private_topology: bool = False) -> SchoonerEnvironment:
+    def session_env(self) -> SchoonerEnvironment:
         """A fresh per-session environment over the shared installation:
-        own clock, transport, and trace log; shared machines (and, by
-        default, topology)."""
-        topology = self.session_topology() if private_topology else self.topology
+        own clock, transport, and trace log; shared machines and
+        topology."""
         clock = VirtualClock()
-        transport = Transport(topology=topology, clock=clock)
         return SchoonerEnvironment(
             park=self.park,
-            topology=topology,
+            topology=self.topology,
             clock=clock,
-            transport=transport,
+            transport=Transport(topology=self.topology, clock=clock),
         )

@@ -94,8 +94,8 @@ class SessionSpec:
 
     @property
     def cacheable(self) -> bool:
-        """Fault-plan sessions are never deduplicated: their injectors
-        own mutable routing state and their whole point is divergence."""
+        """Fault-plan sessions are never deduplicated: their whole point
+        is divergence."""
         return self.fault_plan is None
 
     def op_family(self) -> Optional[str]:
@@ -238,12 +238,10 @@ class SessionContext:
     Setup's spawn and finalize's kill mutate the shared park; solve
     steps only read shared state.
 
-    Fault isolation: a session with a fault plan gets a *private*
-    network view, so injected partitions and gateway outages divert only
-    its own traffic.  Host-level faults (machine crash, derate) hit the
-    shared park by design — in a real installation, everyone on a
-    crashed machine suffers together — and sessions run one after
-    another, so a session meets the park as earlier ones left it.
+    Fault isolation: a plan's effects end with its session.  The routes
+    it cuts are its injector's, and every host it crashed or derated is
+    put back at teardown; sessions run one after another, so no other
+    session meets them.
     """
 
     def __init__(
@@ -317,9 +315,7 @@ class SessionContext:
 
     def _setup(self) -> None:
         spec = self.spec
-        self.env = self.installation.session_env(
-            private_topology=spec.fault_plan is not None
-        )
+        self.env = self.installation.session_env()
         ex = NPSSExecutive(
             env=self.env, avs_machine=spec.avs_machine, dispatch=spec.dispatch
         )
@@ -469,8 +465,7 @@ class SessionContext:
         record = self.record = self._capture()
         status, deadline_met = self._disposition(record)
         # only clean runs enter the cache: a record scarred by faults
-        # (including a co-resident session's host crash on the shared
-        # park) must not be replayed to future followers as canonical
+        # must not be replayed to future followers as canonical
         if self.dedup and self.spec.cacheable and status == "completed":
             self.installation.cache.put(self.key, record)
         fault_log = list(self.injector.log) if self.injector is not None else []
@@ -487,7 +482,8 @@ class SessionContext:
         """Classify a finished run: ``completed`` only when no fault
         visibly touched it (its traces are those of a solo fault-free
         run) *and* it made its deadline; anything else is explicitly
-        ``degraded``."""
+        ``degraded``.  A run that delivered nothing never met its
+        deadline: ``None``, unless it ran past it (``False``)."""
         impacted = record.impacted
         # chaos can touch a run without scarring its traces: a latency
         # spike slows delivered messages, and a supervisor can recover a
@@ -503,6 +499,8 @@ class SessionContext:
         if self.spec.deadline_s is not None:
             deadline_met = (self.wait_s + record.virtual_s) <= self.spec.deadline_s
         status = "degraded" if (impacted or deadline_met is False or self.error) else "completed"
+        if deadline_met and not record.results and record.transient is None:
+            deadline_met = None
         return status, deadline_met
 
     def _teardown(self) -> None:

@@ -190,14 +190,13 @@ _RESULT_FIELDS = [f.name for f in fields(SessionResult)]
 def spec_to_wire(spec: SessionSpec) -> dict:
     """A :class:`SessionSpec` as a shard-safe wire dict.
 
-    Fault-plan sessions are refused: a live plan drives an injector that
-    owns mutable park/network state on *its* installation — shipping it
-    to a shard would silently change which park the faults hit."""
+    Fault-plan sessions are refused: a :class:`~repro.faults.FaultPlan`
+    has no wire form."""
     if spec.fault_plan is not None:
         raise NotShardSafe(
-            f"session {spec.name!r} carries a live fault plan; fault-injection "
-            f"sessions mutate shared park/network state and cannot cross a "
-            f"process boundary — serve them with mode=\"inline\""
+            f"session {spec.name!r} carries a fault plan, which has no wire "
+            f"form and cannot cross a process boundary — serve it with "
+            f"mode=\"inline\""
         )
     wire = {name: getattr(spec, name) for name in _SPEC_FIELDS}
     assert_shard_safe(wire, f"spec {spec.name!r}")

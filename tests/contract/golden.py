@@ -214,6 +214,7 @@ def _chaos_rows() -> List[dict]:
             "deadline_missed": rep.deadline_missed,
             "shard_crashes": [row["crashes"] for row in rep.shard_rows or ()],
             "replay_identical": soak.replay_identical,
+            "solo_checked": soak.solo_checked,
         })
     return rows
 

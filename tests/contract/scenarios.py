@@ -144,10 +144,9 @@ def crash_plan(kind: str, event) -> FaultPlan:
 
 
 def serve_crash(**kw):
-    """The crash matrix's session, served alone; with no keywords, the
-    fault-free reference.  A fresh installation per run: a
-    ``CrashMachine`` downs a host of the installation's shared park for
-    every later session."""
+    """The crash matrix's session, served alone on a fresh installation;
+    with no keywords, the fault-free reference.  A plan's crash ends
+    with its session, so no run meets another's."""
     spec = SessionSpec(name="crash", points=CRASH_POINTS, transient_s=CRASH_TRANSIENT_S, **kw)
     (result,) = serve_sessions(
         [spec], installation=SharedInstallation.standard(), dedup=False

@@ -4,10 +4,13 @@ import pytest
 
 from repro.faults import (
     CrashMachine,
+    CrashProcess,
     DerateHost,
     FaultInjector,
     FaultPlan,
     GatewayOutage,
+    GatewayRestore,
+    HealLink,
     LatencySpike,
     PacketLoss,
     PartitionLink,
@@ -110,6 +113,136 @@ class TestInjectorEvents:
         with pytest.raises(RuntimeError):
             second.attach()
         first.detach()
+
+
+def host_states(env):
+    return {m.hostname: (m.up, m.load, m.down_at) for m in env.park}
+
+
+#: (src, dst) pairs a cut can sever: cross-site, and cross-subnet at LeRC
+ROUTES = (("sparc10.cs.arizona.edu", "cray-ymp.lerc.nasa.gov"),
+          ("sparc10.lerc.nasa.gov", "cray-ymp.lerc.nasa.gov"))
+
+
+def routes_carry(env):
+    """Whether a message goes through on every route of ``ROUTES``."""
+    carried = []
+    for src, dst in ROUTES:
+        try:
+            env.transport.send(env.park[src], env.park[dst], "probe", None, 64)
+            carried.append(True)
+        except NetworkError:
+            carried.append(False)
+    return carried
+
+
+CRAY = "cray-ymp.lerc.nasa.gov"
+
+
+class TestDetachRestores:
+    """A plan's effects end when its injector detaches: every host it
+    touched is back as it was, and every route it cut carries traffic."""
+
+    EVENTS = {
+        "crash-machine": (CrashMachine(at_s=0.0, hostname=CRAY),),
+        "crash-process": (CrashProcess(at_s=0.0, hostname=CRAY),),
+        "derate": (DerateHost(at_s=0.0, hostname=CRAY, load=0.7),),
+        "crash-restore-derate": (
+            CrashMachine(at_s=0.0, hostname=CRAY),
+            RestoreMachine(at_s=0.0, hostname=CRAY),
+            DerateHost(at_s=0.0, hostname=CRAY, load=0.4),
+        ),
+        "partition": (PartitionLink(at_s=0.0, site_a="lerc", site_b="arizona"),),
+        "gateway-outage": (GatewayOutage(at_s=0.0, site="lerc"),),
+        "loss": (PacketLoss(at_s=0.0, until_s=100.0, rate=1.0),),
+        "latency": (LatencySpike(at_s=0.0, until_s=100.0, extra_s=0.5),),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(EVENTS))
+    def test_each_event_kind_ends_with_the_plan(self, env, kind):
+        cray = env.park[CRAY]
+        cray.install("/bin/sleeper", object())
+        proc = cray.spawn("/bin/sleeper")
+        before = host_states(env)
+        assert routes_carry(env) == [True, True]
+        inj = FaultInjector(env, FaultPlan(seed=3, events=self.EVENTS[kind]))
+        with inj:
+            assert inj.log, "the plan fired"
+            assert (host_states(env) != before or not proc.alive
+                    or routes_carry(env) != [True, True] or inj.perturbed), "and took effect"
+        assert env.transport.fault_filter is None
+        assert host_states(env) == before
+        assert routes_carry(env) == [True, True]
+
+    def test_a_restore_of_a_host_already_down_is_undone(self, env):
+        cray = env.park[CRAY]
+        cray.crash()
+        with FaultInjector(env, FaultPlan(events=(RestoreMachine(at_s=0.0, hostname=CRAY),))):
+            assert cray.up
+        assert not cray.up
+
+    def test_heal_and_restore_events_end_cuts_while_attached(self, env):
+        plan = FaultPlan(events=(
+            PartitionLink(at_s=0.0, site_a="lerc", site_b="arizona"),
+            GatewayOutage(at_s=0.0, site="lerc"),
+            HealLink(at_s=1.0, site_a="arizona", site_b="lerc"),
+            GatewayRestore(at_s=1.0, site="lerc"),
+        ))
+        with FaultInjector(env, plan):
+            assert routes_carry(env) == [False, False]
+            env.clock.advance(1.0)
+            assert routes_carry(env) == [True, True]
+
+    def test_a_detached_plans_later_events_never_fire(self, env):
+        inj = FaultInjector(env, FaultPlan(events=(CrashMachine(at_s=5.0, hostname=CRAY),)))
+        with inj:
+            env.clock.advance(1.0)
+        env.clock.advance(10.0)
+        assert env.park[CRAY].up and inj.log == []
+
+
+class TestSendOrder:
+    """A cut route raises first, then a down destination, then latency
+    and loss."""
+
+    def test_a_down_host_across_a_cut_is_a_routing_failure(self, env):
+        src, dst = env.park["sparc10.cs.arizona.edu"], env.park[CRAY]
+        plan = FaultPlan(events=(
+            PartitionLink(at_s=0.0, site_a="lerc", site_b="arizona"),
+            CrashMachine(at_s=0.0, hostname=CRAY),
+        ))
+        with FaultInjector(env, plan):
+            with pytest.raises(NetworkError, match="network partition") as info:
+                env.transport.send(src, dst, "call", None, 64)
+        assert not isinstance(info.value, MessageDropped)
+        assert env.transport.dropped == 0
+
+    def test_a_message_to_a_down_host_draws_nothing_from_the_loss_prng(self):
+        """Messages to a down host in the loss window leave the drops of
+        every other message where they were."""
+
+        def drops(with_down_host):
+            e = SchoonerEnvironment.standard()
+            src, dst = hosts(e)
+            down = e.park[CRAY]
+            events = (PacketLoss(at_s=0.0, until_s=100.0, rate=0.5),
+                      CrashMachine(at_s=0.0, hostname=CRAY))
+            pattern = []
+            with FaultInjector(e, FaultPlan(seed=5, events=events)) as inj:
+                for _ in range(24):
+                    if with_down_host:
+                        with pytest.raises(MessageDropped, match="is down"):
+                            e.transport.send(src, down, "call", None, 64)
+                    try:
+                        e.transport.send(src, dst, "call", None, 64)
+                        pattern.append(False)
+                    except MessageDropped:
+                        pattern.append(True)
+            return pattern, inj.messages_dropped
+
+        plain, plain_dropped = drops(False)
+        assert True in plain and False in plain
+        assert drops(True) == (plain, plain_dropped)
 
 
 class TestLossAndLatency:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan, HealLink, PartitionLink
 from repro.machines import standard_park
 from repro.network import (
     CAMPUS_GATEWAYS,
@@ -13,6 +14,8 @@ from repro.network import (
     Transport,
     VirtualClock,
 )
+from repro.network.transport import Hop
+from repro.schooner import SchoonerEnvironment
 
 
 class TestVirtualClock:
@@ -138,27 +141,27 @@ class TestTopology:
 
     def test_loopback_same_machine(self, topo, park):
         m = park["lerc-cray"]
-        assert topo.classify(m, m) is topo.loopback
+        assert topo.classify(m, m) is LOOPBACK
 
     def test_table1_row1_ethernet(self, topo, park):
         """Sparc 10 -> SGI 4D/480, 'local Ethernet'."""
         link = topo.classify(park["lerc-sparc10"], park["lerc-sgi480"])
-        assert link is topo.ethernet
+        assert link is ETHERNET
 
     def test_table1_row2_campus(self, topo, park):
         """Sparc 10 -> Convex C220, 'same building, multiple gateways'."""
         link = topo.classify(park["lerc-sparc10"], park["lerc-convex"])
-        assert link is topo.campus
+        assert link is CAMPUS_GATEWAYS
 
     def test_table1_row3_campus(self, topo, park):
         """SGI 4D/480 -> Cray YMP, 'same building, multiple gateways'."""
         link = topo.classify(park["lerc-sgi480"], park["lerc-cray"])
-        assert link is topo.campus
+        assert link is CAMPUS_GATEWAYS
 
     def test_table1_rows45_internet(self, topo, park):
         """Cross-site pairs go via Internet."""
-        assert topo.classify(park["lerc-sgi480"], park["ua-sparc10"]) is topo.internet
-        assert topo.classify(park["ua-sparc10"], park["lerc-rs6000"]) is topo.internet
+        assert topo.classify(park["lerc-sgi480"], park["ua-sparc10"]) is INTERNET_1993
+        assert topo.classify(park["ua-sparc10"], park["lerc-rs6000"]) is INTERNET_1993
 
     def test_classification_symmetric(self, topo, park):
         pairs = [
@@ -169,34 +172,52 @@ class TestTopology:
         for a, b in pairs:
             assert topo.classify(park[a], park[b]) is topo.classify(park[b], park[a])
 
-    def test_partition_blocks_cross_site(self, topo, park):
-        topo.partition("lerc", "arizona")
-        with pytest.raises(NetworkError):
-            topo.classify(park["ua-sparc10"], park["lerc-cray"])
-        # intra-site traffic unaffected
-        topo.classify(park["lerc-sparc10"], park["lerc-cray"])
-        topo.heal("lerc", "arizona")
-        topo.classify(park["ua-sparc10"], park["lerc-cray"])
+    def test_partition_blocks_cross_site(self):
+        """A partition is the injector's: sends across it raise while the
+        link of the pair stays what Table 1 says."""
+        env = SchoonerEnvironment.standard()
+        park, tx = env.park, env.transport
+        plan = FaultPlan(seed=1, events=(
+            PartitionLink(at_s=0.0, site_a="lerc", site_b="arizona"),
+            HealLink(at_s=1.0, site_a="lerc", site_b="arizona"),
+        ))
+        with FaultInjector(env=env, plan=plan):
+            with pytest.raises(NetworkError):
+                tx.send(park["ua-sparc10"], park["lerc-cray"], "call", None, 100)
+            assert env.topology.classify(park["ua-sparc10"], park["lerc-cray"]) is INTERNET_1993
+            # intra-site traffic unaffected
+            tx.send(park["lerc-sparc10"], park["lerc-cray"], "call", None, 100)
+            env.clock.advance(1.0)
+            tx.send(park["ua-sparc10"], park["lerc-cray"], "call", None, 100)
 
-    def test_partition_made_after_warm_hops_blocks_both_orders(self, topo, park):
+    def test_partition_made_after_warm_hops_blocks_both_orders(self):
         """Without a partition the check costs nothing per send; one made
         after every hop and route record is warm is still seen, whichever
         site sends, and healing it lets both directions through."""
-        tx = Transport(topology=topo, clock=VirtualClock())
+        env = SchoonerEnvironment.standard()
+        park, topo, tx = env.park, env.topology, env.transport
         ua, cray = park["ua-sparc10"], park["lerc-cray"]
-        for src, dst in ((ua, cray), (cray, ua)):
+        hops = [(ua, cray, Hop(topo, ua, cray, "call")), (cray, ua, Hop(topo, cray, ua, "call"))]
+        for src, dst, hop in hops:
             for _ in range(3):
                 tx.send(src, dst, "call", None, 100)
-        topo.partition("arizona", "lerc")
-        for src, dst in ((ua, cray), (cray, ua)):
-            with pytest.raises(NetworkError, match="network partition"):
-                topo.classify(src, dst)
-            with pytest.raises(NetworkError, match="network partition"):
+                tx.send(src, dst, "call", None, 100, hop=hop)
+        now = env.clock.now
+        plan = FaultPlan(seed=1, events=(
+            PartitionLink(at_s=now, site_a="arizona", site_b="lerc"),
+            HealLink(at_s=now + 1.0, site_a="lerc", site_b="arizona"),
+        ))
+        with FaultInjector(env=env, plan=plan):
+            for src, dst, hop in hops:
+                with pytest.raises(NetworkError, match="network partition"):
+                    tx.send(src, dst, "call", None, 100)
+                with pytest.raises(NetworkError, match="network partition"):
+                    tx.send(src, dst, "call", None, 100, hop=hop)
+            env.clock.advance(1.0)
+            for src, dst, hop in hops:
+                assert topo.classify(src, dst) is INTERNET_1993
                 tx.send(src, dst, "call", None, 100)
-        topo.heal("lerc", "arizona")
-        for src, dst in ((ua, cray), (cray, ua)):
-            assert topo.classify(src, dst) is topo.internet
-            tx.send(src, dst, "call", None, 100)
+                tx.send(src, dst, "call", None, 100, hop=hop)
 
 
 class TestTransport:
@@ -286,7 +307,7 @@ class TestTransport:
         second = tx.send(c, a, "bulk", None, 100_000, clock.timeline("two"))
         assert second.transfer_seconds > first.transfer_seconds
         assert second.delivered_at == pytest.approx(
-            100_064 / tx.topology.internet.bandwidth_Bps + first.transfer_seconds
+            100_064 / INTERNET_1993.bandwidth_Bps + first.transfer_seconds
         )
 
     def test_a_route_record_is_kept_under_what_it_is_computed_from(self, env):

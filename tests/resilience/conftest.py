@@ -63,10 +63,15 @@ class World:
         return self.env.park[REMOTE_NICK].hostname
 
     def partition(self):
-        self.env.topology.partition("lerc", "arizona")
+        """Cut Arizona from LeRC from now on, through an attached
+        injector (detach it to heal)."""
+        from repro.faults.injector import FaultInjector
+        from repro.faults.plan import FaultPlan, PartitionLink
 
-    def heal(self):
-        self.env.topology.heal("lerc", "arizona")
+        cut = PartitionLink(at_s=self.env.clock.now, site_a="lerc", site_b="arizona")
+        injector = FaultInjector(env=self.env, plan=FaultPlan(seed=1, events=(cut,)))
+        injector.attach()
+        return injector
 
     def drop_requests(self, until_s):
         """Drop every caller->remote request until virtual ``until_s``;

@@ -25,6 +25,7 @@ from repro.serve import SharedInstallation, serve_sessions
 def test_stock_config_holds_all_invariants(name):
     soak = run_soak(STOCK_CONFIGS[name])
     assert soak.ok, "\n".join(soak.violations)
+    assert soak.solo_checked >= 1
 
 
 def test_specs_are_a_pure_function_of_the_config():
@@ -137,3 +138,21 @@ def test_a_diverged_replay_is_reported(monkeypatch, diverge):
     assert head["replay_identical"] is False
     assert head["ok"] is False
     assert soak.violations and all("replay" in v for v in soak.violations)
+
+
+def test_a_soak_that_solo_checked_nothing_fails(monkeypatch):
+    """Solo equivalence over zero completed sessions checked nothing:
+    the soak reports that as a violation, not as ``ok``."""
+    config = SoakConfig(name="none-complete", sessions=2, faulty_fraction=0.0)
+
+    def all_degraded(cfg, specs):
+        report = serve_sessions(specs, installation=SharedInstallation.standard())
+        report.results = [dataclasses.replace(r, status="degraded") for r in report.results]
+        return report
+
+    monkeypatch.setattr(soak_module, "_serve", all_degraded)
+    soak = run_soak(config)
+    assert soak.solo_checked == 0
+    assert soak.violations == ["solo equivalence checked no session: none completed"]
+    (head,) = [r for r in soak.records() if r["record"] == "soak"]
+    assert head["ok"] is False

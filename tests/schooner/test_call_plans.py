@@ -17,7 +17,10 @@ import math
 
 import pytest
 
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, PartitionLink
 from repro.machines import Language
+from repro.network import Topology
 from repro.schooner import (
     CallTimeout,
     Executable,
@@ -121,6 +124,25 @@ class TestPlanLifetime:
         for _ in range(5):
             stub(x=1.0)
         assert checks == []
+
+    def test_a_planned_send_asks_no_link(self, world, monkeypatch):
+        """A pair's link cannot change, so the plan's hops keep it: a
+        call made through a plan classifies nothing."""
+        env, ctx, sig = world
+        contact(ctx, "lerc-rs6000")
+        stub = ctx.import_proc(sig)
+        stub(x=1.0)
+        classified = []
+        real = Topology.classify
+        monkeypatch.setattr(
+            Topology, "classify",
+            lambda self, src, dst: classified.append((src, dst)) or real(self, src, dst),
+        )
+        sent = env.transport.stats.messages
+        for _ in range(3):
+            assert stub.call1(x=2.0) == 2.0
+        assert env.transport.stats.messages == sent + 6
+        assert classified == []
 
     def test_equal_signatures_share_a_plan(self, world):
         """The plan is keyed by the signature's value: a second stub that
@@ -341,10 +363,10 @@ class TestRuntimeStateIsStillReadPerCall:
         (plan,) = plans(env)
         a, b = ctx.machine.site, record.machine.site
         assert a != b
-        env.topology.partition(a, b)
-        with pytest.raises(CallTimeout, match="request lost: network partition"):
-            execute_call(env, ctx.machine, tl, record, sig, {"x": 1.0})
-        env.topology.heal(a, b)
+        cut = PartitionLink(at_s=env.clock.now, site_a=a, site_b=b)
+        with FaultInjector(env=env, plan=FaultPlan(seed=1, events=(cut,))):
+            with pytest.raises(CallTimeout, match="request lost: network partition"):
+                execute_call(env, ctx.machine, tl, record, sig, {"x": 1.0})
         assert execute_call(env, ctx.machine, tl, record, sig, {"x": 4.0}) == {"y": 4.0}
         assert plans(env) == [plan], "a partition is not a reason to recompile"
 

@@ -3,12 +3,11 @@ terminates its line (and only its line), and every call path is
 runtime type checked."""
 
 import math
-from contextlib import contextmanager
 
 import pytest
 
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, PacketLoss
+from repro.faults.plan import FaultPlan, PacketLoss, PartitionLink
 from repro.machines import Language
 from repro.schooner import (
     CallFailed,
@@ -48,13 +47,10 @@ def world():
     return env, manager, spec
 
 
-@contextmanager
 def _partition(env):
-    env.topology.partition("lerc", "arizona")
-    try:
-        yield
-    finally:
-        env.topology.heal("lerc", "arizona")
+    """An injector that cuts LeRC from Arizona while it is attached."""
+    cut = PartitionLink(at_s=env.clock.now, site_a="lerc", site_b="arizona")
+    return FaultInjector(env=env, plan=FaultPlan(seed=1, events=(cut,)))
 
 
 def fail_call(env, stub, how):

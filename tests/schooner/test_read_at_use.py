@@ -14,6 +14,8 @@ stops a route or rate "plan" from hoisting a read out of the call.
 
 import pytest
 
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, HealLink, PartitionLink
 from repro.machines import Language
 from repro.network.clock import Timeline
 from repro.schooner import (
@@ -65,17 +67,22 @@ class World:
         assert self.probe.outcome == "ok"
         assert env.park.call_plans, "the first call compiled the call's plan"
 
-    def schedule_mid_call(self, callback) -> float:
-        """Schedule ``callback`` for an instant inside the *next* call's
-        server-side unmarshal charge.  Request and reply are the same
-        size here, so each of the probe's totals is two equal halves."""
+    def mid_call_instant(self) -> float:
+        """An instant inside the *next* call's server-side unmarshal
+        charge.  Request and reply are the same size here, so each of
+        the probe's totals is two equal halves."""
         env, probe = self.env, self.probe
         start = self.caller.timeline.now
         assert start == env.clock.now == self.ctx.line.timeline.now
         delivered = start + probe.client_cpu_s / 2 + probe.network_s / 2
         at_s = delivered + probe.server_cpu_s / 4
         assert delivered < at_s < delivered + probe.server_cpu_s / 2
-        env.clock.schedule(at_s, callback)
+        return at_s
+
+    def schedule_mid_call(self, callback) -> float:
+        """Schedule ``callback`` for :meth:`mid_call_instant`."""
+        at_s = self.mid_call_instant()
+        self.env.clock.schedule(at_s, callback)
         return at_s
 
     def call(self, how: str):
@@ -145,11 +152,14 @@ class TestStateChangedInsideACall:
         assert w.proc.retry_ok is stateless
         a, b = w.ctx.machine.site, w.callee.site
         assert a != b
-        at_s = w.schedule_mid_call(lambda: w.env.topology.partition(a, b))
+        at_s = w.mid_call_instant()
         # healed while the caller is still waiting out the lost reply
-        w.env.clock.schedule(
-            at_s + w.env.costs.call_timeout_s / 2, lambda: w.env.topology.heal(a, b)
-        )
+        heal_s = at_s + w.env.costs.call_timeout_s / 2
+        plan = FaultPlan(seed=1, events=(
+            PartitionLink(at_s=at_s, site_a=a, site_b=b),
+            HealLink(at_s=heal_s, site_a=a, site_b=b),
+        ))
+        FaultInjector(env=w.env, plan=plan).attach()
         out, err, traces = w.call(how)
         first = traces[0]
         assert (first.outcome, first.timeout_hop) == ("timeout", "reply")

@@ -4,6 +4,8 @@ and failure injection."""
 
 import pytest
 
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, PartitionLink
 from repro.machines import Language
 from repro.schooner import (
     CallFailed,
@@ -224,13 +226,13 @@ class TestFailureInjection:
         env, manager, ctx = env_with(exe)
         stub = ctx.import_proc(spec.as_imports(), name="f")
         stub(x=1.0)
-        env.topology.partition("arizona", "lerc")
-        # every attempt is lost; the line-error teardown cannot reach the
-        # remote host either, and must not hide the typed timeout
-        with pytest.raises(CallTimeout):
-            stub(x=2.0)
-        assert stub.line.state is LineState.TERMINATED
-        env.topology.heal("arizona", "lerc")
+        cut = PartitionLink(at_s=env.clock.now, site_a="arizona", site_b="lerc")
+        with FaultInjector(env=env, plan=FaultPlan(seed=1, events=(cut,))):
+            # every attempt is lost; the line-error teardown cannot reach
+            # the remote host either, and must not hide the typed timeout
+            with pytest.raises(CallTimeout):
+                stub(x=2.0)
+            assert stub.line.state is LineState.TERMINATED
         with pytest.raises(LineTerminated):
             stub(x=3.0)
         ctx.sch_contact_schx("lerc-rs6000", "/bin/exe")

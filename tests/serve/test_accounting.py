@@ -19,10 +19,15 @@ Four bugs, four tests:
    up to it (and a replay holds no slot to begin with).
 4. A negative ``AdmissionPolicy.max_parked`` sliced the ranked list
    backwards, mis-shedding admitted sessions.  Fixed by clamping to 0.
+5. A session that failed before delivering anything reported
+   ``deadline_met=True`` because it failed early.  It delivered nothing,
+   so it met no deadline: ``deadline_met`` is ``None`` (``False`` if it
+   ran past the deadline).
 """
 
 from __future__ import annotations
 
+from repro.faults import FaultPlan, PartitionLink
 from repro.serve import (
     AdmissionPolicy,
     SessionSpec,
@@ -164,6 +169,30 @@ class TestStragglerWaitPreserved:
         assert s1.status == "completed"
         assert s2.status == "completed"
         assert s2.wait_s >= s1.virtual_s  # charged s1's occupancy, not 0.0
+
+
+class TestNothingDeliveredMetNoDeadline:
+    def test_a_session_that_delivered_nothing_has_no_deadline_verdict(self):
+        """Cut off from every remote procedure, ``cut`` fails well inside
+        its deadline, having delivered nothing."""
+        plan = FaultPlan(seed=1, events=(
+            PartitionLink(at_s=0.0, site_a="lerc", site_b="arizona"),
+        ))
+        cut, late, clean = serve_sessions(
+            [_spec("cut", deadline_s=1000.0, fault_plan=plan),
+             _spec("late", deadline_s=1.0, fault_plan=plan),
+             _spec("clean", deadline_s=1000.0)],
+            installation=SharedInstallation.standard(),
+            dedup=False,
+        ).results
+        assert cut.status == "degraded" and "network partition" in cut.error
+        assert cut.results == [] and cut.transient is None
+        assert cut.virtual_s < 1000.0
+        assert cut.deadline_met is None
+        # past its deadline, it missed it
+        assert late.results == [] and late.virtual_s > 1.0
+        assert late.deadline_met is False
+        assert clean.status == "completed" and clean.deadline_met is True
 
 
 class TestNegativeMaxParked:

@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults.plan import FaultPlan, GatewayOutage, GatewayRestore, LatencySpike
+from repro.faults.plan import (
+    CrashMachine,
+    FaultPlan,
+    GatewayOutage,
+    GatewayRestore,
+    LatencySpike,
+)
 from repro.serve import (
     SessionSpec,
     SharedInstallation,
@@ -106,6 +112,28 @@ class TestFaultIsolation:
         assert f1.virtual_s == f2.virtual_s
         assert f1.fault_log  # the plan actually fired
         assert f1.virtual_s != _solo(clean).virtual_s  # and actually hurt
+
+    def test_a_crash_plan_ends_with_its_session(self):
+        """A plan's host crash does not outlive its session: a fault-free
+        session served next on the same installation completes, equal
+        to its solo run."""
+        installation = SharedInstallation.standard()
+        doomed = "sgi4d340.cs.arizona.edu"  # the combustor's host
+        crashed = SessionSpec(
+            name="crashed", points=(1.42, 1.46),
+            fault_plan=FaultPlan(seed=1, events=(CrashMachine(at_s=1.0, hostname=doomed),)),
+        )
+        first = serve_sessions([crashed], installation=installation).results[0]
+        assert first.status == "degraded"
+        assert first.fault_log == [(1.0, f"crash machine {doomed}")]
+        assert installation.park[doomed].up
+        clean = SessionSpec(name="clean", points=(1.30, 1.34))
+        after = serve_sessions([clean], installation=installation, dedup=False).results[0]
+        solo = _solo(clean)
+        assert after.status == "completed"
+        assert (after.results, after.digest, after.virtual_s) == (
+            solo.results, solo.digest, solo.virtual_s
+        )
 
     def test_fault_sessions_are_never_cached(self):
         faulted = SessionSpec(

@@ -123,7 +123,16 @@ GONE_ATTRIBUTES = {
         "register", "add_link", "_links", "route", "route_transfer_seconds",
         "graph_path_hops", "_shortest_paths", "set_override", "_overrides",
         "transfer_seconds",
+        # a pure function of a machine pair: cut routes are the fault
+        # injector's, and the links are the module's constants
+        "_partitioned", "_dead_gateways", "partition", "heal",
+        "gateway_down", "gateway_restore",
+        "ethernet", "campus", "internet", "loopback",
     ),
+    # every session sends over the installation's one topology; a
+    # detached injector is done, so nothing is left pending
+    ("repro.serve.installation", "SharedInstallation"): ("session_topology",),
+    ("repro.faults", "FaultInjector"): ("_pending",),
     # every run is supervised: the executive makes its supervisor
     ("repro.core", "NPSSExecutive"): ("serve", "run_resilient"),
     ("repro.core.advisor", "PlacementAdvisor"): ("recommend_move", "_move_cost"),
@@ -212,6 +221,7 @@ GONE_PARAMETERS = {
     # single-valued soak knobs: every soak deduplicates and solo-checks
     ("repro.resilience.soak", "SoakConfig"): ("dedup",),
     ("repro.resilience.soak", "run_soak"): ("solo_check",),
+    ("repro.serve.installation", "SharedInstallation.session_env"): ("private_topology",),
 }
 
 
