@@ -7,7 +7,8 @@ executive creates one with its Manager, so every run is supervised.
   meets it: when a client stub or ``sch_contact_schx`` resolves a
   binding to a dead instance, :meth:`~FailoverSupervisor.recover` logs
   the death (``host-dead`` or ``process-dead``, "failed call") at that
-  call's instant.  Nothing polls: a crash no call meets is never
+  call's instant — for a host a fault plan crashed, no earlier than the
+  crash.  Nothing polls: a crash no call meets is never
   logged, and changes nothing;
 * **checkpoints** — the first write to a watched process's declared
   state (:meth:`~FailoverSupervisor.watch`) schedules one checkpoint
@@ -168,6 +169,9 @@ class FailoverSupervisor:
         env = self.manager.env
         tl = timeline if timeline is not None else env.clock.timeline("supervisor")
         dead = record.machine
+        if dead.down_at is not None:
+            # a line still behind the crash meets it at the crash
+            tl.sync_to(dead.down_at)
 
         if dead.up:
             # the process died on a live host: the failed call is the

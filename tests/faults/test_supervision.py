@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import REMOTE_PATHS, NPSSExecutive, install_tess_executables
 from repro.core.specs import DUCT_SPEC_SOURCE, SHAFT_SPEC_SOURCE
-from repro.faults import FailoverSupervisor
+from repro.faults import CrashMachine, FailoverSupervisor, FaultInjector, FaultPlan
 from repro.faults import checkpoint
 from repro.schooner import Manager, ManagerMode, ModuleContext, SchoonerEnvironment
 from repro.schooner import manager as manager_module
@@ -150,6 +150,26 @@ def test_a_restarted_process_checkpoints_under_the_same_database(world, shared):
 
 
 class TestDetectionByCall:
+    def test_a_death_is_never_stamped_before_its_crash(self, world):
+        """A crash fires when any timeline pushes the clock past it; a
+        line still behind that instant meets the dead host at its own
+        earlier time, and moves to the crash before it logs the death
+        and fails over."""
+        env, manager, supervisor = world
+        cray = env.park["lerc-cray"]
+        ctx = duct_line(manager)
+        ctx.import_proc(DUCT.import_named("setduct"))(dpqp=0.02)
+        behind = ctx.line.timeline.now
+        crash = CrashMachine(at_s=behind + 0.1, hostname=cray.hostname)
+        with FaultInjector(env=env, plan=FaultPlan(seed=1, events=(crash,))):
+            env.clock.advance(2.0)
+            assert not cray.up and ctx.line.timeline.now == behind
+            out = ctx.import_proc(DUCT.import_named("duct"))(**DUCT_ARGS)
+        assert out["pto"] == pytest.approx(2e5 * (1 - 0.02), rel=1e-12)
+        dead, failover = supervisor.events
+        assert (dead.kind, dead.subject, dead.at_s) == ("host-dead", cray.hostname, crash.at_s)
+        assert failover.kind == "failover" and failover.at_s >= crash.at_s
+
     def test_the_executive_supervises_its_manager(self):
         ex = NPSSExecutive()
         assert ex.manager.supervisor is ex.supervisor
