@@ -97,7 +97,7 @@ class FaultInjector:
         self.env.transport.fault_filter = self._filter
         clock = self.env.clock
         for at_s, _, ev in self.plan.scheduled():
-            self._handles.append(clock.schedule(at_s, partial(self._fire, ev)))
+            self._handles.append(clock.schedule(at_s, partial(self._apply, ev)))
         self._attached = True
         clock.fire_due()
 
@@ -126,10 +126,6 @@ class FaultInjector:
         self.detach()
 
     # -- event application ----------------------------------------------------
-    def _fire(self, ev: FaultEvent) -> None:
-        self._apply(ev)
-        self.log.append((ev.at_s, ev.describe()))
-
     def _host(self, hostname: str) -> Machine:
         """The park's ``hostname``, its state saved on first touch."""
         machine = self.env.park[hostname]
@@ -167,6 +163,7 @@ class FaultInjector:
             self.perturbed += 1
         else:  # pragma: no cover - future event kinds
             raise TypeError(f"unknown fault event {type(ev).__name__}")
+        self.log.append((ev.at_s, ev.describe()))
 
     # -- the transport hook ----------------------------------------------------
     def _filter(

@@ -27,6 +27,7 @@ from typing import Dict, Optional, Tuple
 
 from ..machines.host import Machine
 from ..network.clock import Timeline
+from ..network.topology import NetworkError
 from ..uts.compiled import codec_for
 from ..uts.types import Signature
 from .errors import (
@@ -374,10 +375,16 @@ class Manager:
             # the shared registry
             self.supervisor.watch(hosted[0][1].line_id, new_records)
         if state:
-            self.env.transport.send(
-                source, target, kind, None, sum(len(b) for _, b in state),
-                timeline=timeline,
-            )
+            try:
+                self.env.transport.send(
+                    source, target, kind, None, sum(len(b) for _, b in state),
+                    timeline=timeline,
+                )
+            except NetworkError:
+                # the state never arrived: reap the process it was for
+                if proc.alive:
+                    target.kill(proc.pid)
+                raise
             types = state_types(new_records)
             storage = new_records[0].state_storage()
             for var, blob in state:

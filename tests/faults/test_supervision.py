@@ -15,6 +15,7 @@ from repro.core import REMOTE_PATHS, NPSSExecutive, install_tess_executables
 from repro.core.specs import DUCT_SPEC_SOURCE, SHAFT_SPEC_SOURCE
 from repro.faults import CrashMachine, FailoverSupervisor, FaultInjector, FaultPlan
 from repro.faults import checkpoint
+from repro.network.transport import MessageDropped
 from repro.schooner import Manager, ManagerMode, ModuleContext, SchoonerEnvironment
 from repro.schooner import manager as manager_module
 from repro.schooner.lines import declared_state
@@ -169,6 +170,21 @@ class TestDetectionByCall:
         dead, failover = supervisor.events
         assert (dead.kind, dead.subject, dead.at_s) == ("host-dead", cray.hostname, crash.at_s)
         assert failover.kind == "failover" and failover.at_s >= crash.at_s
+
+    def test_a_failover_whose_state_is_lost_leaves_no_process_behind(self, world):
+        """The restore message never arrives: the call fails, and the
+        process the failover started for that state is reaped, not left
+        running on the shared park."""
+        env, manager, _ = world
+        ctx = duct_line(manager)
+        ctx.import_proc(DUCT.import_named("setduct"))(dpqp=0.02)
+        env.clock.advance(0.01)  # the written state is saved
+        env.park["lerc-cray"].crash()
+        env.transport.fault_filter = lambda src, dst, kind, total, now: (
+            kind.startswith("restore:"), 0.0)
+        with pytest.raises(MessageDropped, match="restore:"):
+            ctx.import_proc(DUCT.import_named("duct"))(**DUCT_ARGS)
+        assert [m.hostname for m in env.park if m.running_processes] == []
 
     def test_the_executive_supervises_its_manager(self):
         ex = NPSSExecutive()
