@@ -6,8 +6,8 @@ the simulation*.  A :class:`FaultPlan` schedules seeded failure events
 on the virtual clock; a :class:`FaultInjector` applies them to the
 network and machine layers; and a :class:`FailoverSupervisor` — one per
 executive — gives the Schooner Manager failure detection (by the call
-that meets a dead instance), UTS-encoded checkpoints of a stateful
-procedure's declared state whenever it changes, and automatic failover
+that meets a dead instance), checkpoints of a stateful procedure's
+declared state taken by each call that changes it, and automatic failover
 of crashed instances onto surviving machines — layered on the same
 generation-bumped rebind machinery that §4.2 migration uses.
 

@@ -6,7 +6,7 @@ machine, first fault-free (the reference), then under a seeded
 :class:`~repro.faults.recovery.FailoverSupervisor` recovers.  The
 default plan kills the component's host halfway through the run; the
 transient still completes, with the instance restarted from its latest
-UTS-encoded checkpoint on a surviving machine.
+checkpoint on a surviving machine.
 
 The demo's outcome is records: the thrust and N1 of both runs, a
 SHA-256 digest of the serialized traces (replaying the same plan and

@@ -10,13 +10,11 @@ executive creates one with its Manager, so every run is supervised.
   call's instant — for a host a fault plan crashed, no earlier than the
   crash.  Nothing polls: a crash no call meets is never
   logged, and changes nothing;
-* **checkpoints** — the first write to a watched process's declared
-  state (:meth:`~FailoverSupervisor.watch`) schedules one checkpoint
-  event on the simulation's virtual clock at the current instant; it
-  fires at the next advance, ahead of any fault that came due in it,
-  and snapshots every written, live process in UTS wire form (see
-  :mod:`repro.faults.checkpoint`), stamped with the instant of the
-  write.
+* **checkpoints** — the call that writes a watched process's declared
+  state (:meth:`~FailoverSupervisor.watch`) copies its conformed values
+  (:mod:`repro.faults.checkpoint`) when its procedure returns or raises,
+  stamped with that call's instant, and a restart does once it has
+  installed state: no clock event, and no encode until a restore.
 
 :meth:`~FailoverSupervisor.recover` then restarts the executable on a
 surviving machine — deterministically chosen: a same-site host if one
@@ -37,12 +35,12 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
 from ..machines.process import ProcessState
-from ..network.clock import ScheduledEvent, Timeline
+from ..network.clock import Timeline
 from ..schooner.errors import HostDown
-from ..schooner.lines import InstanceRecord, Line, _ProcessState
+from ..schooner.lines import InstanceRecord, Line
 from ..schooner.manager import Manager
 from .checkpoint import SHARED, CheckpointStore
 
@@ -71,12 +69,6 @@ class FailoverSupervisor:
     events: List[RecoveryEvent] = field(default_factory=list)
     dead_hosts: Set[str] = field(default_factory=set)
     recoveries: int = 0
-    # the declared states written since the last checkpoint: (database,
-    # id(state)) -> weak references to the records their process hosts
-    # in that database
-    _written: Dict[Tuple[str, int], Tuple[weakref.ref, ...]] = field(default_factory=dict)
-    # the pending checkpoint event
-    _checkpoint: Optional[ScheduledEvent] = None
 
     def __post_init__(self) -> None:
         # The Manager holds its supervisor, and a watched record or state
@@ -97,39 +89,26 @@ class FailoverSupervisor:
     def watch(self, database: str, records: Sequence[InstanceRecord]) -> None:
         """Hook the declared state of the process hosting ``records`` —
         every record it hosts in ``database`` (a line's id, or
-        :data:`SHARED`) — so its first write schedules a checkpoint under
-        that database.  Called by the Manager for every process it starts
-        or restarts, before any state is installed.  Builds no state:
-        each record hands the hook to the state it makes, which the first
-        call that needs it does."""
+        :data:`SHARED`) — so the call that writes it checkpoints it
+        under that database.  Called by the Manager for every process it
+        starts or restarts, before any state is installed.  Builds no
+        state: each record hands the hook to the state it makes, which
+        the first call that needs it does."""
         for record in records:
             if record.procedure.state_spec:
                 break
         else:
             return
-        hook = partial(self._state_written, database, tuple(map(weakref.ref, records)))
+        hook = partial(self._take, database, weakref.ref(records[0]))
         for record in records:
             record.state_hook = hook
 
-    def _state_written(self, database: str, records, state: _ProcessState) -> None:
-        self._written[database, id(state)] = records
-        if self._checkpoint is None:
-            clock = self.manager.env.clock
-            self._checkpoint = clock.schedule(clock.now, self._take_checkpoints)
-
-    def _take_checkpoints(self) -> None:
-        """Snapshot each written, live process, once per database that
-        binds it.  A checkpoint is stamped with the instant of the write
-        that scheduled it, not with the advance it fires in: the state
-        it holds is the state as of that write."""
-        at = self._checkpoint.at_s
-        self._checkpoint = None
-        written, self._written = self._written, {}
-        for (database, _), refs in written.items():
-            # a running process's records are all still bound
-            records = [ref() for ref in refs]
-            if records[0] is not None and records[0].process.state is ProcessState.RUNNING:
-                self.store.take(database, records, at)
+    def _take(self, database: str, ref: weakref.ref) -> None:
+        """Checkpoint the live process a call just wrote, stamped with
+        the instant of that call."""
+        record = ref()
+        if record is not None and record.process.state is ProcessState.RUNNING:
+            self.store.take(database, (record,), self.manager.env.clock._now)
 
     # -- failover ---------------------------------------------------------------
     def _pick_target(self, record: InstanceRecord):
@@ -190,7 +169,7 @@ class FailoverSupervisor:
         line_id = line.line_id if line.has_name(record.procedure.name) else SHARED
         checkpoint = self.store.latest(line_id, record.path)
         target = self._pick_target(record)
-        state = checkpoint.blobs if checkpoint is not None else ()
+        state = checkpoint.state if checkpoint is not None else ()
         new_records = self.manager.restart(
             line, record, target, record.path, state,
             source=self.manager.host, kind=f"restore:{record.path}", timeline=tl,

@@ -16,13 +16,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..machines.host import Machine
 from ..machines.process import VirtualProcess
 from ..network.clock import Timeline
-from ..uts.compiled import codec_for
-from ..uts.values import conformer_for
+from ..uts.types import UTSType
 from .errors import DuplicateName, LineTerminated, NameNotFound, StaleRebind, StateLost
 from .procedure import Procedure
 
@@ -36,38 +35,46 @@ class _ProcessState(dict):
     raises :class:`StateLost` rather than :class:`KeyError`, so a
     procedure that reads ``_state[var]`` fails typed, naming the host.
 
-    ``hook``, when set, is called with the state after every call of a
-    mutator: a failover supervisor's, on the processes it watches, so a
-    write is what schedules their next checkpoint.
+    Every mutator marks the state ``written``.  ``hook``, when set, is a
+    failover supervisor's, on the processes it watches: it takes their
+    checkpoint, when the call that wrote the state calls :meth:`checkpoint`.
 
     ``component`` is what the executable's compute procedure built from
     the declared state (a TESS ``Duct``, say), kept for its next call:
     every mutator clears it, so it is built once per write."""
 
-    __slots__ = ("host", "hook", "component")
+    __slots__ = ("host", "hook", "component", "written")
 
     def __init__(self, host: str):
         self.host = host
         self.hook = None
         self.component = None
+        self.written = False
 
     def __missing__(self, var):
         raise StateLost(f"declared state {var!r} is not installed on {self.host}")
 
+    def checkpoint(self) -> None:
+        """Call ``hook`` if a write marked the state since the last
+        checkpoint (a stateful ``serve`` stub, and ``Manager.restart``)."""
+        if self.written:
+            self.written = False
+            if self.hook is not None:
+                self.hook()
 
-def _hooked(write):
-    def hooked(self, *args, **kwargs):
+
+def _marks_written(write):
+    def marked(self, *args, **kwargs):
         self.component = None
         result = write(self, *args, **kwargs)
-        if self.hook is not None:
-            self.hook(self)
+        self.written = True
         return result
-    return hooked
+    return marked
 
 
 for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem",
               "setdefault", "update"):
-    setattr(_ProcessState, _name, _hooked(getattr(dict, _name)))
+    setattr(_ProcessState, _name, _marks_written(getattr(dict, _name)))
 
 
 @dataclass
@@ -87,7 +94,7 @@ class InstanceRecord:
     generation: int = 0  # bumped by every migration
     #: the ``hook`` the process's state gets when this record makes it
     #: (a failover supervisor's, set by its ``watch``)
-    state_hook: Optional[Callable[["_ProcessState"], None]] = field(
+    state_hook: Optional[Callable[[], None]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -201,31 +208,22 @@ def rebind_names(names: Dict[str, InstanceRecord], record: InstanceRecord, what:
         names[name] = record
 
 
-def state_types(records: Iterable[InstanceRecord]) -> Dict[str, object]:
-    """Union of the state specs of the procedures one process hosts
-    (they share its memory)."""
-    types: Dict[str, object] = {}
-    for r in records:
-        if r.procedure.state_spec:
-            types.update(r.procedure.state_spec)
-    return types
-
-
-def declared_state(records: Sequence[InstanceRecord]) -> Tuple[Tuple[str, bytes], ...]:
+def declared_state(records: Sequence[InstanceRecord]) -> Tuple[Tuple[str, UTSType, Any], ...]:
     """The declared state of the live process hosting ``records``, as
-    ``(var, UTS wire bytes)`` sorted by name: what a move ships and a
-    checkpoint keeps.  A declared variable not yet installed (its
-    ``set*`` has not run) is left out."""
-    types = state_types(records)
-    if not types:
+    ``(var, UTS type, conformed value)`` by its executable's
+    ``state_plan``: what a move ships and a checkpoint keeps.  A
+    variable not yet installed is left out; one that fails to conform is
+    refused, typed.  A conformed array or record is a fresh copy."""
+    record = records[0]
+    try:
+        storage = record.process.memory[record.path]
+    except KeyError:  # read, never made: a process no stateful call reached has none
         return ()
-    # read, never made: a process no stateful call reached has none
-    storage = records[0].process.memory.get(records[0].path, ())
-    return tuple(
-        (var, codec_for(t).encode(conformer_for(t)(storage[var])))
-        for var, t in sorted(types.items())
+    return tuple([
+        (var, t, conform(storage[var]))
+        for var, t, conform in record.process.payload.state_plan
         if var in storage
-    )
+    ])
 
 
 def new_instance_record(

@@ -23,13 +23,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..machines.host import Machine
 from ..network.clock import Timeline
 from ..network.topology import NetworkError
 from ..uts.compiled import codec_for
-from ..uts.types import Signature
+from ..uts.types import Signature, UTSType
 from .errors import (
     DuplicateName,
     InstanceGone,
@@ -45,7 +45,6 @@ from .lines import (
     declared_state,
     new_instance_record,
     rebind_names,
-    state_types,
 )
 from .procedure import Executable, Procedure
 from .runtime import SchoonerEnvironment, check_import_once
@@ -344,7 +343,7 @@ class Manager:
         return sorted(hosted or [(old, line)], key=lambda h: h[0].procedure.name)
 
     def restart(self, line: Line, old: InstanceRecord, target: Machine, path: str,
-                state: Tuple[Tuple[str, bytes], ...], source: Machine, kind: str,
+                state: Tuple[Tuple[str, UTSType, Any], ...], source: Machine, kind: str,
                 timeline: Timeline) -> Tuple[InstanceRecord, ...]:
         """The one way an instance comes back on a new process, for a
         move (``state`` is the live process's) and a failover (the
@@ -352,10 +351,10 @@ class Manager:
 
         Starts ``path`` on ``target``, rebuilds every record the old
         process hosted at generation + 1, ships ``state`` — ``(var, UTS
-        wire bytes)`` pairs — from ``source`` in one ``kind`` message,
-        installs the decoded values, and rebinds each record in the
-        database that held it.  Returns the new records by procedure
-        name."""
+        type, conformed value)`` triples, UTS-encoded here — from
+        ``source`` in one ``kind`` message, installs the decoded values,
+        checkpoints them, and rebinds each record in the database that
+        held it.  Returns the new records by procedure name."""
         hosted = self._hosted(line, old)
         proc = self.server_for(target).start_process(
             path, requester=self.host, timeline=timeline
@@ -375,9 +374,11 @@ class Manager:
             # the shared registry
             self.supervisor.watch(hosted[0][1].line_id, new_records)
         if state:
+            # encoded when shipped: the message carries the wire size
+            blobs = [(var, codec_for(t).encode(value)) for var, t, value in state]
             try:
                 self.env.transport.send(
-                    source, target, kind, None, sum(len(b) for _, b in state),
+                    source, target, kind, None, sum(len(b) for _, b in blobs),
                     timeline=timeline,
                 )
             except NetworkError:
@@ -385,11 +386,15 @@ class Manager:
                 if proc.alive:
                     target.kill(proc.pid)
                 raise
-            types = state_types(new_records)
+            # arriving state installs the conformed wire value, with no
+            # native round trip on ``target`` as an RPC argument gets
+            # (ROADMAP item 4(e); tests/faults/test_checkpoint.py pins it)
+            types = {var: t for var, t, _ in proc.payload.state_plan}
             storage = new_records[0].state_storage()
-            for var, blob in state:
+            for var, blob in blobs:
                 if var in types:
                     storage[var] = codec_for(types[var]).decode(blob)[0]
+            storage.checkpoint()
         # stale client caches self-correct on their next (failing) call
         # to the old location
         for (_, names), new in zip(hosted, new_records):

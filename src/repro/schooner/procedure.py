@@ -17,6 +17,7 @@ from ..machines.arch import Architecture
 from ..machines.fortran import Language, compiled_name, name_synonyms
 from ..uts.spec import SpecFile
 from ..uts.types import Signature, UTSType
+from ..uts.values import conformer_for
 from .errors import SchoonerError
 
 __all__ = ["Procedure", "Executable", "STATE_ARG", "TIMELINE_ARG"]
@@ -139,10 +140,16 @@ class Executable:
 
     name: str
     procedures: Tuple[Procedure, ...] = field(default_factory=tuple)
+    #: the take plan of the declared state, built once: ``(var, type,
+    #: conformer)`` for every ``state_spec`` variable, sorted by name
+    state_plan: Tuple[Tuple[str, UTSType, Callable[[Any], Any]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.procedures = tuple(self.procedures)
         seen = set()
+        types: Dict[str, UTSType] = {}
         for p in self.procedures:
             if p.name.lower() in seen and p.language is Language.FORTRAN:
                 raise SchoonerError(
@@ -150,6 +157,10 @@ class Executable:
                     f"{p.name!r} collide case-insensitively"
                 )
             seen.add(p.name.lower())
+            types.update(p.state_spec or ())
+        self.state_plan = tuple(
+            (var, t, conformer_for(t)) for var, t in sorted(types.items())
+        )
 
     def procedure_named(self, name: str) -> Procedure:
         for p in self.procedures:

@@ -46,6 +46,7 @@ from ..uts.types import (
 )
 from ..uts.values import INT64_MAX, INT64_MIN, conform_args, conformer_for
 from .errors import CallFailed, StaleBinding, StateLost
+from .lines import _ProcessState
 from .procedure import STATE_ARG, TIMELINE_ARG
 
 __all__ = ["CallStubs", "call_stubs"]
@@ -101,8 +102,8 @@ class CallStubs:
       apply the callee's native storage, refuse a host or process that
       died on the way (:class:`StaleBinding`), call the implementation
       (with ``_state``/``_timeline`` when it wants them; anything it
-      raises becomes :class:`CallFailed`); returns ``(raw result, the
-      received arguments)``.
+      raises becomes :class:`CallFailed`), then checkpoint the state it
+      wrote; returns ``(raw result, the received arguments)``.
     * ``reply(raw, recv)`` — shape and conform the results, apply the
       callee's native storage, pack; returns the reply body.
     * ``finish(body)`` — unpack the reply and apply the caller's native
@@ -170,6 +171,7 @@ class _Source:
             "_StaleBinding": StaleBinding,
             "_CallFailed": CallFailed,
             "_StateLost": StateLost,
+            "_ProcessState": _ProcessState,
             "_RUNNING": ProcessState.RUNNING,
             "_conform_args": conform_args,
             "_frexp": math.frexp,
@@ -380,6 +382,12 @@ def _compile_call(sig: Signature, caller_fmt: NativeFormat, callee_fmt: NativeFo
         src.emit(2, f"raise _StateLost({sig.name + ': '!r} + str(exc)) from None")
     src.emit(1, "except Exception as exc:")
     src.emit(2, "raise _CallFailed(_raised + repr(exc)) from exc")
+    if wants_state:
+        # the call that wrote the declared state checkpoints it, whether
+        # its procedure returned or raised (a plain mapping keeps none)
+        src.emit(1, "finally:")
+        src.emit(2, "if type(_state) is _ProcessState and _state.written:")
+        src.emit(3, "_state.checkpoint()")
     src.emit(1, "return raw, recv")
 
     # -- reply: shape, conform, callee-native storage, pack -----------------

@@ -80,9 +80,7 @@ class TestAcceptance:
         assert sorted(installed) == ["area", "cd"]
         assert dict(record.state_storage()) == installed
         checkpoint = ex.supervisor.store.latest(line.line_id, record.path)
-        types = record.procedure.state_spec
-        decoded = {var: codec_for(types[var]).decode(blob)[0] for var, blob in checkpoint.blobs}
-        assert decoded == installed
+        assert {var: value for var, _, value in checkpoint.state} == installed
 
     def test_traces_record_the_failover(self, machine_crash):
         ex = machine_crash["executive"]
@@ -118,7 +116,7 @@ class TestTwoCrashes:
         duct = ctx.import_proc(DUCT.import_named("duct"))
         crashed_at = []
         for _ in range(2):
-            env.clock.advance(0.01)  # one tick: the (restored) state is saved
+            env.clock.advance(0.01)  # the (restored) state was saved a tick ago
             dead = manager.lookup(ctx.line, "duct")
             dead.machine.crash_process(dead.process.pid)
             crashed_at.append(env.clock.now)
@@ -149,8 +147,9 @@ def fault_free_thrust():
 
 
 class TestSameAdvance:
-    """Checkpoints are clock events: a fault that comes due in the same
-    advance fires in instant order with them."""
+    """A checkpoint is taken inside the call that wrote the state, so a
+    fault that comes due in the advance after that call never precedes
+    it."""
 
     def test_no_host_is_declared_dead_before_it_crashed(self):
         # only the call that meets the dead host declares it dead
@@ -168,9 +167,8 @@ class TestSameAdvance:
         assert ex.solution.thrust_N == pytest.approx(fault_free_thrust, rel=1e-9, abs=0)
 
     def test_a_checkpoint_carries_the_instant_of_its_write(self):
-        # the checkpoint fires in the advance past 0.5165 s (at
-        # 0.517241 s), but holds the state setnozl wrote inside its
-        # call, before the crash
+        # setnozl took the checkpoint when it returned, inside its call
+        # and before the crash, which fires in the advance past 0.5165 s
         ex, _ = quick_run(CrashProcess(at_s=0.5165, hostname=DOOMED_HOST))
         (fo,) = [e for e in ex.supervisor.events if e.kind == "failover"]
         setnozl = next(t for t in ex.env.traces if t.procedure == "setnozl")

@@ -3,10 +3,12 @@
 Every run is supervised (the executive makes its supervisor with its
 Manager), so what a supervisor does while nothing fails is paid by
 every session: ``watch`` hooks the records of each process the Manager
-starts and builds no state; a write schedules one checkpoint, which
-snapshots only the states written since the last one, under the
-database that binds them (a line's id, or :data:`SHARED`).  Nothing
-polls: a host that dies is logged dead by the first call that meets it.
+starts and builds no state; the call that writes a declared state
+checkpoints it when its procedure returns or raises, as conformed
+values under the database that binds it (a line's id, or
+:data:`SHARED`), encoding nothing and scheduling no clock event.
+Nothing polls: a host that dies is logged dead by the first call that
+meets it.
 """
 
 import pytest
@@ -16,11 +18,19 @@ from repro.core.specs import DUCT_SPEC_SOURCE, SHAFT_SPEC_SOURCE
 from repro.faults import CrashMachine, FailoverSupervisor, FaultInjector, FaultPlan
 from repro.faults import checkpoint
 from repro.network.transport import MessageDropped
-from repro.schooner import Manager, ManagerMode, ModuleContext, SchoonerEnvironment
+from repro.machines import Language
+from repro.schooner import (
+    CallFailed,
+    Executable,
+    Manager,
+    ManagerMode,
+    ModuleContext,
+    Procedure,
+    SchoonerEnvironment,
+)
 from repro.schooner import manager as manager_module
 from repro.schooner.lines import declared_state
-from repro.uts import SpecFile, codec_for
-from repro.uts.types import DOUBLE
+from repro.uts import INTEGER, SpecFile, UTSTypeError, compiled
 
 DUCT = SpecFile.parse(DUCT_SPEC_SOURCE).as_imports()
 SHAFT = SpecFile.parse(SHAFT_SPEC_SOURCE).as_imports()
@@ -51,7 +61,27 @@ def duct_line(manager, host="lerc-cray"):
 
 def dpqp(cp):
     """A duct checkpoint's ``dpqp`` (stored as the Cray rounded it)."""
-    return pytest.approx(codec_for(DOUBLE).decode(dict(cp.blobs)["dpqp"])[0], rel=1e-12)
+    return pytest.approx(values(cp)["dpqp"], rel=1e-12)
+
+
+def values(cp):
+    return {var: value for var, _, value in cp.state}
+
+
+COUNTER = SpecFile.parse('export count prog("n" val integer, "done" res integer)')
+COUNTER_PATH = "/bin/count"
+
+
+def counter_line(env, manager, impl):
+    """A line bound to a ``count`` procedure on the Cray that declares
+    one integer of state, ``count``, and runs ``impl``."""
+    env.park["lerc-cray"].install(COUNTER_PATH, Executable("count", (Procedure(
+        name="count", signature=COUNTER.export_named("count"), impl=impl,
+        language=Language.C, stateless=False, state_spec={"count": INTEGER},
+    ),)))
+    ctx = context(manager, "counter")
+    ctx.sch_contact_schx("lerc-cray", COUNTER_PATH)
+    return ctx
 
 
 class TestWatchBuildsNoState:
@@ -81,42 +111,90 @@ class TestWatchBuildsNoState:
 
 
 class TestCheckpointsVisitWrittenStates:
-    def test_only_the_states_written_since_the_last_checkpoint_are_taken(self, world):
+    def test_only_the_states_a_call_wrote_are_taken(self, world):
         env, manager, supervisor = world
         duct = duct_line(manager)
         shaft = context(manager, "shaft")
         shaft.sch_contact_schx("lerc-rs6000", REMOTE_PATHS["shaft"])
         duct.import_proc(DUCT.import_named("setduct"))(dpqp=0.02)
-        env.clock.advance(0.01)
+        # taken by the call that wrote it, not by a later clock advance
         store = supervisor.store
         first = store.latest(duct.line.line_id, DUCT_PATH)
         assert store.taken == 1 and dpqp(first) == 0.02
+        (call,) = [t for t in env.traces if t.procedure == "setduct"]
+        assert call.started_at < first.taken_at < env.clock.now
         assert store.latest(shaft.line.line_id, REMOTE_PATHS["shaft"]) is None
         shaft.import_proc(SHAFT.import_named("setshaft"))(
             inertia=2.2, omegad=10000.0, mecheff=0.99
         )
-        env.clock.advance(0.01)
         # the shaft's write took the shaft alone: the duct's is untouched
         assert store.taken == 2
         assert store.latest(duct.line.line_id, DUCT_PATH) is first
         taken = store.latest(shaft.line.line_id, REMOTE_PATHS["shaft"])
-        assert [var for var, _ in taken.blobs] == ["inertia", "mecheff", "omegad"]
+        assert [var for var, _, _ in taken.state] == ["inertia", "mecheff", "omegad"]
+        # a call that only reads takes nothing
+        duct.import_proc(DUCT.import_named("duct"))(**DUCT_ARGS)
+        env.clock.advance(0.01)
+        assert store.taken == 2
 
-    def test_a_state_whose_process_died_before_the_checkpoint_is_not_taken(self, world):
+    def test_a_write_outside_any_call_is_taken_by_the_next_call_or_never(self, world):
         env, manager, supervisor = world
         ctx = duct_line(manager)
         ctx.import_proc(DUCT.import_named("setduct"))(dpqp=0.02)
-        env.clock.advance(0.01)
         saved = supervisor.store.latest(ctx.line.line_id, DUCT_PATH)
         assert supervisor.store.taken == 1
-        # a write with no call around it: nothing advances the clock
-        # until the process is dead
-        dead = manager.lookup(ctx.line, "duct")
-        dead.process.memory[DUCT_PATH]["dpqp"] = 0.05
-        dead.machine.crash_process(dead.process.pid)
-        env.clock.advance(0.01)  # the checkpoint fires over a dead process
+        # a write with no call around it marks the state, and the next
+        # call on the live process takes it
+        live = manager.lookup(ctx.line, "duct")
+        live.process.memory[DUCT_PATH]["dpqp"] = 0.03
         assert supervisor.store.taken == 1
+        ctx.import_proc(DUCT.import_named("duct"))(**DUCT_ARGS)
+        assert supervisor.store.taken == 2
+        saved = supervisor.store.latest(ctx.line.line_id, DUCT_PATH)
+        assert dpqp(saved) == 0.03
+        # one whose process then dies is never taken
+        live.process.memory[DUCT_PATH]["dpqp"] = 0.05
+        live.machine.crash_process(live.process.pid)
+        env.clock.advance(0.01)
+        assert supervisor.store.taken == 2
         assert supervisor.store.latest(ctx.line.line_id, DUCT_PATH) is saved
+
+    def test_a_call_that_writes_and_then_raises_leaves_its_checkpoint(self, world):
+        env, manager, supervisor = world
+        ctx = counter_line(env, manager, lambda n, _state: (
+            _state.update(count=n), 1 // 0))
+        line_id = ctx.line.line_id  # the error ends the line
+        with pytest.raises(CallFailed, match="ZeroDivisionError"):
+            ctx.import_proc(COUNTER.as_imports(), name="count")(n=7)
+        checkpoint = supervisor.store.latest(line_id, COUNTER_PATH)
+        assert supervisor.store.taken == 1 and values(checkpoint) == {"count": 7}
+
+    def test_a_value_that_fails_to_conform_is_refused_by_the_call_that_wrote_it(self, world):
+        env, manager, supervisor = world
+
+        def count(n, _state):
+            _state["count"] = "seven" if n == 7 else n
+            return n
+
+        ctx = counter_line(env, manager, count)
+        line_id = ctx.line.line_id
+        stub = ctx.import_proc(COUNTER.as_imports(), name="count")
+        assert stub(n=1) == {"done": 1}
+        with pytest.raises(UTSTypeError, match="expected integer, got str"):
+            stub(n=7)
+        # the refused state is not kept: the store holds the last good one
+        checkpoint = supervisor.store.latest(line_id, COUNTER_PATH)
+        assert supervisor.store.taken == 1 and values(checkpoint) == {"count": 1}
+
+    def test_taking_a_checkpoint_encodes_nothing(self, world, monkeypatch):
+        env, manager, supervisor = world
+        ctx = duct_line(manager)
+        encodes = []
+        encode = compiled.CompiledCodec.encode
+        monkeypatch.setattr(compiled.CompiledCodec, "encode",
+                            lambda codec, value: encodes.append(codec) or encode(codec, value))
+        ctx.import_proc(DUCT.import_named("setduct"))(dpqp=0.02)
+        assert supervisor.store.taken == 1 and encodes == []
 
     def test_the_shared_database_is_the_registrys(self):
         # a checkpoint taken under the id the Manager watches a shared
@@ -136,7 +214,6 @@ def test_a_restarted_process_checkpoints_under_the_same_database(world, shared):
         ctx.sch_contact_schx("lerc-cray", DUCT_PATH)
         database, other = ctx.line.line_id, checkpoint.SHARED
     ctx.import_proc(DUCT.import_named("setduct"))(dpqp=0.02)
-    env.clock.advance(0.01)
     dead = manager.lookup(ctx.line, "duct")
     dead.machine.crash_process(dead.process.pid)
     out = ctx.import_proc(DUCT.import_named("duct"))(**DUCT_ARGS)
@@ -145,7 +222,6 @@ def test_a_restarted_process_checkpoints_under_the_same_database(world, shared):
     assert restarted.process is not dead.process and restarted.generation == 1
     # the restarted process is watched under the database that binds it
     ctx.import_proc(DUCT.import_named("setduct"))(dpqp=0.03)
-    env.clock.advance(0.01)
     assert dpqp(supervisor.store.latest(database, DUCT_PATH)) == 0.03
     assert supervisor.store.latest(other, DUCT_PATH) is None
 
@@ -178,7 +254,6 @@ class TestDetectionByCall:
         env, manager, _ = world
         ctx = duct_line(manager)
         ctx.import_proc(DUCT.import_named("setduct"))(dpqp=0.02)
-        env.clock.advance(0.01)  # the written state is saved
         env.park["lerc-cray"].crash()
         env.transport.fault_filter = lambda src, dst, kind, total, now: (
             kind.startswith("restore:"), 0.0)
@@ -197,7 +272,6 @@ class TestDetectionByCall:
         manager.start_shared(cray, DUCT_PATH)
         setter, caller = context(manager, "a"), context(manager, "b")
         setter.import_proc(DUCT.import_named("setduct"))(dpqp=0.02)
-        env.clock.advance(0.01)  # the written state is saved
         cray.crash()
         env.clock.advance(2.0)  # no call is made: nothing notices
         assert supervisor.events == [] and supervisor.dead_hosts == set()

@@ -4,9 +4,10 @@ triggers work.
 The headline property: on randomized schedules of inserts, cancels, and
 time advances, the heapq-based queue fires events in *exactly* the order
 the previous sorted-list implementation did — ``(at_s, scheduling
-order)``, one-shot.  The failover supervisor's checkpoints are such
-events too, ordered with a fault plan's by instant, and an advance with
-nothing due dispatches nothing.
+order)``, one-shot.  A fault plan's events are such events; the
+failover supervisor's checkpoints are not (the call that wrote the
+state takes them), so a fault-free serve schedules none, and an
+advance with nothing due dispatches nothing.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import CheckpointStore
 from repro.network import ScheduledEvent, VirtualClock
 from repro.serve import SessionSpec, serve_sessions
 
@@ -146,32 +148,36 @@ def test_callback_may_schedule_followup_events():
     assert fired == ["first", "chained"]
 
 
-def test_a_fault_free_serve_dispatches_only_checkpoints(monkeypatch):
-    """Nothing polls: a fault-free session's only clock events are the
-    checkpoints its declared-state writes schedule, and an advance
-    reaches the dispatch loop only when one is due."""
-    fired = []
-    per_dispatch = []
+def test_a_fault_free_serve_schedules_no_clock_event_at_all(monkeypatch):
+    """Nothing polls, and a checkpoint is taken by the call that wrote
+    the state: a fault-free session schedules no clock event, so no
+    advance reaches the dispatch loop."""
+    scheduled = []
+    dispatches = []
+    taken = []
     schedule, notify = VirtualClock.schedule, VirtualClock._notify
+    take = CheckpointStore.take
+
+    def counted_take(self, *args):
+        taken.append(args)
+        take(self, *args)
 
     def counted_schedule(self, at_s, callback):
-        def counted():
-            fired.append(callback.__name__)
-            callback()
-        return schedule(self, at_s, counted)
+        scheduled.append(callback)
+        return schedule(self, at_s, callback)
 
     def counted_notify(self):
-        before = len(fired)
+        dispatches.append(self)
         notify(self)
-        per_dispatch.append(len(fired) - before)
 
     monkeypatch.setattr(VirtualClock, "schedule", counted_schedule)
     monkeypatch.setattr(VirtualClock, "_notify", counted_notify)
+    monkeypatch.setattr(CheckpointStore, "take", counted_take)
     specs = [SessionSpec(name=f"s{i}", points=(1.28 + 0.02 * i,)) for i in range(2)]
     report = serve_sessions(specs)
     assert all(r.status == "completed" for r in report.results)
-    assert fired and set(fired) == {"_take_checkpoints"}
-    assert per_dispatch and min(per_dispatch) >= 1
+    assert scheduled == [] and dispatches == []
+    assert taken  # each session's set* calls checkpointed their state
 
 
 def test_heap_invariant_holds_under_interleaved_schedule_and_fire():

@@ -92,8 +92,7 @@ class TestSharedInstances:
         manager.start_shared(env.park["lerc-cray"], REMOTE_PATHS["duct"])
         setter, caller = context(manager, "a"), context(manager, "b")
         setter.import_proc(DUCT.import_named("setduct"))(dpqp=0.02)
-        env.clock.advance(0.01)  # one tick: the changed state is saved
-        assert supervisor.store.taken == 1
+        assert supervisor.store.taken == 1  # taken by the call that wrote it
         env.clock.advance(2.0)  # unchanged: no further checkpoint
         assert supervisor.store.taken == 1
         dead = manager.lookup(caller.line, "duct")
@@ -107,22 +106,36 @@ class TestSharedInstances:
 
 
 class TestStateWrites:
-    def test_every_mutator_counts_a_write(self):
+    MUTATORS = (
+        lambda s: s.__setitem__("a", 1),
+        lambda s: s.update(b=2),
+        lambda s: s.setdefault("c", 3),
+        lambda s: s.__ior__({"d": 4}),
+        lambda s: s.__delitem__("d"),
+        lambda s: s.pop("c"),
+        lambda s: s.popitem(),
+        lambda s: s.clear(),
+    )
+
+    def test_every_mutator_marks_a_write_and_reads_mark_none(self):
         state = _ProcessState("cray")
-        written = []
-        state.hook = written.append
+        taken = []
+        state.hook = lambda: taken.append(dict(state))
+        for write in self.MUTATORS:
+            state.component = "built"
+            write(state)
+            assert state.written and state.component is None
+            state.checkpoint()
+            assert not state.written
+        assert len(taken) == len(self.MUTATORS) and state == {}
         state["a"] = 1
-        state.update(b=2)
-        state.setdefault("c", 3)
-        state |= {"d": 4}
-        del state["d"]
-        state.pop("c")
-        state.popitem()
-        state.clear()
-        assert written == [state] * 8
-        assert state == {}
-        assert state.get("a") is None and "a" not in state
-        assert len(written) == 8  # reads count nothing
+        state.checkpoint()
+        assert state.get("a") == 1 and "a" in state and list(state) == ["a"]
+        with pytest.raises(StateLost):
+            state["missing"]
+        assert not state.written
+        state.checkpoint()  # nothing written since the last checkpoint
+        assert taken[-1] == {"a": 1} and len(taken) == len(self.MUTATORS) + 1
 
 
 class TestStateLost:

@@ -108,9 +108,10 @@ GONE_NAMES = {
                                "render_c_header", "render_fortran_interface"),
     "repro.traffic": ("LognormalArrivals", "TraceArrivals"),
     "repro.traffic.arrivals": ("LognormalArrivals", "TraceArrivals"),
-    # checkpoints encode with the one snapshot encoder
-    # (repro.schooner.lines.declared_state)
+    # checkpoints take the one snapshot (repro.schooner.lines.declared_state)
+    # through the executable's take plan
     "repro.faults.checkpoint": ("_state_types",),
+    "repro.schooner.lines": ("state_types",),
     # the circuit breakers: no run was refused by one or opened one
     "repro.schooner.errors": ("BreakerOpen",),
     "repro.resilience": ("BreakerPolicy", "CircuitBreaker", "BreakerBoard"),
@@ -185,7 +186,8 @@ GONE_ATTRIBUTES = {
     # supervisor, so nothing counts one; restoring is the restart's
     ("repro.schooner.runtime", "SchoonerEnvironment"): ("unplanned_restarts", "breakers"),
     ("repro.faults.checkpoint", "CheckpointStore"): ("restore",),
-    ("repro.faults.checkpoint", "Checkpoint"): ("nbytes",),
+    # a checkpoint keeps conformed values; the restore encodes them
+    ("repro.faults.checkpoint", "Checkpoint"): ("nbytes", "blobs"),
     ("repro.faults", "FailoverSupervisor"): (
         "__enter__", "__exit__",
         # checkpoints follow declared-state writes, heartbeats a constant
@@ -198,6 +200,8 @@ GONE_ATTRIBUTES = {
         # no sweeps: a dead host is detected by the call that meets it,
         # and a checkpoint visits only the states written since the last
         "_heartbeat", "_heartbeat_due", "_heartbeat_sweep", "_databases",
+        # the call that wrote a state checkpoints it: no clock event
+        "_state_written", "_take_checkpoints", "_written", "_checkpoint",
     ),
     # single-valued: no stock mix, CLI path or workload set them
     ("repro.traffic", "TrafficClass"): ("resilient", "op_cache"),
