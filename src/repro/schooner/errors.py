@@ -130,9 +130,9 @@ class ManagerError(SchoonerError):
 
 
 class HostDown(ManagerError):
-    """A Manager/Server protocol message could not be delivered because
-    the target machine is down (a lost control message), or no
-    surviving machine can take a failed-over instance."""
+    """A Manager/Server protocol message (``contact`` or the start
+    exchange) was lost past the retry ladder, or no surviving machine
+    can take a failed-over instance."""
 
 
 class MigrationError(SchoonerError):

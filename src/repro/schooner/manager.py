@@ -27,11 +27,12 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..machines.host import Machine
 from ..network.clock import Timeline
-from ..network.topology import NetworkError
+from ..network.transport import MessageDropped
 from ..uts.compiled import codec_for
 from ..uts.types import Signature, UTSType
 from .errors import (
     DuplicateName,
+    HostDown,
     InstanceGone,
     ManagerError,
     MigrationError,
@@ -47,7 +48,7 @@ from .lines import (
     rebind_names,
 )
 from .procedure import Executable, Procedure
-from .runtime import SchoonerEnvironment, check_import_once
+from .runtime import SchoonerEnvironment, check_import_once, control_exchange
 from .server import SchoonerServer
 
 __all__ = ["Manager", "ManagerMode", "SharedRegistry"]
@@ -147,14 +148,9 @@ class Manager:
         line_id = f"{line_name}#{next(self._line_counter)}"
         timeline = self.env.clock.timeline(line_id)
         # registration message: module -> Manager
-        self.env.transport.send(
-            caller_machine,
-            self.host,
-            "contact",
-            line_id,
-            self.env.costs.control_message_bytes,
-            timeline=timeline,
-        )
+        control_exchange(self.env, timeline, HostDown, self.env.transport.send,
+                         caller_machine, self.host, "contact", line_id,
+                         self.env.costs.control_message_bytes, timeline)
         line = Line(line_id=line_id, timeline=timeline)
         self._lines[line_id] = line
         return line
@@ -175,7 +171,8 @@ class Manager:
         self.require_running()
         line.require_active()
         server = self.server_for(machine)
-        proc = server.start_process(path, requester=self.host, timeline=line.timeline)
+        proc = control_exchange(self.env, line.timeline, HostDown,
+                                server.start_process, path, self.host, line.timeline)
         executable: Executable = proc.payload
         records = []
         if self.mode is ManagerMode.SINGLE_PROGRAM:
@@ -205,7 +202,8 @@ class Manager:
         if self.mode is not ManagerMode.LINES:
             raise ManagerError("shared procedures require the lines model")
         server = self.server_for(machine)
-        proc = server.start_process(path, requester=self.host)
+        proc = control_exchange(self.env, None, HostDown,
+                                server.start_process, path, self.host)
         executable: Executable = proc.payload
         records = []
         for p in executable.procedures:
@@ -330,7 +328,7 @@ class Manager:
                 line, old, target_machine, target_path or old.path, state,
                 source=old.machine, kind=f"state:{name}", timeline=line.timeline,
             )
-        except ManagerError as exc:
+        except (ManagerError, MessageDropped) as exc:
             raise MigrationError(f"cannot start {name!r} on {target_machine.hostname}: {exc}") from exc
         return new_records[[rec.instance_id for rec, _ in hosted].index(old.instance_id)]
 
@@ -354,11 +352,13 @@ class Manager:
         type, conformed value)`` triples, UTS-encoded here — from
         ``source`` in one ``kind`` message, installs the decoded values,
         checkpoints them, and rebinds each record in the database that
-        held it.  Returns the new records by procedure name."""
+        held it.  Returns the new records by procedure name.  A state
+        message lost past the retry ladder reaps the new process and
+        raises :class:`MessageDropped`."""
         hosted = self._hosted(line, old)
-        proc = self.server_for(target).start_process(
-            path, requester=self.host, timeline=timeline
-        )
+        server = self.server_for(target)
+        proc = control_exchange(self.env, timeline, HostDown,
+                                server.start_process, path, self.host, timeline)
         new_records = []
         for rec, _ in hosted:
             try:
@@ -374,14 +374,12 @@ class Manager:
             # the shared registry
             self.supervisor.watch(hosted[0][1].line_id, new_records)
         if state:
-            # encoded when shipped: the message carries the wire size
+            # encoded once, when shipped: every attempt carries the wire size
             blobs = [(var, codec_for(t).encode(value)) for var, t, value in state]
             try:
-                self.env.transport.send(
-                    source, target, kind, None, sum(len(b) for _, b in blobs),
-                    timeline=timeline,
-                )
-            except NetworkError:
+                control_exchange(self.env, timeline, MessageDropped, self.env.transport.send,
+                                 source, target, kind, None, sum(len(b) for _, b in blobs), timeline)
+            except MessageDropped:
                 # the state never arrived: reap the process it was for
                 if proc.alive:
                     target.kill(proc.pid)

@@ -54,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CostModel",
     "RetryPolicy",
+    "control_exchange",
     "CallTrace",
     "CallerContext",
     "CallFuture",
@@ -85,7 +86,8 @@ class CostModel:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Retry-with-exponential-backoff for timed-out calls.
+    """Retry-with-exponential-backoff for timed-out calls and, through
+    :func:`control_exchange`, lost control messages.
 
     Only *stateless* procedures are retried unconditionally; stateful
     procedures are retried only when the timeout is known to have struck
@@ -108,19 +110,38 @@ class RetryPolicy:
         deadline: Optional[Deadline] = None,
         attempt_cost_s: float = 0.0,
     ) -> bool:
-        """Whether retry number ``attempt`` may be spent.
-
-        Without a deadline this is the policy's own clock
-        (``max_attempts``).  *With* a deadline the remaining virtual-time
-        budget governs instead: a retry is allowed only while the budget
+        """Whether retry number ``attempt`` may be spent: under
+        ``max_attempts`` without a deadline; with one, while its budget
         still covers the backoff plus one worst-case attempt
-        (``attempt_cost_s``, typically the call timeout) — so a caller
-        with 10s of budget left keeps trying past ``max_attempts``,
-        while a caller with 0.1s left fails fast rather than burning
-        backoff it cannot afford."""
+        (``attempt_cost_s``, the timeout), past ``max_attempts`` or
+        short of it, so no backoff is burnt that cannot be afforded."""
         if deadline is None:
             return attempt < self.max_attempts
         return deadline.remaining(now) > self.backoff_s(attempt) + attempt_cost_s
+
+
+def control_exchange(env: "SchoonerEnvironment", timeline: Optional[Timeline],
+                     fail: Callable[[NetworkError], Exception],
+                     exchange: Callable[..., Any], *args: Any) -> Any:
+    """The control ladder: run ``exchange(*args)``, a control message
+    or request/reply its sender waits on, under ``env.retry`` and the
+    session's ``env.deadline`` as a call's retries are.  Every
+    :class:`NetworkError` (a cut route too) is a loss that costs
+    ``call_timeout_s`` and then the backoff on ``timeline`` (the clock
+    without one) before the whole exchange is tried again; past the
+    ladder it raises ``fail(loss)``, the site's typed error."""
+    charge = env.clock if timeline is None else timeline
+    attempt = 1
+    while True:
+        try:
+            return exchange(*args)
+        except NetworkError as exc:
+            loss = exc
+        charge.advance(env.costs.call_timeout_s)
+        if not env.retry.may_retry(attempt, charge.now, env.deadline, env.costs.call_timeout_s):
+            raise fail(loss) from loss
+        charge.advance(env.retry.backoff_s(attempt))
+        attempt += 1
 
 
 @dataclass(slots=True)

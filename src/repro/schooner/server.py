@@ -14,8 +14,7 @@ from ..machines.host import Machine, MachineError
 from ..machines.process import VirtualProcess
 from ..network.clock import Timeline
 from ..network.topology import NetworkError
-from ..network.transport import MessageDropped
-from .errors import HostDown, ManagerError
+from .errors import ManagerError
 from .procedure import Executable
 from .runtime import SchoonerEnvironment
 
@@ -32,73 +31,47 @@ class SchoonerServer:
     def start_process(
         self, path: str, requester: Machine, timeline: Optional[Timeline] = None
     ) -> VirtualProcess:
-        """Spawn the executable at ``path``; charge the startup protocol.
-
-        The cost is one control message from the requesting Manager, the
-        fork/exec time on this machine, and the acknowledgement back.
-        """
+        """One attempt at the startup protocol: the control message from
+        the requesting Manager, the fork/exec here, the ack back.  The
+        Manager retries it under the control ladder; a start lost past
+        the retry ladder is :class:`HostDown`.  A lost ``start-ack``
+        reaps the process it named, so a retry leaves no second one."""
         costs = self.env.costs
-        try:
-            self.env.transport.send(
-                requester,
-                self.machine,
-                "start-request",
-                path,
-                costs.control_message_bytes,
-                timeline=timeline,
-            )
-        except MessageDropped as exc:
-            raise HostDown(
-                f"server on {self.machine.hostname} unreachable: {exc}"
-            ) from exc
+        send = self.env.transport.send
+        send(requester, self.machine, "start-request", path, costs.control_message_bytes, timeline)
         try:
             proc = self.machine.spawn(path)
         except MachineError as exc:
             raise ManagerError(f"server on {self.machine.hostname}: {exc}") from exc
-        payload = proc.payload
-        if not isinstance(payload, Executable):
-            raise ManagerError(
-                f"{path!r} on {self.machine.hostname} is not a Schooner executable"
-            )
-        if timeline is None:
-            self.env.clock.advance(costs.spawn_seconds)
-        else:
-            timeline.advance(costs.spawn_seconds)
-        try:
-            self.env.transport.send(
-                self.machine,
-                requester,
-                "start-ack",
-                proc.address,
-                costs.control_message_bytes,
-                timeline=timeline,
-            )
-        except MessageDropped as exc:
-            # the Manager never learns the address; reap the orphan
+        if not isinstance(proc.payload, Executable):
             self.machine.kill(proc.pid)
-            raise HostDown(
-                f"start-ack from {self.machine.hostname} lost: {exc}"
-            ) from exc
+            raise ManagerError(f"{path!r} on {self.machine.hostname} is not a Schooner executable")
+        (self.env.clock if timeline is None else timeline).advance(costs.spawn_seconds)
+        try:
+            send(self.machine, requester, "start-ack", proc.address,
+                 costs.control_message_bytes, timeline)
+        except NetworkError:
+            # the Manager never learns the address; reap the orphan
+            if proc.alive:
+                self.machine.kill(proc.pid)
+            raise
         return proc
 
     def stop_process(
         self, proc: VirtualProcess, requester: Machine, timeline: Optional[Timeline] = None
     ) -> None:
-        """Deliver a shutdown message to a process (idempotent).
+        """Deliver a shutdown message to a process (idempotent): one send,
+        not the control ladder, since nothing waits for its ack.
 
         An unreachable host is tolerated, whether the message is lost or
         a partition leaves no route: a process that cannot hear the
         shutdown is either already gone with its machine or will be
         reaped when the machine is, so losing the message changes
-        nothing the Manager cares about."""
+        nothing the Manager cares about, and it charges no wait."""
         try:
             self.env.transport.send(
-                requester,
-                self.machine,
-                "shutdown",
-                proc.address,
-                self.env.costs.control_message_bytes,
-                timeline=timeline,
+                requester, self.machine, "shutdown", proc.address,
+                self.env.costs.control_message_bytes, timeline,
             )
         except NetworkError:
             pass

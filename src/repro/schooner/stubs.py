@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from ..machines.host import Machine
 from ..machines.process import ProcessState
 from ..network.clock import Timeline
-from ..network.topology import NetworkError
 from ..uts.types import Signature
 from .errors import CallFailed, CallTimeout, DeadlineExceeded, StaleBinding
 from .lines import InstanceRecord, Line
@@ -30,6 +29,7 @@ from .runtime import (
     CallerContext,
     CallFuture,
     CallTrace,
+    control_exchange,
     execute_call,
     plan_for,
 )
@@ -65,51 +65,30 @@ class ClientStub:
     # called: the plan is reused while the three are the same objects
     _bound: Optional[tuple] = field(default=None, repr=False)
 
-    @property
-    def name(self) -> str:
-        return self.import_sig.name
-
     def _resolve(self, timeline: Optional[Timeline] = None) -> InstanceRecord:
         """Ask the Manager for the procedure's location (one control
         round trip), type-checking the import against the export.
 
-        The lookup exchange itself rides the faulty network, so it is
-        retried under the environment's :class:`RetryPolicy`; a dead
-        binding is handed to the attached failover supervisor (if any)
-        for recovery before being returned.
-        """
-        env = self.manager.env
-        policy = env.retry
+        The lookup exchange rides the faulty network under the control
+        ladder (:func:`control_exchange`); a dead binding is handed to
+        the attached failover supervisor (if any) for recovery before
+        being returned."""
+        manager = self.manager
+        env = manager.env
+        name = self.import_sig.name
         timeline = timeline if timeline is not None else self.line.timeline
-        attempt = 1
-        while True:
-            try:
-                env.transport.round_trip(
-                    self.caller_machine,
-                    self.manager.host,
-                    "lookup",
-                    self.name,
-                    env.costs.control_message_bytes,
-                    None,
-                    env.costs.control_message_bytes,
-                    timeline=timeline,
-                )
-                break
-            except NetworkError as exc:
-                timeline.advance(env.costs.call_timeout_s)
-                if attempt >= policy.max_attempts:
-                    raise CallTimeout(
-                        f"{self.name}: cannot reach the Manager on "
-                        f"{self.manager.host.hostname} ({exc})"
-                    ) from exc
-                timeline.advance(policy.backoff_s(attempt))
-                attempt += 1
+        nbytes = env.costs.control_message_bytes
+        control_exchange(
+            env, timeline,
+            lambda loss: CallTimeout(f"{name}: cannot reach the Manager on {manager.host.hostname} ({loss})"),
+            env.transport.round_trip, self.caller_machine, manager.host, "lookup", name,
+            nbytes, None, nbytes, timeline)
         self.lookups += 1
-        record = self.manager.lookup(self.line, self.name, self.import_sig)
-        supervisor = self.manager.supervisor
+        record = manager.lookup(self.line, name, self.import_sig)
+        supervisor = manager.supervisor
         if not record.alive and supervisor is not None:
             supervisor.recover(self.line, record, timeline=timeline)
-            record = self.manager.lookup(self.line, self.name, self.import_sig)
+            record = manager.lookup(self.line, name, self.import_sig)
             self._recovered = True
         self._cache = record
         return record
@@ -205,13 +184,7 @@ class ClientStub:
         """The retry/refresh engine behind both dispatch modes, charging
         all virtual time (calls, backoffs, re-lookups) to ``timeline``."""
         env = self.manager.env
-        record = self._cache
-        if record is None:
-            record = self._resolve(timeline)
         retries = 0
-        failed_over, self._recovered = self._recovered, False
-        if failed_over:
-            self.failovers += 1
         policy = env.retry
         # the deadline in force: the caller context's, falling back to
         # the environment-wide one (a serving session's per-session
@@ -223,6 +196,13 @@ class ClientStub:
             deadline = env.deadline
         budget = env.retry_budget
         try:
+            # a first lookup lost past its ladder is a line error too
+            record = self._cache
+            if record is None:
+                record = self._resolve(timeline)
+            failed_over, self._recovered = self._recovered, False
+            if failed_over:
+                self.failovers += 1
             attempt = 1
             while True:
                 try:
@@ -284,7 +264,7 @@ class ClientStub:
                             # the remaining budget, not max_attempts,
                             # said stop: surface that distinctly
                             raise DeadlineExceeded(
-                                f"{self.name}: "
+                                f"{self.import_sig.name}: "
                                 f"{deadline.remaining(timeline.now):.3f}s of "
                                 f"deadline budget cannot cover another retry "
                                 f"(backoff {policy.backoff_s(attempt):.3f}s + "
@@ -325,6 +305,6 @@ class ClientStub:
         returned = self.import_sig.returned_params
         if len(returned) != 1:
             raise ValueError(
-                f"{self.name} has {len(returned)} result parameters; use __call__"
+                f"{self.import_sig.name} has {len(returned)} result parameters; use __call__"
             )
         return self(**args)[returned[0].name]

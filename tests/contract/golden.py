@@ -215,6 +215,7 @@ def _chaos_rows() -> List[dict]:
             "shard_crashes": [row["crashes"] for row in rep.shard_rows or ()],
             "replay_identical": soak.replay_identical,
             "solo_checked": soak.solo_checked,
+            "solo_points_checked": soak.solo_points_checked,
         })
     return rows
 

@@ -2,8 +2,9 @@
 
 The three stock fixed-seed configs must hold every invariant: full
 accounting (completed/degraded/shed, nothing undeclared), no leaked
-worker threads, byte-identical replay on a fresh installation, and solo
-equivalence for everything that claims ``completed``."""
+worker threads, byte-identical replay on a fresh installation, solo
+equivalence for everything that claims ``completed``, and every point a
+session delivered within 1e-12 relative of the solo run's."""
 
 import dataclasses
 
@@ -156,3 +157,45 @@ def test_a_soak_that_solo_checked_nothing_fails(monkeypatch):
     assert soak.violations == ["solo equivalence checked no session: none completed"]
     (head,) = [r for r in soak.records() if r["record"] == "soak"]
     assert head["ok"] is False
+
+
+def test_every_point_a_crash_heavy_session_delivered_is_solo_checked():
+    """Degraded sessions' points and transients are compared with the
+    solo run too, not only the completed session's."""
+    soak = run_soak(STOCK_CONFIGS["crash-heavy"])
+    delivered = sum(
+        len(r.results) + (r.transient is not None) for r in soak.report.results
+    )
+    assert soak.solo_checked == 1 and delivered > len(soak.report.results)
+    assert soak.solo_points_checked == delivered
+    (head,) = [r for r in soak.records() if r["record"] == "soak"]
+    assert head["solo_points_checked"] == delivered
+
+
+@pytest.mark.parametrize("rel, violations", [(8.0e-14, 0), (1.0e-10, 1)])
+def test_a_degraded_point_is_held_to_the_crash_matrix_bound(monkeypatch, rel, violations):
+    """A degraded session's delivered thrust off the solo run's by
+    ``rel``: within 1e-12 (a failover off the Cray rounds that far) it
+    passes, beyond it the soak reports the point."""
+    config = SoakConfig(name="one-off", sessions=2, faulty_fraction=0.0)
+
+    def perturbed(cfg, specs):
+        report = serve_sessions(specs, installation=SharedInstallation.standard())
+        first, *rest = report.results
+        points = [dict(p) for p in first.results]
+        points[-1]["thrust_N"] *= 1.0 + rel
+        points[-1]["virtual_s"] += 1.0  # when, not what: never compared
+        report.results = [
+            dataclasses.replace(first, status="degraded", results=points), *rest
+        ]
+        return report
+
+    monkeypatch.setattr(soak_module, "_serve", perturbed)
+    soak = run_soak(config)
+    assert soak.solo_points_checked == sum(
+        len(r.results) + (r.transient is not None) for r in soak.report.results
+    )
+    assert len(soak.violations) == violations
+    if violations:
+        (message,) = soak.violations
+        assert message.startswith("one-off-0: delivered result") and "1e-12" in message

@@ -164,6 +164,8 @@ GONE_ATTRIBUTES = {
     ("repro.schooner.runtime", "CallBatch"): ("finished_at", "active_branch", "_opened",
                                               "_require_open"),
     ("repro.schooner.api", "ModuleContext"): ("connected",),
+    # a stub's name is its import signature's
+    ("repro.schooner.stubs", "ClientStub"): ("name",),
     ("repro.schooner", "Manager"): ("call", "servers", "line", "line_error"),
     ("repro.serve.installation", "WorkloadCache"): ("peek",),
     ("repro.serve.opcache", "OpPointCache"): ("peek", "families"),
