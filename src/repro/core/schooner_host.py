@@ -16,7 +16,6 @@ from typing import Callable, Dict, Optional, Union
 import numpy as np
 
 from ..machines.host import Machine
-from ..machines import process as _process
 from ..schooner.api import ModuleContext
 from ..schooner.lines import LineState
 from ..schooner.manager import Manager
@@ -68,21 +67,20 @@ class _Placed:
 
     It is also the instance's per-call wrapper: a call rides
     ``compute`` as it is while the placement is the same object, the
-    line is active, no process anywhere has exited since every process
-    of the placement was seen alive (``exits``, read from
-    :data:`repro.machines.process.exits`) and the set* parameters are the ones
-    the line's process was given (``params``).  Anything else goes
-    through :meth:`SchoonerHost._bind`."""
+    line is active and the set* parameters are the ones the line's
+    process was given (``params``).  Anything else goes through
+    :meth:`SchoonerHost._bind`.  A process that died under the wrapper
+    is the call's to meet: its stub re-resolves through the Manager,
+    which recovers it (§4.2)."""
 
     __slots__ = ("key", "placement", "machine", "path", "ctx", "line", "setter",
-                 "compute", "params", "exits")
+                 "compute", "params")
 
     def __init__(self, key: str, placement: Placement, machine: Machine, path: str,
                  ctx: ModuleContext) -> None:
         self.key = key
         self.placement, self.machine, self.path, self.ctx = placement, machine, path, ctx
         self.line = self.setter = self.compute = self.params = None
-        self.exits = -1  # never seen alive yet
 
 
 def _pad4(seq) -> list:
@@ -150,11 +148,12 @@ class SchoonerHost(ComponentHost):
         """The placement of an instance key, contacted, or None if local.
 
         What the key says (kind, path) and what its placement names
-        (the machine) are resolved once; what can change under a
-        running simulation — the line, the remote processes — is
-        revalidated by ``sch_contact_schx``'s own idempotence test, and
-        anything but "placed there and alive" goes through
-        ``sch_contact_schx`` itself."""
+        (the machine) are resolved once; the line, which can end under
+        a running simulation, is revalidated by ``sch_contact_schx``'s
+        own idempotence test, and anything but "placed there on an
+        active line" goes through ``sch_contact_schx`` itself.  The
+        remote processes are not checked: a dead one is met, and
+        recovered, by the call that reaches it."""
         placement = self.placements.get(key)
         if placement is None:
             return None
@@ -187,7 +186,6 @@ class SchoonerHost(ComponentHost):
         """The AVS destroy path: sch_i_quit for one module instance."""
         placed = self._placed.pop(key, None)
         if placed is not None:
-            placed.exits = -1  # its wrapper is gone with it
             placed.ctx.sch_i_quit()
         self._initialized.pop(key, None)
 
@@ -203,7 +201,7 @@ class SchoonerHost(ComponentHost):
         locally.  A call whose wrapper still holds (see :class:`_Placed`)
         takes the stub from it and only counts itself."""
         placed = self._live.get((kind, name))
-        if (placed is not None and placed.exits == _process.exits
+        if (placed is not None
                 and placed.params == params and placed.line.state is _ACTIVE
                 and self.placements.get(placed.key) is placed.placement):
             self.calls[placed.key] += 1
@@ -212,7 +210,7 @@ class SchoonerHost(ComponentHost):
 
     def _bind(self, kind: str, name: str, params: tuple) -> Optional[ClientStub]:
         """A component call whose wrapper does not hold: contact the
-        placement (starting or recovering its process), make the line's
+        placement (starting its process), make the line's
         two stubs once per line, run set* when the line, the placement
         or the parameters moved, and leave the wrapper for the next
         call."""
@@ -220,9 +218,6 @@ class SchoonerHost(ComponentHost):
         placed = self._context(key)
         if placed is None:
             return None
-        # every process of the placement is alive here: a later exit,
-        # anywhere, sends the next call back through here
-        exits = _process.exits
         self.calls[key] = self.calls.get(key, 0) + 1
         line = placed.ctx.line
         if placed.line is not line:
@@ -234,7 +229,7 @@ class SchoonerHost(ComponentHost):
         if self._initialized.get(key) != marker:
             placed.setter(**dict(zip(_PROCS[kind][1], params)))
             self._initialized[key] = marker
-        placed.params, placed.exits = params, exits
+        placed.params = params
         self._live[(kind, name)] = placed
         return placed.compute
 

@@ -4,11 +4,13 @@ The :class:`FailoverSupervisor` is the Manager's recovery sidecar; the
 executive creates one with its Manager, so every run is supervised.
 
 * **detection** — a dead host or process is detected by the call that
-  meets it: when a client stub or ``sch_contact_schx`` resolves a
-  binding to a dead instance, :meth:`~FailoverSupervisor.recover` logs
-  the death (``host-dead`` or ``process-dead``, "failed call") at that
-  call's instant — for a host a fault plan crashed, no earlier than the
-  crash.  Nothing polls: a crash no call meets is never
+  meets it: when a client stub's call fails on a dead binding and its
+  re-lookup (``ClientStub._resolve``, the one caller of
+  :meth:`~FailoverSupervisor.recover`) resolves the dead instance, the
+  supervisor logs the death (``host-dead`` or ``process-dead``, "failed
+  call") at that call's instant — for a host a fault plan crashed, no
+  earlier than the crash.  Nothing polls, and re-contacting a placement
+  (``sch_contact_schx``) starts nothing: a crash no call meets is never
   logged, and changes nothing;
 * **checkpoints** — the call that writes a watched process's declared
   state (:meth:`~FailoverSupervisor.watch`) copies its conformed values
@@ -35,7 +37,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
-from typing import List, Optional, Sequence, Set
+from typing import List, Sequence, Set
 
 from ..machines.process import ProcessState
 from ..network.clock import Timeline
@@ -81,8 +83,8 @@ class FailoverSupervisor:
     def attach(self) -> None:
         """Install as the Manager's supervisor, before it starts anything:
         it watches each process the Manager starts from then on.  Without
-        a supervisor, dead bindings surface as typed call failures
-        (``InstanceGone``)."""
+        a supervisor, a call that meets a dead binding fails
+        (``StaleBinding``) and ends its line."""
         self.manager.supervisor = self
 
     # -- checkpoints -----------------------------------------------------------
@@ -134,35 +136,29 @@ class FailoverSupervisor:
             return same_site[0]
         return min(candidates, key=lambda m: m.hostname)
 
-    def recover(
-        self,
-        line: Line,
-        record: InstanceRecord,
-        timeline: Optional[Timeline] = None,
-    ):
+    def recover(self, line: Line, record: InstanceRecord, timeline: Timeline):
         """Restart a dead instance's executable on a surviving machine
         through :meth:`Manager.restart`, with its latest checkpoint as
         the state (none: the restart comes back empty, and the first
-        read of a declared variable raises ``StateLost``).  Returns the
-        new records, one per procedure the dead process hosted."""
-        env = self.manager.env
-        tl = timeline if timeline is not None else env.clock.timeline("supervisor")
+        read of a declared variable raises ``StateLost``), charging the
+        timeline of the call that met the death.  Returns the new
+        records, one per procedure the dead process hosted."""
         dead = record.machine
         if dead.down_at is not None:
             # a line still behind the crash meets it at the crash
-            tl.sync_to(dead.down_at)
+            timeline.sync_to(dead.down_at)
 
         if dead.up:
             # the process died on a live host: the failed call is the
             # detection, and the host stays in service
             self.events.append(RecoveryEvent(
-                at_s=tl.now, kind="process-dead", subject=record.path,
+                at_s=timeline.now, kind="process-dead", subject=record.path,
                 detail=f"failed call on {dead.hostname}",
             ))
         elif dead.hostname not in self.dead_hosts:
             self.dead_hosts.add(dead.hostname)
             self.events.append(RecoveryEvent(
-                at_s=tl.now, kind="host-dead", subject=dead.hostname,
+                at_s=timeline.now, kind="host-dead", subject=dead.hostname,
                 detail="failed call",
             ))
 
@@ -172,7 +168,7 @@ class FailoverSupervisor:
         state = checkpoint.state if checkpoint is not None else ()
         new_records = self.manager.restart(
             line, record, target, record.path, state,
-            source=self.manager.host, kind=f"restore:{record.path}", timeline=tl,
+            source=self.manager.host, kind=f"restore:{record.path}", timeline=timeline,
         )
         detail = f"{dead.hostname} -> {target.hostname}"
         if state:
@@ -185,7 +181,7 @@ class FailoverSupervisor:
         self.recoveries += 1
         self.events.append(
             RecoveryEvent(
-                at_s=tl.now, kind="failover", subject=record.path, detail=detail
+                at_s=timeline.now, kind="failover", subject=record.path, detail=detail
             )
         )
         return new_records

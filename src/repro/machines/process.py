@@ -53,15 +53,6 @@ TERMINAL_STATES: FrozenSet[ProcessState] = frozenset(
 )
 
 
-#: how many processes of this interpreter have stopped or failed so far:
-#: while it reads what it read before, every process that was alive then
-#: is alive still (a placement's per-call liveness check is this one
-#: comparison).  A module global, not a class attribute: each write to a
-#: class attribute would invalidate the interpreter's attribute caches
-#: for every VirtualProcess.
-exits = 0
-
-
 class ProcessDead(Exception):
     """An operation was attempted on a process that is not running."""
 
@@ -114,20 +105,16 @@ class VirtualProcess:
     def terminate(self) -> None:
         """Clean shutdown.  Idempotent: double-terminate is a no-op, and
         terminating an already-FAILED process preserves FAILED."""
-        global exits
         if self.terminal:
             return
         self.state = ProcessState.STOPPED
-        exits += 1
 
     def crash(self) -> None:
         """Abnormal death.  Crash-after-terminate is a no-op that keeps
         the earlier terminal state (no state corruption)."""
-        global exits
         if self.terminal:
             return
         self.state = ProcessState.FAILED
-        exits += 1
 
     def require_alive(self) -> None:
         if not self.alive:

@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple, Union
 from ..machines.host import Machine
 from ..uts.spec import SpecFile
 from ..uts.types import Signature
-from .errors import InstanceGone, SchoonerError
+from .errors import SchoonerError
 from .lines import InstanceRecord, Line, LineState
 from .manager import Manager
 from .runtime import CallerContext
@@ -62,21 +62,17 @@ class ModuleContext:
 
     def placed_alive(self, machine: Machine, path: str) -> bool:
         """:meth:`sch_contact_schx`'s idempotence test: the line is
-        active, ``path`` is placed on ``machine`` and every process
-        started for it is still running — exactly when a repeated
-        ``sch_contact_schx(machine, path)`` has nothing to do."""
+        active and ``path`` is placed on ``machine`` — exactly when a
+        repeated ``sch_contact_schx(machine, path)`` starts nothing.
+        Whether the placed process still runs is the next call's to
+        find out (§4.2)."""
         line, current = self._line, self._placements.get(path)
-        if (
-            current is None
-            or current[0] is not machine
-            or line is None
-            or line.state is not LineState.ACTIVE
-        ):
-            return False
-        for record in current[2]:
-            if not record.process.alive:
-                return False
-        return True
+        return (
+            current is not None
+            and current[0] is machine
+            and line is not None
+            and line.state is LineState.ACTIVE
+        )
 
     # -- the paper's API -------------------------------------------------------
     def sch_contact_schx(self, machine: Union[Machine, str], path: str) -> Tuple[InstanceRecord, ...]:
@@ -84,20 +80,22 @@ class ModuleContext:
 
         Called at the beginning of the AVS compute function with the
         values of the machine-selection and pathname widgets.  The call
-        is idempotent for an unchanged placement; when the user picks a
-        different machine or path, the old remote process is shut down
-        and a fresh one is started there.
+        is idempotent for an unchanged placement: it starts nothing and
+        returns the line's current bindings, wherever a move or a
+        failover put them — a dead one is met, and recovered, by the
+        next call through it.  When the user picks a different machine
+        or path, the old remote process is shut down and a fresh one is
+        started there.
         """
         if isinstance(machine, str):
             machine = self.manager.env.park[machine]
         if self.placed_alive(machine, path):
-            return self._placements[path][2]
+            line = self._line
+            return tuple(line.lookup(r.procedure.name) for r in self._placements[path][2])
         line = self.line
         current = self._placements.get(path)
         if current is not None:
-            cur_machine, _, records = current
-            if cur_machine is machine and any(not r.alive for r in records):
-                return self._recover(line, machine, path, records)
+            records = current[2]
             # placement changed: stop the old instance
             for r in records:
                 if r.process.alive:
@@ -115,39 +113,6 @@ class ModuleContext:
         records = self.manager.start_remote(line, machine, path)
         self._placements[path] = (machine, path, records)
         return records
-
-    def _recover(self, line: Line, machine: Machine, path: str,
-                 records: Tuple[InstanceRecord, ...]) -> Tuple[InstanceRecord, ...]:
-        """An unchanged placement whose process died: a failover, not a
-        re-placement.  The line's current bindings are used when a move
-        or a stub's retry path already replaced the instance; otherwise
-        the Manager's supervisor restarts it with its checkpointed
-        state, and with no supervisor the instance is gone — a cold
-        restart would come back without the state its ``set*`` left."""
-        try:
-            new_records = tuple(line.lookup(r.procedure.name) for r in records)
-        except SchoonerError:
-            new_records = records
-        if not all(r.alive for r in new_records):
-            supervisor = self.manager.supervisor
-            if supervisor is None:
-                raise InstanceGone(
-                    f"{path} on {records[0].machine.hostname} is no longer "
-                    f"running and no supervisor can restore its state"
-                )
-            new_records = supervisor.recover(line, new_records[0], timeline=line.timeline)
-            # annotate each stub's next call as failed over: the trace
-            # log keeps its witness of the re-routing even though no
-            # call had to fail first
-            for stub in self._stubs.values():
-                stub.note_failover()
-        for stub in self._stubs.values():
-            stub.invalidate()
-        # keep the *requested* machine as the placement key: idempotence
-        # still compares against the widget value, while the line
-        # database knows where the instance actually runs now
-        self._placements[path] = (machine, path, tuple(new_records))
-        return self._placements[path][2]
 
     def import_proc(self, spec: Union[Signature, SpecFile, str], name: Optional[str] = None) -> ClientStub:
         """Build a client stub from an import specification.

@@ -142,11 +142,11 @@ class MigrationError(SchoonerError):
 
 class InstanceGone(MigrationError):
     """An instance's hosting process is no longer running: a move has
-    nothing left to shut down or transfer state from, and a placement
-    prologue with no failover supervisor has no state to restart it
-    with.  Recovery of dead instances is the supervisor's
-    (:mod:`repro.faults`), not :meth:`Manager.move`'s or a cold
-    restart's."""
+    nothing left to shut down or transfer state from.  Recovery of dead
+    instances is the supervisor's (:mod:`repro.faults`), started by the
+    call that meets the death, not :meth:`Manager.move`'s or a cold
+    restart's; with no supervisor that call ends in
+    :class:`StaleBinding`."""
 
 
 class StaleRebind(SchoonerError):

@@ -111,10 +111,10 @@ class Manager:
     running: bool = True
     runs_handled: int = 0
     # failure-detection/recovery sidecar (repro.faults.FailoverSupervisor):
-    # consulted by client stubs and sch_contact_schx when a binding
-    # resolves to a dead instance, and told of every record started
-    # while attached (it watches their declared state for checkpoints).
-    # None = no automatic recovery.
+    # consulted by a client stub whose re-lookup resolves a dead instance
+    # (ClientStub._resolve, the one failover trigger), and told of every
+    # record started while attached (it watches their declared state for
+    # checkpoints).  None = no automatic recovery.
     supervisor: Optional[object] = None
 
     # -- infrastructure -----------------------------------------------------

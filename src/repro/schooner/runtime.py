@@ -682,18 +682,13 @@ class CallerContext:
 
     ``batch`` is the currently open :class:`CallBatch`, if any; while
     one is active, stub calls issued inside a probe region ride that
-    batch instead of blocking the caller.
-
-    ``deadline`` is the caller's virtual-time deadline, if any; stubs
-    sharing this context stamp it into every RPC header (overriding any
-    environment-wide deadline), servers refuse work past it, and the
-    retry engine spends its remaining budget instead of
-    ``RetryPolicy.max_attempts``.
+    batch instead of blocking the caller.  The deadline a call carries
+    is the environment's (``SchoonerEnvironment.deadline``), the one the
+    control ladder reads too.
     """
 
     timeline: Timeline
     batch: Optional["CallBatch"] = None
-    deadline: Optional[Deadline] = None
 
 
 _WAITED = "CallBatch already waited on"

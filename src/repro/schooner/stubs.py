@@ -57,22 +57,19 @@ class ClientStub:
     _cache: Optional[InstanceRecord] = field(default=None, repr=False)
     lookups: int = 0  # Manager round trips, for the migration benchmark
     failovers: int = 0
-    # set when a resolution path (here or sch_contact_schx) recovered a
-    # dead binding before any call failed: the next call's trace still
-    # records the failover
-    _recovered: bool = field(default=False, repr=False)
     # (record, range policy, cost model, CallPlan) of the last binding
     # called: the plan is reused while the three are the same objects
     _bound: Optional[tuple] = field(default=None, repr=False)
 
-    def _resolve(self, timeline: Optional[Timeline] = None) -> InstanceRecord:
+    def _resolve(self, timeline: Optional[Timeline] = None) -> Tuple[InstanceRecord, bool]:
         """Ask the Manager for the procedure's location (one control
         round trip), type-checking the import against the export.
 
         The lookup exchange rides the faulty network under the control
-        ladder (:func:`control_exchange`); a dead binding is handed to
+        ladder (:func:`control_exchange`).  A dead binding is handed to
         the attached failover supervisor (if any) for recovery before
-        being returned."""
+        being returned: this is the one place a failover starts.
+        Returns the binding and whether it was recovered."""
         manager = self.manager
         env = manager.env
         name = self.import_sig.name
@@ -86,34 +83,25 @@ class ClientStub:
         self.lookups += 1
         record = manager.lookup(self.line, name, self.import_sig)
         supervisor = manager.supervisor
-        if not record.alive and supervisor is not None:
-            supervisor.recover(self.line, record, timeline=timeline)
+        recovered = not record.alive and supervisor is not None
+        if recovered:
+            supervisor.recover(self.line, record, timeline)
             record = manager.lookup(self.line, name, self.import_sig)
-            self._recovered = True
         self._cache = record
-        return record
+        return record, recovered
 
     def invalidate(self) -> None:
         self._cache = None
-
-    def note_failover(self) -> None:
-        """Mark that this stub's binding was recovered out-of-band (by
-        ``sch_contact_schx``); the next call is annotated ``failed_over``."""
-        self._recovered = True
-
-    def _consume_recovered(self) -> bool:
-        recovered, self._recovered = self._recovered, False
-        return recovered
 
     def _refresh(
         self, record: InstanceRecord, timeline: Optional[Timeline] = None
     ) -> Tuple[InstanceRecord, bool]:
         """Re-resolve after a failure; reports whether the binding moved."""
-        fresh = self._resolve(timeline)
+        fresh, recovered = self._resolve(timeline)
         moved = (
-            fresh.machine is not record.machine
+            recovered
+            or fresh.machine is not record.machine
             or fresh.generation != record.generation
-            or self._consume_recovered()
         )
         return fresh, moved
 
@@ -186,23 +174,17 @@ class ClientStub:
         env = self.manager.env
         retries = 0
         policy = env.retry
-        # the deadline in force: the caller context's, falling back to
-        # the environment-wide one (a serving session's per-session
-        # deadline)
-        caller = self.caller
-        if caller is not None and caller.deadline is not None:
-            deadline = caller.deadline
-        else:
-            deadline = env.deadline
+        # the environment-wide deadline (a serving session's own)
+        deadline = env.deadline
         budget = env.retry_budget
         try:
             # a first lookup lost past its ladder is a line error too
             record = self._cache
+            failed_over = False
             if record is None:
-                record = self._resolve(timeline)
-            failed_over, self._recovered = self._recovered, False
-            if failed_over:
-                self.failovers += 1
+                record, failed_over = self._resolve(timeline)
+                if failed_over:
+                    self.failovers += 1
             attempt = 1
             while True:
                 try:

@@ -481,19 +481,16 @@ class SessionContext:
     def _disposition(self, record: SessionRecord) -> Tuple[str, Optional[bool]]:
         """Classify a finished run: ``completed`` only when no fault
         visibly touched it (its traces are those of a solo fault-free
-        run) *and* it made its deadline; anything else is explicitly
+        run: no timeout, retry or failover — every recovery is a call's)
+        *and* it made its deadline; anything else is explicitly
         ``degraded``.  A run that delivered nothing never met its
         deadline: ``None``, unless it ran past it (``False``)."""
         impacted = record.impacted
         # chaos can touch a run without scarring its traces: a latency
-        # spike slows delivered messages, and a supervisor can recover a
-        # crashed instance from a placement prologue before any call
-        # fails — consult the injector's interference counter and the
-        # supervisor's recovery log too
+        # spike slows delivered messages — consult the injector's
+        # interference counter too.  A recovery cannot: the call that
+        # met the death carries a failed_over trace, or raised
         if self.injector is not None and self.injector.perturbed:
-            impacted = True
-        ex = self.executive
-        if ex is not None and (ex.supervisor.recoveries or ex.supervisor.dead_hosts):
             impacted = True
         deadline_met: Optional[bool] = None
         if self.spec.deadline_s is not None:

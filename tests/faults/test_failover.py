@@ -13,7 +13,7 @@ These run the real executive, so they are the slow end of the suite
 
 import pytest
 
-from repro.core import REMOTE_PATHS, install_tess_executables
+from repro.core import REMOTE_PATHS, SchoonerHost, install_tess_executables
 from repro.core.specs import DUCT_SPEC_SOURCE
 from repro.faults import (
     CrashMachine,
@@ -22,9 +22,19 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
 )
-from repro.faults.demo import DOOMED_HOST, _build_executive, demo_records, run_demo
+from repro.faults.demo import (
+    DOOMED_HOST,
+    PLAN_NAMES,
+    _build_executive,
+    demo_records,
+    run_demo,
+)
 from repro.schooner import Manager, ManagerMode, ModuleContext, SchoonerEnvironment
 from repro.schooner.tracing import trace_digest
+from repro.serve import SessionSpec, serve_sessions
+from repro.serve import session as session_module
+from repro.serve.installation import SharedInstallation
+from repro.tess import Duct, GasState
 from repro.uts import SpecFile, codec_for
 
 DUCT = SpecFile.parse(DUCT_SPEC_SOURCE).as_imports()
@@ -202,6 +212,60 @@ class TestDetectionByCall:
         assert fo.kind == "failover" and fo.subject == REMOTE_PATHS["duct"]
         assert called_at <= dead.at_s <= fo.at_s <= env.traces[-1].started_at
         assert supervisor.dead_hosts == {host}
+
+    def test_re_contacting_a_crashed_placement_recovers_nothing(self):
+        """``SchoonerHost.setup`` re-contacts every placement; a process
+        that died under it is neither logged nor replaced until a
+        component call meets it, which then fails over once."""
+        env = SchoonerEnvironment.standard()
+        install_tess_executables(env.park)
+        manager = Manager(env=env, host=env.park["ua-sparc10"], mode=ManagerMode.LINES)
+        supervisor = FailoverSupervisor(manager=manager)
+        supervisor.attach()
+        host = SchoonerHost(manager=manager, avs_machine=manager.host,
+                            placements={"duct:core": "lerc-cray"})
+        state = GasState(W=63.0, Tt=745.0, Pt=2.2e6, far=0.0)
+        host.duct("core", Duct(dpqp=0.02), state)  # set* writes, and checkpoints
+        cray = "cray-ymp.lerc.nasa.gov"
+        plan = FaultPlan(events=(CrashProcess(at_s=1.0, hostname=cray),))
+        FaultInjector(env=env, plan=plan).attach()
+        env.clock.advance(2.0)
+        assert env.park[cray].running_processes == ()
+        host.setup()
+        assert supervisor.events == [] and supervisor.recoveries == 0
+        assert [m.hostname for m in env.park if m.running_processes] == []
+        out = host.duct("core", Duct(dpqp=0.02), state)
+        assert out.Pt == pytest.approx(state.Pt * 0.98, rel=1e-12)
+        assert [e.kind for e in supervisor.events] == ["process-dead", "failover"]
+        assert sum(t.failed_over for t in env.traces) == 1
+
+    def test_a_served_session_that_recovers_is_degraded_by_its_call(self, monkeypatch):
+        """The failover is visible in the session's own traces: exactly
+        one call is marked ``failed_over``, a trace that alone makes the
+        session degraded."""
+        seen = []
+        digest = session_module.trace_digest
+        monkeypatch.setattr(session_module, "trace_digest",
+                            lambda traces: seen.append(list(traces)) or digest(traces))
+        # the nozzle is the only process on its host
+        plan = FaultPlan(events=(CrashProcess(at_s=2.0, hostname=DOOMED_HOST),))
+        spec = SessionSpec(name="recovers", points=(1.28,), fault_plan=plan)
+        (result,) = serve_sessions(
+            [spec], installation=SharedInstallation.standard(), dedup=False
+        ).results
+        assert result.status == "degraded" and result.error == ""
+        assert len(result.results) == 1
+        traces = seen[-1]
+        assert [t.procedure for t in traces if t.failed_over] == ["nozl"]
+        assert all(t.outcome == "ok" and not t.retries for t in traces)
+
+
+class TestOneFailoverOneMark:
+    @pytest.mark.parametrize("quick", (True, False), ids=("quick", "full"))
+    @pytest.mark.parametrize("plan", PLAN_NAMES)
+    def test_each_recovery_marks_one_call_failed_over(self, plan, quick):
+        ex = run_demo(plan, seed=0, quick=quick)["executive"]
+        assert sum(t.failed_over for t in ex.env.traces) == ex.supervisor.recoveries
 
 
 class TestDeterminism:

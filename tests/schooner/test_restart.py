@@ -15,14 +15,14 @@ from repro.core.specs import DUCT_SPEC_SOURCE, SHAFT_SPEC_SOURCE
 from repro.faults import CheckpointStore, CrashProcess, FailoverSupervisor, FaultPlan
 from repro.schooner import (
     CallFailed,
-    InstanceGone,
     Manager,
     ManagerMode,
     ModuleContext,
     SchoonerEnvironment,
+    StaleBinding,
     StateLost,
 )
-from repro.schooner.lines import _ProcessState
+from repro.schooner.lines import LineState, _ProcessState
 from repro.serve import SessionSpec, serve_sessions
 from repro.serve.installation import SharedInstallation
 from repro.uts import SpecFile
@@ -75,7 +75,7 @@ class TestSharedInstances:
         supervisor = FailoverSupervisor(manager=manager)
         dead = manager.lookup(requester.line, "duct")
         crash(dead)
-        new = supervisor.recover(requester.line, dead)
+        new = supervisor.recover(requester.line, dead, requester.line.timeline)
         assert {r.procedure.name for r in new} == {"setduct", "duct"}
         # every line resolves the restarted process, not the dead one
         for ctx in (requester, other, context(manager, "c")):
@@ -183,12 +183,17 @@ class TestNoSupervisor:
     def test_dead_instance_on_unchanged_placement_is_gone(self, world):
         env, manager = world
         ctx = context(manager, "duct")
-        (record, _) = ctx.sch_contact_schx("lerc-cray", REMOTE_PATHS["duct"])
-        crash(record)
-        with pytest.raises(InstanceGone, match="no supervisor"):
-            ctx.sch_contact_schx("lerc-cray", REMOTE_PATHS["duct"])
-        # nothing was started in its place
-        assert env.park["lerc-cray"].running_processes == ()
+        records = ctx.sch_contact_schx("lerc-cray", REMOTE_PATHS["duct"])
+        crash(records[0])
+        # re-contacting the placement starts nothing: the dead binding
+        # is the next call's to meet
+        assert ctx.sch_contact_schx("lerc-cray", REMOTE_PATHS["duct"]) == records
+        line = ctx.line
+        with pytest.raises(StaleBinding):
+            ctx.import_proc(DUCT.import_named("duct"))(**DUCT_ARGS)
+        # the failed call ended the line, and nothing took its place
+        assert line.state is LineState.TERMINATED
+        assert [m.hostname for m in env.park if m.running_processes] == []
 
     def test_moved_instance_is_the_placements_new_binding(self, world):
         env, manager = world

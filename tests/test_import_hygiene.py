@@ -117,6 +117,8 @@ GONE_NAMES = {
     "repro.resilience": ("BreakerPolicy", "CircuitBreaker", "BreakerBoard"),
     # a dead host is detected by the call that meets it: no sweeps
     "repro.faults.recovery": ("HEARTBEAT_INTERVAL_S",),
+    # and a dead process too: no placement watches an exit count
+    "repro.machines.process": ("exits",),
 }
 
 GONE_ATTRIBUTES = {
@@ -143,8 +145,14 @@ GONE_ATTRIBUTES = {
         # re-derives the placement only in _bind
         "_stub", "_duct_stub", "_shaft_stub", "_in_overlap_region",
     ),
-    # folded into their one caller on the call path
-    ("repro.schooner.stubs", "ClientStub"): ("_plan", "_deadline", "_breaker_gate"),
+    ("repro.schooner.stubs", "ClientStub"): (
+        # folded into their one caller on the call path
+        "_plan", "_deadline", "_breaker_gate",
+        # a stub's name is its import signature's
+        "name",
+        # _resolve, the one failover trigger, returns whether it recovered
+        "note_failover", "_recovered", "_consume_recovered",
+    ),
     # a future holds a result; its member is charged to a plain Timeline
     ("repro.schooner.runtime", "CallFuture"): ("finished_at", "advance", "sync_to", "traces"),
     ("repro.tess", "ConvergentNozzle"): ("_require_sized",),
@@ -159,13 +167,14 @@ GONE_ATTRIBUTES = {
     ("repro.resilience.soak", "SoakConfig"): ("transport", "resilient_fraction"),
     # one serving mode: every session is supervised
     ("repro.serve.session", "SessionSpec"): ("resilient",),
-    # accessors only their own tests called
-    ("repro.schooner.runtime", "CallerContext"): ("now",),
+    # accessors only their own tests called; a call's deadline is the
+    # environment's, as the control ladder's is
+    ("repro.schooner.runtime", "CallerContext"): ("now", "deadline"),
     ("repro.schooner.runtime", "CallBatch"): ("finished_at", "active_branch", "_opened",
                                               "_require_open"),
-    ("repro.schooner.api", "ModuleContext"): ("connected",),
-    # a stub's name is its import signature's
-    ("repro.schooner.stubs", "ClientStub"): ("name",),
+    # re-contacting a placement recovers nothing: the call that meets
+    # a dead binding does
+    ("repro.schooner.api", "ModuleContext"): ("connected", "_recover"),
     ("repro.schooner", "Manager"): ("call", "servers", "line", "line_error"),
     ("repro.serve.installation", "WorkloadCache"): ("peek",),
     ("repro.serve.opcache", "OpPointCache"): ("peek", "families"),
